@@ -21,7 +21,7 @@ import numpy as np
 
 from .control import ControlConfig, NoiseSource, Plant, StepRecord, run_closed_loop
 from .core import HyperParams, Regressor, check_step_size_cap, kahan_add
-from .errors import ConfigurationError, DataError, SgidentError
+from .errors import ConfigurationError, DataError, NumericError, SgidentError
 from .metrics import (
     bound_curve,
     minimum_phase_ratio,
@@ -331,9 +331,11 @@ def _apply_cap_policy(cfg):
 class CsvStream:
     """Ordered single-pass stream of (Regressor, target) rows from a CSV file.
 
-    Strict mode raises on the first malformed row (with its line number);
-    lenient mode skips malformed rows and counts them.  `rows_yielded` and
-    `skipped` are final once iteration completes.
+    A row is malformed when a used cell is nonnumeric or non-finite (nan,
+    inf).  Strict mode raises on the first malformed row (with its line
+    number); lenient mode skips malformed rows and counts them.
+    `rows_yielded` counts accepted rows only; it and `skipped` are final
+    once iteration completes.
     """
 
     def __init__(self, path, column_map, strict=False, max_rows=None):
@@ -370,19 +372,23 @@ class CsvStream:
                     break
                 line = reader.line_num
                 try:
-                    values = np.array([float(row[c]) for c in self.features])
+                    values = [float(row[c]) for c in self.features]
                     target = float(row[self.target])
                 except (TypeError, ValueError):
+                    problem = "nonnumeric"
+                else:
+                    finite = math.isfinite(target) and all(map(math.isfinite, values))
+                    problem = None if finite else "non-finite"
+                if problem is not None:
                     if self.strict:
-                        raise DataError(
-                            f"nonnumeric cell in {self.path}", line=line
-                        ) from None
+                        raise DataError(f"{problem} cell in {self.path}", line=line)
                     self.skipped += 1
                     if len(self.skipped_lines) < 10:
                         self.skipped_lines.append(line)
                     continue
+                phi = Regressor(values)
                 self.rows_yielded += 1
-                yield Regressor(values), target
+                yield phi, target
 
 
 def ingest_csv(path, column_map, strict=False, max_rows=None) -> CsvStream:
@@ -461,13 +467,22 @@ def read_trace(path):
 # single runs
 
 
+def sampler_bit_generator(seed):
+    """Philox stream for identify-mode regressors: key (seed, 1).
+
+    ``NoiseSource(seed)`` keys Philox with (seed, 0); the second key word
+    keeps the regressors and the noise on independent streams.
+    """
+    return np.random.Philox(key=[int(seed), 1])
+
+
 def _run_identify(cfg, algo, seed):
     """Streaming identification on sampled regressors with a known truth."""
     step_fn = ALGORITHMS[algo]
     pair = cfg.pair
     model = pair.predictor
     theta_star = cfg.theta_star
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(sampler_bit_generator(seed))
     phi_rows = cfg.sampler(rng, cfg.n_steps)[0]
     noise = NoiseSource(std=cfg.noise_std, seed=seed, kind=cfg.noise_kind, df=cfg.noise_df)
     bernoulli = pair.loss.name == "cross_entropy"
@@ -820,6 +835,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     break  # data stream is fixed; one pass per algorithm
     except SgidentError as exc:
         report["error"] = {"message": str(exc)}
+        if isinstance(exc, NumericError) and exc.context:
+            report["error"]["context"] = exc.json_context()
         _write_report(report_path, report)
         raise
 

@@ -7,10 +7,11 @@ Exit codes: 0 when every enabled check passes, 2 when a check fails,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .bench import compare_runs, load_config, render_comparison, run_experiment
-from .errors import SgidentError
+from .errors import NumericError, SgidentError
 from .models import catalog_pair, verify_assumption2
 
 PASS, FAIL, ERROR = 0, 2, 1
@@ -112,6 +113,8 @@ def main(argv=None) -> int:
         return _verify_assumption2(args)
     except SgidentError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NumericError) and exc.context:
+            print(f"context: {json.dumps(exc.json_context(), sort_keys=True)}", file=sys.stderr)
         return ERROR
 
 

@@ -3,10 +3,14 @@
 Per step k the loop (i) inverts the *estimated* model to pick the input u_k
 that would place the one-step-ahead prediction on the target, (ii) advances
 the true plant to produce y_{k+1}, and (iii) feeds (phi_k, y_{k+1}) to the
-estimator.  Inversion is a monotone bisection after geometric bracket
-expansion from the previous input; unreachable targets and a vanishing
-control gain are handled by best-effort/hold fallbacks that leave a flag in
-the trace instead of raising.
+estimator.  A link model with a closed-form inverse is inverted directly,
+u = (link_inv(y*) - base) / theta_u; any other model, and any closed-form
+answer that misses the residual tolerance, goes to a monotone bisection
+after geometric bracket expansion from the previous input.  Unreachable
+targets and a vanishing control gain are handled by best-effort/hold
+fallbacks that leave a flag in the trace instead of raising.  The plant
+noise of a run does not depend on the loop state, so it is drawn as one
+block up front.
 """
 
 from __future__ import annotations
@@ -75,6 +79,18 @@ class NoiseSource:
         if self.kind == "gaussian":
             return self.std * float(ndtri(u))
         return self.std * float(stdtrit(self.df, u))
+
+    def draw_block(self, n):
+        """The next ``n`` values of ``draw()`` as one array, bit for bit.
+
+        Philox is counter-based, so one vector call yields the same words as
+        n scalar calls, and the inverse CDFs are elementwise.
+        """
+        u = (self._gen.integers(0, 1 << 53, size=n) + 0.5) * (2.0 ** -53)
+        self.draw_count += n
+        if self.kind == "gaussian":
+            return self.std * ndtri(u)
+        return self.std * stdtrit(self.df, u)
 
 
 class LagBuffer:
@@ -187,13 +203,20 @@ class StepRecord:
 
 
 def solve_control(model, theta, lags, y_star, cfg: ControlConfig, u_prev=0.0):
-    """Invert u -> f(phi_k(u), theta) toward y_star by bracketed bisection.
+    """Invert u -> f(phi_k(u), theta) toward y_star.
 
     Returns (u, flags).  flags is a tuple drawn from {"saturated",
     "singular_gain"}: ``singular_gain`` holds the previous input when the
     local control gain df/du is below b_eps; ``saturated`` marks a target not
     reachable inside [-u_max, u_max] (best endpoint returned) or an
     unconverged residual on a flat stretch.
+
+    The previous input (clipped) is returned as is when it already meets
+    root_tol.  A model with ``link_inv`` is then inverted in closed form, and
+    that input is taken when it lies in [-u_max, u_max] and meets root_tol;
+    a target outside the link's range or an input beyond u_max saturates at
+    the better endpoint.  Everything else, including every model without
+    ``link_inv``, is solved by bracketed bisection.
     """
     theta_v = as_values(theta, "parameter vector")
     phi = lags.regressor(0.0)
@@ -201,7 +224,9 @@ def solve_control(model, theta, lags, y_star, cfg: ControlConfig, u_prev=0.0):
         raise ConfigurationError(f"regressor dim {phi.size} != parameter dim {theta_v.size}")
     u_idx = lags.p
 
+    link_inv = None
     if isinstance(model, LinkRegressionModel):
+        link_inv = getattr(model, "link_inv", None)
         base = float(np.dot(phi, theta_v)) - phi[u_idx] * theta_v[u_idx]
         cu = float(theta_v[u_idx])
         link = model.link
@@ -209,24 +234,41 @@ def solve_control(model, theta, lags, y_star, cfg: ControlConfig, u_prev=0.0):
         def f_of_u(u):
             return link(base + cu * u)
 
-        gain = float(model.dlink(base + cu * u_prev)) * cu
+        def gain_at(u):
+            return float(model.dlink(base + cu * u)) * cu
     else:
 
         def f_of_u(u):
             phi[u_idx] = u
             return float(model.eval(phi, theta_v))
 
-        h = 1e-6 * max(1.0, abs(u_prev))
-        gain = (f_of_u(u_prev + h) - f_of_u(u_prev - h)) / (2.0 * h)
+        def gain_at(u):
+            h = 1e-6 * max(1.0, abs(u))
+            return (f_of_u(u + h) - f_of_u(u - h)) / (2.0 * h)
 
     u0 = min(max(u_prev, -cfg.u_max), cfg.u_max)
     r0 = f_of_u(u0) - y_star
     if abs(r0) <= cfg.root_tol:
         return u0, ()
-    if abs(gain) < cfg.b_eps:
+    if abs(gain_at(u_prev)) < cfg.b_eps:
         return u_prev, ("singular_gain",)
 
-    # geometric expansion: walk both sides from u0 until a sign change
+    if link_inv is not None:
+        z_star = link_inv(y_star)
+        u = math.inf if z_star is None else (z_star - base) / cu
+        if abs(u) > cfg.u_max:
+            # monotone link: the target lies beyond one end of the input range
+            r_lo = f_of_u(-cfg.u_max) - y_star
+            r_hi = f_of_u(cfg.u_max) - y_star
+            u, r = (-cfg.u_max, r_lo) if abs(r_lo) <= abs(r_hi) else (cfg.u_max, r_hi)
+            return u, (() if abs(r) <= cfg.root_tol else ("saturated",))
+        if abs(f_of_u(u) - y_star) <= cfg.root_tol:
+            return u, ()
+    return _bisect_control(f_of_u, y_star, u0, r0, cfg)
+
+
+def _bisect_control(f_of_u, y_star, u0, r0, cfg):
+    """Bracket a sign change by geometric expansion from u0, then bisect."""
     step = 1.0
     lo, r_lo = u0, r0
     hi, r_hi = u0, r0
@@ -294,7 +336,8 @@ def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, step_fn=sg_step)
 
     Step order per k: solve the control from the current estimate, advance the
     plant, then update the estimator with (phi_k, y_{k+1}).  The noise stream
-    is reseeded from ``seed`` so sweeps are reproducible run by run.
+    is reseeded from ``seed`` so sweeps are reproducible run by run; its
+    n_steps values are drawn as one block, identical to drawing them per step.
     """
     model_est = pair.predictor
     p = getattr(plant.model, "p", None)
@@ -306,7 +349,7 @@ def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, step_fn=sg_step)
             f"estimator model dim {model_est.dim} != plant model dim {plant.model.dim}"
         )
     lags = LagBuffer(p, q)
-    noise = plant.noise.with_seed(seed)
+    noise = plant.noise.with_seed(seed).draw_block(int(n_steps))
     theta_star_v = plant.theta_star.values
     loss = pair.loss
 
@@ -320,8 +363,10 @@ def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, step_fn=sg_step)
         phi = lags.regressor(u)
         f_true = float(plant.model.eval(phi, theta_star_v))
         if not math.isfinite(f_true):
-            raise NumericError("plant conditional mean non-finite", context={"k": k})
-        w = noise.draw()
+            raise NumericError(
+                "plant conditional mean non-finite", context={"k": k, "phi": phi, "u": u}
+            )
+        w = float(noise[k])
         y_next = f_true + w
         f_est = float(model_est.eval(phi, state.theta.values))
         theta_err = float(np.linalg.norm(state.theta.values - theta_star_v))

@@ -218,7 +218,9 @@ class LinkRegressionModel(PredictorModel):
 
     Subclasses provide vectorised ``link``/``dlink``; that single structure
     covers the whole catalog and gives the controller and the assumption
-    verifier a fast scalar path.
+    verifier a fast scalar path.  A subclass whose link has a closed-form
+    inverse also defines scalar ``link_inv(y)``, returning None when y lies
+    outside the link's open range; the controller then inverts directly.
     """
 
     def link(self, z):  # pragma: no cover - interface
@@ -357,7 +359,10 @@ def loss_eval(loss, y, x):
         )
     out = float(loss.eval(y, x))
     if not math.isfinite(out):
-        raise NumericError(f"loss '{loss.name}' produced a non-finite value at y={y}, x={x}")
+        raise NumericError(
+            f"loss '{loss.name}' produced a non-finite value at y={y}, x={x}",
+            context={"y": y, "x": x},
+        )
     return out
 
 
@@ -369,5 +374,8 @@ def loss_grad_x(loss, y, x):
         )
     out = float(loss.grad_x(y, x))
     if not math.isfinite(out):
-        raise NumericError(f"loss '{loss.name}' produced a non-finite derivative at y={y}, x={x}")
+        raise NumericError(
+            f"loss '{loss.name}' produced a non-finite derivative at y={y}, x={x}",
+            context={"y": y, "x": x},
+        )
     return out

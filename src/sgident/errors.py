@@ -7,6 +7,8 @@ violations (DomainError) and malformed external data (DataError).
 
 from __future__ import annotations
 
+import math
+
 
 class SgidentError(Exception):
     """Base class for all package errors."""
@@ -26,6 +28,22 @@ class NumericError(SgidentError):
     def __init__(self, message, context=None):
         super().__init__(message)
         self.context = dict(context) if context else {}
+
+    def json_context(self):
+        """``context`` as JSON: arrays become lists, non-finite floats strings."""
+        return {str(key): _json_safe(value) for key, value in self.context.items()}
+
+
+def _json_safe(value):
+    if hasattr(value, "tolist"):  # numpy array or scalar
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if value is None or isinstance(value, (int, str)):
+        return value
+    return repr(value)
 
 
 class DomainError(SgidentError):

@@ -160,6 +160,9 @@ class LinearModel(LinkRegressionModel):
     def link(self, z):
         return z
 
+    def link_inv(self, y):
+        return y
+
     def dlink(self, z):
         if isinstance(z, float):
             return 1.0
@@ -195,6 +198,9 @@ class TanhArxModel(LinkRegressionModel):
         if isinstance(z, float):
             return math.tanh(z)
         return np.tanh(z)
+
+    def link_inv(self, y):
+        return math.atanh(y) if -1.0 < y < 1.0 else None
 
     def dlink(self, z):
         if isinstance(z, float):
@@ -233,6 +239,9 @@ class LogisticModel(LinkRegressionModel):
         e = np.exp(z[~pos])
         out[~pos] = e / (1.0 + e)
         return out
+
+    def link_inv(self, y):
+        return math.log(y) - math.log1p(-y) if 0.0 < y < 1.0 else None
 
     def dlink(self, z):
         s = self.link(z)

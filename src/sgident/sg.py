@@ -102,7 +102,9 @@ def _advance(state, pair, phi, y, classical):
             f"regressor dim {phi_v.size} != parameter dim {theta_v.size} at step {state.k}"
         )
     if not math.isfinite(y):
-        raise NumericError(f"observation must be finite, got {y} at step {state.k}")
+        raise NumericError(
+            f"observation must be finite, got {y} at step {state.k}", context={"k": state.k, "y": y}
+        )
 
     f_hat = float(model.eval(phi_v, theta_v))
     if not math.isfinite(f_hat):
@@ -129,7 +131,11 @@ def _advance(state, pair, phi, y, classical):
             context={"k": state.k},
         )
 
-    slope = loss_grad_x(loss, y, f_hat)
+    try:
+        slope = loss_grad_x(loss, y, f_hat)
+    except NumericError as exc:
+        exc.context.setdefault("k", state.k)
+        raise
     theta_new = theta_v - (mu_k * slope) * g
     if not np.all(np.isfinite(theta_new)):
         raise NumericError(

@@ -22,11 +22,12 @@ from sgident.bench import (
     read_trace,
     render_comparison,
     run_experiment,
+    sampler_bit_generator,
     verify_report,
     write_trace,
 )
-from sgident.control import StepRecord
-from sgident.errors import ConfigurationError, DataError
+from sgident.control import NoiseSource, StepRecord
+from sgident.errors import ConfigurationError, DataError, NumericError
 
 CONTROL_CFG = """
 [experiment]
@@ -240,6 +241,31 @@ class TestIngestCsv:
             list(ingest_csv(path, self.COLUMNS, strict=True))
         assert exc.value.line == 3
 
+    NON_FINITE = "a,b,y\n1,2,3\nnan,2,3\n1,inf,3\n1,2,-inf\n4,5,6\n"
+
+    def test_lenient_mode_skips_non_finite_cells(self, tmp_path):
+        stream = ingest_csv(self._write(tmp_path, self.NON_FINITE), self.COLUMNS)
+        rows = list(stream)
+        assert [y for _, y in rows] == [3.0, 6.0]
+        assert stream.rows_yielded == 2
+        assert stream.skipped == 3
+        assert stream.skipped_lines == [3, 4, 5]
+
+    @pytest.mark.parametrize("bad_line", [3, 4, 5])
+    def test_strict_mode_rejects_non_finite_cell_with_line(self, tmp_path, bad_line):
+        lines = self.NON_FINITE.splitlines()
+        body = "\n".join([lines[0], lines[1], lines[bad_line - 1]]) + "\n"
+        with pytest.raises(DataError, match="non-finite") as exc:
+            list(ingest_csv(self._write(tmp_path, body), self.COLUMNS, strict=True))
+        assert exc.value.line == 3
+
+    def test_rows_yielded_counts_only_accepted_rows(self, tmp_path):
+        stream = ingest_csv(self._write(tmp_path, self.NON_FINITE), self.COLUMNS)
+        seen = []
+        for _ in stream:
+            seen.append(stream.rows_yielded)
+        assert seen == [1, 2]
+
     def test_missing_column_reported(self, tmp_path):
         path = self._write(tmp_path, "a,z,y\n1,2,3\n")
         with pytest.raises(DataError, match="'b'"):
@@ -395,6 +421,46 @@ class TestRunExperiment:
                                          data=data))
         with pytest.raises(DataError, match="no usable rows"):
             run_experiment(cfg)
+
+
+class TestIdentifyStreams:
+    def test_regressor_and_noise_streams_differ(self):
+        for seed in (0, 3, 2**40 + 3):
+            noise_bits = NoiseSource(seed=seed)._gen.bit_generator.random_raw(64)
+            sampler_bits = sampler_bit_generator(seed).random_raw(64)
+            assert not np.any(noise_bits == sampler_bits)
+
+    def test_sampler_stream_is_reproducible(self):
+        assert np.array_equal(sampler_bit_generator(5).random_raw(16),
+                              sampler_bit_generator(5).random_raw(16))
+
+
+class TestErrorContext:
+    def test_numeric_error_context_is_kept_in_report(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,f2,y\n1,0.5,0.2,2\n1,0.5,0.2,1e308\n1,0.5,0.2,2\n")
+        text = REPLAY_CFG.replace("pair = saturation", "pair = linear_mse")
+        text = text.replace("features = f0, f1, f2, f3, f4", "features = f0, f1, f2")
+        path = _write_cfg(tmp_path, text, out=tmp_path / "runs", data=data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = load_config(path)
+        # 2 * (f - 1e308) overflows the squared-error derivative on row 1
+        with pytest.raises(NumericError):
+            run_experiment(cfg)
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        context = report["error"]["context"]
+        assert context["k"] == 1
+        assert context["y"] == 1e308
+        assert isinstance(context["x"], float)
+        assert "non-finite derivative" in report["error"]["message"]
+
+    def test_json_context_converts_arrays_and_non_finite_values(self):
+        exc = NumericError("boom", context={"k": np.int64(4), "phi": np.array([1.0, np.nan]),
+                                            "u": np.inf, "tag": "x"})
+        ctx = exc.json_context()
+        assert ctx == {"k": 4, "phi": [1.0, "nan"], "u": "inf", "tag": "x"}
+        json.dumps(ctx, allow_nan=False)
 
 
 class TestCompareRuns:

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, overrides, printed verdicts, exit codes."""
 
+import json
 import textwrap
 
 import pytest
@@ -116,6 +117,20 @@ class TestRunCommands:
             code = main(["replay", "--config", _cfg(tmp_path, REPLAY_CFG)])
         assert code == 1
         assert "needs a dataset" in capsys.readouterr().err
+
+    def test_numeric_error_prints_its_context(self, tmp_path, capsys):
+        # the squared-error derivative 2 * (f - 1e308) overflows on row 1
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,f2,y\n1,0.5,0.2,2\n1,0.5,0.2,1e308\n")
+        text = REPLAY_CFG.replace("pair = saturation", "pair = linear_mse")
+        text = text.replace("features = f0, f1, f2, f3, f4", "features = f0, f1, f2")
+        with pytest.warns(UserWarning):
+            code = main(["replay", "--config", _cfg(tmp_path, text), "--data", str(data)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err[0].startswith("error: loss 'squared_error' produced a non-finite derivative")
+        context = json.loads(err[1].removeprefix("context: "))
+        assert context["k"] == 1 and context["y"] == 1e308
 
     def test_missing_config_is_an_error(self, tmp_path, capsys):
         code = main(["control", "--config", str(tmp_path / "none.cfg")])

@@ -17,7 +17,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sgident.control as control_mod
 from sgident.control import (
     ControlConfig,
     LagBuffer,
@@ -29,7 +32,15 @@ from sgident.control import (
 )
 from sgident.core import HyperParams, PredictorModel
 from sgident.errors import ConfigurationError
-from sgident.models import tanh_arx_model, tanh_mse_pair
+from sgident.models import (
+    LinearModel,
+    LogisticModel,
+    SaturatedMeanModel,
+    SaturationSpec,
+    TanhArxModel,
+    tanh_arx_model,
+    tanh_mse_pair,
+)
 from sgident.sg import sg_init, sg_step
 
 
@@ -77,6 +88,18 @@ class TestNoiseSource:
         src = NoiseSource(std=1.0, seed=42, kind="student_t", df=5.0)
         xs = np.array([src.draw() for _ in range(50_000)])
         assert abs(xs.var() - 5.0 / 3.0) < 0.12
+
+    @pytest.mark.parametrize("kind,df", [("gaussian", None), ("student_t", 5.0)])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_block_matches_scalar_draws_bitwise(self, kind, df, seed):
+        scalar = NoiseSource(std=0.3, seed=seed, kind=kind, df=df)
+        block = NoiseSource(std=0.3, seed=seed, kind=kind, df=df)
+        want = [scalar.draw() for _ in range(5000)]
+        got = block.draw_block(5000)
+        assert [float(v) for v in got] == want
+        assert block.draw_count == scalar.draw_count == 5000
+        # the stream continues where the block stopped
+        assert block.draw() == scalar.draw()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -142,6 +165,25 @@ class _CubicInputModel(PredictorModel):
         return np.array([phi[0], phi[1] ** 3])
 
 
+class _TanhWithoutInverse(TanhArxModel):
+    """The tanh lag model with its closed-form inverse hidden: bisection only."""
+
+    link_inv = None
+
+
+@pytest.fixture
+def bisect_calls(monkeypatch):
+    calls = []
+    original = control_mod._bisect_control
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(control_mod, "_bisect_control", counting)
+    return calls
+
+
 class TestSolveControl:
     cfg = ControlConfig(y_target=0.5, u_max=1000.0, b_eps=1e-8, root_tol=1e-10)
 
@@ -199,6 +241,75 @@ class TestSolveControl:
         assert flags == ()
         assert abs(u - 0.3) < 1e-6
 
+    def test_link_models_invert_in_closed_form(self, bisect_calls):
+        lags = LagBuffer(1, 2)
+        lags.advance(0.4, 0.2)
+        theta = np.array([0.7, -0.8, 0.3])
+        for model, y_star in ((LinearModel(3), 2.5), (TanhArxModel(1, 2), -0.6),
+                              (LogisticModel(3), 0.85)):
+            u, flags = solve_control(model, theta, lags, y_star, self.cfg, u_prev=0.0)
+            assert flags == ()
+            phi = lags.regressor(u)
+            assert abs(model.eval(phi, theta) - y_star) <= 1e-15
+        assert bisect_calls == []
+
+    def test_target_outside_link_range_saturates_at_better_endpoint(self, bisect_calls):
+        lags = LagBuffer(1, 1)
+        cfg = ControlConfig(u_max=10.0)
+        cases = [
+            # (model, input coefficient, target, endpoint nearest the target)
+            (TanhArxModel(1, 1), 0.6, 1.5, 10.0),
+            (TanhArxModel(1, 1), 0.6, -1.0, -10.0),
+            (TanhArxModel(1, 1), -0.6, 1.5, -10.0),  # decreasing in u
+            (LogisticModel(2), 0.6, 1.2, 10.0),
+            (LogisticModel(2), 0.6, 0.0, -10.0),
+        ]
+        for model, cu, y_star, want in cases:
+            u, flags = solve_control(model, np.array([0.1, cu]), lags, y_star, cfg)
+            assert (u, flags) == (want, ("saturated",)), (model.name, cu, y_star)
+        assert bisect_calls == []
+
+    def test_root_beyond_u_max_saturates_at_nearer_endpoint(self, bisect_calls):
+        model = tanh_arx_model(p=3, q=2)
+        lags = LagBuffer(3, 2)
+        theta = np.array([0.0, 0.0, 0.0, 0.6, 0.0])
+        cfg = ControlConfig(u_max=0.1)
+        # the root is 0.5159, above u_max
+        assert solve_control(model, theta, lags, 0.3, cfg) == (0.1, ("saturated",))
+        assert solve_control(model, theta, lags, -0.3, cfg) == (-0.1, ("saturated",))
+        assert bisect_calls == []
+
+    def test_short_circuit_keeps_previous_input_over_closed_form(self, bisect_calls):
+        model = tanh_arx_model(p=3, q=2)
+        lags = LagBuffer(3, 2)
+        theta = np.array([0.0, 0.0, 0.0, 0.6, 0.0])
+        y_star = math.tanh(0.6 * 0.3) + 5e-11  # within root_tol of u_prev = 0.3
+        assert solve_control(model, theta, lags, y_star, self.cfg, u_prev=0.3) == (0.3, ())
+        # a clipped u_prev is the candidate the short-circuit checks
+        cfg = ControlConfig(u_max=0.3)
+        assert solve_control(model, theta, lags, y_star, cfg, u_prev=4.0) == (0.3, ())
+        assert bisect_calls == []
+
+    def test_singular_gain_precedes_closed_form(self):
+        # tanh is flat at a huge preactivation: hold u_prev even though
+        # atanh would give a finite input
+        model = tanh_arx_model(p=3, q=2)
+        lags = LagBuffer(3, 2)
+        theta = np.array([0.0, 0.0, 0.0, 0.6, 0.0])
+        assert solve_control(model, theta, lags, 0.2, self.cfg, u_prev=100.0) == (
+            100.0, ("singular_gain",))
+
+    def test_models_without_inverse_take_bisection(self, bisect_calls):
+        u_cubic, flags = solve_control(_CubicInputModel(), np.array([0.5, 2.0]), LagBuffer(1, 1),
+                                       0.054, self.cfg, u_prev=0.5)
+        assert flags == () and abs(u_cubic - 0.3) < 1e-6
+        censored = SaturatedMeanModel(SaturationSpec(-1.0, 1.0), 2)
+        theta = np.array([0.2, 0.8])
+        u, flags = solve_control(censored, theta, LagBuffer(1, 1), 0.3, self.cfg)
+        assert flags == ()
+        assert abs(float(censored.link(0.8 * u)) - 0.3) <= self.cfg.root_tol
+        assert len(bisect_calls) == 2
+
     def test_dim_mismatch_raises(self):
         model = tanh_arx_model(p=3, q=2)
         lags = LagBuffer(3, 2)
@@ -216,6 +327,40 @@ class TestSolveControl:
         assert cfg.target(0) == 0.1
         assert cfg.target(2) == 0.3
         assert ControlConfig(y_target=0.4).target(7) == 0.4
+
+
+_lag = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    y_lags=st.tuples(_lag, _lag, _lag),
+    u_lag=st.floats(-5.0, 5.0),
+    theta_rest=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+    cu=st.floats(0.05, 2.0),
+    cu_sign=st.sampled_from([1.0, -1.0]),
+    y_star=st.floats(-0.95, 0.95),
+    u_prev=st.floats(-5.0, 5.0),
+)
+def test_closed_form_agrees_with_bisection(y_lags, u_lag, theta_rest, cu, cu_sign, y_star,
+                                            u_prev):
+    cfg = ControlConfig(u_max=1000.0, b_eps=1e-8, root_tol=1e-10)
+    lags = LagBuffer(3, 2)
+    lags.advance(y_lags[2], 0.0)
+    lags.advance(y_lags[1], 0.0)
+    lags.advance(y_lags[0], u_lag)
+    theta = np.array([*theta_rest[:3], cu_sign * cu, theta_rest[3]])
+    u_cf, flags_cf = solve_control(TanhArxModel(3, 2), theta, lags, y_star, cfg, u_prev)
+    u_bi, flags_bi = solve_control(_TanhWithoutInverse(3, 2), theta, lags, y_star, cfg, u_prev)
+    assert flags_cf == flags_bi
+    if flags_cf:
+        assert u_cf == u_bi
+        return
+    # both residuals lie within root_tol, so the inputs differ by at most
+    # root_tol over the local gain
+    z = float(np.dot(lags.regressor(u_cf), theta))
+    gain = (1.0 - math.tanh(z) ** 2) * theta[3]
+    assert abs(u_cf - u_bi) <= 1.001 * cfg.root_tol / abs(gain) + 1e-12
 
 
 class TestPlantStep:
@@ -264,7 +409,8 @@ class TestRunClosedLoop:
     def test_oracle_controller_sits_on_noise_floor(self):
         # estimating at theta* with no updates, tracking error is w^2 alone:
         # mean ~ sigma^2 = 0.0025, and the one-step identity
-        # y - y* - w = f(phi, theta*) - y* is the solver residual (<= root_tol)
+        # y - y* - w = f(phi, theta*) - y* is the solver residual, which the
+        # closed-form atanh inverse leaves at rounding level
         plant, pair = self._plant_and_pair()
         state = sg_init(self.theta_star, self.hyper)
         cfg = ControlConfig(y_target=0.5, root_tol=1e-10)
@@ -275,7 +421,7 @@ class TestRunClosedLoop:
         te = np.mean([(r.y - r.y_star) ** 2 for r in recs])
         assert 0.002 < te < 0.003
         worst = max(abs(r.y - r.y_star - r.w) for r in recs)
-        assert worst <= 1e-10
+        assert worst <= 1e-14
         assert all(r.regret_avg == 0.0 for r in recs)
         assert all(r.theta_err == 0.0 for r in recs)
 

@@ -13,7 +13,10 @@ from conftest import fd_grad, fd_scalar
 from sgident.errors import ConfigurationError
 from sgident.models import (
     PAIR_CATALOG,
+    LinearModel,
+    LogisticModel,
     QuadNetSpec,
+    SaturatedMeanModel,
     SaturationSpec,
     catalog_pair,
     hinge_sq_loss,
@@ -21,6 +24,7 @@ from sgident.models import (
     saturation_assumption2_delta,
     saturation_mean,
     saturation_mean_deriv,
+    tanh_arx_model,
     verify_assumption2,
 )
 
@@ -126,6 +130,31 @@ class TestCatalogGradients:
                 theta = rng.normal(size=d)
                 g = np.linalg.norm(model.grad(phi, theta))
                 assert g <= k1 + k2 * np.linalg.norm(phi) + 1e-9, name
+
+
+class TestLinkInverse:
+    MODELS = (LinearModel(3), tanh_arx_model(3, 2), LogisticModel(3))
+
+    def test_inverts_link_on_a_preactivation_grid(self):
+        for model in self.MODELS:
+            for z in np.linspace(-15.0, 15.0, 301):
+                z = float(z)
+                y = model.link(z)
+                # atanh/logit amplify rounding of y by 1/dlink near saturation
+                tol = 1e-15 * max(1.0, abs(z)) + 4e-16 / model.dlink(z)
+                assert abs(model.link_inv(y) - z) <= tol, (model.name, z)
+
+    def test_targets_outside_the_open_range_are_unreachable(self):
+        tanh, logistic = tanh_arx_model(3, 2), LogisticModel(3)
+        for y in (-1.0, 1.0, 1.5, -2.0, math.nan):
+            assert tanh.link_inv(y) is None
+        for y in (0.0, 1.0, -0.1, 1.1, math.nan):
+            assert logistic.link_inv(y) is None
+        assert LinearModel(3).link_inv(1e6) == 1e6
+
+    def test_censored_mean_has_no_closed_form_inverse(self):
+        model = SaturatedMeanModel(SaturationSpec(-1.0, 1.0), 3)
+        assert getattr(model, "link_inv", None) is None
 
 
 class TestHinge:
