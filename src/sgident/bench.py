@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlConfig, NoiseSource, Plant, StepRecord, run_closed_loop
+from .control import ControlConfig, NoiseSource, Plant, StepRecord, run_closed_loop_batch
 from .core import HyperParams, Regressor, check_step_size_cap, kahan_add
 from .errors import ConfigurationError, DataError, NumericError, SgidentError
 from .metrics import (
@@ -527,15 +527,17 @@ def _run_identify(cfg, algo, seed):
     return records
 
 
-def _run_control(cfg, algo, seed):
-    step_fn = ALGORITHMS[algo]
+def _run_control(cfg, algo):
+    """All seeds of one algorithm as one closed-loop batch."""
     plant = Plant(
         model=cfg.pair.predictor,
         theta_star=cfg.theta_star,
-        noise=NoiseSource(std=cfg.noise_std, seed=seed, kind=cfg.noise_kind, df=cfg.noise_df),
+        noise=NoiseSource(std=cfg.noise_std, kind=cfg.noise_kind, df=cfg.noise_df),
     )
     estimator = sg_init(cfg.theta0, cfg.hyper)
-    return run_closed_loop(plant, estimator, cfg.pair, cfg.control, cfg.n_steps, seed, step_fn=step_fn)
+    return run_closed_loop_batch(
+        plant, estimator, cfg.pair, cfg.control, cfg.n_steps, cfg.seeds, algorithm=algo
+    )
 
 
 def _load_replay_rows(cfg):
@@ -611,6 +613,31 @@ def _step_size_law_max(records):
     return worst
 
 
+def _run_checks(summary, mu, root_tol=None):
+    """A run's pass/fail checks from its numbers and flag counts.
+
+    The summaries and ``verify_report`` both derive checks here, so a
+    reported check can be recomputed from the trace.
+    """
+    checks = {
+        "step_size_law": summary["step_size_law_max"] <= mu * (1 + 1e-12),
+        "no_divergence": summary["flag_counts"]["divergence"] == 0,
+    }
+    if "gradient_noise_max_dev" in summary:
+        checks["gradient_noise_identity"] = summary["gradient_noise_max_dev"] <= GRADIENT_NOISE_TOL
+    if "identity_max_dev" in summary:
+        checks["closed_loop_identity"] = summary["identity_max_dev"] <= root_tol + 1e-9
+    return checks
+
+
+def _gradient_noise_max_dev(loss, y, f_true, f_est, w):
+    """Largest gap of grad_x L(y, f_est) - grad_x L(f_true, f_est) from -2w.
+
+    The measured gradient noise collapses to -2w for the squared-error loss.
+    """
+    return float(np.max(np.abs(loss.grad_x(y, f_est) - loss.grad_x(f_true, f_est) + 2.0 * w)))
+
+
 def _summarize_identification(cfg, records):
     out = {
         "final_average_regret": records[-1].regret_avg,
@@ -620,32 +647,18 @@ def _summarize_identification(cfg, records):
     if len(records) >= 500:
         out["average_regret_at_500"] = records[499].regret_avg
     out.update(_rs_fields(records))
-    checks = {
-        "step_size_law": out["step_size_law_max"] <= cfg.hyper.mu * (1 + 1e-12),
-        "no_divergence": _flag_counts(records)["divergence"] == 0,
-    }
     if isinstance(cfg.pair.loss, SquaredError) and records[0].w is not None:
-        # measured gradient noise grad_x L(y, f_est) - grad_x L(f_true, f_est)
-        # must collapse to -2w for the squared-error loss
-        loss = cfg.pair.loss
-        dev = max(
-            abs(
-                float(loss.grad_x(rec.y, rec.f_est))
-                - float(loss.grad_x(rec.f_true, rec.f_est))
-                + 2.0 * rec.w
-            )
-            for rec in records
+        y, f_true, f_est, w = (
+            np.array([getattr(rec, c) for rec in records]) for c in ("y", "f_true", "f_est", "w")
         )
-        out["gradient_noise_max_dev"] = dev
-        checks["gradient_noise_identity"] = dev <= GRADIENT_NOISE_TOL
+        out["gradient_noise_max_dev"] = _gradient_noise_max_dev(cfg.pair.loss, y, f_true, f_est, w)
     out["flag_counts"] = _flag_counts(records)
-    out["checks"] = checks
+    out["checks"] = _run_checks(out, cfg.hyper.mu)
     return out
 
 
 def _summarize_control(cfg, records):
     out = _summarize_identification(cfg, records)
-    n = len(records)
     y_star = np.array([r.y_star for r in records])
     f_true = np.array([r.f_true for r in records])
     y = np.array([r.y for r in records])
@@ -667,7 +680,7 @@ def _summarize_control(cfg, records):
         dev = max(dev, abs(rec.y - rec.y_star - rec.w - (rec.f_true - rec.f_est)))
     out["identity_max_dev"] = dev
     out["identity_steps_checked"] = clean
-    out["checks"]["closed_loop_identity"] = dev <= cfg.control.root_tol + 1e-9
+    out["checks"] = _run_checks(out, cfg.hyper.mu, cfg.control.root_tol)
     return out
 
 
@@ -686,10 +699,7 @@ def _summarize_replay(cfg, records, predictions, targets):
     out["final_relative_error"] = out["relative_error_checkpoints"]["final"]
     out.update(_rs_fields(records))
     out["flag_counts"] = _flag_counts(records)
-    out["checks"] = {
-        "step_size_law": out["step_size_law_max"] <= cfg.hyper.mu * (1 + 1e-12),
-        "no_divergence": out["flag_counts"]["divergence"] == 0,
-    }
+    out["checks"] = _run_checks(out, cfg.hyper.mu)
     return out
 
 
@@ -767,10 +777,18 @@ def _bound_curve_block(cfg):
     }
 
 
-def _comparison_block(cfg, runs, metric, smaller_wins=True):
-    if len(cfg.algorithms) < 2:
+# the per-seed metric that decides the comparison of the first two algorithms
+_WIN_METRIC = {
+    "identify": "final_average_regret",
+    "control": "final_average_regret",
+    "replay": "final_relative_error",
+}
+
+
+def _comparison_block(algorithms, runs, metric, smaller_wins=True):
+    if len(algorithms) < 2:
         return None
-    a, b = cfg.algorithms[0], cfg.algorithms[1]
+    a, b = algorithms[0], algorithms[1]
     wins = {a: 0, b: 0, "ties": 0}
     detail = {}
     for seed_key in runs[a]:
@@ -789,6 +807,40 @@ def _comparison_block(cfg, runs, metric, smaller_wins=True):
     return {"metric": metric, "wins": wins, "per_seed": detail}
 
 
+def _checks_overall(runs):
+    """AND of every per-run check across runs, plus ``all_pass``."""
+    overall = {}
+    for by_seed in runs.values():
+        for summary in by_seed.values():
+            for check, ok in summary["checks"].items():
+                overall[check] = overall.get(check, True) and bool(ok)
+    overall = dict(sorted(overall.items()))
+    overall["all_pass"] = all(overall.values())
+    return overall
+
+
+def _run_cell(cfg, algo, seed, records, replay_rows):
+    """Summarize one (algorithm, seed) cell and write its trace; returns the summary.
+
+    ``records`` is the cell's closed-loop trace in control mode; the other
+    modes run the cell here.
+    """
+    if cfg.mode == "identify":
+        records = _run_identify(cfg, algo, seed)
+        summary = _summarize_identification(cfg, records)
+        trace_name = f"trace_{algo}_seed{seed}.csv"
+    elif cfg.mode == "control":
+        summary = _summarize_control(cfg, records)
+        trace_name = f"trace_{algo}_seed{seed}.csv"
+    else:
+        records, predictions, targets = _run_replay(cfg, algo, replay_rows)
+        summary = _summarize_replay(cfg, records, predictions, targets)
+        trace_name = f"trace_{algo}_replay.csv"
+    write_trace(os.path.join(cfg.out_dir, trace_name), records)
+    summary["trace"] = trace_name
+    return summary
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run all (algorithm, seed) cells, persist traces, and write report.json."""
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -803,59 +855,42 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     }
     report_path = os.path.join(cfg.out_dir, "report.json")
 
-    replay_rows = stream = None
-    if cfg.mode == "replay":
-        replay_rows, stream = _load_replay_rows(cfg)
-        report["dataset"] = {
-            "path": cfg.data_path,
-            "rows_used": len(replay_rows),
-            "rows_skipped": stream.skipped,
-            "skipped_lines": stream.skipped_lines,
-        }
-
     try:
+        replay_rows = None
+        if cfg.mode == "replay":
+            replay_rows, stream = _load_replay_rows(cfg)
+            report["dataset"] = {
+                "path": cfg.data_path,
+                "rows_used": len(replay_rows),
+                "rows_skipped": stream.skipped,
+                "skipped_lines": stream.skipped_lines,
+            }
         for algo in cfg.algorithms:
-            for seed in cfg.seeds:
-                if cfg.mode == "identify":
-                    records = _run_identify(cfg, algo, seed)
-                    summary = _summarize_identification(cfg, records)
-                    trace_name = f"trace_{algo}_seed{seed}.csv"
-                elif cfg.mode == "control":
-                    records = _run_control(cfg, algo, seed)
-                    summary = _summarize_control(cfg, records)
-                    trace_name = f"trace_{algo}_seed{seed}.csv"
-                else:
-                    records, predictions, targets = _run_replay(cfg, algo, replay_rows)
-                    summary = _summarize_replay(cfg, records, predictions, targets)
-                    trace_name = f"trace_{algo}_replay.csv"
-                write_trace(os.path.join(cfg.out_dir, trace_name), records)
-                summary["trace"] = trace_name
+            batch = _run_control(cfg, algo) if cfg.mode == "control" else None
+            for i, seed in enumerate(cfg.seeds):
+                # the cell's records live only while _run_cell runs
+                summary = _run_cell(
+                    cfg, algo, seed, None if batch is None else batch.records(i), replay_rows
+                )
                 report["runs"][algo][f"seed_{seed}"] = summary
                 if cfg.mode == "replay":
                     break  # data stream is fixed; one pass per algorithm
+            batch = None  # free this algorithm's columns before the next batch
     except SgidentError as exc:
         report["error"] = {"message": str(exc)}
         if isinstance(exc, NumericError) and exc.context:
             report["error"]["context"] = exc.json_context()
+        if isinstance(exc, DataError) and exc.line is not None:
+            report["error"]["line"] = exc.line
         _write_report(report_path, report)
         raise
 
     if cfg.mode in ("identify", "control"):
         report["bound_curve"] = _bound_curve_block(cfg)
-        comparison = _comparison_block(cfg, report["runs"], "final_average_regret")
-    else:
-        comparison = _comparison_block(cfg, report["runs"], "final_relative_error")
+    comparison = _comparison_block(cfg.algorithms, report["runs"], _WIN_METRIC[cfg.mode])
     if comparison is not None:
         report["comparison"] = comparison
-
-    all_checks = {}
-    for algo, by_seed in report["runs"].items():
-        for seed_key, summary in by_seed.items():
-            for check, ok in summary["checks"].items():
-                all_checks.setdefault(check, True)
-                all_checks[check] = all_checks[check] and bool(ok)
-    report["checks_overall"] = dict(sorted(all_checks.items()))
-    report["checks_overall"]["all_pass"] = all(all_checks.values()) if all_checks else True
+    report["checks_overall"] = _checks_overall(report["runs"])
 
     _write_report(report_path, report)
     return RunReport(data=report, path=report_path)
@@ -971,16 +1006,17 @@ def render_comparison(table):
 # independent report verification
 
 
-def _recompute_run(report, algo, seed_key, summary, out_dir):
-    """Recompute one run's reported numbers from its persisted trace."""
+def _recompute_run(report, summary, out_dir):
+    """Recompute one run's reported numbers, flag counts and checks from its trace."""
     cfgd = report["config"]
     mode = cfgd["mode"]
     records = read_trace(os.path.join(out_dir, summary["trace"]))
+    y = np.array([r.y for r in records])
+    f_est = np.array([r.f_est for r in records])
     got = {}
     if mode in ("identify", "control"):
         loss = catalog_pair(cfgd["pair"])[0].loss if mode == "identify" else SquaredError()
         f_true = np.array([r.f_true for r in records])
-        f_est = np.array([r.f_est for r in records])
         base = np.array(
             [
                 float(loss.eval(ft, fe)) - float(loss.eval(ft, ft))
@@ -991,18 +1027,25 @@ def _recompute_run(report, algo, seed_key, summary, out_dir):
         if "average_regret_at_500" in summary:
             got["average_regret_at_500"] = float(np.mean(base[:500]))
         got["final_theta_err"] = records[-1].theta_err
+        # the trace keeps no noise column; y - f_true is w to within one ulp
+        w_approx = y - f_true
+        if isinstance(loss, SquaredError):
+            got["gradient_noise_max_dev"] = _gradient_noise_max_dev(
+                loss, y, f_true, f_est, w_approx
+            )
     if mode == "control":
-        y = np.array([r.y for r in records])
         y_star = np.array([r.y_star for r in records])
         got["final_tracking_conditional"] = float(np.mean((f_true - y_star) ** 2))
         got["final_tracking_proxy"] = float(np.mean((y - y_star) ** 2))
-        w_approx = y - f_true
         dev = 0.0
+        clean = 0
         for i, rec in enumerate(records):
             if rec.flags:
                 continue
+            clean += 1
             dev = max(dev, abs(rec.y - rec.y_star - w_approx[i] - (rec.f_true - rec.f_est)))
         got["identity_max_dev"] = dev
+        got["identity_steps_checked"] = clean
         for rec in records:
             rec.w = float(w_approx[rec.k])
         got["min_phase_max"] = float(np.max(minimum_phase_ratio(records).values))
@@ -1010,8 +1053,6 @@ def _recompute_run(report, algo, seed_key, summary, out_dir):
             edge = math.tanh(cfgd["control"]["operating_bound"])
             got["out_of_band_fraction"] = float(np.mean(np.abs(f_est) > edge))
     if mode == "replay":
-        y = np.array([r.y for r in records])
-        f_est = np.array([r.f_est for r in records])
         got["final_relative_error"] = relative_error_metric(f_est, y)
         cks = {}
         for key, val in summary["relative_error_checkpoints"].items():
@@ -1027,22 +1068,41 @@ def _recompute_run(report, algo, seed_key, summary, out_dir):
     got["rs_total"] = rs.total
     got["rs_tail_fraction"] = rs.tail_fraction
     got["step_size_law_max"] = float(np.max(mu * gns)) if len(mu) else 0.0
+    got["flag_counts"] = _flag_counts(records)
+    root_tol = cfgd["control"]["root_tol"] if mode == "control" else None
+    got["checks"] = _run_checks(got, cfgd["hyper"]["mu"], root_tol)
     return got
+
+
+# recomputed fields compared for exact equality rather than to a tolerance
+_EXACT_FIELDS = ("flag_counts", "checks")
 
 
 def verify_report(report_path, tol=RECOMPUTE_TOL):
     """Recompute every reported per-run number from traces; list mismatches.
 
     Returns (ok, problems).  Numbers must agree to `tol`; nested checkpoint
-    dicts are compared entry by entry.
+    dicts are compared entry by entry.  Flag counts and per-run checks must
+    equal those recomputed from the traces, and a finished report's
+    ``checks_overall`` and ``comparison`` must equal those derived from the
+    recomputed runs.
     """
     report = _load_report(report_path)
     out_dir = os.path.dirname(os.path.abspath(report_path)) if isinstance(report_path, str) else report.get("config", {}).get("out_dir", ".")
     problems = []
+    recomputed = {}
     for algo, by_seed in report["runs"].items():
+        recomputed[algo] = {}
         for seed_key, summary in by_seed.items():
-            got = _recompute_run(report, algo, seed_key, summary, out_dir)
+            got = recomputed[algo][seed_key] = _recompute_run(report, summary, out_dir)
             for name, value in got.items():
+                if name in _EXACT_FIELDS:
+                    if summary.get(name) != value:
+                        problems.append(
+                            f"{algo}/{seed_key}/{name}: reported {summary.get(name)!r}, "
+                            f"recomputed {value!r}"
+                        )
+                    continue
                 if name not in summary:
                     continue
                 want = summary[name]
@@ -1057,4 +1117,15 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
                     problems.append(
                         f"{algo}/{seed_key}/{name}: reported {want!r}, recomputed {value!r}"
                     )
+    if "error" not in report:
+        cfgd = report["config"]
+        derived = {
+            "checks_overall": _checks_overall(recomputed),
+            "comparison": _comparison_block(
+                cfgd["algorithms"], recomputed, _WIN_METRIC[cfgd["mode"]]
+            ),
+        }
+        for name, value in derived.items():
+            if report.get(name) != value:
+                problems.append(f"{name}: reported {report.get(name)!r}, recomputed {value!r}")
     return (not problems), problems

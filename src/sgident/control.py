@@ -11,19 +11,32 @@ targets and a vanishing control gain are handled by best-effort/hold
 fallbacks that leave a flag in the trace instead of raising.  The plant
 noise of a run does not depend on the loop state, so it is drawn as one
 block up front.
+
+One loop, ``run_closed_loop_batch``, steps all seeds of a sweep together as
+rows of (S, d) arrays; ``run_closed_loop`` is its batch of one.  Rows never
+mix, so a cell's trace does not depend on the other seeds in its batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri, stdtrit
 
-from .core import LinkRegressionModel, ParameterVector, Role, as_values, kahan_add
+from .core import (
+    LinkRegressionModel,
+    ParameterVector,
+    Role,
+    as_values,
+    check_rows,
+    kahan_add_rows,
+    row_dots,
+)
 from .errors import ConfigurationError, NumericError
-from .sg import DIVERGENCE_NORM, sg_step
+from .sg import DIVERGENCE_NORM, sg_update
 
 __all__ = [
     "NoiseSource",
@@ -31,9 +44,12 @@ __all__ = [
     "Plant",
     "ControlConfig",
     "StepRecord",
+    "ClosedLoopBatch",
     "solve_control",
+    "solve_control_rows",
     "plant_step",
     "run_closed_loop",
+    "run_closed_loop_batch",
 ]
 
 
@@ -331,13 +347,98 @@ def plant_step(plant: Plant, lags: LagBuffer, u):
     return y_next, w
 
 
-def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, step_fn=sg_step):
-    """Run the full certainty-equivalence loop; returns the per-step trace.
+def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev):
+    """``solve_control`` on S stacked rows; returns (u, flagged).
 
-    Step order per k: solve the control from the current estimate, advance the
-    plant, then update the estimator with (phi_k, y_{k+1}).  The noise stream
-    is reseeded from ``seed`` so sweeps are reproducible run by run; its
-    n_steps values are drawn as one block, identical to drawing them per step.
+    ``theta`` and ``phi`` are (S, d) arrays; each row of ``phi`` is a
+    regressor with its input entry (index ``p``) at 0.  ``u_prev`` is (S,).
+    A row takes the closed form u = (link_inv(y*) - base) / theta_u where
+    ``solve_control`` would: its clipped previous input misses root_tol, its
+    local gain at the previous input is at least b_eps, and the closed form
+    lies in [-u_max, u_max] and meets root_tol.  Every other row is handed to
+    ``solve_control`` itself (short-circuit, singular-gain hold, saturation,
+    bisection), so each row gets the scalar solve's flags.  ``flagged`` maps
+    a row index to its flags, for flagged rows only.
+    """
+    link_inv = getattr(model, "link_inv", None)
+    z_star = link_inv(y_star) if link_inv is not None else None
+    cu = theta[:, p]
+    base = row_dots(phi, theta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u0 = np.minimum(np.maximum(u_prev, -cfg.u_max), cfg.u_max)
+        r0 = model.link(base + cu * u0) - y_star
+        gain = model.dlink(base + cu * u_prev) * cu
+        # a target outside the link's range leaves u = nan: the scalar solve
+        u = (math.nan if z_star is None else z_star - base) / cu
+        closed = (
+            (np.abs(r0) > cfg.root_tol)
+            & (np.abs(gain) >= cfg.b_eps)
+            & (np.abs(u) <= cfg.u_max)
+            & (np.abs(model.link(base + cu * u) - y_star) <= cfg.root_tol)
+        )
+    flagged = {}
+    if not all(closed.tolist()):
+        q = phi.shape[1] - p
+        for i in np.flatnonzero(~closed).tolist():
+            lags = LagBuffer(p, q)
+            lags._y[:] = phi[i, :p]
+            lags._u[: q - 1] = phi[i, p + 1 :]
+            u[i], flags = solve_control(model, theta[i], lags, y_star, cfg, float(u_prev[i]))
+            if flags:
+                flagged[i] = flags
+    return u, flagged
+
+
+# float64 columns recorded per step by the batched loop, in storage order
+_BATCH_COLUMNS = (
+    "y", "u", "f_true", "f_est", "loss", "regret_avg", "theta_err", "mu_k", "r_k",
+    "grad_norm_sq",
+)
+
+
+@dataclass
+class ClosedLoopBatch:
+    """The recorded steps of a batched closed-loop run, column-wise.
+
+    ``rows[k, j, i]`` is column ``_BATCH_COLUMNS[j]`` of step k in the cell
+    of ``seeds[i]``, and ``noise[k, i]`` its plant noise; ``y_star[k]`` is
+    shared by all cells.  ``flags[i]`` maps a step to its flags, for the
+    flagged steps of cell i only.
+    """
+
+    seeds: tuple
+    y_star: list
+    rows: np.ndarray
+    noise: np.ndarray
+    flags: list
+
+    def records(self, i):
+        """The trace of cell i as StepRecords, built on demand."""
+        cols = [self.rows[:, j, i].tolist() for j in range(len(_BATCH_COLUMNS))]
+        flags = self.flags[i]
+        return [
+            StepRecord(k, y, u, y_star, f_true, f_est, loss, regret, err, mu, r,
+                       ";".join(flags.get(k, ())), w, gns)
+            for k, (y_star, w, y, u, f_true, f_est, loss, regret, err, mu, r, gns)
+            in enumerate(zip(self.y_star, self.noise[:, i].tolist(), *cols))
+        ]
+
+
+def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, seeds, algorithm="modified",
+                          update=None):
+    """Run the certainty-equivalence loop for every seed at once.
+
+    Row i of every array is the cell of ``seeds[i]``; all rows start from
+    ``estimator`` with zero lags.  Step order per k: solve the control of
+    every row from its current estimate, advance the plant, then update the
+    estimator rows with (phi_k, y_{k+1}).  Each row's noise is the block
+    ``plant.noise.with_seed(seed).draw_block(n_steps)``, the same values a
+    one-seed run draws.  ``update(theta, r, carry, phi, y)`` advances the
+    estimator rows and returns (theta, r, carry, mu_k, grad_norm_sq); the
+    default is ``sg_update`` with the classical gain law when ``algorithm``
+    is "classical" and the modified law otherwise.  A NumericError raised
+    inside the batch names the step, the algorithm and the row's seed in
+    its context.  Returns a ClosedLoopBatch.
     """
     model_est = pair.predictor
     p = getattr(plant.model, "p", None)
@@ -348,53 +449,82 @@ def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, step_fn=sg_step)
         raise ConfigurationError(
             f"estimator model dim {model_est.dim} != plant model dim {plant.model.dim}"
         )
-    lags = LagBuffer(p, q)
-    noise = plant.noise.with_seed(seed).draw_block(int(n_steps))
-    theta_star_v = plant.theta_star.values
-    loss = pair.loss
+    for model in (model_est, plant.model):
+        if not isinstance(model, LinkRegressionModel):
+            raise ConfigurationError(f"the closed loop needs link models, got {model.name!r}")
+    if update is None:
+        update = partial(sg_update, pair=pair, hyper=estimator.hyper,
+                         classical=algorithm == "classical")
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ConfigurationError("the closed loop needs at least one seed")
+    n, S, d = int(n_steps), len(seeds), p + q
+    targets = [cfg.target(k) for k in range(n)]
+    # stacked like theta so that theta == theta* gives f_est == f_true exactly
+    theta_star = np.tile(plant.theta_star.values, (S, 1))
+    loss, link_true, link_est = pair.loss, plant.model.link, model_est.link
 
-    state = estimator
-    u_prev = 0.0
-    regret_total, regret_carry = 0.0, 0.0
-    records = []
-    for k in range(int(n_steps)):
-        y_star = cfg.target(k)
-        u, flags = solve_control(model_est, state.theta.values, lags, y_star, cfg, u_prev)
-        phi = lags.regressor(u)
-        f_true = float(plant.model.eval(phi, theta_star_v))
-        if not math.isfinite(f_true):
-            raise NumericError(
-                "plant conditional mean non-finite", context={"k": k, "phi": phi, "u": u}
-            )
-        w = float(noise[k])
-        y_next = f_true + w
-        f_est = float(model_est.eval(phi, state.theta.values))
-        theta_err = float(np.linalg.norm(state.theta.values - theta_star_v))
+    theta = np.tile(estimator.theta.values, (S, 1))
+    r = np.full(S, estimator.gain.r)
+    carry = np.full(S, estimator.gain.carry)
+    # each row of phi holds the lag stacks: outputs y_k..y_{k-p+1}, the
+    # input slot (0 until solved), then inputs u_{k-1}..u_{k-q+1}
+    phi = np.zeros((S, d))
+    u_prev = np.zeros(S)
+    regret, regret_carry = np.zeros(S), np.zeros(S)
+    rows = np.empty((n, len(_BATCH_COLUMNS), S))
+    flags = [{} for _ in seeds]
+    k = 0
+    try:
+        # overflow and 0/0 in masked rows stay silent: every result is checked
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            noise = np.stack([plant.noise.with_seed(s).draw_block(n) for s in seeds], axis=1)
+            for k in range(n):
+                y_star = targets[k]
+                u, flagged = solve_control_rows(model_est, theta, phi, p, y_star, cfg, u_prev)
+                phi[:, p] = u
+                f_true = link_true(row_dots(phi, theta_star))
+                check_rows(np.isfinite(f_true), "plant conditional mean non-finite", phi=phi, u=u)
+                w = noise[k]
+                y_next = f_true + w
+                f_est = link_est(row_dots(phi, theta))
+                gap = theta - theta_star
+                theta_err = np.sqrt(row_dots(gap, gap))
 
-        state = step_fn(state, pair, phi, y_next)
-        if state.theta.norm() > DIVERGENCE_NORM:
-            flags = flags + ("divergence",)
+                theta, r, carry, mu_k, grad_norm_sq = update(theta, r, carry, phi, y_next)
+                diverged = np.sqrt(row_dots(theta, theta)) > DIVERGENCE_NORM
+                regret, regret_carry = kahan_add_rows(
+                    regret, regret_carry, loss.eval(f_true, f_est) - loss.eval(f_true, f_true)
+                )
+                rows[k] = (y_next, u, f_true, f_est, loss.eval(y_next, f_est), regret / (k + 1),
+                           theta_err, mu_k, r, grad_norm_sq)
+                if any(diverged.tolist()):
+                    for i in np.flatnonzero(diverged).tolist():
+                        flagged[i] = flagged.get(i, ()) + ("divergence",)
+                for i, row_flags in flagged.items():
+                    flags[i][k] = row_flags
 
-        regret_inc = float(loss.eval(f_true, f_est)) - float(loss.eval(f_true, f_true))
-        regret_total, regret_carry = kahan_add(regret_total, regret_carry, regret_inc)
-        records.append(
-            StepRecord(
-                k=k,
-                y=y_next,
-                u=u,
-                y_star=y_star,
-                f_true=f_true,
-                f_est=f_est,
-                loss=float(loss.eval(y_next, f_est)),
-                regret_avg=regret_total / (k + 1),
-                theta_err=theta_err,
-                mu_k=state.last_mu,
-                r_k=state.gain.r,
-                flags=";".join(flags),
-                w=w,
-                grad_norm_sq=state.last_grad_norm_sq,
-            )
-        )
-        lags.advance(y_next, u)
-        u_prev = u
-    return records
+                phi[:, 1:p] = phi[:, : p - 1]
+                phi[:, 0] = y_next
+                phi[:, p + 1 :] = phi[:, p : d - 1]
+                phi[:, p] = 0.0
+                u_prev = u
+    except NumericError as exc:
+        row = exc.context.pop("row", None)
+        exc.context.update(k=k, algorithm=algorithm)
+        if row is not None:
+            exc.context["seed"] = seeds[row]
+        raise
+    return ClosedLoopBatch(seeds=seeds, y_star=targets, rows=rows, noise=noise, flags=flags)
+
+
+def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, algorithm="modified",
+                    update=None):
+    """One-seed closed loop: a batch of one; returns the per-step trace.
+
+    Arguments as for ``run_closed_loop_batch``; the noise stream is reseeded
+    from ``seed`` so sweeps are reproducible run by run.
+    """
+    batch = run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, (seed,), algorithm,
+                                  update)
+    return batch.records(0)

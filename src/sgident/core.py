@@ -39,6 +39,9 @@ __all__ = [
     "loss_grad_x",
     "check_step_size_cap",
     "kahan_add",
+    "kahan_add_rows",
+    "row_dots",
+    "check_rows",
 ]
 
 
@@ -115,6 +118,45 @@ def kahan_add(total, carry, increment):
     t = total + y
     carry = (t - total) - y
     return t, carry
+
+
+def kahan_add_rows(total, carry, increment):
+    """``kahan_add`` on arrays, row by row; returns new (total, carry) arrays.
+
+    Each row is bit-identical to the scalar step, including the skip of a
+    zero increment.
+    """
+    y = increment - carry
+    t = total + y
+    new_carry = (t - total) - y
+    idle = increment == 0.0
+    if any(idle.tolist()):
+        t[idle] = total[idle]
+        new_carry[idle] = carry[idle]
+    return t, new_carry
+
+
+def row_dots(a, b):
+    """Dot product of each row of ``a`` with the same row of ``b``.
+
+    Every batched dot product goes through here, so it has one summation
+    order: equal rows give bit-equal results.
+    """
+    return np.add.reduce(a * b, axis=1)
+
+
+def check_rows(ok, message, **values):
+    """Raise NumericError naming the first row where ``ok`` is not all True.
+
+    ``ok`` is a boolean (S,) or (S, d) array.  The context holds the row
+    index under "row" and that row of each array in ``values``.
+    """
+    # a Python scan of a few rows is cheaper than the ndarray.all dispatch
+    if all(ok.ravel().tolist()):
+        return
+    row = int(np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))[0])
+    context = {"row": row, **{name: v[row] for name, v in values.items()}}
+    raise NumericError(message, context=context)
 
 
 @dataclass(frozen=True)

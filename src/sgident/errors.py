@@ -51,8 +51,11 @@ class DomainError(SgidentError):
 
 
 class DataError(SgidentError):
-    """Malformed external data; carries the offending line number when known."""
+    """Malformed external data; carries the offending line number when known.
+
+    A known line is also named at the end of the message.
+    """
 
     def __init__(self, message, line=None):
-        super().__init__(message)
+        super().__init__(message if line is None else f"{message} at line {line}")
         self.line = line

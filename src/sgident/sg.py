@@ -14,6 +14,10 @@ gain is formed, so the denominator reads the up-to-date total and the explicit
 ``mu_k * ||g_k||^2 <= mu`` holds on every step and is asserted in-loop.
 
 No projection is applied anywhere; a runaway estimate is flagged, not clamped.
+
+``sg_step`` and ``classical_sg_step`` advance one immutable state;
+``sg_update`` runs the same step on S stacked rows of plain arrays for the
+batched closed loop.
 """
 
 from __future__ import annotations
@@ -26,12 +30,16 @@ import numpy as np
 from .core import (
     GainState,
     HyperParams,
+    LinkRegressionModel,
     ParameterVector,
     Role,
     as_values,
+    check_rows,
+    kahan_add_rows,
     loss_grad_x,
+    row_dots,
 )
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, DomainError, NumericError
 
 __all__ = [
     "EstimatorState",
@@ -39,6 +47,7 @@ __all__ = [
     "sg_init",
     "sg_step",
     "classical_sg_step",
+    "sg_update",
     "mu_schedule",
 ]
 
@@ -159,3 +168,55 @@ def sg_step(state, pair, phi, y) -> EstimatorState:
 def classical_sg_step(state, pair, phi, y) -> EstimatorState:
     """One step of the classical baseline mu_k = mu / r_k (same accumulator)."""
     return _advance(state, pair, phi, y, classical=True)
+
+
+def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
+    """The step of ``sg_step`` (or ``classical_sg_step``) on S stacked rows.
+
+    ``theta`` and ``phi`` are (S, d) arrays; ``r``, ``carry`` (the Kahan
+    total and compensation of each row's accumulator) and ``y`` are (S,).
+    Returns new arrays (theta, r, carry, mu_k, grad_norm_sq).  Each row
+    follows the scalar arithmetic; only the order of the d-term sums and the
+    vector link functions differ, so rows agree with the scalar step to
+    rounding.  The predictor must be a link model.  Every check of the
+    scalar step runs as a reduction over the rows, in the same order, and a
+    failure raises NumericError with the first bad row in context["row"].
+    """
+    model, loss = pair.predictor, pair.loss
+    if not isinstance(model, LinkRegressionModel):
+        raise ConfigurationError(f"sg_update needs a link model, got {model.name!r}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        check_rows(np.isfinite(y), "observation must be finite", y=y)
+        z = row_dots(phi, theta)
+        f_hat = model.link(z)
+        check_rows(np.isfinite(f_hat), "predictor output non-finite", phi=phi, theta=theta)
+        g = model.dlink(z)[:, None] * phi
+        grad_norm_sq = row_dots(g, g)
+        check_rows(np.isfinite(grad_norm_sq), "predictor gradient non-finite", phi=phi, theta=theta)
+
+        r, carry = kahan_add_rows(r, carry, grad_norm_sq)
+        if classical:
+            mu_k = hyper.mu / r
+        else:
+            check_rows(r > 1.0, "gain accumulator must exceed 1 for the log term", r=r)
+            denom = r**hyper.beta1
+            if hyper.beta2 != 0.0:
+                denom = denom * np.log(r) ** hyper.beta2
+            mu_k = hyper.mu / (denom + grad_norm_sq)
+        check_rows(~(mu_k * grad_norm_sq > hyper.mu),
+                   f"step-size law violated: mu_k*||g||^2 > mu = {hyper.mu}",
+                   mu_k=mu_k, grad_norm_sq=grad_norm_sq)
+
+        if not loss.in_domain(f_hat):
+            row = next(i for i in range(len(f_hat)) if not loss.in_domain(f_hat[i]))
+            raise DomainError(
+                f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): "
+                f"x={f_hat[row]} in row {row}"
+            )
+        slope = loss.grad_x(y, f_hat)
+        check_rows(np.isfinite(slope), f"loss '{loss.name}' produced a non-finite derivative",
+                   y=y, x=f_hat)
+        theta_new = theta - (mu_k * slope)[:, None] * g
+        check_rows(np.isfinite(theta_new), "parameter update produced non-finite entries",
+                   phi=phi, theta=theta)
+    return theta_new, r, carry, mu_k, grad_norm_sq

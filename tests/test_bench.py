@@ -6,12 +6,16 @@ suite.
 """
 
 import json
+import os
 import shutil
+import tempfile
 import textwrap
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgident.bench import (
     TRACE_COLUMNS,
@@ -349,6 +353,28 @@ class TestTracePersistence:
             read_trace(str(path))
 
 
+_cell = st.one_of(st.none(), st.floats(allow_nan=False))
+_record = st.builds(
+    lambda values, flags: values + [flags],
+    st.lists(_cell, min_size=10, max_size=10),
+    st.sampled_from(["", "saturated", "singular_gain", "divergence", "saturated;divergence"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(_record, max_size=20))
+def test_trace_round_trip_is_exact(rows):
+    records = [StepRecord(k, *values) for k, values in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace(path, records)
+        first = open(path, "rb").read()
+        back = read_trace(path)
+        assert back == records
+        write_trace(path, back)
+        assert open(path, "rb").read() == first
+
+
 class TestRunExperiment:
     def test_control_report_shape(self, control_report):
         data = control_report.data
@@ -463,6 +489,34 @@ class TestErrorContext:
         json.dumps(ctx, allow_nan=False)
 
 
+    def test_numeric_error_in_a_batch_names_step_algorithm_and_seed(self, tmp_path):
+        # noise std 1e308: seed 2's first draw (-0.028) stays finite, seed 4's
+        # (-4.09) overflows to -inf, so row 1 of the first batch fails at k=0
+        text = CONTROL_CFG.replace("noise_std = 0.05", "noise_std = 1e308")
+        text = text.replace("seeds = 1, 2", "seeds = 2, 4")
+        cfg = load_config(_write_cfg(tmp_path, text, out=tmp_path / "runs"))
+        with pytest.raises(NumericError, match="observation must be finite"):
+            run_experiment(cfg)
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        context = report["error"]["context"]
+        assert (context["k"], context["algorithm"], context["seed"]) == (0, "modified", 4)
+        assert context["y"] == "-inf"
+
+    def test_strict_ingestion_error_is_kept_in_report_with_its_line(self, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_text("f0,f1,f2,f3,f4,y\n1,1,1,1,1,30\n1,oops,1,1,1,30\n")
+        path = _write_cfg(tmp_path, REPLAY_CFG, out=tmp_path / "runs", data=data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = load_config(path)
+        cfg.strict_csv = True
+        with pytest.raises(DataError, match="at line 3"):
+            run_experiment(cfg)
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        assert report["error"]["line"] == 3
+        assert report["error"]["message"].endswith("at line 3")
+
+
 class TestCompareRuns:
     def test_two_algorithm_report_compares_its_own_sides(self, control_report):
         table = compare_runs(control_report, control_report)
@@ -509,6 +563,49 @@ class TestVerifyReport:
         ok, problems = verify_report(report_path)
         assert not ok
         assert any("final_average_regret" in p for p in problems)
+
+    def _verify_edited(self, control_report, tmp_path, edit):
+        dst = str(tmp_path / "copy")
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        report_path = os.path.join(dst, "report.json")
+        data = json.load(open(report_path))
+        edit(data)
+        json.dump(data, open(report_path, "w"))
+        return verify_report(report_path)
+
+    def test_flipped_all_pass_is_flagged(self, control_report, tmp_path):
+        def edit(data):
+            data["checks_overall"]["all_pass"] = not data["checks_overall"]["all_pass"]
+
+        ok, problems = self._verify_edited(control_report, tmp_path, edit)
+        assert not ok
+        assert any(p.startswith("checks_overall") for p in problems)
+
+    def test_zeroed_wins_are_flagged(self, control_report, tmp_path):
+        def edit(data):
+            wins = data["comparison"]["wins"]
+            data["comparison"]["wins"] = dict.fromkeys(wins, 0)
+
+        ok, problems = self._verify_edited(control_report, tmp_path, edit)
+        assert not ok
+        assert any(p.startswith("comparison") for p in problems)
+
+    def test_flipped_run_check_is_flagged(self, control_report, tmp_path):
+        def edit(data):
+            checks = data["runs"]["modified"]["seed_1"]["checks"]
+            checks["step_size_law"] = not checks["step_size_law"]
+
+        ok, problems = self._verify_edited(control_report, tmp_path, edit)
+        assert not ok
+        assert any(p.startswith("modified/seed_1/checks") for p in problems)
+
+    def test_edited_flag_count_is_flagged(self, control_report, tmp_path):
+        def edit(data):
+            data["runs"]["modified"]["seed_1"]["flag_counts"]["divergence"] = 7
+
+        ok, problems = self._verify_edited(control_report, tmp_path, edit)
+        assert not ok
+        assert any(p.startswith("modified/seed_1/flag_counts") for p in problems)
 
     def test_tampered_trace_is_flagged(self, control_report, tmp_path):
         import os

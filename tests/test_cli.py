@@ -132,6 +132,17 @@ class TestRunCommands:
         context = json.loads(err[1].removeprefix("context: "))
         assert context["k"] == 1 and context["y"] == 1e308
 
+    def test_strict_csv_error_prints_its_line(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("f0,f1,f2,f3,f4,y\n1,1,1,1,1,30\n1,oops,1,1,1,30\n")
+        with pytest.warns(UserWarning):
+            code = main(["replay", "--config", _cfg(tmp_path, REPLAY_CFG), "--data", str(data),
+                         "--strict-csv"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: nonnumeric cell in {data} at line 3")
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        assert report["error"]["line"] == 3
+
     def test_missing_config_is_an_error(self, tmp_path, capsys):
         code = main(["control", "--config", str(tmp_path / "none.cfg")])
         assert code == 1

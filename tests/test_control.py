@@ -28,10 +28,12 @@ from sgident.control import (
     Plant,
     plant_step,
     run_closed_loop,
+    run_closed_loop_batch,
     solve_control,
+    solve_control_rows,
 )
 from sgident.core import HyperParams, PredictorModel
-from sgident.errors import ConfigurationError
+from sgident.errors import ConfigurationError, NumericError
 from sgident.models import (
     LinearModel,
     LogisticModel,
@@ -363,6 +365,43 @@ def test_closed_form_agrees_with_bisection(y_lags, u_lag, theta_rest, cu, cu_sig
     assert abs(u_cf - u_bi) <= 1.001 * cfg.root_tol / abs(gain) + 1e-12
 
 
+_control_row = st.tuples(
+    st.tuples(_lag, _lag, _lag),  # output lags
+    st.floats(-5.0, 5.0),  # previous input lag
+    st.tuples(*[st.floats(-2.0, 2.0)] * 4),  # non-input coefficients
+    st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),  # input coefficient
+    st.floats(-5.0, 5.0),  # u_prev
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_control_row, min_size=1, max_size=6), y_star=st.floats(-1.5, 1.5),
+       u_max=st.sampled_from([0.5, 1000.0]))
+def test_vector_controller_matches_scalar_solve(rows, y_star, u_max):
+    # row by row: equal flags, and an input within root_tol of the scalar
+    # solve's in output, i.e. root_tol / |gain| in input
+    cfg = ControlConfig(u_max=u_max, b_eps=1e-8, root_tol=1e-10)
+    model = TanhArxModel(3, 2)
+    phi = np.array([[*y_lags, 0.0, u_lag] for y_lags, u_lag, _, _, _ in rows])
+    theta = np.array([[*rest[:3], cu, rest[3]] for _, _, rest, cu, _ in rows])
+    u_prev = np.array([row[4] for row in rows])
+    u_v, flagged = solve_control_rows(model, theta, phi, 3, y_star, cfg, u_prev)
+    for i, (y_lags, u_lag, _, _, _) in enumerate(rows):
+        lags = LagBuffer(3, 2)
+        lags.advance(y_lags[2], 0.0)
+        lags.advance(y_lags[1], 0.0)
+        lags.advance(y_lags[0], u_lag)
+        u_s, flags_s = solve_control(model, theta[i], lags, y_star, cfg, float(u_prev[i]))
+        assert flagged.get(i, ()) == flags_s
+        if u_v[i] == u_s:
+            continue
+        # only a closed-form row can differ, and the scalar solve took one too
+        assert not flags_s
+        z = float(np.dot(lags.regressor(u_v[i]), theta[i]))
+        gain = (1.0 - math.tanh(z) ** 2) * theta[i, 3]
+        assert abs(u_v[i] - u_s) <= 1.001 * cfg.root_tol / abs(gain) + 1e-12
+
+
 class TestPlantStep:
     def test_output_is_mean_plus_noise(self):
         pair = tanh_mse_pair(p=3, q=2)
@@ -392,9 +431,10 @@ class TestPlantStep:
             Plant(pair.predictor, np.zeros(4), NoiseSource())
 
 
-def _frozen_step(state, pair, phi, y):
-    """Estimator stub that never updates — the oracle controller."""
-    return state
+def _frozen_update(theta, r, carry, phi, y):
+    """Estimator update stub that never moves — the oracle controller."""
+    zeros = np.zeros(len(r))
+    return theta, r, carry, zeros, zeros
 
 
 class TestRunClosedLoop:
@@ -415,7 +455,7 @@ class TestRunClosedLoop:
         state = sg_init(self.theta_star, self.hyper)
         cfg = ControlConfig(y_target=0.5, root_tol=1e-10)
         recs = run_closed_loop(plant, state, pair, cfg, n_steps=2000, seed=1,
-                               step_fn=_frozen_step)
+                               update=_frozen_update)
         assert len(recs) == 2000
         assert all(r.flags == "" for r in recs)
         te = np.mean([(r.y - r.y_star) ** 2 for r in recs])
@@ -451,11 +491,12 @@ class TestRunClosedLoop:
         plant, pair = self._plant_and_pair()
         state = sg_init(np.zeros(5), self.hyper)
 
-        def blowup_step(s, pair, phi, y):
-            return sg_init(np.full(5, 1e7), s.hyper)
+        def blowup_update(theta, r, carry, phi, y):
+            zeros = np.zeros(len(r))
+            return np.full_like(theta, 1e7), r, carry, zeros, zeros
 
         recs = run_closed_loop(plant, state, pair, ControlConfig(), n_steps=1, seed=4,
-                               step_fn=blowup_step)
+                               update=blowup_update)
         assert "divergence" in recs[0].flags
 
     def test_same_seed_reruns_bitwise(self):
@@ -477,9 +518,48 @@ class TestRunClosedLoop:
         targets = np.array([0.1, -0.2, 0.3, 0.0, 0.25])
         cfg = ControlConfig(y_target=targets, root_tol=1e-10)
         recs = run_closed_loop(plant, state, pair, cfg, n_steps=5, seed=2,
-                               step_fn=_frozen_step)
+                               update=_frozen_update)
         assert [r.y_star for r in recs] == list(targets)
         assert max(abs(r.f_true - r.y_star) for r in recs) <= 1e-10
+
+    def test_batch_rows_equal_one_seed_runs(self):
+        # a cell's trace does not depend on the other seeds of its batch
+        plant, pair = self._plant_and_pair()
+        state = sg_init(np.full(5, 0.01), self.hyper)
+        cfg = ControlConfig(y_target=0.5)
+        seeds = (3, 1, 4, 15, 9, 2, 6, 5, 35)
+        for algorithm in ("modified", "classical"):
+            batch = run_closed_loop_batch(plant, state, pair, cfg, 300, seeds, algorithm)
+            for i, seed in enumerate(seeds):
+                alone = run_closed_loop(plant, state, pair, cfg, 300, seed, algorithm)
+                assert batch.records(i) == alone
+
+    def test_gain_law_follows_the_algorithm_name(self):
+        plant, pair = self._plant_and_pair()
+        state = sg_init(np.full(5, 0.01), self.hyper)
+        cfg = ControlConfig(y_target=0.5)
+        classical = run_closed_loop(plant, state, pair, cfg, 20, 1, "classical")
+        # classical gain: mu_k = mu / r_k on every step
+        assert all(rec.mu_k == self.hyper.mu / rec.r_k for rec in classical)
+        modified = run_closed_loop(plant, state, pair, cfg, 20, 1)
+        assert modified[0].mu_k < classical[0].mu_k
+
+    def test_numeric_error_names_step_algorithm_and_seed(self):
+        plant, pair = self._plant_and_pair()
+        state = sg_init(np.full(5, 0.01), self.hyper)
+
+        def failing_update(theta, r, carry, phi, y):
+            if failing_update.calls == 3:
+                raise NumericError("boom", context={"row": 1})
+            failing_update.calls += 1
+            zeros = np.zeros(len(r))
+            return theta, r, carry, zeros, zeros
+
+        failing_update.calls = 0
+        with pytest.raises(NumericError) as exc:
+            run_closed_loop_batch(plant, state, pair, ControlConfig(), 10, (7, 8, 9),
+                                  "classical", update=failing_update)
+        assert exc.value.context == {"k": 3, "algorithm": "classical", "seed": 8}
 
     def test_plant_without_lag_orders_rejected(self):
         pair = tanh_mse_pair(p=3, q=2)

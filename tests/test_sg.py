@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sgident.core import GainState, HyperParams
+from sgident.core import GainState, HyperParams, ParameterVector
 from sgident.errors import ConfigurationError, NumericError
 from sgident.models import linear_mse_pair, tanh_mse_pair
 from sgident.sg import (
     DIVERGENCE_NORM,
+    EstimatorState,
     classical_sg_step,
     mu_schedule,
     sg_init,
     sg_step,
+    sg_update,
 )
 
 
@@ -173,3 +177,86 @@ class TestRecursionInvariants:
 
     def test_divergence_threshold_constant(self):
         assert DIVERGENCE_NORM == 1e6
+
+
+# Tolerance of the vector update against the scalar step, fixed before the
+# test was written: 1e-12 relative.  The vector rows sum their dot products in
+# another order and use numpy's tanh, so they may differ from the scalar step
+# by a few ulps of each term.  The parameter update theta - mu*slope*g can
+# cancel, so its error is measured against the magnitude of its terms.
+# |phi . theta| <= 3 keeps 1 - tanh^2 >= 0.0099, where an ulp of tanh stays
+# far below the tolerance.
+VECTOR_RTOL = 1e-12
+
+_row = st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),  # phi
+    st.lists(st.floats(-0.6, 0.6), min_size=5, max_size=5),  # theta
+    st.floats(-2.0, 2.0),  # y
+    st.floats(2.0, 1e4),  # r
+    st.floats(-1e-12, 1e-12),  # Kahan carry
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_row, min_size=1, max_size=6), classical=st.booleans(),
+       pair_name=st.sampled_from(["tanh", "linear"]))
+def test_vector_update_matches_scalar_step(rows, classical, pair_name):
+    hyper = _hyper(beta2=0.6666666666666666)
+    pair = tanh_mse_pair(3, 2) if pair_name == "tanh" else _linear_pair(5)
+    phi, theta, y, r, carry = (np.array(col, dtype=float) for col in zip(*rows))
+    theta_v, r_v, carry_v, mu_v, gns_v = sg_update(theta, r, carry, phi, y, pair, hyper,
+                                                   classical=classical)
+    step = classical_sg_step if classical else sg_step
+    for i in range(len(rows)):
+        state = EstimatorState(theta=ParameterVector(theta[i]),
+                               gain=GainState(r=r[i], carry=carry[i]), hyper=hyper)
+        want = step(state, pair, phi[i], y[i])
+        assert_allclose(gns_v[i], want.last_grad_norm_sq, rtol=VECTOR_RTOL, atol=1e-300)
+        assert_allclose(r_v[i], want.gain.r, rtol=VECTOR_RTOL)
+        assert_allclose(mu_v[i], want.last_mu, rtol=VECTOR_RTOL)
+        f_hat = pair.predictor.eval(phi[i], theta[i])
+        g = pair.predictor.grad(phi[i], theta[i])
+        scale = np.abs(theta[i]) + want.last_mu * 2.0 * (abs(f_hat) + abs(y[i])) * np.abs(g)
+        assert np.all(np.abs(theta_v[i] - want.theta.values) <= VECTOR_RTOL * scale)
+    # the safety law holds on every row
+    assert np.all(mu_v * gns_v <= hyper.mu)
+
+
+class TestVectorUpdate:
+    def test_inputs_are_not_modified(self):
+        pair = tanh_mse_pair(3, 2)
+        theta, phi = np.full((2, 5), 0.1), np.ones((2, 5))
+        r, carry, y = np.full(2, 2.0), np.zeros(2), np.array([0.3, -0.2])
+        before = [a.copy() for a in (theta, r, carry, phi, y)]
+        sg_update(theta, r, carry, phi, y, pair, _hyper())
+        for a, b in zip((theta, r, carry, phi, y), before):
+            assert np.array_equal(a, b)
+
+    def test_zero_gradient_row_keeps_its_accumulator_bits(self):
+        # a carry of half an ulp on an odd-mantissa total: adding it would
+        # round the total up, so only the zero-increment skip keeps the bits
+        pair = linear_mse_pair(d=3)
+        phi = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]])
+        total = float(np.nextafter(2.5, 3.0))
+        carry = -float(np.spacing(total)) / 2
+        r, c = np.full(2, total), np.full(2, carry)
+        _, r_new, c_new, _, gns = sg_update(np.zeros((2, 3)), r, c, phi, np.ones(2), pair,
+                                            _hyper())
+        assert gns[0] == 0.0 and (r_new[0], c_new[0]) == (total, carry)
+        assert r_new[1] > total
+
+    def test_first_bad_row_is_named(self):
+        pair = linear_mse_pair(d=3)
+        y = np.array([0.1, 0.2, math.nan, math.inf])
+        with pytest.raises(NumericError, match="observation") as exc:
+            sg_update(np.zeros((4, 3)), np.full(4, 2.0), np.zeros(4), np.ones((4, 3)), y, pair,
+                      _hyper())
+        assert exc.value.context["row"] == 2
+
+    def test_overflowing_update_is_an_error_not_a_warning(self):
+        pair = linear_mse_pair(d=3)
+        y = np.array([0.0, 1e308])
+        with pytest.raises(NumericError, match="derivative") as exc:
+            sg_update(np.zeros((2, 3)), np.full(2, 2.0), np.zeros(2), np.ones((2, 3)), y, pair,
+                      _hyper())
+        assert exc.value.context["row"] == 1
