@@ -1,8 +1,10 @@
 """Experiment orchestration: configs, seed sweeps, traces, reports.
 
 A run is fully determined by (config file, seed list): every persisted trace
-byte and every report number is reproducible, and `verify_report` recomputes
-each reported number from the persisted traces independently.  Configs are
+byte and every report number is reproducible.  Each run's summary comes
+from `summarize`, which reads only persisted trace columns, so
+`verify_report` recomputes every reported number by calling it again on the
+trace read back from CSV.  Configs are
 INI-style text, traces RFC-4180 CSV with a fixed column order, reports JSON
 with sorted keys and no timestamps.
 """
@@ -15,18 +17,32 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
-from .control import ControlConfig, NoiseSource, Plant, StepRecord, run_closed_loop_batch
+from .control import (
+    TRACE_COLUMNS,
+    ControlConfig,
+    NoiseSource,
+    Plant,
+    Trace,
+    run_closed_loop_batch,
+)
 from .core import HyperParams, Regressor, check_step_size_cap, kahan_add
 from .errors import ConfigurationError, DataError, NumericError, SgidentError
 from .metrics import (
     bound_curve,
+    gradient_noise,
+    gradient_norms_sq,
     minimum_phase_ratio,
+    realized_noise,
+    regret_sum,
     relative_error_metric,
     robbins_siegmund_diag,
+    tracking_error,
 )
 from .models import (
     ModelLossPair,
@@ -48,25 +64,11 @@ __all__ = [
     "CsvStream",
     "write_trace",
     "read_trace",
+    "summarize",
     "run_experiment",
     "compare_runs",
     "render_comparison",
     "verify_report",
-]
-
-TRACE_COLUMNS = [
-    "k",
-    "y",
-    "u",
-    "y_star",
-    "f_true",
-    "f_est",
-    "loss",
-    "regret_avg",
-    "theta_err",
-    "mu_k",
-    "r_k",
-    "flags",
 ]
 
 MODES = ("identify", "control", "replay")
@@ -400,39 +402,38 @@ def ingest_csv(path, column_map, strict=False, max_rows=None) -> CsvStream:
 # trace persistence
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    return repr(float(value))
+def write_trace(path, trace):
+    """Persist a Trace as RFC-4180 CSV (CRLF, fixed column order).
 
-
-def write_trace(path, records):
-    """Persist step records as RFC-4180 CSV (CRLF, fixed column order)."""
+    Floats are written as ``repr``, the shortest text that reads back to the
+    same double; an empty column is written as empty cells.
+    """
+    n = len(trace)
+    cells = [trace.k.tolist()]
+    for name in TRACE_COLUMNS[1:-1]:
+        column = getattr(trace, name)
+        cells.append(repeat("", n) if column is None else map(repr, column.tolist()))
+    cells.append(trace.flags)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(TRACE_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.k,
-                    _fmt(rec.y),
-                    _fmt(rec.u),
-                    _fmt(rec.y_star),
-                    _fmt(rec.f_true),
-                    _fmt(rec.f_est),
-                    _fmt(rec.loss),
-                    _fmt(rec.regret_avg),
-                    _fmt(rec.theta_err),
-                    _fmt(rec.mu_k),
-                    _fmt(rec.r_k),
-                    rec.flags,
-                ]
-            )
+        writer.writerows(zip(*cells))
+
+
+# rows parsed per batch; bounds the cell text held in memory while reading
+_READ_CHUNK = 1024
 
 
 def read_trace(path):
-    """Load a trace CSV back into StepRecord objects (extras stay None)."""
-    records = []
+    """Load a trace CSV back into a Trace.
+
+    A row of the wrong width, a cell that is not a finite number and a
+    column that is empty on some rows but not others each raise DataError
+    with the line number.  Each data row is one line, so row i sits on line
+    i + 2.
+    """
+    parts = {name: [] for name in TRACE_COLUMNS[:-1]}
+    flags = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -440,27 +441,53 @@ def read_trace(path):
             raise DataError(f"empty trace file: {path}")
         if header != TRACE_COLUMNS:
             raise DataError(f"unexpected trace header in {path}: {header}")
-        for row in reader:
-            if len(row) != len(TRACE_COLUMNS):
-                raise DataError(f"malformed trace row in {path}", line=reader.line_num)
-            vals = [None if cell == "" else float(cell) for cell in row[1:11]]
-            records.append(
-                StepRecord(
-                    k=int(row[0]),
-                    y=vals[0],
-                    u=vals[1],
-                    y_star=vals[2],
-                    f_true=vals[3],
-                    f_est=vals[4],
-                    loss=vals[5],
-                    regret_avg=vals[6],
-                    theta_err=vals[7],
-                    mu_k=vals[8],
-                    r_k=vals[9],
-                    flags=row[11],
-                )
-            )
-    return records
+        empty = None  # per column: is it the empty one of its mode (from row 0)
+        while chunk := list(islice(reader, _READ_CHUNK)):
+            line = len(flags) + 2
+            for i, row in enumerate(chunk):
+                if len(row) != len(TRACE_COLUMNS):
+                    raise DataError(f"malformed trace row in {path}", line=line + i)
+            columns = list(zip(*chunk))
+            if empty is None:
+                empty = {name: name != "k" and cells[0] == ""
+                         for name, cells in zip(parts, columns)}
+            for name, cells in zip(parts, columns):
+                parts[name].append(_trace_column(path, name, cells, line, empty[name]))
+            flags.extend(columns[-1])
+    if not flags:
+        return Trace(k=np.empty(0, dtype=np.int64))
+    values = {name: None if empty[name] else np.concatenate(p) for name, p in parts.items()}
+    return Trace(flags=flags, **values)
+
+
+def _trace_column(path, name, cells, line, empty):
+    """Parse the cells of one column from consecutive rows starting on ``line``.
+
+    Returns None for a column that ``empty`` says is left empty.
+    """
+
+    def fail(problem, i):
+        raise DataError(f"{problem} in column {name!r} of {path}", line=line + i)
+
+    if cells.count("") != (len(cells) if empty else 0):
+        first = next(i for i, cell in enumerate(cells) if (cell == "") != empty)
+        fail("empty cell" if name == "k" else "column empty on some rows only", first)
+    if empty:
+        return None
+    cast, dtype = (int, np.int64) if name == "k" else (float, float)
+    try:
+        values = np.fromiter(map(cast, cells), dtype=dtype, count=len(cells))
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                cast(cell)
+            except ValueError:
+                fail("nonnumeric cell", i)
+        raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        fail("non-finite cell", int(bad[0]))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +501,15 @@ def sampler_bit_generator(seed):
     keeps the regressors and the noise on independent streams.
     """
     return np.random.Philox(key=[int(seed), 1])
+
+
+def _trace_of(rows, names, flags):
+    """A Trace from the recorded (n, len(names)) block of a scalar run loop."""
+    columns = {name: rows[:, j].copy() for j, name in enumerate(names)}
+    return Trace(k=np.arange(len(rows)), flags=flags, **columns)
+
+
+_IDENTIFY_COLUMNS = ("y", "f_true", "f_est", "loss", "regret_avg", "theta_err", "mu_k", "r_k")
 
 
 def _run_identify(cfg, algo, seed):
@@ -490,41 +526,25 @@ def _run_identify(cfg, algo, seed):
     state = sg_init(cfg.theta0, cfg.hyper)
     loss = pair.loss
     total, carry = 0.0, 0.0
-    records = []
+    rows = np.empty((cfg.n_steps, len(_IDENTIFY_COLUMNS)))
+    flags = [""] * cfg.n_steps
     for k in range(cfg.n_steps):
         phi = phi_rows[k]
         f_true = float(model.eval(phi, theta_star))
         if bernoulli:
-            w = None
             y = 1.0 if noise.draw_uniform() < f_true else 0.0
         else:
-            w = noise.draw()
-            y = f_true + w
+            y = f_true + noise.draw()
         f_est = float(model.eval(phi, state.theta.values))
         theta_err = float(np.linalg.norm(state.theta.values - theta_star))
         state = step_fn(state, pair, phi, y)
-        flags = "divergence" if state.theta.norm() > DIVERGENCE_NORM else ""
+        if state.theta.norm() > DIVERGENCE_NORM:
+            flags[k] = "divergence"
         inc = float(loss.eval(f_true, f_est)) - float(loss.eval(f_true, f_true))
         total, carry = kahan_add(total, carry, inc)
-        records.append(
-            StepRecord(
-                k=k,
-                y=float(y),
-                y_star=None,
-                u=None,
-                f_true=f_true,
-                f_est=f_est,
-                loss=float(loss.eval(y, f_est)),
-                regret_avg=total / (k + 1),
-                theta_err=theta_err,
-                mu_k=state.last_mu,
-                r_k=state.gain.r,
-                flags=flags,
-                w=w,
-                grad_norm_sq=state.last_grad_norm_sq,
-            )
-        )
-    return records
+        rows[k] = (y, f_true, f_est, float(loss.eval(y, f_est)), total / (k + 1), theta_err,
+                   state.last_mu, state.gain.r)
+    return _trace_of(rows, _IDENTIFY_COLUMNS, flags)
 
 
 def _run_control(cfg, algo):
@@ -555,6 +575,9 @@ def _load_replay_rows(cfg):
     return rows, stream
 
 
+_REPLAY_COLUMNS = ("y", "f_est", "loss", "mu_k", "r_k")
+
+
 def _run_replay(cfg, algo, rows):
     """Prequential pass: predict each target before updating on it."""
     step_fn = ALGORITHMS[algo]
@@ -562,144 +585,98 @@ def _run_replay(cfg, algo, rows):
     model = pair.predictor
     loss = pair.loss
     state = sg_init(cfg.theta0, cfg.hyper)
-    records = []
-    predictions = np.empty(len(rows))
-    targets = np.empty(len(rows))
+    recorded = np.empty((len(rows), len(_REPLAY_COLUMNS)))
+    flags = [""] * len(rows)
     for k, (phi, y) in enumerate(rows):
         f_est = float(model.eval(phi, state.theta.values))
-        predictions[k] = f_est
-        targets[k] = y
         state = step_fn(state, pair, phi, y)
-        flags = "divergence" if state.theta.norm() > DIVERGENCE_NORM else ""
-        records.append(
-            StepRecord(
-                k=k,
-                y=float(y),
-                f_est=f_est,
-                loss=float(loss.eval(y, f_est)),
-                mu_k=state.last_mu,
-                r_k=state.gain.r,
-                flags=flags,
-                grad_norm_sq=state.last_grad_norm_sq,
-            )
-        )
-    return records, predictions, targets
+        if state.theta.norm() > DIVERGENCE_NORM:
+            flags[k] = "divergence"
+        recorded[k] = (y, f_est, float(loss.eval(y, f_est)), state.last_mu, state.gain.r)
+    return _trace_of(recorded, _REPLAY_COLUMNS, flags)
 
 
 # ---------------------------------------------------------------------------
 # per-run summaries and checks
 
 
-def _flag_counts(records):
-    counts = {"saturated": 0, "singular_gain": 0, "divergence": 0}
-    for rec in records:
-        if not rec.flags:
-            continue
-        for f in rec.flags.split(";"):
-            if f in counts:
-                counts[f] += 1
-    return counts
+def _flag_counts(flags):
+    counts = Counter(f for row_flags in flags if row_flags for f in row_flags.split(";"))
+    return {name: counts[name] for name in ("saturated", "singular_gain", "divergence")}
 
 
-def _rs_fields(records):
-    rep = robbins_siegmund_diag(records)
-    return {"rs_total": rep.total, "rs_tail_fraction": rep.tail_fraction}
+def _pair_of(config_echo):
+    """The model/loss pair a report's config names (identify and control)."""
+    if config_echo["mode"] == "control":
+        control = config_echo["control"]
+        return tanh_mse_pair(control["p"], control["q"], m_bound=control["operating_bound"])
+    return catalog_pair(config_echo["pair"])[0]
 
 
-def _step_size_law_max(records):
-    worst = 0.0
-    for rec in records:
-        worst = max(worst, rec.mu_k * rec.grad_norm_sq)
-    return worst
+def summarize(config_echo, trace):
+    """The summary of one run: its numbers, flag counts and pass/fail checks.
 
-
-def _run_checks(summary, mu, root_tol=None):
-    """A run's pass/fail checks from its numbers and flag counts.
-
-    The summaries and ``verify_report`` both derive checks here, so a
-    reported check can be recomputed from the trace.
+    ``config_echo`` is the report's ``config`` block.  ``run_experiment``
+    calls this on each in-memory trace and ``verify_report`` on each trace
+    read back from CSV, so every reported number has one implementation.
+    Only persisted columns are read: the plant noise is ``y - f_true`` and
+    the squared gradient norms are the increments of ``r_k``.  Values are
+    plain Python floats, ints and bools.
     """
-    checks = {
-        "step_size_law": summary["step_size_law_max"] <= mu * (1 + 1e-12),
-        "no_divergence": summary["flag_counts"]["divergence"] == 0,
-    }
-    if "gradient_noise_max_dev" in summary:
-        checks["gradient_noise_identity"] = summary["gradient_noise_max_dev"] <= GRADIENT_NOISE_TOL
-    if "identity_max_dev" in summary:
-        checks["closed_loop_identity"] = summary["identity_max_dev"] <= root_tol + 1e-9
-    return checks
-
-
-def _gradient_noise_max_dev(loss, y, f_true, f_est, w):
-    """Largest gap of grad_x L(y, f_est) - grad_x L(f_true, f_est) from -2w.
-
-    The measured gradient noise collapses to -2w for the squared-error loss.
-    """
-    return float(np.max(np.abs(loss.grad_x(y, f_est) - loss.grad_x(f_true, f_est) + 2.0 * w)))
-
-
-def _summarize_identification(cfg, records):
+    mode = config_echo["mode"]
+    hyper = config_echo["hyper"]
+    n = len(trace)
+    mu_k = trace.mu_k
+    grad_norm_sq = gradient_norms_sq(trace, hyper["beta3"])
+    rs = robbins_siegmund_diag(mu_k, grad_norm_sq)
     out = {
-        "final_average_regret": records[-1].regret_avg,
-        "final_theta_err": records[-1].theta_err,
-        "step_size_law_max": _step_size_law_max(records),
+        "step_size_law_max": float(np.max(mu_k * grad_norm_sq)),
+        "rs_total": rs.total,
+        "rs_tail_fraction": rs.tail_fraction,
+        "flag_counts": _flag_counts(trace.flags),
     }
-    if len(records) >= 500:
-        out["average_regret_at_500"] = records[499].regret_avg
-    out.update(_rs_fields(records))
-    if isinstance(cfg.pair.loss, SquaredError) and records[0].w is not None:
-        y, f_true, f_est, w = (
-            np.array([getattr(rec, c) for rec in records]) for c in ("y", "f_true", "f_est", "w")
-        )
-        out["gradient_noise_max_dev"] = _gradient_noise_max_dev(cfg.pair.loss, y, f_true, f_est, w)
-    out["flag_counts"] = _flag_counts(records)
-    out["checks"] = _run_checks(out, cfg.hyper.mu)
-    return out
-
-
-def _summarize_control(cfg, records):
-    out = _summarize_identification(cfg, records)
-    y_star = np.array([r.y_star for r in records])
-    f_true = np.array([r.f_true for r in records])
-    y = np.array([r.y for r in records])
-    out["final_tracking_conditional"] = float(np.mean((f_true - y_star) ** 2))
-    out["final_tracking_proxy"] = float(np.mean((y - y_star) ** 2))
-    mp = minimum_phase_ratio(records)
-    out["min_phase_max"] = float(np.max(mp.values))
-    if cfg.operating_bound is not None:
+    checks = out["checks"] = {
+        "step_size_law": out["step_size_law_max"] <= hyper["mu"] * (1 + 1e-12),
+        "no_divergence": out["flag_counts"]["divergence"] == 0,
+    }
+    if mode == "replay":
+        checkpoints = {}
+        for checkpoint in (1000, n):
+            if checkpoint <= n:
+                key = "final" if checkpoint == n else str(checkpoint)
+                checkpoints[key] = relative_error_metric(
+                    trace.f_est[:checkpoint], trace.y[:checkpoint]
+                )
+        out["rows_used"] = n
+        out["relative_error_checkpoints"] = checkpoints
+        out["final_relative_error"] = checkpoints["final"]
+    else:
+        pair = _pair_of(config_echo)
+        regret = regret_sum(trace, pair.loss).average
+        out["final_average_regret"] = float(regret[-1])
+        if n >= 500:
+            out["average_regret_at_500"] = float(regret[499])
+        out["final_theta_err"] = float(trace.theta_err[-1])
+        if isinstance(pair.loss, SquaredError):
+            # the measured gradient noise collapses to -2w for squared error
+            gap = gradient_noise(trace, pair).series.values + 2.0 * realized_noise(trace)
+            out["gradient_noise_max_dev"] = float(np.max(np.abs(gap)))
+            checks["gradient_noise_identity"] = out["gradient_noise_max_dev"] <= GRADIENT_NOISE_TOL
+    if mode == "control":
+        control = config_echo["control"]
+        conditional, proxy = tracking_error(trace)
+        out["final_tracking_conditional"] = float(conditional.average[-1])
+        out["final_tracking_proxy"] = float(proxy.average[-1])
+        out["min_phase_max"] = float(np.max(minimum_phase_ratio(trace).values))
         # |f_est| > tanh(bound) iff the estimated preactivation left the band
-        edge = math.tanh(cfg.operating_bound)
-        out["out_of_band_fraction"] = float(np.mean(np.abs([r.f_est for r in records]) > edge))
-    # closed-loop ledger: y - y* - w should equal f_true - f_est on clean steps
-    dev = 0.0
-    clean = 0
-    for rec in records:
-        if rec.flags:
-            continue
-        clean += 1
-        dev = max(dev, abs(rec.y - rec.y_star - rec.w - (rec.f_true - rec.f_est)))
-    out["identity_max_dev"] = dev
-    out["identity_steps_checked"] = clean
-    out["checks"] = _run_checks(out, cfg.hyper.mu, cfg.control.root_tol)
-    return out
-
-
-def _summarize_replay(cfg, records, predictions, targets):
-    out = {
-        "rows_used": len(records),
-        "step_size_law_max": _step_size_law_max(records),
-        "relative_error_checkpoints": {},
-    }
-    for checkpoint in (1000, len(records)):
-        if checkpoint <= len(records):
-            key = "final" if checkpoint == len(records) else str(checkpoint)
-            out["relative_error_checkpoints"][key] = relative_error_metric(
-                predictions[:checkpoint], targets[:checkpoint]
-            )
-    out["final_relative_error"] = out["relative_error_checkpoints"]["final"]
-    out.update(_rs_fields(records))
-    out["flag_counts"] = _flag_counts(records)
-    out["checks"] = _run_checks(out, cfg.hyper.mu)
+        edge = math.tanh(control["operating_bound"])
+        out["out_of_band_fraction"] = float(np.mean(np.abs(trace.f_est) > edge))
+        # closed-loop ledger: y - y* - w should equal f_true - f_est on clean steps
+        clean = np.array([not row_flags for row_flags in trace.flags], dtype=bool)
+        ledger = trace.y - trace.y_star - realized_noise(trace) - (trace.f_true - trace.f_est)
+        out["identity_max_dev"] = float(np.max(np.abs(ledger[clean]), initial=0.0))
+        out["identity_steps_checked"] = int(clean.sum())
+        checks["closed_loop_identity"] = out["identity_max_dev"] <= control["root_tol"] + 1e-9
     return out
 
 
@@ -726,14 +703,7 @@ def _echo_config(cfg):
         "out_dir": cfg.out_dir,
         "alpha_eps": cfg.alpha_eps,
         "pair": cfg.pair_name,
-        "hyper": {
-            "mu": cfg.hyper.mu,
-            "beta1": cfg.hyper.beta1,
-            "beta2": cfg.hyper.beta2,
-            "beta3": cfg.hyper.beta3,
-            "alpha_moment": cfg.hyper.alpha_moment,
-            "outside_theorem_regime": cfg.hyper.outside_theorem_regime,
-        },
+        "hyper": asdict(cfg.hyper),
         "caveats": list(cfg.caveats),
     }
     if cfg.theta_star is not None:
@@ -744,11 +714,7 @@ def _echo_config(cfg):
         }
     if cfg.control is not None:
         echo["control"] = {
-            "y_target": cfg.control.y_target,
-            "u_max": cfg.control.u_max,
-            "b_eps": cfg.control.b_eps,
-            "root_tol": cfg.control.root_tol,
-            "root_max_iter": cfg.control.root_max_iter,
+            **asdict(cfg.control),
             "p": cfg.p,
             "q": cfg.q,
             "operating_bound": cfg.operating_bound,
@@ -764,14 +730,17 @@ def _echo_config(cfg):
     return echo
 
 
-def _bound_curve_block(cfg):
-    series = bound_curve(cfg.hyper, cfg.alpha_eps, cfg.n_steps)
+def _bound_curve_block(config_echo):
+    """The report's reference-curve block, from its echoed config."""
+    n_steps = config_echo["n_steps"]
+    alpha_eps = config_echo["alpha_eps"]
+    series = bound_curve(HyperParams(**config_echo["hyper"]), alpha_eps, n_steps)
     checkpoints = {}
-    for n in (100, 500, 1000, cfg.n_steps):
-        if 1 <= n <= cfg.n_steps:
+    for n in (100, 500, 1000, n_steps):
+        if 1 <= n <= n_steps:
             checkpoints[str(n)] = float(series.values[n - 1])
     return {
-        "alpha_eps": cfg.alpha_eps,
+        "alpha_eps": alpha_eps,
         "checkpoints": checkpoints,
         "note": "scale-free reference curve; overlays normalize to the empirical value at n0=100",
     }
@@ -785,7 +754,8 @@ _WIN_METRIC = {
 }
 
 
-def _comparison_block(algorithms, runs, metric, smaller_wins=True):
+def _comparison_block(algorithms, runs, metric):
+    """Per-seed winners of the first two algorithms on ``metric`` (smaller wins)."""
     if len(algorithms) < 2:
         return None
     a, b = algorithms[0], algorithms[1]
@@ -794,16 +764,8 @@ def _comparison_block(algorithms, runs, metric, smaller_wins=True):
     for seed_key in runs[a]:
         va = runs[a][seed_key][metric]
         vb = runs[b][seed_key][metric]
-        if va == vb:
-            winner = "tie"
-            wins["ties"] += 1
-        elif (va <= vb) == smaller_wins:
-            winner = a
-            wins[a] += 1
-        else:
-            winner = b
-            wins[b] += 1
-        detail[seed_key] = winner
+        detail[seed_key] = "tie" if va == vb else a if va < vb else b
+        wins["ties" if va == vb else detail[seed_key]] += 1
     return {"metric": metric, "wins": wins, "per_seed": detail}
 
 
@@ -819,24 +781,22 @@ def _checks_overall(runs):
     return overall
 
 
-def _run_cell(cfg, algo, seed, records, replay_rows):
+def _run_cell(cfg, config_echo, algo, seed, trace, replay_rows):
     """Summarize one (algorithm, seed) cell and write its trace; returns the summary.
 
-    ``records`` is the cell's closed-loop trace in control mode; the other
+    ``trace`` is the cell's closed-loop trace in control mode; the other
     modes run the cell here.
     """
     if cfg.mode == "identify":
-        records = _run_identify(cfg, algo, seed)
-        summary = _summarize_identification(cfg, records)
-        trace_name = f"trace_{algo}_seed{seed}.csv"
-    elif cfg.mode == "control":
-        summary = _summarize_control(cfg, records)
-        trace_name = f"trace_{algo}_seed{seed}.csv"
-    else:
-        records, predictions, targets = _run_replay(cfg, algo, replay_rows)
-        summary = _summarize_replay(cfg, records, predictions, targets)
+        trace = _run_identify(cfg, algo, seed)
+    elif cfg.mode == "replay":
+        trace = _run_replay(cfg, algo, replay_rows)
+    summary = summarize(config_echo, trace)
+    if cfg.mode == "replay":
         trace_name = f"trace_{algo}_replay.csv"
-    write_trace(os.path.join(cfg.out_dir, trace_name), records)
+    else:
+        trace_name = f"trace_{algo}_seed{seed}.csv"
+    write_trace(os.path.join(cfg.out_dir, trace_name), trace)
     summary["trace"] = trace_name
     return summary
 
@@ -868,9 +828,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         for algo in cfg.algorithms:
             batch = _run_control(cfg, algo) if cfg.mode == "control" else None
             for i, seed in enumerate(cfg.seeds):
-                # the cell's records live only while _run_cell runs
                 summary = _run_cell(
-                    cfg, algo, seed, None if batch is None else batch.records(i), replay_rows
+                    cfg, report["config"], algo, seed, None if batch is None else batch.trace(i),
+                    replay_rows,
                 )
                 report["runs"][algo][f"seed_{seed}"] = summary
                 if cfg.mode == "replay":
@@ -886,7 +846,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         raise
 
     if cfg.mode in ("identify", "control"):
-        report["bound_curve"] = _bound_curve_block(cfg)
+        report["bound_curve"] = _bound_curve_block(report["config"])
     comparison = _comparison_block(cfg.algorithms, report["runs"], _WIN_METRIC[cfg.mode])
     if comparison is not None:
         report["comparison"] = comparison
@@ -962,29 +922,20 @@ def compare_runs(report_a, report_b, algo_a=None, algo_b=None):
     if not metrics:
         raise ConfigurationError("reports share no comparable metrics")
 
+    sides = {"a": {s: runs_a[s] for s in shared_seeds}, "b": runs_b}
+    block = _comparison_block(("a", "b"), sides, metrics[0])
     table = {
         "mode": a["config"]["mode"],
         "sides": {"a": algo_a, "b": algo_b},
         "metrics": {},
         "win_metric": metrics[0],
-        "wins": {"a": 0, "b": 0, "ties": 0},
-        "per_seed": {},
+        "wins": block["wins"],
+        "per_seed": block["per_seed"],
     }
     for m in metrics:
         va = float(np.mean([runs_a[s][m] for s in shared_seeds]))
         vb = float(np.mean([runs_b[s][m] for s in shared_seeds]))
         table["metrics"][m] = {"a": va, "b": vb, "delta": va - vb}
-    for s in shared_seeds:
-        va, vb = runs_a[s][metrics[0]], runs_b[s][metrics[0]]
-        if va == vb:
-            table["wins"]["ties"] += 1
-            table["per_seed"][s] = "tie"
-        elif va < vb:
-            table["wins"]["a"] += 1
-            table["per_seed"][s] = "a"
-        else:
-            table["wins"]["b"] += 1
-            table["per_seed"][s] = "b"
     return table
 
 
@@ -1006,126 +957,73 @@ def render_comparison(table):
 # independent report verification
 
 
-def _recompute_run(report, summary, out_dir):
-    """Recompute one run's reported numbers, flag counts and checks from its trace."""
-    cfgd = report["config"]
-    mode = cfgd["mode"]
-    records = read_trace(os.path.join(out_dir, summary["trace"]))
-    y = np.array([r.y for r in records])
-    f_est = np.array([r.f_est for r in records])
-    got = {}
-    if mode in ("identify", "control"):
-        loss = catalog_pair(cfgd["pair"])[0].loss if mode == "identify" else SquaredError()
-        f_true = np.array([r.f_true for r in records])
-        base = np.array(
-            [
-                float(loss.eval(ft, fe)) - float(loss.eval(ft, ft))
-                for ft, fe in zip(f_true, f_est)
-            ]
-        )
-        got["final_average_regret"] = float(np.mean(base))
-        if "average_regret_at_500" in summary:
-            got["average_regret_at_500"] = float(np.mean(base[:500]))
-        got["final_theta_err"] = records[-1].theta_err
-        # the trace keeps no noise column; y - f_true is w to within one ulp
-        w_approx = y - f_true
-        if isinstance(loss, SquaredError):
-            got["gradient_noise_max_dev"] = _gradient_noise_max_dev(
-                loss, y, f_true, f_est, w_approx
+def _compare(path, reported, recomputed, tol, problems):
+    """Append one problem per leaf where ``reported`` differs from ``recomputed``.
+
+    Dicts must have the same keys; numbers match when they are equal or
+    within ``tol`` of each other (so a NaN never matches); any other value
+    must be equal and of the same type.
+    """
+    if isinstance(reported, dict) and isinstance(recomputed, dict):
+        if reported.keys() != recomputed.keys():
+            problems.append(
+                f"{path}: reported keys {sorted(reported)}, recomputed {sorted(recomputed)}"
             )
-    if mode == "control":
-        y_star = np.array([r.y_star for r in records])
-        got["final_tracking_conditional"] = float(np.mean((f_true - y_star) ** 2))
-        got["final_tracking_proxy"] = float(np.mean((y - y_star) ** 2))
-        dev = 0.0
-        clean = 0
-        for i, rec in enumerate(records):
-            if rec.flags:
-                continue
-            clean += 1
-            dev = max(dev, abs(rec.y - rec.y_star - w_approx[i] - (rec.f_true - rec.f_est)))
-        got["identity_max_dev"] = dev
-        got["identity_steps_checked"] = clean
-        for rec in records:
-            rec.w = float(w_approx[rec.k])
-        got["min_phase_max"] = float(np.max(minimum_phase_ratio(records).values))
-        if "out_of_band_fraction" in summary:
-            edge = math.tanh(cfgd["control"]["operating_bound"])
-            got["out_of_band_fraction"] = float(np.mean(np.abs(f_est) > edge))
-    if mode == "replay":
-        got["final_relative_error"] = relative_error_metric(f_est, y)
-        cks = {}
-        for key, val in summary["relative_error_checkpoints"].items():
-            n = len(records) if key == "final" else int(key)
-            cks[key] = relative_error_metric(f_est[:n], y[:n])
-        got["relative_error_checkpoints"] = cks
-    # mu/r columns give back the schedule: grad norms are consecutive r gaps
-    mu = np.array([r.mu_k for r in records])
-    r = np.array([r.r_k for r in records])
-    beta3 = cfgd["hyper"]["beta3"]
-    gns = np.diff(np.concatenate([[beta3], r]))
-    rs = robbins_siegmund_diag(mu, gns)
-    got["rs_total"] = rs.total
-    got["rs_tail_fraction"] = rs.tail_fraction
-    got["step_size_law_max"] = float(np.max(mu * gns)) if len(mu) else 0.0
-    got["flag_counts"] = _flag_counts(records)
-    root_tol = cfgd["control"]["root_tol"] if mode == "control" else None
-    got["checks"] = _run_checks(got, cfgd["hyper"]["mu"], root_tol)
-    return got
+        for key in sorted(reported.keys() & recomputed.keys()):
+            _compare(f"{path}/{key}", reported[key], recomputed[key], tol, problems)
+        return
+    if _is_number(reported) and _is_number(recomputed):
+        ok = reported == recomputed or abs(reported - recomputed) <= tol
+    else:
+        ok = type(reported) is type(recomputed) and reported == recomputed
+    if not ok:
+        problems.append(f"{path}: reported {reported!r}, recomputed {recomputed!r}")
 
 
-# recomputed fields compared for exact equality rather than to a tolerance
-_EXACT_FIELDS = ("flag_counts", "checks")
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def verify_report(report_path, tol=RECOMPUTE_TOL):
-    """Recompute every reported per-run number from traces; list mismatches.
+    """Recompute a report from its traces and echoed config; list mismatches.
 
-    Returns (ok, problems).  Numbers must agree to `tol`; nested checkpoint
-    dicts are compared entry by entry.  Flag counts and per-run checks must
-    equal those recomputed from the traces, and a finished report's
-    ``checks_overall`` and ``comparison`` must equal those derived from the
-    recomputed runs.
+    Returns (ok, problems).  Each run is summarized again by ``summarize``
+    from its trace as read back from CSV and compared with the reported
+    summary as a whole: the keys must match, numbers must agree to ``tol``,
+    and flag counts, checks and other values must be equal.  A finished
+    report must hold one run per configured (algorithm, seed) cell, and its
+    ``checks_overall``, ``comparison`` and ``bound_curve`` must equal those
+    derived from the recomputed runs and the config.
     """
     report = _load_report(report_path)
     out_dir = os.path.dirname(os.path.abspath(report_path)) if isinstance(report_path, str) else report.get("config", {}).get("out_dir", ".")
+    cfgd = report["config"]
     problems = []
     recomputed = {}
     for algo, by_seed in report["runs"].items():
         recomputed[algo] = {}
         for seed_key, summary in by_seed.items():
-            got = recomputed[algo][seed_key] = _recompute_run(report, summary, out_dir)
-            for name, value in got.items():
-                if name in _EXACT_FIELDS:
-                    if summary.get(name) != value:
-                        problems.append(
-                            f"{algo}/{seed_key}/{name}: reported {summary.get(name)!r}, "
-                            f"recomputed {value!r}"
-                        )
-                    continue
-                if name not in summary:
-                    continue
-                want = summary[name]
-                if isinstance(value, dict):
-                    for sub, v in value.items():
-                        wv = want.get(sub)
-                        if wv is None or abs(v - wv) > tol:
-                            problems.append(
-                                f"{algo}/{seed_key}/{name}[{sub}]: reported {wv!r}, recomputed {v!r}"
-                            )
-                elif want is None or abs(value - want) > tol:
-                    problems.append(
-                        f"{algo}/{seed_key}/{name}: reported {want!r}, recomputed {value!r}"
-                    )
+            if "trace" not in summary:
+                problems.append(f"{algo}/{seed_key}: no trace named")
+                continue
+            trace = read_trace(os.path.join(out_dir, summary["trace"]))
+            got = recomputed[algo][seed_key] = summarize(cfgd, trace)
+            got["trace"] = summary["trace"]
+            _compare(f"{algo}/{seed_key}", summary, got, tol, problems)
     if "error" not in report:
-        cfgd = report["config"]
+        seeds = cfgd["seeds"][:1] if cfgd["mode"] == "replay" else cfgd["seeds"]
+        cells = {(algo, f"seed_{seed}") for algo in cfgd["algorithms"] for seed in seeds}
+        reported = {(algo, key) for algo, by_seed in report["runs"].items() for key in by_seed}
+        if reported != cells:
+            problems.append(f"runs: reported cells {sorted(reported)}, configured {sorted(cells)}")
         derived = {
             "checks_overall": _checks_overall(recomputed),
             "comparison": _comparison_block(
                 cfgd["algorithms"], recomputed, _WIN_METRIC[cfgd["mode"]]
             ),
         }
+        if cfgd["mode"] in ("identify", "control"):
+            derived["bound_curve"] = _bound_curve_block(cfgd)
         for name, value in derived.items():
-            if report.get(name) != value:
-                problems.append(f"{name}: reported {report.get(name)!r}, recomputed {value!r}")
+            _compare(name, report.get(name), value, tol, problems)
     return (not problems), problems

@@ -15,6 +15,7 @@ block up front.
 One loop, ``run_closed_loop_batch``, steps all seeds of a sweep together as
 rows of (S, d) arrays; ``run_closed_loop`` is its batch of one.  Rows never
 mix, so a cell's trace does not depend on the other seeds in its batch.
+Every run mode records its steps as a ``Trace``: one array per column.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ __all__ = [
     "LagBuffer",
     "Plant",
     "ControlConfig",
-    "StepRecord",
+    "TRACE_COLUMNS",
+    "Trace",
     "ClosedLoopBatch",
     "solve_control",
     "solve_control_rows",
-    "plant_step",
     "run_closed_loop",
     "run_closed_loop_batch",
 ]
@@ -165,12 +166,6 @@ class Plant:
                 f"theta_star dim {self.theta_star.dim} != model dim {self.model.dim}"
             )
 
-    def mean(self, phi):
-        out = float(self.model.eval(phi, self.theta_star.values))
-        if not math.isfinite(out):
-            raise NumericError("plant conditional mean is non-finite", context={"phi": phi})
-        return out
-
 
 @dataclass
 class ControlConfig:
@@ -194,28 +189,61 @@ class ControlConfig:
         return float(self.y_target[k])
 
 
-@dataclass(slots=True)
-class StepRecord:
-    """One trace row; None marks a column that the mode leaves empty.
+TRACE_COLUMNS = [
+    "k",
+    "y",
+    "u",
+    "y_star",
+    "f_true",
+    "f_est",
+    "loss",
+    "regret_avg",
+    "theta_err",
+    "mu_k",
+    "r_k",
+    "flags",
+]
 
-    ``w`` (plant noise) and ``grad_norm_sq`` ride along in memory for the
-    diagnostics but are not part of the serialised schema.
+
+@dataclass(eq=False)
+class Trace:
+    """The per-step record of one run, one field per column of ``TRACE_COLUMNS``.
+
+    ``k`` is an int array and ``flags`` a list of ";"-joined flag strings
+    ("" on a clean step); every other column is a float64 array, or None
+    where the mode leaves it empty.  ``len(trace)`` is the row count.  Two
+    traces are equal when every column is bit-equal.
     """
 
-    k: int
-    y: float | None = None
-    u: float | None = None
-    y_star: float | None = None
-    f_true: float | None = None
-    f_est: float | None = None
-    loss: float | None = None
-    regret_avg: float | None = None
-    theta_err: float | None = None
-    mu_k: float | None = None
-    r_k: float | None = None
-    flags: str = ""
-    w: float | None = None
-    grad_norm_sq: float | None = None
+    k: np.ndarray
+    y: np.ndarray | None = None
+    u: np.ndarray | None = None
+    y_star: np.ndarray | None = None
+    f_true: np.ndarray | None = None
+    f_est: np.ndarray | None = None
+    loss: np.ndarray | None = None
+    regret_avg: np.ndarray | None = None
+    theta_err: np.ndarray | None = None
+    mu_k: np.ndarray | None = None
+    r_k: np.ndarray | None = None
+    flags: list | None = None
+
+    def __post_init__(self):
+        self.k = np.asarray(self.k, dtype=np.int64)
+        if self.flags is None:
+            self.flags = [""] * len(self.k)
+
+    def __len__(self):
+        return len(self.k)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        for name in TRACE_COLUMNS[:-1]:
+            a, b = getattr(self, name), getattr(other, name)
+            if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
+                return False
+        return list(self.flags) == list(other.flags)
 
 
 def solve_control(model, theta, lags, y_star, cfg: ControlConfig, u_prev=0.0):
@@ -332,21 +360,6 @@ def _bisect_control(f_of_u, y_star, u0, r0, cfg):
     return mid, ("saturated",)
 
 
-def plant_step(plant: Plant, lags: LagBuffer, u):
-    """Advance the true plant one step: y_{k+1} = f(phi_k, theta*) + w_{k+1}.
-
-    Returns (y_next, w_next); both are recorded by the run loop.  The lag
-    buffer is not advanced here (the caller owns the ordering).
-    """
-    phi = lags.regressor(u)
-    f_true = plant.mean(phi)
-    w = plant.noise.draw()
-    y_next = f_true + w
-    if not math.isfinite(y_next):
-        raise NumericError("plant output non-finite", context={"phi": phi, "u": u})
-    return y_next, w
-
-
 def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev):
     """``solve_control`` on S stacked rows; returns (u, flagged).
 
@@ -390,10 +403,7 @@ def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev)
 
 
 # float64 columns recorded per step by the batched loop, in storage order
-_BATCH_COLUMNS = (
-    "y", "u", "f_true", "f_est", "loss", "regret_avg", "theta_err", "mu_k", "r_k",
-    "grad_norm_sq",
-)
+_BATCH_COLUMNS = ("y", "u", "f_true", "f_est", "loss", "regret_avg", "theta_err", "mu_k", "r_k")
 
 
 @dataclass
@@ -401,27 +411,20 @@ class ClosedLoopBatch:
     """The recorded steps of a batched closed-loop run, column-wise.
 
     ``rows[k, j, i]`` is column ``_BATCH_COLUMNS[j]`` of step k in the cell
-    of ``seeds[i]``, and ``noise[k, i]`` its plant noise; ``y_star[k]`` is
-    shared by all cells.  ``flags[i]`` maps a step to its flags, for the
-    flagged steps of cell i only.
+    of ``seeds[i]``; ``y_star[k]`` is shared by all cells.  ``flags[i][k]``
+    is the ";"-joined flags of step k in cell i.
     """
 
     seeds: tuple
     y_star: list
     rows: np.ndarray
-    noise: np.ndarray
     flags: list
 
-    def records(self, i):
-        """The trace of cell i as StepRecords, built on demand."""
-        cols = [self.rows[:, j, i].tolist() for j in range(len(_BATCH_COLUMNS))]
-        flags = self.flags[i]
-        return [
-            StepRecord(k, y, u, y_star, f_true, f_est, loss, regret, err, mu, r,
-                       ";".join(flags.get(k, ())), w, gns)
-            for k, (y_star, w, y, u, f_true, f_est, loss, regret, err, mu, r, gns)
-            in enumerate(zip(self.y_star, self.noise[:, i].tolist(), *cols))
-        ]
+    def trace(self, i):
+        """The Trace of cell i, with its own contiguous columns."""
+        columns = {name: self.rows[:, j, i].copy() for j, name in enumerate(_BATCH_COLUMNS)}
+        return Trace(k=np.arange(len(self.y_star)), y_star=np.array(self.y_star),
+                     flags=self.flags[i], **columns)
 
 
 def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, seeds, algorithm="modified",
@@ -434,7 +437,8 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, seeds, algorithm
     estimator rows with (phi_k, y_{k+1}).  Each row's noise is the block
     ``plant.noise.with_seed(seed).draw_block(n_steps)``, the same values a
     one-seed run draws.  ``update(theta, r, carry, phi, y)`` advances the
-    estimator rows and returns (theta, r, carry, mu_k, grad_norm_sq); the
+    estimator rows and returns (theta, r, carry, mu_k, grad_norm_sq) as
+    ``sg_update`` does (the gradient norms are not recorded); the
     default is ``sg_update`` with the classical gain law when ``algorithm``
     is "classical" and the modified law otherwise.  A NumericError raised
     inside the batch names the step, the algorithm and the row's seed in
@@ -473,7 +477,7 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, seeds, algorithm
     u_prev = np.zeros(S)
     regret, regret_carry = np.zeros(S), np.zeros(S)
     rows = np.empty((n, len(_BATCH_COLUMNS), S))
-    flags = [{} for _ in seeds]
+    flags = [[""] * n for _ in seeds]
     k = 0
     try:
         # overflow and 0/0 in masked rows stay silent: every result is checked
@@ -485,24 +489,23 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, seeds, algorithm
                 phi[:, p] = u
                 f_true = link_true(row_dots(phi, theta_star))
                 check_rows(np.isfinite(f_true), "plant conditional mean non-finite", phi=phi, u=u)
-                w = noise[k]
-                y_next = f_true + w
+                y_next = f_true + noise[k]
                 f_est = link_est(row_dots(phi, theta))
                 gap = theta - theta_star
                 theta_err = np.sqrt(row_dots(gap, gap))
 
-                theta, r, carry, mu_k, grad_norm_sq = update(theta, r, carry, phi, y_next)
+                theta, r, carry, mu_k, _ = update(theta, r, carry, phi, y_next)
                 diverged = np.sqrt(row_dots(theta, theta)) > DIVERGENCE_NORM
                 regret, regret_carry = kahan_add_rows(
                     regret, regret_carry, loss.eval(f_true, f_est) - loss.eval(f_true, f_true)
                 )
                 rows[k] = (y_next, u, f_true, f_est, loss.eval(y_next, f_est), regret / (k + 1),
-                           theta_err, mu_k, r, grad_norm_sq)
+                           theta_err, mu_k, r)
                 if any(diverged.tolist()):
                     for i in np.flatnonzero(diverged).tolist():
                         flagged[i] = flagged.get(i, ()) + ("divergence",)
                 for i, row_flags in flagged.items():
-                    flags[i][k] = row_flags
+                    flags[i][k] = ";".join(row_flags)
 
                 phi[:, 1:p] = phi[:, : p - 1]
                 phi[:, 0] = y_next
@@ -515,16 +518,16 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, seeds, algorithm
         if row is not None:
             exc.context["seed"] = seeds[row]
         raise
-    return ClosedLoopBatch(seeds=seeds, y_star=targets, rows=rows, noise=noise, flags=flags)
+    return ClosedLoopBatch(seeds=seeds, y_star=targets, rows=rows, flags=flags)
 
 
 def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, algorithm="modified",
                     update=None):
-    """One-seed closed loop: a batch of one; returns the per-step trace.
+    """One-seed closed loop: a batch of one; returns its Trace.
 
     Arguments as for ``run_closed_loop_batch``; the noise stream is reseeded
     from ``seed`` so sweeps are reproducible run by run.
     """
     batch = run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, (seed,), algorithm,
                                   update)
-    return batch.records(0)
+    return batch.trace(0)

@@ -1,11 +1,14 @@
-"""Scalar diagnostics computed over closed-loop or replay traces.
+"""Scalar diagnostics computed over run traces.
 
-Everything here is pure post-processing: regret sums and averages, tracking
-error against the reference, the theoretical rate curve for overlays, the
-realized gradient-noise sequence, the relative-error score used for
-streaming prediction, a minimum-phase monitor, and a summability diagnostic
-for the step-size schedule.  Cumulative series use compensated summation so
-reruns are bit-stable.
+Everything here is pure post-processing of ``Trace`` columns: regret sums
+and averages, tracking error against the reference, the theoretical rate
+curve for overlays, the realized gradient-noise sequence, the relative-error
+score used for streaming prediction, a minimum-phase monitor, and a
+summability diagnostic for the step-size schedule.  Only persisted columns
+are read, so a trace read back from CSV gives the same numbers as the one
+in memory: the plant noise is taken as ``y - f_true`` and the squared
+gradient norms as the increments of ``r_k``.  Cumulative series use
+compensated summation so reruns are bit-stable.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ __all__ = [
     "GradientNoiseReport",
     "RSReport",
     "kahan_cumsum",
+    "realized_noise",
+    "gradient_norms_sq",
     "regret_sum",
     "average_regret",
     "tracking_error",
@@ -66,13 +71,12 @@ class MetricSeries:
 
 def kahan_cumsum(values):
     """Running sums with Kahan compensation, matching the in-loop accumulator."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
+    out = []
     total, carry = 0.0, 0.0
-    for i, v in enumerate(values):
-        total, carry = kahan_add(total, carry, float(v))
-        out[i] = total
-    return out
+    for v in np.asarray(values, dtype=float).tolist():
+        total, carry = kahan_add(total, carry, v)
+        out.append(total)
+    return np.array(out, dtype=float)
 
 
 def _series(name, values):
@@ -80,17 +84,23 @@ def _series(name, values):
     return MetricSeries(name=name, values=values, cumulative=kahan_cumsum(values))
 
 
-def _column(trace, attr):
-    out = []
-    for rec in trace:
-        v = getattr(rec, attr)
-        if v is None:
-            raise ConfigurationError(
-                f"trace is missing '{attr}' at step {rec.k}; this metric needs the "
-                f"{attr} column recorded"
-            )
-        out.append(float(v))
-    return np.asarray(out)
+def _column(trace, name):
+    values = getattr(trace, name)
+    if values is None:
+        raise ConfigurationError(
+            f"trace has no '{name}' column; this metric needs it recorded"
+        )
+    return np.asarray(values, dtype=float)
+
+
+def realized_noise(trace):
+    """The plant noise of each step, w = y - f_true (exact to one ulp)."""
+    return _column(trace, "y") - _column(trace, "f_true")
+
+
+def gradient_norms_sq(trace, beta3):
+    """||g_k||^2 of each step as the increments of r_k, with r_{-1} = beta3."""
+    return np.diff(_column(trace, "r_k"), prepend=beta3)
 
 
 def regret_sum(trace, loss=None):
@@ -104,8 +114,7 @@ def regret_sum(trace, loss=None):
         loss = SquaredError()
     f_true = _column(trace, "f_true")
     f_est = _column(trace, "f_est")
-    vals = [float(loss.eval(t, e)) - float(loss.eval(t, t)) for t, e in zip(f_true, f_est)]
-    return _series("regret", vals)
+    return _series("regret", loss.eval(f_true, f_est) - loss.eval(f_true, f_true))
 
 
 def average_regret(trace, loss=None):
@@ -168,10 +177,7 @@ def gradient_noise(trace, pair):
     y = _column(trace, "y")
     f_true = _column(trace, "f_true")
     f_est = _column(trace, "f_est")
-    loss = pair.loss
-    vals = np.array(
-        [float(loss.grad_x(yv, fe)) - float(loss.grad_x(ft, fe)) for yv, ft, fe in zip(y, f_true, f_est)]
-    )
+    vals = pair.loss.grad_x(y, f_est) - pair.loss.grad_x(f_true, f_est)
     series = MetricSeries(name="gradient_noise", values=vals, cumulative=kahan_cumsum(vals))
     return GradientNoiseReport(
         series=series,
@@ -217,22 +223,19 @@ class RSReport:
 RS_TAIL_LIMIT = 0.05
 
 
-def robbins_siegmund_diag(trace, grad_norm_sq=None):
+def robbins_siegmund_diag(mu, grad_norm_sq):
     """Partial-sum tail check on mu_k^2 ||grad f_k||^2.
 
-    Accepts either a trace of step records or two parallel arrays
-    (mu values, squared gradient norms).  A convergent series has almost all
-    of its mass early, so the last-half share of the total must fall below
-    RS_TAIL_LIMIT; a divergent schedule keeps accruing and fails.
+    Takes two parallel arrays (mu values, squared gradient norms); for a
+    trace these are ``trace.mu_k`` and ``gradient_norms_sq(trace, beta3)``.
+    A convergent series has almost all of its mass early, so the last-half
+    share of the total must fall below RS_TAIL_LIMIT; a divergent schedule
+    keeps accruing and fails.
     """
-    if grad_norm_sq is None:
-        mu = _column(trace, "mu_k")
-        gns = _column(trace, "grad_norm_sq")
-    else:
-        mu = np.asarray(trace, dtype=float)
-        gns = np.asarray(grad_norm_sq, dtype=float)
-        if mu.shape != gns.shape:
-            raise ConfigurationError("mu and grad_norm_sq arrays must have equal shape")
+    mu = np.asarray(mu, dtype=float)
+    gns = np.asarray(grad_norm_sq, dtype=float)
+    if mu.shape != gns.shape:
+        raise ConfigurationError("mu and grad_norm_sq arrays must have equal shape")
     terms = mu**2 * gns
     cum = kahan_cumsum(terms)
     total = float(cum[-1]) if len(cum) else 0.0
@@ -248,20 +251,20 @@ def minimum_phase_ratio(trace, lam=0.9):
     """Monitor u_{k-1}^2 / sum_t lam^(k-t) (y_t^2 + w_t^2), reported not gated.
 
     The plant-class assumption bounds inputs by exponentially weighted past
-    outputs and noises; the ratio staying bounded over a run is evidence the
-    trajectory respects it.  First step has no previous input and reports 0.
+    outputs and noises (w = y - f_true); the ratio staying bounded over a run
+    is evidence the trajectory respects it.  First step has no previous
+    input and reports 0.
     """
     if not (0.0 < lam < 1.0):
         raise ConfigurationError(f"lam must lie in (0,1), got {lam}")
-    y = _column(trace, "y")
-    u = _column(trace, "u")
-    w = _column(trace, "w")
-    vals = np.zeros(len(y))
+    y = _column(trace, "y").tolist()
+    u = _column(trace, "u").tolist()
+    w = realized_noise(trace).tolist()
+    vals = [0.0] * len(y)
     weighted = 0.0
-    for k in range(len(y)):
+    for k in range(len(y) - 1):
         weighted = lam * weighted + y[k] ** 2 + w[k] ** 2
-        if k + 1 < len(y):
-            vals[k + 1] = u[k] ** 2 / weighted if weighted > 0.0 else math.inf
+        vals[k + 1] = u[k] ** 2 / weighted if weighted > 0.0 else math.inf
     return _series("minimum_phase_ratio", vals)
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "SquaredError",
     "CrossEntropy",
     "SquaredHinge",
-    "hinge_sq_loss",
     "tanh_arx_model",
     "QuadNetSpec",
     "quadnet_lift",
@@ -326,22 +325,6 @@ class SquaredHinge(LossFunction):
         s = np.sign(y)
         m = np.maximum(0.0, 1.0 - s * x)
         return -2.0 * s * m
-
-
-def hinge_sq_loss(phi, theta, y_label):
-    """Squared-hinge classification loss and its theta-gradient.
-
-    y_label must be +1 or -1; returns (loss, grad) with
-    loss = max(0, 1 - y * phi.theta)^2 and grad = -2 y max(0, 1 - y phi.theta) phi.
-    """
-    if y_label not in (-1, 1, -1.0, 1.0):
-        raise ConfigurationError(f"y_label must be +1 or -1, got {y_label}")
-    phi_v = as_values(phi, "regressor")
-    theta_v = as_values(theta, "parameter vector")
-    if phi_v.size != theta_v.size:
-        raise ConfigurationError(f"dimension mismatch: {phi_v.size} vs {theta_v.size}")
-    m = max(0.0, 1.0 - y_label * float(np.dot(phi_v, theta_v)))
-    return m * m, (-2.0 * y_label * m) * phi_v
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,8 @@ class TestAcceptance:
             # The realized noise floor mean(w^2): what a controller that knows
             # theta* exactly would score on this seed.  y - f_true is the drawn
             # noise w to within one ulp.
-            floors.append(float(np.mean([(rec.y - rec.f_true) ** 2 for rec in trace])))
-            tail = [rec.theta_err for rec in trace[-len(trace) // 10:]]
+            floors.append(float(np.mean((trace.y - trace.f_true) ** 2)))
+            tail = trace.theta_err[-len(trace) // 10:].tolist()
             ranges_ok.append(max(tail) - min(tail) < 0.05 * (1.0 + tail[-1]))
         excess = [te - fl for te, fl in zip(tes, floors)]
         wins = report.data["comparison"]["wins"]["modified"]

@@ -5,8 +5,12 @@ whole module stays fast; full-scale behavior is covered by the acceptance
 suite.
 """
 
+import copy
+import importlib.util
 import json
+import math
 import os
+import pathlib
 import shutil
 import tempfile
 import textwrap
@@ -27,10 +31,11 @@ from sgident.bench import (
     render_comparison,
     run_experiment,
     sampler_bit_generator,
+    summarize,
     verify_report,
     write_trace,
 )
-from sgident.control import NoiseSource, StepRecord
+from sgident.control import NoiseSource, Trace
 from sgident.errors import ConfigurationError, DataError, NumericError
 
 CONTROL_CFG = """
@@ -303,34 +308,40 @@ class TestIngestCsv:
 
 
 class TestTracePersistence:
-    def _records(self):
-        return [
-            StepRecord(k=0, y=0.1, f_true=0.25, f_est=1.0 / 3.0, loss=0.05,
-                       regret_avg=0.007, theta_err=1.2, mu_k=0.11, r_k=2.4),
-            StepRecord(k=1, y=-0.2, u=0.5, y_star=0.5, f_true=0.3, f_est=0.31,
-                       loss=0.26, regret_avg=0.004, theta_err=1.1, mu_k=0.09,
-                       r_k=2.9, flags="saturated;divergence"),
-        ]
+    def _trace(self):
+        return Trace(
+            k=[0, 1, 2],
+            y=np.array([0.1, -0.2, 0.4]),
+            f_true=np.array([0.25, 0.3, 0.35]),
+            f_est=np.array([1.0 / 3.0, 0.31, 0.32]),
+            loss=np.array([0.05, 0.26, 0.01]),
+            regret_avg=np.array([0.007, 0.004, 0.003]),
+            theta_err=np.array([1.2, 1.1, 1.0]),
+            mu_k=np.array([0.11, 0.09, 0.08]),
+            r_k=np.array([2.4, 2.9, 3.1]),
+            flags=["", "saturated;divergence", ""],
+        )
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.csv")
-        write_trace(path, self._records())
+        write_trace(path, self._trace())
         back = read_trace(path)
-        assert len(back) == 2
-        assert back[0].u is None and back[0].y_star is None
-        assert back[0].f_est == 1.0 / 3.0  # repr round-trips exactly
-        assert back[1].flags == "saturated;divergence"
-        assert back[1].r_k == 2.9
-        # in-memory extras are not part of the schema
-        assert back[0].w is None and back[0].grad_norm_sq is None
+        assert len(back) == 3
+        assert back.u is None and back.y_star is None
+        assert back.f_est[0] == 1.0 / 3.0  # repr round-trips exactly
+        assert back.flags[1] == "saturated;divergence"
+        assert back.r_k[1] == 2.9
+        assert back == self._trace()
 
     def test_crlf_and_repr_formatting(self, tmp_path):
         path = str(tmp_path / "trace.csv")
-        write_trace(path, self._records())
+        write_trace(path, self._trace())
         raw = open(path, "rb").read()
-        assert raw.count(b"\r\n") == 3  # header + 2 rows
+        assert raw.count(b"\r\n") == 4  # header + 3 rows
         assert b"0.3333333333333333" in raw  # repr of 1/3, shortest round-trip
         assert raw.split(b"\r\n")[0].decode() == ",".join(TRACE_COLUMNS)
+        first_row = "0,0.1,,,0.25,0.3333333333333333,0.05,0.007,1.2,0.11,2.4,"
+        assert raw.split(b"\r\n")[1].decode() == first_row
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -352,25 +363,81 @@ class TestTracePersistence:
         with pytest.raises(DataError, match="empty"):
             read_trace(str(path))
 
+    def _edited(self, tmp_path, line, column, cell):
+        path = tmp_path / "trace.csv"
+        write_trace(str(path), self._trace())
+        lines = path.read_bytes().decode().split("\r\n")
+        cells = lines[line - 1].split(",")
+        cells[TRACE_COLUMNS.index(column)] = cell
+        lines[line - 1] = ",".join(cells)
+        path.write_bytes("\r\n".join(lines).encode())
+        return str(path)
 
-_cell = st.one_of(st.none(), st.floats(allow_nan=False))
-_record = st.builds(
-    lambda values, flags: values + [flags],
-    st.lists(_cell, min_size=10, max_size=10),
-    st.sampled_from(["", "saturated", "singular_gain", "divergence", "saturated;divergence"]),
-)
+    @pytest.mark.parametrize("cell, problem", [("oops", "nonnumeric"), ("nan", "non-finite"),
+                                               ("inf", "non-finite"), ("1.5", "nonnumeric")])
+    def test_bad_cell_is_a_data_error_with_its_line(self, tmp_path, cell, problem):
+        column = "k" if cell == "1.5" else "f_est"
+        with pytest.raises(DataError, match=problem) as exc:
+            read_trace(self._edited(tmp_path, 3, column, cell))
+        assert exc.value.line == 3
+
+    def test_bad_cell_in_a_later_batch_of_rows_names_its_line(self, tmp_path):
+        # read_trace parses rows in batches; line numbers run on across them
+        n = 2500
+        trace = Trace(k=np.arange(n), y=np.linspace(0.0, 1.0, n), r_k=np.full(n, 2.0))
+        path = tmp_path / "long.csv"
+        write_trace(str(path), trace)
+        assert read_trace(str(path)) == trace
+        lines = path.read_bytes().split(b"\r\n")
+        for line, column, cell, problem in ((2101, "y", b"nan", "non-finite"),
+                                            (1900, "r_k", b"", "some rows only")):
+            edited = list(lines)
+            cells = edited[line - 1].split(b",")
+            cells[TRACE_COLUMNS.index(column)] = cell
+            edited[line - 1] = b",".join(cells)
+            path.write_bytes(b"\r\n".join(edited))
+            with pytest.raises(DataError, match=problem) as exc:
+                read_trace(str(path))
+            assert exc.value.line == line
+
+    def test_column_empty_on_some_rows_only_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="some rows only") as exc:
+            read_trace(self._edited(tmp_path, 4, "theta_err", ""))
+        assert exc.value.line == 4
+        # and the other way round: an empty column with one filled cell
+        with pytest.raises(DataError, match="some rows only") as exc:
+            read_trace(self._edited(tmp_path, 3, "u", "0.5"))
+        assert exc.value.line == 3
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _traces(draw):
+    n = draw(st.integers(1, 20))
+    present = draw(st.lists(st.booleans(), min_size=10, max_size=10))
+    columns = {
+        name: np.array(draw(st.lists(_finite, min_size=n, max_size=n)))
+        for name, keep in zip(TRACE_COLUMNS[1:-1], present)
+        if keep
+    }
+    flags = draw(st.lists(
+        st.sampled_from(["", "saturated", "singular_gain", "divergence", "saturated;divergence"]),
+        min_size=n, max_size=n,
+    ))
+    return Trace(k=np.arange(n), flags=flags, **columns)
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(_record, max_size=20))
-def test_trace_round_trip_is_exact(rows):
-    records = [StepRecord(k, *values) for k, values in enumerate(rows)]
+@given(trace=_traces())
+def test_trace_round_trip_is_exact(trace):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
-        write_trace(path, records)
+        write_trace(path, trace)
         first = open(path, "rb").read()
         back = read_trace(path)
-        assert back == records
+        assert back == trace
         write_trace(path, back)
         assert open(path, "rb").read() == first
 
@@ -564,9 +631,9 @@ class TestVerifyReport:
         assert not ok
         assert any("final_average_regret" in p for p in problems)
 
-    def _verify_edited(self, control_report, tmp_path, edit):
+    def _verify_edited(self, report, tmp_path, edit):
         dst = str(tmp_path / "copy")
-        shutil.copytree(os.path.dirname(control_report.path), dst)
+        shutil.copytree(os.path.dirname(report.path), dst)
         report_path = os.path.join(dst, "report.json")
         data = json.load(open(report_path))
         edit(data)
@@ -614,9 +681,171 @@ class TestVerifyReport:
         dst = str(tmp_path / "copy")
         shutil.copytree(src, dst)
         trace_path = os.path.join(dst, "trace_modified_seed1.csv")
-        records = read_trace(trace_path)
-        records[5].f_est += 1e-3
-        write_trace(trace_path, records)
+        trace = read_trace(trace_path)
+        trace.f_est[5] += 1e-3
+        write_trace(trace_path, trace)
         ok, problems = verify_report(os.path.join(dst, "report.json"))
         assert not ok
         assert any("seed_1" in p for p in problems)
+
+    def test_nan_number_is_flagged(self, control_report, tmp_path):
+        def edit(data):
+            data["runs"]["classical"]["seed_2"]["final_theta_err"] = math.nan
+
+        ok, problems = self._verify_edited(control_report, tmp_path, edit)
+        assert not ok
+        assert any(p.startswith("classical/seed_2/final_theta_err") for p in problems)
+
+    def test_deleted_key_is_flagged(self, control_report, tmp_path):
+        def edit(data):
+            del data["runs"]["modified"]["seed_2"]["final_tracking_proxy"]
+
+        ok, problems = self._verify_edited(control_report, tmp_path, edit)
+        assert not ok
+        assert any(p.startswith("modified/seed_2: reported keys") for p in problems)
+
+    def test_edited_replay_row_count_is_flagged(self, small_replay_report, tmp_path):
+        def edit(data):
+            data["runs"]["modified"]["seed_0"]["rows_used"] = 7
+
+        ok, problems = self._verify_edited(small_replay_report, tmp_path, edit)
+        assert not ok
+        assert any(p.startswith("modified/seed_0/rows_used") for p in problems)
+
+    def test_edited_bound_curve_is_flagged(self, control_report, tmp_path):
+        def edit(data):
+            data["bound_curve"]["checkpoints"]["40"] = 123
+
+        ok, problems = self._verify_edited(control_report, tmp_path, edit)
+        assert not ok
+        assert any(p.startswith("bound_curve/checkpoints/40") for p in problems)
+
+    def test_deleted_run_is_flagged(self, control_report, tmp_path):
+        def edit(data):
+            for algo in ("modified", "classical"):
+                del data["runs"][algo]["seed_2"]
+            data["comparison"]["wins"] = {"modified": 0, "classical": 0, "ties": 0}
+
+        ok, problems = self._verify_edited(control_report, tmp_path, edit)
+        assert not ok
+        assert any(p.startswith("runs: reported cells") for p in problems)
+
+    def test_bad_trace_cell_names_its_line(self, control_report, tmp_path):
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        trace_path = dst / "trace_modified_seed1.csv"
+        lines = trace_path.read_bytes().split(b"\r\n")
+        cells = lines[29].split(b",")
+        cells[TRACE_COLUMNS.index("f_est")] = b"oops"
+        lines[29] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataError, match="at line 30") as exc:
+            verify_report(str(dst / "report.json"))
+        assert exc.value.line == 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_single_numeric_edit_fails(self, control_report, identify_report,
+                                           small_replay_report, data):
+        report = data.draw(st.sampled_from([control_report, identify_report,
+                                            small_replay_report])).data
+        leaves = [path for top in ("runs", "bound_curve") if top in report
+                  for path in _numeric_leaves(report[top], (top,))]
+        path = data.draw(st.sampled_from(leaves))
+        edited = copy.deepcopy(report)
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
+        old = node[path[-1]]
+        delta = data.draw(st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6))
+        new = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, old + delta]))
+        node[path[-1]] = new
+        ok, problems = verify_report(edited)
+        assert not ok, (path, old, new)
+        assert any(p.startswith("/".join(path[1:] if path[0] == "runs" else path))
+                   for p in problems), problems
+
+
+def _numeric_leaves(node, path):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _leaves(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _leaves(value)
+    else:
+        yield node
+
+
+class TestSummarize:
+    @pytest.mark.parametrize("run", ["paper_run", "replay_run", "identify_report"])
+    def test_fresh_run_verifies_exactly(self, run, request):
+        # one summarize serves both sides, so the in-memory and the read-back
+        # trace give the same numbers bit for bit (replay: over 8192 rows)
+        report = request.getfixturevalue(run)
+        report = report[0] if isinstance(report, tuple) else report
+        assert verify_report(report.path, tol=0.0) == (True, [])
+
+    def test_summary_values_are_plain_json_types(self, control_report, small_replay_report):
+        for report in (control_report, small_replay_report):
+            out_dir = os.path.dirname(report.path)
+            for by_seed in report.data["runs"].values():
+                for summary in by_seed.values():
+                    trace = read_trace(os.path.join(out_dir, summary["trace"]))
+                    got = summarize(report.data["config"], trace)
+                    assert {type(v) for v in _leaves(got)} <= {float, int, bool}
+                    json.dumps(got, allow_nan=False)
+
+
+def _load_tracer():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkRowCounting:
+    """The benchmark's tracer counts trace rows as len() of what write_trace
+    takes and read_trace returns; both must stay the row count."""
+
+    def _traced_rows(self, cfg):
+        tracer = _load_tracer()
+        rec = tracer.SpanRecorder()
+        tracer.install(rec, tracer.sgident_modules())
+        try:
+            report = run_experiment(cfg)
+            assert verify_report(report.path) == (True, [])
+        finally:
+            rec.restore()
+        out_dir = os.path.dirname(report.path)
+        rows = sum(
+            len(open(os.path.join(out_dir, s["trace"]), "rb").read().split(b"\r\n")) - 2
+            for by_seed in report.data["runs"].values() for s in by_seed.values()
+        )
+        return rec.counters, rows
+
+    def test_control_rows_are_counted(self, tmp_path):
+        text = CONTROL_CFG.replace("n_steps = 40", "n_steps = 50")
+        cfg = load_config(_write_cfg(tmp_path, text, out=tmp_path / "runs"))
+        counters, rows = self._traced_rows(cfg)
+        assert rows == 2 * 2 * 50
+        assert counters["bench.rows_written"] == counters["bench.rows_read"] == rows
+
+    def test_replay_rows_are_counted(self, tmp_path, corpus_csv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = load_config(_write_cfg(tmp_path, REPLAY_CFG, out=tmp_path / "runs",
+                                         data=corpus_csv))
+        counters, rows = self._traced_rows(cfg)
+        assert rows == 2 * 200
+        assert counters["bench.rows_written"] == counters["bench.rows_read"] == rows
+        # the tracer is gone again
+        from sgident import bench
+
+        assert bench.write_trace is write_trace and bench.read_trace is read_trace

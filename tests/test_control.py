@@ -26,7 +26,6 @@ from sgident.control import (
     LagBuffer,
     NoiseSource,
     Plant,
-    plant_step,
     run_closed_loop,
     run_closed_loop_batch,
     solve_control,
@@ -34,6 +33,7 @@ from sgident.control import (
 )
 from sgident.core import HyperParams, PredictorModel
 from sgident.errors import ConfigurationError, NumericError
+from sgident.metrics import gradient_norms_sq
 from sgident.models import (
     LinearModel,
     LogisticModel,
@@ -403,28 +403,6 @@ def test_vector_controller_matches_scalar_solve(rows, y_star, u_max):
 
 
 class TestPlantStep:
-    def test_output_is_mean_plus_noise(self):
-        pair = tanh_mse_pair(p=3, q=2)
-        theta_star = np.array([0.01, 3.0, -0.1, 0.6, -0.3])
-        plant = Plant(pair.predictor, theta_star, NoiseSource(std=0.05, seed=3))
-        lags = LagBuffer(3, 2)
-        lags.advance(0.4, 0.2)
-        phi = lags.regressor(0.7)
-        f = float(pair.predictor.eval(phi, theta_star))
-        w_want = NoiseSource(std=0.05, seed=3).draw()
-        y, w = plant_step(plant, lags, 0.7)
-        assert w == w_want
-        assert y == f + w
-
-    def test_lag_buffer_is_not_advanced(self):
-        pair = tanh_mse_pair(p=3, q=2)
-        plant = Plant(pair.predictor, np.array([0.01, 3.0, -0.1, 0.6, -0.3]),
-                      NoiseSource(std=0.05, seed=3))
-        lags = LagBuffer(3, 2)
-        plant_step(plant, lags, 0.7)
-        assert np.array_equal(lags.y_hist, np.zeros(3))
-        assert np.array_equal(lags.u_hist, np.zeros(2))
-
     def test_theta_star_dim_checked(self):
         pair = tanh_mse_pair(p=3, q=2)
         with pytest.raises(ConfigurationError):
@@ -454,38 +432,39 @@ class TestRunClosedLoop:
         plant, pair = self._plant_and_pair()
         state = sg_init(self.theta_star, self.hyper)
         cfg = ControlConfig(y_target=0.5, root_tol=1e-10)
-        recs = run_closed_loop(plant, state, pair, cfg, n_steps=2000, seed=1,
-                               update=_frozen_update)
-        assert len(recs) == 2000
-        assert all(r.flags == "" for r in recs)
-        te = np.mean([(r.y - r.y_star) ** 2 for r in recs])
+        trace = run_closed_loop(plant, state, pair, cfg, n_steps=2000, seed=1,
+                                update=_frozen_update)
+        assert len(trace) == 2000
+        assert all(f == "" for f in trace.flags)
+        te = np.mean((trace.y - trace.y_star) ** 2)
         assert 0.002 < te < 0.003
-        worst = max(abs(r.y - r.y_star - r.w) for r in recs)
+        w = NoiseSource(std=0.05, seed=1).draw_block(2000)  # the plant's own noise
+        worst = np.max(np.abs(trace.y - trace.y_star - w))
         assert worst <= 1e-14
-        assert all(r.regret_avg == 0.0 for r in recs)
-        assert all(r.theta_err == 0.0 for r in recs)
+        assert np.all(trace.regret_avg == 0.0)
+        assert np.all(trace.theta_err == 0.0)
 
     def test_learning_reduces_regret_and_parameter_error(self):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)
         cfg = ControlConfig(y_target=0.5)
-        recs = run_closed_loop(plant, state, cfg=cfg, pair=pair, n_steps=1500, seed=1)
-        assert recs[-1].theta_err < recs[0].theta_err
-        assert recs[-1].regret_avg < recs[49].regret_avg
+        trace = run_closed_loop(plant, state, cfg=cfg, pair=pair, n_steps=1500, seed=1)
+        assert trace.theta_err[-1] < trace.theta_err[0]
+        assert trace.regret_avg[-1] < trace.regret_avg[49]
         # r is nondecreasing and mu stays within the safety cap
-        r_col = [r.r_k for r in recs]
-        assert all(b >= a for a, b in zip(r_col, r_col[1:]))
-        assert all(r.mu_k * r.grad_norm_sq <= self.hyper.mu * (1 + 1e-12) for r in recs)
+        assert np.all(np.diff(trace.r_k) >= 0.0)
+        grad_norm_sq = gradient_norms_sq(trace, self.hyper.beta3)
+        assert np.all(trace.mu_k * grad_norm_sq <= self.hyper.mu * (1 + 1e-12))
 
     def test_single_step_run(self):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.zeros(5), self.hyper)
-        recs = run_closed_loop(plant, state, pair, ControlConfig(), n_steps=1, seed=4)
-        assert len(recs) == 1
-        rec = recs[0]
-        assert rec.k == 0
-        assert rec.r_k == 2.0 + rec.grad_norm_sq
-        assert math.isfinite(rec.y) and math.isfinite(rec.u)
+        trace = run_closed_loop(plant, state, pair, ControlConfig(), n_steps=1, seed=4)
+        assert len(trace) == 1
+        assert trace.k.tolist() == [0]
+        # theta = 0: the gradient is the regressor (0, 0, 0, u, 0), so ||g||^2 = u^2
+        assert trace.r_k[0] == 2.0 + trace.u[0] ** 2
+        assert math.isfinite(trace.y[0]) and math.isfinite(trace.u[0])
 
     def test_divergence_flagged(self):
         plant, pair = self._plant_and_pair()
@@ -495,9 +474,9 @@ class TestRunClosedLoop:
             zeros = np.zeros(len(r))
             return np.full_like(theta, 1e7), r, carry, zeros, zeros
 
-        recs = run_closed_loop(plant, state, pair, ControlConfig(), n_steps=1, seed=4,
-                               update=blowup_update)
-        assert "divergence" in recs[0].flags
+        trace = run_closed_loop(plant, state, pair, ControlConfig(), n_steps=1, seed=4,
+                                update=blowup_update)
+        assert "divergence" in trace.flags[0]
 
     def test_same_seed_reruns_bitwise(self):
         plant, pair = self._plant_and_pair()
@@ -506,21 +485,20 @@ class TestRunClosedLoop:
         for _ in range(2):
             state = sg_init(np.full(5, 0.01), self.hyper)
             runs.append(run_closed_loop(plant, state, pair, cfg, n_steps=300, seed=7))
-        ya, yb = [[r.y for r in recs] for recs in runs]
-        assert ya == yb
+        assert runs[0] == runs[1]
         state = sg_init(np.full(5, 0.01), self.hyper)
         other = run_closed_loop(plant, state, pair, cfg, n_steps=300, seed=8)
-        assert [r.y for r in other] != ya
+        assert not np.array_equal(other.y, runs[0].y)
 
     def test_per_step_targets_are_followed(self):
         plant, pair = self._plant_and_pair()
         state = sg_init(self.theta_star, self.hyper)
         targets = np.array([0.1, -0.2, 0.3, 0.0, 0.25])
         cfg = ControlConfig(y_target=targets, root_tol=1e-10)
-        recs = run_closed_loop(plant, state, pair, cfg, n_steps=5, seed=2,
-                               update=_frozen_update)
-        assert [r.y_star for r in recs] == list(targets)
-        assert max(abs(r.f_true - r.y_star) for r in recs) <= 1e-10
+        trace = run_closed_loop(plant, state, pair, cfg, n_steps=5, seed=2,
+                                update=_frozen_update)
+        assert trace.y_star.tolist() == list(targets)
+        assert np.max(np.abs(trace.f_true - trace.y_star)) <= 1e-10
 
     def test_batch_rows_equal_one_seed_runs(self):
         # a cell's trace does not depend on the other seeds of its batch
@@ -532,7 +510,7 @@ class TestRunClosedLoop:
             batch = run_closed_loop_batch(plant, state, pair, cfg, 300, seeds, algorithm)
             for i, seed in enumerate(seeds):
                 alone = run_closed_loop(plant, state, pair, cfg, 300, seed, algorithm)
-                assert batch.records(i) == alone
+                assert batch.trace(i) == alone
 
     def test_gain_law_follows_the_algorithm_name(self):
         plant, pair = self._plant_and_pair()
@@ -540,9 +518,9 @@ class TestRunClosedLoop:
         cfg = ControlConfig(y_target=0.5)
         classical = run_closed_loop(plant, state, pair, cfg, 20, 1, "classical")
         # classical gain: mu_k = mu / r_k on every step
-        assert all(rec.mu_k == self.hyper.mu / rec.r_k for rec in classical)
+        assert np.array_equal(classical.mu_k, self.hyper.mu / classical.r_k)
         modified = run_closed_loop(plant, state, pair, cfg, 20, 1)
-        assert modified[0].mu_k < classical[0].mu_k
+        assert modified.mu_k[0] < classical.mu_k[0]
 
     def test_numeric_error_names_step_algorithm_and_seed(self):
         plant, pair = self._plant_and_pair()

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from sgident.control import StepRecord
+from sgident.control import Trace
 from sgident.core import HyperParams
 from sgident.errors import ConfigurationError, DataError
 from sgident.metrics import (
@@ -26,8 +26,10 @@ from sgident.metrics import (
     average_regret,
     bound_curve,
     gradient_noise,
+    gradient_norms_sq,
     kahan_cumsum,
     minimum_phase_ratio,
+    realized_noise,
     regret_sum,
     relative_error_metric,
     robbins_siegmund_diag,
@@ -38,12 +40,10 @@ from sgident.models import catalog_pair
 
 
 def _trace(**cols):
-    """Build a list of StepRecords from parallel column arrays."""
+    """Build a Trace from parallel column lists."""
     n = len(next(iter(cols.values())))
-    recs = []
-    for k in range(n):
-        recs.append(StepRecord(k=k, **{name: vals[k] for name, vals in cols.items()}))
-    return recs
+    columns = {name: np.array(vals, dtype=float) for name, vals in cols.items()}
+    return Trace(k=np.arange(n), **columns)
 
 
 class TestMetricSeries:
@@ -77,6 +77,20 @@ class TestKahanCumsum:
         assert kahan_cumsum([]).size == 0
 
 
+class TestTraceColumns:
+    def test_realized_noise_is_y_minus_f_true(self):
+        trace = _trace(y=[0.6, 0.1], f_true=[0.5, 0.3])
+        assert np.array_equal(realized_noise(trace), [0.6 - 0.5, 0.1 - 0.3])
+
+    def test_gradient_norms_are_the_increments_of_r(self):
+        trace = _trace(r_k=[2.5, 2.5, 4.0])
+        assert np.array_equal(gradient_norms_sq(trace, beta3=2.0), [0.5, 0.0, 1.5])
+
+    def test_empty_column_reported(self):
+        with pytest.raises(ConfigurationError, match="r_k"):
+            gradient_norms_sq(_trace(y=[1.0]), beta3=2.0)
+
+
 class TestRegret:
     def test_perfect_estimates_score_zero(self):
         trace = _trace(f_true=[0.3, -1.2, 5.0], f_est=[0.3, -1.2, 5.0])
@@ -102,7 +116,7 @@ class TestRegret:
         assert np.allclose(s.values, 0.0, atol=1e-15)
 
     def test_missing_column_reported(self):
-        trace = [StepRecord(k=0, f_true=1.0, f_est=None)]
+        trace = _trace(f_true=[1.0])  # f_est left empty
         with pytest.raises(ConfigurationError, match="f_est"):
             regret_sum(trace)
 
@@ -175,7 +189,7 @@ class TestGradientNoise:
 
     def test_empty_trace_moments(self):
         pair, _ = catalog_pair("tanh_mse")
-        rep = gradient_noise([], pair)
+        rep = gradient_noise(_trace(y=[], f_true=[], f_est=[]), pair)
         assert rep.mean == 0.0 and rep.second_moment == 0.0
 
 
@@ -230,8 +244,9 @@ class TestRobbinsSiegmund:
         assert rep.passed
 
     def test_trace_route_matches_array_route(self):
-        trace = _trace(mu_k=[0.5, 0.25], grad_norm_sq=[1.0, 4.0])
-        a = robbins_siegmund_diag(trace)
+        # r_k = 2 + 1 = 3, then 3 + 4 = 7: the increments give back (1, 4)
+        trace = _trace(mu_k=[0.5, 0.25], r_k=[3.0, 7.0])
+        a = robbins_siegmund_diag(trace.mu_k, gradient_norms_sq(trace, beta3=2.0))
         b = robbins_siegmund_diag([0.5, 0.25], [1.0, 4.0])
         assert a == b
 
@@ -246,17 +261,23 @@ class TestRobbinsSiegmund:
 class TestMinimumPhaseRatio:
     def test_hand_recursion(self):
         # lam = 0.5: weighted after k=0 is 1, so vals[1] = 3^2/1 = 9
-        trace = _trace(y=[1.0, 2.0], u=[3.0, 1.0], w=[0.0, 0.0])
+        trace = _trace(y=[1.0, 2.0], u=[3.0, 1.0], f_true=[1.0, 2.0])  # w = 0
         s = minimum_phase_ratio(trace, lam=0.5)
         assert np.array_equal(s.values, [0.0, 9.0])
 
+    def test_noise_enters_as_y_minus_f_true(self):
+        # w_0 = 1 - 0 = 1, so weighted after k=0 is 0^2 + 1^2 = 1 and vals[1] = 4
+        trace = _trace(y=[0.0, 1.0], u=[2.0, 0.0], f_true=[-1.0, 1.0])
+        s = minimum_phase_ratio(trace, lam=0.5)
+        assert np.array_equal(s.values, [0.0, 4.0])
+
     def test_zero_history_reports_inf(self):
-        trace = _trace(y=[0.0, 1.0], u=[2.0, 0.0], w=[0.0, 0.0])
+        trace = _trace(y=[0.0, 1.0], u=[2.0, 0.0], f_true=[0.0, 1.0])
         s = minimum_phase_ratio(trace, lam=0.5)
         assert math.isinf(s.values[1])
 
     def test_lambda_validation(self):
-        trace = _trace(y=[1.0], u=[1.0], w=[0.0])
+        trace = _trace(y=[1.0], u=[1.0], f_true=[1.0])
         with pytest.raises(ConfigurationError):
             minimum_phase_ratio(trace, lam=1.0)
 

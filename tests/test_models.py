@@ -18,8 +18,8 @@ from sgident.models import (
     QuadNetSpec,
     SaturatedMeanModel,
     SaturationSpec,
+    SquaredHinge,
     catalog_pair,
-    hinge_sq_loss,
     quadnet_lift,
     saturation_assumption2_delta,
     saturation_mean,
@@ -158,9 +158,17 @@ class TestLinkInverse:
 
 
 class TestHinge:
+    """Squared hinge over a linear score: loss and theta-gradient by the chain rule."""
+
+    @staticmethod
+    def loss_and_grad(phi, theta, y):
+        model, loss = LinearModel(len(phi)), SquaredHinge()
+        x = model.eval(phi, theta)
+        return loss.eval(y, x), loss.grad_x(y, x) * model.grad(phi, theta)
+
     def test_inactive_margin_is_flat(self):
         # y=+1, phi.theta = 1.5 -> margin max(0, -0.5) = 0
-        loss, grad = hinge_sq_loss(np.array([1.0]), np.array([1.5]), 1)
+        loss, grad = self.loss_and_grad(np.array([1.0]), np.array([1.5]), 1.0)
         assert loss == 0.0
         assert_allclose(grad, 0.0)
 
@@ -168,13 +176,18 @@ class TestHinge:
         phi = np.array([2.0, -1.0])
         theta = np.array([0.1, 0.1])
         m = 1.0 - (2.0 * 0.1 - 1.0 * 0.1)  # 0.9
-        loss, grad = hinge_sq_loss(phi, theta, 1)
+        loss, grad = self.loss_and_grad(phi, theta, 1.0)
         assert loss == pytest.approx(m * m, rel=1e-15)
         assert_allclose(grad, -2.0 * m * phi)
 
-    def test_label_validation(self):
-        with pytest.raises(ConfigurationError):
-            hinge_sq_loss(np.ones(1), np.ones(1), 0)
+    def test_label_is_the_sign_of_the_reference(self):
+        phi = np.array([2.0, -1.0])
+        theta = np.array([0.1, 0.1])
+        for y, label in ((3.5, 1.0), (-0.2, -1.0)):
+            got = self.loss_and_grad(phi, theta, y)
+            want = self.loss_and_grad(phi, theta, label)
+            assert got[0] == want[0]
+            assert_allclose(got[1], want[1], rtol=0)
 
 
 class TestQuadnetLift:
