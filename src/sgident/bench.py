@@ -31,7 +31,7 @@ from .control import (
     Trace,
     run_closed_loop_batch,
 )
-from .core import HyperParams, Regressor, check_step_size_cap, kahan_add
+from .core import HyperParams, Regressor, check_step_size_cap, row_dots
 from .errors import ConfigurationError, DataError, NumericError, SgidentError
 from .metrics import (
     bound_curve,
@@ -52,7 +52,7 @@ from .models import (
     catalog_pair,
     tanh_mse_pair,
 )
-from .sg import DIVERGENCE_NORM, classical_sg_step, sg_init, sg_step
+from .sg import classical_sg_step, sg_init, sg_step
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 MODES = ("identify", "control", "replay")
+# the algorithm names a config may list, each with its scalar one-step reference
 ALGORITHMS = {"modified": sg_step, "classical": classical_sg_step}
 GRADIENT_NOISE_TOL = 1e-12
 RECOMPUTE_TOL = 1e-9
@@ -402,26 +403,27 @@ def ingest_csv(path, column_map, strict=False, max_rows=None) -> CsvStream:
 # trace persistence
 
 
+# rows formatted or parsed per batch; bounds the cell text held in memory
+_CHUNK = 1024
+
+
 def write_trace(path, trace):
     """Persist a Trace as RFC-4180 CSV (CRLF, fixed column order).
 
     Floats are written as ``repr``, the shortest text that reads back to the
     same double; an empty column is written as empty cells.
     """
-    n = len(trace)
-    cells = [trace.k.tolist()]
-    for name in TRACE_COLUMNS[1:-1]:
-        column = getattr(trace, name)
-        cells.append(repeat("", n) if column is None else map(repr, column.tolist()))
-    cells.append(trace.flags)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(TRACE_COLUMNS)
-        writer.writerows(zip(*cells))
-
-
-# rows parsed per batch; bounds the cell text held in memory while reading
-_READ_CHUNK = 1024
+        for start in range(0, len(trace), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            cells = [trace.k[part].tolist()]
+            for name in TRACE_COLUMNS[1:-1]:
+                column = getattr(trace, name)
+                cells.append(repeat("") if column is None else map(repr, column[part].tolist()))
+            cells.append(trace.flags[part])
+            writer.writerows(zip(*cells))
 
 
 def read_trace(path):
@@ -442,7 +444,7 @@ def read_trace(path):
         if header != TRACE_COLUMNS:
             raise DataError(f"unexpected trace header in {path}: {header}")
         empty = None  # per column: is it the empty one of its mode (from row 0)
-        while chunk := list(islice(reader, _READ_CHUNK)):
+        while chunk := list(islice(reader, _CHUNK)):
             line = len(flags) + 2
             for i, row in enumerate(chunk):
                 if len(row) != len(TRACE_COLUMNS):
@@ -503,61 +505,25 @@ def sampler_bit_generator(seed):
     return np.random.Philox(key=[int(seed), 1])
 
 
-def _trace_of(rows, names, flags):
-    """A Trace from the recorded (n, len(names)) block of a scalar run loop."""
-    columns = {name: rows[:, j].copy() for j, name in enumerate(names)}
-    return Trace(k=np.arange(len(rows)), flags=flags, **columns)
+def _identify_inputs(cfg):
+    """Per-step blocks (phi, y, f_true) of identification, one column per distinct seed.
 
-
-_IDENTIFY_COLUMNS = ("y", "f_true", "f_est", "loss", "regret_avg", "theta_err", "mu_k", "r_k")
-
-
-def _run_identify(cfg, algo, seed):
-    """Streaming identification on sampled regressors with a known truth."""
-    step_fn = ALGORITHMS[algo]
-    pair = cfg.pair
-    model = pair.predictor
-    theta_star = cfg.theta_star
-    rng = np.random.Generator(sampler_bit_generator(seed))
-    phi_rows = cfg.sampler(rng, cfg.n_steps)[0]
-    noise = NoiseSource(std=cfg.noise_std, seed=seed, kind=cfg.noise_kind, df=cfg.noise_df)
-    bernoulli = pair.loss.name == "cross_entropy"
-
-    state = sg_init(cfg.theta0, cfg.hyper)
-    loss = pair.loss
-    total, carry = 0.0, 0.0
-    rows = np.empty((cfg.n_steps, len(_IDENTIFY_COLUMNS)))
-    flags = [""] * cfg.n_steps
-    for k in range(cfg.n_steps):
-        phi = phi_rows[k]
-        f_true = float(model.eval(phi, theta_star))
-        if bernoulli:
-            y = 1.0 if noise.draw_uniform() < f_true else 0.0
+    Each seed samples its regressors from key (seed, 1) and draws its noise
+    from ``NoiseSource(seed)``: Bernoulli labels y = [u < f_true] from its
+    uniforms under cross-entropy, y = f_true + w from its noise block
+    otherwise.
+    """
+    blocks = []
+    for seed in dict.fromkeys(cfg.seeds):
+        phi = cfg.sampler(np.random.Generator(sampler_bit_generator(seed)), cfg.n_steps)[0]
+        f_true = cfg.pair.predictor.link(row_dots(phi, cfg.theta_star))
+        noise = NoiseSource(std=cfg.noise_std, seed=seed, kind=cfg.noise_kind, df=cfg.noise_df)
+        if cfg.pair.loss.name == "cross_entropy":
+            y = (noise.uniform_block(cfg.n_steps) < f_true).astype(float)
         else:
-            y = f_true + noise.draw()
-        f_est = float(model.eval(phi, state.theta.values))
-        theta_err = float(np.linalg.norm(state.theta.values - theta_star))
-        state = step_fn(state, pair, phi, y)
-        if state.theta.norm() > DIVERGENCE_NORM:
-            flags[k] = "divergence"
-        inc = float(loss.eval(f_true, f_est)) - float(loss.eval(f_true, f_true))
-        total, carry = kahan_add(total, carry, inc)
-        rows[k] = (y, f_true, f_est, float(loss.eval(y, f_est)), total / (k + 1), theta_err,
-                   state.last_mu, state.gain.r)
-    return _trace_of(rows, _IDENTIFY_COLUMNS, flags)
-
-
-def _run_control(cfg, algo):
-    """All seeds of one algorithm as one closed-loop batch."""
-    plant = Plant(
-        model=cfg.pair.predictor,
-        theta_star=cfg.theta_star,
-        noise=NoiseSource(std=cfg.noise_std, kind=cfg.noise_kind, df=cfg.noise_df),
-    )
-    estimator = sg_init(cfg.theta0, cfg.hyper)
-    return run_closed_loop_batch(
-        plant, estimator, cfg.pair, cfg.control, cfg.n_steps, cfg.seeds, algorithm=algo
-    )
+            y = f_true + noise.draw_block(cfg.n_steps)
+        blocks.append((phi, y, f_true))
+    return tuple(np.stack(column, axis=1) for column in zip(*blocks))
 
 
 def _load_replay_rows(cfg):
@@ -572,28 +538,28 @@ def _load_replay_rows(cfg):
     rows = [(phi.values, y) for phi, y in stream]
     if not rows:
         raise DataError(f"no usable rows in {cfg.data_path}")
-    return rows, stream
+    return tuple(np.array(column) for column in zip(*rows)), stream
 
 
-_REPLAY_COLUMNS = ("y", "f_est", "loss", "mu_k", "r_k")
+def _run_sweep(cfg, cells, replay_rows):
+    """Every (algorithm, seed) cell of the sweep as one batch.
 
-
-def _run_replay(cfg, algo, rows):
-    """Prequential pass: predict each target before updating on it."""
-    step_fn = ALGORITHMS[algo]
-    pair = cfg.pair
-    model = pair.predictor
-    loss = pair.loss
-    state = sg_init(cfg.theta0, cfg.hyper)
-    recorded = np.empty((len(rows), len(_REPLAY_COLUMNS)))
-    flags = [""] * len(rows)
-    for k, (phi, y) in enumerate(rows):
-        f_est = float(model.eval(phi, state.theta.values))
-        state = step_fn(state, pair, phi, y)
-        if state.theta.norm() > DIVERGENCE_NORM:
-            flags[k] = "divergence"
-        recorded[k] = (y, f_est, float(loss.eval(y, f_est)), state.last_mu, state.gain.r)
-    return _trace_of(recorded, _REPLAY_COLUMNS, flags)
+    Replay runs every cell over the same dataset rows ``replay_rows`` =
+    (phi, y), prequentially: each target is predicted before the update on
+    it.
+    """
+    estimator = sg_init(cfg.theta0, cfg.hyper)
+    if cfg.mode == "replay":
+        phi, y = replay_rows
+        inputs = (phi[:, None], y[:, None], None)  # every cell has the one seed
+        return run_closed_loop_batch(None, estimator, cfg.pair, inputs, len(y), cells)
+    plant = Plant(
+        model=cfg.pair.predictor,
+        theta_star=cfg.theta_star,
+        noise=NoiseSource(std=cfg.noise_std, kind=cfg.noise_kind, df=cfg.noise_df),
+    )
+    inputs = cfg.control if cfg.mode == "control" else _identify_inputs(cfg)
+    return run_closed_loop_batch(plant, estimator, cfg.pair, inputs, cfg.n_steps, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -781,26 +747,6 @@ def _checks_overall(runs):
     return overall
 
 
-def _run_cell(cfg, config_echo, algo, seed, trace, replay_rows):
-    """Summarize one (algorithm, seed) cell and write its trace; returns the summary.
-
-    ``trace`` is the cell's closed-loop trace in control mode; the other
-    modes run the cell here.
-    """
-    if cfg.mode == "identify":
-        trace = _run_identify(cfg, algo, seed)
-    elif cfg.mode == "replay":
-        trace = _run_replay(cfg, algo, replay_rows)
-    summary = summarize(config_echo, trace)
-    if cfg.mode == "replay":
-        trace_name = f"trace_{algo}_replay.csv"
-    else:
-        trace_name = f"trace_{algo}_seed{seed}.csv"
-    write_trace(os.path.join(cfg.out_dir, trace_name), trace)
-    summary["trace"] = trace_name
-    return summary
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run all (algorithm, seed) cells, persist traces, and write report.json."""
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -821,21 +767,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             replay_rows, stream = _load_replay_rows(cfg)
             report["dataset"] = {
                 "path": cfg.data_path,
-                "rows_used": len(replay_rows),
+                "rows_used": len(replay_rows[1]),
                 "rows_skipped": stream.skipped,
                 "skipped_lines": stream.skipped_lines,
             }
-        for algo in cfg.algorithms:
-            batch = _run_control(cfg, algo) if cfg.mode == "control" else None
-            for i, seed in enumerate(cfg.seeds):
-                summary = _run_cell(
-                    cfg, report["config"], algo, seed, None if batch is None else batch.trace(i),
-                    replay_rows,
-                )
-                report["runs"][algo][f"seed_{seed}"] = summary
-                if cfg.mode == "replay":
-                    break  # data stream is fixed; one pass per algorithm
-            batch = None  # free this algorithm's columns before the next batch
+        # replay: the data stream is fixed, so one pass per algorithm
+        seeds = cfg.seeds[:1] if cfg.mode == "replay" else cfg.seeds
+        cells = [(algo, seed) for algo in cfg.algorithms for seed in seeds]
+        batch = _run_sweep(cfg, cells, replay_rows)
+        for i, (algo, seed) in enumerate(cells):
+            trace = batch.trace(i)
+            summary = summarize(report["config"], trace)
+            cell = "replay" if cfg.mode == "replay" else f"seed{seed}"
+            summary["trace"] = f"trace_{algo}_{cell}.csv"
+            write_trace(os.path.join(cfg.out_dir, summary["trace"]), trace)
+            report["runs"][algo][f"seed_{seed}"] = summary
     except SgidentError as exc:
         report["error"] = {"message": str(exc)}
         if isinstance(exc, NumericError) and exc.context:

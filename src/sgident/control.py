@@ -12,10 +12,13 @@ fallbacks that leave a flag in the trace instead of raising.  The plant
 noise of a run does not depend on the loop state, so it is drawn as one
 block up front.
 
-One loop, ``run_closed_loop_batch``, steps all seeds of a sweep together as
-rows of (S, d) arrays; ``run_closed_loop`` is its batch of one.  Rows never
-mix, so a cell's trace does not depend on the other seeds in its batch.
-Every run mode records its steps as a ``Trace``: one array per column.
+One loop, ``run_closed_loop_batch``, runs every mode: it steps all
+(algorithm, seed) cells of a sweep together as rows of (S, d) arrays, with
+the regressors and observations either made by the closed loop or prepared
+before it (identification, replay); ``run_closed_loop`` is a closed-loop
+batch of one.  Rows never mix, so a cell's trace does not depend on the
+other cells in its batch.  Every run mode records its steps as a
+``Trace``: one array per column.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .sg import DIVERGENCE_NORM, sg_update
 
 __all__ = [
     "NoiseSource",
-    "LagBuffer",
     "Plant",
     "ControlConfig",
     "TRACE_COLUMNS",
@@ -97,57 +99,25 @@ class NoiseSource:
             return self.std * float(ndtri(u))
         return self.std * float(stdtrit(self.df, u))
 
-    def draw_block(self, n):
-        """The next ``n`` values of ``draw()`` as one array, bit for bit.
+    def uniform_block(self, n):
+        """The next ``n`` values of ``draw_uniform()`` as one array, bit for bit.
 
         Philox is counter-based, so one vector call yields the same words as
-        n scalar calls, and the inverse CDFs are elementwise.
+        n scalar calls.
         """
         u = (self._gen.integers(0, 1 << 53, size=n) + 0.5) * (2.0 ** -53)
         self.draw_count += n
+        return u
+
+    def draw_block(self, n):
+        """The next ``n`` values of ``draw()`` as one array, bit for bit.
+
+        The inverse CDFs are elementwise over ``uniform_block(n)``.
+        """
+        u = self.uniform_block(n)
         if self.kind == "gaussian":
             return self.std * ndtri(u)
         return self.std * stdtrit(self.df, u)
-
-
-class LagBuffer:
-    """Rolling stack of the last p outputs and q inputs, newest first.
-
-    ``regressor(u_now)`` assembles [y_k, ..., y_{k-p+1}, u_now, u_{k-1}, ...,
-    u_{k-q+1}] without mutating the buffer; ``advance`` shifts both stacks
-    after the plant has produced y_{k+1}.  Initial conditions are zero.
-    """
-
-    def __init__(self, p, q):
-        if p < 1 or q < 1:
-            raise ConfigurationError(f"lag orders must be >= 1, got p={p}, q={q}")
-        self.p = int(p)
-        self.q = int(q)
-        self._y = np.zeros(self.p)
-        self._u = np.zeros(self.q)
-
-    def regressor(self, u_now):
-        phi = np.empty(self.p + self.q)
-        phi[: self.p] = self._y
-        phi[self.p] = u_now
-        phi[self.p + 1 :] = self._u[: self.q - 1]
-        return phi
-
-    def advance(self, y_next, u_now):
-        if self.p > 1:
-            self._y[1:] = self._y[:-1]
-        self._y[0] = y_next
-        if self.q > 1:
-            self._u[1:] = self._u[:-1]
-        self._u[0] = u_now
-
-    @property
-    def y_hist(self):
-        return self._y.copy()
-
-    @property
-    def u_hist(self):
-        return self._u.copy()
 
 
 @dataclass
@@ -246,8 +216,11 @@ class Trace:
         return list(self.flags) == list(other.flags)
 
 
-def solve_control(model, theta, lags, y_star, cfg: ControlConfig, u_prev=0.0):
+def solve_control(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev=0.0):
     """Invert u -> f(phi_k(u), theta) toward y_star.
+
+    ``phi`` is the regressor row with its input slot at index ``p``; the
+    slot's value is ignored and ``phi`` is not modified.
 
     Returns (u, flags).  flags is a tuple drawn from {"saturated",
     "singular_gain"}: ``singular_gain`` holds the previous input when the
@@ -263,16 +236,16 @@ def solve_control(model, theta, lags, y_star, cfg: ControlConfig, u_prev=0.0):
     ``link_inv``, is solved by bracketed bisection.
     """
     theta_v = as_values(theta, "parameter vector")
-    phi = lags.regressor(0.0)
+    phi = np.array(as_values(phi, "regressor"))
     if phi.size != theta_v.size:
         raise ConfigurationError(f"regressor dim {phi.size} != parameter dim {theta_v.size}")
-    u_idx = lags.p
+    phi[p] = 0.0
 
     link_inv = None
     if isinstance(model, LinkRegressionModel):
         link_inv = getattr(model, "link_inv", None)
-        base = float(np.dot(phi, theta_v)) - phi[u_idx] * theta_v[u_idx]
-        cu = float(theta_v[u_idx])
+        base = float(np.dot(phi, theta_v))
+        cu = float(theta_v[p])
         link = model.link
 
         def f_of_u(u):
@@ -283,7 +256,7 @@ def solve_control(model, theta, lags, y_star, cfg: ControlConfig, u_prev=0.0):
     else:
 
         def f_of_u(u):
-            phi[u_idx] = u
+            phi[p] = u
             return float(model.eval(phi, theta_v))
 
         def gain_at(u):
@@ -391,134 +364,195 @@ def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev)
         )
     flagged = {}
     if not all(closed.tolist()):
-        q = phi.shape[1] - p
         for i in np.flatnonzero(~closed).tolist():
-            lags = LagBuffer(p, q)
-            lags._y[:] = phi[i, :p]
-            lags._u[: q - 1] = phi[i, p + 1 :]
-            u[i], flags = solve_control(model, theta[i], lags, y_star, cfg, float(u_prev[i]))
+            u[i], flags = solve_control(model, theta[i], phi[i], p, y_star, cfg, float(u_prev[i]))
             if flags:
                 flagged[i] = flags
     return u, flagged
 
 
-# float64 columns recorded per step by the batched loop, in storage order
-_BATCH_COLUMNS = ("y", "u", "f_true", "f_est", "loss", "regret_avg", "theta_err", "mu_k", "r_k")
+# float64 columns the batch records per step: those of every mode, then
+# those that need the truth (plant given), then those the closed loop makes
+# itself (prepared blocks supply y and f_true otherwise)
+_BATCH_COLUMNS = ("f_est", "mu_k", "r_k")
+_TRUTH_COLUMNS = ("regret_avg", "theta_err")
+_CLOSED_LOOP_COLUMNS = ("y", "f_true", "u")
 
 
 @dataclass
 class ClosedLoopBatch:
-    """The recorded steps of a batched closed-loop run, column-wise.
+    """The recorded steps of a batched run, column-wise.
 
-    ``rows[k, j, i]`` is column ``_BATCH_COLUMNS[j]`` of step k in the cell
-    of ``seeds[i]``; ``y_star[k]`` is shared by all cells.  ``flags[i][k]``
-    is the ";"-joined flags of step k in cell i.
+    ``recorded[name][k, i]`` is column ``name`` of step k in the cell
+    ``cells[i] = (algorithm, seed)``.  ``inputs`` maps each column taken
+    from prepared blocks to its (n, U) block, whose column ``block_of[i]``
+    belongs to cell i.  The ``loss`` column is ``loss.eval(y, f_est)``,
+    evaluated per trace.  ``y_star[k]`` is shared by all cells (None
+    outside the closed loop).  ``flags[i]`` maps each flagged step k of
+    cell i to its ";"-joined flags.  A column the mode leaves empty is not
+    stored.
     """
 
-    seeds: tuple
-    y_star: list
-    rows: np.ndarray
+    cells: tuple
+    recorded: dict
+    inputs: dict
+    block_of: np.ndarray | None
+    loss: object
+    y_star: list | None
     flags: list
 
     def trace(self, i):
         """The Trace of cell i, with its own contiguous columns."""
-        columns = {name: self.rows[:, j, i].copy() for j, name in enumerate(_BATCH_COLUMNS)}
-        return Trace(k=np.arange(len(self.y_star)), y_star=np.array(self.y_star),
-                     flags=self.flags[i], **columns)
+        columns = {name: column[:, i].copy() for name, column in self.recorded.items()}
+        for name, block in self.inputs.items():
+            columns[name] = block[:, self.block_of[i]].copy()
+        columns["loss"] = self.loss.eval(columns["y"], columns["f_est"])
+        n = len(columns["y"])
+        flags = [""] * n
+        for k, step_flags in self.flags[i].items():
+            flags[k] = step_flags
+        y_star = None if self.y_star is None else np.array(self.y_star)
+        return Trace(k=np.arange(n), y_star=y_star, flags=flags, **columns)
 
 
-def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, seeds, algorithm="modified",
-                          update=None):
-    """Run the certainty-equivalence loop for every seed at once.
+def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=None):
+    """Run every (algorithm, seed) cell of a sweep as one batch; returns a ClosedLoopBatch.
 
-    Row i of every array is the cell of ``seeds[i]``; all rows start from
-    ``estimator`` with zero lags.  Step order per k: solve the control of
-    every row from its current estimate, advance the plant, then update the
-    estimator rows with (phi_k, y_{k+1}).  Each row's noise is the block
-    ``plant.noise.with_seed(seed).draw_block(n_steps)``, the same values a
-    one-seed run draws.  ``update(theta, r, carry, phi, y)`` advances the
-    estimator rows and returns (theta, r, carry, mu_k, grad_norm_sq) as
-    ``sg_update`` does (the gradient norms are not recorded); the
-    default is ``sg_update`` with the classical gain law when ``algorithm``
-    is "classical" and the modified law otherwise.  A NumericError raised
-    inside the batch names the step, the algorithm and the row's seed in
-    its context.  Returns a ClosedLoopBatch.
+    Row i of every array is the cell ``cells[i]``; all rows start from
+    ``estimator``, and a row whose algorithm is "classical" takes the
+    classical gain law, any other the modified one.  Each step k takes a
+    regressor phi_k and an observation y_{k+1} per row, updates the
+    estimator rows with them, and records the prediction made before the
+    update.  ``cfg`` says where phi_k and y_{k+1} come from:
+
+    - a ControlConfig closes the loop: solve the control of every row from
+      its current estimate (zero lags at the start), then advance
+      ``plant``, whose noise for a row is the block
+      ``plant.noise.with_seed(seed).draw_block(n_steps)``;
+    - a tuple ``(phi, y, f_true)`` of blocks prepared before the loop,
+      shaped (n_steps, U, d), (n_steps, U) and (n_steps, U), with one
+      column per distinct seed of ``cells`` in order of first appearance:
+      every cell reads the column of its seed.  ``f_true`` is None when
+      the truth is unknown, and ``plant`` is then None too: ``f_true``,
+      ``regret_avg`` and ``theta_err`` stay empty.
+
+    ``update(theta, r, carry, phi, y)`` advances the estimator rows and
+    returns (theta, r, carry, mu_k, grad_norm_sq, f_hat) as ``sg_update``
+    does (the gradient norms are not recorded); the default is
+    ``sg_update`` with each row's gain law.  A NumericError raised inside
+    the batch names the step, and the algorithm and seed of the first bad
+    row, in its context.
     """
     model_est = pair.predictor
-    p = getattr(plant.model, "p", None)
-    q = getattr(plant.model, "q", None)
-    if p is None or q is None:
-        raise ConfigurationError("plant model must expose lag orders p and q")
-    if model_est.dim != plant.model.dim:
+    closed = isinstance(cfg, ControlConfig)
+    models = (model_est, plant.model) if closed else (model_est,)
+    for model in models:
+        if not isinstance(model, LinkRegressionModel):
+            raise ConfigurationError(f"the batch needs link models, got {model.name!r}")
+    if plant is not None and model_est.dim != plant.model.dim:
         raise ConfigurationError(
             f"estimator model dim {model_est.dim} != plant model dim {plant.model.dim}"
         )
-    for model in (model_est, plant.model):
-        if not isinstance(model, LinkRegressionModel):
-            raise ConfigurationError(f"the closed loop needs link models, got {model.name!r}")
+    if closed:
+        p = getattr(plant.model, "p", None)
+        if p is None:
+            raise ConfigurationError("plant model must expose its output lag order p")
+    cells = tuple(cells)
+    if not cells:
+        raise ConfigurationError("a batch needs at least one (algorithm, seed) cell")
     if update is None:
-        update = partial(sg_update, pair=pair, hyper=estimator.hyper,
-                         classical=algorithm == "classical")
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ConfigurationError("the closed loop needs at least one seed")
-    n, S, d = int(n_steps), len(seeds), p + q
-    targets = [cfg.target(k) for k in range(n)]
-    # stacked like theta so that theta == theta* gives f_est == f_true exactly
-    theta_star = np.tile(plant.theta_star.values, (S, 1))
-    loss, link_true, link_est = pair.loss, plant.model.link, model_est.link
+        classical = np.array([algo == "classical" for algo, _ in cells])
+        update = partial(sg_update, pair=pair, hyper=estimator.hyper, classical=classical)
+    n, S, d = int(n_steps), len(cells), model_est.dim
+    loss = pair.loss
+    truth = plant is not None
+    columns = (_BATCH_COLUMNS + (_TRUTH_COLUMNS if truth else ())
+               + (_CLOSED_LOOP_COLUMNS if closed else ()))
+    # one array per column keeps each allocation small
+    recorded = {name: np.empty((n, S)) for name in columns}
 
     theta = np.tile(estimator.theta.values, (S, 1))
     r = np.full(S, estimator.gain.r)
     carry = np.full(S, estimator.gain.carry)
-    # each row of phi holds the lag stacks: outputs y_k..y_{k-p+1}, the
-    # input slot (0 until solved), then inputs u_{k-1}..u_{k-q+1}
-    phi = np.zeros((S, d))
-    u_prev = np.zeros(S)
-    regret, regret_carry = np.zeros(S), np.zeros(S)
-    rows = np.empty((n, len(_BATCH_COLUMNS), S))
-    flags = [[""] * n for _ in seeds]
+    if truth:
+        # stacked like theta so that theta == theta* gives f_est == f_true exactly
+        theta_star = np.tile(plant.theta_star.values, (S, 1))
+        regret, regret_carry = np.zeros(S), np.zeros(S)
+    targets, inputs, block_of = None, {}, None
+    if closed:
+        targets = [cfg.target(k) for k in range(n)]
+        link_true = plant.model.link
+        # each row of phi holds the lag stacks: outputs y_k..y_{k-p+1}, the
+        # input slot (0 until solved), then inputs u_{k-1}..u_{k-q+1}
+        phi = np.zeros((S, d))
+        u_prev = np.zeros(S)
+    else:
+        phi_block, y_block, f_true_block = cfg
+        seeds = list(dict.fromkeys(seed for _, seed in cells))
+        block_of = np.array([seeds.index(seed) for _, seed in cells])
+        U = len(seeds)
+        shapes = (np.shape(phi_block), np.shape(y_block), np.shape(f_true_block))
+        if shapes != ((n, U, d), (n, U), (n, U) if truth else ()):
+            raise ConfigurationError(
+                f"block shapes {shapes} do not match {n} steps of {U} seeds in dim {d}")
+        inputs = {"y": y_block, "f_true": f_true_block} if truth else {"y": y_block}
+    flags = [{} for _ in cells]
     k = 0
     try:
         # overflow and 0/0 in masked rows stay silent: every result is checked
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            noise = np.stack([plant.noise.with_seed(s).draw_block(n) for s in seeds], axis=1)
+            if closed:
+                noise = np.stack([plant.noise.with_seed(s).draw_block(n) for _, s in cells],
+                                 axis=1)
             for k in range(n):
-                y_star = targets[k]
-                u, flagged = solve_control_rows(model_est, theta, phi, p, y_star, cfg, u_prev)
-                phi[:, p] = u
-                f_true = link_true(row_dots(phi, theta_star))
-                check_rows(np.isfinite(f_true), "plant conditional mean non-finite", phi=phi, u=u)
-                y_next = f_true + noise[k]
-                f_est = link_est(row_dots(phi, theta))
-                gap = theta - theta_star
-                theta_err = np.sqrt(row_dots(gap, gap))
+                if closed:
+                    u, flagged = solve_control_rows(model_est, theta, phi, p, targets[k], cfg,
+                                                    u_prev)
+                    phi[:, p] = u
+                    f_true = link_true(row_dots(phi, theta_star))
+                    check_rows(np.isfinite(f_true), "plant conditional mean non-finite",
+                               phi=phi, u=u)
+                    y_next = f_true + noise[k]
+                else:
+                    phi, y_next = phi_block[k].take(block_of, axis=0), y_block[k].take(block_of)
+                    f_true = f_true_block[k].take(block_of) if truth else None
+                    flagged = {}
+                if truth:
+                    gap = theta - theta_star
+                    theta_err = np.sqrt(row_dots(gap, gap))
 
-                theta, r, carry, mu_k, _ = update(theta, r, carry, phi, y_next)
+                theta, r, carry, mu_k, _, f_est = update(theta, r, carry, phi, y_next)
                 diverged = np.sqrt(row_dots(theta, theta)) > DIVERGENCE_NORM
-                regret, regret_carry = kahan_add_rows(
-                    regret, regret_carry, loss.eval(f_true, f_est) - loss.eval(f_true, f_true)
-                )
-                rows[k] = (y_next, u, f_true, f_est, loss.eval(y_next, f_est), regret / (k + 1),
-                           theta_err, mu_k, r)
+                step = [f_est, mu_k, r]
+                if truth:
+                    regret, regret_carry = kahan_add_rows(
+                        regret, regret_carry, loss.eval(f_true, f_est) - loss.eval(f_true, f_true)
+                    )
+                    step += (regret / (k + 1), theta_err)
+                if closed:
+                    step += (y_next, f_true, u)
+                for column, value in zip(recorded.values(), step):
+                    column[k] = value
                 if any(diverged.tolist()):
                     for i in np.flatnonzero(diverged).tolist():
                         flagged[i] = flagged.get(i, ()) + ("divergence",)
                 for i, row_flags in flagged.items():
                     flags[i][k] = ";".join(row_flags)
 
-                phi[:, 1:p] = phi[:, : p - 1]
-                phi[:, 0] = y_next
-                phi[:, p + 1 :] = phi[:, p : d - 1]
-                phi[:, p] = 0.0
-                u_prev = u
+                if closed:
+                    phi[:, 1:p] = phi[:, : p - 1]
+                    phi[:, 0] = y_next
+                    phi[:, p + 1 :] = phi[:, p : d - 1]
+                    phi[:, p] = 0.0
+                    u_prev = u
     except NumericError as exc:
         row = exc.context.pop("row", None)
-        exc.context.update(k=k, algorithm=algorithm)
+        exc.context["k"] = k
         if row is not None:
-            exc.context["seed"] = seeds[row]
+            exc.context["algorithm"], exc.context["seed"] = cells[row]
         raise
-    return ClosedLoopBatch(seeds=seeds, y_star=targets, rows=rows, flags=flags)
+    return ClosedLoopBatch(cells=cells, recorded=recorded, inputs=inputs, block_of=block_of,
+                           loss=loss, y_star=targets, flags=flags)
 
 
 def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, algorithm="modified",
@@ -528,6 +562,6 @@ def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, algorithm="modif
     Arguments as for ``run_closed_loop_batch``; the noise stream is reseeded
     from ``seed`` so sweeps are reproducible run by run.
     """
-    batch = run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, (seed,), algorithm,
+    batch = run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, ((algorithm, seed),),
                                   update)
     return batch.trace(0)

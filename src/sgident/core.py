@@ -16,7 +16,7 @@ Conventions fixed once here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,9 +33,6 @@ __all__ = [
     "PredictorModel",
     "LinkRegressionModel",
     "LossFunction",
-    "predictor_eval",
-    "predictor_grad",
-    "loss_eval",
     "loss_grad_x",
     "check_step_size_cap",
     "kahan_add",
@@ -76,9 +73,6 @@ class ParameterVector:
     def dim(self):
         return int(self.values.size)
 
-    def norm(self):
-        return float(np.linalg.norm(self.values))
-
 
 @dataclass(frozen=True)
 class Regressor:
@@ -88,10 +82,6 @@ class Regressor:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_vector(self.values, "regressor"))
-
-    @property
-    def dim(self):
-        return int(self.values.size)
 
 
 def as_values(x, what="vector"):
@@ -236,8 +226,8 @@ class PredictorModel:
     """Contract for a parameterised predictor f(phi, theta).
 
     Implementations expose ``dim``, a scalar ``eval`` and the theta-gradient
-    ``grad``; both operate on raw ndarrays (validation lives in the free
-    functions below so hot loops can skip it).  ``growth_bound`` returns the
+    ``grad``; both operate on raw ndarrays and validate nothing (inputs are
+    validated where they enter: config load, ``sg_init``, CSV ingestion).  ``growth_bound`` returns the
     declared (K1, K2) of the linear-growth envelope ||grad f|| <= K1 + K2 ||phi||
     when the model declares one.
     """
@@ -348,64 +338,6 @@ def check_step_size_cap(hyper, pair):
             f"({pair.predictor.name} + {pair.loss.name})"
         )
     return cap
-
-
-# ---------------------------------------------------------------------------
-# validated evaluation wrappers
-
-
-def _check_dims(model, phi, theta):
-    if phi.size != theta.size:
-        raise ConfigurationError(
-            f"regressor dim {phi.size} != parameter dim {theta.size}"
-        )
-    if model.dim is not None and phi.size != model.dim:
-        raise ConfigurationError(
-            f"model '{model.name}' expects dim {model.dim}, got {phi.size}"
-        )
-
-
-def predictor_eval(model, phi, theta):
-    """Validated f(phi, theta); raises NumericError on a non-finite output."""
-    phi_v = as_values(phi, "regressor")
-    theta_v = as_values(theta, "parameter vector")
-    _check_dims(model, phi_v, theta_v)
-    out = float(model.eval(phi_v, theta_v))
-    if not math.isfinite(out):
-        raise NumericError(
-            f"predictor '{model.name}' produced a non-finite value",
-            context={"phi": phi_v, "theta": theta_v},
-        )
-    return out
-
-
-def predictor_grad(model, phi, theta):
-    """Validated theta-gradient of f; raises NumericError on non-finite entries."""
-    phi_v = as_values(phi, "regressor")
-    theta_v = as_values(theta, "parameter vector")
-    _check_dims(model, phi_v, theta_v)
-    g = np.asarray(model.grad(phi_v, theta_v), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise NumericError(
-            f"predictor '{model.name}' produced a non-finite gradient",
-            context={"phi": phi_v, "theta": theta_v},
-        )
-    return g
-
-
-def loss_eval(loss, y, x):
-    """Validated L(y, x); raises DomainError outside the loss domain."""
-    if not loss.in_domain(x):
-        raise DomainError(
-            f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): x={x}"
-        )
-    out = float(loss.eval(y, x))
-    if not math.isfinite(out):
-        raise NumericError(
-            f"loss '{loss.name}' produced a non-finite value at y={y}, x={x}",
-            context={"y": y, "x": x},
-        )
-    return out
 
 
 def loss_grad_x(loss, y, x):

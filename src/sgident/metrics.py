@@ -30,7 +30,6 @@ __all__ = [
     "realized_noise",
     "gradient_norms_sq",
     "regret_sum",
-    "average_regret",
     "tracking_error",
     "bound_curve",
     "gradient_noise",
@@ -115,12 +114,6 @@ def regret_sum(trace, loss=None):
     f_true = _column(trace, "f_true")
     f_est = _column(trace, "f_est")
     return _series("regret", loss.eval(f_true, f_est) - loss.eval(f_true, f_true))
-
-
-def average_regret(trace, loss=None):
-    """Running mean of the regret: cumulative regret over k+1 at each step."""
-    base = regret_sum(trace, loss=loss)
-    return _series("average_regret", base.average)
 
 
 def tracking_error(trace):

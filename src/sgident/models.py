@@ -364,10 +364,6 @@ class QuadNetSpec:
     def d(self):
         return int(self.c.shape[2])
 
-    @property
-    def lifted_dim(self):
-        return self.d ** 4
-
 
 def quadnet_lift(spec: QuadNetSpec):
     """Exact linear reparameterisation of the quadratic network.

@@ -15,9 +15,11 @@ gain is formed, so the denominator reads the up-to-date total and the explicit
 
 No projection is applied anywhere; a runaway estimate is flagged, not clamped.
 
-``sg_step`` and ``classical_sg_step`` advance one immutable state;
-``sg_update`` runs the same step on S stacked rows of plain arrays for the
-batched closed loop.
+``sg_step`` and ``classical_sg_step`` advance one immutable state: the
+public one-step API and the reference the row-wise ``sg_update`` is tested
+against.  ``sg_update`` runs the same step on S stacked rows of plain
+arrays, each row with its own gain law; every run mode steps its rows
+through it.
 """
 
 from __future__ import annotations
@@ -175,12 +177,15 @@ def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
 
     ``theta`` and ``phi`` are (S, d) arrays; ``r``, ``carry`` (the Kahan
     total and compensation of each row's accumulator) and ``y`` are (S,).
-    Returns new arrays (theta, r, carry, mu_k, grad_norm_sq).  Each row
-    follows the scalar arithmetic; only the order of the d-term sums and the
-    vector link functions differ, so rows agree with the scalar step to
-    rounding.  The predictor must be a link model.  Every check of the
-    scalar step runs as a reduction over the rows, in the same order, and a
-    failure raises NumericError with the first bad row in context["row"].
+    ``classical`` is a bool or an (S,) bool mask: a classical row takes
+    mu_k = mu / r_k, every other row the modified law.  Returns new arrays
+    (theta, r, carry, mu_k, grad_norm_sq, f_hat), where f_hat is each row's
+    prediction before the update.  Each row follows the scalar arithmetic;
+    only the order of the d-term sums and the vector link functions differ,
+    so rows agree with the scalar step to rounding.  The predictor must be a
+    link model.  Every check of the scalar step runs as a reduction over the
+    rows, in the same order (``r > 1`` on modified rows only), and a failure
+    raises NumericError with the first bad row in context["row"].
     """
     model, loss = pair.predictor, pair.loss
     if not isinstance(model, LinkRegressionModel):
@@ -195,14 +200,11 @@ def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
         check_rows(np.isfinite(grad_norm_sq), "predictor gradient non-finite", phi=phi, theta=theta)
 
         r, carry = kahan_add_rows(r, carry, grad_norm_sq)
-        if classical:
-            mu_k = hyper.mu / r
-        else:
-            check_rows(r > 1.0, "gain accumulator must exceed 1 for the log term", r=r)
-            denom = r**hyper.beta1
-            if hyper.beta2 != 0.0:
-                denom = denom * np.log(r) ** hyper.beta2
-            mu_k = hyper.mu / (denom + grad_norm_sq)
+        check_rows(classical | (r > 1.0), "gain accumulator must exceed 1 for the log term", r=r)
+        denom = r**hyper.beta1
+        if hyper.beta2 != 0.0:
+            denom = denom * np.log(r) ** hyper.beta2
+        mu_k = np.where(classical, hyper.mu / r, hyper.mu / (denom + grad_norm_sq))
         check_rows(~(mu_k * grad_norm_sq > hyper.mu),
                    f"step-size law violated: mu_k*||g||^2 > mu = {hyper.mu}",
                    mu_k=mu_k, grad_norm_sq=grad_norm_sq)
@@ -219,4 +221,4 @@ def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
         theta_new = theta - (mu_k * slope)[:, None] * g
         check_rows(np.isfinite(theta_new), "parameter update produced non-finite entries",
                    phi=phi, theta=theta)
-    return theta_new, r, carry, mu_k, grad_norm_sq
+    return theta_new, r, carry, mu_k, grad_norm_sq, f_hat

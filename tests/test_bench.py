@@ -516,6 +516,40 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+class TestBatchRows:
+    """A cell's trace does not depend on the other cells of its sweep's
+    batch: each cell of a two-algorithm, two-seed sweep writes the same
+    trace bytes as the same cell run alone."""
+
+    @staticmethod
+    def _traces(cfg, out, algorithms, seeds):
+        cfg.algorithms, cfg.seeds, cfg.out_dir = algorithms, seeds, str(out)
+        report = run_experiment(cfg)
+        return {s["trace"]: open(os.path.join(cfg.out_dir, s["trace"]), "rb").read()
+                for by_seed in report.data["runs"].values() for s in by_seed.values()}
+
+    def _check(self, cfg, tmp_path, seeds):
+        algorithms = ("modified", "classical")
+        batch = self._traces(cfg, tmp_path / "batch", algorithms, seeds)
+        assert len(batch) == len(algorithms) * len(seeds)
+        for algorithm in algorithms:
+            for seed in seeds:
+                alone = self._traces(cfg, tmp_path / f"{algorithm}{seed}", (algorithm,), (seed,))
+                assert alone.items() <= batch.items()
+
+    @pytest.mark.parametrize("pair,mu", [("linear_mse", "0.3"), ("logistic", "0.1")])
+    def test_identify_cells_equal_their_runs_alone(self, tmp_path, pair, mu):
+        # logistic: Bernoulli labels from the uniform block
+        text = IDENTIFY_CFG.replace("linear_mse", pair).replace("mu = 0.3", f"mu = {mu}")
+        self._check(load_config(_write_cfg(tmp_path, text, out=tmp_path)), tmp_path, (3, 5))
+
+    def test_replay_cells_equal_their_runs_alone(self, tmp_path, corpus_csv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = load_config(_write_cfg(tmp_path, REPLAY_CFG, out=tmp_path, data=corpus_csv))
+        self._check(cfg, tmp_path, (0,))
+
+
 class TestIdentifyStreams:
     def test_regressor_and_noise_streams_differ(self):
         for seed in (0, 3, 2**40 + 3):
@@ -543,7 +577,7 @@ class TestErrorContext:
             run_experiment(cfg)
         report = json.loads((tmp_path / "runs" / "report.json").read_text())
         context = report["error"]["context"]
-        assert context["k"] == 1
+        assert (context["k"], context["algorithm"], context["seed"]) == (1, "modified", 0)
         assert context["y"] == 1e308
         assert isinstance(context["x"], float)
         assert "non-finite derivative" in report["error"]["message"]
@@ -835,6 +869,14 @@ class TestBenchmarkRowCounting:
         cfg = load_config(_write_cfg(tmp_path, text, out=tmp_path / "runs"))
         counters, rows = self._traced_rows(cfg)
         assert rows == 2 * 2 * 50
+        assert counters["bench.rows_written"] == counters["bench.rows_read"] == rows
+
+    def test_identify_rows_are_counted(self, tmp_path):
+        text = IDENTIFY_CFG.replace("algorithms = modified", "algorithms = modified, classical")
+        text = text.replace("seeds = 3", "seeds = 3, 4")
+        cfg = load_config(_write_cfg(tmp_path, text, out=tmp_path / "runs"))
+        counters, rows = self._traced_rows(cfg)
+        assert rows == 2 * 2 * 60
         assert counters["bench.rows_written"] == counters["bench.rows_read"] == rows
 
     def test_replay_rows_are_counted(self, tmp_path, corpus_csv):

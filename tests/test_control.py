@@ -1,4 +1,4 @@
-"""Closed-loop building blocks: noise stream, lag buffer, control solve, runner.
+"""Closed-loop building blocks: noise stream, control solve, runner.
 
 Oracle notes
 ------------
@@ -7,10 +7,10 @@ Oracle notes
 * With all lags zero and theta = (0, 0, 0, 0.6, 0) the saturated lag model
   reduces to f(u) = tanh(0.6 u); the input placing it on target 0.3 is
   atanh(0.3)/0.6 = 0.5158660070051863.
-* With lag state y = (-0.1, 0.4, 0), u_prev = (0.5, 0.2) and theta =
-  (0.01, 3.0, -0.1, 0.6, -0.3) the non-input part of the preactivation is
-  1.049, so the target 0.25 needs u = (atanh(0.25) - 1.049)/0.6 =
-  -1.3226453135283414.
+* With the regressor row (-0.1, 0.4, 0, u, 0.5) (outputs y_k..y_{k-2},
+  the input slot, u_{k-1}) and theta = (0.01, 3.0, -0.1, 0.6, -0.3) the
+  non-input part of the preactivation is 1.049, so the target 0.25 needs
+  u = (atanh(0.25) - 1.049)/0.6 = -1.3226453135283414.
 """
 
 import math
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import sgident.control as control_mod
 from sgident.control import (
     ControlConfig,
-    LagBuffer,
     NoiseSource,
     Plant,
     run_closed_loop,
@@ -31,7 +30,7 @@ from sgident.control import (
     solve_control,
     solve_control_rows,
 )
-from sgident.core import HyperParams, PredictorModel
+from sgident.core import HyperParams, PredictorModel, row_dots
 from sgident.errors import ConfigurationError, NumericError
 from sgident.metrics import gradient_norms_sq
 from sgident.models import (
@@ -43,7 +42,7 @@ from sgident.models import (
     tanh_arx_model,
     tanh_mse_pair,
 )
-from sgident.sg import sg_init, sg_step
+from sgident.sg import sg_init
 
 
 class TestNoiseSource:
@@ -102,6 +101,10 @@ class TestNoiseSource:
         assert block.draw_count == scalar.draw_count == 5000
         # the stream continues where the block stopped
         assert block.draw() == scalar.draw()
+        # the uniforms behind Bernoulli labels come from the same words
+        want = [scalar.draw_uniform() for _ in range(5000)]
+        assert block.uniform_block(5000).tolist() == want
+        assert block.draw_count == scalar.draw_count == 10_001
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -112,42 +115,6 @@ class TestNoiseSource:
             NoiseSource(kind="student_t")  # df missing
         with pytest.raises(ConfigurationError):
             NoiseSource(kind="student_t", df=2.0)  # variance undefined
-
-
-class TestLagBuffer:
-    def test_regressor_assembly(self):
-        buf = LagBuffer(p=2, q=2)
-        assert np.array_equal(buf.regressor(0.3), [0.0, 0.0, 0.3, 0.0])
-        buf.advance(1.5, 0.7)
-        assert np.array_equal(buf.regressor(0.9), [1.5, 0.0, 0.9, 0.7])
-        buf.advance(2.5, 0.9)
-        assert np.array_equal(buf.regressor(0.1), [2.5, 1.5, 0.1, 0.9])
-
-    def test_regressor_does_not_mutate_state(self):
-        buf = LagBuffer(p=2, q=2)
-        buf.advance(1.0, 2.0)
-        first = buf.regressor(5.0)
-        second = buf.regressor(5.0)
-        assert np.array_equal(first, second)
-
-    def test_minimal_orders(self):
-        buf = LagBuffer(p=1, q=1)
-        buf.advance(4.0, -2.0)
-        # q = 1 keeps no past inputs in the regressor
-        assert np.array_equal(buf.regressor(0.5), [4.0, 0.5])
-
-    def test_history_properties_are_copies(self):
-        buf = LagBuffer(p=2, q=2)
-        buf.advance(1.0, 2.0)
-        hist = buf.y_hist
-        hist[0] = 99.0
-        assert buf.y_hist[0] == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LagBuffer(p=0, q=1)
-        with pytest.raises(ConfigurationError):
-            LagBuffer(p=1, q=0)
 
 
 class _CubicInputModel(PredictorModel):
@@ -191,37 +158,32 @@ class TestSolveControl:
 
     def test_tanh_closed_form_zero_state(self):
         model = tanh_arx_model(p=3, q=2)
-        lags = LagBuffer(3, 2)
         theta = np.array([0.0, 0.0, 0.0, 0.6, 0.0])
-        u, flags = solve_control(model, theta, lags, 0.3, self.cfg, u_prev=0.0)
+        u, flags = solve_control(model, theta, np.zeros(5), 3, 0.3, self.cfg, u_prev=0.0)
         assert flags == ()
         assert abs(u - 0.5158660070051863) < 1e-8
         assert abs(math.tanh(0.6 * u) - 0.3) <= 1e-10
 
     def test_tanh_closed_form_with_history(self):
         model = tanh_arx_model(p=3, q=2)
-        lags = LagBuffer(3, 2)
-        lags.advance(0.4, 0.2)
-        lags.advance(-0.1, 0.5)
+        phi = np.array([-0.1, 0.4, 0.0, 0.0, 0.5])
         theta = np.array([0.01, 3.0, -0.1, 0.6, -0.3])
-        u, flags = solve_control(model, theta, lags, 0.25, self.cfg, u_prev=0.0)
+        u, flags = solve_control(model, theta, phi, 3, 0.25, self.cfg, u_prev=0.0)
         assert flags == ()
         assert abs(u - (-1.3226453135283414)) < 1e-8
 
     def test_unreachable_target_saturates(self):
         model = tanh_arx_model(p=3, q=2)
-        lags = LagBuffer(3, 2)
         theta = np.array([0.0, 0.0, 0.0, 0.6, 0.0])
         cfg = ControlConfig(u_max=10.0)
-        u, flags = solve_control(model, theta, lags, 1.5, cfg, u_prev=0.0)
+        u, flags = solve_control(model, theta, np.zeros(5), 3, 1.5, cfg, u_prev=0.0)
         assert "saturated" in flags
         assert u == 10.0  # tanh is increasing, best endpoint is +u_max
 
     def test_zero_gain_holds_previous_input(self):
         model = tanh_arx_model(p=3, q=2)
-        lags = LagBuffer(3, 2)
         theta = np.zeros(5)
-        u, flags = solve_control(model, theta, lags, 0.5, self.cfg, u_prev=0.3)
+        u, flags = solve_control(model, theta, np.zeros(5), 3, 0.5, self.cfg, u_prev=0.3)
         assert flags == ("singular_gain",)
         assert u == 0.3
 
@@ -229,34 +191,33 @@ class TestSolveControl:
         # residual check precedes the gain check, so a dead model on target
         # returns cleanly instead of flagging singular_gain
         model = tanh_arx_model(p=3, q=2)
-        lags = LagBuffer(3, 2)
-        u, flags = solve_control(model, np.zeros(5), lags, 0.0, self.cfg, u_prev=0.2)
+        u, flags = solve_control(model, np.zeros(5), np.zeros(5), 3, 0.0, self.cfg, u_prev=0.2)
         assert flags == ()
         assert u == 0.2
 
     def test_generic_model_bisection(self):
         # 2 u^3 = 0.054 has the root u = 0.3
         model = _CubicInputModel()
-        lags = LagBuffer(1, 1)
         theta = np.array([0.5, 2.0])
-        u, flags = solve_control(model, theta, lags, 0.054, self.cfg, u_prev=0.5)
+        phi = np.zeros(2)
+        u, flags = solve_control(model, theta, phi, 1, 0.054, self.cfg, u_prev=0.5)
         assert flags == ()
         assert abs(u - 0.3) < 1e-6
+        assert phi.tolist() == [0.0, 0.0]  # the caller's row is not written
 
     def test_link_models_invert_in_closed_form(self, bisect_calls):
-        lags = LagBuffer(1, 2)
-        lags.advance(0.4, 0.2)
+        # p = 1, q = 2: the row is (y_k, input slot, u_{k-1})
         theta = np.array([0.7, -0.8, 0.3])
         for model, y_star in ((LinearModel(3), 2.5), (TanhArxModel(1, 2), -0.6),
                               (LogisticModel(3), 0.85)):
-            u, flags = solve_control(model, theta, lags, y_star, self.cfg, u_prev=0.0)
+            u, flags = solve_control(model, theta, np.array([0.4, 0.0, 0.2]), 1, y_star,
+                                     self.cfg, u_prev=0.0)
             assert flags == ()
-            phi = lags.regressor(u)
+            phi = np.array([0.4, u, 0.2])
             assert abs(model.eval(phi, theta) - y_star) <= 1e-15
         assert bisect_calls == []
 
     def test_target_outside_link_range_saturates_at_better_endpoint(self, bisect_calls):
-        lags = LagBuffer(1, 1)
         cfg = ControlConfig(u_max=10.0)
         cases = [
             # (model, input coefficient, target, endpoint nearest the target)
@@ -267,56 +228,53 @@ class TestSolveControl:
             (LogisticModel(2), 0.6, 0.0, -10.0),
         ]
         for model, cu, y_star, want in cases:
-            u, flags = solve_control(model, np.array([0.1, cu]), lags, y_star, cfg)
+            u, flags = solve_control(model, np.array([0.1, cu]), np.zeros(2), 1, y_star, cfg)
             assert (u, flags) == (want, ("saturated",)), (model.name, cu, y_star)
         assert bisect_calls == []
 
     def test_root_beyond_u_max_saturates_at_nearer_endpoint(self, bisect_calls):
         model = tanh_arx_model(p=3, q=2)
-        lags = LagBuffer(3, 2)
         theta = np.array([0.0, 0.0, 0.0, 0.6, 0.0])
         cfg = ControlConfig(u_max=0.1)
         # the root is 0.5159, above u_max
-        assert solve_control(model, theta, lags, 0.3, cfg) == (0.1, ("saturated",))
-        assert solve_control(model, theta, lags, -0.3, cfg) == (-0.1, ("saturated",))
+        assert solve_control(model, theta, np.zeros(5), 3, 0.3, cfg) == (0.1, ("saturated",))
+        assert solve_control(model, theta, np.zeros(5), 3, -0.3, cfg) == (-0.1, ("saturated",))
         assert bisect_calls == []
 
     def test_short_circuit_keeps_previous_input_over_closed_form(self, bisect_calls):
         model = tanh_arx_model(p=3, q=2)
-        lags = LagBuffer(3, 2)
         theta = np.array([0.0, 0.0, 0.0, 0.6, 0.0])
         y_star = math.tanh(0.6 * 0.3) + 5e-11  # within root_tol of u_prev = 0.3
-        assert solve_control(model, theta, lags, y_star, self.cfg, u_prev=0.3) == (0.3, ())
+        assert solve_control(model, theta, np.zeros(5), 3, y_star, self.cfg, u_prev=0.3) == (
+            0.3, ())
         # a clipped u_prev is the candidate the short-circuit checks
         cfg = ControlConfig(u_max=0.3)
-        assert solve_control(model, theta, lags, y_star, cfg, u_prev=4.0) == (0.3, ())
+        assert solve_control(model, theta, np.zeros(5), 3, y_star, cfg, u_prev=4.0) == (0.3, ())
         assert bisect_calls == []
 
     def test_singular_gain_precedes_closed_form(self):
         # tanh is flat at a huge preactivation: hold u_prev even though
         # atanh would give a finite input
         model = tanh_arx_model(p=3, q=2)
-        lags = LagBuffer(3, 2)
         theta = np.array([0.0, 0.0, 0.0, 0.6, 0.0])
-        assert solve_control(model, theta, lags, 0.2, self.cfg, u_prev=100.0) == (
+        assert solve_control(model, theta, np.zeros(5), 3, 0.2, self.cfg, u_prev=100.0) == (
             100.0, ("singular_gain",))
 
     def test_models_without_inverse_take_bisection(self, bisect_calls):
-        u_cubic, flags = solve_control(_CubicInputModel(), np.array([0.5, 2.0]), LagBuffer(1, 1),
+        u_cubic, flags = solve_control(_CubicInputModel(), np.array([0.5, 2.0]), np.zeros(2), 1,
                                        0.054, self.cfg, u_prev=0.5)
         assert flags == () and abs(u_cubic - 0.3) < 1e-6
         censored = SaturatedMeanModel(SaturationSpec(-1.0, 1.0), 2)
         theta = np.array([0.2, 0.8])
-        u, flags = solve_control(censored, theta, LagBuffer(1, 1), 0.3, self.cfg)
+        u, flags = solve_control(censored, theta, np.zeros(2), 1, 0.3, self.cfg)
         assert flags == ()
         assert abs(float(censored.link(0.8 * u)) - 0.3) <= self.cfg.root_tol
         assert len(bisect_calls) == 2
 
     def test_dim_mismatch_raises(self):
         model = tanh_arx_model(p=3, q=2)
-        lags = LagBuffer(3, 2)
         with pytest.raises(ConfigurationError):
-            solve_control(model, np.zeros(4), lags, 0.3, self.cfg)
+            solve_control(model, np.zeros(4), np.zeros(5), 3, 0.3, self.cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -347,20 +305,17 @@ _lag = st.floats(-1.0, 1.0)
 def test_closed_form_agrees_with_bisection(y_lags, u_lag, theta_rest, cu, cu_sign, y_star,
                                             u_prev):
     cfg = ControlConfig(u_max=1000.0, b_eps=1e-8, root_tol=1e-10)
-    lags = LagBuffer(3, 2)
-    lags.advance(y_lags[2], 0.0)
-    lags.advance(y_lags[1], 0.0)
-    lags.advance(y_lags[0], u_lag)
+    phi = np.array([*y_lags, 0.0, u_lag])
     theta = np.array([*theta_rest[:3], cu_sign * cu, theta_rest[3]])
-    u_cf, flags_cf = solve_control(TanhArxModel(3, 2), theta, lags, y_star, cfg, u_prev)
-    u_bi, flags_bi = solve_control(_TanhWithoutInverse(3, 2), theta, lags, y_star, cfg, u_prev)
+    u_cf, flags_cf = solve_control(TanhArxModel(3, 2), theta, phi, 3, y_star, cfg, u_prev)
+    u_bi, flags_bi = solve_control(_TanhWithoutInverse(3, 2), theta, phi, 3, y_star, cfg, u_prev)
     assert flags_cf == flags_bi
     if flags_cf:
         assert u_cf == u_bi
         return
     # both residuals lie within root_tol, so the inputs differ by at most
     # root_tol over the local gain
-    z = float(np.dot(lags.regressor(u_cf), theta))
+    z = float(np.dot([*y_lags, u_cf, u_lag], theta))
     gain = (1.0 - math.tanh(z) ** 2) * theta[3]
     assert abs(u_cf - u_bi) <= 1.001 * cfg.root_tol / abs(gain) + 1e-12
 
@@ -387,17 +342,13 @@ def test_vector_controller_matches_scalar_solve(rows, y_star, u_max):
     u_prev = np.array([row[4] for row in rows])
     u_v, flagged = solve_control_rows(model, theta, phi, 3, y_star, cfg, u_prev)
     for i, (y_lags, u_lag, _, _, _) in enumerate(rows):
-        lags = LagBuffer(3, 2)
-        lags.advance(y_lags[2], 0.0)
-        lags.advance(y_lags[1], 0.0)
-        lags.advance(y_lags[0], u_lag)
-        u_s, flags_s = solve_control(model, theta[i], lags, y_star, cfg, float(u_prev[i]))
+        u_s, flags_s = solve_control(model, theta[i], phi[i], 3, y_star, cfg, float(u_prev[i]))
         assert flagged.get(i, ()) == flags_s
         if u_v[i] == u_s:
             continue
         # only a closed-form row can differ, and the scalar solve took one too
         assert not flags_s
-        z = float(np.dot(lags.regressor(u_v[i]), theta[i]))
+        z = float(np.dot([*y_lags, u_v[i], u_lag], theta[i]))
         gain = (1.0 - math.tanh(z) ** 2) * theta[i, 3]
         assert abs(u_v[i] - u_s) <= 1.001 * cfg.root_tol / abs(gain) + 1e-12
 
@@ -412,7 +363,7 @@ class TestPlantStep:
 def _frozen_update(theta, r, carry, phi, y):
     """Estimator update stub that never moves — the oracle controller."""
     zeros = np.zeros(len(r))
-    return theta, r, carry, zeros, zeros
+    return theta, r, carry, zeros, zeros, np.tanh(row_dots(phi, theta))
 
 
 class TestRunClosedLoop:
@@ -472,7 +423,7 @@ class TestRunClosedLoop:
 
         def blowup_update(theta, r, carry, phi, y):
             zeros = np.zeros(len(r))
-            return np.full_like(theta, 1e7), r, carry, zeros, zeros
+            return np.full_like(theta, 1e7), r, carry, zeros, zeros, zeros
 
         trace = run_closed_loop(plant, state, pair, ControlConfig(), n_steps=1, seed=4,
                                 update=blowup_update)
@@ -501,14 +452,18 @@ class TestRunClosedLoop:
         assert np.max(np.abs(trace.f_true - trace.y_star)) <= 1e-10
 
     def test_batch_rows_equal_one_seed_runs(self):
-        # a cell's trace does not depend on the other seeds of its batch
+        # a cell's trace does not depend on the other cells of its batch,
+        # whatever their seeds and gain laws
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)
         cfg = ControlConfig(y_target=0.5)
         seeds = (3, 1, 4, 15, 9, 2, 6, 5, 35)
-        for algorithm in ("modified", "classical"):
-            batch = run_closed_loop_batch(plant, state, pair, cfg, 300, seeds, algorithm)
-            for i, seed in enumerate(seeds):
+        sweep = [(algorithm, seed) for algorithm in ("modified", "classical") for seed in seeds]
+        mixed = [("classical", 3), ("modified", 3), ("modified", 1), ("classical", 4),
+                 ("classical", 15), ("modified", 9)]
+        for cells in (sweep, mixed):
+            batch = run_closed_loop_batch(plant, state, pair, cfg, 300, cells)
+            for i, (algorithm, seed) in enumerate(cells):
                 alone = run_closed_loop(plant, state, pair, cfg, 300, seed, algorithm)
                 assert batch.trace(i) == alone
 
@@ -531,12 +486,13 @@ class TestRunClosedLoop:
                 raise NumericError("boom", context={"row": 1})
             failing_update.calls += 1
             zeros = np.zeros(len(r))
-            return theta, r, carry, zeros, zeros
+            return theta, r, carry, zeros, zeros, zeros
 
         failing_update.calls = 0
         with pytest.raises(NumericError) as exc:
-            run_closed_loop_batch(plant, state, pair, ControlConfig(), 10, (7, 8, 9),
-                                  "classical", update=failing_update)
+            run_closed_loop_batch(plant, state, pair, ControlConfig(), 10,
+                                  (("modified", 7), ("classical", 8), ("modified", 9)),
+                                  update=failing_update)
         assert exc.value.context == {"k": 3, "algorithm": "classical", "seed": 8}
 
     def test_plant_without_lag_orders_rejected(self):

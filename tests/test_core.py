@@ -1,5 +1,5 @@
-"""Value types, compensated summation, hyperparameter validation, and the
-validated predictor/loss call wrappers."""
+"""Value types, compensated summation, hyperparameter validation, and model
+and loss values through their contract methods."""
 
 import math
 
@@ -17,10 +17,7 @@ from sgident.core import (
     as_values,
     check_step_size_cap,
     kahan_add,
-    loss_eval,
     loss_grad_x,
-    predictor_eval,
-    predictor_grad,
 )
 from sgident.errors import ConfigurationError, DomainError, NumericError
 from sgident.models import (
@@ -41,10 +38,8 @@ class TestVectors:
         with pytest.raises(ValueError):
             theta.values[0] = 5.0
 
-    def test_norm_and_dim(self):
-        theta = ParameterVector(np.array([3.0, 4.0]))
-        assert theta.dim == 2
-        assert theta.norm() == 5.0
+    def test_dim(self):
+        assert ParameterVector(np.array([3.0, 4.0])).dim == 2
 
     def test_nonfinite_rejected(self):
         for bad in ([np.nan, 1.0], [np.inf, 0.0]):
@@ -154,43 +149,34 @@ class TestStepSizeCap:
 
 
 class TestValidatedWrappers:
+    """Model and loss values through the contract methods (``eval``,
+    ``grad``, loss ``eval`` and ``in_domain``) that every step calls."""
+
     def test_linear_inner_product(self):
         model = LinearModel(2)
-        assert predictor_eval(model, [1.0, 2.0], [3.0, -1.0]) == 1.0
-        assert_allclose(predictor_grad(model, [1.0, 2.0], [3.0, -1.0]), [1.0, 2.0])
+        assert model.eval(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
+        assert_allclose(model.grad(np.array([1.0, 2.0]), np.array([3.0, -1.0])), [1.0, 2.0])
 
     def test_tanh_zero_regressor(self):
         model = TanhArxModel(3, 2)
-        assert predictor_eval(model, np.zeros(5), np.ones(5)) == 0.0
+        assert model.eval(np.zeros(5), np.ones(5)) == 0.0
         # sech^2(0) = 1, so the gradient is the regressor itself
         phi = np.array([0.2, -0.1, 0.0, 0.3, 0.1])
         theta = np.zeros(5)
-        assert_allclose(predictor_grad(model, phi, theta), phi)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            predictor_eval(LinearModel(3), [1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_nonfinite_output_is_numeric_error(self):
-        class Exploding(LinearModel):
-            def eval(self, phi, theta):
-                return float("inf")
-
-        with pytest.raises(NumericError):
-            predictor_eval(Exploding(2), [1.0, 1.0], [1.0, 1.0])
+        assert_allclose(model.grad(phi, theta), phi)
 
     def test_mse_values(self):
         loss = SquaredError()
-        assert loss_eval(loss, 2.0, 2.0) == 0.0
-        assert loss_eval(loss, 3.0, 1.0) == 4.0
+        assert loss.eval(2.0, 2.0) == 0.0
+        assert loss.eval(3.0, 1.0) == 4.0
         assert loss_grad_x(loss, 3.0, 1.0) == -4.0
         assert loss_grad_x(loss, 3.0, 3.0) == 0.0
 
     def test_cross_entropy_domain(self):
         loss = CrossEntropy()
-        assert loss_eval(loss, 0.5, 0.5) == pytest.approx(-math.log(0.5), rel=1e-12)
-        with pytest.raises(DomainError):
-            loss_eval(loss, 1.0, 0.0)
+        assert loss.eval(0.5, 0.5) == pytest.approx(-math.log(0.5), rel=1e-12)
+        assert not loss.in_domain(0.0) and not loss.in_domain(1.0)
+        assert loss.in_domain(np.array([1e-300, 0.5, 1.0 - 1e-16]))
         with pytest.raises(DomainError):
             loss_grad_x(loss, 0.0, 1.0)
 
@@ -198,5 +184,5 @@ class TestValidatedWrappers:
         model = LogisticModel(3)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            v = predictor_eval(model, rng.normal(size=3), rng.normal(size=3))
+            v = model.eval(rng.normal(size=3), rng.normal(size=3))
             assert 0.0 < v < 1.0

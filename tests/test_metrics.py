@@ -23,7 +23,6 @@ from sgident.core import HyperParams
 from sgident.errors import ConfigurationError, DataError
 from sgident.metrics import (
     MetricSeries,
-    average_regret,
     bound_curve,
     gradient_noise,
     gradient_norms_sq,
@@ -104,8 +103,7 @@ class TestRegret:
         s = regret_sum(trace)
         assert np.array_equal(s.values, [0.25, 1.0])
         assert np.array_equal(s.cumulative, [0.25, 1.25])
-        avg = average_regret(trace)
-        assert np.array_equal(avg.values, [0.25, 0.625])
+        assert np.array_equal(s.average, [0.25, 0.625])
 
     def test_loss_floor_subtracted_for_cross_entropy(self):
         # cross-entropy of a perfect probability is its own entropy, not 0;

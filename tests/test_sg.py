@@ -9,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sgident.core import GainState, HyperParams, ParameterVector
+from sgident.core import GainState, HyperParams, ModelLossPair, ParameterVector
 from sgident.errors import ConfigurationError, NumericError
-from sgident.models import linear_mse_pair, tanh_mse_pair
+from sgident.models import (
+    SaturatedMeanModel,
+    SaturationSpec,
+    SquaredError,
+    catalog_pair,
+    linear_mse_pair,
+    tanh_mse_pair,
+)
 from sgident.sg import (
     DIVERGENCE_NORM,
     EstimatorState,
@@ -181,43 +188,83 @@ class TestRecursionInvariants:
 
 # Tolerance of the vector update against the scalar step, fixed before the
 # test was written: 1e-12 relative.  The vector rows sum their dot products in
-# another order and use numpy's tanh, so they may differ from the scalar step
-# by a few ulps of each term.  The parameter update theta - mu*slope*g can
-# cancel, so its error is measured against the magnitude of its terms.
-# |phi . theta| <= 3 keeps 1 - tanh^2 >= 0.0099, where an ulp of tanh stays
-# far below the tolerance.
+# another order and use numpy's and scipy's link functions, so they may differ
+# from the scalar step by a few ulps of each term.  Each quantity is measured
+# against the magnitude of its terms: the prediction against the link's
+# slope times the summed |phi_i theta_i| (plus the window terms of the
+# censored mean), and the update theta - mu*slope*g, which can cancel,
+# against |theta| and |mu*slope*g| with the slope taken at the row's own
+# prediction.  Every range keeps the rows inside the pair's operating set.
 VECTOR_RTOL = 1e-12
 
-_row = st.tuples(
-    st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),  # phi
-    st.lists(st.floats(-0.6, 0.6), min_size=5, max_size=5),  # theta
-    st.floats(-2.0, 2.0),  # y
-    st.floats(2.0, 1e4),  # r
-    st.floats(-1e-12, 1e-12),  # Kahan carry
-)
+_unit = st.floats(-1.0, 1.0)
+_small = st.floats(-0.6, 0.6)
+_real_y = st.floats(-2.0, 2.0)
+# name -> (pair, regressor entries, parameter entries, observation)
+_VECTOR_PAIRS = {
+    "tanh_mse": (tanh_mse_pair(3, 2), _unit, _small, _real_y),
+    "linear_mse": (catalog_pair("linear_mse")[0], _unit, _small, _real_y),
+    "saturation": (catalog_pair("saturation")[0], _unit, _small, _real_y),
+    "logistic": (catalog_pair("logistic")[0], _unit, _small, st.floats(0.0, 1.0)),
+    "hinge": (catalog_pair("hinge")[0], _unit, _small, _real_y),
+    "quadnet": (catalog_pair("quadnet")[0], _unit, _small, _real_y),
+    # the replay preset's censored mean over corpus-like rows and targets
+    "replay_saturation": (
+        ModelLossPair(SaturatedMeanModel(SaturationSpec(6.0, 120.0, 5.0), 5), SquaredError()),
+        st.floats(0.0, 3.0), st.floats(0.0, 12.0), st.floats(6.0, 120.0),
+    ),
+}
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows=st.lists(_row, min_size=1, max_size=6), classical=st.booleans(),
-       pair_name=st.sampled_from(["tanh", "linear"]))
-def test_vector_update_matches_scalar_step(rows, classical, pair_name):
+@st.composite
+def _vector_case(draw):
+    name = draw(st.sampled_from(sorted(_VECTOR_PAIRS)))
+    pair, phi_entry, theta_entry, y = _VECTOR_PAIRS[name]
+    d = pair.predictor.dim
+    row = st.tuples(
+        st.lists(phi_entry, min_size=d, max_size=d),
+        st.lists(theta_entry, min_size=d, max_size=d),
+        y,
+        st.floats(2.0, 1e4),  # r
+        st.floats(-1e-12, 1e-12),  # Kahan carry
+        st.booleans(),  # classical gain law
+    )
+    return pair, draw(st.lists(row, min_size=1, max_size=6))
+
+
+def _prediction_scale(model, phi, theta):
+    z = float(np.dot(phi, theta))
+    scale = abs(model.eval(phi, theta)) + abs(float(model.dlink(z))) * float(
+        np.abs(phi) @ np.abs(theta))
+    spec = getattr(model, "spec", None)
+    if spec is not None:
+        scale += abs(spec.lower) + 2.0 * abs(spec.upper) + 2.0 * abs(z) + spec.noise_std
+    return scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_vector_case())
+def test_vector_update_matches_scalar_step(case):
+    pair, rows = case
     hyper = _hyper(beta2=0.6666666666666666)
-    pair = tanh_mse_pair(3, 2) if pair_name == "tanh" else _linear_pair(5)
-    phi, theta, y, r, carry = (np.array(col, dtype=float) for col in zip(*rows))
-    theta_v, r_v, carry_v, mu_v, gns_v = sg_update(theta, r, carry, phi, y, pair, hyper,
-                                                   classical=classical)
-    step = classical_sg_step if classical else sg_step
+    phi, theta, y, r, carry, classical = (np.array(col) for col in zip(*rows))
+    theta_v, r_v, carry_v, mu_v, gns_v, f_v = sg_update(theta, r, carry, phi, y, pair, hyper,
+                                                        classical=classical)
     for i in range(len(rows)):
         state = EstimatorState(theta=ParameterVector(theta[i]),
                                gain=GainState(r=r[i], carry=carry[i]), hyper=hyper)
+        step = classical_sg_step if classical[i] else sg_step
         want = step(state, pair, phi[i], y[i])
+        f_hat = pair.predictor.eval(phi[i], theta[i])
+        assert abs(f_v[i] - f_hat) <= VECTOR_RTOL * _prediction_scale(pair.predictor, phi[i],
+                                                                      theta[i])
         assert_allclose(gns_v[i], want.last_grad_norm_sq, rtol=VECTOR_RTOL, atol=1e-300)
         assert_allclose(r_v[i], want.gain.r, rtol=VECTOR_RTOL)
         assert_allclose(mu_v[i], want.last_mu, rtol=VECTOR_RTOL)
-        f_hat = pair.predictor.eval(phi[i], theta[i])
         g = pair.predictor.grad(phi[i], theta[i])
-        scale = np.abs(theta[i]) + want.last_mu * 2.0 * (abs(f_hat) + abs(y[i])) * np.abs(g)
-        assert np.all(np.abs(theta_v[i] - want.theta.values) <= VECTOR_RTOL * scale)
+        move = want.last_mu * pair.loss.grad_x(y[i], f_v[i]) * g
+        scale = np.abs(theta[i]) + np.abs(move)
+        assert np.all(np.abs(theta_v[i] - (theta[i] - move)) <= VECTOR_RTOL * scale)
     # the safety law holds on every row
     assert np.all(mu_v * gns_v <= hyper.mu)
 
@@ -240,10 +287,21 @@ class TestVectorUpdate:
         total = float(np.nextafter(2.5, 3.0))
         carry = -float(np.spacing(total)) / 2
         r, c = np.full(2, total), np.full(2, carry)
-        _, r_new, c_new, _, gns = sg_update(np.zeros((2, 3)), r, c, phi, np.ones(2), pair,
+        _, r_new, c_new, _, gns, _ = sg_update(np.zeros((2, 3)), r, c, phi, np.ones(2), pair,
                                             _hyper())
         assert gns[0] == 0.0 and (r_new[0], c_new[0]) == (total, carry)
         assert r_new[1] > total
+
+    def test_log_term_check_applies_to_modified_rows_only(self):
+        # r = 0.5 has no log term; a zero gradient keeps it there
+        pair = linear_mse_pair(d=3)
+        args = (np.zeros((2, 3)), np.full(2, 0.5), np.zeros(2), np.zeros((2, 3)), np.zeros(2),
+                pair, _hyper())
+        mu_k = sg_update(*args, classical=np.array([True, True]))[3]
+        assert mu_k.tolist() == [0.6, 0.6]  # mu / r
+        with pytest.raises(NumericError, match="exceed 1") as exc:
+            sg_update(*args, classical=np.array([True, False]))
+        assert exc.value.context["row"] == 1
 
     def test_first_bad_row_is_named(self):
         pair = linear_mse_pair(d=3)
