@@ -31,7 +31,7 @@ from .control import (
     Trace,
     run_closed_loop_batch,
 )
-from .core import HyperParams, Regressor, check_step_size_cap, row_dots
+from .core import HyperParams, check_step_size_cap, row_dots
 from .errors import ConfigurationError, DataError, NumericError, SgidentError
 from .metrics import (
     bound_curve,
@@ -332,7 +332,10 @@ def _apply_cap_policy(cfg):
 
 
 class CsvStream:
-    """Ordered single-pass stream of (Regressor, target) rows from a CSV file.
+    """Ordered single-pass stream of (phi, target) rows from a CSV file.
+
+    ``phi`` is a float64 ndarray of the feature cells and ``target`` a
+    float; both are finite, because every row is checked as it is read.
 
     A row is malformed when a used cell is nonnumeric or non-finite (nan,
     inf).  Strict mode raises on the first malformed row (with its line
@@ -389,13 +392,12 @@ class CsvStream:
                     if len(self.skipped_lines) < 10:
                         self.skipped_lines.append(line)
                     continue
-                phi = Regressor(values)
                 self.rows_yielded += 1
-                yield phi, target
+                yield np.array(values), target
 
 
 def ingest_csv(path, column_map, strict=False, max_rows=None) -> CsvStream:
-    """Open a CSV of feature/target columns as a stream of (Regressor, target)."""
+    """Open a CSV of feature/target columns as a stream of (phi, target)."""
     return CsvStream(path, column_map, strict=strict, max_rows=max_rows)
 
 
@@ -535,7 +537,7 @@ def _load_replay_rows(cfg):
         strict=cfg.strict_csv,
         max_rows=cfg.n_steps,
     )
-    rows = [(phi.values, y) for phi, y in stream]
+    rows = list(stream)
     if not rows:
         raise DataError(f"no usable rows in {cfg.data_path}")
     return tuple(np.array(column) for column in zip(*rows)), stream

@@ -250,9 +250,11 @@ class LinkRegressionModel(PredictorModel):
 
     Subclasses provide vectorised ``link``/``dlink``; that single structure
     covers the whole catalog and gives the controller and the assumption
-    verifier a fast scalar path.  A subclass whose link has a closed-form
-    inverse also defines scalar ``link_inv(y)``, returning None when y lies
-    outside the link's open range; the controller then inverts directly.
+    verifier a fast scalar path.  ``link_slope`` returns both at once; a
+    subclass whose two share work overrides it, with results bit-equal to
+    the separate calls.  A subclass whose link has a closed-form inverse
+    also defines scalar ``link_inv(y)``, returning None when y lies outside
+    the link's open range; the controller then inverts directly.
     """
 
     def link(self, z):  # pragma: no cover - interface
@@ -260,6 +262,10 @@ class LinkRegressionModel(PredictorModel):
 
     def dlink(self, z):  # pragma: no cover - interface
         raise NotImplementedError
+
+    def link_slope(self, z):
+        """``(link(z), dlink(z))``."""
+        return self.link(z), self.dlink(z)
 
     def eval(self, phi, theta):
         return float(self.link(float(np.dot(phi, theta))))

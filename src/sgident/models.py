@@ -108,6 +108,27 @@ class SaturationSpec:
             raise ConfigurationError(f"noise_std must be finite and > 0, got {self.noise_std}")
 
 
+def _censored_mean_slope(spec: SaturationSpec, x):
+    """``(saturation_mean(spec, x), saturation_mean_deriv(spec, x))``.
+
+    Both come from one evaluation of the normal CDF and density at the two
+    window edges: an array ``x`` stacks the edges into one contiguous
+    (2, ...) array so erfc and exp each run once, while a scalar stays on
+    the ``math`` path.
+    """
+    s = spec.noise_std
+    if isinstance(x, np.ndarray) and x.ndim:
+        gaps = np.subtract.outer((spec.lower, spec.upper), x)
+        z = gaps / s
+        (cdf_lo, cdf_hi), (pdf_lo, pdf_hi) = normal_cdf(z), normal_pdf(z)
+    else:
+        gaps = (spec.lower - x, spec.upper - x)
+        cdf_lo, cdf_hi = (normal_cdf(gap / s) for gap in gaps)
+        pdf_lo, pdf_hi = (normal_pdf(gap / s) for gap in gaps)
+    mean = spec.upper + gaps[0] * cdf_lo - gaps[1] * cdf_hi + s * (pdf_lo - pdf_hi)
+    return mean, cdf_hi - cdf_lo
+
+
 def saturation_mean(spec: SaturationSpec, x):
     """E[clip(x + e, lower, upper)] with e ~ N(0, noise_std^2).
 
@@ -115,21 +136,12 @@ def saturation_mean(spec: SaturationSpec, x):
     the argument by 1/noise_std.  Strictly increasing in x with range
     (lower, upper).
     """
-    s = spec.noise_std
-    za = (spec.lower - x) / s
-    zb = (spec.upper - x) / s
-    return (
-        spec.upper
-        + (spec.lower - x) * normal_cdf(za)
-        - (spec.upper - x) * normal_cdf(zb)
-        + s * (normal_pdf(za) - normal_pdf(zb))
-    )
+    return _censored_mean_slope(spec, x)[0]
 
 
 def saturation_mean_deriv(spec: SaturationSpec, x):
     """d/dx of ``saturation_mean``; equals P(x + e inside the window), in (0, 1)."""
-    s = spec.noise_std
-    return normal_cdf((spec.upper - x) / s) - normal_cdf((spec.lower - x) / s)
+    return _censored_mean_slope(spec, x)[1]
 
 
 def saturation_assumption2_delta(spec: SaturationSpec, m2: float, grid: int = 10_000):
@@ -202,11 +214,11 @@ class TanhArxModel(LinkRegressionModel):
         return math.atanh(y) if -1.0 < y < 1.0 else None
 
     def dlink(self, z):
-        if isinstance(z, float):
-            t = math.tanh(z)
-            return 1.0 - t * t
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return self.link_slope(z)[1]
+
+    def link_slope(self, z):
+        t = self.link(z)
+        return t, 1.0 - t * t
 
     def growth_bound(self):
         return (0.0, 1.0)
@@ -243,8 +255,11 @@ class LogisticModel(LinkRegressionModel):
         return math.log(y) - math.log1p(-y) if 0.0 < y < 1.0 else None
 
     def dlink(self, z):
+        return self.link_slope(z)[1]
+
+    def link_slope(self, z):
         s = self.link(z)
-        return s * (1.0 - s)
+        return s, s * (1.0 - s)
 
     def growth_bound(self):
         return (0.0, 0.25)
@@ -264,6 +279,9 @@ class SaturatedMeanModel(LinkRegressionModel):
 
     def dlink(self, z):
         return saturation_mean_deriv(self.spec, z)
+
+    def link_slope(self, z):
+        return _censored_mean_slope(self.spec, z)
 
     def growth_bound(self):
         return (0.0, 1.0)

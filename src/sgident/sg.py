@@ -33,6 +33,7 @@ from .core import (
     GainState,
     HyperParams,
     LinkRegressionModel,
+    LossFunction,
     ParameterVector,
     Role,
     as_values,
@@ -183,42 +184,55 @@ def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
     prediction before the update.  Each row follows the scalar arithmetic;
     only the order of the d-term sums and the vector link functions differ,
     so rows agree with the scalar step to rounding.  The predictor must be a
-    link model.  Every check of the scalar step runs as a reduction over the
-    rows, in the same order (``r > 1`` on modified rows only), and a failure
-    raises NumericError with the first bad row in context["row"].
+    link model; its link and slope come from one ``link_slope`` call.
+
+    The whole step is computed first and then tested in one reduction.  Only
+    when that fails are the scalar step's checks walked, in its order
+    (``r > 1`` on modified rows only), over the arrays already computed: the
+    first failed check raises NumericError (DomainError for the loss domain)
+    with the first bad row in context["row"].
     """
     model, loss = pair.predictor, pair.loss
     if not isinstance(model, LinkRegressionModel):
         raise ConfigurationError(f"sg_update needs a link model, got {model.name!r}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        check_rows(np.isfinite(y), "observation must be finite", y=y)
-        z = row_dots(phi, theta)
-        f_hat = model.link(z)
-        check_rows(np.isfinite(f_hat), "predictor output non-finite", phi=phi, theta=theta)
-        g = model.dlink(z)[:, None] * phi
+        f_hat, dlink = model.link_slope(row_dots(phi, theta))
+        g = dlink[:, None] * phi
         grad_norm_sq = row_dots(g, g)
-        check_rows(np.isfinite(grad_norm_sq), "predictor gradient non-finite", phi=phi, theta=theta)
-
         r, carry = kahan_add_rows(r, carry, grad_norm_sq)
-        check_rows(classical | (r > 1.0), "gain accumulator must exceed 1 for the log term", r=r)
         denom = r**hyper.beta1
         if hyper.beta2 != 0.0:
             denom = denom * np.log(r) ** hyper.beta2
         mu_k = np.where(classical, hyper.mu / r, hyper.mu / (denom + grad_norm_sq))
-        check_rows(~(mu_k * grad_norm_sq > hyper.mu),
-                   f"step-size law violated: mu_k*||g||^2 > mu = {hyper.mu}",
-                   mu_k=mu_k, grad_norm_sq=grad_norm_sq)
-
-        if not loss.in_domain(f_hat):
-            row = next(i for i in range(len(f_hat)) if not loss.in_domain(f_hat[i]))
-            raise DomainError(
-                f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): "
-                f"x={f_hat[row]} in row {row}"
-            )
+        law = mu_k * grad_norm_sq
         slope = loss.grad_x(y, f_hat)
-        check_rows(np.isfinite(slope), f"loss '{loss.name}' produced a non-finite derivative",
-                   y=y, x=f_hat)
         theta_new = theta - (mu_k * slope)[:, None] * g
-        check_rows(np.isfinite(theta_new), "parameter update produced non-finite entries",
-                   phi=phi, theta=theta)
+
+        # A sum is finite only when every term is, so this one test passes
+        # only when every check below would; an overflowing sum of finite
+        # terms merely sends the step through the walk, which then passes.
+        # The default loss domain is finiteness, already covered here.
+        total = np.add.reduce(theta_new, axis=1) + y + f_hat + law + slope
+        ok = np.isfinite(total) & (law <= hyper.mu) & (classical | (r > 1.0))
+        narrows = type(loss).in_domain is not LossFunction.in_domain
+        if not all(ok.tolist()) or (narrows and not loss.in_domain(f_hat)):
+            check_rows(np.isfinite(y), "observation must be finite", y=y)
+            check_rows(np.isfinite(f_hat), "predictor output non-finite", phi=phi, theta=theta)
+            check_rows(np.isfinite(grad_norm_sq), "predictor gradient non-finite",
+                       phi=phi, theta=theta)
+            check_rows(classical | (r > 1.0), "gain accumulator must exceed 1 for the log term",
+                       r=r)
+            check_rows(~(law > hyper.mu),
+                       f"step-size law violated: mu_k*||g||^2 > mu = {hyper.mu}",
+                       mu_k=mu_k, grad_norm_sq=grad_norm_sq)
+            if not loss.in_domain(f_hat):
+                row = next(i for i in range(len(f_hat)) if not loss.in_domain(f_hat[i]))
+                raise DomainError(
+                    f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): "
+                    f"x={f_hat[row]} in row {row}"
+                )
+            check_rows(np.isfinite(slope), f"loss '{loss.name}' produced a non-finite derivative",
+                       y=y, x=f_hat)
+            check_rows(np.isfinite(theta_new), "parameter update produced non-finite entries",
+                       phi=phi, theta=theta)
     return theta_new, r, carry, mu_k, grad_norm_sq, f_hat

@@ -233,7 +233,9 @@ class TestIngestCsv:
         stream = ingest_csv(path, self.COLUMNS)
         rows = list(stream)
         assert stream.rows_yielded == 2 and stream.skipped == 0
-        assert np.array_equal(rows[0][0].values, [1.0, 2.0])
+        phi, y = rows[0]
+        assert isinstance(phi, np.ndarray) and phi.dtype == np.float64
+        assert np.array_equal(phi, [1.0, 2.0]) and type(y) is float
         assert rows[1][1] == 6.0
 
     def test_lenient_mode_skips_and_counts(self, tmp_path):

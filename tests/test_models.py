@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -20,6 +22,8 @@ from sgident.models import (
     SaturationSpec,
     SquaredHinge,
     catalog_pair,
+    normal_cdf,
+    normal_pdf,
     quadnet_lift,
     saturation_assumption2_delta,
     saturation_mean,
@@ -155,6 +159,47 @@ class TestLinkInverse:
     def test_censored_mean_has_no_closed_form_inverse(self):
         model = SaturatedMeanModel(SaturationSpec(-1.0, 1.0), 3)
         assert getattr(model, "link_inv", None) is None
+
+
+# every link model of the catalog, plus the replay preset's censored mean
+_LINK_MODELS = {name: builder()[0].predictor for name, builder in PAIR_CATALOG.items()}
+_LINK_MODELS["replay_saturation"] = SaturatedMeanModel(SaturationSpec(6.0, 120.0, 5.0), 5)
+_EDGES = sorted({edge for model in _LINK_MODELS.values() if hasattr(model, "spec")
+                 for edge in (model.spec.lower, model.spec.upper)})
+_EXTREME_Z = st.sampled_from(
+    [-1e3, 1e3, *_EDGES, *(edge + step for edge in _EDGES for step in (-40.0, -1e-9, 1e-9, 40.0))])
+_FINITE_Z = st.floats(-1e3, 1e3) | _EXTREME_Z
+_ANY_Z = _FINITE_Z | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _censored_mean_per_edge(spec, x):
+    # the closed form evaluated one window edge at a time: the stacked
+    # evaluation must reproduce it bit for bit
+    s = spec.noise_std
+    za, zb = (spec.lower - x) / s, (spec.upper - x) / s
+    mean = (spec.upper + (spec.lower - x) * normal_cdf(za) - (spec.upper - x) * normal_cdf(zb)
+            + s * (normal_pdf(za) - normal_pdf(zb)))
+    return mean, normal_cdf(zb) - normal_cdf(za)
+
+
+def _bits(pair):
+    return tuple(np.asarray(v, dtype=float).tobytes() for v in pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_LINK_MODELS)),
+       z=st.lists(_FINITE_Z, min_size=1, max_size=64) | st.lists(_ANY_Z, min_size=1, max_size=64))
+def test_link_slope_is_bit_equal_to_link_and_dlink(name, z):
+    model = _LINK_MODELS[name]
+    z = np.array(z)
+    # an infinite z makes inf * 0 in the censored mean: nan, and no warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        for arg in (z, float(z[0])):
+            got = model.link_slope(arg)
+            assert np.shape(got[0]) == np.shape(got[1]) == np.shape(arg)
+            assert _bits(got) == _bits((model.link(arg), model.dlink(arg)))
+            if isinstance(model, SaturatedMeanModel):
+                assert _bits(got) == _bits(_censored_mean_per_edge(model.spec, arg))
 
 
 class TestHinge:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sgident.core import GainState, HyperParams, ModelLossPair, ParameterVector
-from sgident.errors import ConfigurationError, NumericError
+from sgident.errors import ConfigurationError, DomainError, NumericError
 from sgident.models import (
+    CrossEntropy,
+    LinearModel,
     SaturatedMeanModel,
     SaturationSpec,
     SquaredError,
@@ -318,3 +320,63 @@ class TestVectorUpdate:
             sg_update(np.zeros((2, 3)), np.full(2, 2.0), np.zeros(2), np.ones((2, 3)), y, pair,
                       _hyper())
         assert exc.value.context["row"] == 1
+
+
+# One row per check of the step, in the order the step makes them, with the
+# pair the case runs on: the recipe (overrides of _CLEAN_ROW) fails that
+# check, passes every earlier one and, as far as the pair allows, every
+# later one, so the step's one reduction must catch it on its own.  The
+# squared hinge keeps an infinite observation or prediction from spreading
+# to the slope; cross-entropy on a linear score leaves the domain with a
+# finite slope.
+_CLEAN_ROW = dict(phi=[1.0, 0.5, -0.5], theta=[0.5, 0.0, 0.0], y=1.0, r=2.0, classical=False)
+_CHECKS = (
+    ("observation", "hinge", dict(y=math.inf),
+     NumericError, "observation must be finite", {"y"}),
+    # the dot product overflows while the parameters still sum to a finite value
+    ("prediction", "hinge", dict(phi=[1.0, 0.0, 1.0], theta=[1e308, -1.5e308, 1e308]),
+     NumericError, "predictor output non-finite", {"phi", "theta"}),
+    ("gradient", "linear_mse", dict(phi=[1e200, 0.0, 0.0]),
+     NumericError, "predictor gradient non-finite", {"phi", "theta"}),
+    # ||g||^2 = 1/2 lifts r from 1/2 to exactly 1, where ln r = 0
+    ("log_term", "linear_mse", dict(phi=[0.5, 0.5, 0.0], r=0.5),
+     NumericError, "gain accumulator must exceed 1 for the log term", {"r"}),
+    # a classical row whose accumulator ends below its squared gradient norm
+    ("safety_law", "linear_mse", dict(phi=[1.0, 1.0, 1.0], r=-1.0, classical=True),
+     NumericError, "step-size law violated: mu_k*||g||^2 > mu = 0.3", {"mu_k", "grad_norm_sq"}),
+    ("domain", "linear_cross_entropy", dict(phi=[1.0, 0.0, 0.0], theta=[1.5, 0.0, 0.0]),
+     DomainError, "loss 'cross_entropy' evaluated outside its domain (x in (0, 1)): x=1.5 in row 1",
+     None),
+    ("derivative", "linear_mse", dict(y=1e308),
+     NumericError, "loss 'squared_error' produced a non-finite derivative", {"y", "x"}),
+    # the prediction cancels to 0, then the move pushes 1.7e308 past the largest float
+    ("update", "linear_mse", dict(phi=[1.0, 1.0, 0.0], theta=[1.7e308, -1.7e308, 0.0], y=8e307),
+     NumericError, "parameter update produced non-finite entries", {"phi", "theta"}),
+)
+_CHECK_PAIRS = {
+    "hinge": catalog_pair("hinge")[0],
+    "linear_mse": catalog_pair("linear_mse")[0],
+    "linear_cross_entropy": ModelLossPair(LinearModel(3), CrossEntropy()),
+}
+
+
+@pytest.mark.parametrize("check", range(len(_CHECKS)), ids=[c[0] for c in _CHECKS])
+def test_first_failed_check_names_its_first_bad_row(check):
+    # rows: (the next check's row, this check's row, the next check's row);
+    # the checks run in order, so this check's error wins and names row 1.
+    # Beside a clean row only, the row must be caught all the same.
+    name, pair_name, recipe, error, message, context_keys = _CHECKS[check]
+    pair = _CHECK_PAIRS[pair_name]
+    later = [c[2] for c in _CHECKS[check + 1:] if c[0] != "domain"]
+    nxt, last = (later[0], later[0]) if later else ({}, recipe)
+    for batch in ((nxt, recipe, last), ({}, recipe)):
+        rows = [dict(_CLEAN_ROW, **row) for row in batch]
+        phi, theta, y, r, classical = (np.array([row[key] for row in rows])
+                                       for key in ("phi", "theta", "y", "r", "classical"))
+        with pytest.raises(error) as exc:
+            sg_update(theta, r, np.zeros(len(rows)), phi, y, pair, _hyper(), classical=classical)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        if context_keys is not None:
+            assert exc.value.context["row"] == 1
+            assert set(exc.value.context) == {"row", *context_keys}
