@@ -42,6 +42,7 @@ from .metrics import (
     regret_sum,
     relative_error_metric,
     robbins_siegmund_diag,
+    running_mean,
     tracking_error,
 )
 from .models import (
@@ -620,22 +621,22 @@ def summarize(config_echo, trace):
         out["final_relative_error"] = checkpoints["final"]
     else:
         pair = _pair_of(config_echo)
-        regret = regret_sum(trace, pair.loss).average
+        regret = running_mean(regret_sum(trace, pair.loss))
         out["final_average_regret"] = float(regret[-1])
         if n >= 500:
             out["average_regret_at_500"] = float(regret[499])
         out["final_theta_err"] = float(trace.theta_err[-1])
         if isinstance(pair.loss, SquaredError):
             # the measured gradient noise collapses to -2w for squared error
-            gap = gradient_noise(trace, pair).series.values + 2.0 * realized_noise(trace)
+            gap = gradient_noise(trace, pair) + 2.0 * realized_noise(trace)
             out["gradient_noise_max_dev"] = float(np.max(np.abs(gap)))
             checks["gradient_noise_identity"] = out["gradient_noise_max_dev"] <= GRADIENT_NOISE_TOL
     if mode == "control":
         control = config_echo["control"]
         conditional, proxy = tracking_error(trace)
-        out["final_tracking_conditional"] = float(conditional.average[-1])
-        out["final_tracking_proxy"] = float(proxy.average[-1])
-        out["min_phase_max"] = float(np.max(minimum_phase_ratio(trace).values))
+        out["final_tracking_conditional"] = float(running_mean(conditional)[-1])
+        out["final_tracking_proxy"] = float(running_mean(proxy)[-1])
+        out["min_phase_max"] = float(np.max(minimum_phase_ratio(trace)))
         # |f_est| > tanh(bound) iff the estimated preactivation left the band
         edge = math.tanh(control["operating_bound"])
         out["out_of_band_fraction"] = float(np.mean(np.abs(trace.f_est) > edge))
@@ -702,11 +703,11 @@ def _bound_curve_block(config_echo):
     """The report's reference-curve block, from its echoed config."""
     n_steps = config_echo["n_steps"]
     alpha_eps = config_echo["alpha_eps"]
-    series = bound_curve(HyperParams(**config_echo["hyper"]), alpha_eps, n_steps)
+    curve = bound_curve(HyperParams(**config_echo["hyper"]), alpha_eps, n_steps)
     checkpoints = {}
     for n in (100, 500, 1000, n_steps):
         if 1 <= n <= n_steps:
-            checkpoints[str(n)] = float(series.values[n - 1])
+            checkpoints[str(n)] = float(curve[n - 1])
     return {
         "alpha_eps": alpha_eps,
         "checkpoints": checkpoints,

@@ -3,8 +3,8 @@
 Per step k the loop (i) inverts the *estimated* model to pick the input u_k
 that would place the one-step-ahead prediction on the target, (ii) advances
 the true plant to produce y_{k+1}, and (iii) feeds (phi_k, y_{k+1}) to the
-estimator.  A link model with a closed-form inverse is inverted directly,
-u = (link_inv(y*) - base) / theta_u; any other model, and any closed-form
+estimator.  A link with a closed-form inverse is inverted directly,
+u = (link_inv(y*) - base) / theta_u; any other link, and any closed-form
 answer that misses the residual tolerance, goes to a monotone bisection
 after geometric bracket expansion from the previous input.  Unreachable
 targets and a vanishing control gain are handled by best-effort/hold
@@ -31,9 +31,7 @@ import numpy as np
 from scipy.special import ndtri, stdtrit
 
 from .core import (
-    LinkRegressionModel,
     ParameterVector,
-    Role,
     as_values,
     check_rows,
     kahan_add_rows,
@@ -130,7 +128,7 @@ class Plant:
 
     def __post_init__(self):
         if not isinstance(self.theta_star, ParameterVector):
-            self.theta_star = ParameterVector(as_values(self.theta_star), role=Role.TRUTH)
+            self.theta_star = ParameterVector(as_values(self.theta_star))
         if self.theta_star.dim != self.model.dim:
             raise ConfigurationError(
                 f"theta_star dim {self.theta_star.dim} != model dim {self.model.dim}"
@@ -241,33 +239,19 @@ def solve_control(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev=0.0):
         raise ConfigurationError(f"regressor dim {phi.size} != parameter dim {theta_v.size}")
     phi[p] = 0.0
 
-    link_inv = None
-    if isinstance(model, LinkRegressionModel):
-        link_inv = getattr(model, "link_inv", None)
-        base = float(np.dot(phi, theta_v))
-        cu = float(theta_v[p])
-        link = model.link
+    link_inv = getattr(model, "link_inv", None)
+    base = float(np.dot(phi, theta_v))
+    cu = float(theta_v[p])
+    link = model.link
 
-        def f_of_u(u):
-            return link(base + cu * u)
-
-        def gain_at(u):
-            return float(model.dlink(base + cu * u)) * cu
-    else:
-
-        def f_of_u(u):
-            phi[p] = u
-            return float(model.eval(phi, theta_v))
-
-        def gain_at(u):
-            h = 1e-6 * max(1.0, abs(u))
-            return (f_of_u(u + h) - f_of_u(u - h)) / (2.0 * h)
+    def f_of_u(u):
+        return link(base + cu * u)
 
     u0 = min(max(u_prev, -cfg.u_max), cfg.u_max)
     r0 = f_of_u(u0) - y_star
     if abs(r0) <= cfg.root_tol:
         return u0, ()
-    if abs(gain_at(u_prev)) < cfg.b_eps:
+    if abs(float(model.dlink(base + cu * u_prev)) * cu) < cfg.b_eps:
         return u_prev, ("singular_gain",)
 
     if link_inv is not None:
@@ -445,10 +429,6 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
     """
     model_est = pair.predictor
     closed = isinstance(cfg, ControlConfig)
-    models = (model_est, plant.model) if closed else (model_est,)
-    for model in models:
-        if not isinstance(model, LinkRegressionModel):
-            raise ConfigurationError(f"the batch needs link models, got {model.name!r}")
     if plant is not None and model_est.dim != plant.model.dim:
         raise ConfigurationError(
             f"estimator model dim {model_est.dim} != plant model dim {plant.model.dim}"

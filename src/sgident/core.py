@@ -1,8 +1,8 @@
 """Core value types and the predictor/loss contracts.
 
 Everything downstream (the estimator, the controller, the bench) speaks in
-terms of the small immutable types defined here: parameter vectors tagged by
-role, regressors, the scalar gain accumulator, hyperparameters, and a
+terms of the small immutable types defined here: parameter vectors,
+regressors, the scalar gain accumulator, hyperparameters, and a
 predictor/loss pairing with optional weak-convexity constants.
 
 Conventions fixed once here:
@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
 
 __all__ = [
-    "Role",
     "ParameterVector",
     "Regressor",
     "GainState",
@@ -42,11 +40,6 @@ __all__ = [
 ]
 
 
-class Role(Enum):
-    ESTIMATE = "estimate"
-    TRUTH = "truth"
-
-
 def _frozen_vector(values, what):
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != 1 or arr.size < 1:
@@ -59,15 +52,12 @@ def _frozen_vector(values, what):
 
 @dataclass(frozen=True)
 class ParameterVector:
-    """A parameter point tagged with its role (estimate vs ground truth)."""
+    """A parameter point, finite by construction."""
 
     values: np.ndarray
-    role: Role = Role.ESTIMATE
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_vector(self.values, "parameter vector"))
-        if not isinstance(self.role, Role):
-            raise ConfigurationError(f"role must be a Role, got {self.role!r}")
 
     @property
     def dim(self):
@@ -222,40 +212,26 @@ class HyperParams:
         return False
 
 
-class PredictorModel:
-    """Contract for a parameterised predictor f(phi, theta).
+class LinkRegressionModel:
+    """The predictor contract: f(phi, theta) = link(phi . theta).
 
-    Implementations expose ``dim``, a scalar ``eval`` and the theta-gradient
-    ``grad``; both operate on raw ndarrays and validate nothing (inputs are
-    validated where they enter: config load, ``sg_init``, CSV ingestion).  ``growth_bound`` returns the
-    declared (K1, K2) of the linear-growth envelope ||grad f|| <= K1 + K2 ||phi||
-    when the model declares one.
+    Implementations expose ``dim``, ``name`` and vectorised ``link``/
+    ``dlink``; that single structure covers the whole catalog and gives the
+    estimator, the controller and the assumption verifier their array
+    paths.  Nothing here validates its inputs (they are validated where they
+    enter: config load, ``sg_init``, CSV ingestion).  ``link_slope`` returns
+    both at once; a subclass whose two share work overrides it, with
+    results bit-equal to the separate calls.  A subclass whose link has a
+    closed-form inverse also defines scalar ``link_inv(y)``, returning None
+    when y lies outside the link's open range; the controller then inverts
+    directly.  ``growth_bound`` returns the declared (K1, K2) of the
+    linear-growth envelope ||grad f|| <= K1 + K2 ||phi|| when the model
+    declares one.  The scalar ``eval`` and theta-gradient ``grad`` follow
+    from the link.
     """
 
     dim: int
     name: str = "predictor"
-
-    def eval(self, phi, theta):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def grad(self, phi, theta):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def growth_bound(self):
-        return None
-
-
-class LinkRegressionModel(PredictorModel):
-    """Predictors of the form f(phi, theta) = link(phi . theta).
-
-    Subclasses provide vectorised ``link``/``dlink``; that single structure
-    covers the whole catalog and gives the controller and the assumption
-    verifier a fast scalar path.  ``link_slope`` returns both at once; a
-    subclass whose two share work overrides it, with results bit-equal to
-    the separate calls.  A subclass whose link has a closed-form inverse
-    also defines scalar ``link_inv(y)``, returning None when y lies outside
-    the link's open range; the controller then inverts directly.
-    """
 
     def link(self, z):  # pragma: no cover - interface
         raise NotImplementedError
@@ -272,6 +248,13 @@ class LinkRegressionModel(PredictorModel):
 
     def grad(self, phi, theta):
         return float(self.dlink(float(np.dot(phi, theta)))) * np.asarray(phi, dtype=float)
+
+    def growth_bound(self):
+        return None
+
+
+# the former name of the contract, kept because perfbench/tracer.py reads it
+PredictorModel = LinkRegressionModel
 
 
 class LossFunction:
@@ -304,7 +287,7 @@ class ModelLossPair:
     them, and the step-size cap check then degrades to a warning.
     """
 
-    predictor: PredictorModel
+    predictor: LinkRegressionModel
     loss: LossFunction
     delta: float | None = None
     c1: float | None = None

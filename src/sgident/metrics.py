@@ -1,13 +1,13 @@
 """Scalar diagnostics computed over run traces.
 
-Everything here is pure post-processing of ``Trace`` columns: regret sums
-and averages, tracking error against the reference, the theoretical rate
-curve for overlays, the realized gradient-noise sequence, the relative-error
-score used for streaming prediction, a minimum-phase monitor, and a
-summability diagnostic for the step-size schedule.  Only persisted columns
+Everything here is pure post-processing of ``Trace`` columns into plain
+arrays: per-step regret, tracking error against the reference, the
+theoretical rate curve for overlays, the realized gradient-noise sequence,
+the relative-error score used for streaming prediction, a minimum-phase
+monitor, and a summability diagnostic for the step-size schedule.  Only persisted columns
 are read, so a trace read back from CSV gives the same numbers as the one
 in memory: the plant noise is taken as ``y - f_true`` and the squared
-gradient norms as the increments of ``r_k``.  Cumulative series use
+gradient norms as the increments of ``r_k``.  Running sums and means use
 compensated summation so reruns are bit-stable.
 """
 
@@ -23,10 +23,9 @@ from .errors import ConfigurationError, DataError
 from .models import SquaredError
 
 __all__ = [
-    "MetricSeries",
-    "GradientNoiseReport",
     "RSReport",
     "kahan_cumsum",
+    "running_mean",
     "realized_noise",
     "gradient_norms_sq",
     "regret_sum",
@@ -36,36 +35,7 @@ __all__ = [
     "relative_error_metric",
     "robbins_siegmund_diag",
     "minimum_phase_ratio",
-    "windowed_means",
 ]
-
-
-@dataclass(frozen=True)
-class MetricSeries:
-    """Named per-step values alongside their running compensated sums."""
-
-    name: str
-    values: np.ndarray
-    cumulative: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != len(self.cumulative):
-            raise ConfigurationError(
-                f"series '{self.name}': values ({len(self.values)}) and cumulative "
-                f"({len(self.cumulative)}) lengths differ"
-            )
-
-    def __len__(self):
-        return len(self.values)
-
-    @property
-    def average(self):
-        """cumulative[k] / (k+1), the per-step running mean."""
-        return self.cumulative / np.arange(1, len(self.cumulative) + 1)
-
-    @property
-    def final(self):
-        return float(self.cumulative[-1]) if len(self.cumulative) else 0.0
 
 
 def kahan_cumsum(values):
@@ -78,9 +48,9 @@ def kahan_cumsum(values):
     return np.array(out, dtype=float)
 
 
-def _series(name, values):
-    values = np.asarray(values, dtype=float)
-    return MetricSeries(name=name, values=values, cumulative=kahan_cumsum(values))
+def running_mean(values):
+    """The compensated running mean: entry k is the mean of values[:k + 1]."""
+    return kahan_cumsum(values) / np.arange(1, len(values) + 1)
 
 
 def _column(trace, name):
@@ -103,9 +73,9 @@ def gradient_norms_sq(trace, beta3):
 
 
 def regret_sum(trace, loss=None):
-    """Cumulative loss of the adaptive predictor against the optimal one.
+    """Per-step regret of the adaptive predictor against the optimal one.
 
-    Per-step value is L(f_true, f_est) minus the loss floor L(f_true, f_true),
+    Each value is L(f_true, f_est) minus the loss floor L(f_true, f_true),
     so a perfect estimate scores zero for every loss (the floor is identically
     zero for squared error, which is the default).
     """
@@ -113,7 +83,7 @@ def regret_sum(trace, loss=None):
         loss = SquaredError()
     f_true = _column(trace, "f_true")
     f_est = _column(trace, "f_est")
-    return _series("regret", loss.eval(f_true, f_est) - loss.eval(f_true, f_true))
+    return loss.eval(f_true, f_est) - loss.eval(f_true, f_true)
 
 
 def tracking_error(trace):
@@ -122,14 +92,12 @@ def tracking_error(trace):
     Returns (conditional, proxy): the first uses f(phi_k, theta*) - y*, which
     is the quantity the rate theory bounds and is observable in simulation;
     the second uses the measured y_{k+1} - y*, the only version available on
-    a real plant.  Running averages come from each series' ``average``.
+    a real plant.  Both are per-step arrays; ``running_mean`` averages them.
     """
     y_star = _column(trace, "y_star")
     f_true = _column(trace, "f_true")
     y = _column(trace, "y")
-    cond = _series("tracking_error_conditional", (f_true - y_star) ** 2)
-    proxy = _series("tracking_error_proxy", (y - y_star) ** 2)
-    return cond, proxy
+    return (f_true - y_star) ** 2, (y - y_star) ** 2
 
 
 def bound_curve(hyper, alpha_eps, n):
@@ -148,17 +116,7 @@ def bound_curve(hyper, alpha_eps, n):
         log_factor = np.ones_like(k)
     else:
         log_factor = logs ** hyper.beta2
-    vals = log_factor / k ** (1.0 - hyper.beta1) + k ** (alpha_eps - 1.0)
-    return _series("bound_curve", vals)
-
-
-@dataclass(frozen=True)
-class GradientNoiseReport:
-    """Realized gradient-noise sequence with its first two sample moments."""
-
-    series: MetricSeries
-    mean: float
-    second_moment: float
+    return log_factor / k ** (1.0 - hyper.beta1) + k ** (alpha_eps - 1.0)
 
 
 def gradient_noise(trace, pair):
@@ -170,13 +128,7 @@ def gradient_noise(trace, pair):
     y = _column(trace, "y")
     f_true = _column(trace, "f_true")
     f_est = _column(trace, "f_est")
-    vals = pair.loss.grad_x(y, f_est) - pair.loss.grad_x(f_true, f_est)
-    series = MetricSeries(name="gradient_noise", values=vals, cumulative=kahan_cumsum(vals))
-    return GradientNoiseReport(
-        series=series,
-        mean=float(np.mean(vals)) if len(vals) else 0.0,
-        second_moment=float(np.mean(vals**2)) if len(vals) else 0.0,
-    )
+    return pair.loss.grad_x(y, f_est) - pair.loss.grad_x(f_true, f_est)
 
 
 def relative_error_metric(predictions, targets):
@@ -234,8 +186,8 @@ def robbins_siegmund_diag(mu, grad_norm_sq):
     total = float(cum[-1]) if len(cum) else 0.0
     if total <= 0.0:
         return RSReport(total=total, tail_fraction=0.0, passed=True)
-    half = len(terms) // 2
-    tail = total - float(cum[half - 1]) if half >= 1 else total
+    # summed on its own: total minus the head sum would cancel a small tail away
+    tail = float(kahan_cumsum(terms[len(terms) // 2 :])[-1])
     frac = tail / total
     return RSReport(total=total, tail_fraction=frac, passed=frac < RS_TAIL_LIMIT)
 
@@ -258,15 +210,4 @@ def minimum_phase_ratio(trace, lam=0.9):
     for k in range(len(y) - 1):
         weighted = lam * weighted + y[k] ** 2 + w[k] ** 2
         vals[k + 1] = u[k] ** 2 / weighted if weighted > 0.0 else math.inf
-    return _series("minimum_phase_ratio", vals)
-
-
-def windowed_means(values, window=50):
-    """Non-overlapping block means; the tail block is dropped if short."""
-    values = np.asarray(values, dtype=float)
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
-    nblocks = len(values) // window
-    if nblocks == 0:
-        return np.empty(0)
-    return values[: nblocks * window].reshape(nblocks, window).mean(axis=1)
+    return np.array(vals, dtype=float)

@@ -28,7 +28,6 @@ from .core import (
     LossFunction,
     ModelLossPair,
     ParameterVector,
-    Role,
     as_values,
 )
 from .errors import ConfigurationError
@@ -179,12 +178,6 @@ class LinearModel(LinkRegressionModel):
             return 1.0
         return np.ones_like(np.asarray(z, dtype=float))
 
-    def eval(self, phi, theta):
-        return float(np.dot(phi, theta))
-
-    def grad(self, phi, theta):
-        return np.asarray(phi, dtype=float)
-
     def growth_bound(self):
         return (0.0, 1.0)
 
@@ -238,18 +231,13 @@ class LogisticModel(LinkRegressionModel):
         self.dim = int(dim)
 
     def link(self, z):
+        # exp(-|z|) never overflows; it is exp(-z) for z >= 0 and exp(z) below
         if isinstance(z, float):
-            if z >= 0:
-                return 1.0 / (1.0 + math.exp(-z))
-            e = math.exp(z)
-            return e / (1.0 + e)
+            e = math.exp(-abs(z))
+            return 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
         z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        e = np.exp(z[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def link_inv(self, y):
         return math.log(y) - math.log1p(-y) if 0.0 < y < 1.0 else None
@@ -406,7 +394,7 @@ def quadnet_lift(spec: QuadNetSpec):
         pp = np.kron(phi_v, phi_v)
         return np.kron(pp, pp)
 
-    return ParameterVector(theta_star, role=Role.TRUTH), lift
+    return ParameterVector(theta_star), lift
 
 
 # ---------------------------------------------------------------------------
@@ -642,26 +630,14 @@ def verify_assumption2(
 
     model = pair.predictor
     loss = pair.loss
-    if isinstance(model, LinkRegressionModel):
-        z = np.einsum("ij,ij->i", phi, theta)
-        z_star = np.einsum("ij,ij->i", phi, theta_star)
-        f = model.link(z)
-        f_star = model.link(z_star)
-        j_val = loss.eval(f_star, f) - loss.eval(f_star, f_star)
-        gx = loss.grad_x(f_star, f)
-        diff_dot = np.einsum("ij,ij->i", phi, theta - theta_star)
-        grad_dot = gx * model.dlink(z) * diff_dot
-    else:
-        n = phi.shape[0]
-        j_val = np.empty(n)
-        gx = np.empty(n)
-        grad_dot = np.empty(n)
-        for i in range(n):
-            f = model.eval(phi[i], theta[i])
-            f_star = model.eval(phi[i], theta_star[i])
-            j_val[i] = loss.eval(f_star, f) - loss.eval(f_star, f_star)
-            gx[i] = loss.grad_x(f_star, f)
-            grad_dot[i] = gx[i] * np.dot(model.grad(phi[i], theta[i]), theta[i] - theta_star[i])
+    z = np.einsum("ij,ij->i", phi, theta)
+    z_star = np.einsum("ij,ij->i", phi, theta_star)
+    f = model.link(z)
+    f_star = model.link(z_star)
+    j_val = loss.eval(f_star, f) - loss.eval(f_star, f_star)
+    gx = loss.grad_x(f_star, f)
+    diff_dot = np.einsum("ij,ij->i", phi, theta - theta_star)
+    grad_dot = gx * model.dlink(z) * diff_dot
 
     slack_convexity = grad_dot - delta * j_val
     slack_gradient = c1 * j_val + c2 - gx * gx

@@ -32,10 +32,8 @@ import numpy as np
 from .core import (
     GainState,
     HyperParams,
-    LinkRegressionModel,
     LossFunction,
     ParameterVector,
-    Role,
     as_values,
     check_rows,
     kahan_add_rows,
@@ -84,7 +82,7 @@ def sg_init(theta0, hyper: HyperParams) -> EstimatorState:
     if isinstance(theta0, ParameterVector):
         theta = theta0
     else:
-        theta = ParameterVector(as_values(theta0, "theta0"), role=Role.ESTIMATE)
+        theta = ParameterVector(as_values(theta0, "theta0"))
     return EstimatorState(theta=theta, gain=GainState(r=hyper.beta3, k=0), hyper=hyper)
 
 
@@ -155,7 +153,7 @@ def _advance(state, pair, phi, y, classical):
             context={"k": state.k, "phi": phi_v, "theta": theta_v},
         )
     return EstimatorState(
-        theta=ParameterVector(theta_new, role=Role.ESTIMATE),
+        theta=ParameterVector(theta_new),
         gain=gain,
         hyper=state.hyper,
         last_mu=mu_k,
@@ -183,8 +181,8 @@ def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
     (theta, r, carry, mu_k, grad_norm_sq, f_hat), where f_hat is each row's
     prediction before the update.  Each row follows the scalar arithmetic;
     only the order of the d-term sums and the vector link functions differ,
-    so rows agree with the scalar step to rounding.  The predictor must be a
-    link model; its link and slope come from one ``link_slope`` call.
+    so rows agree with the scalar step to rounding.  The link and slope come
+    from one ``link_slope`` call.
 
     The whole step is computed first and then tested in one reduction.  Only
     when that fails are the scalar step's checks walked, in its order
@@ -193,8 +191,6 @@ def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
     with the first bad row in context["row"].
     """
     model, loss = pair.predictor, pair.loss
-    if not isinstance(model, LinkRegressionModel):
-        raise ConfigurationError(f"sg_update needs a link model, got {model.name!r}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f_hat, dlink = model.link_slope(row_dots(phi, theta))
         g = dlink[:, None] * phi

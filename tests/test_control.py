@@ -30,7 +30,7 @@ from sgident.control import (
     solve_control,
     solve_control_rows,
 )
-from sgident.core import HyperParams, PredictorModel, row_dots
+from sgident.core import HyperParams, row_dots
 from sgident.errors import ConfigurationError, NumericError
 from sgident.metrics import gradient_norms_sq
 from sgident.models import (
@@ -117,23 +117,6 @@ class TestNoiseSource:
             NoiseSource(kind="student_t", df=2.0)  # variance undefined
 
 
-class _CubicInputModel(PredictorModel):
-    """f(phi, theta) = theta0*y + theta1*u^3 — exercises the generic
-
-    (finite-difference gain + bisection) branch of the control solve."""
-
-    name = "cubic_input"
-    p = 1
-    q = 1
-    dim = 2
-
-    def eval(self, phi, theta):
-        return theta[0] * phi[0] + theta[1] * phi[1] ** 3
-
-    def grad(self, phi, theta):
-        return np.array([phi[0], phi[1] ** 3])
-
-
 class _TanhWithoutInverse(TanhArxModel):
     """The tanh lag model with its closed-form inverse hidden: bisection only."""
 
@@ -195,16 +178,6 @@ class TestSolveControl:
         assert flags == ()
         assert u == 0.2
 
-    def test_generic_model_bisection(self):
-        # 2 u^3 = 0.054 has the root u = 0.3
-        model = _CubicInputModel()
-        theta = np.array([0.5, 2.0])
-        phi = np.zeros(2)
-        u, flags = solve_control(model, theta, phi, 1, 0.054, self.cfg, u_prev=0.5)
-        assert flags == ()
-        assert abs(u - 0.3) < 1e-6
-        assert phi.tolist() == [0.0, 0.0]  # the caller's row is not written
-
     def test_link_models_invert_in_closed_form(self, bisect_calls):
         # p = 1, q = 2: the row is (y_k, input slot, u_{k-1})
         theta = np.array([0.7, -0.8, 0.3])
@@ -261,15 +234,14 @@ class TestSolveControl:
             100.0, ("singular_gain",))
 
     def test_models_without_inverse_take_bisection(self, bisect_calls):
-        u_cubic, flags = solve_control(_CubicInputModel(), np.array([0.5, 2.0]), np.zeros(2), 1,
-                                       0.054, self.cfg, u_prev=0.5)
-        assert flags == () and abs(u_cubic - 0.3) < 1e-6
         censored = SaturatedMeanModel(SaturationSpec(-1.0, 1.0), 2)
         theta = np.array([0.2, 0.8])
-        u, flags = solve_control(censored, theta, np.zeros(2), 1, 0.3, self.cfg)
+        phi = np.array([0.5, 7.0])
+        u, flags = solve_control(censored, theta, phi, 1, 0.3, self.cfg)
         assert flags == ()
-        assert abs(float(censored.link(0.8 * u)) - 0.3) <= self.cfg.root_tol
-        assert len(bisect_calls) == 2
+        assert abs(float(censored.link(0.1 + 0.8 * u)) - 0.3) <= self.cfg.root_tol
+        assert phi.tolist() == [0.5, 7.0]  # the caller's row is not written
+        assert len(bisect_calls) == 1
 
     def test_dim_mismatch_raises(self):
         model = tanh_arx_model(p=3, q=2)

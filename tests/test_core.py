@@ -13,7 +13,6 @@ from sgident.core import (
     ModelLossPair,
     ParameterVector,
     Regressor,
-    Role,
     as_values,
     check_step_size_cap,
     kahan_add,
@@ -56,9 +55,6 @@ class TestVectors:
             as_values(np.zeros((2, 2)))
         with pytest.raises(ConfigurationError):
             as_values(np.array([]))
-
-    def test_role_labels(self):
-        assert ParameterVector(np.ones(2), role=Role.TRUTH).role is Role.TRUTH
 
 
 class TestKahan:

@@ -22,7 +22,6 @@ from sgident.control import Trace
 from sgident.core import HyperParams
 from sgident.errors import ConfigurationError, DataError
 from sgident.metrics import (
-    MetricSeries,
     bound_curve,
     gradient_noise,
     gradient_norms_sq,
@@ -32,8 +31,8 @@ from sgident.metrics import (
     regret_sum,
     relative_error_metric,
     robbins_siegmund_diag,
+    running_mean,
     tracking_error,
-    windowed_means,
 )
 from sgident.models import catalog_pair
 
@@ -43,22 +42,6 @@ def _trace(**cols):
     n = len(next(iter(cols.values())))
     columns = {name: np.array(vals, dtype=float) for name, vals in cols.items()}
     return Trace(k=np.arange(n), **columns)
-
-
-class TestMetricSeries:
-    def test_average_and_final(self):
-        s = MetricSeries("s", np.array([1.0, 3.0]), np.array([1.0, 4.0]))
-        assert np.array_equal(s.average, [1.0, 2.0])
-        assert s.final == 4.0
-        assert len(s) == 2
-
-    def test_empty_series_final_is_zero(self):
-        s = MetricSeries("s", np.empty(0), np.empty(0))
-        assert s.final == 0.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MetricSeries("s", np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestKahanCumsum:
@@ -74,6 +57,18 @@ class TestKahanCumsum:
 
     def test_empty_input(self):
         assert kahan_cumsum([]).size == 0
+
+
+class TestRunningMean:
+    def test_average_and_final(self):
+        values = np.array([1.0, 3.0])
+        assert np.array_equal(running_mean(values), [1.0, 2.0])
+        assert kahan_cumsum(values)[-1] == 4.0
+        # ten 0.1s sum to exactly 1.0 only when compensated
+        assert running_mean([0.1] * 10)[-1] == 0.1
+
+    def test_empty_input(self):
+        assert running_mean([]).size == 0
 
 
 class TestTraceColumns:
@@ -94,16 +89,16 @@ class TestRegret:
     def test_perfect_estimates_score_zero(self):
         trace = _trace(f_true=[0.3, -1.2, 5.0], f_est=[0.3, -1.2, 5.0])
         s = regret_sum(trace)
-        assert np.array_equal(s.values, np.zeros(3))
-        assert s.final == 0.0
+        assert np.array_equal(s, np.zeros(3))
+        assert kahan_cumsum(s)[-1] == 0.0
 
     def test_squared_error_hand_values(self):
         # (1-0.5)^2 = 0.25 and (2-3)^2 = 1, cumulative (0.25, 1.25)
         trace = _trace(f_true=[1.0, 2.0], f_est=[0.5, 3.0])
         s = regret_sum(trace)
-        assert np.array_equal(s.values, [0.25, 1.0])
-        assert np.array_equal(s.cumulative, [0.25, 1.25])
-        assert np.array_equal(s.average, [0.25, 0.625])
+        assert np.array_equal(s, [0.25, 1.0])
+        assert np.array_equal(kahan_cumsum(s), [0.25, 1.25])
+        assert np.array_equal(running_mean(s), [0.25, 0.625])
 
     def test_loss_floor_subtracted_for_cross_entropy(self):
         # cross-entropy of a perfect probability is its own entropy, not 0;
@@ -111,7 +106,7 @@ class TestRegret:
         pair, _ = catalog_pair("logistic")
         trace = _trace(f_true=[0.3, 0.8], f_est=[0.3, 0.8])
         s = regret_sum(trace, loss=pair.loss)
-        assert np.allclose(s.values, 0.0, atol=1e-15)
+        assert np.allclose(s, 0.0, atol=1e-15)
 
     def test_missing_column_reported(self):
         trace = _trace(f_true=[1.0])  # f_est left empty
@@ -123,10 +118,10 @@ class TestTrackingError:
     def test_conditional_and_proxy_split(self):
         trace = _trace(y_star=[0.5, 0.5], f_true=[0.6, 0.4], y=[0.7, 0.3])
         cond, proxy = tracking_error(trace)
-        assert np.allclose(cond.values, [0.01, 0.01])
-        assert np.allclose(proxy.values, [0.04, 0.04])
-        assert abs(cond.average[-1] - 0.01) < 1e-15
-        assert abs(proxy.average[-1] - 0.04) < 1e-15
+        assert np.allclose(cond, [0.01, 0.01])
+        assert np.allclose(proxy, [0.04, 0.04])
+        assert abs(running_mean(cond)[-1] - 0.01) < 1e-15
+        assert abs(running_mean(proxy)[-1] - 0.04) < 1e-15
 
 
 class TestBoundCurve:
@@ -135,9 +130,9 @@ class TestBoundCurve:
                             outside_theorem_regime=True)
         s = bound_curve(hyper, 0.5, 1000)
         k = np.arange(1, 1001, dtype=float)
-        assert np.allclose(s.values, 2.0 / np.sqrt(k), rtol=1e-15)
+        assert np.allclose(s, 2.0 / np.sqrt(k), rtol=1e-15)
         m = k >= 100
-        slope = np.polyfit(np.log(k[m]), np.log(s.values[m]), 1)[0]
+        slope = np.polyfit(np.log(k[m]), np.log(s[m]), 1)[0]
         assert abs(slope + 0.5) < 1e-12
 
     def test_mixed_power_slope(self):
@@ -145,14 +140,14 @@ class TestBoundCurve:
         s = bound_curve(hyper, 0.3, 1000)
         k = np.arange(1, 1001, dtype=float)
         m = k >= 100
-        slope = np.polyfit(np.log(k[m]), np.log(s.values[m]), 1)[0]
+        slope = np.polyfit(np.log(k[m]), np.log(s[m]), 1)[0]
         assert abs(slope - (-0.11731432341459899)) < 1e-9
 
     def test_log_factor_values(self):
         hyper = HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0)
         s = bound_curve(hyper, 0.5, 10)
-        assert s.values[0] == 1.0
-        assert abs(s.values[-1] - 0.8000992195472612) < 1e-15
+        assert s[0] == 1.0
+        assert abs(s[-1] - 0.8000992195472612) < 1e-15
 
     def test_validation(self):
         hyper = HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0)
@@ -169,10 +164,7 @@ class TestGradientNoise:
         # y = f_true + w with w = (0.1, -0.2) gives noise (-0.2, 0.4)
         pair, _ = catalog_pair("tanh_mse")
         trace = _trace(y=[0.6, 0.1], f_true=[0.5, 0.3], f_est=[0.2, 0.9])
-        rep = gradient_noise(trace, pair)
-        assert np.allclose(rep.series.values, [-0.2, 0.4], atol=1e-15)
-        assert abs(rep.mean - 0.1) < 1e-15
-        assert abs(rep.second_moment - 0.1) < 1e-15
+        assert np.allclose(gradient_noise(trace, pair), [-0.2, 0.4], atol=1e-15)
 
     def test_matches_direct_loss_gradient_difference(self):
         pair, _ = catalog_pair("logistic")
@@ -180,15 +172,10 @@ class TestGradientNoise:
         f_true = [0.7, 0.2, 0.6]
         f_est = [0.5, 0.4, 0.8]
         trace = _trace(y=y, f_true=f_true, f_est=f_est)
-        rep = gradient_noise(trace, pair)
+        got = gradient_noise(trace, pair)
         want = [pair.loss.grad_x(a, c) - pair.loss.grad_x(b, c)
                 for a, b, c in zip(y, f_true, f_est)]
-        assert np.allclose(rep.series.values, want, rtol=1e-15)
-
-    def test_empty_trace_moments(self):
-        pair, _ = catalog_pair("tanh_mse")
-        rep = gradient_noise(_trace(y=[], f_true=[], f_est=[]), pair)
-        assert rep.mean == 0.0 and rep.second_moment == 0.0
+        assert np.allclose(got, want, rtol=1e-15)
 
 
 class TestRelativeErrorMetric:
@@ -230,6 +217,14 @@ class TestRobbinsSiegmund:
         assert abs(rep.tail_fraction - 0.8) < 1e-15
         assert not rep.passed
 
+    def test_small_tail_is_not_cancelled(self):
+        # terms (1, 1e-18): the total rounds to 1.0, so total minus the head
+        # sum gives 0.0; the tail summed on its own is the second term
+        rep = robbins_siegmund_diag([1.0, 1e-9], [1.0, 1.0])
+        assert rep.total == 1.0
+        assert rep.tail_fraction == 1e-9**2
+        assert rep.passed
+
     def test_single_step_counts_as_all_tail(self):
         rep = robbins_siegmund_diag([0.5], [1.0])
         assert rep.tail_fraction == 1.0
@@ -261,33 +256,21 @@ class TestMinimumPhaseRatio:
         # lam = 0.5: weighted after k=0 is 1, so vals[1] = 3^2/1 = 9
         trace = _trace(y=[1.0, 2.0], u=[3.0, 1.0], f_true=[1.0, 2.0])  # w = 0
         s = minimum_phase_ratio(trace, lam=0.5)
-        assert np.array_equal(s.values, [0.0, 9.0])
+        assert np.array_equal(s, [0.0, 9.0])
 
     def test_noise_enters_as_y_minus_f_true(self):
         # w_0 = 1 - 0 = 1, so weighted after k=0 is 0^2 + 1^2 = 1 and vals[1] = 4
         trace = _trace(y=[0.0, 1.0], u=[2.0, 0.0], f_true=[-1.0, 1.0])
         s = minimum_phase_ratio(trace, lam=0.5)
-        assert np.array_equal(s.values, [0.0, 4.0])
+        assert np.array_equal(s, [0.0, 4.0])
 
     def test_zero_history_reports_inf(self):
         trace = _trace(y=[0.0, 1.0], u=[2.0, 0.0], f_true=[0.0, 1.0])
         s = minimum_phase_ratio(trace, lam=0.5)
-        assert math.isinf(s.values[1])
+        assert math.isinf(s[1])
 
     def test_lambda_validation(self):
         trace = _trace(y=[1.0], u=[1.0], f_true=[1.0])
         with pytest.raises(ConfigurationError):
             minimum_phase_ratio(trace, lam=1.0)
 
-
-class TestWindowedMeans:
-    def test_blocks_and_tail_drop(self):
-        out = windowed_means([1.0, 2.0, 3.0, 4.0, 5.0], window=2)
-        assert np.array_equal(out, [1.5, 3.5])
-
-    def test_window_larger_than_data(self):
-        assert windowed_means([1.0], window=5).size == 0
-
-    def test_window_validation(self):
-        with pytest.raises(ConfigurationError):
-            windowed_means([1.0], window=0)

@@ -202,6 +202,40 @@ def test_link_slope_is_bit_equal_to_link_and_dlink(name, z):
                 assert _bits(got) == _bits(_censored_mean_per_edge(model.spec, arg))
 
 
+def _logistic_two_branch(z):
+    # reference: 1/(1+exp(-z)) on z >= 0 and exp(z)/(1+exp(z)) below, each
+    # exp taken only where it cannot overflow
+    if isinstance(z, float):
+        if z >= 0:
+            return 1.0 / (1.0 + math.exp(-z))
+        e = math.exp(z)
+        return e / (1.0 + e)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+_LOGISTIC_Z = st.floats(allow_nan=False) | st.sampled_from(
+    [-746.0, -745.5, -740.0, -709.0, -0.0, 0.0, 709.0, 746.0, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.lists(_LOGISTIC_Z, min_size=1, max_size=64))
+def test_logistic_link_is_bit_equal_to_the_two_branch_formula(z):
+    model = LogisticModel(3)
+    z = np.array(z)
+    assert model.link(z).tobytes() == _logistic_two_branch(z).tobytes()
+    for value in z.tolist():
+        assert np.float64(model.link(value)).tobytes() == np.float64(
+            _logistic_two_branch(value)).tobytes()
+    # nan propagates on both paths; its bit pattern is not pinned
+    assert math.isnan(model.link(math.nan))
+    assert np.isnan(model.link(np.array([math.nan, 1.0]))[0])
+
+
 class TestHinge:
     """Squared hinge over a linear score: loss and theta-gradient by the chain rule."""
 
