@@ -414,19 +414,22 @@ def write_trace(path, trace):
     """Persist a Trace as RFC-4180 CSV (CRLF, fixed column order).
 
     Floats are written as ``repr``, the shortest text that reads back to the
-    same double; an empty column is written as empty cells.
+    same double; an empty column is written as empty cells.  No cell is
+    quoted: numbers never need it and flags come from a fixed vocabulary
+    joined by ";".  Each column of a chunk is formatted by one ``repr`` of
+    its list, which formats every element with ``float.__repr__``.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for start in range(0, len(trace), _CHUNK):
             part = slice(start, start + _CHUNK)
-            cells = [trace.k[part].tolist()]
-            for name in TRACE_COLUMNS[1:-1]:
+            cells = []
+            for name in TRACE_COLUMNS[:-1]:
                 column = getattr(trace, name)
-                cells.append(repeat("") if column is None else map(repr, column[part].tolist()))
+                cells.append(repeat("") if column is None
+                             else repr(column[part].tolist())[1:-1].split(", "))
             cells.append(trace.flags[part])
-            writer.writerows(zip(*cells))
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def read_trace(path):
@@ -933,6 +936,33 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _derived_column_problems(config_echo, name, trace):
+    """One problem per trace column that differs, bit for bit, from its derivation.
+
+    ``k`` must be the row index and ``loss`` the run's loss of (y, f_est);
+    ``summarize`` reads neither, so an edit to them would otherwise pass.
+    """
+    loss = SquaredError() if config_echo["mode"] == "replay" else _pair_of(config_echo).loss
+    derived = {
+        "k": (np.arange(len(trace)), "the row index"),
+        "loss": (loss.eval(trace.y, trace.f_est), f"{loss.name}(y, f_est)"),
+    }
+    problems = []
+    for column, (expected, what) in derived.items():
+        got = getattr(trace, column)
+        if got is None:
+            problems.append(f"{name}: column {column!r} is empty, expected {what}")
+            continue
+        bad = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+        if bad.size:
+            row = int(bad[0])
+            problems.append(
+                f"{name}: column {column!r} first differs from {what} at row {row} "
+                f"(line {row + 2})"
+            )
+    return problems
+
+
 def verify_report(report_path, tol=RECOMPUTE_TOL):
     """Recompute a report from its traces and echoed config; list mismatches.
 
@@ -942,7 +972,9 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     and flag counts, checks and other values must be equal.  A finished
     report must hold one run per configured (algorithm, seed) cell, and its
     ``checks_overall``, ``comparison`` and ``bound_curve`` must equal those
-    derived from the recomputed runs and the config.
+    derived from the recomputed runs and the config.  Each trace's ``k`` and
+    ``loss`` columns, which no summary reads, must equal their derivation
+    bit for bit.
     """
     report = _load_report(report_path)
     out_dir = os.path.dirname(os.path.abspath(report_path)) if isinstance(report_path, str) else report.get("config", {}).get("out_dir", ".")
@@ -959,6 +991,8 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
             got = recomputed[algo][seed_key] = summarize(cfgd, trace)
             got["trace"] = summary["trace"]
             _compare(f"{algo}/{seed_key}", summary, got, tol, problems)
+            name = f"{algo}/{seed_key} ({summary['trace']})"
+            problems += _derived_column_problems(cfgd, name, trace)
     if "error" not in report:
         seeds = cfgd["seeds"][:1] if cfgd["mode"] == "replay" else cfgd["seeds"]
         cells = {(algo, f"seed_{seed}") for algo in cfgd["algorithms"] for seed in seeds}

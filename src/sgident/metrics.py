@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import kahan_add
 from .errors import ConfigurationError, DataError
 from .models import SquaredError
 
@@ -39,12 +38,21 @@ __all__ = [
 
 
 def kahan_cumsum(values):
-    """Running sums with Kahan compensation, matching the in-loop accumulator."""
+    """Running sums with Kahan compensation, matching the in-loop accumulator.
+
+    The step is ``core.kahan_add`` written out, bit for bit, zero skip
+    included: a call per value would cost more than the step itself.
+    """
     out = []
-    total, carry = 0.0, 0.0
+    append = out.append
+    total = carry = 0.0
     for v in np.asarray(values, dtype=float).tolist():
-        total, carry = kahan_add(total, carry, v)
-        out.append(total)
+        if v != 0.0:
+            y = v - carry
+            t = total + y
+            carry = (t - total) - y
+            total = t
+        append(total)
     return np.array(out, dtype=float)
 
 

@@ -6,7 +6,10 @@ suite.
 """
 
 import copy
+import csv
+import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -444,6 +447,69 @@ def test_trace_round_trip_is_exact(trace):
         assert open(path, "rb").read() == first
 
 
+def _oracle_write_trace(path, trace):
+    """Reference writer: the csv module over ``repr`` of each float cell.
+
+    ``write_trace`` formats a column per call and joins rows itself; its
+    bytes must equal these.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(TRACE_COLUMNS)
+        cells = [trace.k.tolist()]
+        for name in TRACE_COLUMNS[1:-1]:
+            column = getattr(trace, name)
+            cells.append(itertools.repeat("") if column is None else map(repr, column.tolist()))
+        cells.append(trace.flags)
+        writer.writerows(zip(*cells))
+
+
+_FLAG_NAMES = ("saturated", "singular_gain", "divergence")
+_FLAG_STRINGS = [""] + [";".join(names) for r in (1, 2, 3)
+                        for names in itertools.combinations(_FLAG_NAMES, r)]
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.0001,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 1e15, 2.0**53]
+_cell_floats = (st.floats() | st.sampled_from(_EDGE_FLOATS)
+                | st.integers(-2**60, 2**60).map(float))
+
+
+@st.composite
+def _long_traces(draw):
+    """Traces spanning several write chunks, with every edge float and flag string.
+
+    Each column cycles through a drawn pool of cells (the edge floats
+    always among them) in a drawn order, so long columns cost few draws.
+    """
+    n = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
+    names = draw(st.lists(st.sampled_from(TRACE_COLUMNS[1:-1]), unique=True))
+    pool = np.array(draw(st.lists(_cell_floats, max_size=40)) + _EDGE_FLOATS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {name: np.resize(rng.permutation(pool), n) for name in names}
+    flag_order = np.resize(rng.permutation(len(_FLAG_STRINGS)), n)
+    return Trace(k=np.arange(n), flags=[_FLAG_STRINGS[i] for i in flag_order], **columns)
+
+
+class TestTraceWriterBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(trace=_long_traces())
+    def test_bytes_equal_the_csv_module_writer(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, oracle = os.path.join(tmp, "trace.csv"), os.path.join(tmp, "oracle.csv")
+            write_trace(path, trace)
+            _oracle_write_trace(oracle, trace)
+            assert open(path, "rb").read() == open(oracle, "rb").read()
+
+    def test_control_run_trace_hashes_like_the_csv_module_writer(self, tmp_path):
+        cfg = load_config(preset_path("paper_sim.cfg"))
+        cfg.seeds, cfg.algorithms, cfg.out_dir = (3,), ("modified",), str(tmp_path / "run")
+        report = run_experiment(cfg)
+        path = tmp_path / "run" / report.data["runs"]["modified"]["seed_3"]["trace"]
+        oracle = tmp_path / "oracle.csv"
+        _oracle_write_trace(str(oracle), read_trace(str(path)))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == hashlib.sha256(oracle.read_bytes()).hexdigest()
+
+
 class TestRunExperiment:
     def test_control_report_shape(self, control_report):
         data = control_report.data
@@ -778,6 +844,30 @@ class TestVerifyReport:
         with pytest.raises(DataError, match="at line 30") as exc:
             verify_report(str(dst / "report.json"))
         assert exc.value.line == 30
+
+    @pytest.mark.parametrize("run", ["control_report", "identify_report", "small_replay_report"])
+    @pytest.mark.parametrize("column, cell, derivation", [
+        ("k", b"5", "the row index"),
+        ("loss", b"123.0", "squared_error(y, f_est)"),
+    ])
+    def test_edited_derived_trace_column_is_flagged(self, run, column, cell, derivation,
+                                                    request, tmp_path):
+        # summarize reads neither k nor loss; verify_report re-derives both
+        report = request.getfixturevalue(run)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(report.path), dst)
+        algo = report.data["config"]["algorithms"][0]
+        seed_key, summary = next(iter(report.data["runs"][algo].items()))
+        trace_path = dst / summary["trace"]
+        lines = trace_path.read_bytes().split(b"\r\n")
+        cells = lines[11].split(b",")
+        cells[TRACE_COLUMNS.index(column)] = cell
+        lines[11] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(lines))
+        assert verify_report(str(dst / "report.json")) == (False, [
+            f"{algo}/{seed_key} ({summary['trace']}): column {column!r} first differs "
+            f"from {derivation} at row 10 (line 12)"
+        ])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

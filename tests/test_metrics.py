@@ -17,9 +17,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgident.control import Trace
-from sgident.core import HyperParams
+from sgident.core import HyperParams, kahan_add
 from sgident.errors import ConfigurationError, DataError
 from sgident.metrics import (
     bound_curve,
@@ -44,6 +46,22 @@ def _trace(**cols):
     return Trace(k=np.arange(n), **columns)
 
 
+@st.composite
+def _kahan_streams(draw):
+    """Mixed-sign values from 1e-300 to 1e300 or near 1, each followed by a run of +-0.0.
+
+    A zero after a step that left a rounding carry is where ``kahan_add``
+    skips its step; taking it there moves the total by an ulp.
+    """
+    sign = st.sampled_from([-1.0, 1.0])
+    mantissa = st.floats(1.0, 10.0, exclude_max=True)
+    exponent = st.integers(-300, 299) | st.integers(-3, 3)
+    value = st.tuples(sign, mantissa, exponent).map(lambda t: t[0] * t[1] * 10.0 ** t[2])
+    zeros = st.lists(st.sampled_from([0.0, -0.0]), max_size=3)
+    segments = draw(st.lists(st.tuples(value, zeros), max_size=40))
+    return [v for head, run in segments for v in (head, *run)]
+
+
 class TestKahanCumsum:
     def test_compensates_decimal_fractions(self):
         out = kahan_cumsum([0.1] * 10)
@@ -57,6 +75,17 @@ class TestKahanCumsum:
 
     def test_empty_input(self):
         assert kahan_cumsum([]).size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_kahan_streams())
+    @example(values=[-0.04472710335811704, 0.20411724473324613, -0.0])  # the skip acts
+    def test_bit_equal_to_a_left_fold_of_kahan_add(self, values):
+        expected, total, carry = [], 0.0, 0.0
+        for v in values:
+            total, carry = kahan_add(total, carry, v)
+            expected.append(total)
+        got = kahan_cumsum(values)
+        assert got.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 class TestRunningMean:
