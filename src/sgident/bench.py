@@ -19,7 +19,7 @@ import os
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -342,7 +342,8 @@ class CsvStream:
     inf).  Strict mode raises on the first malformed row (with its line
     number); lenient mode skips malformed rows and counts them.
     `rows_yielded` counts accepted rows only; it and `skipped` are final
-    once iteration completes.
+    once iteration completes.  `line` is the file line of the row last
+    yielded.
     """
 
     def __init__(self, path, column_map, strict=False, max_rows=None):
@@ -352,6 +353,7 @@ class CsvStream:
         self.rows_yielded = 0
         self.skipped = 0
         self.skipped_lines = []
+        self.line = None
         try:
             self.features = tuple(column_map["features"])
             self.target = column_map["target"]
@@ -394,6 +396,7 @@ class CsvStream:
                         self.skipped_lines.append(line)
                     continue
                 self.rows_yielded += 1
+                self.line = line
                 yield np.array(values), target
 
 
@@ -408,6 +411,8 @@ def ingest_csv(path, column_map, strict=False, max_rows=None) -> CsvStream:
 
 # rows formatted or parsed per batch; bounds the cell text held in memory
 _CHUNK = 1024
+# wider than any flag string written ("saturated;singular_gain;divergence" has 34)
+_FLAGS_WIDTH = 40
 
 
 def write_trace(path, trace):
@@ -439,33 +444,104 @@ def read_trace(path):
     column that is empty on some rows but not others each raise DataError
     with the line number.  Each data row is one line, so row i sits on line
     i + 2.
+
+    Each chunk of ``_CHUNK`` lines is parsed by one ``np.loadtxt`` call
+    (``_loadtxt_chunk``).  A chunk that call cannot vouch for is read again
+    by the ``csv`` module and checked cell by cell in order
+    (``_walk_chunk``), so every file reads as it would through the ``csv``
+    module alone: the same values, or the same DataError on the same line.
     """
     parts = {name: [] for name in TRACE_COLUMNS[:-1]}
     flags = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        header = fh.readline()
+        if not header:
             raise DataError(f"empty trace file: {path}")
-        if header != TRACE_COLUMNS:
-            raise DataError(f"unexpected trace header in {path}: {header}")
+        if header.rstrip("\r\n") != ",".join(TRACE_COLUMNS):
+            header = next(csv.reader(chain([header], fh)))  # quoted names still match
+            if header != TRACE_COLUMNS:
+                raise DataError(f"unexpected trace header in {path}: {header}")
         empty = None  # per column: is it the empty one of its mode (from row 0)
-        while chunk := list(islice(reader, _CHUNK)):
-            line = len(flags) + 2
-            for i, row in enumerate(chunk):
-                if len(row) != len(TRACE_COLUMNS):
-                    raise DataError(f"malformed trace row in {path}", line=line + i)
-            columns = list(zip(*chunk))
+        while chunk := list(islice(fh, _CHUNK)):
+            columns = _loadtxt_chunk(chunk, empty)
+            if columns is None:
+                # the csv module may join lines into one row, so it reads on from the chunk
+                rows = list(islice(csv.reader(chain(chunk, fh)), _CHUNK))
+                columns = _walk_chunk(path, rows, len(flags) + 2, empty)
             if empty is None:
-                empty = {name: name != "k" and cells[0] == ""
-                         for name, cells in zip(parts, columns)}
-            for name, cells in zip(parts, columns):
-                parts[name].append(_trace_column(path, name, cells, line, empty[name]))
-            flags.extend(columns[-1])
+                empty = {name: columns[name] is None for name in parts}
+            flags.extend(columns.pop("flags"))
+            for name, values in columns.items():
+                parts[name].append(values)
     if not flags:
         return Trace(k=np.empty(0, dtype=np.int64))
-    values = {name: None if empty[name] else np.concatenate(p) for name, p in parts.items()}
+    # concatenate one column at a time so only one column is held twice
+    values = {name: None if empty[name] else np.concatenate(parts.pop(name)) for name in empty}
     return Trace(flags=flags, **values)
+
+
+def _empty_columns(cells):
+    """Per column: is it the empty one of its mode, judged by row 0's ``cells``."""
+    return {name: name != "k" and cell == "" for name, cell in zip(TRACE_COLUMNS[:-1], cells)}
+
+
+def _loadtxt_chunk(lines, empty):
+    """The columns of a chunk of trace lines from one ``np.loadtxt`` pass, or None.
+
+    The fields are ``k`` as int64, float64 for filled columns, ``U1`` for
+    the columns ``empty`` names (None on the first chunk: its first line
+    decides) and ``U{_FLAGS_WIDTH}`` for ``flags``.  None means the csv
+    walk must read the chunk: loadtxt failed, or may read it differently
+    from the ``csv`` module (it skips blank lines and warns when nothing
+    else is left, keeps quotes, drops trailing NULs and truncates a long
+    string), or a check failed (a non-finite number, a filled cell in an
+    empty column).
+    """
+    text = "".join(lines)
+    if '"' in text or "\0" in text or lines[0].isspace():
+        return None
+    if empty is None:  # a first line of the wrong width makes loadtxt fail below
+        empty = _empty_columns(lines[0].rstrip("\r\n").split(","))
+    dtype = [(name, "U1" if is_empty else np.int64 if name == "k" else np.float64)
+             for name, is_empty in empty.items()]
+    try:
+        rows = np.loadtxt(lines, dtype=[*dtype, ("flags", f"U{_FLAGS_WIDTH}")],
+                          delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(rows) != len(lines) or np.char.str_len(rows["flags"]).max() >= _FLAGS_WIDTH:
+        return None
+    columns = {}
+    for name, is_empty in empty.items():
+        cells = rows[name]
+        if is_empty:
+            if (cells != "").any():
+                return None
+            columns[name] = None
+        else:
+            columns[name] = cells.copy()
+            if name != "k" and not np.isfinite(columns[name]).all():
+                return None
+    columns["flags"] = rows["flags"].tolist()
+    return columns
+
+
+def _walk_chunk(path, rows, line, empty):
+    """The columns of ``rows`` (csv module rows starting on ``line``), checked in order.
+
+    Every row's width first, then each column from ``k`` on; the first
+    failure raises DataError with its line.  ``empty`` None: row 0 decides.
+    """
+    for i, row in enumerate(rows):
+        if len(row) != len(TRACE_COLUMNS):
+            raise DataError(f"malformed trace row in {path}", line=line + i)
+    if empty is None:
+        empty = _empty_columns(rows[0])
+    *cells, flags = zip(*rows)
+    columns = {name: _trace_column(path, name, column, line, empty[name])
+               for name, column in zip(empty, cells)}
+    columns["flags"] = flags
+    return columns
 
 
 def _trace_column(path, name, cells, line, empty):
@@ -541,7 +617,14 @@ def _load_replay_rows(cfg):
         strict=cfg.strict_csv,
         max_rows=cfg.n_steps,
     )
-    rows = list(stream)
+    rows = []
+    for phi, target in stream:
+        if target <= 0.0:  # the relative error divides by every target
+            raise DataError(
+                f"target must be strictly positive in {cfg.data_path}, got {target!r}",
+                line=stream.line,
+            )
+        rows.append((phi, target))
     if not rows:
         raise DataError(f"no usable rows in {cfg.data_path}")
     return tuple(np.array(column) for column in zip(*rows)), stream
@@ -936,6 +1019,25 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# the columns each mode leaves empty; every other column is filled on every row
+_EMPTY_COLUMNS = {
+    "control": set(),
+    "identify": {"u", "y_star"},
+    "replay": {"u", "y_star", "f_true", "regret_avg", "theta_err"},
+}
+
+
+def _empty_column_problems(mode, name, trace):
+    """One problem per trace column whose emptiness differs from its mode's."""
+    problems = []
+    for column in TRACE_COLUMNS[1:-1]:
+        is_empty = getattr(trace, column) is None
+        if is_empty != (column in _EMPTY_COLUMNS[mode]):
+            state = "is empty, but {} fills it" if is_empty else "is filled, but {} leaves it empty"
+            problems.append(f"{name}: column {column!r} " + state.format(mode))
+    return problems
+
+
 def _derived_column_problems(config_echo, name, trace):
     """One problem per trace column that differs, bit for bit, from its derivation.
 
@@ -950,9 +1052,6 @@ def _derived_column_problems(config_echo, name, trace):
     problems = []
     for column, (expected, what) in derived.items():
         got = getattr(trace, column)
-        if got is None:
-            problems.append(f"{name}: column {column!r} is empty, expected {what}")
-            continue
         bad = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
         if bad.size:
             row = int(bad[0])
@@ -972,7 +1071,10 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     and flag counts, checks and other values must be equal.  A finished
     report must hold one run per configured (algorithm, seed) cell, and its
     ``checks_overall``, ``comparison`` and ``bound_curve`` must equal those
-    derived from the recomputed runs and the config.  Each trace's ``k`` and
+    derived from the recomputed runs and the config (the first two only
+    when every configured run was recomputed).  Each trace must leave empty
+    exactly the columns its mode leaves empty; a trace that does not is one
+    problem per column and is not summarized.  Each trace's ``k`` and
     ``loss`` columns, which no summary reads, must equal their derivation
     bit for bit.
     """
@@ -988,10 +1090,13 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
                 problems.append(f"{algo}/{seed_key}: no trace named")
                 continue
             trace = read_trace(os.path.join(out_dir, summary["trace"]))
+            name = f"{algo}/{seed_key} ({summary['trace']})"
+            if column_problems := _empty_column_problems(cfgd["mode"], name, trace):
+                problems += column_problems  # summarize reads the mode's columns
+                continue
             got = recomputed[algo][seed_key] = summarize(cfgd, trace)
             got["trace"] = summary["trace"]
             _compare(f"{algo}/{seed_key}", summary, got, tol, problems)
-            name = f"{algo}/{seed_key} ({summary['trace']})"
             problems += _derived_column_problems(cfgd, name, trace)
     if "error" not in report:
         seeds = cfgd["seeds"][:1] if cfgd["mode"] == "replay" else cfgd["seeds"]
@@ -999,12 +1104,13 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
         reported = {(algo, key) for algo, by_seed in report["runs"].items() for key in by_seed}
         if reported != cells:
             problems.append(f"runs: reported cells {sorted(reported)}, configured {sorted(cells)}")
-        derived = {
-            "checks_overall": _checks_overall(recomputed),
-            "comparison": _comparison_block(
+        derived = {}
+        # the run-level blocks are derived only from a full set of recomputed runs
+        if {(algo, key) for algo, by_seed in recomputed.items() for key in by_seed} == cells:
+            derived["checks_overall"] = _checks_overall(recomputed)
+            derived["comparison"] = _comparison_block(
                 cfgd["algorithms"], recomputed, _WIN_METRIC[cfgd["mode"]]
-            ),
-        }
+            )
         if cfgd["mode"] in ("identify", "control"):
             derived["bound_curve"] = _bound_curve_block(cfgd)
         for name, value in derived.items():

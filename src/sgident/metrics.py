@@ -152,7 +152,7 @@ def relative_error_metric(predictions, targets):
     bad = np.flatnonzero(~(targets > 0.0))
     if bad.size:
         raise DataError(
-            f"target must be strictly positive, got {float(targets[bad[0]])!r}", line=int(bad[0])
+            f"target must be strictly positive, got {float(targets[bad[0]])!r} at row {bad[0]}"
         )
     return float(np.mean(np.abs(targets - predictions) / targets))
 

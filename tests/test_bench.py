@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgident.bench as bench_module
 from sgident.bench import (
     TRACE_COLUMNS,
     compare_runs,
@@ -510,6 +511,182 @@ class TestTraceWriterBytes:
         assert digest == hashlib.sha256(oracle.read_bytes()).hexdigest()
 
 
+def _oracle_read_trace(path):
+    """Reference reader: the csv module and a per-cell cast, in ordered checks.
+
+    ``read_trace`` parses each chunk with one ``np.loadtxt`` call; it must
+    return the same Trace as this, or raise the same DataError on the same
+    line.
+    """
+    parts = {name: [] for name in TRACE_COLUMNS[:-1]}
+    flags = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"empty trace file: {path}")
+        if header != TRACE_COLUMNS:
+            raise DataError(f"unexpected trace header in {path}: {header}")
+        empty = None
+        while chunk := list(itertools.islice(reader, 1024)):
+            line = len(flags) + 2
+            for i, row in enumerate(chunk):
+                if len(row) != len(TRACE_COLUMNS):
+                    raise DataError(f"malformed trace row in {path}", line=line + i)
+            columns = list(zip(*chunk))
+            if empty is None:
+                empty = {name: name != "k" and cells[0] == ""
+                         for name, cells in zip(parts, columns)}
+            for name, cells in zip(parts, columns):
+                parts[name].append(_oracle_column(path, name, cells, line, empty[name]))
+            flags.extend(columns[-1])
+    if not flags:
+        return Trace(k=np.empty(0, dtype=np.int64))
+    values = {name: None if empty[name] else np.concatenate(p) for name, p in parts.items()}
+    return Trace(flags=flags, **values)
+
+
+def _oracle_column(path, name, cells, line, empty):
+    def fail(problem, i):
+        raise DataError(f"{problem} in column {name!r} of {path}", line=line + i)
+
+    if cells.count("") != (len(cells) if empty else 0):
+        first = next(i for i, cell in enumerate(cells) if (cell == "") != empty)
+        fail("empty cell" if name == "k" else "column empty on some rows only", first)
+    if empty:
+        return None
+    cast, dtype = (int, np.int64) if name == "k" else (float, float)
+    try:
+        values = np.fromiter(map(cast, cells), dtype=dtype, count=len(cells))
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                cast(cell)
+            except ValueError:
+                fail("nonnumeric cell", i)
+        raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        fail("non-finite cell", int(bad[0]))
+    return values
+
+
+def _outcome(reader, path):
+    """What ``reader`` makes of ``path``: every column's bytes, or the error it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = reader(path)
+    except Exception as exc:  # the oracle's error, whatever its type, is the contract
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    columns = [None if (column := getattr(trace, name)) is None
+               else (column.dtype.str, column.tobytes()) for name in TRACE_COLUMNS[:-1]]
+    return columns, list(trace.flags)
+
+
+def _assert_reads_like_the_oracle(path):
+    got = _outcome(read_trace, path)
+    assert got == _outcome(_oracle_read_trace, path)
+    return got
+
+
+class TestTraceReader:
+    @settings(max_examples=60, deadline=None)
+    @given(trace=_long_traces())
+    def test_reads_like_the_csv_module_reader(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            write_trace(path, trace)
+            _assert_reads_like_the_oracle(path)
+
+    # the first two rows (row 0 decides the empty columns) and the edges of
+    # the two chunks of the replay-shaped trace below
+    _LINES = (2, 3, 1025, 1026, 1101)
+
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        """A 1100-row replay-shaped trace's lines: u, y_star, f_true, regret_avg
+        and theta_err empty, flags from the whole vocabulary."""
+        n = 1100
+        rng = np.random.default_rng(5)
+        empty = ("u", "y_star", "f_true", "regret_avg", "theta_err")
+        columns = {name: rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+                   for name in TRACE_COLUMNS[1:-1] if name not in empty}
+        flags = [_FLAG_STRINGS[i] for i in rng.integers(0, len(_FLAG_STRINGS), n)]
+        path = tmp_path_factory.mktemp("reader") / "trace.csv"
+        write_trace(str(path), Trace(k=np.arange(n), flags=flags, **columns))
+        return tuple(path.read_bytes().decode().split("\r\n"))
+
+    @staticmethod
+    def _write(tmp_path, lines, ending="\r\n"):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(ending.join(lines).encode())
+        return str(path)
+
+    @pytest.mark.parametrize("column, cell", [
+        ("f_est", "oops"), ("f_est", "nan"), ("mu_k", "inf"), ("r_k", "-inf"), ("y", ""),
+        ("k", ""), ("k", "1.0"), ("k", "x"), ("k", "99999999999999999999"),
+        ("f_est", '"1.5"'), ("k", '"7"'), ("flags", '"saturated"'), ("u", '""'),
+        ("loss", " 1.5 "), ("k", " 3"), ("y", " "), ("u", " "), ("flags", " "),
+        ("flags", " saturated"), ("f_est", "1_0"), ("k", "1_0"),
+        ("u", "0.5"), ("theta_err", "x"), ("flags", "\x00"), ("u", "\x00"),
+        ("flags", "saturated;" * 5), ("flags", "d" * 39), ("flags", "d" * 40),
+        ("flags", '"two\r\nlines"'), ("f_est", "1e400"), ("r_k", "١"),
+    ])
+    def test_single_cell_edit_reads_like_the_oracle(self, tmp_path, lines, column, cell):
+        for line in self._LINES:
+            edited = list(lines)
+            cells = edited[line - 1].split(",")
+            cells[TRACE_COLUMNS.index(column)] = cell
+            edited[line - 1] = ",".join(cells)
+            _assert_reads_like_the_oracle(self._write(tmp_path, edited))
+
+    @pytest.mark.parametrize("edit", ["blank", "whitespace", "short", "long", "cr"])
+    def test_single_line_edit_reads_like_the_oracle(self, tmp_path, lines, edit):
+        for line in self._LINES:
+            edited = list(lines)
+            if edit == "blank":
+                edited.insert(line - 1, "")
+            elif edit == "whitespace":
+                edited.insert(line - 1, "  ")
+            elif edit == "short":
+                edited[line - 1] = edited[line - 1].rsplit(",", 1)[0]
+            elif edit == "long":
+                edited[line - 1] += ","
+            else:  # a lone CR ends a line, as a CRLF does
+                edited[line - 1] = edited[line - 1].replace(",", "\r", 1)
+            _assert_reads_like_the_oracle(self._write(tmp_path, edited))
+
+    def test_every_row_one_cell_short_reads_like_the_oracle(self, tmp_path, lines):
+        short = [line.rsplit(",", 1)[0] for line in lines[1:-1]]
+        _assert_reads_like_the_oracle(self._write(tmp_path, (lines[0], *short, "")))
+
+    @pytest.mark.parametrize("rows", [0, 1024])
+    def test_trailing_blank_line_reads_like_the_oracle(self, tmp_path, lines, rows):
+        # the chunk after the last row holds only the blank line
+        _assert_reads_like_the_oracle(self._write(tmp_path, (*lines[:rows + 1], "", "")))
+
+    @pytest.mark.parametrize("ending", ["\n", "\r"])
+    def test_other_line_ends_read_like_the_oracle(self, tmp_path, lines, ending):
+        columns, _ = _assert_reads_like_the_oracle(self._write(tmp_path, lines, ending))
+        assert columns[TRACE_COLUMNS.index("u")] is None
+
+    @pytest.mark.parametrize("header", ["", "\r\n", '"k",' + ",".join(TRACE_COLUMNS[1:]),
+                                        ",".join(TRACE_COLUMNS[:-1]) + ',"fl\r\nags"'])
+    def test_header_reads_like_the_oracle(self, tmp_path, lines, header):
+        _assert_reads_like_the_oracle(self._write(tmp_path, (header, *lines[1:])))
+
+    def test_clean_trace_is_parsed_without_the_csv_walk(self, tmp_path, lines, monkeypatch):
+        path = self._write(tmp_path, lines)
+        expected = _oracle_read_trace(path)
+
+        def walk(*args):
+            raise AssertionError("a clean chunk went through the csv walk")
+
+        monkeypatch.setattr(bench_module, "_walk_chunk", walk)
+        assert read_trace(path) == expected
+
+
 class TestRunExperiment:
     def test_control_report_shape(self, control_report):
         data = control_report.data
@@ -582,6 +759,28 @@ class TestRunExperiment:
                                          data=data))
         with pytest.raises(DataError, match="no usable rows"):
             run_experiment(cfg)
+
+
+    def test_nonpositive_replay_target_names_its_dataset_line_before_the_sweep(
+            self, tmp_path, corpus_csv, monkeypatch):
+        lines = pathlib.Path(corpus_csv).read_text().splitlines()
+        lines[11] = lines[11].rsplit(",", 1)[0] + ",0.0"  # data row 10, file line 12
+        data = tmp_path / "zero.csv"
+        data.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = load_config(_write_cfg(tmp_path, REPLAY_CFG, out=tmp_path / "runs",
+                                         data=data))
+
+        def sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(bench_module, "_run_sweep", sweep)
+        with pytest.raises(DataError, match="strictly positive") as exc:
+            run_experiment(cfg)
+        assert exc.value.line == 12 and str(data) in str(exc.value)
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        assert report["error"]["line"] == 12
 
 
 class TestBatchRows:
@@ -831,6 +1030,33 @@ class TestVerifyReport:
         ok, problems = self._verify_edited(control_report, tmp_path, edit)
         assert not ok
         assert any(p.startswith("runs: reported cells") for p in problems)
+
+    @pytest.mark.parametrize("run, column, state", [
+        ("small_replay_report", "f_est", "is empty, but replay fills it"),
+        ("identify_report", "y", "is empty, but identify fills it"),
+        ("identify_report", "f_est", "is empty, but identify fills it"),
+        ("control_report", "y_star", "is empty, but control fills it"),
+        ("identify_report", "u", "is filled, but identify leaves it empty"),
+        ("small_replay_report", "theta_err", "is filled, but replay leaves it empty"),
+    ])
+    def test_column_emptied_or_filled_on_every_row_is_flagged(self, run, column, state,
+                                                             request, tmp_path):
+        # read_trace takes a column empty on every row as the mode's empty one
+        report = request.getfixturevalue(run)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(report.path), dst)
+        algo = report.data["config"]["algorithms"][0]
+        seed_key, summary = next(iter(report.data["runs"][algo].items()))
+        trace_path = dst / summary["trace"]
+        lines = trace_path.read_bytes().split(b"\r\n")
+        for i in range(1, len(lines) - 1):
+            cells = lines[i].split(b",")
+            cells[TRACE_COLUMNS.index(column)] = b"" if "is empty" in state else b"0.5"
+            lines[i] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(lines))
+        assert verify_report(str(dst / "report.json")) == (False, [
+            f"{algo}/{seed_key} ({summary['trace']}): column {column!r} {state}"
+        ])
 
     def test_bad_trace_cell_names_its_line(self, control_report, tmp_path):
         dst = tmp_path / "copy"

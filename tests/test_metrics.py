@@ -211,10 +211,11 @@ class TestRelativeErrorMetric:
     def test_hand_value(self):
         assert relative_error_metric([1.0, 2.0], [2.0, 4.0]) == 0.5
 
-    def test_nonpositive_target_is_a_data_error_with_line(self):
-        with pytest.raises(DataError) as exc:
+    def test_nonpositive_target_is_a_data_error_naming_its_row(self):
+        # a row index is not a file line, so the error carries none
+        with pytest.raises(DataError, match="at row 1$") as exc:
             relative_error_metric([1.0, 1.0, 1.0], [2.0, 0.0, 3.0])
-        assert exc.value.line == 1
+        assert exc.value.line is None
 
     def test_shape_and_emptiness_validation(self):
         with pytest.raises(ConfigurationError):
