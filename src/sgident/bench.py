@@ -17,9 +17,10 @@ import json
 import math
 import os
 import warnings
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .models import (
     catalog_pair,
     tanh_mse_pair,
 )
+from .reprtext import float_cells, int_cells
 from .sg import classical_sg_step, sg_init, sg_step
 
 __all__ = [
@@ -421,20 +423,43 @@ def write_trace(path, trace):
     Floats are written as ``repr``, the shortest text that reads back to the
     same double; an empty column is written as empty cells.  No cell is
     quoted: numbers never need it and flags come from a fixed vocabulary
-    joined by ";".  Each column of a chunk is formatted by one ``repr`` of
-    its list, which formats every element with ``float.__repr__``.
+    joined by ";" (ASCII).  Each chunk of rows is laid out as one uint8
+    matrix of fixed-width cell slots, every float cell of it rendered by one
+    ``reprtext.float_cells`` call, and written as the bytes its mask keeps.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS[1:-1]]
+    filled = [column for column in columns if column is not None]
+    # runs of consecutive filled (True) or empty (False) columns, in column order
+    runs = [(present, len(list(run))) for present, run in groupby(c is not None for c in columns)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
         for start in range(0, len(trace), _CHUNK):
             part = slice(start, start + _CHUNK)
-            cells = []
-            for name in TRACE_COLUMNS[:-1]:
-                column = getattr(trace, name)
-                cells.append(repeat("") if column is None
-                             else repr(column[part].tolist())[1:-1].split(", "))
-            cells.append(trace.flags[part])
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            rows = len(trace.k[part])
+            if filled:
+                floats = float_cells(np.stack([column[part] for column in filled], axis=1))
+                floats = [cells.reshape(rows, len(filled), -1) for cells in floats]
+            slots, j = [int_cells(trace.k[part])], 0
+            for present, n in runs:
+                if present:
+                    slots.append([cells[:, j : j + n].reshape(rows, -1) for cells in floats])
+                    j += n
+                else:
+                    slots.append((np.full((rows, n), ord(","), np.uint8), np.ones((rows, n), bool)))
+            slots.append(_flag_cells(trace.flags[part]))
+            chars, valid = (np.concatenate(block, axis=1) for block in zip(*slots))
+            fh.write(np.compress(valid.ravel(), chars.ravel()).tobytes())
+
+
+def _flag_cells(flags):
+    """ASCII flag strings -> (chars, valid): each flag then CRLF, in one slot per row."""
+    text = np.array(flags, dtype=bytes)
+    chars = np.empty((len(flags), text.itemsize + 2), np.uint8)
+    chars[:, :-2] = text.view(np.uint8).reshape(len(flags), -1)
+    chars[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    valid = np.ones(chars.shape, bool)
+    valid[:, :-2] = np.arange(text.itemsize) < np.fromiter(map(len, flags), np.intp, len(flags))[:, None]
+    return chars, valid
 
 
 def read_trace(path):
@@ -617,17 +642,19 @@ def _load_replay_rows(cfg):
         strict=cfg.strict_csv,
         max_rows=cfg.n_steps,
     )
-    rows = []
-    for phi, target in stream:
+    # accepted rows go to growing flat buffers, not one ndarray each
+    phi, y = array("d"), array("d")
+    for values, target in stream:
         if target <= 0.0:  # the relative error divides by every target
             raise DataError(
                 f"target must be strictly positive in {cfg.data_path}, got {target!r}",
                 line=stream.line,
             )
-        rows.append((phi, target))
-    if not rows:
+        phi.frombytes(values.tobytes())
+        y.append(target)
+    if not y:
         raise DataError(f"no usable rows in {cfg.data_path}")
-    return tuple(np.array(column) for column in zip(*rows)), stream
+    return (np.frombuffer(phi).reshape(len(y), len(stream.features)), np.frombuffer(y)), stream
 
 
 def _run_sweep(cfg, cells, replay_rows):

@@ -179,8 +179,9 @@ class Trace:
 
     ``k`` is an int array and ``flags`` a list of ";"-joined flag strings
     ("" on a clean step); every other column is a float64 array, or None
-    where the mode leaves it empty.  ``len(trace)`` is the row count.  Two
-    traces are equal when every column is bit-equal.
+    where the mode leaves it empty.  Every column has ``len(k)`` rows, and
+    ``len(trace)`` is that count.  Two traces are equal when every column is
+    bit-equal, so ``0.0`` and ``-0.0`` differ.
     """
 
     k: np.ndarray
@@ -200,6 +201,15 @@ class Trace:
         self.k = np.asarray(self.k, dtype=np.int64)
         if self.flags is None:
             self.flags = [""] * len(self.k)
+        for name in TRACE_COLUMNS[1:-1]:
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for name in TRACE_COLUMNS[1:]:
+            column = getattr(self, name)
+            if column is not None and len(column) != len(self.k):
+                raise ConfigurationError(
+                    f"trace column {name!r} has {len(column)} rows, but k has {len(self.k)}"
+                )
 
     def __len__(self):
         return len(self.k)
@@ -209,7 +219,9 @@ class Trace:
             return NotImplemented
         for name in TRACE_COLUMNS[:-1]:
             a, b = getattr(self, name), getattr(other, name)
-            if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
+            if (a is None) != (b is None) or (
+                a is not None and not np.array_equal(a.view(np.int64), b.view(np.int64))
+            ):
                 return False
         return list(self.flags) == list(other.flags)
 

@@ -760,6 +760,20 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="no usable rows"):
             run_experiment(cfg)
 
+    def test_replay_rows_equal_the_stream_rows(self, tmp_path, corpus_csv):
+        lines = pathlib.Path(corpus_csv).read_text().splitlines()
+        lines[5] = "x," + lines[5].split(",", 1)[1]  # one skipped row
+        data = tmp_path / "skip.csv"
+        data.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = load_config(_write_cfg(tmp_path, REPLAY_CFG, out=tmp_path / "runs", data=data))
+        (phi, y), stream = bench_module._load_replay_rows(cfg)
+        rows = list(ingest_csv(str(data), {"features": list(cfg.features),
+                                           "target": cfg.target_col}, max_rows=cfg.n_steps))
+        assert stream.skipped == 1 and phi.shape == (len(rows), len(cfg.features))
+        assert np.array_equal(phi, np.array([values for values, _ in rows]))
+        assert np.array_equal(y, np.array([target for _, target in rows]))
 
     def test_nonpositive_replay_target_names_its_dataset_line_before_the_sweep(
             self, tmp_path, corpus_csv, monkeypatch):

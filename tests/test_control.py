@@ -25,6 +25,7 @@ from sgident.control import (
     ControlConfig,
     NoiseSource,
     Plant,
+    Trace,
     run_closed_loop,
     run_closed_loop_batch,
     solve_control,
@@ -483,3 +484,26 @@ class TestRunClosedLoop:
         state = sg_init(np.zeros(4), self.hyper)
         with pytest.raises(ConfigurationError):
             run_closed_loop(plant, state, wrong_pair, ControlConfig(), n_steps=1, seed=0)
+
+
+class TestTrace:
+    def test_zero_and_negative_zero_differ(self):
+        # equality is bit equality, so a writer that loses the sign of zero shows
+        assert Trace(k=[0], y=np.array([0.0])) != Trace(k=[0], y=np.array([-0.0]))
+        assert Trace(k=[0], y=np.array([-0.0])) == Trace(k=[0], y=np.array([-0.0]))
+        assert Trace(k=[0], r_k=np.array([np.nan])) == Trace(k=[0], r_k=np.array([np.nan]))
+
+    @pytest.mark.parametrize("name", ["y", "f_est", "r_k", "flags"])
+    def test_column_longer_or_shorter_than_k_is_rejected(self, name):
+        for rows in (2, 4):
+            column = [""] * rows if name == "flags" else np.ones(rows)
+            with pytest.raises(ConfigurationError, match=f"'{name}' has {rows} rows, but k has 3"):
+                Trace(k=[0, 1, 2], **{name: column})
+
+    def test_mismatch_is_named_before_the_row_count_is_used(self):
+        with pytest.raises(ConfigurationError, match="'y' has 2 rows"):
+            Trace(k=[0, 1, 2], y=np.array([1.0, 2.0]), f_est=np.ones(4))
+
+    def test_float_columns_become_float64_arrays(self):
+        trace = Trace(k=[0, 1], y=[1, 2])
+        assert trace.y.dtype == np.float64 and trace == Trace(k=[0, 1], y=np.array([1.0, 2.0]))
