@@ -427,28 +427,37 @@ def write_trace(path, trace):
     matrix of fixed-width cell slots, every float cell of it rendered by one
     ``reprtext.float_cells`` call, and written as the bytes its mask keeps.
     """
-    columns = [getattr(trace, name) for name in TRACE_COLUMNS[1:-1]]
-    filled = [column for column in columns if column is not None]
-    # runs of consecutive filled (True) or empty (False) columns, in column order
-    runs = [(present, len(list(run))) for present, run in groupby(c is not None for c in columns)]
     with open(path, "wb") as fh:
         fh.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
         for start in range(0, len(trace), _CHUNK):
-            part = slice(start, start + _CHUNK)
-            rows = len(trace.k[part])
-            if filled:
-                floats = float_cells(np.stack([column[part] for column in filled], axis=1))
-                floats = [cells.reshape(rows, len(filled), -1) for cells in floats]
-            slots, j = [int_cells(trace.k[part])], 0
-            for present, n in runs:
-                if present:
-                    slots.append([cells[:, j : j + n].reshape(rows, -1) for cells in floats])
-                    j += n
-                else:
-                    slots.append((np.full((rows, n), ord(","), np.uint8), np.ones((rows, n), bool)))
-            slots.append(_flag_cells(trace.flags[part]))
-            chars, valid = (np.concatenate(block, axis=1) for block in zip(*slots))
-            fh.write(np.compress(valid.ravel(), chars.ravel()).tobytes())
+            fh.write(_chunk_text(trace, slice(start, start + _CHUNK)))
+
+
+def _chunk_text(trace, part):
+    """The CSV text of rows ``part``: every cell in a fixed-width slot of one
+    uint8 matrix, its text picked out by a mask of the same shape."""
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS[1:-1]]
+    filled = [column[part] for column in columns if column is not None]
+    rows, floats = len(trace.k[part]), ()
+    if filled:
+        floats = [cells.reshape(rows, len(filled), -1) for cells in float_cells(np.stack(filled, 1))]
+    slots, j = [int_cells(trace.k[part])], 0
+    # consecutive filled columns make one block of float slots
+    for present, run in groupby(column is not None for column in columns):
+        n = len(list(run))
+        if present:
+            slots.append([cells[:, j : j + n].reshape(rows, -1) for cells in floats])
+            j += n
+        else:
+            slots.append((np.full((rows, n), ord(","), np.uint8), np.ones((rows, n), bool)))
+    slots.append(_flag_cells(trace.flags[part]))
+    chars, valid = zip(*slots)
+    del slots, floats  # each matrix is built as soon as its float slots can go
+    chars = np.concatenate(chars, axis=1)
+    valid = np.concatenate(valid, axis=1)
+    # by blocks of rows, so the kept-byte positions np.compress lists stay few
+    return b"".join(np.compress(valid[i : i + 256].ravel(), chars[i : i + 256].ravel()).tobytes()
+                    for i in range(0, rows, 256))
 
 
 def _flag_cells(flags):

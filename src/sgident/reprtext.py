@@ -44,18 +44,18 @@ def _flog2pow10(e):
     return (e * 913_124_641_741) >> 38
 
 
-def _g_table():
-    """g(k) = floor(10**-k * 2**(125 - flog2pow10(-k))) + 1, split at bit 63."""
-    g1, g0 = [], []
+def _g_limbs():
+    """g(k) = floor(10**-k * 2**(125 - flog2pow10(-k))) + 1 for every k, split as
+    g1 = g >> 63 and g0 = g mod 2**63, each into high and low 32-bit limbs."""
+    g = []
     for k in range(_K_MIN, _K_MAX + 1):
         e = 125 - _flog2pow10(-k)
-        g = (10 ** max(-k, 0) << max(e, 0)) // (10 ** max(k, 0) << max(-e, 0)) + 1
-        g1.append(g >> 63)
-        g0.append(g & (2**63 - 1))
-    return np.array(g1, np.uint64), np.array(g0, np.uint64)
+        g.append((10 ** max(-k, 0) << max(e, 0)) // (10 ** max(k, 0) << max(-e, 0)) + 1)
+    return [np.array([v >> shift & mask for v in g], np.uint32)
+            for shift, mask in ((95, 2**32 - 1), (63, 2**32 - 1), (32, 2**31 - 1), (0, 2**32 - 1))]
 
 
-_G1, _G0 = _g_table()
+_G_LIMBS = _g_limbs()  # g1h, g1l, g0h, g0l
 
 
 def _shortest(bits):
@@ -67,27 +67,34 @@ def _shortest(bits):
     c = t | (bq != 0) * _U(2**52)
     q = np.maximum(bq, _U(1)).astype(np.int64) - 1075
     irregular = (t == 0) & (bq > _U(1))  # a power of two: the gap below is half the gap above
+    del t, bq  # the kernel runs on whole chunks, so it holds few arrays at once
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).view(np.uint64)
-    g1, g0 = _G1.take(k - _K_MIN), _G0.take(k - _K_MIN)
-    g1h, g1l, g0h, g0l = g1 >> _U(32), g1 & _M32, g0 >> _U(32), g0 & _M32
+    h = (q + _flog2pow10(-k) + 2).astype(np.uint8)  # 1 <= h <= 4
+    k = k.astype(np.int16)
+    del q
+    # g's 32-bit limbs, each product of two limbs taken in uint64
+    g1h, g1l, g0h, g0l = (table.take(k - _K_MIN) for table in _G_LIMBS)
 
     def rop(cp):
         """floor(g * cp / 2**127), its lowest bit set when that is inexact."""
-        cph, cpl = cp >> _U(32), cp & _M32
-        p01, p10 = g0l * cph, g0h * cpl
-        mid = (g0l * cpl >> _U(32)) + (p01 & _M32) + (p10 & _M32)
+        cph = cp >> _U(32)
+        cp &= _M32
+        p01, p10 = g0l * cph, g0h * cp
+        mid = (g0l * cp >> _U(32)) + (p01 & _M32) + (p10 & _M32)
         x1 = g0h * cph + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
-        p01, p10 = g1l * cph, g1h * cpl
-        mid = (g1l * cpl >> _U(32)) + (p01 & _M32) + (p10 & _M32)
+        p00, p01, p10 = g1l * cp, g1l * cph, g1h * cp
+        mid = (p00 >> _U(32)) + (p01 & _M32) + (p10 & _M32)
         y1 = g1h * cph + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
-        z = (g1 * cp >> _U(1)) + x1  # g1 * cp wraps to its low 64 bits
+        del mid, cph, cp
+        z = (p00 + (p01 + p10 << _U(32)) >> _U(1)) + x1  # the low 64 bits of g1 * cp, halved
         return (y1 + (z >> _U(63))) | ((z & _M63) + _M63 >> _U(63))
 
-    cb, odd = c << _U(2), c & _U(1)
+    cb, odd = c << _U(2), (c & _U(1)).astype(np.uint8)
+    del c
     vb = rop(cb << h)
     vbl = rop((cb - _U(2) + irregular) << h) + odd  # an odd c excludes the bounds
     vbr = rop((cb + _U(2)) << h) - odd
+    del cb, h, odd, g1h, g1l, g0h, g0l
     s4 = vb & ~_U(3)
     s = vb >> _U(2)
     # s or s + 1: the one inside the rounding interval, else the closer
@@ -173,36 +180,40 @@ def float_cells(x):
     d *= regular  # zero (and nan, inf) gets the digits of "0.0"
     n = np.searchsorted(_POW10[:18], d, side="right")  # digits in d
     d *= _POW10.take(17 - n)  # now exactly 17 digits, D0 first
-    lead = d // _POW10[16]
-    rest = d - lead * _POW10[16]
-    high = rest // _POW10[8]
-    low = rest - high * _POW10[8]
-    groups = (high // _POW10[4], high % _POW10[4], low // _POW10[4], low % _POW10[4])
+    decpt = (n + k).astype(np.int16)  # small dtypes from here: few bytes per value
+    del n, k
+    first = (d // _POW10[16]).astype(np.uint8)
+    d -= first * _POW10[16]
+    high, low = d // _POW10[8], d % _POW10[8]
+    del d
+    groups = [(part // _POW10[4]).astype(np.uint16) for part in (high, low)]
+    groups[1:1] = [(high % _POW10[4]).astype(np.uint16)]
+    groups.append((low % _POW10[4]).astype(np.uint16))
+    del high, low
     nd = np.maximum(_COUNTS[0].take(groups[0]), _COUNTS[1].take(groups[1]))
     nd = np.maximum(np.maximum(nd, _COUNTS[2].take(groups[2])), _COUNTS[3].take(groups[3]))
-    nd = np.maximum(nd, 1).astype(np.int64)  # significant digits
-    decpt = n + k
+    nd = np.maximum(nd, 1).astype(np.int16)  # significant digits
     exp = np.abs(decpt - 1)
     sci = (decpt < -3) | (decpt > 16)
     code = np.where(sci, _FIXED + (nd - 1) * 4 + (decpt < 1) * 2 + (exp >= 100),
                     (decpt + 3) * 17 + nd - 1)
-    sign = (bits >> _U(63)).astype(np.int64)
-
+    del nd, decpt, sci
+    code = code * 2 + (bits >> _U(63)).astype(np.int16)  # and the sign bit
     chars = np.empty((bits.size, _SLOT.size), np.uint8)
     chars[:] = _SLOT
-    chars[:, _DIGIT] = lead + _U(ord("0"))
+    chars[:, _DIGIT] = first + ord("0")
     words = chars.view(np.uint64)  # digits 1-16 and their dots fill slot bytes 8..39
     for g in range(4):
         words[:, 1 + g] = _QUADS.take(groups[g])
     chars.view(np.uint32)[:, -1] = _EXP_DIGITS.take(exp)
     if not regular.all():
-        code[~regular] = (1 + 3) * 17  # "0.0"
+        code[~regular] = (1 + 3) * 17 * 2 + code[~regular] % 2  # "0.0" or "-0.0"
         special = np.flatnonzero(bits & _EXP_BITS == _EXP_BITS)
         nan = bits[special] & _M52 != _U(0)
-        code[special], sign[special[nan]] = _WORD, 0
+        code[special] = _WORD * 2 + code[special] % 2 * ~nan  # "nan" has no sign
         chars[special[:, None], _DIGIT + 2 * np.arange(3)] = np.where(
             nan[:, None], np.frombuffer(b"nan", np.uint8), np.frombuffer(b"inf", np.uint8))
-    return chars, _MASKS.take(code * 2 + sign, axis=0)
+    return chars, _MASKS.take(code, axis=0)
 
 
 def int_cells(k):
