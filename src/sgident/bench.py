@@ -423,9 +423,8 @@ def write_trace(path, trace):
     Floats are written as ``repr``, the shortest text that reads back to the
     same double; an empty column is written as empty cells.  No cell is
     quoted: numbers never need it and flags come from a fixed vocabulary
-    joined by ";" (ASCII).  Each chunk of rows is laid out as one uint8
-    matrix of fixed-width cell slots, every float cell of it rendered by one
-    ``reprtext.float_cells`` call, and written as the bytes its mask keeps.
+    joined by ";".  All float cells of a chunk are rendered by one
+    ``reprtext.float_cells`` call.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
@@ -434,41 +433,33 @@ def write_trace(path, trace):
 
 
 def _chunk_text(trace, part):
-    """The CSV text of rows ``part``: every cell in a fixed-width slot of one
-    uint8 matrix, its text picked out by a mask of the same shape."""
+    """Rows ``part`` as CSV: each cell a fixed-width slot of one uint8 matrix, masked."""
     columns = [getattr(trace, name) for name in TRACE_COLUMNS[1:-1]]
     filled = [column[part] for column in columns if column is not None]
-    rows, floats = len(trace.k[part]), ()
-    if filled:
-        floats = [cells.reshape(rows, len(filled), -1) for cells in float_cells(np.stack(filled, 1))]
+    rows = len(trace.k[part])
+    floats = float_cells(np.stack(filled, 1) if filled else np.empty((rows, 0)))
     slots, j = [int_cells(trace.k[part])], 0
-    # consecutive filled columns make one block of float slots
     for present, run in groupby(column is not None for column in columns):
-        n = len(list(run))
-        if present:
-            slots.append([cells[:, j : j + n].reshape(rows, -1) for cells in floats])
-            j += n
-        else:
-            slots.append((np.full((rows, n), ord(","), np.uint8), np.ones((rows, n), bool)))
+        n = len(list(run))  # consecutive filled columns make one block of float slots
+        slots.append([cells[:, j : j + n].reshape(rows, -1) for cells in floats] if present
+                     else (np.full((rows, n), ord(","), np.uint8), np.ones((rows, n), bool)))
+        j += n if present else 0
     slots.append(_flag_cells(trace.flags[part]))
     chars, valid = zip(*slots)
-    del slots, floats  # each matrix is built as soon as its float slots can go
+    del slots, floats  # each of the kernel's matrices goes once it is copied
     chars = np.concatenate(chars, axis=1)
     valid = np.concatenate(valid, axis=1)
-    # by blocks of rows, so the kept-byte positions np.compress lists stay few
+    # by blocks of rows, since np.compress lists the positions it keeps
     return b"".join(np.compress(valid[i : i + 256].ravel(), chars[i : i + 256].ravel()).tobytes()
                     for i in range(0, rows, 256))
 
 
 def _flag_cells(flags):
-    """ASCII flag strings -> (chars, valid): each flag then CRLF, in one slot per row."""
+    """Flag strings (ASCII, no NUL) -> (chars, valid): each flag then CRLF."""
     text = np.array(flags, dtype=bytes)
     chars = np.empty((len(flags), text.itemsize + 2), np.uint8)
-    chars[:, :-2] = text.view(np.uint8).reshape(len(flags), -1)
-    chars[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-    valid = np.ones(chars.shape, bool)
-    valid[:, :-2] = np.arange(text.itemsize) < np.fromiter(map(len, flags), np.intp, len(flags))[:, None]
-    return chars, valid
+    chars[:, :-2], chars[:, -2:] = text.view(np.uint8).reshape(len(flags), -1), [13, 10]  # CRLF
+    return chars, chars != 0
 
 
 def read_trace(path):

@@ -208,8 +208,7 @@ class Trace:
             column = getattr(self, name)
             if column is not None and len(column) != len(self.k):
                 raise ConfigurationError(
-                    f"trace column {name!r} has {len(column)} rows, but k has {len(self.k)}"
-                )
+                    f"column {name!r} has {len(column)} rows, not {len(self.k)}")
 
     def __len__(self):
         return len(self.k)

@@ -1,29 +1,14 @@
 """Numbers rendered as Python's ``repr`` text, a whole array per call.
 
-``float_cells`` gives each float64 the text of ``float.__repr__``: the
-shortest decimal that reads back to the same double and, of those, the one
-closest to it.  The digits come from Schubfach (R. Giulietti, "The Schubfach
-way to render doubles", 2020), whose arithmetic is fixed-width and so runs
-on uint64 arrays: one 126-bit constant per decimal exponent, 64x64->128-bit
-products from 32-bit limbs, and comparisons.  Two steps differ from Java's
-``Double.toString``, which prints at least two digits where ``repr`` may
-print one: the one-digit-shorter candidate is tried whenever s >= 10, and
-tiny subnormals are not scaled by 10 first.  The layout is ``repr``'s: "-"
-for a set sign bit, fixed notation for 1e-4 <= |x| < 1e16, otherwise
-``d.ddde+XX``; ``0.0`` and ``-0.0``; ``nan`` whatever its sign; ``inf`` and
-``-inf``.  ``int_cells`` does the same for int64.
-
-Each value gets a fixed-width uint8 slot whose last byte is a ",", and a
-mask of the slot bytes that belong to its text; ``chars[valid]`` over a row
-of slots is that row's text, comma-joined.  A float slot holds every byte
-any layout may need, in order (sign, "0.000", each digit followed by a
-".", "e+-", exponent digits, ","), so the text of a value is a subsequence
-that depends only on its layout code: fixed or scientific, decimal point
-position, digit count, and the exponent's sign and width.
-
-Every constant that meets a uint64 array is an ``np.uint64`` scalar, because
-NumPy's value-based casting (NumPy < 2) promotes a uint64 array combined
-with a Python int to float64.
+``float_cells`` finds each float64's shortest round-trip digits, the closest
+such, with Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+2020): fixed-width integer arithmetic, here on uint64 arrays.  Unlike Java's
+``Double.toString`` it may print one digit: the shorter candidate is tried
+whenever s >= 10, and tiny subnormals are not scaled by 10.  Each value gets
+a uint8 slot ending in "," and a mask of its ``repr`` bytes; a float slot
+holds every byte any layout needs, in order, so the mask follows the layout.
+Constants meeting uint64 arrays are ``np.uint64``: under NumPy < 2 a Python
+int promotes such an array to float64.
 """
 
 from __future__ import annotations
@@ -47,10 +32,8 @@ def _flog2pow10(e):
 def _g_limbs():
     """g(k) = floor(10**-k * 2**(125 - flog2pow10(-k))) + 1 for every k, split as
     g1 = g >> 63 and g0 = g mod 2**63, each into high and low 32-bit limbs."""
-    g = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        e = 125 - _flog2pow10(-k)
-        g.append((10 ** max(-k, 0) << max(e, 0)) // (10 ** max(k, 0) << max(-e, 0)) + 1)
+    g = [(10 ** max(-k, 0) << max(e, 0)) // (10 ** max(k, 0) << max(-e, 0)) + 1
+         for k in range(_K_MIN, _K_MAX + 1) for e in [125 - _flog2pow10(-k)]]
     return [np.array([v >> shift & mask for v in g], np.uint32)
             for shift, mask in ((95, 2**32 - 1), (63, 2**32 - 1), (32, 2**31 - 1), (0, 2**32 - 1))]
 
@@ -64,16 +47,13 @@ def _shortest(bits):
     even.  d < 10**17 and may end in zeros.  Other inputs give garbage."""
     t = bits & _M52
     bq = bits >> _U(52) & _U(0x7FF)
-    c = t | (bq != 0) * _U(2**52)
+    cb, odd = (t | (bq != 0) * _U(2**52)) << _U(2), (t & _U(1)).astype(np.uint8)  # 4c, c odd
     q = np.maximum(bq, _U(1)).astype(np.int64) - 1075
     irregular = (t == 0) & (bq > _U(1))  # a power of two: the gap below is half the gap above
-    del t, bq  # the kernel runs on whole chunks, so it holds few arrays at once
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(np.uint8)  # 1 <= h <= 4
-    k = k.astype(np.int16)
-    del q
-    # g's 32-bit limbs, each product of two limbs taken in uint64
-    g1h, g1l, g0h, g0l = (table.take(k - _K_MIN) for table in _G_LIMBS)
+    h, k = (q + _flog2pow10(-k) + 2).astype(np.uint8), k.astype(np.int16)  # 1 <= h <= 4
+    del t, bq, q  # every array is a whole chunk of cells: hold few, in small dtypes
+    g1h, g1l, g0h, g0l = (limbs.take(k - _K_MIN) for limbs in _G_LIMBS)
 
     def rop(cp):
         """floor(g * cp / 2**127), its lowest bit set when that is inexact."""
@@ -85,18 +65,14 @@ def _shortest(bits):
         p00, p01, p10 = g1l * cp, g1l * cph, g1h * cp
         mid = (p00 >> _U(32)) + (p01 & _M32) + (p10 & _M32)
         y1 = g1h * cph + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
-        del mid, cph, cp
         z = (p00 + (p01 + p10 << _U(32)) >> _U(1)) + x1  # the low 64 bits of g1 * cp, halved
         return (y1 + (z >> _U(63))) | ((z & _M63) + _M63 >> _U(63))
 
-    cb, odd = c << _U(2), (c & _U(1)).astype(np.uint8)
-    del c
     vb = rop(cb << h)
     vbl = rop((cb - _U(2) + irregular) << h) + odd  # an odd c excludes the bounds
     vbr = rop((cb + _U(2)) << h) - odd
     del cb, h, odd, g1h, g1l, g0h, g0l
-    s4 = vb & ~_U(3)
-    s = vb >> _U(2)
+    s, s4 = vb >> _U(2), vb & ~_U(3)
     # s or s + 1: the one inside the rounding interval, else the closer
     uin, win = vbl <= s4, s4 + _U(4) <= vbr
     mid = s4 + _U(2)
@@ -109,62 +85,47 @@ def _shortest(bits):
 
 
 def _digit_tables():
-    """For v < 10**4: its 4 digits, each followed by ".", as one little-endian
-    uint64; and per group g = 0..3 of digits 1-4, 5-8, 9-12, 13-16 after the
-    leading one, the digit count up to v's last nonzero digit (0 for v = 0)."""
+    """For v < 10**4: its digits, each then ".", as a little-endian uint64; and for
+    digits 4g+1..4g+4 after a float's first, the count up to v's last nonzero one."""
     v = np.arange(10_000)
-    quads = np.zeros(10_000, np.uint64)
-    last = np.zeros(10_000, np.uint8)
+    quads, last = np.zeros(10_000, np.uint64), 0
     for i, p in enumerate((1000, 100, 10, 1)):
         digit = v // p % 10
         quads |= (digit + ord("0") + (ord(".") << 8)).astype(np.uint64) << _U(16 * i)
-        last[digit != 0] = i + 1
-    counts = np.stack([np.where(last > 0, 1 + 4 * g + last, 0) for g in range(4)]).astype(np.uint8)
-    return quads, counts
+        last = np.where(digit != 0, i + 1, last)
+    counts = np.stack([np.where(last > 0, 1 + 4 * g + last, 0) for g in range(4)])
+    return quads, counts.astype(np.uint8)
 
 
 _QUADS, _COUNTS = _digit_tables()
-_QUAD_TEXT = _QUADS.view(np.uint8).reshape(-1, 8)[:, ::2].copy().view(np.uint32).ravel()  # "dddd"
-# exponents 0..999 as three digits and the cell's closing ",", one uint32 each
-_EXP_DIGITS = np.frombuffer(b"".join(b"%03d," % e for e in range(1000)), np.uint32)
+_EXP_DIGITS = np.frombuffer(b"".join(b"%03d," % e for e in range(1000)), np.uint32)  # "XXX,"
 
 # float slot bytes: sign | "0.000" | D0 "." D1 "." ... D16 "." | "e+-" | exponent | ","
 _SLOT = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+-e000,", np.uint8)
 _DIGIT = 6  # digit j sits at _DIGIT + 2j, followed by its "."
 _FIXED = 20 * 17  # layout codes (decpt + 3) * 17 + nd - 1, for -3 <= decpt <= 16
 _WORD = _FIXED + 17 * 4  # after the scientific ones: "nan" or "inf" in digits 0-2
+_WORDS = np.frombuffer(b"infnan", np.uint8).reshape(2, 3)
 
 
 def _layout_masks():
-    """The slot bytes of each layout code, with the sign clear and set.
-
-    A value is 0.D0D1...D(nd-1) * 10**decpt.  Fixed notation writes
-    "0." and -decpt zeros before the digits when decpt <= 0, else puts the
-    "." after digit decpt - 1 and writes at least one digit after it.
-    Scientific writes D0, then "." and the rest when nd > 1, then "e", the
-    exponent's sign and at least two of its digits.
-    """
+    """The slot bytes of each layout code, sign clear and set, for x = 0.D0D1...D(nd-1)
+    * 10**decpt.  Fixed: "0." and -decpt zeros, the digits; or "." after digit decpt - 1
+    and at least one after it.  Scientific: D0, "." and the rest if any, "e", sign, 2+ digits."""
     masks = np.zeros((_WORD + 1, 2, _SLOT.size), bool)
-    masks[..., -1] = True
-    masks[:, 1, 0] = True
+    masks[..., -1] = masks[:, 1, 0] = True
     digit = _DIGIT + 2 * np.arange(17)
-    for decpt in range(-3, 17):
-        for nd in range(1, 18):
-            mask = masks[(decpt + 3) * 17 + nd - 1]
-            if decpt <= 0:
-                mask[:, 1 : 3 - decpt] = True
-                mask[:, digit[:nd]] = True
-            else:
-                mask[:, digit[: max(nd, decpt + 1)]] = True
-                mask[:, digit[decpt - 1] + 1] = True
-    for nd in range(1, 18):
-        for neg_exp in (0, 1):
-            for wide_exp in (0, 1):
-                mask = masks[_FIXED + (nd - 1) * 4 + neg_exp * 2 + wide_exp]
-                mask[:, digit[:nd]] = True
-                mask[:, digit[0] + 1] = nd > 1
-                mask[:, [40, 42 if neg_exp else 41, 45, 46]] = True
-                mask[:, 44] = bool(wide_exp)
+    for code, mask in enumerate(masks[:_WORD]):
+        if code < _FIXED:
+            decpt, nd = code // 17 - 3, code % 17 + 1
+            mask[:, digit[: max(nd, decpt + 1)]] = True
+            mask[:, digit[decpt - 1] + 1 if decpt > 0 else slice(1, 3 - decpt)] = True
+        else:  # code = _FIXED + (nd - 1) * 4 + 2 * (exponent < 0) + (|exponent| >= 100)
+            nd = (code - _FIXED) // 4 + 1
+            mask[:, digit[:nd]] = True
+            mask[:, digit[0] + 1] = nd > 1  # the "."
+            mask[:, 44] = code & 1  # a third exponent digit
+            mask[:, [40, 42 if code & 2 else 41, 45, 46]] = True
     masks[_WORD, :, digit[:3]] = True
     return masks.reshape(-1, _SLOT.size)
 
@@ -173,61 +134,49 @@ _MASKS = _layout_masks()
 
 
 def float_cells(x):
-    """float64 array -> (chars, valid), each (x.size, 48): ``repr`` of every value, then ","."""
+    """float64 array -> (chars, valid), each x.shape + (48,): ``repr`` of each value, then ","."""
     bits = np.ascontiguousarray(x, np.float64).ravel().view(np.uint64)
     regular = (bits & _EXP_BITS != _EXP_BITS) & (bits & _M63 != _U(0))
     d, k = _shortest(bits)
     d *= regular  # zero (and nan, inf) gets the digits of "0.0"
     n = np.searchsorted(_POW10[:18], d, side="right")  # digits in d
     d *= _POW10.take(17 - n)  # now exactly 17 digits, D0 first
-    decpt = (n + k).astype(np.int16)  # small dtypes from here: few bytes per value
-    del n, k
+    decpt = (n + k).astype(np.int16)
     first = (d // _POW10[16]).astype(np.uint8)
-    d -= first * _POW10[16]
-    high, low = d // _POW10[8], d % _POW10[8]
-    del d
-    groups = [(part // _POW10[4]).astype(np.uint16) for part in (high, low)]
-    groups[1:1] = [(high % _POW10[4]).astype(np.uint16)]
-    groups.append((low % _POW10[4]).astype(np.uint16))
-    del high, low
-    nd = np.maximum(_COUNTS[0].take(groups[0]), _COUNTS[1].take(groups[1]))
-    nd = np.maximum(np.maximum(nd, _COUNTS[2].take(groups[2])), _COUNTS[3].take(groups[3]))
-    nd = np.maximum(nd, 1).astype(np.int16)  # significant digits
+    groups = [(d // _POW10[12 - 4 * g] % _POW10[4]).astype(np.uint16) for g in range(4)]
+    del d, n, k
+    nd = np.maximum.reduce([counts.take(group) for counts, group in zip(_COUNTS, groups)])
+    nd = nd.clip(1).astype(np.int16)  # significant digits; zero has one
     exp = np.abs(decpt - 1)
-    sci = (decpt < -3) | (decpt > 16)
-    code = np.where(sci, _FIXED + (nd - 1) * 4 + (decpt < 1) * 2 + (exp >= 100),
+    code = np.where((decpt < -3) | (decpt > 16),
+                    _FIXED + (nd - 1) * 4 + (decpt < 1) * 2 + (exp >= 100),
                     (decpt + 3) * 17 + nd - 1)
-    del nd, decpt, sci
     code = code * 2 + (bits >> _U(63)).astype(np.int16)  # and the sign bit
-    chars = np.empty((bits.size, _SLOT.size), np.uint8)
-    chars[:] = _SLOT
+    chars = np.tile(_SLOT, (bits.size, 1))
     chars[:, _DIGIT] = first + ord("0")
-    words = chars.view(np.uint64)  # digits 1-16 and their dots fill slot bytes 8..39
-    for g in range(4):
-        words[:, 1 + g] = _QUADS.take(groups[g])
+    for g in range(4):  # digits 1-16 and their dots fill slot bytes 8..39
+        chars.view(np.uint64)[:, 1 + g] = _QUADS.take(groups[g])
     chars.view(np.uint32)[:, -1] = _EXP_DIGITS.take(exp)
     if not regular.all():
         code[~regular] = (1 + 3) * 17 * 2 + code[~regular] % 2  # "0.0" or "-0.0"
         special = np.flatnonzero(bits & _EXP_BITS == _EXP_BITS)
         nan = bits[special] & _M52 != _U(0)
         code[special] = _WORD * 2 + code[special] % 2 * ~nan  # "nan" has no sign
-        chars[special[:, None], _DIGIT + 2 * np.arange(3)] = np.where(
-            nan[:, None], np.frombuffer(b"nan", np.uint8), np.frombuffer(b"inf", np.uint8))
-    return chars, _MASKS.take(code, axis=0)
+        chars[special[:, None], _DIGIT + 2 * np.arange(3)] = _WORDS[nan.astype(np.intp)]
+    return tuple(cells.reshape(np.shape(x) + (_SLOT.size,)) for cells in (chars, _MASKS[code]))
 
 
 def int_cells(k):
-    """int64 array -> (chars, valid), each (k.size, 28): ``repr`` of every value, then ","."""
+    """int64 array -> (chars, valid), each (k.size, 56): ``repr`` of each value, then ","."""
     k = np.ascontiguousarray(k, np.int64).ravel()
     magnitude = k.view(np.uint64).copy()
     np.negative(magnitude, out=magnitude, where=k < 0)  # wraps, so -2**63 works too
-    # slot bytes: 3 "-", 4..23 twenty digits right-aligned, 24 ","
-    chars = np.empty((k.size, 28), np.uint8)
-    chars[:, 3], chars[:, 24] = ord("-"), ord(",")
+    chars = np.empty((k.size, 56), np.uint8)  # 7 "-" | 8..47 20 digits, right-aligned | 55 ","
+    chars[:, 7], chars[:, 55] = ord("-"), ord(",")
     for g in range(5):
-        chars.view(np.uint32)[:, 1 + g] = _QUAD_TEXT.take(magnitude // _POW10[16 - 4 * g] % _U(10**4))
+        chars.view(np.uint64)[:, 1 + g] = _QUADS.take(magnitude // _POW10[16 - 4 * g] % _U(10**4))
     n = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
-    valid = np.zeros((k.size, 28), bool)
-    valid[:, 3], valid[:, 24] = k < 0, True
-    valid[:, 4:24] = np.arange(20) >= 20 - n[:, None]
+    valid = np.zeros((k.size, 56), bool)
+    valid[:, 7], valid[:, 55] = k < 0, True
+    valid[:, 8:48:2] = np.arange(20) >= 20 - n[:, None]  # the digits, not their dots
     return chars, valid

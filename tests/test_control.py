@@ -497,7 +497,7 @@ class TestTrace:
     def test_column_longer_or_shorter_than_k_is_rejected(self, name):
         for rows in (2, 4):
             column = [""] * rows if name == "flags" else np.ones(rows)
-            with pytest.raises(ConfigurationError, match=f"'{name}' has {rows} rows, but k has 3"):
+            with pytest.raises(ConfigurationError, match=f"'{name}' has {rows} rows, not 3"):
                 Trace(k=[0, 1, 2], **{name: column})
 
     def test_mismatch_is_named_before_the_row_count_is_used(self):
