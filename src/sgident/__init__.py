@@ -6,6 +6,8 @@ tracking controller with a simulated lag plant, convergence diagnostics,
 and a deterministic benchmark harness with CSV traces and JSON reports.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bench import (
     TRACE_COLUMNS,
     CsvStream,
@@ -91,74 +93,6 @@ from .sg import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TRACE_COLUMNS",
-    "CsvStream",
-    "ExperimentConfig",
-    "RunReport",
-    "compare_runs",
-    "ingest_csv",
-    "load_config",
-    "preset_path",
-    "read_trace",
-    "render_comparison",
-    "run_experiment",
-    "summarize",
-    "verify_report",
-    "write_trace",
-    "ClosedLoopBatch",
-    "ControlConfig",
-    "NoiseSource",
-    "Plant",
-    "Trace",
-    "run_closed_loop",
-    "run_closed_loop_batch",
-    "solve_control",
-    "solve_control_rows",
-    "GainState",
-    "HyperParams",
-    "ModelLossPair",
-    "ParameterVector",
-    "Regressor",
-    "check_step_size_cap",
-    "kahan_add",
-    "ConfigurationError",
-    "DataError",
-    "DomainError",
-    "NumericError",
-    "SgidentError",
-    "RS_TAIL_LIMIT",
-    "RSReport",
-    "bound_curve",
-    "gradient_noise",
-    "gradient_norms_sq",
-    "minimum_phase_ratio",
-    "realized_noise",
-    "regret_sum",
-    "relative_error_metric",
-    "robbins_siegmund_diag",
-    "running_mean",
-    "tracking_error",
-    "PAIR_CATALOG",
-    "Assumption2Report",
-    "SaturationSpec",
-    "catalog_pair",
-    "hinge_pair",
-    "linear_mse_pair",
-    "logistic_pair",
-    "quadnet_lift",
-    "quadnet_pair",
-    "saturation_mean",
-    "saturation_mean_deriv",
-    "saturation_pair",
-    "tanh_mse_pair",
-    "verify_assumption2",
-    "DIVERGENCE_NORM",
-    "EstimatorState",
-    "classical_sg_step",
-    "mu_schedule",
-    "sg_init",
-    "sg_step",
-    "sg_update",
-    "__version__",
-]
+# every name imported above, without the submodules they come from
+__all__ = [name for name, value in list(vars().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]

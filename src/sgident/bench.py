@@ -372,20 +372,24 @@ class CsvStream:
             raise DataError(f"stream over {self.path} is single-pass and already consumed")
         self._consumed = True
         with open(self.path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"empty file (no header): {self.path}")
-            missing = [c for c in (*self.features, self.target) if c not in reader.fieldnames]
+            # a repeated name reads its last column, as csv.DictReader does
+            index = {name: i for i, name in enumerate(header)}
+            missing = [c for c in (*self.features, self.target) if c not in index]
             if missing:
                 raise DataError(f"missing column(s) {missing} in {self.path}")
-            for row in reader:
+            features, target_at = [index[c] for c in self.features], index[self.target]
+            for row in filter(None, reader):  # a blank line is no row
                 if self.max_rows is not None and self.rows_yielded >= self.max_rows:
                     break
                 line = reader.line_num
                 try:
-                    values = [float(row[c]) for c in self.features]
-                    target = float(row[self.target])
-                except (TypeError, ValueError):
+                    values = [float(row[i]) for i in features]
+                    target = float(row[target_at])
+                except (IndexError, ValueError):  # a short row lacks the cell
                     problem = "nonnumeric"
                 else:
                     finite = math.isfinite(target) and all(map(math.isfinite, values))
@@ -705,6 +709,11 @@ def summarize(config_echo, trace):
     the squared gradient norms are the increments of ``r_k``.  Values are
     plain Python floats, ints and bools.
     """
+    return _summarize(config_echo, trace)[0]
+
+
+def _summarize(config_echo, trace):
+    """``summarize`` and the running mean of the regret it read (None in replay)."""
     mode = config_echo["mode"]
     hyper = config_echo["hyper"]
     n = len(trace)
@@ -722,6 +731,7 @@ def summarize(config_echo, trace):
         "no_divergence": out["flag_counts"]["divergence"] == 0,
     }
     if mode == "replay":
+        regret = None
         checkpoints = {}
         for checkpoint in (1000, n):
             if checkpoint <= n:
@@ -759,7 +769,7 @@ def summarize(config_echo, trace):
         out["identity_max_dev"] = float(np.max(np.abs(ledger[clean]), initial=0.0))
         out["identity_steps_checked"] = int(clean.sum())
         checks["closed_loop_identity"] = out["identity_max_dev"] <= control["root_tol"] + 1e-9
-    return out
+    return out, regret
 
 
 # ---------------------------------------------------------------------------
@@ -1065,17 +1075,20 @@ def _empty_column_problems(mode, name, trace):
     return problems
 
 
-def _derived_column_problems(config_echo, name, trace):
+def _derived_column_problems(config_echo, name, trace, regret):
     """One problem per trace column that differs, bit for bit, from its derivation.
 
-    ``k`` must be the row index and ``loss`` the run's loss of (y, f_est);
-    ``summarize`` reads neither, so an edit to them would otherwise pass.
+    ``k`` must be the row index, ``loss`` the run's loss of (y, f_est) and
+    ``regret_avg`` the running mean ``regret`` (unless None); ``summarize``
+    reads none of them, so an edit to them would otherwise pass.
     """
     loss = SquaredError() if config_echo["mode"] == "replay" else _pair_of(config_echo).loss
     derived = {
         "k": (np.arange(len(trace)), "the row index"),
         "loss": (loss.eval(trace.y, trace.f_est), f"{loss.name}(y, f_est)"),
     }
+    if regret is not None:
+        derived["regret_avg"] = (regret, "the running mean of the regret")
     problems = []
     for column, (expected, what) in derived.items():
         got = getattr(trace, column)
@@ -1106,7 +1119,10 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     bit for bit.
     """
     report = _load_report(report_path)
-    out_dir = os.path.dirname(os.path.abspath(report_path)) if isinstance(report_path, str) else report.get("config", {}).get("out_dir", ".")
+    if isinstance(report_path, (str, os.PathLike)):
+        out_dir = os.path.dirname(os.path.abspath(report_path))
+    else:
+        out_dir = report.get("config", {}).get("out_dir", ".")
     cfgd = report["config"]
     problems = []
     recomputed = {}
@@ -1121,10 +1137,11 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
             if column_problems := _empty_column_problems(cfgd["mode"], name, trace):
                 problems += column_problems  # summarize reads the mode's columns
                 continue
-            got = recomputed[algo][seed_key] = summarize(cfgd, trace)
+            got, regret = _summarize(cfgd, trace)
+            recomputed[algo][seed_key] = got
             got["trace"] = summary["trace"]
             _compare(f"{algo}/{seed_key}", summary, got, tol, problems)
-            problems += _derived_column_problems(cfgd, name, trace)
+            problems += _derived_column_problems(cfgd, name, trace, regret)
     if "error" not in report:
         seeds = cfgd["seeds"][:1] if cfgd["mode"] == "replay" else cfgd["seeds"]
         cells = {(algo, f"seed_{seed}") for algo in cfgd["algorithms"] for seed in seeds}

@@ -30,15 +30,10 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtri, stdtrit
 
-from .core import (
-    ParameterVector,
-    as_values,
-    check_rows,
-    kahan_add_rows,
-    row_dots,
-)
+from .core import ParameterVector, as_values, check_rows, row_dots
 from .errors import ConfigurationError, NumericError
-from .sg import DIVERGENCE_NORM, sg_update
+from .metrics import running_mean
+from .sg import DIVERGENCE_NORM, sg_update_unguarded
 
 __all__ = [
     "NoiseSource",
@@ -366,12 +361,15 @@ def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev)
     return u, flagged
 
 
-# float64 columns the batch records per step: those of every mode, then
-# those that need the truth (plant given), then those the closed loop makes
-# itself (prepared blocks supply y and f_true otherwise)
+# float64 columns the batch records: those of every mode, then those that
+# need the truth (plant given), then those the closed loop makes itself
+# (prepared blocks supply y and f_true otherwise)
 _BATCH_COLUMNS = ("f_est", "mu_k", "r_k")
 _TRUTH_COLUMNS = ("regret_avg", "theta_err")
 _CLOSED_LOOP_COLUMNS = ("y", "f_true", "u")
+
+# steps per chunk of the run loop; a chunk's estimates of 20 rows in d = 5 take 0.2 MB
+_CHUNK = 256
 
 
 @dataclass
@@ -431,6 +429,12 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
       the truth is unknown, and ``plant`` is then None too: ``f_true``,
       ``regret_avg`` and ``theta_err`` stay empty.
 
+    A step runs only the recursion: control and plant (closed loop only)
+    and the update.  Once per chunk of steps, the prepared inputs are
+    gathered per cell, and the divergence flags (norm above
+    ``DIVERGENCE_NORM`` after a step), ``theta_err`` and the regret are
+    derived from the chunk's estimates; ``regret_avg`` is the running mean.
+
     ``update(theta, r, carry, phi, y)`` advances the estimator rows and
     returns (theta, r, carry, mu_k, grad_norm_sq, f_hat) as ``sg_update``
     does (the gradient norms are not recorded); the default is
@@ -453,7 +457,8 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
         raise ConfigurationError("a batch needs at least one (algorithm, seed) cell")
     if update is None:
         classical = np.array([algo == "classical" for algo, _ in cells])
-        update = partial(sg_update, pair=pair, hyper=estimator.hyper, classical=classical)
+        update = partial(sg_update_unguarded, pair=pair, hyper=estimator.hyper,
+                         classical=classical)
     n, S, d = int(n_steps), len(cells), model_est.dim
     loss = pair.loss
     truth = plant is not None
@@ -461,18 +466,22 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
                + (_CLOSED_LOOP_COLUMNS if closed else ()))
     # one array per column keeps each allocation small
     recorded = {name: np.empty((n, S)) for name in columns}
+    f_est_col, mu_col, r_col = (recorded[name] for name in _BATCH_COLUMNS)
 
     theta = np.tile(estimator.theta.values, (S, 1))
     r = np.full(S, estimator.gain.r)
     carry = np.full(S, estimator.gain.carry)
+    # row 0 holds the estimates a chunk starts from, row j + 1 those after its step j
+    estimates = np.empty((min(n, _CHUNK) + 1, S, d))
+    estimates[0] = theta
     if truth:
         # stacked like theta so that theta == theta* gives f_est == f_true exactly
         theta_star = np.tile(plant.theta_star.values, (S, 1))
-        regret, regret_carry = np.zeros(S), np.zeros(S)
     targets, inputs, block_of = None, {}, None
     if closed:
         targets = [cfg.target(k) for k in range(n)]
         link_true = plant.model.link
+        y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
         # each row of phi holds the lag stacks: outputs y_k..y_{k-p+1}, the
         # input slot (0 until solved), then inputs u_{k-1}..u_{k-q+1}
         phi = np.zeros((S, d))
@@ -495,53 +504,62 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
             if closed:
                 noise = np.stack([plant.noise.with_seed(s).draw_block(n) for _, s in cells],
                                  axis=1)
-            for k in range(n):
-                if closed:
-                    u, flagged = solve_control_rows(model_est, theta, phi, p, targets[k], cfg,
-                                                    u_prev)
-                    phi[:, p] = u
-                    f_true = link_true(row_dots(phi, theta_star))
-                    check_rows(np.isfinite(f_true), "plant conditional mean non-finite",
-                               phi=phi, u=u)
-                    y_next = f_true + noise[k]
-                else:
-                    phi, y_next = phi_block[k].take(block_of, axis=0), y_block[k].take(block_of)
-                    f_true = f_true_block[k].take(block_of) if truth else None
-                    flagged = {}
-                if truth:
-                    gap = theta - theta_star
-                    theta_err = np.sqrt(row_dots(gap, gap))
+            for start in range(0, n, _CHUNK):
+                stop = min(start + _CHUNK, n)
+                if not closed:
+                    phi_rows = phi_block[start:stop].take(block_of, axis=1)
+                    y_rows = y_block[start:stop].take(block_of, axis=1)
+                for j, k in enumerate(range(start, stop)):
+                    if closed:
+                        u, flagged = solve_control_rows(model_est, theta, phi, p, targets[k],
+                                                        cfg, u_prev)
+                        phi[:, p] = u
+                        f_true = link_true(row_dots(phi, theta_star))
+                        check_rows(np.isfinite(f_true), "plant conditional mean non-finite",
+                                   phi=phi, u=u)
+                        y_next = f_true + noise[k]
+                        y_col[k], f_true_col[k], u_col[k] = y_next, f_true, u
+                        for i, row_flags in flagged.items():
+                            flags[i][k] = ";".join(row_flags)
+                    else:
+                        phi, y_next = phi_rows[j], y_rows[j]
 
-                theta, r, carry, mu_k, _, f_est = update(theta, r, carry, phi, y_next)
-                diverged = np.sqrt(row_dots(theta, theta)) > DIVERGENCE_NORM
-                step = [f_est, mu_k, r]
-                if truth:
-                    regret, regret_carry = kahan_add_rows(
-                        regret, regret_carry, loss.eval(f_true, f_est) - loss.eval(f_true, f_true)
-                    )
-                    step += (regret / (k + 1), theta_err)
-                if closed:
-                    step += (y_next, f_true, u)
-                for column, value in zip(recorded.values(), step):
-                    column[k] = value
-                if any(diverged.tolist()):
-                    for i in np.flatnonzero(diverged).tolist():
-                        flagged[i] = flagged.get(i, ()) + ("divergence",)
-                for i, row_flags in flagged.items():
-                    flags[i][k] = ";".join(row_flags)
+                    theta, r, carry, mu_k, _, f_est = update(theta, r, carry, phi, y_next)
+                    estimates[j + 1] = theta
+                    f_est_col[k], mu_col[k], r_col[k] = f_est, mu_k, r
 
-                if closed:
-                    phi[:, 1:p] = phi[:, : p - 1]
-                    phi[:, 0] = y_next
-                    phi[:, p + 1 :] = phi[:, p : d - 1]
-                    phi[:, p] = 0.0
-                    u_prev = u
+                    if closed:
+                        phi[:, 1:p] = phi[:, : p - 1]
+                        phi[:, 0] = y_next
+                        phi[:, p + 1 :] = phi[:, p : d - 1]
+                        phi[:, p] = 0.0
+                        u_prev = u
+
+                chunk = estimates[: stop - start + 1]
+                diverged = np.sqrt(row_dots(chunk[1:], chunk[1:])) > DIVERGENCE_NORM
+                for j, i in np.argwhere(diverged).tolist():
+                    step_flags = flags[i].get(start + j)
+                    flags[i][start + j] = (f"{step_flags};divergence" if step_flags
+                                           else "divergence")
+                if truth:
+                    gap = chunk[:-1] - theta_star
+                    recorded["theta_err"][start:stop] = np.sqrt(row_dots(gap, gap))
+                    f_true = (f_true_col[start:stop] if closed
+                              else f_true_block[start:stop].take(block_of, axis=1))
+                    f_est = f_est_col[start:stop]
+                    recorded["regret_avg"][start:stop] = (loss.eval(f_true, f_est)
+                                                          - loss.eval(f_true, f_true))
+                estimates[0] = chunk[-1]
     except NumericError as exc:
         row = exc.context.pop("row", None)
         exc.context["k"] = k
         if row is not None:
             exc.context["algorithm"], exc.context["seed"] = cells[row]
         raise
+    if truth:
+        regret = recorded["regret_avg"]
+        for i in range(S):
+            regret[:, i] = running_mean(regret[:, i])
     return ClosedLoopBatch(cells=cells, recorded=recorded, inputs=inputs, block_of=block_of,
                            loss=loss, y_star=targets, flags=flags)
 

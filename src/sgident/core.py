@@ -117,12 +117,12 @@ def kahan_add_rows(total, carry, increment):
 
 
 def row_dots(a, b):
-    """Dot product of each row of ``a`` with the same row of ``b``.
+    """Dot product of each row (last axis) of ``a`` with the same row of ``b``.
 
     Every batched dot product goes through here, so it has one summation
-    order: equal rows give bit-equal results.
+    order: equal rows give bit-equal results, however the rows are stacked.
     """
-    return np.add.reduce(a * b, axis=1)
+    return np.add.reduce(a * b, axis=-1)
 
 
 def check_rows(ok, message, **values):

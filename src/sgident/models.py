@@ -105,25 +105,30 @@ class SaturationSpec:
             )
         if not (self.noise_std > 0 and math.isfinite(self.noise_std)):
             raise ConfigurationError(f"noise_std must be finite and > 0, got {self.noise_std}")
+        # the edges as a column, so an array of arguments broadcasts against both
+        object.__setattr__(self, "_edges", np.array([[self.lower], [self.upper]]))
 
 
 def _censored_mean_slope(spec: SaturationSpec, x):
     """``(saturation_mean(spec, x), saturation_mean_deriv(spec, x))``.
 
     Both come from one evaluation of the normal CDF and density at the two
-    window edges: an array ``x`` stacks the edges into one contiguous
-    (2, ...) array so erfc and exp each run once, while a scalar stays on
-    the ``math`` path.
+    window edges: an array ``x`` is subtracted from the stacked edges, so
+    erfc and exp each run once on a (2, ...) array, while a scalar stays on
+    the ``math`` path.  The array path is ``normal_cdf`` and ``normal_pdf``
+    written out, bit for bit.
     """
     s = spec.noise_std
     if isinstance(x, np.ndarray) and x.ndim:
-        gaps = np.subtract.outer((spec.lower, spec.upper), x)
+        gaps = spec._edges.reshape((2,) + (1,) * x.ndim) - x
         z = gaps / s
-        (cdf_lo, cdf_hi), (pdf_lo, pdf_hi) = normal_cdf(z), normal_pdf(z)
-    else:
-        gaps = (spec.lower - x, spec.upper - x)
-        cdf_lo, cdf_hi = (normal_cdf(gap / s) for gap in gaps)
-        pdf_lo, pdf_hi = (normal_pdf(gap / s) for gap in gaps)
+        cdf = 0.5 * _erfc_vec(-z / _SQRT2)
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        gap_cdf = gaps * cdf
+        return spec.upper + gap_cdf[0] - gap_cdf[1] + s * (pdf[0] - pdf[1]), cdf[1] - cdf[0]
+    gaps = (spec.lower - x, spec.upper - x)
+    cdf_lo, cdf_hi = (normal_cdf(gap / s) for gap in gaps)
+    pdf_lo, pdf_hi = (normal_pdf(gap / s) for gap in gaps)
     mean = spec.upper + gaps[0] * cdf_lo - gaps[1] * cdf_hi + s * (pdf_lo - pdf_hi)
     return mean, cdf_hi - cdf_lo
 

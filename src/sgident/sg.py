@@ -188,47 +188,55 @@ def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
     when that fails are the scalar step's checks walked, in its order
     (``r > 1`` on modified rows only), over the arrays already computed: the
     first failed check raises NumericError (DomainError for the loss domain)
-    with the first bad row in context["row"].
+    with the first bad row in context["row"].  Floating-point warnings stay
+    silent, because every result is checked.
     """
-    model, loss = pair.predictor, pair.loss
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f_hat, dlink = model.link_slope(row_dots(phi, theta))
-        g = dlink[:, None] * phi
-        grad_norm_sq = row_dots(g, g)
-        r, carry = kahan_add_rows(r, carry, grad_norm_sq)
-        denom = r**hyper.beta1
-        if hyper.beta2 != 0.0:
-            denom = denom * np.log(r) ** hyper.beta2
-        mu_k = np.where(classical, hyper.mu / r, hyper.mu / (denom + grad_norm_sq))
-        law = mu_k * grad_norm_sq
-        slope = loss.grad_x(y, f_hat)
-        theta_new = theta - (mu_k * slope)[:, None] * g
+        return sg_update_unguarded(theta, r, carry, phi, y, pair, hyper, classical)
 
-        # A sum is finite only when every term is, so this one test passes
-        # only when every check below would; an overflowing sum of finite
-        # terms merely sends the step through the walk, which then passes.
-        # The default loss domain is finiteness, already covered here.
-        total = np.add.reduce(theta_new, axis=1) + y + f_hat + law + slope
-        ok = np.isfinite(total) & (law <= hyper.mu) & (classical | (r > 1.0))
-        narrows = type(loss).in_domain is not LossFunction.in_domain
-        if not all(ok.tolist()) or (narrows and not loss.in_domain(f_hat)):
-            check_rows(np.isfinite(y), "observation must be finite", y=y)
-            check_rows(np.isfinite(f_hat), "predictor output non-finite", phi=phi, theta=theta)
-            check_rows(np.isfinite(grad_norm_sq), "predictor gradient non-finite",
-                       phi=phi, theta=theta)
-            check_rows(classical | (r > 1.0), "gain accumulator must exceed 1 for the log term",
-                       r=r)
-            check_rows(~(law > hyper.mu),
-                       f"step-size law violated: mu_k*||g||^2 > mu = {hyper.mu}",
-                       mu_k=mu_k, grad_norm_sq=grad_norm_sq)
-            if not loss.in_domain(f_hat):
-                row = next(i for i in range(len(f_hat)) if not loss.in_domain(f_hat[i]))
-                raise DomainError(
-                    f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): "
-                    f"x={f_hat[row]} in row {row}"
-                )
-            check_rows(np.isfinite(slope), f"loss '{loss.name}' produced a non-finite derivative",
-                       y=y, x=f_hat)
-            check_rows(np.isfinite(theta_new), "parameter update produced non-finite entries",
-                       phi=phi, theta=theta)
+
+def sg_update_unguarded(theta, r, carry, phi, y, pair, hyper, classical=False):
+    """``sg_update`` inside the caller's ``np.errstate``: a run loop enters it once."""
+    model, loss = pair.predictor, pair.loss
+    f_hat, dlink = model.link_slope(row_dots(phi, theta))
+    g = dlink[:, None] * phi
+    grad_norm_sq = row_dots(g, g)
+    r, carry = kahan_add_rows(r, carry, grad_norm_sq)
+    denom = r**hyper.beta1
+    if hyper.beta2 != 0.0:
+        denom = denom * np.log(r) ** hyper.beta2
+    mu_k = hyper.mu / np.where(classical, r, denom + grad_norm_sq)
+    law = mu_k * grad_norm_sq
+    slope = loss.grad_x(y, f_hat)
+    theta_new = theta - (mu_k * slope)[:, None] * g
+
+    # A sum is finite only when every term is, and total - total is 0 then and
+    # nan otherwise, which fails the law's comparison, as a non-finite
+    # gradient norm does through the law itself: the test passes only when
+    # every check below would.  An overflowing sum of finite terms, or a
+    # classical row with r <= 1, merely takes the walk, which passes it.
+    # The default loss domain is finiteness, covered here.
+    total = np.add.reduce(theta_new, axis=1) + y + f_hat + slope
+    ok = (total - total + law <= hyper.mu) & (r > 1.0)
+    narrows = type(loss).in_domain is not LossFunction.in_domain
+    if not all(ok.tolist()) or (narrows and not loss.in_domain(f_hat)):
+        check_rows(np.isfinite(y), "observation must be finite", y=y)
+        check_rows(np.isfinite(f_hat), "predictor output non-finite", phi=phi, theta=theta)
+        check_rows(np.isfinite(grad_norm_sq), "predictor gradient non-finite",
+                   phi=phi, theta=theta)
+        check_rows(classical | (r > 1.0), "gain accumulator must exceed 1 for the log term",
+                   r=r)
+        check_rows(~(law > hyper.mu),
+                   f"step-size law violated: mu_k*||g||^2 > mu = {hyper.mu}",
+                   mu_k=mu_k, grad_norm_sq=grad_norm_sq)
+        if not loss.in_domain(f_hat):
+            row = next(i for i in range(len(f_hat)) if not loss.in_domain(f_hat[i]))
+            raise DomainError(
+                f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): "
+                f"x={f_hat[row]} in row {row}"
+            )
+        check_rows(np.isfinite(slope), f"loss '{loss.name}' produced a non-finite derivative",
+                   y=y, x=f_hat)
+        check_rows(np.isfinite(theta_new), "parameter update produced non-finite entries",
+                   phi=phi, theta=theta)
     return theta_new, r, carry, mu_k, grad_norm_sq, f_hat

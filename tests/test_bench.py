@@ -281,6 +281,16 @@ class TestIngestCsv:
             seen.append(stream.rows_yielded)
         assert seen == [1, 2]
 
+    def test_blank_short_and_long_rows_and_a_repeated_name(self, tmp_path):
+        # as csv.DictReader reads them: a blank line is no row but counts as a
+        # line, a short row lacks its last cells, extra cells are ignored, and
+        # a repeated column name reads its last column
+        body = "a,b,y,a\n0,2,3,1\n\n1,2\n0,2,3,4,5\n"
+        stream = ingest_csv(self._write(tmp_path, body), self.COLUMNS)
+        assert [(phi.tolist(), y) for phi, y in stream] == [([1.0, 2.0], 3.0), ([4.0, 2.0], 3.0)]
+        assert stream.skipped_lines == [4]
+        assert stream.line == 5
+
     def test_missing_column_reported(self, tmp_path):
         path = self._write(tmp_path, "a,z,y\n1,2,3\n")
         with pytest.raises(DataError, match="'b'"):
@@ -1108,6 +1118,40 @@ class TestVerifyReport:
             f"{algo}/{seed_key} ({summary['trace']}): column {column!r} first differs "
             f"from {derivation} at row 10 (line 12)"
         ])
+
+    @pytest.mark.parametrize("run", ["control_report", "identify_report"])
+    def test_edited_regret_avg_is_flagged(self, run, request, tmp_path):
+        # summarize reads no regret_avg cell; its running mean of the regret must
+        # reproduce the column bit for bit
+        report = request.getfixturevalue(run)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(report.path), dst)
+        algo = report.data["config"]["algorithms"][0]
+        seed_key, summary = next(iter(report.data["runs"][algo].items()))
+        trace_path = dst / summary["trace"]
+        lines = trace_path.read_bytes().split(b"\r\n")
+        cells = lines[11].split(b",")
+        cells[TRACE_COLUMNS.index("regret_avg")] = b"9.0"
+        lines[11] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(lines))
+        assert verify_report(str(dst / "report.json")) == (False, [
+            f"{algo}/{seed_key} ({summary['trace']}): column 'regret_avg' first differs "
+            f"from the running mean of the regret at row 10 (line 12)"
+        ])
+
+    def test_path_object_reads_the_traces_beside_the_report(self, identify_report, tmp_path):
+        # the copy's report still names the original out_dir in its config
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(identify_report.path), dst)
+        trace_path = dst / "trace_modified_seed3.csv"
+        lines = trace_path.read_bytes().split(b"\r\n")
+        cells = lines[5].split(b",")
+        cells[TRACE_COLUMNS.index("mu_k")] = b"9.0"
+        lines[5] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(lines))
+        report_path = dst / "report.json"
+        assert verify_report(report_path) == verify_report(str(report_path))
+        assert not verify_report(report_path)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

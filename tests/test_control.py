@@ -31,7 +31,7 @@ from sgident.control import (
     solve_control,
     solve_control_rows,
 )
-from sgident.core import HyperParams, row_dots
+from sgident.core import HyperParams, kahan_add_rows, row_dots
 from sgident.errors import ConfigurationError, NumericError
 from sgident.metrics import gradient_norms_sq
 from sgident.models import (
@@ -40,10 +40,11 @@ from sgident.models import (
     SaturatedMeanModel,
     SaturationSpec,
     TanhArxModel,
+    linear_mse_pair,
     tanh_arx_model,
     tanh_mse_pair,
 )
-from sgident.sg import sg_init
+from sgident.sg import DIVERGENCE_NORM, sg_init
 
 
 class TestNoiseSource:
@@ -484,6 +485,99 @@ class TestRunClosedLoop:
         state = sg_init(np.zeros(4), self.hyper)
         with pytest.raises(ConfigurationError):
             run_closed_loop(plant, state, wrong_pair, ControlConfig(), n_steps=1, seed=0)
+
+
+# Unit rows: (1, 0, 0, 1e-6, 0) reads y_k with a tiny input coefficient, so
+# the control needed lies far beyond u_max and the row saturates; (0, 0, 0,
+# 1, 0) reads only the input and reaches the target in closed form.
+_SATURATING = np.array([1.0, 0.0, 0.0, 1e-6, 0.0]) / math.hypot(1.0, 1e-6)
+_REACHING = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+# (row direction, the step whose update first lifts the norm above
+# DIVERGENCE_NORM, None for never), around the chunk seam at k = 1024
+_DIVERGING_ROWS = ((_SATURATING, 1022), (_SATURATING, 1023), (_REACHING, 1024),
+                   (_SATURATING, 1024), (_REACHING, None))
+
+
+def _diverging_update(log):
+    """Update stub: each row's norm grows by its own factor along its direction.
+
+    Starting from norm 1, the norm after step k is growth^(k+1), so it
+    crosses DIVERGENCE_NORM at the row's step with half a step to spare.
+    Every call's (theta, phi, new theta) goes to ``log``.
+    """
+    directions = np.array([direction for direction, _ in _DIVERGING_ROWS])
+    growth = np.array([1.0 if k is None else DIVERGENCE_NORM ** (1.0 / (k + 0.5))
+                       for _, k in _DIVERGING_ROWS])
+
+    def update(theta, r, carry, phi, y):
+        new = directions * (np.sqrt(row_dots(theta, theta)) * growth)[:, None]
+        log.append((theta, phi.copy(), new))
+        return new, r + 1.0, carry, np.full(len(r), 0.1), np.ones(len(r)), row_dots(phi, theta)
+
+    return update
+
+
+def _per_step_oracle(log, batch, pair, theta_star, cfg, p):
+    """Flags, theta_err and regret_avg of each cell, derived step by step.
+
+    Each step re-solves the control from the logged estimate and regressor
+    for its flags, tests the norm of the updated estimate and adds the
+    step's regret to a compensated running sum, as a loop deriving every
+    column per step does.
+    """
+    n, S = len(log), len(batch.cells)
+    flags = [[""] * n for _ in range(S)]
+    theta_err, regret_avg = np.empty((n, S)), np.empty((n, S))
+    regret, carry = np.zeros(S), np.zeros(S)
+    u_prev = np.zeros(S)
+    for k, (theta, phi, new) in enumerate(log):
+        phi = phi.copy()
+        u, phi[:, p] = phi[:, p].copy(), 0.0
+        control = solve_control_rows(pair.predictor, theta, phi, p, cfg.target(k), cfg, u_prev)[1]
+        u_prev = u
+        diverged = np.sqrt(row_dots(new, new)) > DIVERGENCE_NORM
+        for i in range(S):
+            flags[i][k] = ";".join(control.get(i, ()) + (("divergence",) if diverged[i] else ()))
+        gap = theta - theta_star
+        theta_err[k] = np.sqrt(row_dots(gap, gap))
+        f_true, f_est = batch.recorded["f_true"][k], batch.recorded["f_est"][k]
+        regret, carry = kahan_add_rows(
+            regret, carry, pair.loss.eval(f_true, f_est) - pair.loss.eval(f_true, f_true))
+        regret_avg[k] = regret / (k + 1)
+    return flags, theta_err, regret_avg
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_per_chunk_columns_equal_the_per_step_derivation(n):
+    # the divergence flags, theta_err and regret_avg are derived per chunk of
+    # steps; across its seams they must equal the per-step derivation, with
+    # a step's divergence flag after its control flags
+    theta_star = np.array([0.01, 3.0, -0.1, 0.6, -0.3])
+    plant = Plant(tanh_arx_model(3, 2), theta_star, NoiseSource(std=0.05))
+    pair = linear_mse_pair(5)
+    state = sg_init(_SATURATING, HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0))
+    cfg = ControlConfig(y_target=0.5)
+    cells = [("modified", seed) for seed in range(len(_DIVERGING_ROWS))]
+    log = []
+    batch = run_closed_loop_batch(plant, state, pair, cfg, n, cells,
+                                  update=_diverging_update(log))
+    flags, theta_err, regret_avg = _per_step_oracle(log, batch, pair, theta_star, cfg, 3)
+    for i in range(len(cells)):
+        trace = batch.trace(i)
+        assert trace.flags == flags[i]
+        assert trace.theta_err.tobytes() == theta_err[:, i].tobytes()
+        assert trace.regret_avg.tobytes() == regret_avg[:, i].tobytes()
+    seen = {f for row in flags for f in row}
+    assert "saturated" in seen
+    if n > 1024:
+        # rows 0, 1 and 3 saturate as they diverge; row 2 diverges unsaturated
+        assert [flags[i][1022:1025] for i in range(len(cells))] == [
+            ["saturated;divergence"] * 3,
+            ["saturated", "saturated;divergence", "saturated;divergence"],
+            ["", "", "divergence"],
+            ["saturated", "saturated", "saturated;divergence"],
+            ["", "", ""],
+        ]
 
 
 class TestTrace:
