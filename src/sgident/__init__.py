@@ -30,7 +30,6 @@ from .control import (
     NoiseSource,
     Plant,
     Trace,
-    run_closed_loop,
     run_closed_loop_batch,
     solve_control,
     solve_control_rows,
@@ -84,10 +83,8 @@ from .models import (
 from .sg import (
     DIVERGENCE_NORM,
     EstimatorState,
-    classical_sg_step,
     mu_schedule,
     sg_init,
-    sg_step,
     sg_update,
 )
 

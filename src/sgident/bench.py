@@ -55,7 +55,7 @@ from .models import (
     tanh_mse_pair,
 )
 from .reprtext import float_cells, int_cells
-from .sg import classical_sg_step, sg_init, sg_step
+from .sg import sg_init
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -63,6 +63,7 @@ __all__ = [
     "RunReport",
     "preset_path",
     "load_config",
+    "check_seeds",
     "ingest_csv",
     "CsvStream",
     "write_trace",
@@ -75,8 +76,8 @@ __all__ = [
 ]
 
 MODES = ("identify", "control", "replay")
-# the algorithm names a config may list, each with its scalar one-step reference
-ALGORITHMS = {"modified": sg_step, "classical": classical_sg_step}
+# the algorithm names a config may list: a dict only because perfbench/tracer.py wraps its values
+ALGORITHMS = dict.fromkeys(("modified", "classical"))
 GRADIENT_NOISE_TOL = 1e-12
 RECOMPUTE_TOL = 1e-9
 
@@ -159,6 +160,23 @@ def _bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _reject_repeats(key, what, values):
+    repeated = next((v for v, count in Counter(values).items() if count > 1), None)
+    if repeated is not None:
+        raise ConfigurationError(f"{key}: {what} {repeated!r} is listed more than once")
+
+
+def check_seeds(seeds, key="experiment.seeds"):
+    """``seeds`` if non-empty, unsigned 64-bit and unrepeated, else ConfigurationError at key."""
+    if not seeds:
+        raise ConfigurationError(f"{key}: must list at least one seed")
+    for s in seeds:
+        if not (0 <= s < 2**64):
+            raise ConfigurationError(f"{key}: seed {s} outside unsigned 64-bit range")
+    _reject_repeats(key, "seed", seeds)
+    return seeds
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an INI experiment config; violations name section.key."""
     if not os.path.exists(path):
@@ -183,15 +201,11 @@ def load_config(path) -> ExperimentConfig:
                 f"experiment.algorithms: unknown algorithm {algo!r}; "
                 f"choose from {sorted(ALGORITHMS)}"
             )
+    _reject_repeats("experiment.algorithms", "algorithm", algorithms)
     n_steps = _get(cp, "experiment", "n_steps", int)
     if n_steps < 1:
         raise ConfigurationError(f"experiment.n_steps: must be >= 1, got {n_steps}")
-    seeds = _get(cp, "experiment", "seeds", _int_list)
-    if not seeds:
-        raise ConfigurationError("experiment.seeds: must list at least one seed")
-    for s in seeds:
-        if not (0 <= s < 2**64):
-            raise ConfigurationError(f"experiment.seeds: seed {s} outside unsigned 64-bit range")
+    seeds = check_seeds(_get(cp, "experiment", "seeds", _int_list))
     default_out = os.path.join("runs", os.path.splitext(os.path.basename(path))[0])
     out_dir = _get(cp, "experiment", "out_dir", str, default_out)
 
@@ -1075,12 +1089,33 @@ def _empty_column_problems(mode, name, trace):
     return problems
 
 
+def _plant_columns(config_echo, trace):
+    """A control trace's ``y_star`` (the target) and ``f_true``, link(theta* . phi_k).
+
+    phi_k is rebuilt as the loop fills it: y_k..y_{k-p+1}, u_k..u_{k-q+1}, zeros before step 0.
+    """
+    control = config_echo["control"]
+    p, q, n = control["p"], control["q"], len(trace)
+    phi = np.zeros((n, p + q))
+    for j in range(p):  # y_col[k] is y_{k+1}
+        phi[j + 1:, j] = trace.y[: max(n - j - 1, 0)]
+    for j in range(q):
+        phi[j:, p + j] = trace.u[: max(n - j, 0)]
+    z = row_dots(phi, np.array(config_echo["plant"]["theta_star"]))
+    return {
+        "y_star": (np.full(n, float(control["y_target"])), "the configured target"),
+        "f_true": (_pair_of(config_echo).predictor.link(z), "link(theta* . phi) of the y, u lags"),
+    }
+
+
 def _derived_column_problems(config_echo, name, trace, regret):
     """One problem per trace column that differs, bit for bit, from its derivation.
 
     ``k`` must be the row index, ``loss`` the run's loss of (y, f_est) and
     ``regret_avg`` the running mean ``regret`` (unless None); ``summarize``
-    reads none of them, so an edit to them would otherwise pass.
+    reads none of them, so an edit to them would otherwise pass.  A control
+    trace's ``y_star`` and ``f_true`` must be those of ``_plant_columns``,
+    which also ties each ``u`` cell to its step's ``f_true``.
     """
     loss = SquaredError() if config_echo["mode"] == "replay" else _pair_of(config_echo).loss
     derived = {
@@ -1089,6 +1124,8 @@ def _derived_column_problems(config_echo, name, trace, regret):
     }
     if regret is not None:
         derived["regret_avg"] = (regret, "the running mean of the regret")
+    if config_echo["mode"] == "control":
+        derived.update(_plant_columns(config_echo, trace))
     problems = []
     for column, (expected, what) in derived.items():
         got = getattr(trace, column)
@@ -1114,9 +1151,9 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     derived from the recomputed runs and the config (the first two only
     when every configured run was recomputed).  Each trace must leave empty
     exactly the columns its mode leaves empty; a trace that does not is one
-    problem per column and is not summarized.  Each trace's ``k`` and
-    ``loss`` columns, which no summary reads, must equal their derivation
-    bit for bit.
+    problem per column and is not summarized.  Each trace's ``k``,
+    ``loss`` and ``regret_avg`` columns, and a control trace's ``y_star``
+    and ``f_true``, must equal their derivation bit for bit.
     """
     report = _load_report(report_path)
     if isinstance(report_path, (str, os.PathLike)):

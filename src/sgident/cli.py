@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bench import compare_runs, load_config, render_comparison, run_experiment
+from .bench import check_seeds, compare_runs, load_config, render_comparison, run_experiment
 from .errors import NumericError, SgidentError
 from .models import catalog_pair, verify_assumption2
 
@@ -63,9 +63,7 @@ def _run_mode(args, expected_mode):
             f"config mode is {cfg.mode!r} but the {expected_mode} command was invoked"
         )
     if args.seeds is not None:
-        if not args.seeds:
-            raise SgidentError("--seeds override must list at least one seed")
-        cfg.seeds = args.seeds
+        cfg.seeds = check_seeds(args.seeds, "--seeds")
     if args.out is not None:
         cfg.out_dir = args.out
     if getattr(args, "data", None) is not None:

@@ -15,10 +15,10 @@ block up front.
 One loop, ``run_closed_loop_batch``, runs every mode: it steps all
 (algorithm, seed) cells of a sweep together as rows of (S, d) arrays, with
 the regressors and observations either made by the closed loop or prepared
-before it (identification, replay); ``run_closed_loop`` is a closed-loop
-batch of one.  Rows never mix, so a cell's trace does not depend on the
-other cells in its batch.  Every run mode records its steps as a
-``Trace``: one array per column.
+before it (identification, replay); a run of one cell is a batch of one.
+Rows never mix, so a cell's trace does not depend on the other cells in its
+batch.  Every run mode records its steps as a ``Trace``: one array per
+column.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "ClosedLoopBatch",
     "solve_control",
     "solve_control_rows",
-    "run_closed_loop",
     "run_closed_loop_batch",
 ]
 
@@ -220,6 +219,7 @@ class Trace:
         return list(self.flags) == list(other.flags)
 
 
+# stays scalar and module-level: perfbench/tracer.py rebinds it by name
 def solve_control(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev=0.0):
     """Invert u -> f(phi_k(u), theta) toward y_star.
 
@@ -408,6 +408,7 @@ class ClosedLoopBatch:
         return Trace(k=np.arange(n), y_star=y_star, flags=flags, **columns)
 
 
+# takes an sg_init state, not (theta0, hyper): perfbench/tracer.py patches EstimatorState
 def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=None):
     """Run every (algorithm, seed) cell of a sweep as one batch; returns a ClosedLoopBatch.
 
@@ -562,15 +563,3 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
             regret[:, i] = running_mean(regret[:, i])
     return ClosedLoopBatch(cells=cells, recorded=recorded, inputs=inputs, block_of=block_of,
                            loss=loss, y_star=targets, flags=flags)
-
-
-def run_closed_loop(plant, estimator, pair, cfg, n_steps, seed, algorithm="modified",
-                    update=None):
-    """One-seed closed loop: a batch of one; returns its Trace.
-
-    Arguments as for ``run_closed_loop_batch``; the noise stream is reseeded
-    from ``seed`` so sweeps are reproducible run by run.
-    """
-    batch = run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, ((algorithm, seed),),
-                                  update)
-    return batch.trace(0)

@@ -195,6 +195,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="sgd"):
             load_config(_write_cfg(tmp_path, text, out=tmp_path))
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("algorithms = modified, classical", "algorithms = modified, modified",
+         "experiment.algorithms: algorithm 'modified' is listed more than once"),
+        ("seeds = 1, 2", "seeds = 1, 2, 1",
+         "experiment.seeds: seed 1 is listed more than once"),
+    ], ids=["algorithms", "seeds"])
+    def test_repeated_entry_rejected(self, tmp_path, old, new, message):
+        # a repeated cell would run twice and count as a tie with itself
+        text = CONTROL_CFG.replace(old, new)
+        with pytest.raises(ConfigurationError) as exc:
+            load_config(_write_cfg(tmp_path, text, out=tmp_path))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("seeds", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, seeds):
+        text = CONTROL_CFG.replace("seeds = 1, 2", f"seeds = {seeds}")
+        with pytest.raises(ConfigurationError) as exc:
+            load_config(_write_cfg(tmp_path, text, out=tmp_path))
+        assert str(exc.value) == (
+            f"experiment.seeds: seed {seeds} outside unsigned 64-bit range")
+
     def test_step_size_cap_enforced_at_load(self, tmp_path):
         # tanh lag pair declares delta ~ 0.84, c1 = 4 -> cap 2*delta/c1 ~ 0.42
         text = CONTROL_CFG.replace("mu = 0.3", "mu = 0.5")
@@ -1138,6 +1159,30 @@ class TestVerifyReport:
             f"{algo}/{seed_key} ({summary['trace']}): column 'regret_avg' first differs "
             f"from the running mean of the regret at row 10 (line 12)"
         ])
+
+    @pytest.mark.parametrize("column, cell, derived", [
+        ("y_star", b"0.25", "y_star"),
+        ("f_true", b"0.125", "f_true"),
+        # the input is the plant's regressor entry, so it shows in that step's f_true
+        ("u", b"1.0", "f_true"),
+    ])
+    def test_edited_control_column_is_flagged(self, control_report, tmp_path, column, cell,
+                                              derived):
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        summary = control_report.data["runs"]["modified"]["seed_1"]
+        trace_path = dst / summary["trace"]
+        lines = trace_path.read_bytes().split(b"\r\n")
+        cells = lines[11].split(b",")
+        cells[TRACE_COLUMNS.index(column)] = cell
+        lines[11] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(lines))
+        what = {"y_star": "the configured target",
+                "f_true": "link(theta* . phi) of the y, u lags"}[derived]
+        ok, problems = verify_report(str(dst / "report.json"))
+        assert not ok
+        assert (f"modified/seed_1 ({summary['trace']}): column {derived!r} first differs "
+                f"from {what} at row 10 (line 12)") in problems
 
     def test_path_object_reads_the_traces_beside_the_report(self, identify_report, tmp_path):
         # the copy's report still names the original out_dir in its config

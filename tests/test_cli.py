@@ -105,6 +105,20 @@ class TestRunCommands:
         report = json.load(open(os.path.join(out, "report.json")))
         assert set(report["runs"]["modified"]) == {"seed_5", "seed_6"}
 
+    @pytest.mark.parametrize("seeds,message", [
+        ("-1", "--seeds: seed -1 outside unsigned 64-bit range"),
+        ("18446744073709551616", "--seeds: seed 18446744073709551616 outside unsigned 64-bit range"),
+        ("1,1", "--seeds: seed 1 is listed more than once"),
+        (",", "--seeds: must list at least one seed"),
+    ], ids=["negative", "beyond_64_bits", "repeated", "empty"])
+    def test_seed_override_is_validated_as_the_config_is(self, tmp_path, capsys, seeds, message):
+        out = tmp_path / "custom"
+        code = main(["control", "--config", _cfg(tmp_path, CONTROL_CFG), f"--seeds={seeds}",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()  # rejected before anything ran
+
     def test_replay_takes_data_from_flag(self, tmp_path, capsys, corpus_csv):
         with pytest.warns(UserWarning):
             code = main(["replay", "--config", _cfg(tmp_path, REPLAY_CFG),

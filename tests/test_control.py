@@ -26,7 +26,6 @@ from sgident.control import (
     NoiseSource,
     Plant,
     Trace,
-    run_closed_loop,
     run_closed_loop_batch,
     solve_control,
     solve_control_rows,
@@ -357,8 +356,8 @@ class TestRunClosedLoop:
         plant, pair = self._plant_and_pair()
         state = sg_init(self.theta_star, self.hyper)
         cfg = ControlConfig(y_target=0.5, root_tol=1e-10)
-        trace = run_closed_loop(plant, state, pair, cfg, n_steps=2000, seed=1,
-                                update=_frozen_update)
+        trace = run_closed_loop_batch(plant, state, pair, cfg, 2000, [("modified", 1)],
+                                      update=_frozen_update).trace(0)
         assert len(trace) == 2000
         assert all(f == "" for f in trace.flags)
         te = np.mean((trace.y - trace.y_star) ** 2)
@@ -373,7 +372,7 @@ class TestRunClosedLoop:
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)
         cfg = ControlConfig(y_target=0.5)
-        trace = run_closed_loop(plant, state, cfg=cfg, pair=pair, n_steps=1500, seed=1)
+        trace = run_closed_loop_batch(plant, state, pair, cfg, 1500, [("modified", 1)]).trace(0)
         assert trace.theta_err[-1] < trace.theta_err[0]
         assert trace.regret_avg[-1] < trace.regret_avg[49]
         # r is nondecreasing and mu stays within the safety cap
@@ -384,7 +383,8 @@ class TestRunClosedLoop:
     def test_single_step_run(self):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.zeros(5), self.hyper)
-        trace = run_closed_loop(plant, state, pair, ControlConfig(), n_steps=1, seed=4)
+        trace = run_closed_loop_batch(plant, state, pair, ControlConfig(), 1,
+                                      [("modified", 4)]).trace(0)
         assert len(trace) == 1
         assert trace.k.tolist() == [0]
         # theta = 0: the gradient is the regressor (0, 0, 0, u, 0), so ||g||^2 = u^2
@@ -399,8 +399,8 @@ class TestRunClosedLoop:
             zeros = np.zeros(len(r))
             return np.full_like(theta, 1e7), r, carry, zeros, zeros, zeros
 
-        trace = run_closed_loop(plant, state, pair, ControlConfig(), n_steps=1, seed=4,
-                                update=blowup_update)
+        trace = run_closed_loop_batch(plant, state, pair, ControlConfig(), 1, [("modified", 4)],
+                                      update=blowup_update).trace(0)
         assert "divergence" in trace.flags[0]
 
     def test_same_seed_reruns_bitwise(self):
@@ -409,10 +409,11 @@ class TestRunClosedLoop:
         runs = []
         for _ in range(2):
             state = sg_init(np.full(5, 0.01), self.hyper)
-            runs.append(run_closed_loop(plant, state, pair, cfg, n_steps=300, seed=7))
+            runs.append(run_closed_loop_batch(plant, state, pair, cfg, 300,
+                                              [("modified", 7)]).trace(0))
         assert runs[0] == runs[1]
         state = sg_init(np.full(5, 0.01), self.hyper)
-        other = run_closed_loop(plant, state, pair, cfg, n_steps=300, seed=8)
+        other = run_closed_loop_batch(plant, state, pair, cfg, 300, [("modified", 8)]).trace(0)
         assert not np.array_equal(other.y, runs[0].y)
 
     def test_per_step_targets_are_followed(self):
@@ -420,8 +421,8 @@ class TestRunClosedLoop:
         state = sg_init(self.theta_star, self.hyper)
         targets = np.array([0.1, -0.2, 0.3, 0.0, 0.25])
         cfg = ControlConfig(y_target=targets, root_tol=1e-10)
-        trace = run_closed_loop(plant, state, pair, cfg, n_steps=5, seed=2,
-                                update=_frozen_update)
+        trace = run_closed_loop_batch(plant, state, pair, cfg, 5, [("modified", 2)],
+                                      update=_frozen_update).trace(0)
         assert trace.y_star.tolist() == list(targets)
         assert np.max(np.abs(trace.f_true - trace.y_star)) <= 1e-10
 
@@ -438,17 +439,19 @@ class TestRunClosedLoop:
         for cells in (sweep, mixed):
             batch = run_closed_loop_batch(plant, state, pair, cfg, 300, cells)
             for i, (algorithm, seed) in enumerate(cells):
-                alone = run_closed_loop(plant, state, pair, cfg, 300, seed, algorithm)
+                alone = run_closed_loop_batch(plant, state, pair, cfg, 300,
+                                              [(algorithm, seed)]).trace(0)
                 assert batch.trace(i) == alone
 
     def test_gain_law_follows_the_algorithm_name(self):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)
         cfg = ControlConfig(y_target=0.5)
-        classical = run_closed_loop(plant, state, pair, cfg, 20, 1, "classical")
+        classical = run_closed_loop_batch(plant, state, pair, cfg, 20,
+                                          [("classical", 1)]).trace(0)
         # classical gain: mu_k = mu / r_k on every step
         assert np.array_equal(classical.mu_k, self.hyper.mu / classical.r_k)
-        modified = run_closed_loop(plant, state, pair, cfg, 20, 1)
+        modified = run_closed_loop_batch(plant, state, pair, cfg, 20, [("modified", 1)]).trace(0)
         assert modified.mu_k[0] < classical.mu_k[0]
 
     def test_numeric_error_names_step_algorithm_and_seed(self):
@@ -477,14 +480,14 @@ class TestRunClosedLoop:
         plant = Plant(lin.predictor, np.zeros(5), NoiseSource())
         state = sg_init(np.zeros(5), self.hyper)
         with pytest.raises(ConfigurationError):
-            run_closed_loop(plant, state, pair, ControlConfig(), n_steps=1, seed=0)
+            run_closed_loop_batch(plant, state, pair, ControlConfig(), 1, [("modified", 0)])
 
     def test_estimator_dim_mismatch_rejected(self):
         plant, _ = self._plant_and_pair()
         wrong_pair = tanh_mse_pair(p=2, q=2)
         state = sg_init(np.zeros(4), self.hyper)
         with pytest.raises(ConfigurationError):
-            run_closed_loop(plant, state, wrong_pair, ControlConfig(), n_steps=1, seed=0)
+            run_closed_loop_batch(plant, state, wrong_pair, ControlConfig(), 1, [("modified", 0)])
 
 
 # Unit rows: (1, 0, 0, 1e-6, 0) reads y_k with a tiny input coefficient, so

@@ -16,7 +16,6 @@ from sgident.core import (
     as_values,
     check_step_size_cap,
     kahan_add,
-    loss_grad_x,
 )
 from sgident.errors import ConfigurationError, DomainError, NumericError
 from sgident.models import (
@@ -26,6 +25,7 @@ from sgident.models import (
     SquaredError,
     TanhArxModel,
 )
+from sgident.sg import sg_update
 
 
 class TestVectors:
@@ -165,16 +165,20 @@ class TestValidatedWrappers:
         loss = SquaredError()
         assert loss.eval(2.0, 2.0) == 0.0
         assert loss.eval(3.0, 1.0) == 4.0
-        assert loss_grad_x(loss, 3.0, 1.0) == -4.0
-        assert loss_grad_x(loss, 3.0, 3.0) == 0.0
+        assert loss.grad_x(3.0, 1.0) == -4.0
+        assert loss.grad_x(3.0, 3.0) == 0.0
 
     def test_cross_entropy_domain(self):
         loss = CrossEntropy()
         assert loss.eval(0.5, 0.5) == pytest.approx(-math.log(0.5), rel=1e-12)
         assert not loss.in_domain(0.0) and not loss.in_domain(1.0)
         assert loss.in_domain(np.array([1e-300, 0.5, 1.0 - 1e-16]))
+        # the estimator step rejects a prediction on the domain's edge
+        pair = ModelLossPair(LinearModel(1), loss)
+        hyper = HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0)
         with pytest.raises(DomainError):
-            loss_grad_x(loss, 0.0, 1.0)
+            sg_update(np.ones((1, 1)), np.full(1, 2.0), np.zeros(1), np.ones((1, 1)),
+                      np.zeros(1), pair, hyper)
 
     def test_logistic_output_in_unit_interval(self):
         model = LogisticModel(3)

@@ -1,5 +1,9 @@
 """Step-wise estimator behaviour: the gain schedule, the accumulator
-recursion, the hand-derived single-step values, and the safety law."""
+recursion, the hand-derived single-step values, and the safety law.
+
+``_oracle_sg_step`` is the estimator step on one row in scalar arithmetic,
+with the step's checks in their order: the reference that the row-wise
+``sg_update`` is pinned to."""
 
 import math
 
@@ -9,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sgident.core import GainState, HyperParams, ModelLossPair, ParameterVector
+from sgident.control import run_closed_loop_batch
+from sgident.core import GainState, HyperParams, ModelLossPair, ParameterVector, as_values
 from sgident.errors import ConfigurationError, DomainError, NumericError
 from sgident.models import (
     CrossEntropy,
@@ -24,10 +29,8 @@ from sgident.models import (
 from sgident.sg import (
     DIVERGENCE_NORM,
     EstimatorState,
-    classical_sg_step,
     mu_schedule,
     sg_init,
-    sg_step,
     sg_update,
 )
 
@@ -48,11 +51,87 @@ def _linear_pair(d):
     return ModelLossPair(LinearModel(d), SquaredError(), delta=2.0, c1=4.0, c2=0.0)
 
 
+def _oracle_loss_grad_x(loss, y, x):
+    """Validated derivative of L(y, x) in x."""
+    if not loss.in_domain(x):
+        raise DomainError(
+            f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): x={x}"
+        )
+    out = float(loss.grad_x(y, x))
+    if not math.isfinite(out):
+        raise NumericError(
+            f"loss '{loss.name}' produced a non-finite derivative at y={y}, x={x}",
+            context={"y": y, "x": x},
+        )
+    return out
+
+
+def _oracle_sg_step(state, pair, phi, y, classical=False):
+    """One estimator step on one row; returns (state after it, mu_k, ||g_k||^2)."""
+    k = state.gain.k
+    phi_v = as_values(phi, "regressor")
+    theta_v = state.theta.values
+    model = pair.predictor
+    if phi_v.size != theta_v.size:
+        raise ConfigurationError(
+            f"regressor dim {phi_v.size} != parameter dim {theta_v.size} at step {k}"
+        )
+    if not math.isfinite(y):
+        raise NumericError(f"observation must be finite, got {y} at step {k}",
+                           context={"k": k, "y": y})
+
+    f_hat = float(model.eval(phi_v, theta_v))
+    if not math.isfinite(f_hat):
+        raise NumericError("predictor output non-finite",
+                           context={"k": k, "phi": phi_v, "theta": theta_v})
+    g = np.asarray(model.grad(phi_v, theta_v), dtype=float)
+    grad_norm_sq = float(g @ g)
+    if not math.isfinite(grad_norm_sq):
+        raise NumericError("predictor gradient non-finite",
+                           context={"k": k, "phi": phi_v, "theta": theta_v})
+
+    gain = state.gain.advanced(grad_norm_sq)
+    if classical:
+        mu_k = state.hyper.mu / gain.r
+    else:
+        mu_k = mu_schedule(gain, grad_norm_sq, state.hyper)
+    if mu_k * grad_norm_sq > state.hyper.mu:
+        raise NumericError(
+            f"step-size law violated: mu_k*||g||^2 = {mu_k * grad_norm_sq} > mu = {state.hyper.mu}",
+            context={"k": k},
+        )
+
+    try:
+        slope = _oracle_loss_grad_x(pair.loss, y, f_hat)
+    except NumericError as exc:
+        exc.context.setdefault("k", k)
+        raise
+    theta_new = theta_v - (mu_k * slope) * g
+    if not np.all(np.isfinite(theta_new)):
+        raise NumericError("parameter update produced non-finite entries",
+                           context={"k": k, "phi": phi_v, "theta": theta_v})
+    return EstimatorState(ParameterVector(theta_new), gain, state.hyper), mu_k, grad_norm_sq
+
+
+def _step_one_row(pair, theta0, data, classical=False):
+    """``sg_update`` on one row from r = beta3 over (phi, y) pairs.
+
+    Returns the (theta, r, mu_k, grad_norm_sq) after each step.
+    """
+    theta, r, carry = np.array([theta0], dtype=float), np.array([2.0]), np.zeros(1)
+    steps = []
+    for phi, y in data:
+        theta, r, carry, mu_k, grad_norm_sq, _ = sg_update(
+            theta, r, carry, np.array([phi]), np.array([y]), pair, _hyper(), classical=classical)
+        steps.append((theta[0], r[0], mu_k[0], grad_norm_sq[0]))
+    return steps
+
+
 class TestInit:
     def test_initial_gain_is_beta3(self):
         state = sg_init(np.zeros(3), _hyper())
         assert state.gain.r == 2.0
-        assert state.k == 0
+        assert state.gain.k == 0
         assert_allclose(state.theta.values, 0.0)
 
     def test_beta3_equal_one_rejected(self):
@@ -95,94 +174,74 @@ class TestSingleStepOracles:
     """
 
     def test_modified_step(self):
-        pair = _linear_pair(1)
-        state = sg_init(np.zeros(1), _hyper())
-        out = sg_step(state, pair, np.ones(1), 1.0)
+        [(theta, r, mu_k, _)] = _step_one_row(_linear_pair(1), [0.0], [(np.ones(1), 1.0)])
         mu0 = 0.3 / (3.0 ** 0.5 * math.log(3.0) ** 0.51 + 1.0)
-        assert out.gain.r == 3.0
-        assert out.last_mu == pytest.approx(mu0, rel=1e-15)
-        assert out.last_mu == pytest.approx(0.10649051999974325, rel=1e-12)
-        assert out.theta.values[0] == pytest.approx(2.0 * mu0, rel=1e-15)
+        assert r == 3.0
+        assert mu_k == pytest.approx(mu0, rel=1e-15)
+        assert mu_k == pytest.approx(0.10649051999974325, rel=1e-12)
+        assert theta[0] == pytest.approx(2.0 * mu0, rel=1e-15)
 
     def test_classical_step(self):
-        pair = _linear_pair(1)
-        state = sg_init(np.zeros(1), _hyper())
-        out = classical_sg_step(state, pair, np.ones(1), 1.0)
-        assert out.gain.r == 3.0
-        assert out.last_mu == pytest.approx(0.1, rel=1e-15)
-        assert out.theta.values[0] == pytest.approx(0.2, rel=1e-15)
+        [(theta, r, mu_k, _)] = _step_one_row(_linear_pair(1), [0.0], [(np.ones(1), 1.0)],
+                                              classical=True)
+        assert r == 3.0
+        assert mu_k == pytest.approx(0.1, rel=1e-15)
+        assert theta[0] == pytest.approx(0.2, rel=1e-15)
 
     def test_zero_gradient_is_identity(self):
-        pair = _linear_pair(2)
-        state = sg_init(np.array([0.4, -0.2]), _hyper())
-        out = sg_step(state, pair, np.zeros(2), 5.0)
-        assert_allclose(out.theta.values, state.theta.values)
-        assert out.gain.r == state.gain.r
-        assert out.k == 1
+        theta0 = [0.4, -0.2]
+        [(theta, r, _, grad_norm_sq)] = _step_one_row(_linear_pair(2), theta0,
+                                                      [(np.zeros(2), 5.0)])
+        assert_allclose(theta, theta0)
+        assert r == 2.0 and grad_norm_sq == 0.0
 
 
 class TestRecursionInvariants:
     def test_r_equals_beta3_plus_gradient_sum(self):
         rng = np.random.default_rng(11)
-        pair = _linear_pair(3)
-        state = sg_init(np.zeros(3), _hyper())
-        total = 0.0
+        data = []
         for _ in range(200):
             phi = rng.normal(size=3)
-            y = float(np.dot(phi, [1.0, -2.0, 0.5]) + rng.normal())
-            state = sg_step(state, pair, phi, y)
-            total += float(np.dot(phi, phi))
-        assert state.gain.r == pytest.approx(2.0 + total, rel=1e-12)
+            data.append((phi, float(np.dot(phi, [1.0, -2.0, 0.5]) + rng.normal())))
+        r = _step_one_row(_linear_pair(3), np.zeros(3), data)[-1][1]
+        total = sum(float(np.dot(phi, phi)) for phi, _ in data)
+        assert r == pytest.approx(2.0 + total, rel=1e-12)
 
     def test_r_monotone_and_k_counts(self):
+        # a one-cell batch over prepared regressors and observations
         rng = np.random.default_rng(3)
-        pair = _linear_pair(2)
+        phi, y = rng.normal(size=(100, 1, 2)), rng.normal(size=(100, 1))
         state = sg_init(np.zeros(2), _hyper())
-        prev_r = state.gain.r
-        for k in range(100):
-            state = sg_step(state, pair, rng.normal(size=2), float(rng.normal()))
-            assert state.gain.r >= prev_r
-            assert state.k == k + 1
-            prev_r = state.gain.r
+        trace = run_closed_loop_batch(None, state, _linear_pair(2), (phi, y, None), 100,
+                                      [("modified", 0)]).trace(0)
+        assert trace.k.tolist() == list(range(100))
+        assert trace.r_k[0] >= state.gain.r
+        assert np.all(np.diff(trace.r_k) >= 0.0)
 
     def test_safety_law_every_step(self):
         # mu_k * ||grad f||^2 <= mu because the denominator contains the norm
         rng = np.random.default_rng(7)
         for pair, d in ((_linear_pair(4), 4), (tanh_mse_pair(3, 2), 5)):
-            state = sg_init(np.zeros(d), _hyper())
-            for _ in range(300):
-                phi = rng.normal(size=d) * 10.0
-                state = sg_step(state, pair, phi, float(rng.normal()))
-                assert state.last_mu * state.last_grad_norm_sq <= 0.3
+            data = [(rng.normal(size=d) * 10.0, float(rng.normal())) for _ in range(300)]
+            for _, _, mu_k, grad_norm_sq in _step_one_row(pair, np.zeros(d), data):
+                assert mu_k * grad_norm_sq <= 0.3
 
     def test_classical_mu_below_mu_over_beta3(self):
         rng = np.random.default_rng(5)
-        pair = _linear_pair(2)
-        state = sg_init(np.zeros(2), _hyper())
-        for _ in range(100):
-            state = classical_sg_step(state, pair, rng.normal(size=2), float(rng.normal()))
-            assert state.last_mu < 0.3 / 2.0
+        data = [(rng.normal(size=2), float(rng.normal())) for _ in range(100)]
+        for _, _, mu_k, _ in _step_one_row(_linear_pair(2), np.zeros(2), data, classical=True):
+            assert mu_k < 0.3 / 2.0
 
     def test_bit_identical_replay(self):
         rng = np.random.default_rng(23)
         data = [(rng.normal(size=3), float(rng.normal())) for _ in range(150)]
-        pair = _linear_pair(3)
-
-        def run():
-            s = sg_init(np.zeros(3), _hyper())
-            for phi, y in data:
-                s = sg_step(s, pair, phi, y)
-            return s
-
-        a, b = run(), run()
-        assert np.array_equal(a.theta.values, b.theta.values)
-        assert a.gain.r == b.gain.r and a.last_mu == b.last_mu
+        a, b = (_step_one_row(_linear_pair(3), np.zeros(3), data)[-1] for _ in range(2))
+        assert np.array_equal(a[0], b[0])
+        assert a[1] == b[1] and a[2] == b[2]
 
     def test_nonfinite_observation_rejected(self):
-        pair = _linear_pair(2)
-        state = sg_init(np.zeros(2), _hyper())
-        with pytest.raises((ConfigurationError, NumericError)):
-            sg_step(state, pair, np.ones(2), float("nan"))
+        with pytest.raises(NumericError, match="observation"):
+            _step_one_row(_linear_pair(2), np.zeros(2), [(np.ones(2), float("nan"))])
 
     def test_divergence_threshold_constant(self):
         assert DIVERGENCE_NORM == 1e6
@@ -255,16 +314,15 @@ def test_vector_update_matches_scalar_step(case):
     for i in range(len(rows)):
         state = EstimatorState(theta=ParameterVector(theta[i]),
                                gain=GainState(r=r[i], carry=carry[i]), hyper=hyper)
-        step = classical_sg_step if classical[i] else sg_step
-        want = step(state, pair, phi[i], y[i])
+        want, want_mu, want_gns = _oracle_sg_step(state, pair, phi[i], y[i], classical[i])
         f_hat = pair.predictor.eval(phi[i], theta[i])
         assert abs(f_v[i] - f_hat) <= VECTOR_RTOL * _prediction_scale(pair.predictor, phi[i],
                                                                       theta[i])
-        assert_allclose(gns_v[i], want.last_grad_norm_sq, rtol=VECTOR_RTOL, atol=1e-300)
+        assert_allclose(gns_v[i], want_gns, rtol=VECTOR_RTOL, atol=1e-300)
         assert_allclose(r_v[i], want.gain.r, rtol=VECTOR_RTOL)
-        assert_allclose(mu_v[i], want.last_mu, rtol=VECTOR_RTOL)
+        assert_allclose(mu_v[i], want_mu, rtol=VECTOR_RTOL)
         g = pair.predictor.grad(phi[i], theta[i])
-        move = want.last_mu * pair.loss.grad_x(y[i], f_v[i]) * g
+        move = want_mu * pair.loss.grad_x(y[i], f_v[i]) * g
         scale = np.abs(theta[i]) + np.abs(move)
         assert np.all(np.abs(theta_v[i] - (theta[i] - move)) <= VECTOR_RTOL * scale)
     # the safety law holds on every row
