@@ -128,6 +128,7 @@ _MISSING = object()
 
 
 def _get(cp, section, key, cast=str, default=_MISSING):
+    cp.read_keys.add((section, key))
     if not cp.has_option(section, key):
         if default is _MISSING:
             raise ConfigurationError(f"{section}.{key}: required key is missing")
@@ -188,6 +189,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"config parse error in {path}: {exc}") from None
     if not read:
         raise ConfigurationError(f"config file unreadable: {path}")
+    cp.read_keys = set()  # every (section, key) _get asks for
 
     mode = _get(cp, "experiment", "mode")
     if mode not in MODES:
@@ -240,6 +242,10 @@ def load_config(path) -> ExperimentConfig:
         _load_control_section(cp, cfg)
     if mode == "replay":
         _load_replay_section(cp, cfg)
+    for section, key in ((s, k) for s in cp.sections() for k in cp.options(s)):
+        if (section, key) not in cp.read_keys:
+            raise ConfigurationError(
+                f"{section}.{key}: not a setting of {mode} mode with pair {cfg.pair_name!r}")
 
     _apply_cap_policy(cfg)
     return cfg

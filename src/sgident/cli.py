@@ -1,7 +1,7 @@
 """Command-line entry points for running and comparing experiments.
 
 Exit codes: 0 when every enabled check passes, 2 when a check fails,
-1 on configuration/data/runtime errors.
+1 on usage and configuration/data/runtime errors.
 """
 
 from __future__ import annotations
@@ -15,6 +15,13 @@ from .errors import NumericError, SgidentError
 from .models import catalog_pair, verify_assumption2
 
 PASS, FAIL, ERROR = 0, 2, 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits ERROR on a usage error, where argparse exits 2, the code of a failed check."""
+
+    def error(self, message):
+        self.exit(ERROR, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def _parse_seed_list(raw):
@@ -33,7 +40,7 @@ def _add_run_command(sub, name, help_text, with_data=False):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgident",
         description="streaming identification, adaptive tracking control, and prequential replay benchmarks",
     )

@@ -3,14 +3,14 @@
 Per step k the loop (i) inverts the *estimated* model to pick the input u_k
 that would place the one-step-ahead prediction on the target, (ii) advances
 the true plant to produce y_{k+1}, and (iii) feeds (phi_k, y_{k+1}) to the
-estimator.  A link with a closed-form inverse is inverted directly,
-u = (link_inv(y*) - base) / theta_u; any other link, and any closed-form
-answer that misses the residual tolerance, goes to a monotone bisection
-after geometric bracket expansion from the previous input.  Unreachable
-targets and a vanishing control gain are handled by best-effort/hold
-fallbacks that leave a flag in the trace instead of raising.  The plant
-noise of a run does not depend on the loop state, so it is drawn as one
-block up front.
+estimator.  ``solve_control_rows`` decides every row's control on arrays: a
+link with a closed-form inverse is inverted directly, u = (link_inv(y*) -
+base) / theta_u, and unreachable targets and a vanishing control gain get
+best-effort/hold fallbacks that leave a flag in the trace instead of
+raising.  Only the rest (other links, closed forms that miss the residual
+tolerance) runs per row: a monotone bisection after geometric bracket
+expansion from the previous input.  The plant noise of a run does not
+depend on the loop state, so it is drawn as one block up front.
 
 One loop, ``run_closed_loop_batch``, runs every mode: it steps all
 (algorithm, seed) cells of a sweep together as rows of (S, d) arrays, with
@@ -32,7 +32,7 @@ from scipy.special import ndtri, stdtrit
 
 from .core import ParameterVector, as_values, check_rows, row_dots
 from .errors import ConfigurationError, NumericError
-from .metrics import running_mean
+from .metrics import regret_sum, running_mean
 from .sg import DIVERGENCE_NORM, sg_update_unguarded
 
 __all__ = [
@@ -219,66 +219,80 @@ class Trace:
         return list(self.flags) == list(other.flags)
 
 
-# stays scalar and module-level: perfbench/tracer.py rebinds it by name
+# module-level: perfbench/tracer.py rebinds it by name
 def solve_control(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev=0.0):
-    """Invert u -> f(phi_k(u), theta) toward y_star.
+    """``solve_control_rows`` on one regressor row; returns (u, flags).
 
-    ``phi`` is the regressor row with its input slot at index ``p``; the
-    slot's value is ignored and ``phi`` is not modified.
-
-    Returns (u, flags).  flags is a tuple drawn from {"saturated",
-    "singular_gain"}: ``singular_gain`` holds the previous input when the
-    local control gain df/du is below b_eps; ``saturated`` marks a target not
-    reachable inside [-u_max, u_max] (best endpoint returned) or an
-    unconverged residual on a flat stretch.
-
-    The previous input (clipped) is returned as is when it already meets
-    root_tol.  A model with ``link_inv`` is then inverted in closed form, and
-    that input is taken when it lies in [-u_max, u_max] and meets root_tol;
-    a target outside the link's range or an input beyond u_max saturates at
-    the better endpoint.  Everything else, including every model without
-    ``link_inv``, is solved by bracketed bisection.
+    ``phi`` has its input slot at index ``p``; the slot's value is ignored
+    and ``phi`` is not modified.  ``flags`` is () or the row's flags.
     """
     theta_v = as_values(theta, "parameter vector")
     phi = np.array(as_values(phi, "regressor"))
     if phi.size != theta_v.size:
         raise ConfigurationError(f"regressor dim {phi.size} != parameter dim {theta_v.size}")
     phi[p] = 0.0
+    u, flagged = solve_control_rows(model, theta_v[None, :], phi[None, :], p, y_star, cfg,
+                                    np.array([float(u_prev)]))
+    return float(u[0]), flagged.get(0, ())
 
+
+def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev):
+    """Invert u -> f(phi_k(u), theta) toward y_star on S stacked rows; returns (u, flagged).
+
+    ``theta`` and ``phi`` are (S, d) arrays, each row of ``phi`` a regressor
+    with its input entry (index ``p``) at 0; ``u_prev`` is (S,).  ``flagged``
+    maps each flagged row to its flags.  A row takes the first of: (1) its
+    previous input clipped to [-u_max, u_max], if that meets root_tol; (2)
+    the previous input, flagged ``singular_gain``, if the gain df/du there
+    is below b_eps; (3) the closed form u = (link_inv(y*) - base) / theta_u,
+    if it lies in [-u_max, u_max] and meets root_tol; (4) the better
+    endpoint, ``saturated`` unless it meets root_tol, if the closed form lies
+    beyond u_max or the target outside the link's range; (5) bisection, row
+    by row (``saturated`` if it finds no root within root_tol).
+    """
     link_inv = getattr(model, "link_inv", None)
-    base = float(np.dot(phi, theta_v))
-    cu = float(theta_v[p])
-    link = model.link
+    z_star = link_inv(y_star) if link_inv is not None else math.nan
+    cu = theta[:, p]
+    base = row_dots(phi, theta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u0 = np.minimum(np.maximum(u_prev, -cfg.u_max), cfg.u_max)
+        r0 = model.link(base + cu * u0) - y_star
+        gain = model.dlink(base + cu * u_prev) * cu
+        # nan without an inverse (the row bisects), inf outside the link's range (it saturates)
+        u = np.full(len(cu), math.inf) if z_star is None else (z_star - base) / cu
+        closed = (
+            (np.abs(r0) > cfg.root_tol)
+            & (np.abs(gain) >= cfg.b_eps)
+            & (np.abs(u) <= cfg.u_max)
+            & (np.abs(model.link(base + cu * u) - y_star) <= cfg.root_tol)
+        )
+        if all(closed.tolist()):
+            return u, {}
+        short = np.abs(r0) <= cfg.root_tol
+        hold = ~short & (np.abs(gain) < cfg.b_eps)
+        beyond = ~short & ~hold & (np.abs(u) > cfg.u_max)
+        ends = np.array([-cfg.u_max, cfg.u_max])
+        r_ends = np.abs(model.link(base[:, None] + cu[:, None] * ends) - y_star)
+    end = np.where(r_ends[:, 0] <= r_ends[:, 1], 0, 1)  # a tie keeps -u_max
+    u = np.where(short, u0, np.where(hold, u_prev, np.where(beyond, ends[end], u)))
+    missed = beyond & ~(r_ends[np.arange(len(end)), end] <= cfg.root_tol)
+    flagged = dict.fromkeys(np.flatnonzero(hold).tolist(), ("singular_gain",))
+    flagged.update(dict.fromkeys(np.flatnonzero(missed).tolist(), ("saturated",)))
+    for i in np.flatnonzero(~(closed | short | hold | beyond)).tolist():
+        f_of_u = partial(_link_at, model.link, float(np.dot(phi[i], theta[i])), float(cu[i]))
+        u[i], flagged[i] = _bisect_control(f_of_u, y_star, float(u0[i]), cfg)
+    return u, {i: flags for i, flags in flagged.items() if flags}
 
-    def f_of_u(u):
-        return link(base + cu * u)
 
-    u0 = min(max(u_prev, -cfg.u_max), cfg.u_max)
-    r0 = f_of_u(u0) - y_star
-    if abs(r0) <= cfg.root_tol:
-        return u0, ()
-    if abs(float(model.dlink(base + cu * u_prev)) * cu) < cfg.b_eps:
-        return u_prev, ("singular_gain",)
-
-    if link_inv is not None:
-        z_star = link_inv(y_star)
-        u = math.inf if z_star is None else (z_star - base) / cu
-        if abs(u) > cfg.u_max:
-            # monotone link: the target lies beyond one end of the input range
-            r_lo = f_of_u(-cfg.u_max) - y_star
-            r_hi = f_of_u(cfg.u_max) - y_star
-            u, r = (-cfg.u_max, r_lo) if abs(r_lo) <= abs(r_hi) else (cfg.u_max, r_hi)
-            return u, (() if abs(r) <= cfg.root_tol else ("saturated",))
-        if abs(f_of_u(u) - y_star) <= cfg.root_tol:
-            return u, ()
-    return _bisect_control(f_of_u, y_star, u0, r0, cfg)
+def _link_at(link, base, cu, u):
+    return link(base + cu * u)
 
 
-def _bisect_control(f_of_u, y_star, u0, r0, cfg):
-    """Bracket a sign change by geometric expansion from u0, then bisect."""
+def _bisect_control(f_of_u, y_star, u0, cfg):
+    """Bracket a sign change of f_of_u(u) - y_star by geometric expansion from u0, then bisect."""
     step = 1.0
-    lo, r_lo = u0, r0
-    hi, r_hi = u0, r0
+    lo = hi = u0
+    r_lo = r_hi = f_of_u(u0) - y_star
     bracket = None
     while bracket is None:
         progressed = False
@@ -323,49 +337,11 @@ def _bisect_control(f_of_u, y_star, u0, r0, cfg):
     return mid, ("saturated",)
 
 
-def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev):
-    """``solve_control`` on S stacked rows; returns (u, flagged).
-
-    ``theta`` and ``phi`` are (S, d) arrays; each row of ``phi`` is a
-    regressor with its input entry (index ``p``) at 0.  ``u_prev`` is (S,).
-    A row takes the closed form u = (link_inv(y*) - base) / theta_u where
-    ``solve_control`` would: its clipped previous input misses root_tol, its
-    local gain at the previous input is at least b_eps, and the closed form
-    lies in [-u_max, u_max] and meets root_tol.  Every other row is handed to
-    ``solve_control`` itself (short-circuit, singular-gain hold, saturation,
-    bisection), so each row gets the scalar solve's flags.  ``flagged`` maps
-    a row index to its flags, for flagged rows only.
-    """
-    link_inv = getattr(model, "link_inv", None)
-    z_star = link_inv(y_star) if link_inv is not None else None
-    cu = theta[:, p]
-    base = row_dots(phi, theta)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u0 = np.minimum(np.maximum(u_prev, -cfg.u_max), cfg.u_max)
-        r0 = model.link(base + cu * u0) - y_star
-        gain = model.dlink(base + cu * u_prev) * cu
-        # a target outside the link's range leaves u = nan: the scalar solve
-        u = (math.nan if z_star is None else z_star - base) / cu
-        closed = (
-            (np.abs(r0) > cfg.root_tol)
-            & (np.abs(gain) >= cfg.b_eps)
-            & (np.abs(u) <= cfg.u_max)
-            & (np.abs(model.link(base + cu * u) - y_star) <= cfg.root_tol)
-        )
-    flagged = {}
-    if not all(closed.tolist()):
-        for i in np.flatnonzero(~closed).tolist():
-            u[i], flags = solve_control(model, theta[i], phi[i], p, y_star, cfg, float(u_prev[i]))
-            if flags:
-                flagged[i] = flags
-    return u, flagged
-
-
 # float64 columns the batch records: those of every mode, then those that
 # need the truth (plant given), then those the closed loop makes itself
 # (prepared blocks supply y and f_true otherwise)
 _BATCH_COLUMNS = ("f_est", "mu_k", "r_k")
-_TRUTH_COLUMNS = ("regret_avg", "theta_err")
+_TRUTH_COLUMNS = ("theta_err",)
 _CLOSED_LOOP_COLUMNS = ("y", "f_true", "u")
 
 # steps per chunk of the run loop; a chunk's estimates of 20 rows in d = 5 take 0.2 MB
@@ -379,11 +355,12 @@ class ClosedLoopBatch:
     ``recorded[name][k, i]`` is column ``name`` of step k in the cell
     ``cells[i] = (algorithm, seed)``.  ``inputs`` maps each column taken
     from prepared blocks to its (n, U) block, whose column ``block_of[i]``
-    belongs to cell i.  The ``loss`` column is ``loss.eval(y, f_est)``,
-    evaluated per trace.  ``y_star[k]`` is shared by all cells (None
-    outside the closed loop).  ``flags[i]`` maps each flagged step k of
-    cell i to its ";"-joined flags.  A column the mode leaves empty is not
-    stored.
+    belongs to cell i.  The ``loss`` column is ``loss.eval(y, f_est)`` and,
+    where ``f_true`` is known, ``regret_avg`` is the running mean of
+    ``metrics.regret_sum``; both are evaluated per trace.  ``y_star[k]`` is
+    shared by all cells (None outside the closed loop).  ``flags[i]`` maps
+    each flagged step k of cell i to its ";"-joined flags.  A column the
+    mode leaves empty is not stored.
     """
 
     cells: tuple
@@ -405,7 +382,10 @@ class ClosedLoopBatch:
         for k, step_flags in self.flags[i].items():
             flags[k] = step_flags
         y_star = None if self.y_star is None else np.array(self.y_star)
-        return Trace(k=np.arange(n), y_star=y_star, flags=flags, **columns)
+        trace = Trace(k=np.arange(n), y_star=y_star, flags=flags, **columns)
+        if trace.f_true is not None:
+            trace.regret_avg = running_mean(regret_sum(trace, self.loss))
+        return trace
 
 
 # takes an sg_init state, not (theta0, hyper): perfbench/tracer.py patches EstimatorState
@@ -433,8 +413,8 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
     A step runs only the recursion: control and plant (closed loop only)
     and the update.  Once per chunk of steps, the prepared inputs are
     gathered per cell, and the divergence flags (norm above
-    ``DIVERGENCE_NORM`` after a step), ``theta_err`` and the regret are
-    derived from the chunk's estimates; ``regret_avg`` is the running mean.
+    ``DIVERGENCE_NORM`` after a step) and ``theta_err`` are derived from
+    the chunk's estimates.
 
     ``update(theta, r, carry, phi, y)`` advances the estimator rows and
     returns (theta, r, carry, mu_k, grad_norm_sq, f_hat) as ``sg_update``
@@ -461,7 +441,6 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
         update = partial(sg_update_unguarded, pair=pair, hyper=estimator.hyper,
                          classical=classical)
     n, S, d = int(n_steps), len(cells), model_est.dim
-    loss = pair.loss
     truth = plant is not None
     columns = (_BATCH_COLUMNS + (_TRUTH_COLUMNS if truth else ())
                + (_CLOSED_LOOP_COLUMNS if closed else ()))
@@ -545,11 +524,6 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
                 if truth:
                     gap = chunk[:-1] - theta_star
                     recorded["theta_err"][start:stop] = np.sqrt(row_dots(gap, gap))
-                    f_true = (f_true_col[start:stop] if closed
-                              else f_true_block[start:stop].take(block_of, axis=1))
-                    f_est = f_est_col[start:stop]
-                    recorded["regret_avg"][start:stop] = (loss.eval(f_true, f_est)
-                                                          - loss.eval(f_true, f_true))
                 estimates[0] = chunk[-1]
     except NumericError as exc:
         row = exc.context.pop("row", None)
@@ -557,9 +531,5 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
         if row is not None:
             exc.context["algorithm"], exc.context["seed"] = cells[row]
         raise
-    if truth:
-        regret = recorded["regret_avg"]
-        for i in range(S):
-            regret[:, i] = running_mean(regret[:, i])
     return ClosedLoopBatch(cells=cells, recorded=recorded, inputs=inputs, block_of=block_of,
-                           loss=loss, y_star=targets, flags=flags)
+                           loss=pair.loss, y_star=targets, flags=flags)

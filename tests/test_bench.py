@@ -208,6 +208,21 @@ class TestLoadConfig:
             load_config(_write_cfg(tmp_path, text, out=tmp_path))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("beta3 = 2.0", "beta3 = 2.0\nbeta_3 = 9",
+         "hyper.beta_3: not a setting of control mode with pair 'tanh_mse'"),
+        ("q = 2", "q = 2\n\n[contrl]\nu_max = 5.0",
+         "contrl.u_max: not a setting of control mode with pair 'tanh_mse'"),
+        ("q = 2", "q = 2\n\n[replay]\nlower = 6.0",
+         "replay.lower: not a setting of control mode with pair 'tanh_mse'"),
+    ], ids=["key", "section", "other_mode"])
+    def test_unread_setting_rejected(self, tmp_path, old, new, message):
+        # a mistyped name would otherwise run on the default and exit 0
+        text = CONTROL_CFG.replace(old, new)
+        with pytest.raises(ConfigurationError) as exc:
+            load_config(_write_cfg(tmp_path, text, out=tmp_path))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("seeds", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_rejected(self, tmp_path, seeds):
         text = CONTROL_CFG.replace("seeds = 1, 2", f"seeds = {seeds}")
@@ -880,6 +895,8 @@ class TestErrorContext:
         data.write_text("f0,f1,f2,y\n1,0.5,0.2,2\n1,0.5,0.2,1e308\n1,0.5,0.2,2\n")
         text = REPLAY_CFG.replace("pair = saturation", "pair = linear_mse")
         text = text.replace("features = f0, f1, f2, f3, f4", "features = f0, f1, f2")
+        # the censoring window is a setting of the saturation pair only
+        text = text.replace("lower = 6.0\nupper = 120.0\nnoise_std = 5.0\n", "")
         path = _write_cfg(tmp_path, text, out=tmp_path / "runs", data=data)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -1,10 +1,15 @@
 """Command-line behavior: subcommands, overrides, printed verdicts, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import sgident
 from sgident.cli import main
 
 CONTROL_CFG = """
@@ -138,6 +143,8 @@ class TestRunCommands:
         data.write_text("f0,f1,f2,y\n1,0.5,0.2,2\n1,0.5,0.2,1e308\n")
         text = REPLAY_CFG.replace("pair = saturation", "pair = linear_mse")
         text = text.replace("features = f0, f1, f2, f3, f4", "features = f0, f1, f2")
+        # the censoring window is a setting of the saturation pair only
+        text = text.replace("lower = 6.0\nupper = 120.0\nnoise_std = 5.0\n", "")
         with pytest.warns(UserWarning):
             code = main(["replay", "--config", _cfg(tmp_path, text), "--data", str(data)])
         err = capsys.readouterr().err.splitlines()
@@ -161,6 +168,32 @@ class TestRunCommands:
         code = main(["control", "--config", str(tmp_path / "none.cfg")])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["control", "--config", "exp.cfg", "--seeds=abc"],
+        ["control"],
+    ], ids=["unparsable_seeds", "missing_config"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_process_exit_codes_tell_usage_errors_from_failed_checks(self):
+        # as a script sees them: 1 for a mistyped flag, 2 for a failed check
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(sgident.__file__).parents[1])}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "sgident.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+
+        usage = run("control", "--seeds=abc")
+        assert usage.returncode == 1 and "error:" in usage.stderr
+        failed = run("verify-assumption2", "--pair", "linear_mse", "--samples", "2000",
+                     "--delta", "2.5")
+        assert failed.returncode == 2 and failed.stdout.startswith("FAIL")
 
 
 class TestCompareCommand:

@@ -26,6 +26,7 @@ from sgident.control import (
     NoiseSource,
     Plant,
     Trace,
+    _bisect_control,
     run_closed_loop_batch,
     solve_control,
     solve_control_rows,
@@ -293,36 +294,82 @@ def test_closed_form_agrees_with_bisection(y_lags, u_lag, theta_rest, cu, cu_sig
     assert abs(u_cf - u_bi) <= 1.001 * cfg.root_tol / abs(gain) + 1e-12
 
 
+def _oracle_solve_control(model, theta, phi, p, y_star, cfg, u_prev=0.0):
+    """The control solve of one row, case by case on Python floats.
+
+    The short-circuit on the clipped previous input, the singular-gain
+    hold, the closed form, saturation at the better endpoint and bisection,
+    in that order; ``solve_control_rows`` must give every row the same
+    flags and, except on closed-form rows, the same input bytes.
+    """
+    phi = np.array(phi, dtype=float)
+    theta_v = np.asarray(theta, dtype=float)
+    phi[p] = 0.0
+    link_inv = getattr(model, "link_inv", None)
+    base = float(np.dot(phi, theta_v))
+    cu = float(theta_v[p])
+    link = model.link
+
+    def f_of_u(u):
+        return link(base + cu * u)
+
+    u0 = min(max(u_prev, -cfg.u_max), cfg.u_max)
+    r0 = f_of_u(u0) - y_star
+    if abs(r0) <= cfg.root_tol:
+        return u0, ()
+    if abs(float(model.dlink(base + cu * u_prev)) * cu) < cfg.b_eps:
+        return u_prev, ("singular_gain",)
+
+    if link_inv is not None:
+        z_star = link_inv(y_star)
+        u = math.inf if z_star is None else (z_star - base) / cu
+        if abs(u) > cfg.u_max:
+            r_lo = f_of_u(-cfg.u_max) - y_star
+            r_hi = f_of_u(cfg.u_max) - y_star
+            u, r = (-cfg.u_max, r_lo) if abs(r_lo) <= abs(r_hi) else (cfg.u_max, r_hi)
+            return u, (() if abs(r) <= cfg.root_tol else ("saturated",))
+        if abs(f_of_u(u) - y_star) <= cfg.root_tol:
+            return u, ()
+    return _bisect_control(f_of_u, y_star, u0, cfg)
+
+
 _control_row = st.tuples(
     st.tuples(_lag, _lag, _lag),  # output lags
     st.floats(-5.0, 5.0),  # previous input lag
     st.tuples(*[st.floats(-2.0, 2.0)] * 4),  # non-input coefficients
-    st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),  # input coefficient
+    st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(-2.0, 2.0)),  # input coefficient
     st.floats(-5.0, 5.0),  # u_prev
 )
+# every link shape the controller meets: closed form, no inverse, bounded
+# ranges (tanh, logistic, censored mean) and the unbounded identity
+_CONTROL_MODELS = (TanhArxModel(3, 2), _TanhWithoutInverse(3, 2), LogisticModel(5),
+                   LinearModel(5), SaturatedMeanModel(SaturationSpec(-1.0, 1.0), 5))
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(_control_row, min_size=1, max_size=6), y_star=st.floats(-1.5, 1.5),
-       u_max=st.sampled_from([0.5, 1000.0]))
-def test_vector_controller_matches_scalar_solve(rows, y_star, u_max):
-    # row by row: equal flags, and an input within root_tol of the scalar
-    # solve's in output, i.e. root_tol / |gain| in input
-    cfg = ControlConfig(u_max=u_max, b_eps=1e-8, root_tol=1e-10)
-    model = TanhArxModel(3, 2)
+       u_max=st.sampled_from([0.5, 3.0, 1000.0]), root_max_iter=st.sampled_from([5, 200]),
+       model=st.sampled_from(_CONTROL_MODELS))
+def test_vector_controller_matches_scalar_solve(rows, y_star, u_max, root_max_iter, model):
+    # row by row: equal flags, and an input within root_tol of the oracle's
+    # in output, i.e. root_tol / |gain| in input; targets beyond +-1 lie
+    # outside the bounded links' ranges, and 5 bisection steps exhaust the
+    # interval before meeting root_tol
+    cfg = ControlConfig(u_max=u_max, b_eps=1e-8, root_tol=1e-10, root_max_iter=root_max_iter)
     phi = np.array([[*y_lags, 0.0, u_lag] for y_lags, u_lag, _, _, _ in rows])
     theta = np.array([[*rest[:3], cu, rest[3]] for _, _, rest, cu, _ in rows])
     u_prev = np.array([row[4] for row in rows])
     u_v, flagged = solve_control_rows(model, theta, phi, 3, y_star, cfg, u_prev)
     for i, (y_lags, u_lag, _, _, _) in enumerate(rows):
-        u_s, flags_s = solve_control(model, theta[i], phi[i], 3, y_star, cfg, float(u_prev[i]))
+        u_s, flags_s = _oracle_solve_control(model, theta[i], phi[i], 3, y_star, cfg,
+                                             float(u_prev[i]))
         assert flagged.get(i, ()) == flags_s
         if u_v[i] == u_s:
             continue
-        # only a closed-form row can differ, and the scalar solve took one too
+        # only a closed-form row can differ, and the oracle took one too
         assert not flags_s
         z = float(np.dot([*y_lags, u_v[i], u_lag], theta[i]))
-        gain = (1.0 - math.tanh(z) ** 2) * theta[i, 3]
+        gain = float(model.dlink(z)) * theta[i, 3]
         assert abs(u_v[i] - u_s) <= 1.001 * cfg.root_tol / abs(gain) + 1e-12
 
 
