@@ -4,7 +4,10 @@ A run is fully determined by (config file, seed list): every persisted trace
 byte and every report number is reproducible.  Each run's summary comes
 from `summarize`, which reads only persisted trace columns, so
 `verify_report` recomputes every reported number by calling it again on the
-trace read back from CSV.  Configs are
+trace read back from CSV.  A sweep streams: each chunk of steps is appended
+to every cell's trace file and folded into its running summary, then
+dropped, so memory is bounded by chunk x cells, not by the run length.
+Configs are
 INI-style text, traces RFC-4180 CSV with a fixed column order, reports JSON
 with sorted keys and no timestamps.
 """
@@ -30,20 +33,20 @@ from .control import (
     NoiseSource,
     Plant,
     Trace,
-    run_closed_loop_batch,
+    closed_loop_chunks,
 )
 from .core import HyperParams, check_step_size_cap, row_dots
 from .errors import ConfigurationError, DataError, NumericError, SgidentError
 from .metrics import (
-    bound_curve,
+    KahanScan,
+    MinPhaseScan,
+    RSScan,
+    bound_curve_at,
     gradient_noise,
     gradient_norms_sq,
-    minimum_phase_ratio,
     realized_noise,
     regret_sum,
     relative_error_metric,
-    robbins_siegmund_diag,
-    running_mean,
     tracking_error,
 )
 from .models import (
@@ -80,6 +83,8 @@ MODES = ("identify", "control", "replay")
 ALGORITHMS = dict.fromkeys(("modified", "classical"))
 GRADIENT_NOISE_TOL = 1e-12
 RECOMPUTE_TOL = 1e-9
+# the flags a trace's flags cell joins with ";", each at most once
+FLAGS = ("saturated", "singular_gain", "divergence")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,7 @@ def _load_control_section(cp, cfg):
             root_max_iter=_get(cp, "control", "root_max_iter", int, 200),
         )
     except ConfigurationError as exc:
-        raise ConfigurationError(f"control: {exc}") from None
+        raise ConfigurationError(f"control.{exc}") from None
 
 
 def _load_replay_section(cp, cfg):
@@ -444,14 +449,21 @@ _FLAGS_WIDTH = 40
 def write_trace(path, trace):
     """Persist a Trace as RFC-4180 CSV (CRLF, fixed column order).
 
+    A trace with no rows or whose ``k`` starts at 0 starts the file: the
+    header, then its rows.  Any other trace continues a run, and its rows
+    are appended, so writing a run chunk by chunk in step order gives the
+    bytes of one write of the whole run.
+
     Floats are written as ``repr``, the shortest text that reads back to the
     same double; an empty column is written as empty cells.  No cell is
     quoted: numbers never need it and flags come from a fixed vocabulary
     joined by ";".  All float cells of a chunk are rendered by one
     ``reprtext.float_cells`` call.
     """
-    with open(path, "wb") as fh:
-        fh.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
+    starts = len(trace) == 0 or trace.k[0] == 0
+    with open(path, "wb" if starts else "ab") as fh:
+        if starts:
+            fh.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
         for start in range(0, len(trace), _CHUNK):
             fh.write(_chunk_text(trace, slice(start, start + _CHUNK)))
 
@@ -489,9 +501,10 @@ def _flag_cells(flags):
 def read_trace(path):
     """Load a trace CSV back into a Trace.
 
-    A row of the wrong width, a cell that is not a finite number and a
-    column that is empty on some rows but not others each raise DataError
-    with the line number.  Each data row is one line, so row i sits on line
+    A row of the wrong width, a cell that is not a finite number, a column
+    that is empty on some rows but not others and a flags cell that is not
+    distinct ``FLAGS`` joined by ";" each raise DataError with the line
+    number.  Each data row is one line, so row i sits on line
     i + 2.
 
     Each chunk of ``_CHUNK`` lines is parsed by one ``np.loadtxt`` call
@@ -544,7 +557,7 @@ def _loadtxt_chunk(lines, empty):
     from the ``csv`` module (it skips blank lines and warns when nothing
     else is left, keeps quotes, drops trailing NULs and truncates a long
     string), or a check failed (a non-finite number, a filled cell in an
-    empty column).
+    empty column, a flags cell outside the vocabulary).
     """
     text = "".join(lines)
     if '"' in text or "\0" in text or lines[0].isspace():
@@ -572,14 +585,17 @@ def _loadtxt_chunk(lines, empty):
             if name != "k" and not np.isfinite(columns[name]).all():
                 return None
     columns["flags"] = rows["flags"].tolist()
+    if any(_flags_problem(cell) for cell in set(columns["flags"])):
+        return None
     return columns
 
 
 def _walk_chunk(path, rows, line, empty):
     """The columns of ``rows`` (csv module rows starting on ``line``), checked in order.
 
-    Every row's width first, then each column from ``k`` on; the first
-    failure raises DataError with its line.  ``empty`` None: row 0 decides.
+    Every row's width first, then each column from ``k`` to ``flags``; the
+    first failure raises DataError with its line.  ``empty`` None: row 0
+    decides.
     """
     for i, row in enumerate(rows):
         if len(row) != len(TRACE_COLUMNS):
@@ -589,8 +605,24 @@ def _walk_chunk(path, rows, line, empty):
     *cells, flags = zip(*rows)
     columns = {name: _trace_column(path, name, column, line, empty[name])
                for name, column in zip(empty, cells)}
+    for i, cell in enumerate(flags):
+        if problem := _flags_problem(cell):
+            raise DataError(f"{problem} in column 'flags' of {path}", line=line + i)
     columns["flags"] = flags
     return columns
+
+
+def _flags_problem(cell):
+    """What is wrong with a flags cell ("" is a clean step), or None."""
+    if cell == "":
+        return None
+    names = cell.split(";")
+    unknown = next((name for name in names if name not in FLAGS), None)
+    if unknown is not None:
+        return f"unknown flag {unknown!r}"
+    if len(set(names)) != len(names):
+        return f"repeated flag in {cell!r}"
+    return None
 
 
 def _trace_column(path, name, cells, line, empty):
@@ -682,7 +714,7 @@ def _load_replay_rows(cfg):
 
 
 def _run_sweep(cfg, cells, replay_rows):
-    """Every (algorithm, seed) cell of the sweep as one batch.
+    """The chunks of every (algorithm, seed) cell of the sweep, run as one batch.
 
     Replay runs every cell over the same dataset rows ``replay_rows`` =
     (phi, y), prequentially: each target is predicted before the update on
@@ -692,23 +724,18 @@ def _run_sweep(cfg, cells, replay_rows):
     if cfg.mode == "replay":
         phi, y = replay_rows
         inputs = (phi[:, None], y[:, None], None)  # every cell has the one seed
-        return run_closed_loop_batch(None, estimator, cfg.pair, inputs, len(y), cells)
+        return closed_loop_chunks(None, estimator, cfg.pair, inputs, len(y), cells)
     plant = Plant(
         model=cfg.pair.predictor,
         theta_star=cfg.theta_star,
         noise=NoiseSource(std=cfg.noise_std, kind=cfg.noise_kind, df=cfg.noise_df),
     )
     inputs = cfg.control if cfg.mode == "control" else _identify_inputs(cfg)
-    return run_closed_loop_batch(plant, estimator, cfg.pair, inputs, cfg.n_steps, cells)
+    return closed_loop_chunks(plant, estimator, cfg.pair, inputs, cfg.n_steps, cells)
 
 
 # ---------------------------------------------------------------------------
 # per-run summaries and checks
-
-
-def _flag_counts(flags):
-    counts = Counter(f for row_flags in flags if row_flags for f in row_flags.split(";"))
-    return {name: counts[name] for name in ("saturated", "singular_gain", "divergence")}
 
 
 def _pair_of(config_echo):
@@ -722,74 +749,141 @@ def _pair_of(config_echo):
 def summarize(config_echo, trace):
     """The summary of one run: its numbers, flag counts and pass/fail checks.
 
-    ``config_echo`` is the report's ``config`` block.  ``run_experiment``
-    calls this on each in-memory trace and ``verify_report`` on each trace
-    read back from CSV, so every reported number has one implementation.
-    Only persisted columns are read: the plant noise is ``y - f_true`` and
-    the squared gradient norms are the increments of ``r_k``.  Values are
-    plain Python floats, ints and bools.
+    ``config_echo`` is the report's ``config`` block.  This is one feed of
+    the whole trace into the running summary that ``run_experiment`` feeds
+    chunk by chunk as its sweep runs, with the same bits either way;
+    ``verify_report`` calls it on each trace read back from CSV, so every
+    reported number has one implementation.  Only persisted columns are
+    read, and not ``regret_avg``: the plant noise is ``y - f_true`` and the
+    squared gradient norms are the increments of ``r_k``.  Values are plain
+    Python floats, ints and bools.
     """
     return _summarize(config_echo, trace)[0]
 
 
 def _summarize(config_echo, trace):
     """``summarize`` and the running mean of the regret it read (None in replay)."""
-    mode = config_echo["mode"]
-    hyper = config_echo["hyper"]
-    n = len(trace)
-    mu_k = trace.mu_k
-    grad_norm_sq = gradient_norms_sq(trace, hyper["beta3"])
-    rs = robbins_siegmund_diag(mu_k, grad_norm_sq)
-    out = {
-        "step_size_law_max": float(np.max(mu_k * grad_norm_sq)),
-        "rs_total": rs.total,
-        "rs_tail_fraction": rs.tail_fraction,
-        "flag_counts": _flag_counts(trace.flags),
-    }
-    checks = out["checks"] = {
-        "step_size_law": out["step_size_law_max"] <= hyper["mu"] * (1 + 1e-12),
-        "no_divergence": out["flag_counts"]["divergence"] == 0,
-    }
-    if mode == "replay":
-        regret = None
-        checkpoints = {}
-        for checkpoint in (1000, n):
-            if checkpoint <= n:
-                key = "final" if checkpoint == n else str(checkpoint)
-                checkpoints[key] = relative_error_metric(
-                    trace.f_est[:checkpoint], trace.y[:checkpoint]
-                )
-        out["rows_used"] = n
-        out["relative_error_checkpoints"] = checkpoints
-        out["final_relative_error"] = checkpoints["final"]
-    else:
-        pair = _pair_of(config_echo)
-        regret = running_mean(regret_sum(trace, pair.loss))
-        out["final_average_regret"] = float(regret[-1])
-        if n >= 500:
-            out["average_regret_at_500"] = float(regret[499])
-        out["final_theta_err"] = float(trace.theta_err[-1])
-        if isinstance(pair.loss, SquaredError):
+    summary = _RunningSummary(config_echo, len(trace))
+    regret = summary.feed(trace)
+    return summary.result(), regret
+
+
+def _fold_max(running, values):
+    """The max of ``values`` and of ``running`` (None before any), NaN-propagating like np.max."""
+    top = np.max(values)
+    return top if running is None else np.maximum(running, top)
+
+
+class _RunningSummary:
+    """The summary of one run of ``n`` steps, fed its trace in consecutive chunks.
+
+    ``feed(trace)`` takes the next rows and returns their regret running
+    mean (None in replay); ``result()`` is ``summarize``'s dict once all
+    ``n`` rows are fed.  The sequential metrics carry their scan state from
+    chunk to chunk (``metrics.KahanScan``, ``RSScan``, ``MinPhaseScan`` and
+    the last ``r_k``); maxima, counts, the last ``theta_err`` and the
+    step-500 checkpoint are combined per chunk.  Replay keeps ``f_est`` and
+    ``y`` for its relative errors, whose ``np.mean`` sums pairwise.
+    """
+
+    def __init__(self, config_echo, n):
+        self.mode, self.hyper, self.n = config_echo["mode"], config_echo["hyper"], n
+        self.r_last = self.hyper["beta3"]  # r_{-1}
+        self.rs = RSScan(n)
+        self.law_max = None
+        self.flag_counts = Counter()
+        if self.mode == "replay":
+            self.f_est, self.y = [], []
+            return
+        self.pair = _pair_of(config_echo)
+        self.regret = KahanScan()
+        self.regret_at_500 = self.theta_err = self.noise_dev = None
+        if self.mode == "control":
+            control = config_echo["control"]
+            self.root_tol = control["root_tol"]
+            # |f_est| > tanh(bound) iff the estimated preactivation left the band
+            self.edge = math.tanh(control["operating_bound"])
+            self.tracking = (KahanScan(), KahanScan())
+            self.min_phase = MinPhaseScan()
+            self.min_phase_max = None
+            self.out_of_band = self.identity_steps = 0
+            self.identity_dev = 0.0
+
+    def feed(self, trace):
+        grad_norm_sq = gradient_norms_sq(trace, self.r_last)
+        self.r_last = float(trace.r_k[-1])
+        self.rs.feed(trace.mu_k, grad_norm_sq)
+        self.law_max = _fold_max(self.law_max, trace.mu_k * grad_norm_sq)
+        self.flag_counts.update(f for row_flags in trace.flags if row_flags
+                                for f in row_flags.split(";"))
+        if self.mode == "replay":
+            self.f_est.append(trace.f_est)
+            self.y.append(trace.y)
+            return None
+        first = self.regret.count
+        regret = self.regret.means(regret_sum(trace, self.pair.loss))
+        if first < 500 <= self.regret.count:
+            self.regret_at_500 = float(regret[499 - first])
+        self.theta_err = float(trace.theta_err[-1])
+        if isinstance(self.pair.loss, SquaredError):
             # the measured gradient noise collapses to -2w for squared error
-            gap = gradient_noise(trace, pair) + 2.0 * realized_noise(trace)
-            out["gradient_noise_max_dev"] = float(np.max(np.abs(gap)))
+            gap = gradient_noise(trace, self.pair) + 2.0 * realized_noise(trace)
+            self.noise_dev = _fold_max(self.noise_dev, np.abs(gap))
+        if self.mode == "control":
+            for scan, values in zip(self.tracking, tracking_error(trace)):
+                scan.cumsum(values)
+            ratios = self.min_phase.ratios(trace.y, trace.u, realized_noise(trace))
+            self.min_phase_max = _fold_max(self.min_phase_max, ratios)
+            self.out_of_band += int(np.count_nonzero(np.abs(trace.f_est) > self.edge))
+            # closed-loop ledger: y - y* - w should equal f_true - f_est on clean steps
+            clean = np.array([not row_flags for row_flags in trace.flags], dtype=bool)
+            ledger = trace.y - trace.y_star - realized_noise(trace) - (trace.f_true - trace.f_est)
+            self.identity_dev = np.maximum(self.identity_dev,
+                                           np.max(np.abs(ledger[clean]), initial=0.0))
+            self.identity_steps += int(clean.sum())
+        return regret
+
+    def result(self):
+        rs = self.rs.report()
+        out = {
+            "step_size_law_max": float(self.law_max),
+            "rs_total": rs.total,
+            "rs_tail_fraction": rs.tail_fraction,
+            "flag_counts": {name: self.flag_counts[name] for name in FLAGS},
+        }
+        checks = out["checks"] = {
+            "step_size_law": out["step_size_law_max"] <= self.hyper["mu"] * (1 + 1e-12),
+            "no_divergence": out["flag_counts"]["divergence"] == 0,
+        }
+        n = self.n
+        if self.mode == "replay":
+            f_est, y = np.concatenate(self.f_est), np.concatenate(self.y)
+            checkpoints = {}
+            for checkpoint in (1000, n):
+                if checkpoint <= n:
+                    key = "final" if checkpoint == n else str(checkpoint)
+                    checkpoints[key] = relative_error_metric(f_est[:checkpoint], y[:checkpoint])
+            out["rows_used"] = n
+            out["relative_error_checkpoints"] = checkpoints
+            out["final_relative_error"] = checkpoints["final"]
+            return out
+        out["final_average_regret"] = self.regret.total / n
+        if self.regret_at_500 is not None:
+            out["average_regret_at_500"] = self.regret_at_500
+        out["final_theta_err"] = self.theta_err
+        if self.noise_dev is not None:
+            out["gradient_noise_max_dev"] = float(self.noise_dev)
             checks["gradient_noise_identity"] = out["gradient_noise_max_dev"] <= GRADIENT_NOISE_TOL
-    if mode == "control":
-        control = config_echo["control"]
-        conditional, proxy = tracking_error(trace)
-        out["final_tracking_conditional"] = float(running_mean(conditional)[-1])
-        out["final_tracking_proxy"] = float(running_mean(proxy)[-1])
-        out["min_phase_max"] = float(np.max(minimum_phase_ratio(trace)))
-        # |f_est| > tanh(bound) iff the estimated preactivation left the band
-        edge = math.tanh(control["operating_bound"])
-        out["out_of_band_fraction"] = float(np.mean(np.abs(trace.f_est) > edge))
-        # closed-loop ledger: y - y* - w should equal f_true - f_est on clean steps
-        clean = np.array([not row_flags for row_flags in trace.flags], dtype=bool)
-        ledger = trace.y - trace.y_star - realized_noise(trace) - (trace.f_true - trace.f_est)
-        out["identity_max_dev"] = float(np.max(np.abs(ledger[clean]), initial=0.0))
-        out["identity_steps_checked"] = int(clean.sum())
-        checks["closed_loop_identity"] = out["identity_max_dev"] <= control["root_tol"] + 1e-9
-    return out, regret
+        if self.mode == "control":
+            conditional, proxy = self.tracking
+            out["final_tracking_conditional"] = conditional.total / n
+            out["final_tracking_proxy"] = proxy.total / n
+            out["min_phase_max"] = float(self.min_phase_max)
+            out["out_of_band_fraction"] = self.out_of_band / n
+            out["identity_max_dev"] = float(self.identity_dev)
+            out["identity_steps_checked"] = self.identity_steps
+            checks["closed_loop_identity"] = out["identity_max_dev"] <= self.root_tol + 1e-9
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -846,11 +940,9 @@ def _bound_curve_block(config_echo):
     """The report's reference-curve block, from its echoed config."""
     n_steps = config_echo["n_steps"]
     alpha_eps = config_echo["alpha_eps"]
-    curve = bound_curve(HyperParams(**config_echo["hyper"]), alpha_eps, n_steps)
-    checkpoints = {}
-    for n in (100, 500, 1000, n_steps):
-        if 1 <= n <= n_steps:
-            checkpoints[str(n)] = float(curve[n - 1])
+    steps = [n for n in (100, 500, 1000, n_steps) if 1 <= n <= n_steps]
+    curve = bound_curve_at(HyperParams(**config_echo["hyper"]), alpha_eps, steps)
+    checkpoints = {str(n): float(value) for n, value in zip(steps, curve)}
     return {
         "alpha_eps": alpha_eps,
         "checkpoints": checkpoints,
@@ -894,7 +986,13 @@ def _checks_overall(runs):
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Run all (algorithm, seed) cells, persist traces, and write report.json."""
+    """Run all (algorithm, seed) cells, persist traces, and write report.json.
+
+    The sweep streams: each chunk of steps of every cell is appended to the
+    cell's trace file and fed to its running summary as it comes.  A run
+    that raises SgidentError removes the trace files it opened, writes
+    report.json with the error, and re-raises.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
     report = {
         "config": _echo_config(cfg),
@@ -906,6 +1004,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         "runs": {algo: {} for algo in cfg.algorithms},
     }
     report_path = os.path.join(cfg.out_dir, "report.json")
+    opened = []
 
     try:
         replay_rows = None
@@ -920,15 +1019,23 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         # replay: the data stream is fixed, so one pass per algorithm
         seeds = cfg.seeds[:1] if cfg.mode == "replay" else cfg.seeds
         cells = [(algo, seed) for algo in cfg.algorithms for seed in seeds]
-        batch = _run_sweep(cfg, cells, replay_rows)
-        for i, (algo, seed) in enumerate(cells):
-            trace = batch.trace(i)
-            summary = summarize(report["config"], trace)
-            cell = "replay" if cfg.mode == "replay" else f"seed{seed}"
-            summary["trace"] = f"trace_{algo}_{cell}.csv"
-            write_trace(os.path.join(cfg.out_dir, summary["trace"]), trace)
-            report["runs"][algo][f"seed_{seed}"] = summary
+        names = [f"trace_{algo}_{'replay' if cfg.mode == 'replay' else f'seed{seed}'}.csv"
+                 for algo, seed in cells]
+        n = len(replay_rows[1]) if cfg.mode == "replay" else cfg.n_steps
+        summaries = [_RunningSummary(report["config"], n) for _ in cells]
+        for batch in _run_sweep(cfg, cells, replay_rows):
+            for i, (name, summary) in enumerate(zip(names, summaries)):
+                trace = batch.trace(i)
+                trace.regret_avg = summary.feed(trace)
+                path = os.path.join(cfg.out_dir, name)
+                if batch.start == 0:
+                    opened.append(path)
+                write_trace(path, trace)
+        for (algo, seed), name, summary in zip(cells, names, summaries):
+            report["runs"][algo][f"seed_{seed}"] = {**summary.result(), "trace": name}
     except SgidentError as exc:
+        for path in opened:
+            os.remove(path)
         report["error"] = {"message": str(exc)}
         if isinstance(exc, NumericError) and exc.context:
             report["error"]["context"] = exc.json_context()

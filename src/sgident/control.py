@@ -10,15 +10,18 @@ best-effort/hold fallbacks that leave a flag in the trace instead of
 raising.  Only the rest (other links, closed forms that miss the residual
 tolerance) runs per row: a monotone bisection after geometric bracket
 expansion from the previous input.  The plant noise of a run does not
-depend on the loop state, so it is drawn as one block up front.
+depend on the loop state, so it is drawn one block per chunk of steps.
 
-One loop, ``run_closed_loop_batch``, runs every mode: it steps all
-(algorithm, seed) cells of a sweep together as rows of (S, d) arrays, with
-the regressors and observations either made by the closed loop or prepared
+One loop, ``closed_loop_chunks``, runs every mode: it steps all (algorithm,
+seed) cells of a sweep together as rows of (S, d) arrays, with the
+regressors and observations either made by the closed loop or prepared
 before it (identification, replay); a run of one cell is a batch of one.
 Rows never mix, so a cell's trace does not depend on the other cells in its
-batch.  Every run mode records its steps as a ``Trace``: one array per
-column.
+batch.  The loop yields its steps in chunks of ``_CHUNK``, so a consumer
+that writes and summarizes each chunk as it comes holds memory bounded by
+chunk x cells, whatever the run length; ``run_closed_loop_batch`` joins the
+chunks of a whole run.  Every run mode records its steps as a ``Trace``:
+one array per column.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "ClosedLoopBatch",
     "solve_control",
     "solve_control_rows",
+    "closed_loop_chunks",
     "run_closed_loop_batch",
 ]
 
@@ -140,6 +144,8 @@ class ControlConfig:
     root_max_iter: int = 200
 
     def __post_init__(self):
+        if not np.isfinite(np.asarray(self.y_target, dtype=float)).all():
+            raise ConfigurationError(f"y_target must be finite, got {self.y_target!r}")
         if not (self.u_max > 0 and self.b_eps > 0 and self.root_tol > 0):
             raise ConfigurationError("u_max, b_eps and root_tol must all be > 0")
         if self.root_max_iter < 1:
@@ -344,23 +350,26 @@ _BATCH_COLUMNS = ("f_est", "mu_k", "r_k")
 _TRUTH_COLUMNS = ("theta_err",)
 _CLOSED_LOOP_COLUMNS = ("y", "f_true", "u")
 
-# steps per chunk of the run loop; a chunk's estimates of 20 rows in d = 5 take 0.2 MB
-_CHUNK = 256
+# steps per chunk of the run loop, and so the rows of each trace write and
+# summary feed of a sweep.  A chunk of 20 rows in d = 5 holds 0.6 MB of
+# columns and 0.4 MB of estimates; 1024 wrote no faster and held more, 256
+# wrote slower
+_CHUNK = 512
 
 
 @dataclass
 class ClosedLoopBatch:
-    """The recorded steps of a batched run, column-wise.
+    """The recorded steps start, ..., start + m - 1 of a batched run, column-wise.
 
-    ``recorded[name][k, i]`` is column ``name`` of step k in the cell
-    ``cells[i] = (algorithm, seed)``.  ``inputs`` maps each column taken
-    from prepared blocks to its (n, U) block, whose column ``block_of[i]``
-    belongs to cell i.  The ``loss`` column is ``loss.eval(y, f_est)`` and,
-    where ``f_true`` is known, ``regret_avg`` is the running mean of
-    ``metrics.regret_sum``; both are evaluated per trace.  ``y_star[k]`` is
-    shared by all cells (None outside the closed loop).  ``flags[i]`` maps
-    each flagged step k of cell i to its ";"-joined flags.  A column the
-    mode leaves empty is not stored.
+    ``recorded[name][j, i]`` is column ``name`` of step start + j in the
+    cell ``cells[i] = (algorithm, seed)``.  ``inputs`` maps each column
+    taken from prepared blocks to its (m, U) rows, whose column
+    ``block_of[i]`` belongs to cell i.  The ``loss`` column is
+    ``loss.eval(y, f_est)``, evaluated per trace.  ``y_star[j]`` is shared
+    by all cells (None outside the closed loop).  ``flags[i]`` maps each
+    flagged step k of cell i to its ";"-joined flags.  A column the mode
+    leaves empty is not stored; ``regret_avg`` is stored only by
+    ``run_closed_loop_batch``, since a chunk cannot know the steps before it.
     """
 
     cells: tuple
@@ -370,9 +379,10 @@ class ClosedLoopBatch:
     loss: object
     y_star: list | None
     flags: list
+    start: int = 0
 
     def trace(self, i):
-        """The Trace of cell i, with its own contiguous columns."""
+        """The Trace of cell i over the batch's steps, with its own contiguous columns."""
         columns = {name: column[:, i].copy() for name, column in self.recorded.items()}
         for name, block in self.inputs.items():
             columns[name] = block[:, self.block_of[i]].copy()
@@ -380,29 +390,61 @@ class ClosedLoopBatch:
         n = len(columns["y"])
         flags = [""] * n
         for k, step_flags in self.flags[i].items():
-            flags[k] = step_flags
+            flags[k - self.start] = step_flags
         y_star = None if self.y_star is None else np.array(self.y_star)
-        trace = Trace(k=np.arange(n), y_star=y_star, flags=flags, **columns)
-        if trace.f_true is not None:
-            trace.regret_avg = running_mean(regret_sum(trace, self.loss))
-        return trace
+        return Trace(k=np.arange(self.start, self.start + n), y_star=y_star, flags=flags,
+                     **columns)
 
 
-# takes an sg_init state, not (theta0, hyper): perfbench/tracer.py patches EstimatorState
 def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=None):
     """Run every (algorithm, seed) cell of a sweep as one batch; returns a ClosedLoopBatch.
 
-    Row i of every array is the cell ``cells[i]``; all rows start from
-    ``estimator``, and a row whose algorithm is "classical" takes the
-    classical gain law, any other the modified one.  Each step k takes a
-    regressor phi_k and an observation y_{k+1} per row, updates the
-    estimator rows with them, and records the prediction made before the
-    update.  ``cfg`` says where phi_k and y_{k+1} come from:
+    The chunks of ``closed_loop_chunks`` with the same arguments, joined
+    into one batch of all ``n_steps`` steps.  Where ``f_true`` is known,
+    ``regret_avg`` is recorded too: each cell's running mean of
+    ``metrics.regret_sum``.
+    """
+    chunks = list(closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update))
+    first = chunks[0]
+    flags = [{} for _ in first.cells]
+    for chunk in chunks:
+        for joined, chunk_flags in zip(flags, chunk.flags):
+            joined.update(chunk_flags)
+    batch = ClosedLoopBatch(
+        cells=first.cells,
+        recorded={name: np.concatenate([c.recorded[name] for c in chunks])
+                  for name in first.recorded},
+        inputs={name: np.concatenate([c.inputs[name] for c in chunks]) for name in first.inputs},
+        block_of=first.block_of,
+        loss=first.loss,
+        y_star=None if first.y_star is None else [y for c in chunks for y in c.y_star],
+        flags=flags,
+    )
+    if plant is not None:
+        batch.recorded["regret_avg"] = np.stack(
+            [running_mean(regret_sum(batch.trace(i), first.loss)) for i in range(len(flags))],
+            axis=1)
+    return batch
+
+
+# takes an sg_init state, not (theta0, hyper): perfbench/tracer.py patches EstimatorState
+def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None):
+    """Run every (algorithm, seed) cell of a sweep as one batch; yields a ClosedLoopBatch per chunk.
+
+    Each chunk holds the steps [start, min(start + ``_CHUNK``, n_steps)) of
+    every cell; the chunks come in step order.  Row i of every array is the
+    cell ``cells[i]``; all rows start from ``estimator``, and a row whose
+    algorithm is "classical" takes the classical gain law, any other the
+    modified one.  Each step k takes a regressor phi_k and an observation
+    y_{k+1} per row, updates the estimator rows with them, and records the
+    prediction made before the update.  ``cfg`` says where phi_k and
+    y_{k+1} come from:
 
     - a ControlConfig closes the loop: solve the control of every row from
       its current estimate (zero lags at the start), then advance
-      ``plant``, whose noise for a row is the block
-      ``plant.noise.with_seed(seed).draw_block(n_steps)``;
+      ``plant``, whose noise for a row is the stream
+      ``plant.noise.with_seed(seed)``, drawn by ``draw_block`` once per
+      chunk (the same values as one ``draw_block(n_steps)``);
     - a tuple ``(phi, y, f_true)`` of blocks prepared before the loop,
       shaped (n_steps, U, d), (n_steps, U) and (n_steps, U), with one
       column per distinct seed of ``cells`` in order of first appearance:
@@ -411,10 +453,9 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
       ``regret_avg`` and ``theta_err`` stay empty.
 
     A step runs only the recursion: control and plant (closed loop only)
-    and the update.  Once per chunk of steps, the prepared inputs are
-    gathered per cell, and the divergence flags (norm above
-    ``DIVERGENCE_NORM`` after a step) and ``theta_err`` are derived from
-    the chunk's estimates.
+    and the update.  Once per chunk, the prepared inputs are gathered per
+    cell, and the divergence flags (norm above ``DIVERGENCE_NORM`` after a
+    step) and ``theta_err`` are derived from the chunk's estimates.
 
     ``update(theta, r, carry, phi, y)`` advances the estimator rows and
     returns (theta, r, carry, mu_k, grad_norm_sq, f_hat) as ``sg_update``
@@ -444,9 +485,6 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
     truth = plant is not None
     columns = (_BATCH_COLUMNS + (_TRUTH_COLUMNS if truth else ())
                + (_CLOSED_LOOP_COLUMNS if closed else ()))
-    # one array per column keeps each allocation small
-    recorded = {name: np.empty((n, S)) for name in columns}
-    f_est_col, mu_col, r_col = (recorded[name] for name in _BATCH_COLUMNS)
 
     theta = np.tile(estimator.theta.values, (S, 1))
     r = np.full(S, estimator.gain.r)
@@ -459,9 +497,8 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
         theta_star = np.tile(plant.theta_star.values, (S, 1))
     targets, inputs, block_of = None, {}, None
     if closed:
-        targets = [cfg.target(k) for k in range(n)]
+        noises = [plant.noise.with_seed(s) for _, s in cells]
         link_true = plant.model.link
-        y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
         # each row of phi holds the lag stacks: outputs y_k..y_{k-p+1}, the
         # input slot (0 until solved), then inputs u_{k-1}..u_{k-q+1}
         phi = np.zeros((S, d))
@@ -475,30 +512,39 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
         if shapes != ((n, U, d), (n, U), (n, U) if truth else ()):
             raise ConfigurationError(
                 f"block shapes {shapes} do not match {n} steps of {U} seeds in dim {d}")
-        inputs = {"y": y_block, "f_true": f_true_block} if truth else {"y": y_block}
-    flags = [{} for _ in cells]
     k = 0
-    try:
-        # overflow and 0/0 in masked rows stay silent: every result is checked
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if closed:
-                noise = np.stack([plant.noise.with_seed(s).draw_block(n) for _, s in cells],
-                                 axis=1)
-            for start in range(0, n, _CHUNK):
-                stop = min(start + _CHUNK, n)
-                if not closed:
-                    phi_rows = phi_block[start:stop].take(block_of, axis=1)
-                    y_rows = y_block[start:stop].take(block_of, axis=1)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        # one array per column keeps each allocation small
+        recorded = {name: np.empty((stop - start, S)) for name in columns}
+        f_est_col, mu_col, r_col = (recorded[name] for name in _BATCH_COLUMNS)
+        flags = [{} for _ in cells]
+        if closed:
+            targets = [cfg.target(k) for k in range(start, stop)]
+            y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
+        else:
+            inputs = {"y": y_block[start:stop]}
+            if truth:
+                inputs["f_true"] = f_true_block[start:stop]
+            phi_rows = phi_block[start:stop].take(block_of, axis=1)
+            y_rows = inputs["y"].take(block_of, axis=1)
+        try:
+            # overflow and 0/0 in masked rows stay silent: every result is checked;
+            # entered per chunk, so the setting never reaches the consumer of a yield
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                if closed:
+                    noise = np.stack([source.draw_block(stop - start) for source in noises],
+                                     axis=1)
                 for j, k in enumerate(range(start, stop)):
                     if closed:
-                        u, flagged = solve_control_rows(model_est, theta, phi, p, targets[k],
+                        u, flagged = solve_control_rows(model_est, theta, phi, p, targets[j],
                                                         cfg, u_prev)
                         phi[:, p] = u
                         f_true = link_true(row_dots(phi, theta_star))
                         check_rows(np.isfinite(f_true), "plant conditional mean non-finite",
                                    phi=phi, u=u)
-                        y_next = f_true + noise[k]
-                        y_col[k], f_true_col[k], u_col[k] = y_next, f_true, u
+                        y_next = f_true + noise[j]
+                        y_col[j], f_true_col[j], u_col[j] = y_next, f_true, u
                         for i, row_flags in flagged.items():
                             flags[i][k] = ";".join(row_flags)
                     else:
@@ -506,7 +552,7 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
 
                     theta, r, carry, mu_k, _, f_est = update(theta, r, carry, phi, y_next)
                     estimates[j + 1] = theta
-                    f_est_col[k], mu_col[k], r_col[k] = f_est, mu_k, r
+                    f_est_col[j], mu_col[j], r_col[j] = f_est, mu_k, r
 
                     if closed:
                         phi[:, 1:p] = phi[:, : p - 1]
@@ -517,19 +563,18 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
 
                 chunk = estimates[: stop - start + 1]
                 diverged = np.sqrt(row_dots(chunk[1:], chunk[1:])) > DIVERGENCE_NORM
-                for j, i in np.argwhere(diverged).tolist():
-                    step_flags = flags[i].get(start + j)
-                    flags[i][start + j] = (f"{step_flags};divergence" if step_flags
-                                           else "divergence")
                 if truth:
                     gap = chunk[:-1] - theta_star
-                    recorded["theta_err"][start:stop] = np.sqrt(row_dots(gap, gap))
-                estimates[0] = chunk[-1]
-    except NumericError as exc:
-        row = exc.context.pop("row", None)
-        exc.context["k"] = k
-        if row is not None:
-            exc.context["algorithm"], exc.context["seed"] = cells[row]
-        raise
-    return ClosedLoopBatch(cells=cells, recorded=recorded, inputs=inputs, block_of=block_of,
-                           loss=pair.loss, y_star=targets, flags=flags)
+                    recorded["theta_err"][:] = np.sqrt(row_dots(gap, gap))
+        except NumericError as exc:
+            row = exc.context.pop("row", None)
+            exc.context["k"] = k
+            if row is not None:
+                exc.context["algorithm"], exc.context["seed"] = cells[row]
+            raise
+        for j, i in np.argwhere(diverged).tolist():
+            step_flags = flags[i].get(start + j)
+            flags[i][start + j] = f"{step_flags};divergence" if step_flags else "divergence"
+        estimates[0] = chunk[-1]
+        yield ClosedLoopBatch(cells=cells, recorded=recorded, inputs=inputs, block_of=block_of,
+                              loss=pair.loss, y_star=targets, flags=flags, start=start)

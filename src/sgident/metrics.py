@@ -9,6 +9,12 @@ are read, so a trace read back from CSV gives the same numbers as the one
 in memory: the plant noise is taken as ``y - f_true`` and the squared
 gradient norms as the increments of ``r_k``.  Running sums and means use
 compensated summation so reruns are bit-stable.
+
+The sequential scans (``KahanScan``, ``RSScan``, ``MinPhaseScan``) carry
+their state from one block of steps to the next, so a trace fed in
+consecutive chunks gives the bits of the whole trace fed at once.  Each
+walks its input in blocks of at most ``_BLOCK`` values, so no scan builds
+a Python list as long as the trace.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .models import SquaredError
 
 __all__ = [
     "RSReport",
+    "KahanScan",
+    "RSScan",
+    "MinPhaseScan",
     "kahan_cumsum",
     "running_mean",
     "realized_noise",
@@ -30,6 +39,7 @@ __all__ = [
     "regret_sum",
     "tracking_error",
     "bound_curve",
+    "bound_curve_at",
     "gradient_noise",
     "relative_error_metric",
     "robbins_siegmund_diag",
@@ -37,28 +47,60 @@ __all__ = [
 ]
 
 
-def kahan_cumsum(values):
-    """Running sums with Kahan compensation, matching the in-loop accumulator.
+# values per Python list a scan builds; no longer than a run chunk
+_BLOCK = 512
 
-    The step is ``core.kahan_add`` written out, bit for bit, zero skip
-    included: a call per value would cost more than the step itself.
+
+class KahanScan:
+    """A compensated running sum carried from one block of values to the next.
+
+    ``cumsum(values)`` continues the running sums over every value fed
+    before; ``means(values)`` divides them by their 1-based positions.
+    ``total`` and ``count`` are the sum and the number of values so far.
     """
-    out = []
-    append = out.append
-    total = carry = 0.0
-    for v in np.asarray(values, dtype=float).tolist():
-        if v != 0.0:
-            y = v - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
-        append(total)
-    return np.array(out, dtype=float)
+
+    def __init__(self):
+        self.total = self.carry = 0.0
+        self.count = 0
+
+    def cumsum(self, values):
+        """The running sums at ``values``, bit for bit a left fold of ``core.kahan_add``.
+
+        The step is ``kahan_add`` written out, zero skip included: a call
+        per value would cost more than the step itself.
+        """
+        values = np.asarray(values, dtype=float)
+        out = np.empty(len(values))
+        total, carry = self.total, self.carry
+        for start in range(0, len(values), _BLOCK):
+            sums = []
+            append = sums.append
+            for v in values[start : start + _BLOCK].tolist():
+                if v != 0.0:
+                    y = v - carry
+                    t = total + y
+                    carry = (t - total) - y
+                    total = t
+                append(total)
+            out[start : start + len(sums)] = sums
+        self.total, self.carry = total, carry
+        self.count += len(values)
+        return out
+
+    def means(self, values):
+        """The running means at ``values``: each running sum over its step count."""
+        first = self.count + 1
+        return self.cumsum(values) / np.arange(first, first + len(values))
+
+
+def kahan_cumsum(values):
+    """Running sums with Kahan compensation, bit for bit a left fold of ``core.kahan_add``."""
+    return KahanScan().cumsum(values)
 
 
 def running_mean(values):
     """The compensated running mean: entry k is the mean of values[:k + 1]."""
-    return kahan_cumsum(values) / np.arange(1, len(values) + 1)
+    return KahanScan().means(values)
 
 
 def _column(trace, name):
@@ -114,11 +156,19 @@ def bound_curve(hyper, alpha_eps, n):
     Scale-free: the theory's bound carries no constant, so this is for slope
     comparison and normalized overlays only.
     """
-    if not (0.0 < alpha_eps < 1.0):
-        raise ConfigurationError(f"alpha_eps must lie in (0,1), got {alpha_eps}")
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    k = np.arange(1, n + 1, dtype=float)
+    return bound_curve_at(hyper, alpha_eps, np.arange(1, n + 1, dtype=float))
+
+
+def bound_curve_at(hyper, alpha_eps, k):
+    """``bound_curve`` at the step counts ``k`` only, value for value.
+
+    Every operation is elementwise, so a checkpoint costs no n-long arrays.
+    """
+    if not (0.0 < alpha_eps < 1.0):
+        raise ConfigurationError(f"alpha_eps must lie in (0,1), got {alpha_eps}")
+    k = np.asarray(k, dtype=float)
     logs = np.log(k)
     if hyper.beta2 == 0.0:
         log_factor = np.ones_like(k)
@@ -176,6 +226,33 @@ class RSReport:
 RS_TAIL_LIMIT = 0.05
 
 
+class RSScan:
+    """``robbins_siegmund_diag`` of an ``n``-step series fed in consecutive blocks."""
+
+    def __init__(self, n):
+        self.tail_start = n // 2
+        self.all = KahanScan()
+        # summed on its own: total minus the head sum would cancel a small tail away
+        self.tail = KahanScan()
+
+    def feed(self, mu, grad_norm_sq):
+        """Add the next steps' parallel arrays of mu_k and squared gradient norms."""
+        mu = np.asarray(mu, dtype=float)
+        gns = np.asarray(grad_norm_sq, dtype=float)
+        if mu.shape != gns.shape:
+            raise ConfigurationError("mu and grad_norm_sq arrays must have equal shape")
+        terms = mu**2 * gns
+        self.tail.cumsum(terms[max(self.tail_start - self.all.count, 0) :])
+        self.all.cumsum(terms)
+
+    def report(self):
+        total = self.all.total
+        if total <= 0.0:
+            return RSReport(total=total, tail_fraction=0.0, passed=True)
+        frac = self.tail.total / total
+        return RSReport(total=total, tail_fraction=frac, passed=frac < RS_TAIL_LIMIT)
+
+
 def robbins_siegmund_diag(mu, grad_norm_sq):
     """Partial-sum tail check on mu_k^2 ||grad f_k||^2.
 
@@ -185,19 +262,42 @@ def robbins_siegmund_diag(mu, grad_norm_sq):
     share of the total must fall below RS_TAIL_LIMIT; a divergent schedule
     keeps accruing and fails.
     """
-    mu = np.asarray(mu, dtype=float)
-    gns = np.asarray(grad_norm_sq, dtype=float)
-    if mu.shape != gns.shape:
-        raise ConfigurationError("mu and grad_norm_sq arrays must have equal shape")
-    terms = mu**2 * gns
-    cum = kahan_cumsum(terms)
-    total = float(cum[-1]) if len(cum) else 0.0
-    if total <= 0.0:
-        return RSReport(total=total, tail_fraction=0.0, passed=True)
-    # summed on its own: total minus the head sum would cancel a small tail away
-    tail = float(kahan_cumsum(terms[len(terms) // 2 :])[-1])
-    frac = tail / total
-    return RSReport(total=total, tail_fraction=frac, passed=frac < RS_TAIL_LIMIT)
+    scan = RSScan(len(np.asarray(mu)))
+    scan.feed(mu, grad_norm_sq)
+    return scan.report()
+
+
+class MinPhaseScan:
+    """``minimum_phase_ratio`` of a run fed in consecutive blocks of steps.
+
+    Carries the weighted history and the previous input from block to block.
+    """
+
+    def __init__(self, lam=0.9):
+        if not (0.0 < lam < 1.0):
+            raise ConfigurationError(f"lam must lie in (0,1), got {lam}")
+        self.lam = lam
+        self.weighted = 0.0
+        self.u_prev = None  # none before the first step
+
+    def ratios(self, y, u, w):
+        """The ratio at each of the next steps, from their y, u and noise w arrays."""
+        out = np.empty(len(y))
+        lam, weighted, u_prev = self.lam, self.weighted, self.u_prev
+        for start in range(0, len(y), _BLOCK):
+            part = slice(start, start + _BLOCK)
+            vals = []
+            append = vals.append
+            for y_k, u_k, w_k in zip(y[part].tolist(), u[part].tolist(), w[part].tolist()):
+                if u_prev is None:
+                    append(0.0)
+                else:
+                    append(u_prev**2 / weighted if weighted > 0.0 else math.inf)
+                weighted = lam * weighted + y_k**2 + w_k**2
+                u_prev = u_k
+            out[part] = vals
+        self.weighted, self.u_prev = weighted, u_prev
+        return out
 
 
 def minimum_phase_ratio(trace, lam=0.9):
@@ -208,14 +308,5 @@ def minimum_phase_ratio(trace, lam=0.9):
     is evidence the trajectory respects it.  First step has no previous
     input and reports 0.
     """
-    if not (0.0 < lam < 1.0):
-        raise ConfigurationError(f"lam must lie in (0,1), got {lam}")
-    y = _column(trace, "y").tolist()
-    u = _column(trace, "u").tolist()
-    w = realized_noise(trace).tolist()
-    vals = [0.0] * len(y)
-    weighted = 0.0
-    for k in range(len(y) - 1):
-        weighted = lam * weighted + y[k] ** 2 + w[k] ** 2
-        vals[k + 1] = u[k] ** 2 / weighted if weighted > 0.0 else math.inf
-    return np.array(vals, dtype=float)
+    scan = MinPhaseScan(lam)
+    return scan.ratios(_column(trace, "y"), _column(trace, "u"), realized_noise(trace))

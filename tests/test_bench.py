@@ -17,6 +17,7 @@ import pathlib
 import shutil
 import tempfile
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +135,15 @@ def identify_report(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def long_identify_report(tmp_path_factory):
+    """Logistic identification over 1100 steps: past the step-500 checkpoint, cross-entropy."""
+    root = tmp_path_factory.mktemp("bench_identify_long")
+    text = IDENTIFY_CFG.replace("linear_mse", "logistic").replace("mu = 0.3", "mu = 0.1")
+    text = text.replace("n_steps = 60", "n_steps = 1100")
+    return run_experiment(load_config(_write_cfg(root, text, out=root / "runs")))
+
+
+@pytest.fixture(scope="module")
 def small_replay_report(tmp_path_factory, corpus_csv):
     root = tmp_path_factory.mktemp("bench_replay")
     path = _write_cfg(root, REPLAY_CFG, out=root / "runs", data=corpus_csv)
@@ -230,6 +240,14 @@ class TestLoadConfig:
             load_config(_write_cfg(tmp_path, text, out=tmp_path))
         assert str(exc.value) == (
             f"experiment.seeds: seed {seeds} outside unsigned 64-bit range")
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_rejected(self, tmp_path, target):
+        # the run would succeed and its own verify_report fail on the y_star column
+        text = CONTROL_CFG + f"\n[control]\ny_target = {target}\n"
+        with pytest.raises(ConfigurationError) as exc:
+            load_config(_write_cfg(tmp_path, text, out=tmp_path))
+        assert str(exc.value) == f"control.y_target must be finite, got {float(target)!r}"
 
     def test_step_size_cap_enforced_at_load(self, tmp_path):
         # tanh lag pair declares delta ~ 0.84, c1 = 4 -> cap 2*delta/c1 ~ 0.42
@@ -452,6 +470,18 @@ class TestTracePersistence:
                 read_trace(str(path))
             assert exc.value.line == line
 
+    @pytest.mark.parametrize("cell, problem", [
+        ("bogus", "unknown flag 'bogus'"),
+        ("saturated;bogus", "unknown flag 'bogus'"),
+        ("saturated;", "unknown flag ''"),
+        ("divergence;saturated;divergence", "repeated flag in 'divergence;saturated;divergence'"),
+    ])
+    def test_flags_outside_the_vocabulary_are_a_data_error_with_its_line(self, tmp_path, cell,
+                                                                         problem):
+        with pytest.raises(DataError, match=f"^{problem} in column 'flags'") as exc:
+            read_trace(self._edited(tmp_path, 3, "flags", cell))
+        assert exc.value.line == 3
+
     def test_column_empty_on_some_rows_only_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="some rows only") as exc:
             read_trace(self._edited(tmp_path, 4, "theta_err", ""))
@@ -558,7 +588,7 @@ class TestTraceWriterBytes:
 
 
 def _oracle_read_trace(path):
-    """Reference reader: the csv module and a per-cell cast, in ordered checks.
+    """Reference reader: the csv module, a per-cell cast and the flag vocabulary, in ordered checks.
 
     ``read_trace`` parses each chunk with one ``np.loadtxt`` call; it must
     return the same Trace as this, or raise the same DataError on the same
@@ -585,11 +615,23 @@ def _oracle_read_trace(path):
                          for name, cells in zip(parts, columns)}
             for name, cells in zip(parts, columns):
                 parts[name].append(_oracle_column(path, name, cells, line, empty[name]))
+            for i, cell in enumerate(columns[-1]):
+                _oracle_flags(path, cell, line + i)
             flags.extend(columns[-1])
     if not flags:
         return Trace(k=np.empty(0, dtype=np.int64))
     values = {name: None if empty[name] else np.concatenate(p) for name, p in parts.items()}
     return Trace(flags=flags, **values)
+
+
+def _oracle_flags(path, cell, line):
+    """A flags cell is "" or distinct vocabulary names joined by ";"."""
+    names = cell.split(";") if cell else []
+    for name in names:
+        if name not in _FLAG_NAMES:
+            raise DataError(f"unknown flag {name!r} in column 'flags' of {path}", line=line)
+    if len(set(names)) < len(names):
+        raise DataError(f"repeated flag in {cell!r} in column 'flags' of {path}", line=line)
 
 
 def _oracle_column(path, name, cells, line, empty):
@@ -890,6 +932,32 @@ class TestIdentifyStreams:
 
 
 class TestErrorContext:
+    @staticmethod
+    def _overflow_config(tmp_path, rows, bad_row):
+        """The linear replay config over ``rows`` rows; 2 * (f - 1e308) overflows the
+        squared-error derivative on row ``bad_row``."""
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,f2,y\n" + "".join(
+            "1,0.5,0.2,1e308\n" if i == bad_row else "1,0.5,0.2,2\n" for i in range(rows)))
+        text = REPLAY_CFG.replace("pair = saturation", "pair = linear_mse")
+        text = text.replace("n_steps = 200", f"n_steps = {rows}")
+        text = text.replace("features = f0, f1, f2, f3, f4", "features = f0, f1, f2")
+        text = text.replace("lower = 6.0\nupper = 120.0\nnoise_std = 5.0\n", "")
+        path = _write_cfg(tmp_path, text, out=tmp_path / "runs", data=data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return load_config(path)
+
+    @pytest.mark.parametrize("rows, bad_row", [(3, 1), (1200, 700)])
+    def test_failed_run_leaves_its_report_and_no_trace(self, tmp_path, rows, bad_row):
+        # row 700 fails in the second chunk of steps, after the first was written
+        with pytest.raises(NumericError):
+            run_experiment(self._overflow_config(tmp_path, rows, bad_row))
+        assert sorted(os.listdir(tmp_path / "runs")) == ["report.json"]
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        assert report["error"]["context"]["k"] == bad_row
+        assert report["runs"] == {"modified": {}, "classical": {}}
+
     def test_numeric_error_context_is_kept_in_report(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("f0,f1,f2,y\n1,0.5,0.2,2\n1,0.5,0.2,1e308\n1,0.5,0.2,2\n")
@@ -1133,6 +1201,23 @@ class TestVerifyReport:
             verify_report(str(dst / "report.json"))
         assert exc.value.line == 30
 
+    @pytest.mark.parametrize("run", ["identify_report", "small_replay_report"])
+    def test_flags_cell_outside_the_vocabulary_names_its_line(self, run, request, tmp_path):
+        # outside control mode no check reads a clean step's flags, so the reader must
+        report = request.getfixturevalue(run)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(report.path), dst)
+        summary = next(iter(report.data["runs"][report.data["config"]["algorithms"][0]].values()))
+        trace_path = dst / summary["trace"]
+        lines = trace_path.read_bytes().split(b"\r\n")
+        cells = lines[41].split(b",")
+        cells[TRACE_COLUMNS.index("flags")] = b"bogus"
+        lines[41] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataError, match="unknown flag 'bogus'.* at line 42$") as exc:
+            verify_report(str(dst / "report.json"))
+        assert exc.value.line == 42
+
     @pytest.mark.parametrize("run", ["control_report", "identify_report", "small_replay_report"])
     @pytest.mark.parametrize("column, cell, derivation", [
         ("k", b"5", "the row index"),
@@ -1272,6 +1357,92 @@ class TestSummarize:
                     got = summarize(report.data["config"], trace)
                     assert {type(v) for v in _leaves(got)} <= {float, int, bool}
                     json.dumps(got, allow_nan=False)
+
+
+def _rows(trace, start, stop):
+    """Rows start..stop - 1 of ``trace`` as a Trace of their own; ``k`` keeps its values."""
+    columns = {name: None if column is None else column[start:stop]
+               for name in TRACE_COLUMNS[:-1] for column in [getattr(trace, name)]}
+    return Trace(flags=trace.flags[start:stop], **columns)
+
+
+@st.composite
+def _chunks(draw, n):
+    """Consecutive (start, stop) chunks covering rows 0..n - 1, cut at drawn rows.
+
+    Cuts next to the step-500 checkpoint and the robbins-siegmund tail start
+    n // 2 are drawn often.
+    """
+    if n < 2:
+        return [(0, n)]
+    seams = [m for m in (1, 499, 500, 501, n // 2, n // 2 + 1, n - 1) if 0 < m < n]
+    cuts = draw(st.lists(st.integers(1, n - 1) | st.sampled_from(seams), unique=True,
+                         max_size=12))
+    edges = [0, *sorted(cuts), n]
+    return list(zip(edges, edges[1:]))
+
+
+class TestStreamedRun:
+    """A run streams its sweep: each chunk of steps is written and summarized as
+    it comes.  Any split of a trace into consecutive chunks must give the
+    bits of the whole trace at once."""
+
+    @pytest.fixture(scope="class", params=["paper_run", "replay_run", "long_identify_report"])
+    def run_trace(self, request):
+        report = request.getfixturevalue(request.param)
+        report = report[0] if isinstance(report, tuple) else report
+        summary = next(iter(report.data["runs"][report.data["config"]["algorithms"][-1]].values()))
+        trace = read_trace(os.path.join(os.path.dirname(report.path), summary["trace"]))
+        return report.data["config"], trace
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_running_summary_equals_one_whole_summarize(self, run_trace, data):
+        config, trace = run_trace
+        summary = bench_module._RunningSummary(config, len(trace))
+        regrets = [summary.feed(_rows(trace, a, b)) for a, b in data.draw(_chunks(len(trace)))]
+        whole, regret = bench_module._summarize(config, trace)
+        assert json.dumps(summary.result(), sort_keys=True) == json.dumps(whole, sort_keys=True)
+        if regret is None:
+            assert regrets == [None] * len(regrets)
+        else:
+            assert np.concatenate(regrets).tobytes() == regret.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_chunk_by_chunk_write_equals_one_whole_write(self, run_trace, data):
+        _, trace = run_trace
+        with tempfile.TemporaryDirectory() as tmp:
+            whole, chunked = os.path.join(tmp, "whole.csv"), os.path.join(tmp, "chunked.csv")
+            write_trace(whole, trace)
+            write_trace(chunked, Trace(k=np.empty(0, dtype=np.int64)))  # a stale file restarts
+            for a, b in data.draw(_chunks(len(trace))):
+                write_trace(chunked, _rows(trace, a, b))
+            assert open(chunked, "rb").read() == open(whole, "rb").read()
+
+
+class TestMemoryBound:
+    def test_run_peak_does_not_grow_with_n_steps(self, tmp_path):
+        # Python-heap peaks of a 2-cell control run under tracemalloc: streamed,
+        # the 10,000-step run peaked 0.02 MB above the 1,000-step one (1.22 MB).
+        # Holding every recorded column, the noise block, the targets and
+        # n-long scan lists until the sweep ended, it grew by 2.0 MB.
+        def run(n_steps):
+            text = CONTROL_CFG.replace("n_steps = 40", f"n_steps = {n_steps}")
+            text = text.replace("seeds = 1, 2", "seeds = 1")
+            run_experiment(load_config(_write_cfg(tmp_path, text, out=tmp_path / f"runs{n_steps}")))
+
+        def peak(n_steps):
+            tracemalloc.start()
+            try:
+                run(n_steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(40)  # first-call allocations (lazy imports, caches) do not count
+        small, large = peak(1000), peak(10_000)
+        assert large - small <= 0.5 * 2**20, (small, large)
 
 
 def _load_tracer():

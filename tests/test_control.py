@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 
 import sgident.control as control_mod
 from sgident.control import (
+    TRACE_COLUMNS,
     ControlConfig,
     NoiseSource,
     Plant,
     Trace,
     _bisect_control,
+    closed_loop_chunks,
     run_closed_loop_batch,
     solve_control,
     solve_control_rows,
@@ -107,6 +109,14 @@ class TestNoiseSource:
         want = [scalar.draw_uniform() for _ in range(5000)]
         assert block.uniform_block(5000).tolist() == want
         assert block.draw_count == scalar.draw_count == 10_001
+
+    @pytest.mark.parametrize("kind,df", [("gaussian", None), ("student_t", 5.0)])
+    def test_blocks_drawn_in_chunks_equal_one_block(self, kind, df):
+        # the closed loop draws its noise one chunk of steps at a time
+        whole = NoiseSource(std=0.3, seed=9, kind=kind, df=df).draw_block(1650)
+        chunked = NoiseSource(std=0.3, seed=9, kind=kind, df=df)
+        parts = [chunked.draw_block(m) for m in (512, 512, 1, 0, 37, 588)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -255,6 +265,9 @@ class TestSolveControl:
             ControlConfig(u_max=0.0)
         with pytest.raises(ConfigurationError):
             ControlConfig(root_max_iter=0)
+        for target in (math.nan, math.inf, np.array([0.1, -math.inf, 0.3])):
+            with pytest.raises(ConfigurationError, match="y_target must be finite"):
+                ControlConfig(y_target=target)
 
     def test_per_step_target_lookup(self):
         cfg = ControlConfig(y_target=np.array([0.1, 0.2, 0.3]))
@@ -628,6 +641,30 @@ def test_per_chunk_columns_equal_the_per_step_derivation(n):
             ["saturated", "saturated", "saturated;divergence"],
             ["", "", ""],
         ]
+
+
+def test_chunks_hold_their_steps_of_the_joined_run():
+    # each chunk's trace is rows start..stop - 1 of the whole run's, step
+    # numbers and flags included; only the joined run knows regret_avg
+    plant = Plant(tanh_arx_model(3, 2), np.array([0.01, 3.0, -0.1, 0.6, -0.3]),
+                  NoiseSource(std=0.05))
+    pair = linear_mse_pair(5)
+    state = sg_init(_SATURATING, HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0))
+    cells = [("modified", seed) for seed in range(len(_DIVERGING_ROWS))]
+    args = (plant, state, pair, ControlConfig(y_target=0.5), 1100, cells)
+    joined = run_closed_loop_batch(*args, update=_diverging_update([]))
+    chunks = list(closed_loop_chunks(*args, update=_diverging_update([])))
+    assert [(c.start, len(c.y_star)) for c in chunks] == [(0, 512), (512, 512), (1024, 76)]
+    for i in range(len(cells)):
+        whole = joined.trace(i)
+        whole.regret_avg = None
+        for chunk in chunks:
+            part = chunk.trace(i)
+            rows = slice(chunk.start, chunk.start + len(part))
+            assert part == Trace(flags=whole.flags[rows], **{
+                name: None if column is None else column[rows]
+                for name in TRACE_COLUMNS[:-1] for column in [getattr(whole, name)]})
+    assert "divergence" in joined.trace(2).flags[1024]
 
 
 class TestTrace:
