@@ -3,7 +3,8 @@
 The package couples a recursive estimator (modified and classical gain
 schedules), a catalog of predictor/loss pairs, a certainty-equivalence
 tracking controller with a simulated lag plant, convergence diagnostics,
-and a deterministic benchmark harness with CSV traces and JSON reports.
+and a deterministic benchmark harness with fixed-width hex traces (exported
+as decimal CSV on demand) and JSON reports.
 """
 
 from types import ModuleType as _ModuleType
@@ -14,6 +15,7 @@ from .bench import (
     ExperimentConfig,
     RunReport,
     compare_runs,
+    export_csv,
     ingest_csv,
     load_config,
     preset_path,

@@ -4,12 +4,13 @@ A run is fully determined by (config file, seed list): every persisted trace
 byte and every report number is reproducible.  Each run's summary comes
 from `summarize`, which reads only persisted trace columns, so
 `verify_report` recomputes every reported number by calling it again on the
-trace read back from CSV.  A sweep streams: each chunk of steps is appended
+trace read back from its file.  A sweep streams: each chunk of steps is appended
 to every cell's trace file and folded into its running summary, then
 dropped, so memory is bounded by chunk x cells, not by the run length.
 Configs are
-INI-style text, traces RFC-4180 CSV with a fixed column order, reports JSON
-with sorted keys and no timestamps.
+INI-style text, traces fixed-width hex text (one line per step, each cell
+the bits of a 64-bit value; ``export_csv`` renders them as decimal CSV),
+reports JSON with sorted keys and no timestamps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import warnings
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .models import (
     catalog_pair,
     tanh_mse_pair,
 )
-from .reprtext import float_cells, int_cells
 from .sg import sg_init
 
 __all__ = [
@@ -71,6 +70,7 @@ __all__ = [
     "CsvStream",
     "write_trace",
     "read_trace",
+    "export_csv",
     "summarize",
     "run_experiment",
     "compare_runs",
@@ -83,7 +83,7 @@ MODES = ("identify", "control", "replay")
 ALGORITHMS = dict.fromkeys(("modified", "classical"))
 GRADIENT_NOISE_TOL = 1e-12
 RECOMPUTE_TOL = 1e-9
-# the flags a trace's flags cell joins with ";", each at most once
+# the flags a step may carry; a Trace joins them with ";" in this order
 FLAGS = ("saturated", "singular_gain", "divergence")
 
 
@@ -440,219 +440,190 @@ def ingest_csv(path, column_map, strict=False, max_rows=None) -> CsvStream:
 # trace persistence
 
 
-# rows formatted or parsed per batch; bounds the cell text held in memory
+# the first word of a trace's header line; the present column names follow it
+TRACE_FORMAT = "sgident-trace/1"
+# rows read or rendered per batch; bounds the text and lookup indices held in
+# memory.  512, 2048 and 4096 rows read slower, and 4096 peaked 2-4 MB higher
 _CHUNK = 1024
-# wider than any flag string written ("saturated;singular_gain;divergence" has 34)
-_FLAGS_WIDTH = 40
+# a cell is 16 hex digits, then "," or, after the last cell of a row, LF
+_CELL = 17
+
+
+# each flags bitmask's ";"-joined text; bit i is FLAGS[i]
+_FLAG_TEXT = np.array([";".join(name for bit, name in enumerate(FLAGS) if mask >> bit & 1)
+                       for mask in range(1 << len(FLAGS))], dtype=object)
+_FLAG_MASK = {text: mask for mask, text in enumerate(_FLAG_TEXT)}
+
+
+def _hex_tables():
+    """(byte -> its two hex digits, two hex digits -> their byte or 256), as ``<u2`` arrays.
+
+    A ``<u2`` value holds two characters as they sit in memory: the first in
+    its low byte.
+    """
+    digits = np.frombuffer(b"0123456789abcdef", np.uint8).astype("<u2")
+    encode = (digits[:, None] | digits[None, :] << 8).ravel()
+    decode = np.full(1 << 16, 256, dtype="<u2")
+    decode[encode] = np.arange(256)
+    return encode, decode
+
+
+_HEX, _UNHEX = _hex_tables()
 
 
 def write_trace(path, trace):
-    """Persist a Trace as RFC-4180 CSV (CRLF, fixed column order).
+    """Persist a Trace as fixed-width hex text.
+
+    The header line is ``TRACE_FORMAT``, a space and the present columns
+    (``k``, the filled float columns, ``flags``) in ``TRACE_COLUMNS`` order
+    joined by ","; a column the mode leaves empty is left out.  Each row is
+    one LF-terminated line of ","-separated cells, each the 16 lowercase hex
+    digits of its 64-bit pattern, big-endian: float64 bits, int64 for ``k``
+    and an int64 bitmask for ``flags`` (bit i set when ``FLAGS[i]`` is on
+    the step).  Flags must be distinct ``FLAGS`` names in ``FLAGS`` order.
 
     A trace with no rows or whose ``k`` starts at 0 starts the file: the
     header, then its rows.  Any other trace continues a run, and its rows
     are appended, so writing a run chunk by chunk in step order gives the
-    bytes of one write of the whole run.
-
-    Floats are written as ``repr``, the shortest text that reads back to the
-    same double; an empty column is written as empty cells.  No cell is
-    quoted: numbers never need it and flags come from a fixed vocabulary
-    joined by ";".  All float cells of a chunk are rendered by one
-    ``reprtext.float_cells`` call.
+    bytes of one write of the whole run.  Each byte of the chunk becomes
+    its two digits by one lookup in a 256-entry table.
     """
-    starts = len(trace) == 0 or trace.k[0] == 0
+    names = ["k", *(name for name in TRACE_COLUMNS[1:-1] if getattr(trace, name) is not None),
+             "flags"]
+    n, width = len(trace), len(names)
+    try:
+        masks = [_FLAG_MASK[text] for text in trace.flags]
+    except KeyError as exc:
+        raise DataError(f"flags {exc.args[0]!r} are not distinct {FLAGS} in that order") from None
+    words = np.empty((width, n), np.int64)  # a column per row: each fill is contiguous
+    words[0] = trace.k
+    for j, name in enumerate(names[1:-1], 1):
+        words[j] = getattr(trace, name).view(np.int64)
+    words[-1] = masks
+    big_endian = words.T.astype(">i8", order="C").view(np.uint8).reshape(n, width, 8)
+    text = np.empty((n, width, _CELL), np.uint8)
+    text[:, :, :-1].view("<u2")[...] = _HEX.take(big_endian)
+    text[:, :, -1] = ord(",")
+    text[:, -1, -1] = ord("\n")
+    starts = n == 0 or trace.k[0] == 0
     with open(path, "wb" if starts else "ab") as fh:
         if starts:
-            fh.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
-        for start in range(0, len(trace), _CHUNK):
-            fh.write(_chunk_text(trace, slice(start, start + _CHUNK)))
-
-
-def _chunk_text(trace, part):
-    """Rows ``part`` as CSV: each cell a fixed-width slot of one uint8 matrix, masked."""
-    columns = [getattr(trace, name) for name in TRACE_COLUMNS[1:-1]]
-    filled = [column[part] for column in columns if column is not None]
-    rows = len(trace.k[part])
-    floats = float_cells(np.stack(filled, 1) if filled else np.empty((rows, 0)))
-    slots, j = [int_cells(trace.k[part])], 0
-    for present, run in groupby(column is not None for column in columns):
-        n = len(list(run))  # consecutive filled columns make one block of float slots
-        slots.append([cells[:, j : j + n].reshape(rows, -1) for cells in floats] if present
-                     else (np.full((rows, n), ord(","), np.uint8), np.ones((rows, n), bool)))
-        j += n if present else 0
-    slots.append(_flag_cells(trace.flags[part]))
-    chars, valid = zip(*slots)
-    del slots, floats  # each of the kernel's matrices goes once it is copied
-    chars = np.concatenate(chars, axis=1)
-    valid = np.concatenate(valid, axis=1)
-    # by blocks of rows, since np.compress lists the positions it keeps
-    return b"".join(np.compress(valid[i : i + 256].ravel(), chars[i : i + 256].ravel()).tobytes()
-                    for i in range(0, rows, 256))
-
-
-def _flag_cells(flags):
-    """Flag strings (ASCII, no NUL) -> (chars, valid): each flag then CRLF."""
-    text = np.array(flags, dtype=bytes)
-    chars = np.empty((len(flags), text.itemsize + 2), np.uint8)
-    chars[:, :-2], chars[:, -2:] = text.view(np.uint8).reshape(len(flags), -1), [13, 10]  # CRLF
-    return chars, chars != 0
+            fh.write(f"{TRACE_FORMAT} {','.join(names)}\n".encode())
+        fh.write(text)
 
 
 def read_trace(path):
-    """Load a trace CSV back into a Trace.
+    """Load a trace written by ``write_trace`` back into a Trace.
 
-    A row of the wrong width, a cell that is not a finite number, a column
-    that is empty on some rows but not others and a flags cell that is not
-    distinct ``FLAGS`` joined by ";" each raise DataError with the line
-    number.  Each data row is one line, so row i sits on line
-    i + 2.
-
-    Each chunk of ``_CHUNK`` lines is parsed by one ``np.loadtxt`` call
-    (``_loadtxt_chunk``).  A chunk that call cannot vouch for is read again
-    by the ``csv`` module and checked cell by cell in order
-    (``_walk_chunk``), so every file reads as it would through the ``csv``
-    module alone: the same values, or the same DataError on the same line.
+    A column the header leaves out is None.  Each of these raises DataError
+    with its file line (row i sits on line i + 2, the header on line 1): an
+    empty file, a header that is not ``TRACE_FORMAT`` and known columns in
+    ``TRACE_COLUMNS`` order from ``k`` to ``flags``, a separator other than
+    "," between cells or LF after the last, a cell that is not 16 lowercase
+    hex digits, a float cell that is not finite, a flags cell above 7 and a
+    final row cut short.  The file is read ``_CHUNK`` rows at a time, and
+    each pair of digits becomes its byte by one lookup in a 65,536-entry
+    table.
     """
-    parts = {name: [] for name in TRACE_COLUMNS[:-1]}
-    flags = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise DataError(f"empty trace file: {path}")
-        if header.rstrip("\r\n") != ",".join(TRACE_COLUMNS):
-            header = next(csv.reader(chain([header], fh)))  # quoted names still match
-            if header != TRACE_COLUMNS:
-                raise DataError(f"unexpected trace header in {path}: {header}")
-        empty = None  # per column: is it the empty one of its mode (from row 0)
-        while chunk := list(islice(fh, _CHUNK)):
-            columns = _loadtxt_chunk(chunk, empty)
-            if columns is None:
-                # the csv module may join lines into one row, so it reads on from the chunk
-                rows = list(islice(csv.reader(chain(chunk, fh)), _CHUNK))
-                columns = _walk_chunk(path, rows, len(flags) + 2, empty)
-            if empty is None:
-                empty = {name: columns[name] is None for name in parts}
-            flags.extend(columns.pop("flags"))
-            for name, values in columns.items():
-                parts[name].append(values)
-    if not flags:
-        return Trace(k=np.empty(0, dtype=np.int64))
-    # concatenate one column at a time so only one column is held twice
-    values = {name: None if empty[name] else np.concatenate(parts.pop(name)) for name in empty}
-    return Trace(flags=flags, **values)
+    with open(path, "rb") as fh:
+        names = _read_header(path, fh)
+        size = len(names) * _CELL
+        n, short = divmod(os.fstat(fh.fileno()).st_size - fh.tell(), size)
+        words = np.empty((len(names), n), np.int64)  # a column per row, filled in place
+        for start in range(0, n, _CHUNK):
+            m = min(_CHUNK, n - start)
+            cells = np.frombuffer(fh.read(m * size), np.uint8).reshape(m, len(names), _CELL)
+            words[:, start : start + m] = _decode_rows(path, names, cells, start).T
+        if short:
+            raise DataError(f"short final row in {path}", line=n + 2)
+    columns = dict(zip(names, words))
+    flags = _FLAG_TEXT[columns.pop("flags")].tolist()
+    k = columns.pop("k")
+    return Trace(k=k, flags=flags, **{name: w.view(np.float64) for name, w in columns.items()})
 
 
-def _empty_columns(cells):
-    """Per column: is it the empty one of its mode, judged by row 0's ``cells``."""
-    return {name: name != "k" and cell == "" for name, cell in zip(TRACE_COLUMNS[:-1], cells)}
+def _read_header(path, fh):
+    """The column names of a trace's header line, checked."""
+    line = fh.readline(len(TRACE_FORMAT) + len(",".join(TRACE_COLUMNS)) + 2)
+    if not line:
+        raise DataError(f"empty trace file: {path}")
+    magic, _, names = line.decode("ascii", "replace").rstrip("\n").partition(" ")
+    names = names.split(",")
+    if line.endswith(b"\n") and magic == TRACE_FORMAT:
+        unknown = next((name for name in names if name not in TRACE_COLUMNS), None)
+        if unknown is not None:
+            raise DataError(f"unknown trace column {unknown!r} in the header of {path}", line=1)
+        if names == sorted(set(names), key=TRACE_COLUMNS.index) and {"k", "flags"} <= set(names):
+            return names
+    raise DataError(f"unexpected trace header in {path}: {line[:120]!r}", line=1)
 
 
-def _loadtxt_chunk(lines, empty):
-    """The columns of a chunk of trace lines from one ``np.loadtxt`` pass, or None.
+def _decode_rows(path, names, cells, first):
+    """The big-endian words of rows ``first``.. given as (rows, column, 17) text.
 
-    The fields are ``k`` as int64, float64 for filled columns, ``U1`` for
-    the columns ``empty`` names (None on the first chunk: its first line
-    decides) and ``U{_FLAGS_WIDTH}`` for ``flags``.  None means the csv
-    walk must read the chunk: loadtxt failed, or may read it differently
-    from the ``csv`` module (it skips blank lines and warns when nothing
-    else is left, keeps quotes, drops trailing NULs and truncates a long
-    string), or a check failed (a non-finite number, a filled cell in an
-    empty column, a flags cell outside the vocabulary).
+    Raises DataError at the first row with a problem; on that row a wrong
+    separator comes before a bad digit pair, and that before a bad value.
     """
-    text = "".join(lines)
-    if '"' in text or "\0" in text or lines[0].isspace():
-        return None
-    if empty is None:  # a first line of the wrong width makes loadtxt fail below
-        empty = _empty_columns(lines[0].rstrip("\r\n").split(","))
-    dtype = [(name, "U1" if is_empty else np.int64 if name == "k" else np.float64)
-             for name, is_empty in empty.items()]
-    try:
-        rows = np.loadtxt(lines, dtype=[*dtype, ("flags", f"U{_FLAGS_WIDTH}")],
-                          delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    if len(rows) != len(lines) or np.char.str_len(rows["flags"]).max() >= _FLAGS_WIDTH:
-        return None
-    columns = {}
-    for name, is_empty in empty.items():
-        cells = rows[name]
-        if is_empty:
-            if (cells != "").any():
-                return None
-            columns[name] = None
-        else:
-            columns[name] = cells.copy()
-            if name != "k" and not np.isfinite(columns[name]).all():
-                return None
-    columns["flags"] = rows["flags"].tolist()
-    if any(_flags_problem(cell) for cell in set(columns["flags"])):
-        return None
-    return columns
+    values = _UNHEX.take(cells[:, :, :-1].view("<u2"))
+    words = values.astype(np.uint8).view(">i8")[:, :, 0]
+    separators = np.full(len(names), ord(","), np.uint8)
+    separators[-1] = ord("\n")
+    bad_separator = cells[:, :, -1] != separators
+    non_finite = ~np.isfinite(words[:, 1:-1].view(">f8"))
+    big_flags = words[:, -1:].view(">u8") >= len(_FLAG_TEXT)
+    if values.max(initial=0) > 255 or bad_separator.any() or non_finite.any() or big_flags.any():
+        problems = [  # (bad cells, the first column checked, problem), in rank order
+            (bad_separator, 0, "wrong separator after the cell"),
+            ((values > 255).any(axis=2), 0, "cell that is not 16 lowercase hex digits"),
+            (non_finite, 1, "non-finite cell"),
+            (big_flags, len(names) - 1, "flags value above 7"),
+        ]
+        found = []
+        for rank, (bad, offset, problem) in enumerate(problems):
+            rows = np.flatnonzero(bad.any(axis=1))
+            if rows.size:
+                row = int(rows[0])
+                found.append((row, rank, offset + int(np.argmax(bad[row])), problem))
+        row, _, column, problem = min(found)
+        raise DataError(f"{problem} in column {names[column]!r} of {path}", line=first + row + 2)
+    return words
 
 
-def _walk_chunk(path, rows, line, empty):
-    """The columns of ``rows`` (csv module rows starting on ``line``), checked in order.
+def export_csv(run_dir):
+    """Render each ``trace_*.hex`` of ``run_dir`` as decimal CSV ``trace_*.csv`` beside it.
 
-    Every row's width first, then each column from ``k`` to ``flags``; the
-    first failure raises DataError with its line.  ``empty`` None: row 0
-    decides.
+    Returns the paths written, in name order.  The CSV is RFC 4180 with CRLF
+    line ends and every ``TRACE_COLUMNS`` column: ``k`` an integer, a float
+    cell its ``repr`` (the shortest text that reads back to the same
+    double), a column the mode leaves empty an empty cell on every row, and
+    ``flags`` the ";"-joined names.  Each column of a chunk is formatted by
+    one ``repr`` of its list.  A missing directory is a ConfigurationError;
+    a directory with no trace and a trace ``read_trace`` rejects are
+    DataErrors, the latter raised before its CSV is opened.
     """
-    for i, row in enumerate(rows):
-        if len(row) != len(TRACE_COLUMNS):
-            raise DataError(f"malformed trace row in {path}", line=line + i)
-    if empty is None:
-        empty = _empty_columns(rows[0])
-    *cells, flags = zip(*rows)
-    columns = {name: _trace_column(path, name, column, line, empty[name])
-               for name, column in zip(empty, cells)}
-    for i, cell in enumerate(flags):
-        if problem := _flags_problem(cell):
-            raise DataError(f"{problem} in column 'flags' of {path}", line=line + i)
-    columns["flags"] = flags
-    return columns
-
-
-def _flags_problem(cell):
-    """What is wrong with a flags cell ("" is a clean step), or None."""
-    if cell == "":
-        return None
-    names = cell.split(";")
-    unknown = next((name for name in names if name not in FLAGS), None)
-    if unknown is not None:
-        return f"unknown flag {unknown!r}"
-    if len(set(names)) != len(names):
-        return f"repeated flag in {cell!r}"
-    return None
-
-
-def _trace_column(path, name, cells, line, empty):
-    """Parse the cells of one column from consecutive rows starting on ``line``.
-
-    Returns None for a column that ``empty`` says is left empty.
-    """
-
-    def fail(problem, i):
-        raise DataError(f"{problem} in column {name!r} of {path}", line=line + i)
-
-    if cells.count("") != (len(cells) if empty else 0):
-        first = next(i for i, cell in enumerate(cells) if (cell == "") != empty)
-        fail("empty cell" if name == "k" else "column empty on some rows only", first)
-    if empty:
-        return None
-    cast, dtype = (int, np.int64) if name == "k" else (float, float)
-    try:
-        values = np.fromiter(map(cast, cells), dtype=dtype, count=len(cells))
-    except ValueError:
-        for i, cell in enumerate(cells):
-            try:
-                cast(cell)
-            except ValueError:
-                fail("nonnumeric cell", i)
-        raise
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        fail("non-finite cell", int(bad[0]))
-    return values
+    if not os.path.isdir(run_dir):
+        raise ConfigurationError(f"run directory not found: {run_dir}")
+    sources = sorted(name for name in os.listdir(run_dir)
+                     if name.startswith("trace_") and name.endswith(".hex"))
+    if not sources:
+        raise DataError(f"no trace_*.hex file in {run_dir}")
+    written = []
+    for source in sources:
+        trace = read_trace(os.path.join(run_dir, source))
+        columns = [getattr(trace, name) for name in TRACE_COLUMNS[:-1]]
+        path = os.path.join(run_dir, source.removesuffix(".hex") + ".csv")
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+            for start in range(0, len(trace), _CHUNK):
+                part = slice(start, start + _CHUNK)
+                rows = len(trace.k[part])
+                cells = [[""] * rows if column is None
+                         else repr(column[part].tolist())[1:-1].split(", ")
+                         for column in columns]
+                cells.append(trace.flags[part])
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        written.append(path)
+    return written
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +723,7 @@ def summarize(config_echo, trace):
     ``config_echo`` is the report's ``config`` block.  This is one feed of
     the whole trace into the running summary that ``run_experiment`` feeds
     chunk by chunk as its sweep runs, with the same bits either way;
-    ``verify_report`` calls it on each trace read back from CSV, so every
+    ``verify_report`` calls it on each trace read back from its file, so every
     reported number has one implementation.  Only persisted columns are
     read, and not ``regret_avg``: the plant noise is ``y - f_true`` and the
     squared gradient norms are the increments of ``r_k``.  Values are plain
@@ -1019,7 +990,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         # replay: the data stream is fixed, so one pass per algorithm
         seeds = cfg.seeds[:1] if cfg.mode == "replay" else cfg.seeds
         cells = [(algo, seed) for algo in cfg.algorithms for seed in seeds]
-        names = [f"trace_{algo}_{'replay' if cfg.mode == 'replay' else f'seed{seed}'}.csv"
+        names = [f"trace_{algo}_{'replay' if cfg.mode == 'replay' else f'seed{seed}'}.hex"
                  for algo, seed in cells]
         n = len(replay_rows[1]) if cfg.mode == "replay" else cfg.n_steps
         summaries = [_RunningSummary(report["config"], n) for _ in cells]
@@ -1256,7 +1227,7 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     """Recompute a report from its traces and echoed config; list mismatches.
 
     Returns (ok, problems).  Each run is summarized again by ``summarize``
-    from its trace as read back from CSV and compared with the reported
+    from its trace as read back from its file and compared with the reported
     summary as a whole: the keys must match, numbers must agree to ``tol``,
     and flag counts, checks and other values must be equal.  A finished
     report must hold one run per configured (algorithm, seed) cell, and its

@@ -1,4 +1,4 @@
-"""Command-line entry points for running and comparing experiments.
+"""Command-line entry points for running, comparing and exporting experiments.
 
 Exit codes: 0 when every enabled check passes, 2 when a check fails,
 1 on usage and configuration/data/runtime errors.
@@ -10,7 +10,14 @@ import argparse
 import json
 import sys
 
-from .bench import check_seeds, compare_runs, load_config, render_comparison, run_experiment
+from .bench import (
+    check_seeds,
+    compare_runs,
+    export_csv,
+    load_config,
+    render_comparison,
+    run_experiment,
+)
 from .errors import NumericError, SgidentError
 from .models import catalog_pair, verify_assumption2
 
@@ -53,6 +60,9 @@ def build_parser():
     cmp_p.add_argument("report_a")
     cmp_p.add_argument("report_b")
 
+    exp_p = sub.add_parser("export-csv", help="render a run directory's traces as decimal CSV")
+    exp_p.add_argument("run_dir")
+
     va = sub.add_parser("verify-assumption2", help="sampled check of the weak-convexity inequalities")
     va.add_argument("--pair", required=True, help="catalog pair name")
     va.add_argument("--samples", type=int, default=100_000)
@@ -92,6 +102,12 @@ def _compare(args):
     return PASS
 
 
+def _export_csv(args):
+    for path in export_csv(args.run_dir):
+        print(f"wrote {path}")
+    return PASS
+
+
 def _verify_assumption2(args):
     pair, sampler = catalog_pair(args.pair)
     report = verify_assumption2(
@@ -115,6 +131,8 @@ def main(argv=None) -> int:
             return _run_mode(args, args.command)
         if args.command == "compare":
             return _compare(args)
+        if args.command == "export-csv":
+            return _export_csv(args)
         return _verify_assumption2(args)
     except SgidentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -255,30 +255,36 @@ def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev)
     endpoint, ``saturated`` unless it meets root_tol, if the closed form lies
     beyond u_max or the target outside the link's range; (5) bisection, row
     by row (``saturated`` if it finds no root within root_tol).
+    Floating-point warnings stay silent: every case is tested explicitly.
     """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return solve_control_rows_unguarded(model, theta, phi, p, y_star, cfg, u_prev)
+
+
+def solve_control_rows_unguarded(model, theta, phi, p, y_star, cfg, u_prev):
+    """``solve_control_rows`` inside the caller's ``np.errstate``: a run loop enters it once."""
     link_inv = getattr(model, "link_inv", None)
     z_star = link_inv(y_star) if link_inv is not None else math.nan
     cu = theta[:, p]
     base = row_dots(phi, theta)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u0 = np.minimum(np.maximum(u_prev, -cfg.u_max), cfg.u_max)
-        r0 = model.link(base + cu * u0) - y_star
-        gain = model.dlink(base + cu * u_prev) * cu
-        # nan without an inverse (the row bisects), inf outside the link's range (it saturates)
-        u = np.full(len(cu), math.inf) if z_star is None else (z_star - base) / cu
-        closed = (
-            (np.abs(r0) > cfg.root_tol)
-            & (np.abs(gain) >= cfg.b_eps)
-            & (np.abs(u) <= cfg.u_max)
-            & (np.abs(model.link(base + cu * u) - y_star) <= cfg.root_tol)
-        )
-        if all(closed.tolist()):
-            return u, {}
-        short = np.abs(r0) <= cfg.root_tol
-        hold = ~short & (np.abs(gain) < cfg.b_eps)
-        beyond = ~short & ~hold & (np.abs(u) > cfg.u_max)
-        ends = np.array([-cfg.u_max, cfg.u_max])
-        r_ends = np.abs(model.link(base[:, None] + cu[:, None] * ends) - y_star)
+    u0 = np.minimum(np.maximum(u_prev, -cfg.u_max), cfg.u_max)
+    r0 = model.link(base + cu * u0) - y_star
+    gain = model.dlink(base + cu * u_prev) * cu
+    # nan without an inverse (the row bisects), inf outside the link's range (it saturates)
+    u = np.full(len(cu), math.inf) if z_star is None else (z_star - base) / cu
+    closed = (
+        (np.abs(r0) > cfg.root_tol)
+        & (np.abs(gain) >= cfg.b_eps)
+        & (np.abs(u) <= cfg.u_max)
+        & (np.abs(model.link(base + cu * u) - y_star) <= cfg.root_tol)
+    )
+    if all(closed.tolist()):
+        return u, {}
+    short = np.abs(r0) <= cfg.root_tol
+    hold = ~short & (np.abs(gain) < cfg.b_eps)
+    beyond = ~short & ~hold & (np.abs(u) > cfg.u_max)
+    ends = np.array([-cfg.u_max, cfg.u_max])
+    r_ends = np.abs(model.link(base[:, None] + cu[:, None] * ends) - y_star)
     end = np.where(r_ends[:, 0] <= r_ends[:, 1], 0, 1)  # a tie keeps -u_max
     u = np.where(short, u0, np.where(hold, u_prev, np.where(beyond, ends[end], u)))
     missed = beyond & ~(r_ends[np.arange(len(end)), end] <= cfg.root_tol)
@@ -537,8 +543,8 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
                                      axis=1)
                 for j, k in enumerate(range(start, stop)):
                     if closed:
-                        u, flagged = solve_control_rows(model_est, theta, phi, p, targets[j],
-                                                        cfg, u_prev)
+                        u, flagged = solve_control_rows_unguarded(model_est, theta, phi, p,
+                                                                  targets[j], cfg, u_prev)
                         phi[:, p] = u
                         f_true = link_true(row_dots(phi, theta_star))
                         check_rows(np.isfinite(f_true), "plant conditional mean non-finite",

@@ -212,7 +212,7 @@ class TestAcceptance:
             s = runs[f"seed_{seed}"]
             ratios.append(s["final_average_regret"] / s["average_regret_at_500"])
             tes.append(s["final_tracking_proxy"])
-            trace = bench.read_trace(os.path.join(out_dir, f"trace_modified_seed{seed}.csv"))
+            trace = bench.read_trace(os.path.join(out_dir, f"trace_modified_seed{seed}.hex"))
             # The realized noise floor mean(w^2): what a controller that knows
             # theta* exactly would score on this seed.  y - f_true is the drawn
             # noise w to within one ulp.

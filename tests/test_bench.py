@@ -14,7 +14,9 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
+import struct
 import tempfile
 import textwrap
 import tracemalloc
@@ -29,6 +31,7 @@ import sgident.bench as bench_module
 from sgident.bench import (
     TRACE_COLUMNS,
     compare_runs,
+    export_csv,
     ingest_csv,
     load_config,
     preset_path,
@@ -377,6 +380,23 @@ class TestIngestCsv:
             ingest_csv(str(tmp_path / "none.csv"), self.COLUMNS)
 
 
+def _cell(value):
+    """A trace cell: the 16 hex digits of an int's int64 or a float's float64 bits."""
+    return struct.pack(">q" if isinstance(value, int) else ">d", value).hex().encode()
+
+
+def _set_cell(path, line, column, cell):
+    """Set ``column`` on file line ``line`` of a trace to ``cell`` (a number, or raw bytes)."""
+    path = pathlib.Path(path)
+    lines = path.read_bytes().split(b"\n")
+    names = lines[0].split(b" ", 1)[1].decode().split(",")
+    cells = lines[line - 1].split(b",")
+    cells[names.index(column)] = cell if isinstance(cell, bytes) else _cell(cell)
+    lines[line - 1] = b",".join(cells)
+    path.write_bytes(b"\n".join(lines))
+    return str(path)
+
+
 class TestTracePersistence:
     def _trace(self):
         return Trace(
@@ -393,103 +413,49 @@ class TestTracePersistence:
         )
 
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "trace.csv")
+        path = str(tmp_path / "trace.hex")
         write_trace(path, self._trace())
         back = read_trace(path)
         assert len(back) == 3
         assert back.u is None and back.y_star is None
-        assert back.f_est[0] == 1.0 / 3.0  # repr round-trips exactly
+        assert back.f_est[0] == 1.0 / 3.0
         assert back.flags[1] == "saturated;divergence"
         assert back.r_k[1] == 2.9
         assert back == self._trace()
 
-    def test_crlf_and_repr_formatting(self, tmp_path):
-        path = str(tmp_path / "trace.csv")
-        write_trace(path, self._trace())
-        raw = open(path, "rb").read()
-        assert raw.count(b"\r\n") == 4  # header + 3 rows
-        assert b"0.3333333333333333" in raw  # repr of 1/3, shortest round-trip
-        assert raw.split(b"\r\n")[0].decode() == ",".join(TRACE_COLUMNS)
-        first_row = "0,0.1,,,0.25,0.3333333333333333,0.05,0.007,1.2,0.11,2.4,"
-        assert raw.split(b"\r\n")[1].decode() == first_row
+    def test_header_then_one_fixed_width_line_per_row(self, tmp_path):
+        path = tmp_path / "trace.hex"
+        write_trace(str(path), self._trace())
+        lines = path.read_bytes().split(b"\n")
+        # u and y_star are empty, so the header leaves them out
+        assert lines[0] == (b"sgident-trace/1 "
+                            b"k,y,f_true,f_est,loss,regret_avg,theta_err,mu_k,r_k,flags")
+        assert lines[2] == (b"0000000000000001,bfc999999999999a,3fd3333333333333,"
+                            b"3fd3d70a3d70a3d7,3fd0a3d70a3d70a4,3f70624dd2f1a9fc,"
+                            b"3ff199999999999a,3fb70a3d70a3d70a,4007333333333333,"
+                            b"0000000000000005")  # saturated = 1 | divergence = 4
+        assert len(lines) == 5 and lines[-1] == b""  # every row ends in LF
+        assert {len(line) for line in lines[1:-1]} == {10 * 17 - 1}
 
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("k,y,u\r\n0,1,2\r\n")
-        with pytest.raises(DataError, match="header"):
-            read_trace(str(path))
-
-    def test_short_row_rejected_with_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        head = ",".join(TRACE_COLUMNS)
-        path.write_text(f"{head}\r\n0,1\r\n")
-        with pytest.raises(DataError) as exc:
-            read_trace(str(path))
-        assert exc.value.line == 2
+    def test_empty_trace_is_its_header(self, tmp_path):
+        path = tmp_path / "trace.hex"
+        write_trace(str(path), Trace(k=np.empty(0, dtype=np.int64)))
+        assert path.read_bytes() == b"sgident-trace/1 k,flags\n"
+        assert read_trace(str(path)) == Trace(k=np.empty(0, dtype=np.int64))
 
     def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
+        path = tmp_path / "empty.hex"
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
             read_trace(str(path))
 
-    def _edited(self, tmp_path, line, column, cell):
-        path = tmp_path / "trace.csv"
-        write_trace(str(path), self._trace())
-        lines = path.read_bytes().decode().split("\r\n")
-        cells = lines[line - 1].split(",")
-        cells[TRACE_COLUMNS.index(column)] = cell
-        lines[line - 1] = ",".join(cells)
-        path.write_bytes("\r\n".join(lines).encode())
-        return str(path)
-
-    @pytest.mark.parametrize("cell, problem", [("oops", "nonnumeric"), ("nan", "non-finite"),
-                                               ("inf", "non-finite"), ("1.5", "nonnumeric")])
-    def test_bad_cell_is_a_data_error_with_its_line(self, tmp_path, cell, problem):
-        column = "k" if cell == "1.5" else "f_est"
-        with pytest.raises(DataError, match=problem) as exc:
-            read_trace(self._edited(tmp_path, 3, column, cell))
-        assert exc.value.line == 3
-
-    def test_bad_cell_in_a_later_batch_of_rows_names_its_line(self, tmp_path):
-        # read_trace parses rows in batches; line numbers run on across them
-        n = 2500
-        trace = Trace(k=np.arange(n), y=np.linspace(0.0, 1.0, n), r_k=np.full(n, 2.0))
-        path = tmp_path / "long.csv"
-        write_trace(str(path), trace)
-        assert read_trace(str(path)) == trace
-        lines = path.read_bytes().split(b"\r\n")
-        for line, column, cell, problem in ((2101, "y", b"nan", "non-finite"),
-                                            (1900, "r_k", b"", "some rows only")):
-            edited = list(lines)
-            cells = edited[line - 1].split(b",")
-            cells[TRACE_COLUMNS.index(column)] = cell
-            edited[line - 1] = b",".join(cells)
-            path.write_bytes(b"\r\n".join(edited))
-            with pytest.raises(DataError, match=problem) as exc:
-                read_trace(str(path))
-            assert exc.value.line == line
-
-    @pytest.mark.parametrize("cell, problem", [
-        ("bogus", "unknown flag 'bogus'"),
-        ("saturated;bogus", "unknown flag 'bogus'"),
-        ("saturated;", "unknown flag ''"),
-        ("divergence;saturated;divergence", "repeated flag in 'divergence;saturated;divergence'"),
-    ])
-    def test_flags_outside_the_vocabulary_are_a_data_error_with_its_line(self, tmp_path, cell,
-                                                                         problem):
-        with pytest.raises(DataError, match=f"^{problem} in column 'flags'") as exc:
-            read_trace(self._edited(tmp_path, 3, "flags", cell))
-        assert exc.value.line == 3
-
-    def test_column_empty_on_some_rows_only_is_a_data_error(self, tmp_path):
-        with pytest.raises(DataError, match="some rows only") as exc:
-            read_trace(self._edited(tmp_path, 4, "theta_err", ""))
-        assert exc.value.line == 4
-        # and the other way round: an empty column with one filled cell
-        with pytest.raises(DataError, match="some rows only") as exc:
-            read_trace(self._edited(tmp_path, 3, "u", "0.5"))
-        assert exc.value.line == 3
+    @pytest.mark.parametrize("flags", ["bogus", "divergence;saturated", "saturated;saturated",
+                                       "saturated;"])
+    def test_flags_outside_the_vocabulary_are_not_written(self, tmp_path, flags):
+        trace = self._trace()
+        trace.flags[2] = flags
+        with pytest.raises(DataError, match="are not distinct"):
+            write_trace(str(tmp_path / "trace.hex"), trace)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -515,7 +481,7 @@ def _traces(draw):
 @given(trace=_traces())
 def test_trace_round_trip_is_exact(trace):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.csv")
+        path = os.path.join(tmp, "trace.hex")
         write_trace(path, trace)
         first = open(path, "rb").read()
         back = read_trace(path)
@@ -525,9 +491,9 @@ def test_trace_round_trip_is_exact(trace):
 
 
 def _oracle_write_trace(path, trace):
-    """Reference writer: the csv module over ``repr`` of each float cell.
+    """Reference CSV writer: the csv module over ``repr`` of each float cell.
 
-    ``write_trace`` formats a column per call and joins rows itself; its
+    ``export_csv`` formats a column per call and joins rows itself; its
     bytes must equal these.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -546,18 +512,19 @@ _FLAG_STRINGS = [""] + [";".join(names) for r in (1, 2, 3)
                         for names in itertools.combinations(_FLAG_NAMES, r)]
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.0001,
                 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 1e15, 2.0**53]
-_cell_floats = (st.floats() | st.sampled_from(_EDGE_FLOATS)
-                | st.integers(-2**60, 2**60).map(float))
+_cell_floats = _finite | st.sampled_from(_EDGE_FLOATS) | st.integers(-2**60, 2**60).map(float)
+# around the reader's batches of rows
+_C = bench_module._CHUNK
 
 
 @st.composite
 def _long_traces(draw):
-    """Traces spanning several write chunks, with every edge float and flag string.
+    """Traces spanning several read chunks, with every edge float and flag string.
 
     Each column cycles through a drawn pool of cells (the edge floats
     always among them) in a drawn order, so long columns cost few draws.
     """
-    n = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
+    n = draw(st.sampled_from([0, 1, _C - 1, _C, _C + 1, 2 * _C + 1]))
     names = draw(st.lists(st.sampled_from(TRACE_COLUMNS[1:-1]), unique=True))
     pool = np.array(draw(st.lists(_cell_floats, max_size=40)) + _EDGE_FLOATS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -566,213 +533,211 @@ def _long_traces(draw):
     return Trace(k=np.arange(n), flags=[_FLAG_STRINGS[i] for i in flag_order], **columns)
 
 
-class TestTraceWriterBytes:
+class TestTraceRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(trace=_long_traces(), data=st.data())
+    def test_chunked_write_then_read_is_bit_equal(self, trace, data):
+        # -0.0, subnormals and the extremes are among every column's cells
+        with tempfile.TemporaryDirectory() as tmp:
+            whole, chunked = os.path.join(tmp, "whole.hex"), os.path.join(tmp, "chunked.hex")
+            write_trace(whole, trace)
+            write_trace(chunked, Trace(k=np.empty(0, dtype=np.int64)))  # a stale file restarts
+            for a, b in data.draw(_chunks(len(trace))):
+                write_trace(chunked, _rows(trace, a, b))
+            assert open(chunked, "rb").read() == open(whole, "rb").read()
+            back = read_trace(chunked)
+            assert back == trace
+            for name in TRACE_COLUMNS[:-1]:
+                column = getattr(trace, name)
+                assert (getattr(back, name) is None) == (column is None)
+                if column is not None:
+                    assert getattr(back, name).tobytes() == column.tobytes()
+
+
+class TestExportCsv:
     @settings(max_examples=60, deadline=None)
     @given(trace=_long_traces())
     def test_bytes_equal_the_csv_module_writer(self, trace):
         with tempfile.TemporaryDirectory() as tmp:
-            path, oracle = os.path.join(tmp, "trace.csv"), os.path.join(tmp, "oracle.csv")
-            write_trace(path, trace)
+            write_trace(os.path.join(tmp, "trace_modified_seed1.hex"), trace)
+            assert export_csv(tmp) == [os.path.join(tmp, "trace_modified_seed1.csv")]
+            oracle = os.path.join(tmp, "oracle.csv")
             _oracle_write_trace(oracle, trace)
-            assert open(path, "rb").read() == open(oracle, "rb").read()
+            got = open(os.path.join(tmp, "trace_modified_seed1.csv"), "rb").read()
+            assert got == open(oracle, "rb").read()
 
-    def test_control_run_trace_hashes_like_the_csv_module_writer(self, tmp_path):
+    def test_control_run_exports_like_the_csv_module_writer(self, tmp_path):
         cfg = load_config(preset_path("paper_sim.cfg"))
         cfg.seeds, cfg.algorithms, cfg.out_dir = (3,), ("modified",), str(tmp_path / "run")
         report = run_experiment(cfg)
-        path = tmp_path / "run" / report.data["runs"]["modified"]["seed_3"]["trace"]
+        name = report.data["runs"]["modified"]["seed_3"]["trace"]
+        assert name == "trace_modified_seed3.hex"
+        assert export_csv(cfg.out_dir) == [str(tmp_path / "run" / "trace_modified_seed3.csv")]
         oracle = tmp_path / "oracle.csv"
-        _oracle_write_trace(str(oracle), read_trace(str(path)))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == hashlib.sha256(oracle.read_bytes()).hexdigest()
+        _oracle_write_trace(str(oracle), read_trace(str(tmp_path / "run" / name)))
+        exported = (tmp_path / "run" / "trace_modified_seed3.csv").read_bytes()
+        assert hashlib.sha256(exported).hexdigest() == hashlib.sha256(
+            oracle.read_bytes()).hexdigest()
 
+    def test_every_trace_is_exported_and_nothing_else_is_read(self, control_report, tmp_path):
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        (dst / "notes.hex").write_text("not a trace")
+        written = export_csv(str(dst))
+        assert [os.path.basename(p) for p in written] == [
+            f"trace_{algo}_seed{seed}.csv" for algo in ("classical", "modified") for seed in (1, 2)]
 
-def _oracle_read_trace(path):
-    """Reference reader: the csv module, a per-cell cast and the flag vocabulary, in ordered checks.
+    def test_missing_directory_and_no_traces_are_errors(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="run directory not found"):
+            export_csv(str(tmp_path / "none"))
+        with pytest.raises(DataError, match="no trace_"):
+            export_csv(str(tmp_path))
 
-    ``read_trace`` parses each chunk with one ``np.loadtxt`` call; it must
-    return the same Trace as this, or raise the same DataError on the same
-    line.
-    """
-    parts = {name: [] for name in TRACE_COLUMNS[:-1]}
-    flags = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"empty trace file: {path}")
-        if header != TRACE_COLUMNS:
-            raise DataError(f"unexpected trace header in {path}: {header}")
-        empty = None
-        while chunk := list(itertools.islice(reader, 1024)):
-            line = len(flags) + 2
-            for i, row in enumerate(chunk):
-                if len(row) != len(TRACE_COLUMNS):
-                    raise DataError(f"malformed trace row in {path}", line=line + i)
-            columns = list(zip(*chunk))
-            if empty is None:
-                empty = {name: name != "k" and cells[0] == ""
-                         for name, cells in zip(parts, columns)}
-            for name, cells in zip(parts, columns):
-                parts[name].append(_oracle_column(path, name, cells, line, empty[name]))
-            for i, cell in enumerate(columns[-1]):
-                _oracle_flags(path, cell, line + i)
-            flags.extend(columns[-1])
-    if not flags:
-        return Trace(k=np.empty(0, dtype=np.int64))
-    values = {name: None if empty[name] else np.concatenate(p) for name, p in parts.items()}
-    return Trace(flags=flags, **values)
-
-
-def _oracle_flags(path, cell, line):
-    """A flags cell is "" or distinct vocabulary names joined by ";"."""
-    names = cell.split(";") if cell else []
-    for name in names:
-        if name not in _FLAG_NAMES:
-            raise DataError(f"unknown flag {name!r} in column 'flags' of {path}", line=line)
-    if len(set(names)) < len(names):
-        raise DataError(f"repeated flag in {cell!r} in column 'flags' of {path}", line=line)
-
-
-def _oracle_column(path, name, cells, line, empty):
-    def fail(problem, i):
-        raise DataError(f"{problem} in column {name!r} of {path}", line=line + i)
-
-    if cells.count("") != (len(cells) if empty else 0):
-        first = next(i for i, cell in enumerate(cells) if (cell == "") != empty)
-        fail("empty cell" if name == "k" else "column empty on some rows only", first)
-    if empty:
-        return None
-    cast, dtype = (int, np.int64) if name == "k" else (float, float)
-    try:
-        values = np.fromiter(map(cast, cells), dtype=dtype, count=len(cells))
-    except ValueError:
-        for i, cell in enumerate(cells):
-            try:
-                cast(cell)
-            except ValueError:
-                fail("nonnumeric cell", i)
-        raise
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        fail("non-finite cell", int(bad[0]))
-    return values
-
-
-def _outcome(reader, path):
-    """What ``reader`` makes of ``path``: every column's bytes, or the error it raises."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            trace = reader(path)
-    except Exception as exc:  # the oracle's error, whatever its type, is the contract
-        return type(exc).__name__, str(exc), getattr(exc, "line", None)
-    columns = [None if (column := getattr(trace, name)) is None
-               else (column.dtype.str, column.tobytes()) for name in TRACE_COLUMNS[:-1]]
-    return columns, list(trace.flags)
-
-
-def _assert_reads_like_the_oracle(path):
-    got = _outcome(read_trace, path)
-    assert got == _outcome(_oracle_read_trace, path)
-    return got
+    def test_a_bad_trace_stops_before_its_csv(self, control_report, tmp_path):
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        _set_cell(dst / "trace_modified_seed1.hex", 7, "y", b"7ff0000000000000")
+        with pytest.raises(DataError, match="non-finite cell in column 'y'.* at line 7$"):
+            export_csv(str(dst))
+        assert not (dst / "trace_modified_seed1.csv").exists()
 
 
 class TestTraceReader:
-    @settings(max_examples=60, deadline=None)
-    @given(trace=_long_traces())
-    def test_reads_like_the_csv_module_reader(self, trace):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "trace.csv")
-            write_trace(path, trace)
-            _assert_reads_like_the_oracle(path)
+    """``read_trace`` rejects each malformed file with a DataError naming its line."""
 
-    # the first two rows (row 0 decides the empty columns) and the edges of
-    # the two chunks of the replay-shaped trace below
-    _LINES = (2, 3, 1025, 1026, 1101)
+    _ROWS = _C + 4
+    # the first two rows, both sides of the reader's first batch and the last row
+    _LINES = (2, 3, _C + 1, _C + 2, _C + 5)
+    _NAMES = ["k", "y", "f_est", "loss", "mu_k", "r_k", "flags"]
 
     @pytest.fixture(scope="class")
-    def lines(self, tmp_path_factory):
-        """A 1100-row replay-shaped trace's lines: u, y_star, f_true, regret_avg
-        and theta_err empty, flags from the whole vocabulary."""
-        n = 1100
+    def text(self, tmp_path_factory):
+        """A replay-shaped trace of ``_ROWS`` rows, flags from the whole vocabulary."""
         rng = np.random.default_rng(5)
-        empty = ("u", "y_star", "f_true", "regret_avg", "theta_err")
+        n = self._ROWS
         columns = {name: rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
-                   for name in TRACE_COLUMNS[1:-1] if name not in empty}
+                   for name in self._NAMES[1:-1]}
         flags = [_FLAG_STRINGS[i] for i in rng.integers(0, len(_FLAG_STRINGS), n)]
-        path = tmp_path_factory.mktemp("reader") / "trace.csv"
+        path = tmp_path_factory.mktemp("reader") / "trace.hex"
         write_trace(str(path), Trace(k=np.arange(n), flags=flags, **columns))
-        return tuple(path.read_bytes().decode().split("\r\n"))
+        return path.read_bytes()
+
+    def _offset(self, text, line, column):
+        """The byte offset in ``text`` of the separator after ``column`` on ``line``."""
+        header = text.index(b"\n") + 1
+        return header + (line - 2) * 17 * len(self._NAMES) + self._NAMES.index(column) * 17 + 16
 
     @staticmethod
-    def _write(tmp_path, lines, ending="\r\n"):
-        path = tmp_path / "trace.csv"
-        path.write_bytes(ending.join(lines).encode())
-        return str(path)
+    def _read(tmp_path, text):
+        path = tmp_path / "trace.hex"
+        path.write_bytes(text)
+        return read_trace(str(path))
 
-    @pytest.mark.parametrize("column, cell", [
-        ("f_est", "oops"), ("f_est", "nan"), ("mu_k", "inf"), ("r_k", "-inf"), ("y", ""),
-        ("k", ""), ("k", "1.0"), ("k", "x"), ("k", "99999999999999999999"),
-        ("f_est", '"1.5"'), ("k", '"7"'), ("flags", '"saturated"'), ("u", '""'),
-        ("loss", " 1.5 "), ("k", " 3"), ("y", " "), ("u", " "), ("flags", " "),
-        ("flags", " saturated"), ("f_est", "1_0"), ("k", "1_0"),
-        ("u", "0.5"), ("theta_err", "x"), ("flags", "\x00"), ("u", "\x00"),
-        ("flags", "saturated;" * 5), ("flags", "d" * 39), ("flags", "d" * 40),
-        ("flags", '"two\r\nlines"'), ("f_est", "1e400"), ("r_k", "١"),
+    def test_the_fixture_reads_back(self, tmp_path, text):
+        assert len(self._read(tmp_path, text)) == self._ROWS
+
+    @pytest.mark.parametrize("line", _LINES)
+    @pytest.mark.parametrize("column, cell, problem", [
+        ("f_est", b"3ff000000000000g", "cell that is not 16 lowercase hex digits"),
+        ("mu_k", b"3FF0000000000000", "cell that is not 16 lowercase hex digits"),
+        ("k", b" 000000000000001", "cell that is not 16 lowercase hex digits"),
+        ("y", b"7ff0000000000000", "non-finite cell"),
+        ("loss", b"fff0000000000000", "non-finite cell"),
+        ("r_k", b"7ff8000000000000", "non-finite cell"),
+        ("f_est", b"7ff0000000000001", "non-finite cell"),
+        ("flags", b"0000000000000008", "flags value above 7"),
+        ("flags", b"ffffffffffffffff", "flags value above 7"),
     ])
-    def test_single_cell_edit_reads_like_the_oracle(self, tmp_path, lines, column, cell):
-        for line in self._LINES:
-            edited = list(lines)
-            cells = edited[line - 1].split(",")
-            cells[TRACE_COLUMNS.index(column)] = cell
-            edited[line - 1] = ",".join(cells)
-            _assert_reads_like_the_oracle(self._write(tmp_path, edited))
+    def test_bad_cell_names_its_line(self, tmp_path, text, line, column, cell, problem):
+        at = self._offset(text, line, column) - 16
+        edited = text[:at] + cell + text[at + 16:]
+        match = f"^{problem} in column {column!r} of .* at line {line}$"
+        with pytest.raises(DataError, match=match) as exc:
+            self._read(tmp_path, edited)
+        assert exc.value.line == line
 
-    @pytest.mark.parametrize("edit", ["blank", "whitespace", "short", "long", "cr"])
-    def test_single_line_edit_reads_like_the_oracle(self, tmp_path, lines, edit):
-        for line in self._LINES:
-            edited = list(lines)
-            if edit == "blank":
-                edited.insert(line - 1, "")
-            elif edit == "whitespace":
-                edited.insert(line - 1, "  ")
-            elif edit == "short":
-                edited[line - 1] = edited[line - 1].rsplit(",", 1)[0]
-            elif edit == "long":
-                edited[line - 1] += ","
-            else:  # a lone CR ends a line, as a CRLF does
-                edited[line - 1] = edited[line - 1].replace(",", "\r", 1)
-            _assert_reads_like_the_oracle(self._write(tmp_path, edited))
+    @pytest.mark.parametrize("line", _LINES)
+    @pytest.mark.parametrize("column, separator", [
+        ("k", b";"), ("f_est", b" "), ("y", b"\n"), ("flags", b","), ("flags", b"\r"),
+    ])
+    def test_wrong_separator_names_its_line(self, tmp_path, text, line, column, separator):
+        at = self._offset(text, line, column)
+        edited = text[:at] + separator + text[at + 1:]
+        match = f"^wrong separator after the cell in column {column!r}"
+        with pytest.raises(DataError, match=match) as exc:
+            self._read(tmp_path, edited)
+        assert exc.value.line == line
 
-    def test_every_row_one_cell_short_reads_like_the_oracle(self, tmp_path, lines):
-        short = [line.rsplit(",", 1)[0] for line in lines[1:-1]]
-        _assert_reads_like_the_oracle(self._write(tmp_path, (lines[0], *short, "")))
+    @pytest.mark.parametrize("line", _LINES[:-1])
+    def test_a_row_one_digit_short_is_a_wrong_separator_on_its_line(self, tmp_path, text, line):
+        at = self._offset(text, line, "loss") - 1
+        with pytest.raises(DataError, match="wrong separator") as exc:
+            self._read(tmp_path, text[:at] + text[at + 1:])
+        assert exc.value.line == line
 
-    @pytest.mark.parametrize("rows", [0, 1024])
-    def test_trailing_blank_line_reads_like_the_oracle(self, tmp_path, lines, rows):
-        # the chunk after the last row holds only the blank line
-        _assert_reads_like_the_oracle(self._write(tmp_path, (*lines[:rows + 1], "", "")))
+    @pytest.mark.parametrize("edit, line", [
+        (lambda text: text[:-1], _ROWS + 1),  # the last LF
+        (lambda text: text[:-17], _ROWS + 1),  # the last cell
+        (lambda text: text + b"\n", _ROWS + 2),  # a blank line
+        (lambda text: text + b"0000000000000000,", _ROWS + 2),
+    ], ids=["no_final_lf", "one_cell_short", "blank_line", "part_of_a_row"])
+    def test_short_final_row_names_its_line(self, tmp_path, text, edit, line):
+        with pytest.raises(DataError, match=f"^short final row in .* at line {line}$") as exc:
+            self._read(tmp_path, edit(text))
+        assert exc.value.line == line
 
-    @pytest.mark.parametrize("ending", ["\n", "\r"])
-    def test_other_line_ends_read_like_the_oracle(self, tmp_path, lines, ending):
-        columns, _ = _assert_reads_like_the_oracle(self._write(tmp_path, lines, ending))
-        assert columns[TRACE_COLUMNS.index("u")] is None
+    @pytest.mark.parametrize("header", [
+        b"sgident-trace/2 k,y,f_est,loss,mu_k,r_k,flags",
+        b"k,y,f_est,loss,mu_k,r_k,flags",
+        b"sgident-trace/1 k,f_est,y,loss,mu_k,r_k,flags",
+        b"sgident-trace/1 y,f_est,loss,mu_k,r_k,flags",
+        b"sgident-trace/1 k,y,f_est,loss,mu_k,r_k",
+        b"sgident-trace/1 k,y,y,f_est,loss,mu_k,r_k,flags",
+        b"sgident-trace/1 k,y,f_est,loss,mu_k,r_k,flags" + b",k" * 60,
+    ], ids=["version", "csv_header", "order", "no_k", "no_flags", "repeated", "too_long"])
+    def test_wrong_header_is_line_1(self, tmp_path, text, header):
+        edited = header + b"\n" + text.split(b"\n", 1)[1]
+        with pytest.raises(DataError, match="^unexpected trace header in .* at line 1$") as exc:
+            self._read(tmp_path, edited)
+        assert exc.value.line == 1
 
-    @pytest.mark.parametrize("header", ["", "\r\n", '"k",' + ",".join(TRACE_COLUMNS[1:]),
-                                        ",".join(TRACE_COLUMNS[:-1]) + ',"fl\r\nags"'])
-    def test_header_reads_like_the_oracle(self, tmp_path, lines, header):
-        _assert_reads_like_the_oracle(self._write(tmp_path, (header, *lines[1:])))
+    @pytest.mark.parametrize("header, unknown", [
+        (b"sgident-trace/1 k,y,f_est,loss,mu_k,r_k,bogus,flags", "bogus"),
+        (b"sgident-trace/1 k,y,f_est,Loss,mu_k,r_k,flags", "Loss"),
+        (b"sgident-trace/1 k,y,f_est,loss,,mu_k,r_k,flags", ""),
+        (b"sgident-trace/1  k,y,f_est,loss,mu_k,r_k,flags", " k"),
+        (b"sgident-trace/1 k,y,f_est,loss,mu_k,r_k,flags\r", "flags\r"),
+    ])
+    def test_header_naming_an_unknown_column_is_line_1(self, tmp_path, text, header, unknown):
+        edited = header + b"\n" + text.split(b"\n", 1)[1]
+        match = f"^unknown trace column {re.escape(repr(unknown))} in the header"
+        with pytest.raises(DataError, match=match) as exc:
+            self._read(tmp_path, edited)
+        assert exc.value.line == 1
 
-    def test_clean_trace_is_parsed_without_the_csv_walk(self, tmp_path, lines, monkeypatch):
-        path = self._write(tmp_path, lines)
-        expected = _oracle_read_trace(path)
+    def test_header_without_a_line_end_is_line_1(self, tmp_path, text):
+        with pytest.raises(DataError, match="unexpected trace header") as exc:
+            self._read(tmp_path, text.split(b"\n", 1)[0])
+        assert exc.value.line == 1
 
-        def walk(*args):
-            raise AssertionError("a clean chunk went through the csv walk")
-
-        monkeypatch.setattr(bench_module, "_walk_chunk", walk)
-        assert read_trace(path) == expected
+    def test_the_earliest_bad_line_is_named(self, tmp_path, text):
+        # a later batch's bad cell waits for the earlier batch's, and on one line a
+        # separator comes before a digit pair, and that before a value
+        edits = [(_C + 3, "y", b"7ff0000000000000"), (40, "flags", b"0000000000000009")]
+        edited = text
+        for line, column, cell in edits:
+            at = self._offset(text, line, column) - 16
+            edited = edited[:at] + cell + edited[at + 16:]
+        with pytest.raises(DataError, match="flags value above 7.* at line 40$"):
+            self._read(tmp_path, edited)
+        at = self._offset(text, 40, "y") - 16
+        edited = edited[:at] + b"zz" + edited[at + 2:]
+        with pytest.raises(DataError, match="not 16 lowercase hex digits in column 'y'.* line 40$"):
+            self._read(tmp_path, edited)
+        at = self._offset(text, 40, "r_k")
+        edited = edited[:at] + b";" + edited[at + 1:]
+        with pytest.raises(DataError, match="separator after the cell in column 'r_k'.* line 40$"):
+            self._read(tmp_path, edited)
 
 
 class TestRunExperiment:
@@ -799,7 +764,7 @@ class TestRunExperiment:
         out = os.path.dirname(control_report.path)
         for algo in ("modified", "classical"):
             for seed in (1, 2):
-                assert os.path.exists(os.path.join(out, f"trace_{algo}_seed{seed}.csv"))
+                assert os.path.exists(os.path.join(out, f"trace_{algo}_seed{seed}.hex"))
 
     def test_report_json_is_sorted_and_stable(self, control_report):
         raw = open(control_report.path).read()
@@ -1111,7 +1076,7 @@ class TestVerifyReport:
         src = os.path.dirname(control_report.path)
         dst = str(tmp_path / "copy")
         shutil.copytree(src, dst)
-        trace_path = os.path.join(dst, "trace_modified_seed1.csv")
+        trace_path = os.path.join(dst, "trace_modified_seed1.hex")
         trace = read_trace(trace_path)
         trace.f_est[5] += 1e-3
         write_trace(trace_path, trace)
@@ -1166,24 +1131,25 @@ class TestVerifyReport:
         ("identify_report", "y", "is empty, but identify fills it"),
         ("identify_report", "f_est", "is empty, but identify fills it"),
         ("control_report", "y_star", "is empty, but control fills it"),
+        ("control_report", "r_k", "is empty, but control fills it"),
         ("identify_report", "u", "is filled, but identify leaves it empty"),
         ("small_replay_report", "theta_err", "is filled, but replay leaves it empty"),
+        ("small_replay_report", "u", "is filled, but replay leaves it empty"),
     ])
-    def test_column_emptied_or_filled_on_every_row_is_flagged(self, run, column, state,
-                                                             request, tmp_path):
-        # read_trace takes a column empty on every row as the mode's empty one
+    def test_header_leaving_out_or_naming_a_column_against_the_mode_is_flagged(
+            self, run, column, state, request, tmp_path):
+        # a trace's header names exactly the columns it holds
         report = request.getfixturevalue(run)
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(report.path), dst)
         algo = report.data["config"]["algorithms"][0]
         seed_key, summary = next(iter(report.data["runs"][algo].items()))
-        trace_path = dst / summary["trace"]
-        lines = trace_path.read_bytes().split(b"\r\n")
-        for i in range(1, len(lines) - 1):
-            cells = lines[i].split(b",")
-            cells[TRACE_COLUMNS.index(column)] = b"" if "is empty" in state else b"0.5"
-            lines[i] = b",".join(cells)
-        trace_path.write_bytes(b"\r\n".join(lines))
+        trace_path = str(dst / summary["trace"])
+        trace = read_trace(trace_path)
+        setattr(trace, column, None if "is empty" in state else np.full(len(trace), 0.5))
+        write_trace(trace_path, trace)
+        header = open(trace_path, "rb").readline().decode().split(" ")[1].rstrip("\n")
+        assert (column in header.split(",")) == ("is filled" in state)
         assert verify_report(str(dst / "report.json")) == (False, [
             f"{algo}/{seed_key} ({summary['trace']}): column {column!r} {state}"
         ])
@@ -1191,12 +1157,7 @@ class TestVerifyReport:
     def test_bad_trace_cell_names_its_line(self, control_report, tmp_path):
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(control_report.path), dst)
-        trace_path = dst / "trace_modified_seed1.csv"
-        lines = trace_path.read_bytes().split(b"\r\n")
-        cells = lines[29].split(b",")
-        cells[TRACE_COLUMNS.index("f_est")] = b"oops"
-        lines[29] = b",".join(cells)
-        trace_path.write_bytes(b"\r\n".join(lines))
+        _set_cell(dst / "trace_modified_seed1.hex", 30, "f_est", b"oops000000000000")
         with pytest.raises(DataError, match="at line 30") as exc:
             verify_report(str(dst / "report.json"))
         assert exc.value.line == 30
@@ -1208,20 +1169,15 @@ class TestVerifyReport:
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(report.path), dst)
         summary = next(iter(report.data["runs"][report.data["config"]["algorithms"][0]].values()))
-        trace_path = dst / summary["trace"]
-        lines = trace_path.read_bytes().split(b"\r\n")
-        cells = lines[41].split(b",")
-        cells[TRACE_COLUMNS.index("flags")] = b"bogus"
-        lines[41] = b",".join(cells)
-        trace_path.write_bytes(b"\r\n".join(lines))
-        with pytest.raises(DataError, match="unknown flag 'bogus'.* at line 42$") as exc:
+        _set_cell(dst / summary["trace"], 42, "flags", 8)
+        with pytest.raises(DataError, match="flags value above 7.* at line 42$") as exc:
             verify_report(str(dst / "report.json"))
         assert exc.value.line == 42
 
     @pytest.mark.parametrize("run", ["control_report", "identify_report", "small_replay_report"])
     @pytest.mark.parametrize("column, cell, derivation", [
-        ("k", b"5", "the row index"),
-        ("loss", b"123.0", "squared_error(y, f_est)"),
+        ("k", 5, "the row index"),
+        ("loss", 123.0, "squared_error(y, f_est)"),
     ])
     def test_edited_derived_trace_column_is_flagged(self, run, column, cell, derivation,
                                                     request, tmp_path):
@@ -1231,12 +1187,7 @@ class TestVerifyReport:
         shutil.copytree(os.path.dirname(report.path), dst)
         algo = report.data["config"]["algorithms"][0]
         seed_key, summary = next(iter(report.data["runs"][algo].items()))
-        trace_path = dst / summary["trace"]
-        lines = trace_path.read_bytes().split(b"\r\n")
-        cells = lines[11].split(b",")
-        cells[TRACE_COLUMNS.index(column)] = cell
-        lines[11] = b",".join(cells)
-        trace_path.write_bytes(b"\r\n".join(lines))
+        _set_cell(dst / summary["trace"], 12, column, cell)
         assert verify_report(str(dst / "report.json")) == (False, [
             f"{algo}/{seed_key} ({summary['trace']}): column {column!r} first differs "
             f"from {derivation} at row 10 (line 12)"
@@ -1251,34 +1202,24 @@ class TestVerifyReport:
         shutil.copytree(os.path.dirname(report.path), dst)
         algo = report.data["config"]["algorithms"][0]
         seed_key, summary = next(iter(report.data["runs"][algo].items()))
-        trace_path = dst / summary["trace"]
-        lines = trace_path.read_bytes().split(b"\r\n")
-        cells = lines[11].split(b",")
-        cells[TRACE_COLUMNS.index("regret_avg")] = b"9.0"
-        lines[11] = b",".join(cells)
-        trace_path.write_bytes(b"\r\n".join(lines))
+        _set_cell(dst / summary["trace"], 12, "regret_avg", 9.0)
         assert verify_report(str(dst / "report.json")) == (False, [
             f"{algo}/{seed_key} ({summary['trace']}): column 'regret_avg' first differs "
             f"from the running mean of the regret at row 10 (line 12)"
         ])
 
     @pytest.mark.parametrize("column, cell, derived", [
-        ("y_star", b"0.25", "y_star"),
-        ("f_true", b"0.125", "f_true"),
+        ("y_star", 0.25, "y_star"),
+        ("f_true", 0.125, "f_true"),
         # the input is the plant's regressor entry, so it shows in that step's f_true
-        ("u", b"1.0", "f_true"),
+        ("u", 1.0, "f_true"),
     ])
     def test_edited_control_column_is_flagged(self, control_report, tmp_path, column, cell,
                                               derived):
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(control_report.path), dst)
         summary = control_report.data["runs"]["modified"]["seed_1"]
-        trace_path = dst / summary["trace"]
-        lines = trace_path.read_bytes().split(b"\r\n")
-        cells = lines[11].split(b",")
-        cells[TRACE_COLUMNS.index(column)] = cell
-        lines[11] = b",".join(cells)
-        trace_path.write_bytes(b"\r\n".join(lines))
+        _set_cell(dst / summary["trace"], 12, column, cell)
         what = {"y_star": "the configured target",
                 "f_true": "link(theta* . phi) of the y, u lags"}[derived]
         ok, problems = verify_report(str(dst / "report.json"))
@@ -1290,12 +1231,7 @@ class TestVerifyReport:
         # the copy's report still names the original out_dir in its config
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(identify_report.path), dst)
-        trace_path = dst / "trace_modified_seed3.csv"
-        lines = trace_path.read_bytes().split(b"\r\n")
-        cells = lines[5].split(b",")
-        cells[TRACE_COLUMNS.index("mu_k")] = b"9.0"
-        lines[5] = b",".join(cells)
-        trace_path.write_bytes(b"\r\n".join(lines))
+        _set_cell(dst / "trace_modified_seed3.hex", 6, "mu_k", 9.0)
         report_path = dst / "report.json"
         assert verify_report(report_path) == verify_report(str(report_path))
         assert not verify_report(report_path)[0]
@@ -1413,7 +1349,7 @@ class TestStreamedRun:
     def test_chunk_by_chunk_write_equals_one_whole_write(self, run_trace, data):
         _, trace = run_trace
         with tempfile.TemporaryDirectory() as tmp:
-            whole, chunked = os.path.join(tmp, "whole.csv"), os.path.join(tmp, "chunked.csv")
+            whole, chunked = os.path.join(tmp, "whole.hex"), os.path.join(tmp, "chunked.hex")
             write_trace(whole, trace)
             write_trace(chunked, Trace(k=np.empty(0, dtype=np.int64)))  # a stale file restarts
             for a, b in data.draw(_chunks(len(trace))):
@@ -1468,7 +1404,7 @@ class TestBenchmarkRowCounting:
             rec.restore()
         out_dir = os.path.dirname(report.path)
         rows = sum(
-            len(open(os.path.join(out_dir, s["trace"]), "rb").read().split(b"\r\n")) - 2
+            len(open(os.path.join(out_dir, s["trace"]), "rb").read().split(b"\n")) - 2
             for by_seed in report.data["runs"].values() for s in by_seed.values()
         )
         return rec.counters, rows

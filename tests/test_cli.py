@@ -222,3 +222,36 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "JSON" in err
+
+
+class TestExportCsvCommand:
+    def _run(self, tmp_path, capsys):
+        assert main(["control", "--config", _cfg(tmp_path, CONTROL_CFG)]) == 0
+        capsys.readouterr()
+        return tmp_path / "runs"
+
+    def test_export_writes_one_csv_per_trace(self, tmp_path, capsys):
+        runs = self._run(tmp_path, capsys)
+        code = main(["export-csv", str(runs)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        names = ["trace_classical_seed1.csv", "trace_modified_seed1.csv"]
+        assert out == [f"wrote {runs / name}" for name in names]
+        for name in names:
+            lines = (runs / name).read_bytes().split(b"\r\n")
+            assert lines[0] == b"k,y,u,y_star,f_true,f_est,loss,regret_avg,theta_err,mu_k,r_k,flags"
+            assert len(lines) == 12 and lines[1].startswith(b"0,") and lines[-1] == b""
+
+    def test_missing_run_directory_is_an_error(self, tmp_path, capsys):
+        code = main(["export-csv", str(tmp_path / "nope")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: run directory not found")
+
+    def test_bad_trace_is_an_error_naming_its_line(self, tmp_path, capsys):
+        runs = self._run(tmp_path, capsys)
+        trace = runs / "trace_modified_seed1.hex"
+        text = trace.read_bytes()
+        trace.write_bytes(text[:-1])  # the last row loses its LF
+        code = main(["export-csv", str(runs)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: short final row in {trace} at line 11\n"

@@ -428,6 +428,22 @@ class TestRunClosedLoop:
         assert np.all(trace.regret_avg == 0.0)
         assert np.all(trace.theta_err == 0.0)
 
+    def test_the_loop_enters_errstate_once_per_chunk(self, monkeypatch):
+        # a chunk of steps runs under one np.errstate: neither the control solve
+        # nor the update of a step enters its own (about a microsecond each)
+        errstate, entered = np.errstate, []
+
+        def counted(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        plant, pair = self._plant_and_pair()
+        n = control_mod._CHUNK + 40
+        run_closed_loop_batch(plant, sg_init(np.zeros(5), self.hyper), pair,
+                              ControlConfig(y_target=0.5), n, [("modified", 1), ("classical", 2)])
+        assert len(entered) == 2
+
     def test_learning_reduces_regret_and_parameter_error(self):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)

@@ -62,7 +62,7 @@ def _traces(tmp_path, name):
     path = tmp_path / f"{name}.cfg"
     path.write_text(textwrap.dedent(CONTROL_CFG).format(out=out))
     bench.run_experiment(bench.load_config(str(path)))
-    return {p.name: p.read_bytes() for p in sorted(out.glob("trace_*.csv"))}
+    return {p.name: p.read_bytes() for p in sorted(out.glob("trace_*.hex"))}
 
 
 def test_traced_run_writes_the_untraced_bytes_and_restore_undoes_every_patch(
