@@ -38,9 +38,9 @@ from .control import (
 from .core import HyperParams, check_step_size_cap, row_dots
 from .errors import ConfigurationError, DataError, NumericError, SgidentError
 from .metrics import (
-    KahanScan,
     MinPhaseScan,
     RSScan,
+    SumScan,
     bound_curve_at,
     gradient_noise,
     gradient_norms_sq,
@@ -486,10 +486,17 @@ def write_trace(path, trace):
     header, then its rows.  Any other trace continues a run, and its rows
     are appended, so writing a run chunk by chunk in step order gives the
     bytes of one write of the whole run.  Each byte of the chunk becomes
-    its two digits by one lookup in a 256-entry table.
+    its two digits by one lookup in a 256-entry table.  A non-finite float
+    cell, which ``read_trace`` would reject, raises DataError naming its
+    column and row before the file is opened.
     """
     names = ["k", *(name for name in TRACE_COLUMNS[1:-1] if getattr(trace, name) is not None),
              "flags"]
+    for name in names[1:-1]:
+        bad = np.flatnonzero(~np.isfinite(getattr(trace, name)))
+        if bad.size:
+            row = int(bad[0])
+            raise DataError(f"non-finite cell in column {name!r} at row {row} (step {trace.k[row]})")
     n, width = len(trace), len(names)
     try:
         masks = [_FLAG_MASK[text] for text in trace.flags]
@@ -751,7 +758,7 @@ class _RunningSummary:
     ``feed(trace)`` takes the next rows and returns their regret running
     mean (None in replay); ``result()`` is ``summarize``'s dict once all
     ``n`` rows are fed.  The sequential metrics carry their scan state from
-    chunk to chunk (``metrics.KahanScan``, ``RSScan``, ``MinPhaseScan`` and
+    chunk to chunk (``metrics.SumScan``, ``RSScan``, ``MinPhaseScan`` and
     the last ``r_k``); maxima, counts, the last ``theta_err`` and the
     step-500 checkpoint are combined per chunk.  Replay keeps ``f_est`` and
     ``y`` for its relative errors, whose ``np.mean`` sums pairwise.
@@ -767,14 +774,14 @@ class _RunningSummary:
             self.f_est, self.y = [], []
             return
         self.pair = _pair_of(config_echo)
-        self.regret = KahanScan()
+        self.regret = SumScan()
         self.regret_at_500 = self.theta_err = self.noise_dev = None
         if self.mode == "control":
             control = config_echo["control"]
             self.root_tol = control["root_tol"]
             # |f_est| > tanh(bound) iff the estimated preactivation left the band
             self.edge = math.tanh(control["operating_bound"])
-            self.tracking = (KahanScan(), KahanScan())
+            self.tracking = (SumScan(), SumScan())
             self.min_phase = MinPhaseScan()
             self.min_phase_max = None
             self.out_of_band = self.identity_steps = 0
@@ -796,19 +803,20 @@ class _RunningSummary:
         if first < 500 <= self.regret.count:
             self.regret_at_500 = float(regret[499 - first])
         self.theta_err = float(trace.theta_err[-1])
+        noise = realized_noise(trace)
         if isinstance(self.pair.loss, SquaredError):
             # the measured gradient noise collapses to -2w for squared error
-            gap = gradient_noise(trace, self.pair) + 2.0 * realized_noise(trace)
+            gap = gradient_noise(trace, self.pair) + 2.0 * noise
             self.noise_dev = _fold_max(self.noise_dev, np.abs(gap))
         if self.mode == "control":
             for scan, values in zip(self.tracking, tracking_error(trace)):
                 scan.cumsum(values)
-            ratios = self.min_phase.ratios(trace.y, trace.u, realized_noise(trace))
+            ratios = self.min_phase.ratios(trace.y, trace.u, noise)
             self.min_phase_max = _fold_max(self.min_phase_max, ratios)
             self.out_of_band += int(np.count_nonzero(np.abs(trace.f_est) > self.edge))
             # closed-loop ledger: y - y* - w should equal f_true - f_est on clean steps
             clean = np.array([not row_flags for row_flags in trace.flags], dtype=bool)
-            ledger = trace.y - trace.y_star - realized_noise(trace) - (trace.f_true - trace.f_est)
+            ledger = trace.y - trace.y_star - noise - (trace.f_true - trace.f_est)
             self.identity_dev = np.maximum(self.identity_dev,
                                            np.max(np.abs(ledger[clean]), initial=0.0))
             self.identity_steps += int(clean.sum())

@@ -9,8 +9,10 @@ Conventions fixed once here:
 
 * logarithms in the gain denominator are natural logs,
 * the gain accumulator starts at ``beta3 > 1`` so ``log r`` stays positive,
-* long-running accumulations use compensated (Kahan) summation so a replayed
-  trace reproduces the accumulator bit for bit.
+* the estimator's gain accumulator ``r_k`` uses compensated (Kahan)
+  summation, one step at a time (``kahan_add``, ``kahan_add_rows``), so a
+  replayed trace reproduces it bit for bit; the running sums of trace
+  metrics are computed on whole arrays in ``metrics.SumScan``.
 """
 
 from __future__ import annotations

@@ -7,14 +7,17 @@ the relative-error score used for streaming prediction, a minimum-phase
 monitor, and a summability diagnostic for the step-size schedule.  Only persisted columns
 are read, so a trace read back from CSV gives the same numbers as the one
 in memory: the plant noise is taken as ``y - f_true`` and the squared
-gradient norms as the increments of ``r_k``.  Running sums and means use
-compensated summation so reruns are bit-stable.
+gradient norms as the increments of ``r_k``.
 
-The sequential scans (``KahanScan``, ``RSScan``, ``MinPhaseScan``) carry
-their state from one block of steps to the next, so a trace fed in
-consecutive chunks gives the bits of the whole trace fed at once.  Each
-walks its input in blocks of at most ``_BLOCK`` values, so no scan builds
-a Python list as long as the trace.
+The sequential scans (``SumScan``, ``RSScan``, ``MinPhaseScan``) work on
+whole arrays and carry their state from one block of steps to the next,
+so a trace fed in consecutive chunks gives the bits of the whole trace fed
+at once.  Running sums and means are cascaded compensated sums: a left
+fold of the values plus a left fold of each addition's TwoSum error.  The
+minimum-phase recursion is solved 32 steps at a time against a
+lower-triangular matrix of powers of ``lam``.  Each scan walks its input
+in pieces of at most ``_BLOCK`` values, so its temporaries stay
+chunk-sized.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from .models import SquaredError
 
 __all__ = [
     "RSReport",
-    "KahanScan",
+    "SumScan",
     "RSScan",
     "MinPhaseScan",
-    "kahan_cumsum",
+    "compensated_cumsum",
     "running_mean",
     "realized_noise",
     "gradient_norms_sq",
@@ -47,43 +50,43 @@ __all__ = [
 ]
 
 
-# values per Python list a scan builds; no longer than a run chunk
+# values per piece a scan works on at once; no longer than a run chunk
 _BLOCK = 512
 
 
-class KahanScan:
+class SumScan:
     """A compensated running sum carried from one block of values to the next.
 
     ``cumsum(values)`` continues the running sums over every value fed
     before; ``means(values)`` divides them by their 1-based positions.
     ``total`` and ``count`` are the sum and the number of values so far.
+    The carry is the pair (raw left-fold sum, left-fold sum of its errors).
     """
 
     def __init__(self):
-        self.total = self.carry = 0.0
+        self.total = self.raw = self.error = 0.0
         self.count = 0
 
     def cumsum(self, values):
-        """The running sums at ``values``, bit for bit a left fold of ``core.kahan_add``.
+        """The running sums at ``values``: each raw prefix sum plus the sum of its errors.
 
-        The step is ``kahan_add`` written out, zero skip included: a call
-        per value would cost more than the step itself.
+        ``np.add.accumulate`` folds left in C, from the carried raw sum; the
+        error of each addition is its TwoSum residual (Ogita, Rump & Oishi
+        2005), folded from the carried error.  Any cut of the input into
+        calls gives the same bits, and a zero value moves nothing.
         """
         values = np.asarray(values, dtype=float)
         out = np.empty(len(values))
-        total, carry = self.total, self.carry
+        raw, error = self.raw, self.error
         for start in range(0, len(values), _BLOCK):
-            sums = []
-            append = sums.append
-            for v in values[start : start + _BLOCK].tolist():
-                if v != 0.0:
-                    y = v - carry
-                    t = total + y
-                    carry = (t - total) - y
-                    total = t
-                append(total)
-            out[start : start + len(sums)] = sums
-        self.total, self.carry = total, carry
+            v = values[start : start + _BLOCK]
+            sums = np.add.accumulate(np.concatenate(((raw,), v)))
+            prev, new = sums[:-1], sums[1:]
+            part = new - prev
+            errors = np.add.accumulate(np.concatenate(((error,), (prev - (new - part)) + (v - part))))
+            out[start : start + len(v)] = new + errors[1:]
+            raw, error = float(new[-1]), float(errors[-1])
+        self.raw, self.error, self.total = raw, error, raw + error
         self.count += len(values)
         return out
 
@@ -93,14 +96,14 @@ class KahanScan:
         return self.cumsum(values) / np.arange(first, first + len(values))
 
 
-def kahan_cumsum(values):
-    """Running sums with Kahan compensation, bit for bit a left fold of ``core.kahan_add``."""
-    return KahanScan().cumsum(values)
+def compensated_cumsum(values):
+    """Running sums, each its raw prefix sum plus the prefix sum of the TwoSum errors."""
+    return SumScan().cumsum(values)
 
 
 def running_mean(values):
     """The compensated running mean: entry k is the mean of values[:k + 1]."""
-    return KahanScan().means(values)
+    return SumScan().means(values)
 
 
 def _column(trace, name):
@@ -231,9 +234,9 @@ class RSScan:
 
     def __init__(self, n):
         self.tail_start = n // 2
-        self.all = KahanScan()
+        self.all = SumScan()
         # summed on its own: total minus the head sum would cancel a small tail away
-        self.tail = KahanScan()
+        self.tail = SumScan()
 
     def feed(self, mu, grad_norm_sq):
         """Add the next steps' parallel arrays of mu_k and squared gradient norms."""
@@ -267,36 +270,57 @@ def robbins_siegmund_diag(mu, grad_norm_sq):
     return scan.report()
 
 
+# steps per block of the min-phase recursion, aligned to the absolute step index
+_SPAN = 32
+
+
 class MinPhaseScan:
     """``minimum_phase_ratio`` of a run fed in consecutive blocks of steps.
 
-    Carries the weighted history and the previous input from block to block.
+    The weighted history W_k = lam W_{k-1} + y_k^2 + w_k^2 is computed a
+    block of ``_SPAN`` steps at a time: W_j = lam^(j+1) W_before + S_j, where
+    S_j = sum_{i<=j} lam^(j-i) x_i is one product with the lower-triangular
+    ``T[j, i] = lam^(j-i)`` and one ``np.add.reduce`` (no BLAS, so no
+    thread-count dependence).  A block a feed cuts short is padded with
+    zeros, which the zeros of T keep out of every row already fed (the
+    squares must be finite); W before that block, its values so far and
+    the last input carry to the next feed, so any cut gives the same bits.
     """
 
     def __init__(self, lam=0.9):
         if not (0.0 < lam < 1.0):
             raise ConfigurationError(f"lam must lie in (0,1), got {lam}")
-        self.lam = lam
-        self.weighted = 0.0
+        lags = np.subtract.outer(np.arange(_SPAN), np.arange(_SPAN))
+        self.kernel = np.where(lags >= 0, lam ** np.maximum(lags, 0.0), 0.0)
+        self.decay = lam ** np.arange(1.0, _SPAN + 1.0)
+        self.before = 0.0  # W before the open block, the last W when it is empty
+        self.open = np.empty(0)  # y^2 + w^2 of the open block's steps so far
         self.u_prev = None  # none before the first step
 
     def ratios(self, y, u, w):
         """The ratio at each of the next steps, from their y, u and noise w arrays."""
         out = np.empty(len(y))
-        lam, weighted, u_prev = self.lam, self.weighted, self.u_prev
         for start in range(0, len(y), _BLOCK):
             part = slice(start, start + _BLOCK)
-            vals = []
-            append = vals.append
-            for y_k, u_k, w_k in zip(y[part].tolist(), u[part].tolist(), w[part].tolist()):
-                if u_prev is None:
-                    append(0.0)
-                else:
-                    append(u_prev**2 / weighted if weighted > 0.0 else math.inf)
-                weighted = lam * weighted + y_k**2 + w_k**2
-                u_prev = u_k
-            out[part] = vals
-        self.weighted, self.u_prev = weighted, u_prev
+            fed, end = len(self.open), len(self.open) + len(y[part])
+            x = np.concatenate((self.open, y[part] ** 2 + w[part] ** 2, np.zeros(-end % _SPAN)))
+            sums = np.add.reduce(self.kernel * x.reshape(-1, 1, _SPAN), axis=2)
+            before, top = [self.before], float(self.decay[-1])
+            for last in sums[:-1, -1].tolist():
+                before.append(top * before[-1] + last)
+            # weighted[i + 1] is W after x[i]; weighted[0] is W before x[0]
+            blocks = self.decay * np.array(before)[:, None] + sums
+            weighted = np.concatenate(((self.before,), blocks.ravel()))
+            prev_u = np.concatenate(((0.0 if self.u_prev is None else self.u_prev,), u[part][:-1]))
+            prev_w = weighted[fed:end]
+            ratio = np.full(end - fed, math.inf)
+            np.divide(prev_u**2, prev_w, out=ratio, where=prev_w > 0.0)
+            if self.u_prev is None:
+                ratio[0] = 0.0
+            out[part] = ratio
+            opened = end - end % _SPAN
+            self.before, self.open = float(weighted[opened]), x[opened:end]
+            self.u_prev = float(u[part][-1])
         return out
 
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: finite-difference helpers, the bundled-preset runs used
-by several test modules, and the synthetic positive-target corpus."""
+"""Shared fixtures: finite-difference helpers, the scalar reference of the
+compensated running sum, the bundled-preset runs used by several test
+modules, and the synthetic positive-target corpus."""
 
 import csv
 import time
@@ -30,6 +31,22 @@ def fd_grad(f, x, h=1e-6):
 
 def fd_scalar(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def _oracle_compensated_cumsum(values):
+    """Scalar reference of ``metrics.compensated_cumsum``, one value at a time.
+
+    Each prefix is its left-fold raw sum plus the left-fold sum of every
+    addition's TwoSum error (a + b = s + e exactly).
+    """
+    out, raw, error = [], 0.0, 0.0
+    for v in map(float, values):
+        new = raw + v
+        part = new - raw
+        error += (raw - (new - part)) + (v - part)
+        raw = new
+        out.append(raw + error)
+    return np.array(out)
 
 
 def write_corpus(path, n=CORPUS_ROWS, seed=CORPUS_SEED):

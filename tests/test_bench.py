@@ -449,6 +449,21 @@ class TestTracePersistence:
         with pytest.raises(DataError, match="empty"):
             read_trace(str(path))
 
+    def test_non_finite_cell_is_not_written(self, tmp_path):
+        # read_trace rejects a non-finite cell, so write_trace never writes one
+        path = tmp_path / "trace.hex"
+        with pytest.raises(DataError, match=r"column 'y' at row 1 \(step 1\)$"):
+            write_trace(str(path), Trace(k=[0, 1], y=[0.5, math.nan]))
+        assert not path.exists()
+
+    def test_non_finite_appended_chunk_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "trace.hex"
+        write_trace(str(path), Trace(k=[0, 1], y=[0.5, 0.25]))
+        written = path.read_bytes()
+        with pytest.raises(DataError, match=r"column 'y' at row 0 \(step 2\)$"):
+            write_trace(str(path), Trace(k=[2, 3], y=[math.inf, 0.75]))
+        assert path.read_bytes() == written
+
     @pytest.mark.parametrize("flags", ["bogus", "divergence;saturated", "saturated;saturated",
                                        "saturated;"])
     def test_flags_outside_the_vocabulary_are_not_written(self, tmp_path, flags):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _oracle_compensated_cumsum
 import sgident.control as control_mod
 from sgident.control import (
     TRACE_COLUMNS,
@@ -33,7 +34,7 @@ from sgident.control import (
     solve_control,
     solve_control_rows,
 )
-from sgident.core import HyperParams, kahan_add_rows, row_dots
+from sgident.core import HyperParams, row_dots
 from sgident.errors import ConfigurationError, NumericError
 from sgident.metrics import gradient_norms_sq
 from sgident.models import (
@@ -600,14 +601,13 @@ def _per_step_oracle(log, batch, pair, theta_star, cfg, p):
     """Flags, theta_err and regret_avg of each cell, derived step by step.
 
     Each step re-solves the control from the logged estimate and regressor
-    for its flags, tests the norm of the updated estimate and adds the
-    step's regret to a compensated running sum, as a loop deriving every
-    column per step does.
+    for its flags, tests the norm of the updated estimate and records the
+    step's regret, as a loop deriving every column per step does; the
+    regret's running mean is the scalar compensated sum over step counts.
     """
     n, S = len(log), len(batch.cells)
     flags = [[""] * n for _ in range(S)]
-    theta_err, regret_avg = np.empty((n, S)), np.empty((n, S))
-    regret, carry = np.zeros(S), np.zeros(S)
+    theta_err, regret = np.empty((n, S)), np.empty((n, S))
     u_prev = np.zeros(S)
     for k, (theta, phi, new) in enumerate(log):
         phi = phi.copy()
@@ -620,9 +620,9 @@ def _per_step_oracle(log, batch, pair, theta_star, cfg, p):
         gap = theta - theta_star
         theta_err[k] = np.sqrt(row_dots(gap, gap))
         f_true, f_est = batch.recorded["f_true"][k], batch.recorded["f_est"][k]
-        regret, carry = kahan_add_rows(
-            regret, carry, pair.loss.eval(f_true, f_est) - pair.loss.eval(f_true, f_true))
-        regret_avg[k] = regret / (k + 1)
+        regret[k] = pair.loss.eval(f_true, f_est) - pair.loss.eval(f_true, f_true)
+    steps = np.arange(1, n + 1)
+    regret_avg = np.column_stack([_oracle_compensated_cumsum(column) / steps for column in regret.T])
     return flags, theta_err, regret_avg
 
 

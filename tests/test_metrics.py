@@ -4,6 +4,9 @@ Oracle notes
 ------------
 * Compensated summation of 0.1 ten times yields exactly 1.0 where the naive
   left-to-right float sum gives 0.9999999999999999.
+* The compensated sum of non-negative values is within one ulp of the
+  correctly rounded ``math.fsum`` of the same prefix, and the minimum-phase
+  ratio within 16 ulps of its exact rational evaluation.
 * bound_curve with (beta1, beta2) = (1/2, 0) and alpha_eps = 1/2 is exactly
   2/sqrt(k), so its log-log slope is -1/2; with (0.9, 0) and alpha_eps = 0.3
   the k in [100, 1000] fitted slope is -0.11731432341459899 (the k^-0.1 term
@@ -14,20 +17,24 @@ Oracle notes
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _oracle_compensated_cumsum
 from sgident.control import Trace
-from sgident.core import HyperParams, kahan_add
+from sgident.core import HyperParams
 from sgident.errors import ConfigurationError, DataError
 from sgident.metrics import (
+    MinPhaseScan,
+    SumScan,
     bound_curve,
+    compensated_cumsum,
     gradient_noise,
     gradient_norms_sq,
-    kahan_cumsum,
     minimum_phase_ratio,
     realized_noise,
     regret_sum,
@@ -64,35 +71,93 @@ def _kahan_streams(draw):
 
 class TestKahanCumsum:
     def test_compensates_decimal_fractions(self):
-        out = kahan_cumsum([0.1] * 10)
+        out = compensated_cumsum([0.1] * 10)
         assert out[-1] == 1.0
         assert sum([0.1] * 10) != 1.0  # the naive sum this improves on
 
     def test_matches_exact_integer_cumsum(self):
         rng = np.random.default_rng(3)
         vals = rng.integers(-100, 100, size=200).astype(float)
-        assert np.array_equal(kahan_cumsum(vals), np.cumsum(vals))
+        assert np.array_equal(compensated_cumsum(vals), np.cumsum(vals))
 
     def test_empty_input(self):
-        assert kahan_cumsum([]).size == 0
+        assert compensated_cumsum([]).size == 0
 
     @settings(max_examples=300, deadline=None)
     @given(values=_kahan_streams())
-    @example(values=[-0.04472710335811704, 0.20411724473324613, -0.0])  # the skip acts
-    def test_bit_equal_to_a_left_fold_of_kahan_add(self, values):
-        expected, total, carry = [], 0.0, 0.0
-        for v in values:
-            total, carry = kahan_add(total, carry, v)
-            expected.append(total)
-        got = kahan_cumsum(values)
-        assert got.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+    @example(values=[-0.04472710335811704, 0.20411724473324613, -0.0])  # a zero after an error
+    def test_bit_equal_to_the_scalar_reference(self, values):
+        got = compensated_cumsum(values)
+        expected = _oracle_compensated_cumsum(values)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1e290), max_size=60))
+    def test_non_negative_sums_within_one_ulp_of_fsum(self, values):
+        got = compensated_cumsum(values).view(np.int64)
+        exact = np.array([math.fsum(values[: i + 1]) for i in range(len(values))])
+        assert np.abs(got - exact.view(np.int64)).max(initial=0) <= 1
+
+
+@st.composite
+def _cut_streams(draw):
+    """A seeded stream of 0..1100 steps and consecutive pieces covering it.
+
+    Cuts next to the 32-step min-phase blocks and the 512-value scan pieces
+    are drawn often, and a piece may be empty.
+    """
+    n = draw(st.integers(0, 1100))
+    seams = [m for m in (1, 31, 32, 33, 63, 511, 512, 513, 1024, 1025) if m < n]
+    cuts = draw(st.lists(st.integers(0, n) | st.sampled_from(seams or [0]), max_size=8))
+    edges = [0, *sorted(cuts), n]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng, n, list(zip(edges, edges[1:]))
+
+
+class TestScansCarryAcrossCuts:
+    """A scan fed its input in consecutive pieces gives the bits of one feed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=_cut_streams())
+    def test_sum_scan_cumsum_is_bit_identical_for_any_cuts(self, stream):
+        rng, n, pieces = stream
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        values[rng.random(n) < 0.1] = 0.0
+        scan = SumScan()
+        got = np.concatenate([scan.cumsum(values[a:b]) for a, b in pieces])
+        whole = SumScan()
+        assert got.tobytes() == whole.cumsum(values).tobytes()
+        assert (scan.total, scan.count) == (whole.total, whole.count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=_cut_streams(), lam=st.sampled_from([0.1, 0.5, 0.9, 0.99]))
+    def test_min_phase_ratios_are_bit_identical_for_any_cuts(self, stream, lam):
+        rng, n, pieces = stream
+        y, u, w = rng.normal(size=(3, n)) * [[1.0], [3.0], [0.1]]
+        scan = MinPhaseScan(lam)
+        got = np.concatenate([scan.ratios(y[a:b], u[a:b], w[a:b]) for a, b in pieces])
+        assert got.tobytes() == MinPhaseScan(lam).ratios(y, u, w).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam=st.sampled_from([0.1, 0.5, 0.9, 0.99]), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 200))
+    def test_min_phase_ratios_within_16_ulps_of_exact(self, lam, seed, n):
+        rng = np.random.default_rng(seed)
+        y, u, w = rng.normal(size=(3, n)) * [[10.0 ** rng.integers(-3, 4)], [3.0], [0.1]]
+        weighted, exact = Fraction(0), [0.0]
+        for k in range(n):
+            if k:
+                exact.append(float(Fraction(u[k - 1]) ** 2 / weighted))
+            weighted = Fraction(lam) * weighted + Fraction(y[k]) ** 2 + Fraction(w[k]) ** 2
+        got = MinPhaseScan(lam).ratios(y, u, w).view(np.int64)
+        assert np.abs(got - np.array(exact).view(np.int64)).max() <= 16
 
 
 class TestRunningMean:
     def test_average_and_final(self):
         values = np.array([1.0, 3.0])
         assert np.array_equal(running_mean(values), [1.0, 2.0])
-        assert kahan_cumsum(values)[-1] == 4.0
+        assert compensated_cumsum(values)[-1] == 4.0
         # ten 0.1s sum to exactly 1.0 only when compensated
         assert running_mean([0.1] * 10)[-1] == 0.1
 
@@ -119,14 +184,14 @@ class TestRegret:
         trace = _trace(f_true=[0.3, -1.2, 5.0], f_est=[0.3, -1.2, 5.0])
         s = regret_sum(trace)
         assert np.array_equal(s, np.zeros(3))
-        assert kahan_cumsum(s)[-1] == 0.0
+        assert compensated_cumsum(s)[-1] == 0.0
 
     def test_squared_error_hand_values(self):
         # (1-0.5)^2 = 0.25 and (2-3)^2 = 1, cumulative (0.25, 1.25)
         trace = _trace(f_true=[1.0, 2.0], f_est=[0.5, 3.0])
         s = regret_sum(trace)
         assert np.array_equal(s, [0.25, 1.0])
-        assert np.array_equal(kahan_cumsum(s), [0.25, 1.25])
+        assert np.array_equal(compensated_cumsum(s), [0.25, 1.25])
         assert np.array_equal(running_mean(s), [0.25, 0.625])
 
     def test_loss_floor_subtracted_for_cross_entropy(self):
