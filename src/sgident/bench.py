@@ -362,8 +362,8 @@ def _apply_cap_policy(cfg):
 class CsvStream:
     """Ordered single-pass stream of (phi, target) rows from a CSV file.
 
-    ``phi`` is a float64 ndarray of the feature cells and ``target`` a
-    float; both are finite, because every row is checked as it is read.
+    ``phi`` is an ``array.array("d")`` of the feature cells and ``target`` a
+    float; all are finite, because every row is checked as it is read.
 
     A row is malformed when a used cell is nonnumeric or non-finite (nan,
     inf).  Strict mode raises on the first malformed row (with its line
@@ -428,7 +428,7 @@ class CsvStream:
                     continue
                 self.rows_yielded += 1
                 self.line = line
-                yield np.array(values), target
+                yield array("d", values), target
 
 
 def ingest_csv(path, column_map, strict=False, max_rows=None) -> CsvStream:
@@ -684,7 +684,7 @@ def _load_replay_rows(cfg):
                 f"target must be strictly positive in {cfg.data_path}, got {target!r}",
                 line=stream.line,
             )
-        phi.frombytes(values.tobytes())
+        phi.extend(values)
         y.append(target)
     if not y:
         raise DataError(f"no usable rows in {cfg.data_path}")

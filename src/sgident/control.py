@@ -20,8 +20,11 @@ Rows never mix, so a cell's trace does not depend on the other cells in its
 batch.  The loop yields its steps in chunks of ``_CHUNK``, so a consumer
 that writes and summarizes each chunk as it comes holds memory bounded by
 chunk x cells, whatever the run length; ``run_closed_loop_batch`` joins the
-chunks of a whole run.  Every run mode records its steps as a ``Trace``:
-one array per column.
+chunks of a whole run.  A step tests none of its results: the loop tests
+each chunk's results once, after its last step, and walks a chunk that
+fails again from its start with every step checked, so the run stops with
+the error of its first bad step.  Every run mode records its steps as a
+``Trace``: one array per column.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from scipy.special import ndtri, stdtrit
 from .core import ParameterVector, as_values, check_rows, row_dots
 from .errors import ConfigurationError, NumericError
 from .metrics import regret_sum, running_mean
-from .sg import DIVERGENCE_NORM, sg_update_unguarded
+from .sg import DIVERGENCE_NORM, sg_update, sg_update_unguarded, steps_pass
 
 __all__ = [
     "NoiseSource",
@@ -144,6 +147,9 @@ class ControlConfig:
     root_max_iter: int = 200
 
     def __post_init__(self):
+        if np.ndim(self.y_target) > 1:
+            raise ConfigurationError(
+                f"y_target must be a scalar or 1-D, got shape {np.shape(self.y_target)}")
         if not np.isfinite(np.asarray(self.y_target, dtype=float)).all():
             raise ConfigurationError(f"y_target must be finite, got {self.y_target!r}")
         if not (self.u_max > 0 and self.b_eps > 0 and self.root_tol > 0):
@@ -152,7 +158,7 @@ class ControlConfig:
             raise ConfigurationError("root_max_iter must be >= 1")
 
     def target(self, k):
-        if np.isscalar(self.y_target):
+        if np.ndim(self.y_target) == 0:
             return float(self.y_target)
         return float(self.y_target[k])
 
@@ -459,19 +465,26 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
       ``regret_avg`` and ``theta_err`` stay empty.
 
     A step runs only the recursion: control and plant (closed loop only)
-    and the update.  Once per chunk, the prepared inputs are gathered per
-    cell, and the divergence flags (norm above ``DIVERGENCE_NORM`` after a
-    step) and ``theta_err`` are derived from the chunk's estimates.
+    and the update, and tests none of their results.  Once per chunk, the
+    prepared inputs are gathered per cell; one test (``sg.steps_pass``, and
+    in the closed loop a finite ``f_true``) runs over the chunk's results;
+    and the divergence flags (norm above ``DIVERGENCE_NORM`` after a step)
+    and ``theta_err`` are derived from the chunk's estimates.  A chunk that
+    fails the test is walked again from its start with every step checked
+    (``sg_update``, and the plant's output), which raises at its first bad
+    step as a loop checking every step would.
 
     ``update(theta, r, carry, phi, y)`` advances the estimator rows and
     returns (theta, r, carry, mu_k, grad_norm_sq, f_hat) as ``sg_update``
     does (the gradient norms are not recorded); the default is
-    ``sg_update`` with each row's gain law.  A NumericError raised inside
-    the batch names the step, and the algorithm and seed of the first bad
-    row, in its context.
+    ``sg_update`` with each row's gain law.  The loop does not test what
+    ``update`` returns, and walks each step of the plant checked.  A
+    NumericError raised inside the batch names the step, and the algorithm
+    and seed of the first bad row, in its context.
     """
     model_est = pair.predictor
     closed = isinstance(cfg, ControlConfig)
+    n = int(n_steps)
     if plant is not None and model_est.dim != plant.model.dim:
         raise ConfigurationError(
             f"estimator model dim {model_est.dim} != plant model dim {plant.model.dim}"
@@ -480,26 +493,29 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
         p = getattr(plant.model, "p", None)
         if p is None:
             raise ConfigurationError("plant model must expose its output lag order p")
+        if np.ndim(cfg.y_target) == 1 and len(cfg.y_target) < n:
+            raise ConfigurationError(
+                f"y_target has {len(cfg.y_target)} per-step targets, fewer than {n} steps")
     cells = tuple(cells)
     if not cells:
         raise ConfigurationError("a batch needs at least one (algorithm, seed) cell")
-    if update is None:
-        classical = np.array([algo == "classical" for algo, _ in cells])
-        update = partial(sg_update_unguarded, pair=pair, hyper=estimator.hyper,
-                         classical=classical)
-    n, S, d = int(n_steps), len(cells), model_est.dim
+    hyper, loss = estimator.hyper, pair.loss
+    classical = np.array([algo == "classical" for algo, _ in cells])
+    # the step of a chunk's first run, and of the walk that re-runs a chunk failing its test
+    step, checked_step = ((sg_update_unguarded, sg_update) if update is None
+                          else (_hook_step(update),) * 2)
+    S, d = len(cells), model_est.dim
     truth = plant is not None
     columns = (_BATCH_COLUMNS + (_TRUTH_COLUMNS if truth else ())
                + (_CLOSED_LOOP_COLUMNS if closed else ()))
 
-    theta = np.tile(estimator.theta.values, (S, 1))
     r = np.full(S, estimator.gain.r)
     carry = np.full(S, estimator.gain.carry)
     # row 0 holds the estimates a chunk starts from, row j + 1 those after its step j
     estimates = np.empty((min(n, _CHUNK) + 1, S, d))
-    estimates[0] = theta
+    estimates[0] = estimator.theta.values
     if truth:
-        # stacked like theta so that theta == theta* gives f_est == f_true exactly
+        # stacked like the estimates so that theta == theta* gives f_est == f_true exactly
         theta_star = np.tile(plant.theta_star.values, (S, 1))
     targets, inputs, block_of = None, {}, None
     if closed:
@@ -521,53 +537,71 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
     k = 0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
+        m = stop - start
         # one array per column keeps each allocation small
-        recorded = {name: np.empty((stop - start, S)) for name in columns}
+        recorded = {name: np.empty((m, S)) for name in columns}
         f_est_col, mu_col, r_col = (recorded[name] for name in _BATCH_COLUMNS)
-        flags = [{} for _ in cells]
+        grad_norm_sq = np.empty((m, S))
         if closed:
             targets = [cfg.target(k) for k in range(start, stop)]
             y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
+            start_lags = (phi.copy(), u_prev)
         else:
             inputs = {"y": y_block[start:stop]}
             if truth:
                 inputs["f_true"] = f_true_block[start:stop]
             phi_rows = phi_block[start:stop].take(block_of, axis=1)
-            y_rows = inputs["y"].take(block_of, axis=1)
+            y_col = inputs["y"].take(block_of, axis=1)
+        start_gain = (r, carry)
         try:
-            # overflow and 0/0 in masked rows stay silent: every result is checked;
+            # overflow and 0/0 stay silent: every result is checked;
             # entered per chunk, so the setting never reaches the consumer of a yield
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 if closed:
-                    noise = np.stack([source.draw_block(stop - start) for source in noises],
-                                     axis=1)
-                for j, k in enumerate(range(start, stop)):
+                    noise = np.stack([source.draw_block(m) for source in noises], axis=1)
+                # a hook's chunk runs once, walked; any other chunk is walked
+                # only when its first, unchecked run fails the test
+                for walk in (update is not None, True):
+                    update_rows = checked_step if walk else step
+                    # a copy: a hook may keep the estimate it was given
+                    theta, (r, carry) = estimates[0].copy(), start_gain
+                    flags = [{} for _ in cells]
                     if closed:
-                        u, flagged = solve_control_rows_unguarded(model_est, theta, phi, p,
-                                                                  targets[j], cfg, u_prev)
-                        phi[:, p] = u
-                        f_true = link_true(row_dots(phi, theta_star))
-                        check_rows(np.isfinite(f_true), "plant conditional mean non-finite",
-                                   phi=phi, u=u)
-                        y_next = f_true + noise[j]
-                        y_col[j], f_true_col[j], u_col[j] = y_next, f_true, u
-                        for i, row_flags in flagged.items():
-                            flags[i][k] = ";".join(row_flags)
-                    else:
-                        phi, y_next = phi_rows[j], y_rows[j]
+                        phi[:], u_prev = start_lags
+                    for j, k in enumerate(range(start, stop)):
+                        if closed:
+                            u, flagged = solve_control_rows_unguarded(model_est, theta, phi, p,
+                                                                      targets[j], cfg, u_prev)
+                            phi[:, p] = u
+                            f_true = link_true(row_dots(phi, theta_star))
+                            if walk:
+                                check_rows(np.isfinite(f_true), "plant conditional mean non-finite",
+                                           phi=phi, u=u)
+                            y_next = f_true + noise[j]
+                            y_col[j], f_true_col[j], u_col[j] = y_next, f_true, u
+                            for i, row_flags in flagged.items():
+                                flags[i][k] = ";".join(row_flags)
+                        else:
+                            phi, y_next = phi_rows[j], y_col[j]
 
-                    theta, r, carry, mu_k, _, f_est = update(theta, r, carry, phi, y_next)
-                    estimates[j + 1] = theta
-                    f_est_col[j], mu_col[j], r_col[j] = f_est, mu_k, r
+                        theta, r, carry, mu_col[j], grad_norm_sq[j], f_est_col[j] = update_rows(
+                            theta, r, carry, phi, y_next, pair, hyper, classical, estimates[j + 1])
+                        r_col[j] = r
 
-                    if closed:
-                        phi[:, 1:p] = phi[:, : p - 1]
-                        phi[:, 0] = y_next
-                        phi[:, p + 1 :] = phi[:, p : d - 1]
-                        phi[:, p] = 0.0
-                        u_prev = u
+                        if closed:
+                            phi[:, 1:p] = phi[:, : p - 1]
+                            phi[:, 0] = y_next
+                            phi[:, p + 1 :] = phi[:, p : d - 1]
+                            phi[:, p] = 0.0
+                            u_prev = u
+                    if walk or (
+                        steps_pass(estimates[1 : m + 1], r_col, mu_col, grad_norm_sq, f_est_col,
+                                   y_col, loss, hyper, classical)
+                        and (not closed or np.isfinite(f_true_col).all())
+                    ):
+                        break
 
-                chunk = estimates[: stop - start + 1]
+                chunk = estimates[: m + 1]
                 diverged = np.sqrt(row_dots(chunk[1:], chunk[1:])) > DIVERGENCE_NORM
                 if truth:
                     gap = chunk[:-1] - theta_star
@@ -583,4 +617,15 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
             flags[i][start + j] = f"{step_flags};divergence" if step_flags else "divergence"
         estimates[0] = chunk[-1]
         yield ClosedLoopBatch(cells=cells, recorded=recorded, inputs=inputs, block_of=block_of,
-                              loss=pair.loss, y_star=targets, flags=flags, start=start)
+                              loss=loss, y_star=targets, flags=flags, start=start)
+
+
+def _hook_step(update):
+    """A custom ``update`` called as the loop calls ``sg_update``; ``out`` gets its estimate."""
+
+    def update_rows(theta, r, carry, phi, y, pair, hyper, classical, out):
+        result = update(theta, r, carry, phi, y)
+        out[...] = result[0]
+        return result
+
+    return update_rows

@@ -63,6 +63,10 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# the censored mean's array-path constants as 0-d float64 arrays: NumPy
+# combines one with an array faster than a Python float, with the same bits
+_HALF, _NEG_HALF = np.array(0.5), np.array(-0.5)
+_NEG_SQRT2_0D, _INV_SQRT_2PI_0D = np.array(-_SQRT2), np.array(_INV_SQRT_2PI)
 
 # slack below this is treated as a violation (negative slack = inequality broken)
 SLACK_FLOOR = -1e-10
@@ -73,7 +77,7 @@ def normal_cdf(z):
     """Standard normal CDF via the complementary error function."""
     if isinstance(z, float):
         return 0.5 * math.erfc(-z / _SQRT2)
-    return 0.5 * _erfc_vec(-np.asarray(z, dtype=float) / _SQRT2)
+    return 0.5 * _erfc_vec(np.asarray(z, dtype=float) / -_SQRT2)
 
 
 def normal_pdf(z):
@@ -105,8 +109,11 @@ class SaturationSpec:
             )
         if not (self.noise_std > 0 and math.isfinite(self.noise_std)):
             raise ConfigurationError(f"noise_std must be finite and > 0, got {self.noise_std}")
-        # the edges as a column, so an array of arguments broadcasts against both
+        # the edges as a column, so a 1-D array of arguments broadcasts against
+        # both; with the scale and upper edge as 0-d arrays, for the array path
         object.__setattr__(self, "_edges", np.array([[self.lower], [self.upper]]))
+        object.__setattr__(self, "_scale", np.array(self.noise_std))
+        object.__setattr__(self, "_upper", np.array(self.upper))
 
 
 def _censored_mean_slope(spec: SaturationSpec, x):
@@ -118,14 +125,16 @@ def _censored_mean_slope(spec: SaturationSpec, x):
     the ``math`` path.  The array path is ``normal_cdf`` and ``normal_pdf``
     written out, bit for bit.
     """
-    s = spec.noise_std
     if isinstance(x, np.ndarray) and x.ndim:
-        gaps = spec._edges.reshape((2,) + (1,) * x.ndim) - x
+        s = spec._scale
+        edges = spec._edges if x.ndim == 1 else spec._edges.reshape((2,) + (1,) * x.ndim)
+        gaps = edges - x
         z = gaps / s
-        cdf = 0.5 * _erfc_vec(-z / _SQRT2)
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        cdf = _HALF * _erfc_vec(z / _NEG_SQRT2_0D)
+        pdf = _INV_SQRT_2PI_0D * np.exp(_NEG_HALF * z * z)
         gap_cdf = gaps * cdf
-        return spec.upper + gap_cdf[0] - gap_cdf[1] + s * (pdf[0] - pdf[1]), cdf[1] - cdf[0]
+        return spec._upper + gap_cdf[0] - gap_cdf[1] + s * (pdf[0] - pdf[1]), cdf[1] - cdf[0]
+    s = spec.noise_std
     gaps = (spec.lower - x, spec.upper - x)
     cdf_lo, cdf_hi = (normal_cdf(gap / s) for gap in gaps)
     pdf_lo, pdf_hi = (normal_pdf(gap / s) for gap in gaps)

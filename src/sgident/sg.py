@@ -11,12 +11,17 @@ One step consumes (phi_k, y_{k+1}) and advances the estimate:
 The accumulator is advanced with the current squared gradient norm before the
 gain is formed, so the denominator reads the up-to-date total and the explicit
 ``||g_k||^2`` term adds the extra damping that keeps a single update bounded:
-``mu_k * ||g_k||^2 <= mu`` holds on every step and is asserted in-loop.
+``mu_k * ||g_k||^2 <= mu`` holds on every step and is checked with the rest
+of the step's results.
 
 No projection is applied anywhere; a runaway estimate is flagged, not clamped.
 
 ``sg_update`` is the one step: it runs on S stacked rows of plain arrays,
 each row with its own gain law, and every run mode steps its rows through it.
+Its results are tested by ``steps_pass``, which takes any number of leading
+step axes: ``sg_update`` tests its one step, and a run loop, which steps
+with ``sg_update_unguarded``, tests a whole chunk of steps at once and walks
+the chunk again through ``sg_update`` only when that test fails.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ def mu_schedule(gain: GainState, grad_norm_sq: float, hyper: HyperParams) -> flo
     return hyper.mu / (denom + grad_norm_sq)
 
 
-def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
+def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False, out=None):
     """One estimator step on S stacked rows.
 
     ``theta`` and ``phi`` are (S, d) arrays; ``r``, ``carry`` (the Kahan
@@ -93,23 +98,53 @@ def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False):
     ``classical`` is a bool or an (S,) bool mask: a classical row takes
     mu_k = mu / r_k, every other row the modified law.  Returns new arrays
     (theta, r, carry, mu_k, grad_norm_sq, f_hat), where f_hat is each row's
-    prediction before the update.  The link and slope come from one
-    ``link_slope`` call.
+    prediction before the update; the new theta is written into ``out``
+    when given, an (S, d) array other than ``theta``.  The link and slope
+    come from one ``link_slope`` call.
 
-    The whole step is computed first and then tested in one reduction.  Only
-    when that fails are the step's checks walked in order over the arrays
-    already computed: finite observation, prediction and gradient, ``r > 1``
-    on modified rows, the safety law, the loss domain, finite slope and
-    update.  The first failed check raises NumericError (DomainError for the
-    loss domain) with the first bad row in context["row"].  Floating-point
-    warnings stay silent, because every result is checked.
+    The whole step is computed first and then tested by ``steps_pass``, the
+    test a run loop makes once per chunk of steps.  Only when that fails
+    are the step's checks walked in order over the arrays already computed:
+    finite observation, prediction and gradient, ``r > 1`` on modified rows,
+    the safety law, the loss domain, finite slope and update.  The first
+    failed check raises NumericError (DomainError for the loss domain) with
+    the first bad row in context["row"].  Floating-point warnings stay
+    silent, because every result is checked.
     """
+    loss = pair.loss
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return sg_update_unguarded(theta, r, carry, phi, y, pair, hyper, classical)
+        step = sg_update_unguarded(theta, r, carry, phi, y, pair, hyper, classical, out)
+        theta_new, r, _, mu_k, grad_norm_sq, f_hat = step
+        if steps_pass(theta_new, r, mu_k, grad_norm_sq, f_hat, y, loss, hyper, classical):
+            return step
+        check_rows(np.isfinite(y), "observation must be finite", y=y)
+        check_rows(np.isfinite(f_hat), "predictor output non-finite", phi=phi, theta=theta)
+        check_rows(np.isfinite(grad_norm_sq), "predictor gradient non-finite",
+                   phi=phi, theta=theta)
+        check_rows(classical | (r > 1.0), "gain accumulator must exceed 1 for the log term",
+                   r=r)
+        check_rows(~(mu_k * grad_norm_sq > hyper.mu),
+                   f"step-size law violated: mu_k*||g||^2 > mu = {hyper.mu}",
+                   mu_k=mu_k, grad_norm_sq=grad_norm_sq)
+        if not loss.in_domain(f_hat):
+            row = next(i for i in range(len(f_hat)) if not loss.in_domain(f_hat[i]))
+            raise DomainError(
+                f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): "
+                f"x={f_hat[row]} in row {row}"
+            )
+        check_rows(np.isfinite(loss.grad_x(y, f_hat)),
+                   f"loss '{loss.name}' produced a non-finite derivative", y=y, x=f_hat)
+        check_rows(np.isfinite(theta_new), "parameter update produced non-finite entries",
+                   phi=phi, theta=theta)
+    return step
 
 
-def sg_update_unguarded(theta, r, carry, phi, y, pair, hyper, classical=False):
-    """``sg_update`` inside the caller's ``np.errstate``: a run loop enters it once."""
+def sg_update_unguarded(theta, r, carry, phi, y, pair, hyper, classical=False, out=None):
+    """``sg_update``'s recursion alone, inside the caller's ``np.errstate``.
+
+    Nothing is tested: a run loop calls it on every step and tests a whole
+    chunk of its results at once with ``steps_pass``.
+    """
     model, loss = pair.predictor, pair.loss
     f_hat, dlink = model.link_slope(row_dots(phi, theta))
     g = dlink[:, None] * phi
@@ -119,37 +154,28 @@ def sg_update_unguarded(theta, r, carry, phi, y, pair, hyper, classical=False):
     if hyper.beta2 != 0.0:
         denom = denom * np.log(r) ** hyper.beta2
     mu_k = hyper.mu / np.where(classical, r, denom + grad_norm_sq)
-    law = mu_k * grad_norm_sq
     slope = loss.grad_x(y, f_hat)
-    theta_new = theta - (mu_k * slope)[:, None] * g
+    theta_new = np.subtract(theta, (mu_k * slope)[:, None] * g, out=out)
+    return theta_new, r, carry, mu_k, grad_norm_sq, f_hat
 
+
+def steps_pass(theta_new, r, mu_k, grad_norm_sq, f_hat, y, loss, hyper, classical=False):
+    """True when the results of ``sg_update`` pass every check of its walk, on every row.
+
+    The arguments are the step's results and observation with any leading
+    step axes: (S,) and (S, d) for one step, (m, S) and (m, S, d) for a
+    chunk of m steps.  The slope dL/dx is recomputed from ``y`` and
+    ``f_hat``; it is elementwise, so it has the bits the step used.
+    """
     # A sum is finite only when every term is, and total - total is 0 then and
     # nan otherwise, which fails the law's comparison, as a non-finite
     # gradient norm does through the law itself: the test passes only when
-    # every check below would.  An overflowing sum of finite terms, or a
-    # classical row with r <= 1, merely takes the walk, which passes it.
-    # The default loss domain is finiteness, covered here.
-    total = np.add.reduce(theta_new, axis=1) + y + f_hat + slope
-    ok = (total - total + law <= hyper.mu) & (r > 1.0)
-    narrows = type(loss).in_domain is not LossFunction.in_domain
-    if not all(ok.tolist()) or (narrows and not loss.in_domain(f_hat)):
-        check_rows(np.isfinite(y), "observation must be finite", y=y)
-        check_rows(np.isfinite(f_hat), "predictor output non-finite", phi=phi, theta=theta)
-        check_rows(np.isfinite(grad_norm_sq), "predictor gradient non-finite",
-                   phi=phi, theta=theta)
-        check_rows(classical | (r > 1.0), "gain accumulator must exceed 1 for the log term",
-                   r=r)
-        check_rows(~(law > hyper.mu),
-                   f"step-size law violated: mu_k*||g||^2 > mu = {hyper.mu}",
-                   mu_k=mu_k, grad_norm_sq=grad_norm_sq)
-        if not loss.in_domain(f_hat):
-            row = next(i for i in range(len(f_hat)) if not loss.in_domain(f_hat[i]))
-            raise DomainError(
-                f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): "
-                f"x={f_hat[row]} in row {row}"
-            )
-        check_rows(np.isfinite(slope), f"loss '{loss.name}' produced a non-finite derivative",
-                   y=y, x=f_hat)
-        check_rows(np.isfinite(theta_new), "parameter update produced non-finite entries",
-                   phi=phi, theta=theta)
-    return theta_new, r, carry, mu_k, grad_norm_sq, f_hat
+    # every check of the walk would.  An overflowing sum of finite terms
+    # merely fails the test, and the walk then passes it.  The default loss
+    # domain is finiteness, covered here.
+    total = np.add.reduce(theta_new, axis=-1) + y + f_hat + loss.grad_x(y, f_hat)
+    ok = (total - total + mu_k * grad_norm_sq <= hyper.mu) & ((r > 1.0) | classical)
+    if not ok.all():
+        return False
+    return type(loss).in_domain is LossFunction.in_domain or bool(loss.in_domain(f_hat))
+

@@ -5,6 +5,7 @@ whole module stays fast; full-scale behavior is covered by the acceptance
 suite.
 """
 
+import array
 import copy
 import csv
 import hashlib
@@ -295,7 +296,7 @@ class TestIngestCsv:
         rows = list(stream)
         assert stream.rows_yielded == 2 and stream.skipped == 0
         phi, y = rows[0]
-        assert isinstance(phi, np.ndarray) and phi.dtype == np.float64
+        assert type(phi) is array.array and phi.typecode == "d"
         assert np.array_equal(phi, [1.0, 2.0]) and type(y) is float
         assert rows[1][1] == 6.0
 
@@ -937,6 +938,56 @@ class TestErrorContext:
         report = json.loads((tmp_path / "runs" / "report.json").read_text())
         assert report["error"]["context"]["k"] == bad_row
         assert report["runs"] == {"modified": {}, "classical": {}}
+
+    @pytest.mark.parametrize("bad_row", [0, 511, 512, 1023, 1099])
+    def test_error_at_a_chunk_seam_is_the_steps(self, tmp_path, bad_row):
+        # the run's steps come in chunks of 512: a failure on either side of a
+        # seam, or on the last step, raises the error of that step, with its
+        # values; the rows before it are clean, so its prediction is the
+        # clean run's f_est there
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        run_experiment(self._overflow_config(clean, 1100, None))
+        x = read_trace(clean / "runs" / "trace_modified_replay.hex").f_est[bad_row]
+        with pytest.raises(NumericError) as exc:
+            run_experiment(self._overflow_config(tmp_path, 1100, bad_row))
+        assert type(exc.value) is NumericError
+        assert str(exc.value) == "loss 'squared_error' produced a non-finite derivative"
+        context = {"k": bad_row, "algorithm": "modified", "seed": 0, "y": 1e308, "x": x}
+        assert exc.value.context == context
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        assert report["error"] == {"message": str(exc.value), "context": context}
+
+    @pytest.mark.parametrize("bad_step", [0, 511, 512, 1023, 1099])
+    def test_closed_loop_error_at_a_chunk_seam_is_the_steps(self, tmp_path, monkeypatch,
+                                                           bad_step):
+        # noise std 1e308 over uniforms of 0.5, whose draws are exactly 0,
+        # but for one of seed 4 at the bad step, whose draw overflows to -inf
+        class SpikeNoise(NoiseSource):
+            def with_seed(self, seed):
+                return SpikeNoise(std=self.std, seed=seed, kind=self.kind, df=self.df)
+
+            def uniform_block(self, n):
+                u = np.full(n, 0.5)
+                if self.seed == 4 and 0 <= bad_step - self.draw_count < n:
+                    u[bad_step - self.draw_count] = 1e-5
+                self.draw_count += n
+                return u
+
+        monkeypatch.setattr(bench_module, "NoiseSource", SpikeNoise)
+        text = CONTROL_CFG.replace("noise_std = 0.05", "noise_std = 1e308")
+        text = text.replace("seeds = 1, 2", "seeds = 2, 4")
+        text = text.replace("n_steps = 40", "n_steps = 1100")
+        cfg = load_config(_write_cfg(tmp_path, text, out=tmp_path / "runs"))
+        with pytest.raises(NumericError) as exc:
+            run_experiment(cfg)
+        assert type(exc.value) is NumericError
+        assert str(exc.value) == "observation must be finite"
+        assert exc.value.context == {"k": bad_step, "algorithm": "modified", "seed": 4,
+                                     "y": -math.inf}
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        assert report["error"] == {"message": "observation must be finite", "context": {
+            "k": bad_step, "algorithm": "modified", "seed": 4, "y": "-inf"}}
 
     def test_numeric_error_context_is_kept_in_report(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -34,20 +34,23 @@ from sgident.control import (
     solve_control,
     solve_control_rows,
 )
-from sgident.core import HyperParams, row_dots
-from sgident.errors import ConfigurationError, NumericError
+from sgident.core import HyperParams, ModelLossPair, row_dots
+from sgident.errors import ConfigurationError, DomainError, NumericError
 from sgident.metrics import gradient_norms_sq
 from sgident.models import (
+    CrossEntropy,
     LinearModel,
     LogisticModel,
     SaturatedMeanModel,
     SaturationSpec,
     TanhArxModel,
     linear_mse_pair,
+    logistic_pair,
+    saturation_pair,
     tanh_arx_model,
     tanh_mse_pair,
 )
-from sgident.sg import DIVERGENCE_NORM, sg_init
+from sgident.sg import DIVERGENCE_NORM, sg_init, sg_update
 
 
 class TestNoiseSource:
@@ -269,12 +272,18 @@ class TestSolveControl:
         for target in (math.nan, math.inf, np.array([0.1, -math.inf, 0.3])):
             with pytest.raises(ConfigurationError, match="y_target must be finite"):
                 ControlConfig(y_target=target)
+        # a per-step target is one value per step; a 2-D one failed mid-run with a TypeError
+        for target in (np.array([[0.5, 0.4]]), [[0.5], [0.4]]):
+            with pytest.raises(ConfigurationError,
+                               match=r"y_target must be a scalar or 1-D, got shape \(\d, \d\)"):
+                ControlConfig(y_target=target)
 
     def test_per_step_target_lookup(self):
         cfg = ControlConfig(y_target=np.array([0.1, 0.2, 0.3]))
         assert cfg.target(0) == 0.1
         assert cfg.target(2) == 0.3
         assert ControlConfig(y_target=0.4).target(7) == 0.4
+        assert ControlConfig(y_target=np.array(0.4)).target(7) == 0.4
 
 
 _lag = st.floats(-1.0, 1.0)
@@ -445,6 +454,33 @@ class TestRunClosedLoop:
                               ControlConfig(y_target=0.5), n, [("modified", 1), ("classical", 2)])
         assert len(entered) == 2
 
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed_loop", "prepared"])
+    def test_a_clean_chunk_is_tested_once_and_never_walked(self, monkeypatch, closed):
+        # the results of a chunk's steps are tested together, once per chunk;
+        # the checked step and the plant's per-step test run only to walk
+        # again a chunk that failed that test
+        calls = dict.fromkeys(("steps_pass", "sg_update", "check_rows"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(control_mod, name, counted(name, getattr(control_mod, name)))
+        n = 2 * control_mod._CHUNK + 40
+        cells = [("modified", 1), ("classical", 2)]
+        if closed:
+            plant, pair = self._plant_and_pair()
+            cfg = ControlConfig(y_target=0.5)
+        else:
+            plant, pair = None, linear_mse_pair(5)
+            rng = np.random.default_rng(3)
+            cfg = (rng.normal(size=(n, 2, 5)), rng.normal(size=(n, 2)), None)
+        run_closed_loop_batch(plant, sg_init(np.zeros(5), self.hyper), pair, cfg, n, cells)
+        assert calls == {"steps_pass": 3, "sg_update": 0, "check_rows": 0}
+
     def test_learning_reduces_regret_and_parameter_error(self):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)
@@ -548,6 +584,19 @@ class TestRunClosedLoop:
                                   (("modified", 7), ("classical", 8), ("modified", 9)),
                                   update=failing_update)
         assert exc.value.context == {"k": 3, "algorithm": "classical", "seed": 8}
+
+    def test_too_few_per_step_targets_are_rejected_before_any_step(self):
+        # three targets for ten steps failed at step 3 with an IndexError
+        plant, pair = self._plant_and_pair()
+
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        cfg = ControlConfig(y_target=np.array([0.5, 0.4, 0.3]))
+        with pytest.raises(ConfigurationError,
+                           match="y_target has 3 per-step targets, fewer than 10 steps"):
+            run_closed_loop_batch(plant, sg_init(np.zeros(5), self.hyper), pair, cfg, 10,
+                                  [("modified", 1)], update=no_step)
 
     def test_plant_without_lag_orders_rejected(self):
         pair = tanh_mse_pair(p=3, q=2)
@@ -681,6 +730,120 @@ def test_chunks_hold_their_steps_of_the_joined_run():
                 name: None if column is None else column[rows]
                 for name in TRACE_COLUMNS[:-1] for column in [getattr(whole, name)]})
     assert "divergence" in joined.trace(2).flags[1024]
+
+
+def _sg_update_loop(pair, state, cells, n, step_inputs):
+    """f_est, mu_k, r_k and the final estimates of one public ``sg_update`` call per step.
+
+    ``step_inputs(k, theta)`` gives step k's regressor rows and observations.
+    """
+    S = len(cells)
+    classical = np.array([algo == "classical" for algo, _ in cells])
+    theta = np.tile(state.theta.values, (S, 1))
+    r, carry = np.full(S, state.gain.r), np.full(S, state.gain.carry)
+    f_est, mu_k, r_k = (np.empty((n, S)) for _ in range(3))
+    for k in range(n):
+        phi, y = step_inputs(k, theta)
+        theta, r, carry, mu_k[k], _, f_est[k] = sg_update(theta, r, carry, phi, y, pair,
+                                                          state.hyper, classical=classical)
+        r_k[k] = r
+    return f_est, mu_k, r_k, theta
+
+
+def _closed_loop_inputs(plant, pair, cfg, cells, n):
+    """The closed loop's step inputs, one public ``solve_control_rows`` call per step."""
+    p, d, S = plant.model.p, pair.predictor.dim, len(cells)
+    noise = np.stack([plant.noise.with_seed(seed).draw_block(n) for _, seed in cells], axis=1)
+    theta_star = np.tile(plant.theta_star.values, (S, 1))
+    phi, last = np.zeros((S, d)), {"u": np.zeros(S), "y": None}
+
+    def step_inputs(k, theta):
+        if k:
+            phi[:, 1:p] = phi[:, : p - 1]
+            phi[:, 0] = last["y"]
+            phi[:, p + 1:] = phi[:, p: d - 1]
+            phi[:, p] = 0.0
+        u = solve_control_rows(pair.predictor, theta, phi, p, cfg.target(k), cfg, last["u"])[0]
+        phi[:, p] = u
+        y = plant.model.link(row_dots(phi, theta_star)) + noise[k]
+        last["u"], last["y"] = u, y
+        return phi, y
+
+    return step_inputs
+
+
+def _sweep_case(name):
+    """(plant, state, pair, cfg, cells, step_inputs) of a 1,100-step sweep with mixed gain laws."""
+    n = 1100
+    rng = np.random.default_rng(11)
+    if name == "censored_replay":
+        phi = np.column_stack([np.ones(n), rng.uniform(0.0, 3.0, size=(n, 4))])
+        latent = phi @ np.array([24.0, 12.0, 9.0, 12.0, 6.0]) + rng.normal(0.0, 5.0, size=n)
+        blocks = (phi[:, None], np.clip(latent, 6.0, 120.0)[:, None], None)
+        pair = saturation_pair(SaturationSpec(6.0, 120.0, 5.0), d=5)
+        hyper = HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0)
+        return (None, sg_init(np.zeros(5), hyper), pair, blocks,
+                [("modified", 0), ("classical", 0)], lambda k, theta: (blocks[0][k], blocks[1][k]))
+    if name == "logistic_cross_entropy":
+        phi = rng.normal(size=(n, 2, 3))
+        prob = LogisticModel(3).link(phi @ np.array([0.8, -0.5, 0.3]))
+        blocks = (phi, (rng.uniform(size=(n, 2)) < prob).astype(float), None)
+        cells = [("modified", 1), ("classical", 1), ("classical", 2), ("modified", 2)]
+        of = np.array([0, 0, 1, 1])
+        hyper = HyperParams(mu=0.1, beta1=0.5, beta2=2 / 3, beta3=2.0)
+        return (None, sg_init(np.zeros(3), hyper), logistic_pair(d=3), blocks, cells,
+                lambda k, theta: (blocks[0][k][of], blocks[1][k][of]))
+    pair = tanh_mse_pair(p=3, q=2)
+    plant = Plant(pair.predictor, np.array([0.01, 3.0, -0.1, 0.6, -0.3]),
+                  NoiseSource(std=0.05))
+    cfg = ControlConfig(y_target=0.5)
+    cells = [("modified", 1), ("classical", 1), ("modified", 2), ("classical", 3)]
+    hyper = HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0)
+    return (plant, sg_init(np.full(5, 0.01), hyper), pair, cfg, cells,
+            _closed_loop_inputs(plant, pair, cfg, cells, n))
+
+
+@pytest.mark.parametrize("name", ["censored_replay", "logistic_cross_entropy", "tanh_closed_loop"])
+def test_chunked_loop_equals_a_per_step_loop_of_sg_update(monkeypatch, name):
+    # the loop steps with the unchecked update and tests each chunk once;
+    # across the seams at 512 and 1024 its columns and final estimates must
+    # be those of the public, checked step called once per step
+    plant, state, pair, cfg, cells, step_inputs = _sweep_case(name)
+    n, last = 1100, []
+    unchecked = control_mod.sg_update_unguarded
+
+    def spy(*args, **kwargs):
+        result = unchecked(*args, **kwargs)
+        last[:] = [result[0].copy()]
+        return result
+
+    monkeypatch.setattr(control_mod, "sg_update_unguarded", spy)
+    batch = run_closed_loop_batch(plant, state, pair, cfg, n, cells)
+    want = _sg_update_loop(pair, state, cells, n, step_inputs)
+    got = (batch.recorded["f_est"], batch.recorded["mu_k"], batch.recorded["r_k"], last[0])
+    for column, (a, b) in zip(("f_est", "mu_k", "r_k", "theta"), zip(got, want)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), column
+
+
+@pytest.mark.parametrize("bad_step", [0, 511, 512, 1023, 1099])
+def test_loss_domain_error_through_the_loop_is_the_steps(bad_step):
+    # a linear score under cross-entropy: phi = (1, 0, 0) keeps the prediction
+    # at 0.5 = y, where the slope is 0 and the estimate stays put, until the
+    # bad step's regressor lifts it out of (0, 1) to a value naming that step
+    n = 1100
+    phi = np.zeros((n, 1, 3))
+    phi[:, 0, 0] = 1.0
+    phi[bad_step, 0, 0] = 3.0 + bad_step / 1000
+    pair = ModelLossPair(LinearModel(3), CrossEntropy())
+    state = sg_init(np.array([0.5, 0.0, 0.0]), HyperParams(mu=0.3, beta1=0.5, beta2=0.51,
+                                                          beta3=2.0))
+    with pytest.raises(DomainError) as exc:
+        run_closed_loop_batch(None, state, pair, (phi, np.full((n, 1), 0.5), None), n,
+                              [("modified", 0), ("classical", 0)])
+    x = 0.5 * phi[bad_step, 0, 0]
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == ("loss 'cross_entropy' evaluated outside its domain (x in (0, 1)): "
+                              f"x={x} in row 0")
 
 
 class TestTrace:
