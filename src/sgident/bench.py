@@ -4,9 +4,10 @@ A run is fully determined by (config file, seed list): every persisted trace
 byte and every report number is reproducible.  Each run's summary comes
 from `summarize`, which reads only persisted trace columns, so
 `verify_report` recomputes every reported number by calling it again on the
-trace read back from its file.  A sweep streams: each chunk of steps is appended
-to every cell's trace file and folded into its running summary, then
-dropped, so memory is bounded by chunk x cells, not by the run length.
+trace read back from its file.  A sweep streams: each chunk of steps of
+every cell is folded into the running summary at once, as (steps, cells)
+blocks, and appended to the cell's trace file, held open for the sweep,
+then dropped, so memory is bounded by chunk x cells, not by the run length.
 Configs are
 INI-style text, traces fixed-width hex text (one line per step, each cell
 the bits of a 64-bit value; ``export_csv`` renders them as decimal CSV),
@@ -16,6 +17,7 @@ reports JSON with sorted keys and no timestamps.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import json
 import math
@@ -24,10 +26,14 @@ import warnings
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .control import (
+    FLAG_BIT,
+    FLAG_TEXT,
+    FLAGS,
     TRACE_COLUMNS,
     ControlConfig,
     NoiseSource,
@@ -36,7 +42,7 @@ from .control import (
     closed_loop_chunks,
 )
 from .core import HyperParams, check_step_size_cap, row_dots
-from .errors import ConfigurationError, DataError, NumericError, SgidentError
+from .errors import ConfigurationError, DataError, SgidentError
 from .metrics import (
     MinPhaseScan,
     RSScan,
@@ -83,8 +89,6 @@ MODES = ("identify", "control", "replay")
 ALGORITHMS = dict.fromkeys(("modified", "classical"))
 GRADIENT_NOISE_TOL = 1e-12
 RECOMPUTE_TOL = 1e-9
-# the flags a step may carry; a Trace joins them with ";" in this order
-FLAGS = ("saturated", "singular_gain", "divergence")
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +453,37 @@ _CHUNK = 1024
 _CELL = 17
 
 
-# each flags bitmask's ";"-joined text; bit i is FLAGS[i]
-_FLAG_TEXT = np.array([";".join(name for bit, name in enumerate(FLAGS) if mask >> bit & 1)
-                       for mask in range(1 << len(FLAGS))], dtype=object)
-_FLAG_MASK = {text: mask for mask, text in enumerate(_FLAG_TEXT)}
+# each ";"-joined flags text's bitmask
+_FLAG_MASK = {text: mask for mask, text in enumerate(FLAG_TEXT)}
 
 
-def _hex_tables():
-    """(byte -> its two hex digits, two hex digits -> their byte or 256), as ``<u2`` arrays.
+def _flag_masks(flags):
+    """The int64 bitmask of each ";"-joined flags text; DataError for one outside ``FLAGS``."""
+    if not any(flags):  # most steps carry no flag
+        return np.zeros(len(flags), np.int64)
+    try:
+        return np.array([_FLAG_MASK[text] for text in flags], np.int64)
+    except KeyError as exc:
+        raise DataError(f"flags {exc.args[0]!r} are not distinct {FLAGS} in that order") from None
+
+
+def _unhex_table():
+    """Two hex digits -> their byte, or 256 for any other pair, as a ``<u2`` array.
 
     A ``<u2`` value holds two characters as they sit in memory: the first in
     its low byte.
     """
     digits = np.frombuffer(b"0123456789abcdef", np.uint8).astype("<u2")
-    encode = (digits[:, None] | digits[None, :] << 8).ravel()
     decode = np.full(1 << 16, 256, dtype="<u2")
-    decode[encode] = np.arange(256)
-    return encode, decode
+    decode[(digits[:, None] | digits[None, :] << 8).ravel()] = np.arange(256)
+    return decode
 
 
-_HEX, _UNHEX = _hex_tables()
+_UNHEX = _unhex_table()
 
 
 def write_trace(path, trace):
-    """Persist a Trace as fixed-width hex text.
+    """Persist a Trace as fixed-width hex text to ``path``, a file path or an open binary file.
 
     The header line is ``TRACE_FORMAT``, a space and the present columns
     (``k``, the filled float columns, ``flags``) in ``TRACE_COLUMNS`` order
@@ -485,37 +496,36 @@ def write_trace(path, trace):
     A trace with no rows or whose ``k`` starts at 0 starts the file: the
     header, then its rows.  Any other trace continues a run, and its rows
     are appended, so writing a run chunk by chunk in step order gives the
-    bytes of one write of the whole run.  Each byte of the chunk becomes
-    its two digits by one lookup in a 256-entry table.  A non-finite float
-    cell, which ``read_trace`` would reject, raises DataError naming its
-    column and row before the file is opened.
+    bytes of one write of the whole run; an open file is written at its
+    position and left open, so a sweep keeps one per cell.  The chunk's
+    big-endian words become their digits and separators in one
+    ``memoryview.hex`` call.  A non-finite float cell, which ``read_trace``
+    would reject, raises DataError naming its column and row before
+    anything is written.
     """
     names = ["k", *(name for name in TRACE_COLUMNS[1:-1] if getattr(trace, name) is not None),
              "flags"]
-    for name in names[1:-1]:
-        bad = np.flatnonzero(~np.isfinite(getattr(trace, name)))
-        if bad.size:
-            row = int(bad[0])
-            raise DataError(f"non-finite cell in column {name!r} at row {row} (step {trace.k[row]})")
     n, width = len(trace), len(names)
-    try:
-        masks = [_FLAG_MASK[text] for text in trace.flags]
-    except KeyError as exc:
-        raise DataError(f"flags {exc.args[0]!r} are not distinct {FLAGS} in that order") from None
     words = np.empty((width, n), np.int64)  # a column per row: each fill is contiguous
     words[0] = trace.k
     for j, name in enumerate(names[1:-1], 1):
         words[j] = getattr(trace, name).view(np.int64)
-    words[-1] = masks
-    big_endian = words.T.astype(">i8", order="C").view(np.uint8).reshape(n, width, 8)
-    text = np.empty((n, width, _CELL), np.uint8)
-    text[:, :, :-1].view("<u2")[...] = _HEX.take(big_endian)
-    text[:, :, -1] = ord(",")
-    text[:, -1, -1] = ord("\n")
+    finite = np.isfinite(words[1:-1].view(np.float64))
+    if not finite.all():
+        column = int(np.argmin(finite.all(axis=1)))
+        row = int(np.argmin(finite[column]))
+        raise DataError(f"non-finite cell in column {names[column + 1]!r} at row {row} "
+                        f"(step {trace.k[row]})")
+    words[-1] = _flag_masks(trace.flags)
+    # 16 digits and a "," per word, the "," after a row's last word then made LF
+    digits = words.T.astype(">i8", order="C").data.hex(",", -8)
+    text = bytearray(f"{digits}," if n else "", "ascii")
+    np.frombuffer(text, np.uint8)[width * _CELL - 1 :: width * _CELL] = ord("\n")
     starts = n == 0 or trace.k[0] == 0
-    with open(path, "wb" if starts else "ab") as fh:
-        if starts:
-            fh.write(f"{TRACE_FORMAT} {','.join(names)}\n".encode())
+    header = f"{TRACE_FORMAT} {','.join(names)}\n".encode() if starts else b""
+    named = isinstance(path, (str, os.PathLike))
+    with open(path, "wb" if starts else "ab") if named else contextlib.nullcontext(path) as fh:
+        fh.write(header)
         fh.write(text)
 
 
@@ -544,7 +554,7 @@ def read_trace(path):
         if short:
             raise DataError(f"short final row in {path}", line=n + 2)
     columns = dict(zip(names, words))
-    flags = _FLAG_TEXT[columns.pop("flags")].tolist()
+    flags = FLAG_TEXT[columns.pop("flags")].tolist()
     k = columns.pop("k")
     return Trace(k=k, flags=flags, **{name: w.view(np.float64) for name, w in columns.items()})
 
@@ -577,7 +587,7 @@ def _decode_rows(path, names, cells, first):
     separators[-1] = ord("\n")
     bad_separator = cells[:, :, -1] != separators
     non_finite = ~np.isfinite(words[:, 1:-1].view(">f8"))
-    big_flags = words[:, -1:].view(">u8") >= len(_FLAG_TEXT)
+    big_flags = words[:, -1:].view(">u8") >= len(FLAG_TEXT)
     if values.max(initial=0) > 255 or bad_separator.any() or non_finite.any() or big_flags.any():
         problems = [  # (bad cells, the first column checked, problem), in rank order
             (bad_separator, 0, "wrong separator after the cell"),
@@ -729,12 +739,12 @@ def summarize(config_echo, trace):
 
     ``config_echo`` is the report's ``config`` block.  This is one feed of
     the whole trace into the running summary that ``run_experiment`` feeds
-    chunk by chunk as its sweep runs, with the same bits either way;
-    ``verify_report`` calls it on each trace read back from its file, so every
-    reported number has one implementation.  Only persisted columns are
-    read, and not ``regret_avg``: the plant noise is ``y - f_true`` and the
-    squared gradient norms are the increments of ``r_k``.  Values are plain
-    Python floats, ints and bools.
+    chunk by chunk, every cell of its sweep at once, with the same bits
+    either way; ``verify_report`` calls it on each trace read back from its
+    file, so every reported number has one implementation.  Only persisted
+    columns are read, and not ``regret_avg``: the plant noise is
+    ``y - f_true`` and the squared gradient norms are the increments of
+    ``r_k``.  Values are plain Python floats, ints and bools.
     """
     return _summarize(config_echo, trace)[0]
 
@@ -742,34 +752,41 @@ def summarize(config_echo, trace):
 def _summarize(config_echo, trace):
     """``summarize`` and the running mean of the regret it read (None in replay)."""
     summary = _RunningSummary(config_echo, len(trace))
-    regret = summary.feed(trace)
-    return summary.result(), regret
+    columns = {name: getattr(trace, name)[:, None] for name in TRACE_COLUMNS[1:-1]
+               if name != "y_star" and getattr(trace, name) is not None}
+    regret = summary.feed(columns, trace.y_star, _flag_masks(trace.flags)[:, None])
+    return summary.result(0), None if regret is None else regret[:, 0]
 
 
 def _fold_max(running, values):
-    """The max of ``values`` and of ``running`` (None before any), NaN-propagating like np.max."""
-    top = np.max(values)
+    """The column maxima of ``values`` and ``running`` (None before any), NaN-propagating."""
+    top = np.max(values, axis=0)
     return top if running is None else np.maximum(running, top)
 
 
 class _RunningSummary:
-    """The summary of one run of ``n`` steps, fed its trace in consecutive chunks.
+    """The summaries of ``cells`` runs of ``n`` steps each, fed side by side in consecutive chunks.
 
-    ``feed(trace)`` takes the next rows and returns their regret running
-    mean (None in replay); ``result()`` is ``summarize``'s dict once all
-    ``n`` rows are fed.  The sequential metrics carry their scan state from
-    chunk to chunk (``metrics.SumScan``, ``RSScan``, ``MinPhaseScan`` and
-    the last ``r_k``); maxima, counts, the last ``theta_err`` and the
-    step-500 checkpoint are combined per chunk.  Replay keeps ``f_est`` and
-    ``y`` for its relative errors, whose ``np.mean`` sums pairwise.
+    ``feed(columns, y_star, flags)`` takes the next m steps of every run:
+    ``columns`` maps each float column to an (m, cells) block whose column
+    i is run i, ``y_star`` is the (m,) target (None outside control) and
+    ``flags`` the (m, cells) int64 bitmask of the steps' flags.  It returns
+    the steps' regret running means, (m, cells) (None in replay).
+    ``result(i)`` is ``summarize``'s dict of run i once all ``n`` steps are
+    fed.  The sequential metrics carry their scan state from chunk to chunk
+    (``metrics.SumScan``, ``RSScan``, ``MinPhaseScan`` and the last
+    ``r_k``), each column with the bits of its run fed alone; maxima,
+    counts, the last ``theta_err`` and the step-500 checkpoint are combined
+    per chunk.  Replay keeps ``f_est`` and ``y`` for its relative errors,
+    whose ``np.mean`` sums pairwise over each run's contiguous column.
     """
 
-    def __init__(self, config_echo, n):
+    def __init__(self, config_echo, n, cells=1):
         self.mode, self.hyper, self.n = config_echo["mode"], config_echo["hyper"], n
         self.r_last = self.hyper["beta3"]  # r_{-1}
         self.rs = RSScan(n)
         self.law_max = None
-        self.flag_counts = Counter()
+        self.flag_counts = np.zeros((len(FLAGS), cells), np.int64)
         if self.mode == "replay":
             self.f_est, self.y = [], []
             return
@@ -787,48 +804,48 @@ class _RunningSummary:
             self.out_of_band = self.identity_steps = 0
             self.identity_dev = 0.0
 
-    def feed(self, trace):
-        grad_norm_sq = gradient_norms_sq(trace, self.r_last)
-        self.r_last = float(trace.r_k[-1])
-        self.rs.feed(trace.mu_k, grad_norm_sq)
-        self.law_max = _fold_max(self.law_max, trace.mu_k * grad_norm_sq)
-        self.flag_counts.update(f for row_flags in trace.flags if row_flags
-                                for f in row_flags.split(";"))
+    def feed(self, columns, y_star, flags):
+        block = SimpleNamespace(**columns, y_star=None if y_star is None else y_star[:, None])
+        grad_norm_sq = gradient_norms_sq(block, self.r_last)
+        self.r_last = block.r_k[-1].copy()
+        self.rs.feed(block.mu_k, grad_norm_sq)
+        self.law_max = _fold_max(self.law_max, block.mu_k * grad_norm_sq)
+        self.flag_counts += [np.count_nonzero(flags & bit, axis=0) for bit in FLAG_BIT.values()]
         if self.mode == "replay":
-            self.f_est.append(trace.f_est)
-            self.y.append(trace.y)
+            self.f_est.append(block.f_est)
+            self.y.append(block.y)
             return None
         first = self.regret.count
-        regret = self.regret.means(regret_sum(trace, self.pair.loss))
+        regret = self.regret.means(regret_sum(block, self.pair.loss))
         if first < 500 <= self.regret.count:
-            self.regret_at_500 = float(regret[499 - first])
-        self.theta_err = float(trace.theta_err[-1])
-        noise = realized_noise(trace)
+            self.regret_at_500 = regret[499 - first].copy()
+        self.theta_err = block.theta_err[-1].copy()
+        noise = realized_noise(block)
         if isinstance(self.pair.loss, SquaredError):
             # the measured gradient noise collapses to -2w for squared error
-            gap = gradient_noise(trace, self.pair) + 2.0 * noise
+            gap = gradient_noise(block, self.pair) + 2.0 * noise
             self.noise_dev = _fold_max(self.noise_dev, np.abs(gap))
         if self.mode == "control":
-            for scan, values in zip(self.tracking, tracking_error(trace)):
+            for scan, values in zip(self.tracking, tracking_error(block)):
                 scan.cumsum(values)
-            ratios = self.min_phase.ratios(trace.y, trace.u, noise)
+            ratios = self.min_phase.ratios(block.y, block.u, noise)
             self.min_phase_max = _fold_max(self.min_phase_max, ratios)
-            self.out_of_band += int(np.count_nonzero(np.abs(trace.f_est) > self.edge))
+            self.out_of_band += np.count_nonzero(np.abs(block.f_est) > self.edge, axis=0)
             # closed-loop ledger: y - y* - w should equal f_true - f_est on clean steps
-            clean = np.array([not row_flags for row_flags in trace.flags], dtype=bool)
-            ledger = trace.y - trace.y_star - noise - (trace.f_true - trace.f_est)
-            self.identity_dev = np.maximum(self.identity_dev,
-                                           np.max(np.abs(ledger[clean]), initial=0.0))
-            self.identity_steps += int(clean.sum())
+            clean = flags == 0
+            ledger = block.y - block.y_star - noise - (block.f_true - block.f_est)
+            self.identity_dev = np.maximum(
+                self.identity_dev, np.max(np.abs(ledger), axis=0, where=clean, initial=0.0))
+            self.identity_steps += np.count_nonzero(clean, axis=0)
         return regret
 
-    def result(self):
-        rs = self.rs.report()
+    def result(self, i):
+        rs = self.rs.report(i)
         out = {
-            "step_size_law_max": float(self.law_max),
+            "step_size_law_max": float(self.law_max[i]),
             "rs_total": rs.total,
             "rs_tail_fraction": rs.tail_fraction,
-            "flag_counts": {name: self.flag_counts[name] for name in FLAGS},
+            "flag_counts": {name: int(count[i]) for name, count in zip(FLAGS, self.flag_counts)},
         }
         checks = out["checks"] = {
             "step_size_law": out["step_size_law_max"] <= self.hyper["mu"] * (1 + 1e-12),
@@ -836,7 +853,8 @@ class _RunningSummary:
         }
         n = self.n
         if self.mode == "replay":
-            f_est, y = np.concatenate(self.f_est), np.concatenate(self.y)
+            f_est, y = (np.concatenate([block[:, i] for block in blocks])
+                        for blocks in (self.f_est, self.y))
             checkpoints = {}
             for checkpoint in (1000, n):
                 if checkpoint <= n:
@@ -846,21 +864,21 @@ class _RunningSummary:
             out["relative_error_checkpoints"] = checkpoints
             out["final_relative_error"] = checkpoints["final"]
             return out
-        out["final_average_regret"] = self.regret.total / n
+        out["final_average_regret"] = float(self.regret.total[i] / n)
         if self.regret_at_500 is not None:
-            out["average_regret_at_500"] = self.regret_at_500
-        out["final_theta_err"] = self.theta_err
+            out["average_regret_at_500"] = float(self.regret_at_500[i])
+        out["final_theta_err"] = float(self.theta_err[i])
         if self.noise_dev is not None:
-            out["gradient_noise_max_dev"] = float(self.noise_dev)
+            out["gradient_noise_max_dev"] = float(self.noise_dev[i])
             checks["gradient_noise_identity"] = out["gradient_noise_max_dev"] <= GRADIENT_NOISE_TOL
         if self.mode == "control":
             conditional, proxy = self.tracking
-            out["final_tracking_conditional"] = conditional.total / n
-            out["final_tracking_proxy"] = proxy.total / n
-            out["min_phase_max"] = float(self.min_phase_max)
-            out["out_of_band_fraction"] = self.out_of_band / n
-            out["identity_max_dev"] = float(self.identity_dev)
-            out["identity_steps_checked"] = self.identity_steps
+            out["final_tracking_conditional"] = float(conditional.total[i] / n)
+            out["final_tracking_proxy"] = float(proxy.total[i] / n)
+            out["min_phase_max"] = float(self.min_phase_max[i])
+            out["out_of_band_fraction"] = int(self.out_of_band[i]) / n
+            out["identity_max_dev"] = float(self.identity_dev[i])
+            out["identity_steps_checked"] = int(self.identity_steps[i])
             checks["closed_loop_identity"] = out["identity_max_dev"] <= self.root_tol + 1e-9
         return out
 
@@ -967,10 +985,11 @@ def _checks_overall(runs):
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run all (algorithm, seed) cells, persist traces, and write report.json.
 
-    The sweep streams: each chunk of steps of every cell is appended to the
-    cell's trace file and fed to its running summary as it comes.  A run
-    that raises SgidentError removes the trace files it opened, writes
-    report.json with the error, and re-raises.
+    The sweep streams: each chunk of steps is fed to the running summary
+    of every cell at once and appended to each cell's trace file, which
+    stays open for the sweep.  A run that raises SgidentError closes and
+    removes the trace files it opened, writes report.json with the error
+    (and its context), and re-raises.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     report = {
@@ -983,7 +1002,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         "runs": {algo: {} for algo in cfg.algorithms},
     }
     report_path = os.path.join(cfg.out_dir, "report.json")
-    opened = []
+    opened = []  # the trace paths created
 
     try:
         replay_rows = None
@@ -1001,22 +1020,26 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         names = [f"trace_{algo}_{'replay' if cfg.mode == 'replay' else f'seed{seed}'}.hex"
                  for algo, seed in cells]
         n = len(replay_rows[1]) if cfg.mode == "replay" else cfg.n_steps
-        summaries = [_RunningSummary(report["config"], n) for _ in cells]
-        for batch in _run_sweep(cfg, cells, replay_rows):
-            for i, (name, summary) in enumerate(zip(names, summaries)):
-                trace = batch.trace(i)
-                trace.regret_avg = summary.feed(trace)
-                path = os.path.join(cfg.out_dir, name)
-                if batch.start == 0:
-                    opened.append(path)
-                write_trace(path, trace)
-        for (algo, seed), name, summary in zip(cells, names, summaries):
-            report["runs"][algo][f"seed_{seed}"] = {**summary.result(), "trace": name}
+        summary = _RunningSummary(report["config"], n, len(cells))
+        with contextlib.ExitStack() as files:
+            handles = []
+            for name in names:
+                opened.append(os.path.join(cfg.out_dir, name))
+                handles.append(files.enter_context(open(opened[-1], "wb")))
+            for batch in _run_sweep(cfg, cells, replay_rows):
+                regret = summary.feed(batch.recorded, batch.y_star, batch.flags)
+                # a cell at a time through write_trace, where perfbench's tracer counts rows
+                for i, handle in enumerate(handles):
+                    trace = batch.trace(i)
+                    trace.regret_avg = None if regret is None else regret[:, i]
+                    write_trace(handle, trace)
+        for i, ((algo, seed), name) in enumerate(zip(cells, names)):
+            report["runs"][algo][f"seed_{seed}"] = {**summary.result(i), "trace": name}
     except SgidentError as exc:
         for path in opened:
             os.remove(path)
         report["error"] = {"message": str(exc)}
-        if isinstance(exc, NumericError) and exc.context:
+        if exc.context:
             report["error"]["context"] = exc.json_context()
         if isinstance(exc, DataError) and exc.line is not None:
             report["error"]["line"] = exc.line

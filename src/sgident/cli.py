@@ -18,7 +18,7 @@ from .bench import (
     render_comparison,
     run_experiment,
 )
-from .errors import NumericError, SgidentError
+from .errors import SgidentError
 from .models import catalog_pair, verify_assumption2
 
 PASS, FAIL, ERROR = 0, 2, 1
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
         return _verify_assumption2(args)
     except SgidentError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, NumericError) and exc.context:
+        if exc.context:
             print(f"context: {json.dumps(exc.json_context(), sort_keys=True)}", file=sys.stderr)
         return ERROR
 

@@ -32,12 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtri, stdtrit
 
 from .core import ParameterVector, as_values, check_rows, row_dots
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, DomainError, NumericError
 from .metrics import regret_sum, running_mean
 from .sg import DIVERGENCE_NORM, sg_update, sg_update_unguarded, steps_pass
 
@@ -177,6 +178,14 @@ TRACE_COLUMNS = [
     "r_k",
     "flags",
 ]
+
+# the flags a step may carry; a Trace joins them with ";" in this order, and
+# the bitmask of a step's flags has bit i set when FLAGS[i] is on
+FLAGS = ("saturated", "singular_gain", "divergence")
+FLAG_BIT = {name: 1 << bit for bit, name in enumerate(FLAGS)}
+# each bitmask's ";"-joined text
+FLAG_TEXT = np.array([";".join(name for name in FLAGS if mask & FLAG_BIT[name])
+                      for mask in range(1 << len(FLAGS))], dtype=object)
 
 
 @dataclass(eq=False)
@@ -373,39 +382,28 @@ _CHUNK = 512
 class ClosedLoopBatch:
     """The recorded steps start, ..., start + m - 1 of a batched run, column-wise.
 
-    ``recorded[name][j, i]`` is column ``name`` of step start + j in the
-    cell ``cells[i] = (algorithm, seed)``.  ``inputs`` maps each column
-    taken from prepared blocks to its (m, U) rows, whose column
-    ``block_of[i]`` belongs to cell i.  The ``loss`` column is
-    ``loss.eval(y, f_est)``, evaluated per trace.  ``y_star[j]`` is shared
-    by all cells (None outside the closed loop).  ``flags[i]`` maps each
-    flagged step k of cell i to its ";"-joined flags.  A column the mode
-    leaves empty is not stored; ``regret_avg`` is stored only by
-    ``run_closed_loop_batch``, since a chunk cannot know the steps before it.
+    ``recorded[name][j, i]`` is float column ``name`` of step start + j in
+    the cell ``cells[i] = (algorithm, seed)``, an (m, S) array; a column
+    the mode leaves empty is not stored, and ``regret_avg`` is stored only
+    by ``run_closed_loop_batch``, since a chunk cannot know the steps
+    before it.  ``y_star[j]`` is shared by all cells (None outside the
+    closed loop).  ``flags[j, i]`` is the int64 bitmask of the flags of
+    step start + j in cell i (bit i for ``FLAGS[i]``), as a trace file
+    stores it.
     """
 
     cells: tuple
     recorded: dict
-    inputs: dict
-    block_of: np.ndarray | None
-    loss: object
-    y_star: list | None
-    flags: list
+    y_star: np.ndarray | None
+    flags: np.ndarray
     start: int = 0
 
     def trace(self, i):
         """The Trace of cell i over the batch's steps, with its own contiguous columns."""
         columns = {name: column[:, i].copy() for name, column in self.recorded.items()}
-        for name, block in self.inputs.items():
-            columns[name] = block[:, self.block_of[i]].copy()
-        columns["loss"] = self.loss.eval(columns["y"], columns["f_est"])
-        n = len(columns["y"])
-        flags = [""] * n
-        for k, step_flags in self.flags[i].items():
-            flags[k - self.start] = step_flags
-        y_star = None if self.y_star is None else np.array(self.y_star)
-        return Trace(k=np.arange(self.start, self.start + n), y_star=y_star, flags=flags,
-                     **columns)
+        y_star = None if self.y_star is None else self.y_star.copy()
+        return Trace(k=np.arange(self.start, self.start + len(self.flags)), y_star=y_star,
+                     flags=FLAG_TEXT[self.flags[:, i]].tolist(), **columns)
 
 
 def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=None):
@@ -418,24 +416,16 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
     """
     chunks = list(closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update))
     first = chunks[0]
-    flags = [{} for _ in first.cells]
-    for chunk in chunks:
-        for joined, chunk_flags in zip(flags, chunk.flags):
-            joined.update(chunk_flags)
     batch = ClosedLoopBatch(
         cells=first.cells,
         recorded={name: np.concatenate([c.recorded[name] for c in chunks])
                   for name in first.recorded},
-        inputs={name: np.concatenate([c.inputs[name] for c in chunks]) for name in first.inputs},
-        block_of=first.block_of,
-        loss=first.loss,
-        y_star=None if first.y_star is None else [y for c in chunks for y in c.y_star],
-        flags=flags,
+        y_star=None if first.y_star is None else np.concatenate([c.y_star for c in chunks]),
+        flags=np.concatenate([c.flags for c in chunks]),
     )
     if plant is not None:
-        batch.recorded["regret_avg"] = np.stack(
-            [running_mean(regret_sum(batch.trace(i), first.loss)) for i in range(len(flags))],
-            axis=1)
+        regret = regret_sum(SimpleNamespace(**batch.recorded), pair.loss)
+        batch.recorded["regret_avg"] = running_mean(regret)
     return batch
 
 
@@ -468,19 +458,20 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
     and the update, and tests none of their results.  Once per chunk, the
     prepared inputs are gathered per cell; one test (``sg.steps_pass``, and
     in the closed loop a finite ``f_true``) runs over the chunk's results;
-    and the divergence flags (norm above ``DIVERGENCE_NORM`` after a step)
-    and ``theta_err`` are derived from the chunk's estimates.  A chunk that
-    fails the test is walked again from its start with every step checked
-    (``sg_update``, and the plant's output), which raises at its first bad
-    step as a loop checking every step would.
+    the divergence flags (norm above ``DIVERGENCE_NORM`` after a step) and
+    ``theta_err`` are derived from the chunk's estimates; and ``loss`` is
+    evaluated on the chunk's (m, S) blocks.  A chunk that fails the test is
+    walked again from its start with every step checked (``sg_update``,
+    and the plant's output), which raises at its first bad step as a loop
+    checking every step would.
 
     ``update(theta, r, carry, phi, y)`` advances the estimator rows and
     returns (theta, r, carry, mu_k, grad_norm_sq, f_hat) as ``sg_update``
     does (the gradient norms are not recorded); the default is
     ``sg_update`` with each row's gain law.  The loop does not test what
     ``update`` returns, and walks each step of the plant checked.  A
-    NumericError raised inside the batch names the step, and the algorithm
-    and seed of the first bad row, in its context.
+    NumericError or DomainError raised inside the batch names the step, and
+    the algorithm and seed of the first bad row, in its context.
     """
     model_est = pair.predictor
     closed = isinstance(cfg, ControlConfig)
@@ -517,7 +508,7 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
     if truth:
         # stacked like the estimates so that theta == theta* gives f_est == f_true exactly
         theta_star = np.tile(plant.theta_star.values, (S, 1))
-    targets, inputs, block_of = None, {}, None
+    targets = y_star = None
     if closed:
         noises = [plant.noise.with_seed(s) for _, s in cells]
         link_true = plant.model.link
@@ -544,14 +535,14 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
         grad_norm_sq = np.empty((m, S))
         if closed:
             targets = [cfg.target(k) for k in range(start, stop)]
+            y_star = np.array(targets)
             y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
             start_lags = (phi.copy(), u_prev)
         else:
-            inputs = {"y": y_block[start:stop]}
-            if truth:
-                inputs["f_true"] = f_true_block[start:stop]
             phi_rows = phi_block[start:stop].take(block_of, axis=1)
-            y_col = inputs["y"].take(block_of, axis=1)
+            y_col = recorded["y"] = y_block[start:stop].take(block_of, axis=1)
+            if truth:
+                recorded["f_true"] = f_true_block[start:stop].take(block_of, axis=1)
         start_gain = (r, carry)
         try:
             # overflow and 0/0 stay silent: every result is checked;
@@ -565,7 +556,7 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
                     update_rows = checked_step if walk else step
                     # a copy: a hook may keep the estimate it was given
                     theta, (r, carry) = estimates[0].copy(), start_gain
-                    flags = [{} for _ in cells]
+                    flags = np.zeros((m, S), np.int64)
                     if closed:
                         phi[:], u_prev = start_lags
                     for j, k in enumerate(range(start, stop)):
@@ -580,7 +571,7 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
                             y_next = f_true + noise[j]
                             y_col[j], f_true_col[j], u_col[j] = y_next, f_true, u
                             for i, row_flags in flagged.items():
-                                flags[i][k] = ";".join(row_flags)
+                                flags[j, i] = sum(FLAG_BIT[name] for name in row_flags)
                         else:
                             phi, y_next = phi_rows[j], y_col[j]
 
@@ -606,18 +597,17 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
                 if truth:
                     gap = chunk[:-1] - theta_star
                     recorded["theta_err"][:] = np.sqrt(row_dots(gap, gap))
-        except NumericError as exc:
+        except (NumericError, DomainError) as exc:
             row = exc.context.pop("row", None)
             exc.context["k"] = k
             if row is not None:
                 exc.context["algorithm"], exc.context["seed"] = cells[row]
             raise
-        for j, i in np.argwhere(diverged).tolist():
-            step_flags = flags[i].get(start + j)
-            flags[i][start + j] = f"{step_flags};divergence" if step_flags else "divergence"
+        flags[diverged] |= FLAG_BIT["divergence"]
+        recorded["loss"] = loss.eval(y_col, f_est_col)
         estimates[0] = chunk[-1]
-        yield ClosedLoopBatch(cells=cells, recorded=recorded, inputs=inputs, block_of=block_of,
-                              loss=loss, y_star=targets, flags=flags, start=start)
+        yield ClosedLoopBatch(cells=cells, recorded=recorded, y_star=y_star, flags=flags,
+                              start=start)
 
 
 def _hook_step(update):

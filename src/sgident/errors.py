@@ -11,18 +11,11 @@ import math
 
 
 class SgidentError(Exception):
-    """Base class for all package errors."""
-
-
-class ConfigurationError(SgidentError):
-    """Invalid wiring: bad hyperparameters, dimension mismatches, bad configs."""
-
-
-class NumericError(SgidentError):
-    """Non-finite or unstable arithmetic.
+    """Base class for all package errors.
 
     Carries optional ``context`` (step index, regressor, parameters) so a
-    failing run can be localised without a debugger.
+    failing run can be localised without a debugger; a run loop adds the
+    step, algorithm and seed of the row that raised.
     """
 
     def __init__(self, message, context=None):
@@ -32,6 +25,14 @@ class NumericError(SgidentError):
     def json_context(self):
         """``context`` as JSON: arrays become lists, non-finite floats strings."""
         return {str(key): _json_safe(value) for key, value in self.context.items()}
+
+
+class ConfigurationError(SgidentError):
+    """Invalid wiring: bad hyperparameters, dimension mismatches, bad configs."""
+
+
+class NumericError(SgidentError):
+    """Non-finite or unstable arithmetic."""
 
 
 def _json_safe(value):

@@ -12,12 +12,15 @@ gradient norms as the increments of ``r_k``.
 The sequential scans (``SumScan``, ``RSScan``, ``MinPhaseScan``) work on
 whole arrays and carry their state from one block of steps to the next,
 so a trace fed in consecutive chunks gives the bits of the whole trace fed
-at once.  Running sums and means are cascaded compensated sums: a left
-fold of the values plus a left fold of each addition's TwoSum error.  The
+at once.  Each takes either one series, a 1-D array, or S series side by
+side, an (m, S) array whose column i is series i: every column is
+computed with the operations, in the order, of that column fed alone.
+Running sums and means are cascaded compensated sums: a left fold of the
+values plus a left fold of each addition's TwoSum error.  The
 minimum-phase recursion is solved 32 steps at a time against a
 lower-triangular matrix of powers of ``lam``.  Each scan walks its input
-in pieces of at most ``_BLOCK`` values, so its temporaries stay
-chunk-sized.
+in pieces of ``_BLOCK`` steps, or of up to ``_VALUES`` values where that
+is more steps (few series), so its temporaries stay chunk-sized.
 """
 
 from __future__ import annotations
@@ -50,17 +53,21 @@ __all__ = [
 ]
 
 
-# values per piece a scan works on at once; no longer than a run chunk
+# steps per piece a scan works on at once; no longer than a run chunk
 _BLOCK = 512
+# a scan of few series takes pieces of up to this many values
+_VALUES = 8 * _BLOCK
 
 
 class SumScan:
-    """A compensated running sum carried from one block of values to the next.
+    """Compensated running sums carried from one block of values to the next.
 
     ``cumsum(values)`` continues the running sums over every value fed
-    before; ``means(values)`` divides them by their 1-based positions.
-    ``total`` and ``count`` are the sum and the number of values so far.
-    The carry is the pair (raw left-fold sum, left-fold sum of its errors).
+    before, down axis 0 of a 1-D series or of S series side by side, (m, S);
+    ``means(values)`` divides them by their 1-based positions.  ``total``
+    and ``count`` are the sum (a float, or an (S,) array) and the number of
+    steps so far.  The carry is the pair (raw left-fold sum, left-fold sum
+    of its errors).
     """
 
     def __init__(self):
@@ -76,16 +83,19 @@ class SumScan:
         calls gives the same bits, and a zero value moves nothing.
         """
         values = np.asarray(values, dtype=float)
-        out = np.empty(len(values))
-        raw, error = self.raw, self.error
-        for start in range(0, len(values), _BLOCK):
-            v = values[start : start + _BLOCK]
-            sums = np.add.accumulate(np.concatenate(((raw,), v)))
+        out = np.empty(values.shape)
+        raw, error = (np.broadcast_to(carry, values.shape[1:]) for carry in (self.raw, self.error))
+        steps = max(_BLOCK, _VALUES // max(math.prod(values.shape[1:]), 1))
+        for start in range(0, len(values), steps):
+            v = values[start : start + steps]
+            sums = np.add.accumulate(np.concatenate((raw[None], v)))
             prev, new = sums[:-1], sums[1:]
             part = new - prev
-            errors = np.add.accumulate(np.concatenate(((error,), (prev - (new - part)) + (v - part))))
+            errors = np.add.accumulate(np.concatenate((error[None], (prev - (new - part)) + (v - part))))
             out[start : start + len(v)] = new + errors[1:]
-            raw, error = float(new[-1]), float(errors[-1])
+            raw, error = new[-1], errors[-1]
+        if values.ndim == 1:
+            raw, error = float(raw), float(error)
         self.raw, self.error, self.total = raw, error, raw + error
         self.count += len(values)
         return out
@@ -93,7 +103,9 @@ class SumScan:
     def means(self, values):
         """The running means at ``values``: each running sum over its step count."""
         first = self.count + 1
-        return self.cumsum(values) / np.arange(first, first + len(values))
+        sums = self.cumsum(values)
+        steps = np.arange(first, first + len(sums), dtype=float)
+        return sums / steps.reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
 def compensated_cumsum(values):
@@ -121,8 +133,12 @@ def realized_noise(trace):
 
 
 def gradient_norms_sq(trace, beta3):
-    """||g_k||^2 of each step as the increments of r_k, with r_{-1} = beta3."""
-    return np.diff(_column(trace, "r_k"), prepend=beta3)
+    """||g_k||^2 of each step as the increments of r_k down axis 0, with r_{-1} = beta3.
+
+    ``beta3`` is a float, or one r_{-1} per column of an (m, S) ``r_k``.
+    """
+    r_k = _column(trace, "r_k")
+    return np.diff(r_k, axis=0, prepend=np.broadcast_to(beta3, (1, *r_k.shape[1:])))
 
 
 def regret_sum(trace, loss=None):
@@ -230,7 +246,10 @@ RS_TAIL_LIMIT = 0.05
 
 
 class RSScan:
-    """``robbins_siegmund_diag`` of an ``n``-step series fed in consecutive blocks."""
+    """``robbins_siegmund_diag`` of an ``n``-step series fed in consecutive blocks.
+
+    Fed S series side by side as (m, S) blocks, ``report(i)`` is series i's.
+    """
 
     def __init__(self, n):
         self.tail_start = n // 2
@@ -248,11 +267,11 @@ class RSScan:
         self.tail.cumsum(terms[max(self.tail_start - self.all.count, 0) :])
         self.all.cumsum(terms)
 
-    def report(self):
-        total = self.all.total
+    def report(self, i=()):
+        total, tail = (float(np.asarray(scan.total)[i]) for scan in (self.all, self.tail))
         if total <= 0.0:
             return RSReport(total=total, tail_fraction=0.0, passed=True)
-        frac = self.tail.total / total
+        frac = tail / total
         return RSReport(total=total, tail_fraction=frac, passed=frac < RS_TAIL_LIMIT)
 
 
@@ -280,11 +299,14 @@ class MinPhaseScan:
     The weighted history W_k = lam W_{k-1} + y_k^2 + w_k^2 is computed a
     block of ``_SPAN`` steps at a time: W_j = lam^(j+1) W_before + S_j, where
     S_j = sum_{i<=j} lam^(j-i) x_i is one product with the lower-triangular
-    ``T[j, i] = lam^(j-i)`` and one ``np.add.reduce`` (no BLAS, so no
-    thread-count dependence).  A block a feed cuts short is padded with
-    zeros, which the zeros of T keep out of every row already fed (the
-    squares must be finite); W before that block, its values so far and
-    the last input carry to the next feed, so any cut gives the same bits.
+    ``T[j, i] = lam^(j-i)`` and one ``np.add.reduce`` over its contiguous
+    last axis (no BLAS, so no thread-count dependence).  A block a feed cuts
+    short is padded with zeros, which the zeros of T keep out of every row
+    already fed (the squares must be finite); W before that block, its
+    values so far and the last input carry to the next feed, so any cut
+    gives the same bits.  S series fed side by side as (m, S) blocks take
+    the product ``_BLOCK // S`` steps at a time (whole blocks, at least
+    one), so it stays about ``_BLOCK`` x ``_SPAN`` values.
     """
 
     def __init__(self, lam=0.9):
@@ -294,34 +316,50 @@ class MinPhaseScan:
         self.kernel = np.where(lags >= 0, lam ** np.maximum(lags, 0.0), 0.0)
         self.decay = lam ** np.arange(1.0, _SPAN + 1.0)
         self.before = 0.0  # W before the open block, the last W when it is empty
-        self.open = np.empty(0)  # y^2 + w^2 of the open block's steps so far
+        self.open = None  # y^2 + w^2 of the open block's steps so far, (steps, S)
         self.u_prev = None  # none before the first step
 
     def ratios(self, y, u, w):
-        """The ratio at each of the next steps, from their y, u and noise w arrays."""
-        out = np.empty(len(y))
-        for start in range(0, len(y), _BLOCK):
-            part = slice(start, start + _BLOCK)
-            fed, end = len(self.open), len(self.open) + len(y[part])
-            x = np.concatenate((self.open, y[part] ** 2 + w[part] ** 2, np.zeros(-end % _SPAN)))
-            sums = np.add.reduce(self.kernel * x.reshape(-1, 1, _SPAN), axis=2)
-            before, top = [self.before], float(self.decay[-1])
-            for last in sums[:-1, -1].tolist():
-                before.append(top * before[-1] + last)
-            # weighted[i + 1] is W after x[i]; weighted[0] is W before x[0]
-            blocks = self.decay * np.array(before)[:, None] + sums
-            weighted = np.concatenate(((self.before,), blocks.ravel()))
-            prev_u = np.concatenate(((0.0 if self.u_prev is None else self.u_prev,), u[part][:-1]))
-            prev_w = weighted[fed:end]
-            ratio = np.full(end - fed, math.inf)
-            np.divide(prev_u**2, prev_w, out=ratio, where=prev_w > 0.0)
-            if self.u_prev is None:
-                ratio[0] = 0.0
-            out[part] = ratio
-            opened = end - end % _SPAN
-            self.before, self.open = float(weighted[opened]), x[opened:end]
-            self.u_prev = float(u[part][-1])
-        return out
+        """The ratio at each of the next steps, from their y, u and noise w arrays.
+
+        The arrays are 1-D, or (m, S) for S series side by side.
+        """
+        shape = np.shape(y)
+        cells = shape[1] if len(shape) > 1 else 1
+        y, u, w = (np.reshape(a, (len(a), cells)) for a in (y, u, w))
+        pending = np.empty((0, cells)) if self.open is None else self.open
+        fed = len(pending)
+        x = np.concatenate((pending, y**2 + w**2))
+        # the steps from the open block on, as whole blocks of each series
+        blocks = np.zeros((cells, -len(x) // _SPAN * -_SPAN))
+        blocks[:, : len(x)] = x.T
+        blocks = blocks.reshape(cells, -1, _SPAN)
+        # weighted[:, i + 1] is W after x[i]; weighted[:, 0] is W before x[0]
+        weighted = np.empty((cells, blocks.size // cells + 1))
+        weighted[:, 0] = self.before
+        group = max(1, _BLOCK // (_SPAN * cells))  # blocks per product, (cells, group, 32, 32)
+        top = float(self.decay[-1])
+        for first in range(0, blocks.shape[1], group):
+            # each row's sum runs over a contiguous axis: (cells, group, 1, 32) against T
+            sums = np.add.reduce(self.kernel * blocks[:, first : first + group, None], axis=3)
+            # W before each block of the group, carried from block to block
+            carried = [weighted[:, first * _SPAN].tolist()]
+            for last in sums[:, :-1, -1].T.tolist():
+                carried.append([top * before + tail for before, tail in zip(carried[-1], last)])
+            weighted[:, first * _SPAN + 1 : (first + len(carried)) * _SPAN + 1] = (
+                self.decay * np.array(carried).T[:, :, None] + sums).reshape(cells, -1)
+        u_before = 0.0 if self.u_prev is None else self.u_prev
+        prev_u = np.concatenate((np.broadcast_to(u_before, (1, cells)), u[:-1]))
+        prev_w = weighted[:, fed : len(x)].T
+        ratio = np.full(prev_w.shape, math.inf)
+        np.divide(prev_u**2, prev_w, out=ratio, where=prev_w > 0.0)
+        if self.u_prev is None and len(ratio):
+            ratio[0] = 0.0
+        opened = len(x) - len(x) % _SPAN
+        self.before, self.open = weighted[:, opened], x[opened:]
+        if len(y):
+            self.u_prev = u[-1]
+        return ratio.reshape(shape)
 
 
 def minimum_phase_ratio(trace, lam=0.9):

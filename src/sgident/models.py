@@ -63,9 +63,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# the censored mean's array-path constants as 0-d float64 arrays: NumPy
-# combines one with an array faster than a Python float, with the same bits
-_HALF, _NEG_HALF = np.array(0.5), np.array(-0.5)
+# array-path constants as 0-d float64 arrays: NumPy combines one with an
+# array faster than a Python float, with the same bits
+_ONE, _HALF, _NEG_HALF = np.array(1.0), np.array(0.5), np.array(-0.5)
 _NEG_SQRT2_0D, _INV_SQRT_2PI_0D = np.array(-_SQRT2), np.array(_INV_SQRT_2PI)
 
 # slack below this is treated as a violation (negative slack = inequality broken)
@@ -251,7 +251,10 @@ class LogisticModel(LinkRegressionModel):
             return 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
         z = np.asarray(z, dtype=float)
         e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        d = _ONE + e
+        out = e / d
+        np.putmask(out, z >= 0, _ONE / d)
+        return out
 
     def link_inv(self, y):
         return math.log(y) - math.log1p(-y) if 0.0 < y < 1.0 else None
@@ -261,7 +264,7 @@ class LogisticModel(LinkRegressionModel):
 
     def link_slope(self, z):
         s = self.link(z)
-        return s, s * (1.0 - s)
+        return s, s * (_ONE - s)
 
     def growth_bound(self):
         return (0.0, 0.25)
@@ -319,7 +322,7 @@ class CrossEntropy(LossFunction):
         return -(y * np.log(x) + (1.0 - y) * np.log1p(-x))
 
     def grad_x(self, y, x):
-        return -y / x + (1.0 - y) / (1.0 - x)
+        return -y / x + (_ONE - y) / (_ONE - x)
 
     def in_domain(self, x):
         x = np.asarray(x)

@@ -130,7 +130,8 @@ def sg_update(theta, r, carry, phi, y, pair, hyper, classical=False, out=None):
             row = next(i for i in range(len(f_hat)) if not loss.in_domain(f_hat[i]))
             raise DomainError(
                 f"loss '{loss.name}' evaluated outside its domain ({loss.domain_desc}): "
-                f"x={f_hat[row]} in row {row}"
+                f"x={f_hat[row]} in row {row}",
+                context={"row": row, "x": f_hat[row]},
             )
         check_rows(np.isfinite(loss.grad_x(y, f_hat)),
                    f"loss '{loss.name}' produced a non-finite derivative", y=y, x=f_hat)
@@ -153,7 +154,9 @@ def sg_update_unguarded(theta, r, carry, phi, y, pair, hyper, classical=False, o
     denom = r**hyper.beta1
     if hyper.beta2 != 0.0:
         denom = denom * np.log(r) ** hyper.beta2
-    mu_k = hyper.mu / np.where(classical, r, denom + grad_norm_sq)
+    denom = denom + grad_norm_sq
+    np.copyto(denom, r, where=classical)  # a classical row's gain is mu / r_k
+    mu_k = hyper.mu / denom
     slope = loss.grad_x(y, f_hat)
     theta_new = np.subtract(theta, (mu_k * slope)[:, None] * g, out=out)
     return theta_new, r, carry, mu_k, grad_norm_sq, f_hat

@@ -6,6 +6,7 @@ suite.
 """
 
 import array
+import contextlib
 import copy
 import csv
 import hashlib
@@ -22,6 +23,7 @@ import tempfile
 import textwrap
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from sgident.bench import (
     verify_report,
     write_trace,
 )
-from sgident.control import NoiseSource, Trace
+from sgident.control import ClosedLoopBatch, NoiseSource, Trace
 from sgident.errors import ConfigurationError, DataError, NumericError
 
 CONTROL_CFG = """
@@ -929,12 +931,23 @@ class TestErrorContext:
             warnings.simplefilter("ignore")
             return load_config(path)
 
-    @pytest.mark.parametrize("rows, bad_row", [(3, 1), (1200, 700)])
-    def test_failed_run_leaves_its_report_and_no_trace(self, tmp_path, rows, bad_row):
-        # row 700 fails in the second chunk of steps, after the first was written
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.parametrize("rows, bad_row", [(3, 1), (1200, 512), (1200, 700)])
+    def test_failed_run_leaves_its_report_and_no_trace(self, tmp_path, monkeypatch, rows,
+                                                       bad_row):
+        # rows 512 and 700 fail in the second chunk of steps, after the first
+        # was written to the trace files the sweep holds open
+        handles = []
+
+        def tracked_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(bench_module, "open", tracked_open, raising=False)
         with pytest.raises(NumericError):
             run_experiment(self._overflow_config(tmp_path, rows, bad_row))
         assert sorted(os.listdir(tmp_path / "runs")) == ["report.json"]
+        assert len(handles) >= 3 and all(fh.closed for fh in handles)  # 2 traces, the report
         report = json.loads((tmp_path / "runs" / "report.json").read_text())
         assert report["error"]["context"]["k"] == bad_row
         assert report["runs"] == {"modified": {}, "classical": {}}
@@ -1385,42 +1398,109 @@ def _chunks(draw, n):
 
 
 class TestStreamedRun:
-    """A run streams its sweep: each chunk of steps is written and summarized as
-    it comes.  Any split of a trace into consecutive chunks must give the
-    bits of the whole trace at once."""
+    """A run streams its sweep: each chunk of steps of every cell is summarized
+    at once, as (steps, cells) blocks, and written as it comes.  Any split of
+    a run's traces into consecutive chunks must give each cell the bits of
+    its whole trace at once."""
 
     @pytest.fixture(scope="class", params=["paper_run", "replay_run", "long_identify_report"])
-    def run_trace(self, request):
+    def run_traces(self, request):
+        """(config, every trace of the run, their whole ``_summarize`` and whole-write bytes)."""
         report = request.getfixturevalue(request.param)
         report = report[0] if isinstance(report, tuple) else report
-        summary = next(iter(report.data["runs"][report.data["config"]["algorithms"][-1]].values()))
-        trace = read_trace(os.path.join(os.path.dirname(report.path), summary["trace"]))
-        return report.data["config"], trace
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_running_summary_equals_one_whole_summarize(self, run_trace, data):
-        config, trace = run_trace
-        summary = bench_module._RunningSummary(config, len(trace))
-        regrets = [summary.feed(_rows(trace, a, b)) for a, b in data.draw(_chunks(len(trace)))]
-        whole, regret = bench_module._summarize(config, trace)
-        assert json.dumps(summary.result(), sort_keys=True) == json.dumps(whole, sort_keys=True)
-        if regret is None:
-            assert regrets == [None] * len(regrets)
-        else:
-            assert np.concatenate(regrets).tobytes() == regret.tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_chunk_by_chunk_write_equals_one_whole_write(self, run_trace, data):
-        _, trace = run_trace
+        out_dir = os.path.dirname(report.path)
+        traces = [read_trace(os.path.join(out_dir, summary["trace"]))
+                  for by_seed in report.data["runs"].values() for summary in by_seed.values()]
+        config = report.data["config"]
+        wholes = [bench_module._summarize(config, trace) for trace in traces]
         with tempfile.TemporaryDirectory() as tmp:
-            whole, chunked = os.path.join(tmp, "whole.hex"), os.path.join(tmp, "chunked.hex")
-            write_trace(whole, trace)
-            write_trace(chunked, Trace(k=np.empty(0, dtype=np.int64)))  # a stale file restarts
-            for a, b in data.draw(_chunks(len(trace))):
-                write_trace(chunked, _rows(trace, a, b))
-            assert open(chunked, "rb").read() == open(whole, "rb").read()
+            path = os.path.join(tmp, "whole.hex")
+            written = []
+            for trace in traces:
+                write_trace(path, trace)
+                written.append(open(path, "rb").read())
+        return config, traces, wholes, written
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_running_summary_equals_one_whole_summarize(self, run_traces, data):
+        config, traces, wholes, _ = run_traces
+        summary = bench_module._RunningSummary(config, len(traces[0]), len(traces))
+        regrets = []
+        for a, b in data.draw(_chunks(len(traces[0]))):
+            rows = [_rows(trace, a, b) for trace in traces]
+            columns = {name: np.stack([getattr(part, name) for part in rows], axis=1)
+                       for name in TRACE_COLUMNS[1:-1]
+                       if name != "y_star" and getattr(rows[0], name) is not None}
+            flags = np.stack([bench_module._flag_masks(part.flags) for part in rows], axis=1)
+            regrets.append(summary.feed(columns, rows[0].y_star, flags))
+        for i, (whole, regret) in enumerate(wholes):
+            assert (json.dumps(summary.result(i), sort_keys=True)
+                    == json.dumps(whole, sort_keys=True)), i
+            if regret is None:
+                assert regrets == [None] * len(regrets)
+            else:
+                assert np.concatenate([part[:, i] for part in regrets]).tobytes() == regret.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_chunk_by_chunk_write_equals_one_whole_write(self, run_traces, data):
+        # even cells are written by path, each chunk reopening the file (a
+        # stale file restarts), odd ones through a file the sweep holds open
+        _, traces, _, written = run_traces
+        with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as files:
+            paths = [os.path.join(tmp, f"chunked{i}.hex") for i in range(len(traces))]
+            targets = []
+            for i, path in enumerate(paths):
+                if i % 2:
+                    targets.append(files.enter_context(open(path, "wb")))
+                else:
+                    write_trace(path, Trace(k=np.empty(0, dtype=np.int64)))
+                    targets.append(path)
+            for a, b in data.draw(_chunks(len(traces[0]))):
+                for target, trace in zip(targets, traces):
+                    write_trace(target, _rows(trace, a, b))
+            files.close()
+            assert [open(path, "rb").read() for path in paths] == written
+
+
+class TestFlagBitmask:
+    """The loop hands over each step's flags as the int64 bitmask a trace file
+    stores (saturated = 1, singular_gain = 2, divergence = 4); a Trace still
+    holds them as ";"-joined names."""
+
+    def test_every_mask_writes_and_counts_as_its_names(self, tmp_path):
+        masks = np.array([[0, 7], [1, 6], [2, 5], [3, 4], [4, 3], [5, 2], [6, 1], [7, 0]])
+        names = ["", "saturated", "singular_gain", "saturated;singular_gain", "divergence",
+                 "saturated;divergence", "singular_gain;divergence",
+                 "saturated;singular_gain;divergence"]
+        m = len(masks)
+        recorded = {name: np.linspace(0.25, 2.0, 2 * m).reshape(m, 2)
+                    for name in ("y", "f_true", "f_est", "loss", "theta_err", "mu_k", "r_k")}
+        recorded["r_k"] = np.cumsum(recorded["r_k"], axis=0) + 2.0
+        batch = ClosedLoopBatch(cells=(("modified", 1), ("classical", 1)), recorded=recorded,
+                                y_star=None, flags=masks, start=0)
+        config = {"mode": "identify", "pair": "linear_mse",
+                  "hyper": {"mu": 0.3, "beta1": 0.5, "beta2": 0.51, "beta3": 2.0}}
+        summary = bench_module._RunningSummary(config, m, 2)
+        summary.feed(recorded, None, masks)
+        for i in range(2):
+            strings = [names[mask] for mask in masks[:, i]]
+            trace = batch.trace(i)
+            assert trace.flags == strings
+            path = tmp_path / f"trace{i}.hex"
+            write_trace(str(path), trace)
+            cells = [line.split(b",")[-1] for line in path.read_bytes().split(b"\n")[1:-1]]
+            assert cells == [b"%016x" % mask for mask in masks[:, i]]
+            assert read_trace(str(path)).flags == strings
+            # the bytes of the string path: a Trace given the names
+            strung = tmp_path / f"strung{i}.hex"
+            write_trace(str(strung), Trace(**{**vars(trace), "flags": strings}))
+            assert strung.read_bytes() == path.read_bytes()
+            counted = Counter(f for text in strings if text for f in text.split(";"))
+            assert summary.result(i)["flag_counts"] == {name: counted[name] for name in
+                                                        ("saturated", "singular_gain", "divergence")}
+            assert summary.result(i) == summarize(config, trace)
 
 
 class TestMemoryBound:

@@ -13,7 +13,9 @@ Oracle notes
   u = (atanh(0.25) - 1.049)/0.6 = -1.3226453135283414.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _oracle_compensated_cumsum
+import sgident.bench as bench
 import sgident.control as control_mod
 from sgident.control import (
     TRACE_COLUMNS,
@@ -826,7 +829,7 @@ def test_chunked_loop_equals_a_per_step_loop_of_sg_update(monkeypatch, name):
 
 
 @pytest.mark.parametrize("bad_step", [0, 511, 512, 1023, 1099])
-def test_loss_domain_error_through_the_loop_is_the_steps(bad_step):
+def test_loss_domain_error_through_the_loop_is_the_steps(bad_step, tmp_path, monkeypatch):
     # a linear score under cross-entropy: phi = (1, 0, 0) keeps the prediction
     # at 0.5 = y, where the slope is 0 and the estimate stays put, until the
     # bad step's regressor lifts it out of (0, 1) to a value naming that step
@@ -834,16 +837,30 @@ def test_loss_domain_error_through_the_loop_is_the_steps(bad_step):
     phi = np.zeros((n, 1, 3))
     phi[:, 0, 0] = 1.0
     phi[bad_step, 0, 0] = 3.0 + bad_step / 1000
+    y = np.full((n, 1), 0.5)
     pair = ModelLossPair(LinearModel(3), CrossEntropy())
-    state = sg_init(np.array([0.5, 0.0, 0.0]), HyperParams(mu=0.3, beta1=0.5, beta2=0.51,
-                                                          beta3=2.0))
+    hyper = HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0)
+    state = sg_init(np.array([0.5, 0.0, 0.0]), hyper)
     with pytest.raises(DomainError) as exc:
-        run_closed_loop_batch(None, state, pair, (phi, np.full((n, 1), 0.5), None), n,
+        run_closed_loop_batch(None, state, pair, (phi, y, None), n,
                               [("modified", 0), ("classical", 0)])
     x = 0.5 * phi[bad_step, 0, 0]
+    message = f"loss 'cross_entropy' evaluated outside its domain (x in (0, 1)): x={x} in row 0"
     assert type(exc.value) is DomainError
-    assert str(exc.value) == ("loss 'cross_entropy' evaluated outside its domain (x in (0, 1)): "
-                              f"x={x} in row 0")
+    assert str(exc.value) == message
+    context = {"k": bad_step, "algorithm": "modified", "seed": 0, "x": x}
+    assert exc.value.context == context
+    # the same blocks as an identification sweep: the report keeps the context
+    cfg = bench.ExperimentConfig(mode="identify", algorithms=("modified", "classical"),
+                                 hyper=hyper, n_steps=n, seeds=(0,), out_dir=str(tmp_path),
+                                 pair_name="logistic", pair=pair, theta_star=np.zeros(3),
+                                 theta0=np.array([0.5, 0.0, 0.0]))
+    monkeypatch.setattr(bench, "_identify_inputs", lambda cfg: (phi, y, y))
+    with pytest.raises(DomainError):
+        bench.run_experiment(cfg)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["error"] == {"message": message, "context": context}
+    assert sorted(os.listdir(tmp_path)) == ["report.json"]
 
 
 class TestTrace:
