@@ -27,7 +27,6 @@ from .bench import (
     write_trace,
 )
 from .control import (
-    ClosedLoopBatch,
     ControlConfig,
     NoiseSource,
     Plant,

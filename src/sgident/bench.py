@@ -5,10 +5,12 @@ byte and every report number is reproducible.  Each run's summary comes
 from `summarize`, which reads only persisted trace columns, so
 `verify_report` recomputes every reported number by calling it again on the
 trace read back from its file.  A sweep streams: each chunk of steps of
-every cell is folded into the running summary at once, as (steps, cells)
-blocks, and appended to the cell's trace file, held open for the sweep,
-then dropped, so memory is bounded by chunk x cells, not by the run length.
-Configs are
+every cell is folded into the running summary at once, as one Trace with
+(steps, cells) columns, and appended to the cell's trace file, held open
+for the sweep, then dropped.  In identify and control, memory is so
+bounded by chunk x cells, not by the run length; replay loads its dataset
+rows whole, and its summary keeps every chunk's ``f_est`` and ``y`` until
+the run ends.  Configs are
 INI-style text, traces fixed-width hex text (one line per step, each cell
 the bits of a 64-bit value; ``export_csv`` renders them as decimal CSV),
 reports JSON with sorted keys and no timestamps.
@@ -26,7 +28,6 @@ import warnings
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -453,20 +454,6 @@ _CHUNK = 1024
 _CELL = 17
 
 
-# each ";"-joined flags text's bitmask
-_FLAG_MASK = {text: mask for mask, text in enumerate(FLAG_TEXT)}
-
-
-def _flag_masks(flags):
-    """The int64 bitmask of each ";"-joined flags text; DataError for one outside ``FLAGS``."""
-    if not any(flags):  # most steps carry no flag
-        return np.zeros(len(flags), np.int64)
-    try:
-        return np.array([_FLAG_MASK[text] for text in flags], np.int64)
-    except KeyError as exc:
-        raise DataError(f"flags {exc.args[0]!r} are not distinct {FLAGS} in that order") from None
-
-
 def _unhex_table():
     """Two hex digits -> their byte, or 256 for any other pair, as a ``<u2`` array.
 
@@ -489,9 +476,8 @@ def write_trace(path, trace):
     (``k``, the filled float columns, ``flags``) in ``TRACE_COLUMNS`` order
     joined by ","; a column the mode leaves empty is left out.  Each row is
     one LF-terminated line of ","-separated cells, each the 16 lowercase hex
-    digits of its 64-bit pattern, big-endian: float64 bits, int64 for ``k``
-    and an int64 bitmask for ``flags`` (bit i set when ``FLAGS[i]`` is on
-    the step).  Flags must be distinct ``FLAGS`` names in ``FLAGS`` order.
+    digits of its 64-bit pattern, big-endian: float64 bits, and int64 for
+    ``k`` and for the ``flags`` bitmask.
 
     A trace with no rows or whose ``k`` starts at 0 starts the file: the
     header, then its rows.  Any other trace continues a run, and its rows
@@ -499,12 +485,15 @@ def write_trace(path, trace):
     bytes of one write of the whole run; an open file is written at its
     position and left open, so a sweep keeps one per cell.  The chunk's
     big-endian words become their digits and separators in one
-    ``memoryview.hex`` call.  A non-finite float cell, which ``read_trace``
-    would reject, raises DataError naming its column and row before
-    anything is written.
+    ``memoryview.hex`` call.  A non-finite float cell or a flags value
+    outside 0-7, which ``read_trace`` would reject, raises DataError naming
+    its column and row, and a trace with a cell axis (see
+    ``Trace.cell``) ConfigurationError, before anything is written.
     """
     names = ["k", *(name for name in TRACE_COLUMNS[1:-1] if getattr(trace, name) is not None),
              "flags"]
+    if any(getattr(trace, name).ndim != 1 for name in names):
+        raise ConfigurationError("a trace file holds one cell: write trace.cell(i) of each")
     n, width = len(trace), len(names)
     words = np.empty((width, n), np.int64)  # a column per row: each fill is contiguous
     words[0] = trace.k
@@ -516,7 +505,12 @@ def write_trace(path, trace):
         row = int(np.argmin(finite[column]))
         raise DataError(f"non-finite cell in column {names[column + 1]!r} at row {row} "
                         f"(step {trace.k[row]})")
-    words[-1] = _flag_masks(trace.flags)
+    big = np.flatnonzero(trace.flags.view(np.uint64) >= 1 << len(FLAGS))
+    if big.size:
+        row = int(big[0])
+        raise DataError(f"flags value {trace.flags[row]} outside 0-7 in column 'flags' "
+                        f"at row {row} (step {trace.k[row]})")
+    words[-1] = trace.flags
     # 16 digits and a "," per word, the "," after a row's last word then made LF
     digits = words.T.astype(">i8", order="C").data.hex(",", -8)
     text = bytearray(f"{digits}," if n else "", "ascii")
@@ -554,8 +548,7 @@ def read_trace(path):
         if short:
             raise DataError(f"short final row in {path}", line=n + 2)
     columns = dict(zip(names, words))
-    flags = FLAG_TEXT[columns.pop("flags")].tolist()
-    k = columns.pop("k")
+    k, flags = columns.pop("k"), columns.pop("flags")
     return Trace(k=k, flags=flags, **{name: w.view(np.float64) for name, w in columns.items()})
 
 
@@ -587,7 +580,7 @@ def _decode_rows(path, names, cells, first):
     separators[-1] = ord("\n")
     bad_separator = cells[:, :, -1] != separators
     non_finite = ~np.isfinite(words[:, 1:-1].view(">f8"))
-    big_flags = words[:, -1:].view(">u8") >= len(FLAG_TEXT)
+    big_flags = words[:, -1:].view(">u8") >= 1 << len(FLAGS)
     if values.max(initial=0) > 255 or bad_separator.any() or non_finite.any() or big_flags.any():
         problems = [  # (bad cells, the first column checked, problem), in rank order
             (bad_separator, 0, "wrong separator after the cell"),
@@ -637,7 +630,7 @@ def export_csv(run_dir):
                 cells = [[""] * rows if column is None
                          else repr(column[part].tolist())[1:-1].split(", ")
                          for column in columns]
-                cells.append(trace.flags[part])
+                cells.append(FLAG_TEXT[trace.flags[part]].tolist())
                 fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
         written.append(path)
     return written
@@ -752,9 +745,7 @@ def summarize(config_echo, trace):
 def _summarize(config_echo, trace):
     """``summarize`` and the running mean of the regret it read (None in replay)."""
     summary = _RunningSummary(config_echo, len(trace))
-    columns = {name: getattr(trace, name)[:, None] for name in TRACE_COLUMNS[1:-1]
-               if name != "y_star" and getattr(trace, name) is not None}
-    regret = summary.feed(columns, trace.y_star, _flag_masks(trace.flags)[:, None])
+    regret = summary.feed(trace)
     return summary.result(0), None if regret is None else regret[:, 0]
 
 
@@ -767,11 +758,10 @@ def _fold_max(running, values):
 class _RunningSummary:
     """The summaries of ``cells`` runs of ``n`` steps each, fed side by side in consecutive chunks.
 
-    ``feed(columns, y_star, flags)`` takes the next m steps of every run:
-    ``columns`` maps each float column to an (m, cells) block whose column
-    i is run i, ``y_star`` is the (m,) target (None outside control) and
-    ``flags`` the (m, cells) int64 bitmask of the steps' flags.  It returns
-    the steps' regret running means, (m, cells) (None in replay).
+    ``feed(trace)`` takes the next m steps of every run as a Trace whose
+    (m, cells) columns have run i in column i, or of a single run as a
+    Trace with (m,) columns.  It returns the steps' regret running means,
+    (m, cells) (None in replay).
     ``result(i)`` is ``summarize``'s dict of run i once all ``n`` steps are
     fed.  The sequential metrics carry their scan state from chunk to chunk
     (``metrics.SumScan``, ``RSScan``, ``MinPhaseScan`` and the last
@@ -804,36 +794,40 @@ class _RunningSummary:
             self.out_of_band = self.identity_steps = 0
             self.identity_dev = 0.0
 
-    def feed(self, columns, y_star, flags):
-        block = SimpleNamespace(**columns, y_star=None if y_star is None else y_star[:, None])
-        grad_norm_sq = gradient_norms_sq(block, self.r_last)
-        self.r_last = block.r_k[-1].copy()
-        self.rs.feed(block.mu_k, grad_norm_sq)
-        self.law_max = _fold_max(self.law_max, block.mu_k * grad_norm_sq)
-        self.flag_counts += [np.count_nonzero(flags & bit, axis=0) for bit in FLAG_BIT.values()]
+    def feed(self, trace):
+        if trace.flags.ndim == 1:  # a single run is a sweep of one cell
+            columns = {name: getattr(trace, name) for name in TRACE_COLUMNS[1:]}
+            trace = Trace(trace.k, **{name: None if column is None else column[:, None]
+                                      for name, column in columns.items()})
+        grad_norm_sq = gradient_norms_sq(trace, self.r_last)
+        self.r_last = trace.r_k[-1].copy()
+        self.rs.feed(trace.mu_k, grad_norm_sq)
+        self.law_max = _fold_max(self.law_max, trace.mu_k * grad_norm_sq)
+        self.flag_counts += [np.count_nonzero(trace.flags & bit, axis=0)
+                             for bit in FLAG_BIT.values()]
         if self.mode == "replay":
-            self.f_est.append(block.f_est)
-            self.y.append(block.y)
+            self.f_est.append(trace.f_est)
+            self.y.append(trace.y)
             return None
         first = self.regret.count
-        regret = self.regret.means(regret_sum(block, self.pair.loss))
+        regret = self.regret.means(regret_sum(trace, self.pair.loss))
         if first < 500 <= self.regret.count:
             self.regret_at_500 = regret[499 - first].copy()
-        self.theta_err = block.theta_err[-1].copy()
-        noise = realized_noise(block)
+        self.theta_err = trace.theta_err[-1].copy()
+        noise = realized_noise(trace)
         if isinstance(self.pair.loss, SquaredError):
             # the measured gradient noise collapses to -2w for squared error
-            gap = gradient_noise(block, self.pair) + 2.0 * noise
+            gap = gradient_noise(trace, self.pair) + 2.0 * noise
             self.noise_dev = _fold_max(self.noise_dev, np.abs(gap))
         if self.mode == "control":
-            for scan, values in zip(self.tracking, tracking_error(block)):
+            for scan, values in zip(self.tracking, tracking_error(trace)):
                 scan.cumsum(values)
-            ratios = self.min_phase.ratios(block.y, block.u, noise)
+            ratios = self.min_phase.ratios(trace.y, trace.u, noise)
             self.min_phase_max = _fold_max(self.min_phase_max, ratios)
-            self.out_of_band += np.count_nonzero(np.abs(block.f_est) > self.edge, axis=0)
+            self.out_of_band += np.count_nonzero(np.abs(trace.f_est) > self.edge, axis=0)
             # closed-loop ledger: y - y* - w should equal f_true - f_est on clean steps
-            clean = flags == 0
-            ledger = block.y - block.y_star - noise - (block.f_true - block.f_est)
+            clean = trace.flags == 0
+            ledger = trace.y - trace.y_star - noise - (trace.f_true - trace.f_est)
             self.identity_dev = np.maximum(
                 self.identity_dev, np.max(np.abs(ledger), axis=0, where=clean, initial=0.0))
             self.identity_steps += np.count_nonzero(clean, axis=0)
@@ -1026,11 +1020,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             for name in names:
                 opened.append(os.path.join(cfg.out_dir, name))
                 handles.append(files.enter_context(open(opened[-1], "wb")))
-            for batch in _run_sweep(cfg, cells, replay_rows):
-                regret = summary.feed(batch.recorded, batch.y_star, batch.flags)
+            for chunk in _run_sweep(cfg, cells, replay_rows):
+                regret = summary.feed(chunk)
                 # a cell at a time through write_trace, where perfbench's tracer counts rows
                 for i, handle in enumerate(handles):
-                    trace = batch.trace(i)
+                    trace = chunk.cell(i)
                     trace.regret_avg = None if regret is None else regret[:, i]
                     write_trace(handle, trace)
         for i, ((algo, seed), name) in enumerate(zip(cells, names)):
@@ -1266,9 +1260,11 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     derived from the recomputed runs and the config (the first two only
     when every configured run was recomputed).  Each trace must leave empty
     exactly the columns its mode leaves empty; a trace that does not is one
-    problem per column and is not summarized.  Each trace's ``k``,
-    ``loss`` and ``regret_avg`` columns, and a control trace's ``y_star``
-    and ``f_true``, must equal their derivation bit for bit.
+    problem per column and is not summarized, and so is a trace whose
+    row count is not the run's step count (``n_steps``, or the replayed
+    ``rows_used``).  Each trace's ``k``, ``loss`` and ``regret_avg``
+    columns, and a control trace's ``y_star`` and ``f_true``, must equal
+    their derivation bit for bit.
     """
     report = _load_report(report_path)
     if isinstance(report_path, (str, os.PathLike)):
@@ -1276,6 +1272,7 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     else:
         out_dir = report.get("config", {}).get("out_dir", ".")
     cfgd = report["config"]
+    n = report.get("dataset", {}).get("rows_used") if cfgd["mode"] == "replay" else cfgd["n_steps"]
     problems = []
     recomputed = {}
     for algo, by_seed in report["runs"].items():
@@ -1288,6 +1285,9 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
             name = f"{algo}/{seed_key} ({summary['trace']})"
             if column_problems := _empty_column_problems(cfgd["mode"], name, trace):
                 problems += column_problems  # summarize reads the mode's columns
+                continue
+            if len(trace) != n:
+                problems.append(f"{name}: {len(trace)} rows, but the run has {n} steps")
                 continue
             got, regret = _summarize(cfgd, trace)
             recomputed[algo][seed_key] = got

@@ -17,14 +17,15 @@ seed) cells of a sweep together as rows of (S, d) arrays, with the
 regressors and observations either made by the closed loop or prepared
 before it (identification, replay); a run of one cell is a batch of one.
 Rows never mix, so a cell's trace does not depend on the other cells in its
-batch.  The loop yields its steps in chunks of ``_CHUNK``, so a consumer
-that writes and summarizes each chunk as it comes holds memory bounded by
-chunk x cells, whatever the run length; ``run_closed_loop_batch`` joins the
-chunks of a whole run.  A step tests none of its results: the loop tests
-each chunk's results once, after its last step, and walks a chunk that
-fails again from its start with every step checked, so the run stops with
-the error of its first bad step.  Every run mode records its steps as a
-``Trace``: one array per column.
+batch.  The loop yields its steps in chunks of ``_CHUNK``, each a ``Trace``
+with one column per cell, so a consumer that writes and summarizes each
+chunk as it comes holds loop memory bounded by chunk x cells, whatever the
+run length; ``run_closed_loop_batch`` joins the chunks of a whole run.  A
+step tests none of its results: the loop tests each chunk's results once,
+after its last step, and walks a chunk that fails again from its start
+with every step checked, so the run stops with the error of its first bad
+step.  Every run mode records its steps as a
+``Trace``: one array per column, the flags of a step as an int64 bitmask.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtri, stdtrit
@@ -48,7 +48,6 @@ __all__ = [
     "ControlConfig",
     "TRACE_COLUMNS",
     "Trace",
-    "ClosedLoopBatch",
     "solve_control",
     "solve_control_rows",
     "closed_loop_chunks",
@@ -179,24 +178,27 @@ TRACE_COLUMNS = [
     "flags",
 ]
 
-# the flags a step may carry; a Trace joins them with ";" in this order, and
-# the bitmask of a step's flags has bit i set when FLAGS[i] is on
+# the flags a step may carry: the int64 bitmask of a step's flags, as a
+# trace stores it, has bit i set when FLAGS[i] is on
 FLAGS = ("saturated", "singular_gain", "divergence")
 FLAG_BIT = {name: 1 << bit for bit, name in enumerate(FLAGS)}
-# each bitmask's ";"-joined text
+# each bitmask's names joined by ";", as export_csv renders them
 FLAG_TEXT = np.array([";".join(name for name in FLAGS if mask & FLAG_BIT[name])
                       for mask in range(1 << len(FLAGS))], dtype=object)
 
 
 @dataclass(eq=False)
 class Trace:
-    """The per-step record of one run, one field per column of ``TRACE_COLUMNS``.
+    """The per-step record of a run, one field per column of ``TRACE_COLUMNS``.
 
-    ``k`` is an int array and ``flags`` a list of ";"-joined flag strings
-    ("" on a clean step); every other column is a float64 array, or None
-    where the mode leaves it empty.  Every column has ``len(k)`` rows, and
-    ``len(trace)`` is that count.  Two traces are equal when every column is
-    bit-equal, so ``0.0`` and ``-0.0`` differ.
+    ``k`` is an int64 array of step indices and ``flags`` the int64 bitmask
+    of each step's flags (bit i for ``FLAGS[i]``, 0 on a clean step, all 0
+    when not given); every other column is a float64 array, or None where
+    the mode leaves it empty.  A run's trace has (n,) columns; the chunks of
+    a sweep's loop have (m, S) columns, column i for cell i, with ``k``
+    still (m,), and ``cell(i)`` is cell i's own trace.  Every column has
+    ``len(k)`` rows, and ``len(trace)`` is that count.  Two traces are
+    equal when every column is bit-equal, so ``0.0`` and ``-0.0`` differ.
     """
 
     k: np.ndarray
@@ -210,12 +212,13 @@ class Trace:
     theta_err: np.ndarray | None = None
     mu_k: np.ndarray | None = None
     r_k: np.ndarray | None = None
-    flags: list | None = None
+    flags: np.ndarray | None = None
 
     def __post_init__(self):
         self.k = np.asarray(self.k, dtype=np.int64)
         if self.flags is None:
-            self.flags = [""] * len(self.k)
+            self.flags = np.zeros(len(self.k), np.int64)
+        self.flags = np.asarray(self.flags, dtype=np.int64)
         for name in TRACE_COLUMNS[1:-1]:
             if getattr(self, name) is not None:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
@@ -231,13 +234,19 @@ class Trace:
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        for name in TRACE_COLUMNS[:-1]:
+        for name in TRACE_COLUMNS:
             a, b = getattr(self, name), getattr(other, name)
             if (a is None) != (b is None) or (
                 a is not None and not np.array_equal(a.view(np.int64), b.view(np.int64))
             ):
                 return False
-        return list(self.flags) == list(other.flags)
+        return True
+
+    def cell(self, i):
+        """The (m,) Trace of cell i of a trace with a cell axis, with its own contiguous columns."""
+        columns = {name: getattr(self, name) for name in TRACE_COLUMNS[1:]}
+        return Trace(k=self.k.copy(), **{name: None if column is None else column[:, i].copy()
+                                         for name, column in columns.items()})
 
 
 # module-level: perfbench/tracer.py rebinds it by name
@@ -245,7 +254,8 @@ def solve_control(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev=0.0):
     """``solve_control_rows`` on one regressor row; returns (u, flags).
 
     ``phi`` has its input slot at index ``p``; the slot's value is ignored
-    and ``phi`` is not modified.  ``flags`` is () or the row's flags.
+    and ``phi`` is not modified.  ``flags`` is () or the names of the row's
+    flags, in ``FLAGS`` order.
     """
     theta_v = as_values(theta, "parameter vector")
     phi = np.array(as_values(phi, "regressor"))
@@ -254,7 +264,8 @@ def solve_control(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev=0.0):
     phi[p] = 0.0
     u, flagged = solve_control_rows(model, theta_v[None, :], phi[None, :], p, y_star, cfg,
                                     np.array([float(u_prev)]))
-    return float(u[0]), flagged.get(0, ())
+    mask = flagged.get(0, 0)
+    return float(u[0]), tuple(name for name in FLAGS if mask & FLAG_BIT[name])
 
 
 def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev):
@@ -262,14 +273,15 @@ def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev)
 
     ``theta`` and ``phi`` are (S, d) arrays, each row of ``phi`` a regressor
     with its input entry (index ``p``) at 0; ``u_prev`` is (S,).  ``flagged``
-    maps each flagged row to its flags.  A row takes the first of: (1) its
-    previous input clipped to [-u_max, u_max], if that meets root_tol; (2)
-    the previous input, flagged ``singular_gain``, if the gain df/du there
-    is below b_eps; (3) the closed form u = (link_inv(y*) - base) / theta_u,
-    if it lies in [-u_max, u_max] and meets root_tol; (4) the better
-    endpoint, ``saturated`` unless it meets root_tol, if the closed form lies
-    beyond u_max or the target outside the link's range; (5) bisection, row
-    by row (``saturated`` if it finds no root within root_tol).
+    maps each flagged row to the int bitmask of its flags.  A row takes the
+    first of: (1) its previous input clipped to [-u_max, u_max], if that
+    meets root_tol; (2) the previous input, flagged ``singular_gain``, if
+    the gain df/du there is below b_eps; (3) the closed form u =
+    (link_inv(y*) - base) / theta_u, if it lies in [-u_max, u_max] and
+    meets root_tol; (4) the better endpoint, ``saturated`` unless it meets
+    root_tol, if the closed form lies beyond u_max or the target outside
+    the link's range; (5) bisection, row by row (``saturated`` if it finds
+    no root within root_tol).
     Floating-point warnings stay silent: every case is tested explicitly.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -303,12 +315,12 @@ def solve_control_rows_unguarded(model, theta, phi, p, y_star, cfg, u_prev):
     end = np.where(r_ends[:, 0] <= r_ends[:, 1], 0, 1)  # a tie keeps -u_max
     u = np.where(short, u0, np.where(hold, u_prev, np.where(beyond, ends[end], u)))
     missed = beyond & ~(r_ends[np.arange(len(end)), end] <= cfg.root_tol)
-    flagged = dict.fromkeys(np.flatnonzero(hold).tolist(), ("singular_gain",))
-    flagged.update(dict.fromkeys(np.flatnonzero(missed).tolist(), ("saturated",)))
+    flagged = dict.fromkeys(np.flatnonzero(hold).tolist(), FLAG_BIT["singular_gain"])
+    flagged.update(dict.fromkeys(np.flatnonzero(missed).tolist(), FLAG_BIT["saturated"]))
     for i in np.flatnonzero(~(closed | short | hold | beyond)).tolist():
         f_of_u = partial(_link_at, model.link, float(np.dot(phi[i], theta[i])), float(cu[i]))
         u[i], flagged[i] = _bisect_control(f_of_u, y_star, float(u0[i]), cfg)
-    return u, {i: flags for i, flags in flagged.items() if flags}
+    return u, {i: mask for i, mask in flagged.items() if mask}
 
 
 def _link_at(link, base, cu, u):
@@ -316,7 +328,10 @@ def _link_at(link, base, cu, u):
 
 
 def _bisect_control(f_of_u, y_star, u0, cfg):
-    """Bracket a sign change of f_of_u(u) - y_star by geometric expansion from u0, then bisect."""
+    """Bracket a sign change of f_of_u(u) - y_star by geometric expansion from u0, then bisect.
+
+    Returns (u, mask): mask is 0, or the ``saturated`` bit when no root meets root_tol.
+    """
     step = 1.0
     lo = hi = u0
     r_lo = r_hi = f_of_u(u0) - y_star
@@ -327,7 +342,7 @@ def _bisect_control(f_of_u, y_star, u0, cfg):
         if new_lo < lo:
             r_new = f_of_u(new_lo) - y_star
             if abs(r_new) <= cfg.root_tol:
-                return new_lo, ()
+                return new_lo, 0
             if (r_new < 0.0) != (r_lo < 0.0):
                 bracket = (new_lo, lo, r_new, r_lo)
             lo, r_lo = new_lo, r_new
@@ -337,14 +352,14 @@ def _bisect_control(f_of_u, y_star, u0, cfg):
             if new_hi > hi:
                 r_new = f_of_u(new_hi) - y_star
                 if abs(r_new) <= cfg.root_tol:
-                    return new_hi, ()
+                    return new_hi, 0
                 if (r_new < 0.0) != (r_hi < 0.0):
                     bracket = (hi, new_hi, r_hi, r_new)
                 hi, r_hi = new_hi, r_new
                 progressed = True
         if bracket is None and not progressed:
             # whole admissible range scanned without a sign change
-            return (lo, ("saturated",)) if abs(r_lo) <= abs(r_hi) else (hi, ("saturated",))
+            return (lo if abs(r_lo) <= abs(r_hi) else hi), FLAG_BIT["saturated"]
         step *= 2.0
 
     a, b, r_a, r_b = bracket
@@ -353,7 +368,7 @@ def _bisect_control(f_of_u, y_star, u0, cfg):
         mid = 0.5 * (a + b)
         r_mid = f_of_u(mid) - y_star
         if abs(r_mid) <= cfg.root_tol:
-            return mid, ()
+            return mid, 0
         if (r_mid < 0.0) == (r_a < 0.0):
             a, r_a = mid, r_mid
         else:
@@ -361,7 +376,7 @@ def _bisect_control(f_of_u, y_star, u0, cfg):
         if (b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
             break
     # interval exhausted without meeting the residual tolerance
-    return mid, ("saturated",)
+    return mid, FLAG_BIT["saturated"]
 
 
 # float64 columns the batch records: those of every mode, then those that
@@ -378,64 +393,33 @@ _CLOSED_LOOP_COLUMNS = ("y", "f_true", "u")
 _CHUNK = 512
 
 
-@dataclass
-class ClosedLoopBatch:
-    """The recorded steps start, ..., start + m - 1 of a batched run, column-wise.
-
-    ``recorded[name][j, i]`` is float column ``name`` of step start + j in
-    the cell ``cells[i] = (algorithm, seed)``, an (m, S) array; a column
-    the mode leaves empty is not stored, and ``regret_avg`` is stored only
-    by ``run_closed_loop_batch``, since a chunk cannot know the steps
-    before it.  ``y_star[j]`` is shared by all cells (None outside the
-    closed loop).  ``flags[j, i]`` is the int64 bitmask of the flags of
-    step start + j in cell i (bit i for ``FLAGS[i]``), as a trace file
-    stores it.
-    """
-
-    cells: tuple
-    recorded: dict
-    y_star: np.ndarray | None
-    flags: np.ndarray
-    start: int = 0
-
-    def trace(self, i):
-        """The Trace of cell i over the batch's steps, with its own contiguous columns."""
-        columns = {name: column[:, i].copy() for name, column in self.recorded.items()}
-        y_star = None if self.y_star is None else self.y_star.copy()
-        return Trace(k=np.arange(self.start, self.start + len(self.flags)), y_star=y_star,
-                     flags=FLAG_TEXT[self.flags[:, i]].tolist(), **columns)
-
-
 def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=None):
-    """Run every (algorithm, seed) cell of a sweep as one batch; returns a ClosedLoopBatch.
+    """Run every (algorithm, seed) cell of a sweep as one batch; returns its (n, S) Trace.
 
     The chunks of ``closed_loop_chunks`` with the same arguments, joined
-    into one batch of all ``n_steps`` steps.  Where ``f_true`` is known,
+    into one trace of all ``n_steps`` steps.  Where ``f_true`` is known,
     ``regret_avg`` is recorded too: each cell's running mean of
     ``metrics.regret_sum``.
     """
     chunks = list(closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update))
-    first = chunks[0]
-    batch = ClosedLoopBatch(
-        cells=first.cells,
-        recorded={name: np.concatenate([c.recorded[name] for c in chunks])
-                  for name in first.recorded},
-        y_star=None if first.y_star is None else np.concatenate([c.y_star for c in chunks]),
-        flags=np.concatenate([c.flags for c in chunks]),
-    )
+    columns = {name: [getattr(chunk, name) for chunk in chunks] for name in TRACE_COLUMNS}
+    batch = Trace(**{name: None if parts[0] is None else np.concatenate(parts)
+                     for name, parts in columns.items()})
     if plant is not None:
-        regret = regret_sum(SimpleNamespace(**batch.recorded), pair.loss)
-        batch.recorded["regret_avg"] = running_mean(regret)
+        batch.regret_avg = running_mean(regret_sum(batch, pair.loss))
     return batch
 
 
 # takes an sg_init state, not (theta0, hyper): perfbench/tracer.py patches EstimatorState
 def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None):
-    """Run every (algorithm, seed) cell of a sweep as one batch; yields a ClosedLoopBatch per chunk.
+    """Run every (algorithm, seed) cell of a sweep as one batch; yields a Trace per chunk.
 
-    Each chunk holds the steps [start, min(start + ``_CHUNK``, n_steps)) of
-    every cell; the chunks come in step order.  Row i of every array is the
-    cell ``cells[i]``; all rows start from ``estimator``, and a row whose
+    Each chunk's Trace holds the steps [start, min(start + ``_CHUNK``,
+    n_steps)) of every cell, in (m, S) columns (``k`` is (m,), ``y_star``
+    a broadcast view of the shared target, ``regret_avg`` empty, since a
+    chunk cannot know the steps before it); the chunks come in step order.
+    Row i of every array, and column i of every chunk, is the cell
+    ``cells[i]``; all rows start from ``estimator``, and a row whose
     algorithm is "classical" takes the classical gain law, any other the
     modified one.  Each step k takes a regressor phi_k and an observation
     y_{k+1} per row, updates the estimator rows with them, and records the
@@ -535,7 +519,7 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
         grad_norm_sq = np.empty((m, S))
         if closed:
             targets = [cfg.target(k) for k in range(start, stop)]
-            y_star = np.array(targets)
+            y_star = np.broadcast_to(np.array(targets)[:, None], (m, S))
             y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
             start_lags = (phi.copy(), u_prev)
         else:
@@ -570,8 +554,8 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
                                            phi=phi, u=u)
                             y_next = f_true + noise[j]
                             y_col[j], f_true_col[j], u_col[j] = y_next, f_true, u
-                            for i, row_flags in flagged.items():
-                                flags[j, i] = sum(FLAG_BIT[name] for name in row_flags)
+                            for i, mask in flagged.items():
+                                flags[j, i] = mask
                         else:
                             phi, y_next = phi_rows[j], y_col[j]
 
@@ -606,8 +590,7 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
         flags[diverged] |= FLAG_BIT["divergence"]
         recorded["loss"] = loss.eval(y_col, f_est_col)
         estimates[0] = chunk[-1]
-        yield ClosedLoopBatch(cells=cells, recorded=recorded, y_star=y_star, flags=flags,
-                              start=start)
+        yield Trace(k=np.arange(start, stop), y_star=y_star, flags=flags, **recorded)
 
 
 def _hook_step(update):

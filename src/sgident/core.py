@@ -206,6 +206,10 @@ class HyperParams:
             raise ConfigurationError(
                 f"beta1={self.beta1}, beta2={self.beta2}: {_REGIME_HINT}"
             )
+        # 0-d copies for the array step: numpy raises an array to a 0-d
+        # exponent, or divides a 0-d by it, faster than with a Python float
+        for name in ("mu", "beta1", "beta2"):
+            object.__setattr__(self, f"_{name}", np.array(getattr(self, name), dtype=np.float64))
 
     def in_theorem_regime(self):
         if self.beta1 == 0.5 and self.beta2 > 0.5:

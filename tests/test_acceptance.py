@@ -24,6 +24,7 @@ the measured cause.
 
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -333,8 +334,8 @@ class TestAcceptance:
         mismatched = []
         traces = sorted(n for n in os.listdir(out_dir) if n.startswith("trace_"))
         for name in traces:
-            a = open(os.path.join(out_dir, name), "rb").read()
-            b = open(os.path.join(cfg.out_dir, name), "rb").read()
+            a = pathlib.Path(os.path.join(out_dir, name)).read_bytes()
+            b = pathlib.Path(os.path.join(cfg.out_dir, name)).read_bytes()
             if a != b:
                 mismatched.append(name)
         verified, problems = bench.verify_report(report.path)

@@ -46,7 +46,7 @@ from sgident.bench import (
     verify_report,
     write_trace,
 )
-from sgident.control import ClosedLoopBatch, NoiseSource, Trace
+from sgident.control import NoiseSource, Trace
 from sgident.errors import ConfigurationError, DataError, NumericError
 
 CONTROL_CFG = """
@@ -412,7 +412,7 @@ class TestTracePersistence:
             theta_err=np.array([1.2, 1.1, 1.0]),
             mu_k=np.array([0.11, 0.09, 0.08]),
             r_k=np.array([2.4, 2.9, 3.1]),
-            flags=["", "saturated;divergence", ""],
+            flags=[0, 5, 0],  # saturated = 1 | divergence = 4
         )
 
     def test_round_trip(self, tmp_path):
@@ -422,7 +422,7 @@ class TestTracePersistence:
         assert len(back) == 3
         assert back.u is None and back.y_star is None
         assert back.f_est[0] == 1.0 / 3.0
-        assert back.flags[1] == "saturated;divergence"
+        assert back.flags.dtype == np.int64 and back.flags[1] == 5
         assert back.r_k[1] == 2.9
         assert back == self._trace()
 
@@ -467,13 +467,30 @@ class TestTracePersistence:
             write_trace(str(path), Trace(k=[2, 3], y=[math.inf, 0.75]))
         assert path.read_bytes() == written
 
-    @pytest.mark.parametrize("flags", ["bogus", "divergence;saturated", "saturated;saturated",
-                                       "saturated;"])
-    def test_flags_outside_the_vocabulary_are_not_written(self, tmp_path, flags):
+    @pytest.mark.parametrize("mask", [8, -1, 2**62])
+    def test_a_flags_value_outside_0_to_7_is_not_written(self, tmp_path, mask):
+        # read_trace rejects a flags cell above 7, so write_trace never writes one
+        path = tmp_path / "trace.hex"
+        write_trace(str(path), self._trace())
+        written = path.read_bytes()
         trace = self._trace()
-        trace.flags[2] = flags
-        with pytest.raises(DataError, match="are not distinct"):
-            write_trace(str(tmp_path / "trace.hex"), trace)
+        trace.flags[2] = mask
+        with pytest.raises(DataError, match=rf"flags value {mask} outside 0-7 in column 'flags' "
+                                            r"at row 2 \(step 2\)$"):
+            write_trace(str(path), trace)
+        assert path.read_bytes() == written
+
+    def test_a_trace_with_a_cell_axis_is_not_written(self, tmp_path):
+        # a file holds one cell: a loop chunk's (m, S) columns go cell by cell
+        path = tmp_path / "trace.hex"
+        write_trace(str(path), self._trace())
+        written = path.read_bytes()
+        chunk = Trace(k=[0, 1, 2], y=np.ones((3, 2)), flags=np.zeros((3, 2)))
+        with pytest.raises(ConfigurationError, match=r"trace\.cell\(i\)"):
+            write_trace(str(path), chunk)
+        assert path.read_bytes() == written
+        write_trace(str(path), chunk.cell(1))
+        assert read_trace(str(path)) == Trace(k=[0, 1, 2], y=np.ones(3))
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -488,10 +505,7 @@ def _traces(draw):
         for name, keep in zip(TRACE_COLUMNS[1:-1], present)
         if keep
     }
-    flags = draw(st.lists(
-        st.sampled_from(["", "saturated", "singular_gain", "divergence", "saturated;divergence"]),
-        min_size=n, max_size=n,
-    ))
+    flags = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
     return Trace(k=np.arange(n), flags=flags, **columns)
 
 
@@ -501,11 +515,11 @@ def test_trace_round_trip_is_exact(trace):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.hex")
         write_trace(path, trace)
-        first = open(path, "rb").read()
+        first = pathlib.Path(path).read_bytes()
         back = read_trace(path)
         assert back == trace
         write_trace(path, back)
-        assert open(path, "rb").read() == first
+        assert pathlib.Path(path).read_bytes() == first
 
 
 def _oracle_write_trace(path, trace):
@@ -521,13 +535,12 @@ def _oracle_write_trace(path, trace):
         for name in TRACE_COLUMNS[1:-1]:
             column = getattr(trace, name)
             cells.append(itertools.repeat("") if column is None else map(repr, column.tolist()))
-        cells.append(trace.flags)
+        cells.append([";".join(name for bit, name in enumerate(_FLAG_NAMES) if mask >> bit & 1)
+                      for mask in trace.flags.tolist()])
         writer.writerows(zip(*cells))
 
 
 _FLAG_NAMES = ("saturated", "singular_gain", "divergence")
-_FLAG_STRINGS = [""] + [";".join(names) for r in (1, 2, 3)
-                        for names in itertools.combinations(_FLAG_NAMES, r)]
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.0001,
                 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 1e15, 2.0**53]
 _cell_floats = _finite | st.sampled_from(_EDGE_FLOATS) | st.integers(-2**60, 2**60).map(float)
@@ -537,7 +550,7 @@ _C = bench_module._CHUNK
 
 @st.composite
 def _long_traces(draw):
-    """Traces spanning several read chunks, with every edge float and flag string.
+    """Traces spanning several read chunks, with every edge float and flags mask.
 
     Each column cycles through a drawn pool of cells (the edge floats
     always among them) in a drawn order, so long columns cost few draws.
@@ -547,8 +560,7 @@ def _long_traces(draw):
     pool = np.array(draw(st.lists(_cell_floats, max_size=40)) + _EDGE_FLOATS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = {name: np.resize(rng.permutation(pool), n) for name in names}
-    flag_order = np.resize(rng.permutation(len(_FLAG_STRINGS)), n)
-    return Trace(k=np.arange(n), flags=[_FLAG_STRINGS[i] for i in flag_order], **columns)
+    return Trace(k=np.arange(n), flags=np.resize(rng.permutation(8), n), **columns)
 
 
 class TestTraceRoundTrip:
@@ -562,10 +574,10 @@ class TestTraceRoundTrip:
             write_trace(chunked, Trace(k=np.empty(0, dtype=np.int64)))  # a stale file restarts
             for a, b in data.draw(_chunks(len(trace))):
                 write_trace(chunked, _rows(trace, a, b))
-            assert open(chunked, "rb").read() == open(whole, "rb").read()
+            assert pathlib.Path(chunked).read_bytes() == pathlib.Path(whole).read_bytes()
             back = read_trace(chunked)
             assert back == trace
-            for name in TRACE_COLUMNS[:-1]:
+            for name in TRACE_COLUMNS:
                 column = getattr(trace, name)
                 assert (getattr(back, name) is None) == (column is None)
                 if column is not None:
@@ -581,8 +593,8 @@ class TestExportCsv:
             assert export_csv(tmp) == [os.path.join(tmp, "trace_modified_seed1.csv")]
             oracle = os.path.join(tmp, "oracle.csv")
             _oracle_write_trace(oracle, trace)
-            got = open(os.path.join(tmp, "trace_modified_seed1.csv"), "rb").read()
-            assert got == open(oracle, "rb").read()
+            got = pathlib.Path(os.path.join(tmp, "trace_modified_seed1.csv")).read_bytes()
+            assert got == pathlib.Path(oracle).read_bytes()
 
     def test_control_run_exports_like_the_csv_module_writer(self, tmp_path):
         cfg = load_config(preset_path("paper_sim.cfg"))
@@ -635,7 +647,7 @@ class TestTraceReader:
         n = self._ROWS
         columns = {name: rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
                    for name in self._NAMES[1:-1]}
-        flags = [_FLAG_STRINGS[i] for i in rng.integers(0, len(_FLAG_STRINGS), n)]
+        flags = rng.integers(0, 8, n)
         path = tmp_path_factory.mktemp("reader") / "trace.hex"
         write_trace(str(path), Trace(k=np.arange(n), flags=flags, **columns))
         return path.read_bytes()
@@ -785,7 +797,7 @@ class TestRunExperiment:
                 assert os.path.exists(os.path.join(out, f"trace_{algo}_seed{seed}.hex"))
 
     def test_report_json_is_sorted_and_stable(self, control_report):
-        raw = open(control_report.path).read()
+        raw = pathlib.Path(control_report.path).read_text()
         assert json.loads(raw) == control_report.data
         keys = list(json.loads(raw))
         assert keys == sorted(keys)
@@ -795,13 +807,13 @@ class TestRunExperiment:
 
         out_dir = os.path.dirname(control_report.path)
         before = {
-            name: open(os.path.join(out_dir, name), "rb").read()
+            name: pathlib.Path(os.path.join(out_dir, name)).read_bytes()
             for name in sorted(os.listdir(out_dir))
         }
         cfg = load_config(_write_cfg(tmp_path, CONTROL_CFG, out=out_dir))
         run_experiment(cfg)
         after = {
-            name: open(os.path.join(out_dir, name), "rb").read()
+            name: pathlib.Path(os.path.join(out_dir, name)).read_bytes()
             for name in sorted(os.listdir(out_dir))
         }
         assert before == after
@@ -877,7 +889,7 @@ class TestBatchRows:
     def _traces(cfg, out, algorithms, seeds):
         cfg.algorithms, cfg.seeds, cfg.out_dir = algorithms, seeds, str(out)
         report = run_experiment(cfg)
-        return {s["trace"]: open(os.path.join(cfg.out_dir, s["trace"]), "rb").read()
+        return {s["trace"]: pathlib.Path(os.path.join(cfg.out_dir, s["trace"])).read_bytes()
                 for by_seed in report.data["runs"].values() for s in by_seed.values()}
 
     def _check(self, cfg, tmp_path, seeds):
@@ -1099,9 +1111,9 @@ class TestVerifyReport:
         dst = str(tmp_path / "copy")
         shutil.copytree(src, dst)
         report_path = os.path.join(dst, "report.json")
-        data = json.load(open(report_path))
+        data = json.loads(pathlib.Path(report_path).read_text())
         data["runs"]["modified"]["seed_1"]["final_average_regret"] += 1e-3
-        json.dump(data, open(report_path, "w"))
+        pathlib.Path(report_path).write_text(json.dumps(data))
         ok, problems = verify_report(report_path)
         assert not ok
         assert any("final_average_regret" in p for p in problems)
@@ -1110,9 +1122,9 @@ class TestVerifyReport:
         dst = str(tmp_path / "copy")
         shutil.copytree(os.path.dirname(report.path), dst)
         report_path = os.path.join(dst, "report.json")
-        data = json.load(open(report_path))
+        data = json.loads(pathlib.Path(report_path).read_text())
         edit(data)
-        json.dump(data, open(report_path, "w"))
+        pathlib.Path(report_path).write_text(json.dumps(data))
         return verify_report(report_path)
 
     def test_flipped_all_pass_is_flagged(self, control_report, tmp_path):
@@ -1205,6 +1217,28 @@ class TestVerifyReport:
         assert not ok
         assert any(p.startswith("runs: reported cells") for p in problems)
 
+    @pytest.mark.parametrize("run", ["control_report", "identify_report", "small_replay_report"])
+    @pytest.mark.parametrize("cut", ["header_only", "one_row_short"])
+    def test_a_trace_not_of_the_runs_step_count_is_flagged(self, run, cut, request, tmp_path):
+        # a header-only trace raised a bare IndexError from the running summary;
+        # n is n_steps in control and identify, the rows replayed in replay
+        report = request.getfixturevalue(run)
+        config = report.data["config"]
+        n = (report.data["dataset"]["rows_used"] if config["mode"] == "replay"
+             else config["n_steps"])
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(report.path), dst)
+        algo = config["algorithms"][0]
+        seed_key, summary = next(iter(report.data["runs"][algo].items()))
+        trace_path = dst / summary["trace"]
+        lines = trace_path.read_bytes().split(b"\n")[:-1]  # the header, then a line per row
+        assert len(lines) == n + 1
+        rows = 0 if cut == "header_only" else n - 1
+        trace_path.write_bytes(b"".join(line + b"\n" for line in lines[: rows + 1]))
+        assert verify_report(str(dst / "report.json")) == (False, [
+            f"{algo}/{seed_key} ({summary['trace']}): {rows} rows, but the run has {n} steps"
+        ])
+
     @pytest.mark.parametrize("run, column, state", [
         ("small_replay_report", "f_est", "is empty, but replay fills it"),
         ("identify_report", "y", "is empty, but identify fills it"),
@@ -1227,7 +1261,7 @@ class TestVerifyReport:
         trace = read_trace(trace_path)
         setattr(trace, column, None if "is empty" in state else np.full(len(trace), 0.5))
         write_trace(trace_path, trace)
-        header = open(trace_path, "rb").readline().decode().split(" ")[1].rstrip("\n")
+        header = pathlib.Path(trace_path).read_text().split("\n")[0].split(" ")[1]
         assert (column in header.split(",")) == ("is filled" in state)
         assert verify_report(str(dst / "report.json")) == (False, [
             f"{algo}/{seed_key} ({summary['trace']}): column {column!r} {state}"
@@ -1376,9 +1410,8 @@ class TestSummarize:
 
 def _rows(trace, start, stop):
     """Rows start..stop - 1 of ``trace`` as a Trace of their own; ``k`` keeps its values."""
-    columns = {name: None if column is None else column[start:stop]
-               for name in TRACE_COLUMNS[:-1] for column in [getattr(trace, name)]}
-    return Trace(flags=trace.flags[start:stop], **columns)
+    return Trace(**{name: None if column is None else column[start:stop]
+                    for name in TRACE_COLUMNS for column in [getattr(trace, name)]})
 
 
 @st.composite
@@ -1418,7 +1451,7 @@ class TestStreamedRun:
             written = []
             for trace in traces:
                 write_trace(path, trace)
-                written.append(open(path, "rb").read())
+                written.append(pathlib.Path(path).read_bytes())
         return config, traces, wholes, written
 
     @settings(max_examples=40, deadline=None)
@@ -1429,11 +1462,10 @@ class TestStreamedRun:
         regrets = []
         for a, b in data.draw(_chunks(len(traces[0]))):
             rows = [_rows(trace, a, b) for trace in traces]
-            columns = {name: np.stack([getattr(part, name) for part in rows], axis=1)
-                       for name in TRACE_COLUMNS[1:-1]
-                       if name != "y_star" and getattr(rows[0], name) is not None}
-            flags = np.stack([bench_module._flag_masks(part.flags) for part in rows], axis=1)
-            regrets.append(summary.feed(columns, rows[0].y_star, flags))
+            regrets.append(summary.feed(Trace(k=rows[0].k, **{
+                name: None if getattr(rows[0], name) is None
+                else np.stack([getattr(part, name) for part in rows], axis=1)
+                for name in TRACE_COLUMNS[1:]})))
         for i, (whole, regret) in enumerate(wholes):
             assert (json.dumps(summary.result(i), sort_keys=True)
                     == json.dumps(whole, sort_keys=True)), i
@@ -1461,46 +1493,45 @@ class TestStreamedRun:
                 for target, trace in zip(targets, traces):
                     write_trace(target, _rows(trace, a, b))
             files.close()
-            assert [open(path, "rb").read() for path in paths] == written
+            assert [pathlib.Path(path).read_bytes() for path in paths] == written
 
 
 class TestFlagBitmask:
-    """The loop hands over each step's flags as the int64 bitmask a trace file
-    stores (saturated = 1, singular_gain = 2, divergence = 4); a Trace still
-    holds them as ";"-joined names."""
+    """A step's flags are the int64 bitmask a trace file stores (saturated =
+    1, singular_gain = 2, divergence = 4) from the loop to the file; only
+    the exported CSV renders them as ";"-joined names."""
 
-    def test_every_mask_writes_and_counts_as_its_names(self, tmp_path):
+    def test_every_mask_is_kept_written_counted_and_exported(self, tmp_path):
         masks = np.array([[0, 7], [1, 6], [2, 5], [3, 4], [4, 3], [5, 2], [6, 1], [7, 0]])
         names = ["", "saturated", "singular_gain", "saturated;singular_gain", "divergence",
                  "saturated;divergence", "singular_gain;divergence",
                  "saturated;singular_gain;divergence"]
         m = len(masks)
-        recorded = {name: np.linspace(0.25, 2.0, 2 * m).reshape(m, 2)
-                    for name in ("y", "f_true", "f_est", "loss", "theta_err", "mu_k", "r_k")}
-        recorded["r_k"] = np.cumsum(recorded["r_k"], axis=0) + 2.0
-        batch = ClosedLoopBatch(cells=(("modified", 1), ("classical", 1)), recorded=recorded,
-                                y_star=None, flags=masks, start=0)
+        columns = {name: np.linspace(0.25, 2.0, 2 * m).reshape(m, 2)
+                   for name in ("y", "f_true", "f_est", "loss", "theta_err", "mu_k", "r_k")}
+        columns["r_k"] = np.cumsum(columns["r_k"], axis=0) + 2.0
+        chunk = Trace(k=np.arange(m), flags=masks, **columns)
         config = {"mode": "identify", "pair": "linear_mse",
                   "hyper": {"mu": 0.3, "beta1": 0.5, "beta2": 0.51, "beta3": 2.0}}
         summary = bench_module._RunningSummary(config, m, 2)
-        summary.feed(recorded, None, masks)
+        summary.feed(chunk)
         for i in range(2):
-            strings = [names[mask] for mask in masks[:, i]]
-            trace = batch.trace(i)
-            assert trace.flags == strings
-            path = tmp_path / f"trace{i}.hex"
+            trace = chunk.cell(i)
+            assert trace.flags.tolist() == masks[:, i].tolist()
+            path = tmp_path / f"trace_modified_seed{i}.hex"
             write_trace(str(path), trace)
             cells = [line.split(b",")[-1] for line in path.read_bytes().split(b"\n")[1:-1]]
             assert cells == [b"%016x" % mask for mask in masks[:, i]]
-            assert read_trace(str(path)).flags == strings
-            # the bytes of the string path: a Trace given the names
-            strung = tmp_path / f"strung{i}.hex"
-            write_trace(str(strung), Trace(**{**vars(trace), "flags": strings}))
-            assert strung.read_bytes() == path.read_bytes()
-            counted = Counter(f for text in strings if text for f in text.split(";"))
-            assert summary.result(i)["flag_counts"] == {name: counted[name] for name in
-                                                        ("saturated", "singular_gain", "divergence")}
+            assert read_trace(str(path)).flags.tolist() == masks[:, i].tolist()
+            counted = Counter(f for mask in masks[:, i] for f in names[mask].split(";") if f)
+            assert summary.result(i)["flag_counts"] == {name: counted[name]
+                                                        for name in _FLAG_NAMES}
             assert summary.result(i) == summarize(config, trace)
+        export_csv(str(tmp_path))
+        for i in range(2):
+            csv_bytes = (tmp_path / f"trace_modified_seed{i}.csv").read_bytes()
+            lines = csv_bytes.decode().split("\r\n")[1:-1]
+            assert [line.split(",")[-1] for line in lines] == [names[mask] for mask in masks[:, i]]
 
 
 class TestMemoryBound:
@@ -1550,7 +1581,7 @@ class TestBenchmarkRowCounting:
             rec.restore()
         out_dir = os.path.dirname(report.path)
         rows = sum(
-            len(open(os.path.join(out_dir, s["trace"]), "rb").read().split(b"\n")) - 2
+            len(pathlib.Path(os.path.join(out_dir, s["trace"])).read_bytes().split(b"\n")) - 2
             for by_seed in report.data["runs"].values() for s in by_seed.values()
         )
         return rec.counters, rows

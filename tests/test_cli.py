@@ -107,7 +107,7 @@ class TestRunCommands:
         code = main(["control", "--config", _cfg(tmp_path, CONTROL_CFG),
                      "--seeds", "5,6", "--out", out])
         assert code == 0
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = json.loads(pathlib.Path(os.path.join(out, "report.json")).read_text())
         assert set(report["runs"]["modified"]) == {"seed_5", "seed_6"}
 
     @pytest.mark.parametrize("seeds,message", [

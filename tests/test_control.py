@@ -55,6 +55,9 @@ from sgident.models import (
 )
 from sgident.sg import DIVERGENCE_NORM, sg_init, sg_update
 
+# the bits of a step's flags bitmask, as a trace stores them
+SATURATED, SINGULAR_GAIN, DIVERGENCE = 1, 2, 4
+
 
 class TestNoiseSource:
     def test_first_draw_matches_inverse_cdf_oracle(self):
@@ -326,7 +329,7 @@ def _oracle_solve_control(model, theta, phi, p, y_star, cfg, u_prev=0.0):
     The short-circuit on the clipped previous input, the singular-gain
     hold, the closed form, saturation at the better endpoint and bisection,
     in that order; ``solve_control_rows`` must give every row the same
-    flags and, except on closed-form rows, the same input bytes.
+    flags bitmask and, except on closed-form rows, the same input bytes.
     """
     phi = np.array(phi, dtype=float)
     theta_v = np.asarray(theta, dtype=float)
@@ -342,9 +345,9 @@ def _oracle_solve_control(model, theta, phi, p, y_star, cfg, u_prev=0.0):
     u0 = min(max(u_prev, -cfg.u_max), cfg.u_max)
     r0 = f_of_u(u0) - y_star
     if abs(r0) <= cfg.root_tol:
-        return u0, ()
+        return u0, 0
     if abs(float(model.dlink(base + cu * u_prev)) * cu) < cfg.b_eps:
-        return u_prev, ("singular_gain",)
+        return u_prev, SINGULAR_GAIN
 
     if link_inv is not None:
         z_star = link_inv(y_star)
@@ -353,9 +356,9 @@ def _oracle_solve_control(model, theta, phi, p, y_star, cfg, u_prev=0.0):
             r_lo = f_of_u(-cfg.u_max) - y_star
             r_hi = f_of_u(cfg.u_max) - y_star
             u, r = (-cfg.u_max, r_lo) if abs(r_lo) <= abs(r_hi) else (cfg.u_max, r_hi)
-            return u, (() if abs(r) <= cfg.root_tol else ("saturated",))
+            return u, (0 if abs(r) <= cfg.root_tol else SATURATED)
         if abs(f_of_u(u) - y_star) <= cfg.root_tol:
-            return u, ()
+            return u, 0
     return _bisect_control(f_of_u, y_star, u0, cfg)
 
 
@@ -389,7 +392,7 @@ def test_vector_controller_matches_scalar_solve(rows, y_star, u_max, root_max_it
     for i, (y_lags, u_lag, _, _, _) in enumerate(rows):
         u_s, flags_s = _oracle_solve_control(model, theta[i], phi[i], 3, y_star, cfg,
                                              float(u_prev[i]))
-        assert flagged.get(i, ()) == flags_s
+        assert flagged.get(i, 0) == flags_s
         if u_v[i] == u_s:
             continue
         # only a closed-form row can differ, and the oracle took one too
@@ -430,9 +433,9 @@ class TestRunClosedLoop:
         state = sg_init(self.theta_star, self.hyper)
         cfg = ControlConfig(y_target=0.5, root_tol=1e-10)
         trace = run_closed_loop_batch(plant, state, pair, cfg, 2000, [("modified", 1)],
-                                      update=_frozen_update).trace(0)
+                                      update=_frozen_update).cell(0)
         assert len(trace) == 2000
-        assert all(f == "" for f in trace.flags)
+        assert not trace.flags.any()
         te = np.mean((trace.y - trace.y_star) ** 2)
         assert 0.002 < te < 0.003
         w = NoiseSource(std=0.05, seed=1).draw_block(2000)  # the plant's own noise
@@ -488,7 +491,7 @@ class TestRunClosedLoop:
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)
         cfg = ControlConfig(y_target=0.5)
-        trace = run_closed_loop_batch(plant, state, pair, cfg, 1500, [("modified", 1)]).trace(0)
+        trace = run_closed_loop_batch(plant, state, pair, cfg, 1500, [("modified", 1)]).cell(0)
         assert trace.theta_err[-1] < trace.theta_err[0]
         assert trace.regret_avg[-1] < trace.regret_avg[49]
         # r is nondecreasing and mu stays within the safety cap
@@ -500,7 +503,7 @@ class TestRunClosedLoop:
         plant, pair = self._plant_and_pair()
         state = sg_init(np.zeros(5), self.hyper)
         trace = run_closed_loop_batch(plant, state, pair, ControlConfig(), 1,
-                                      [("modified", 4)]).trace(0)
+                                      [("modified", 4)]).cell(0)
         assert len(trace) == 1
         assert trace.k.tolist() == [0]
         # theta = 0: the gradient is the regressor (0, 0, 0, u, 0), so ||g||^2 = u^2
@@ -516,8 +519,8 @@ class TestRunClosedLoop:
             return np.full_like(theta, 1e7), r, carry, zeros, zeros, zeros
 
         trace = run_closed_loop_batch(plant, state, pair, ControlConfig(), 1, [("modified", 4)],
-                                      update=blowup_update).trace(0)
-        assert "divergence" in trace.flags[0]
+                                      update=blowup_update).cell(0)
+        assert trace.flags[0] & DIVERGENCE
 
     def test_same_seed_reruns_bitwise(self):
         plant, pair = self._plant_and_pair()
@@ -526,10 +529,10 @@ class TestRunClosedLoop:
         for _ in range(2):
             state = sg_init(np.full(5, 0.01), self.hyper)
             runs.append(run_closed_loop_batch(plant, state, pair, cfg, 300,
-                                              [("modified", 7)]).trace(0))
+                                              [("modified", 7)]).cell(0))
         assert runs[0] == runs[1]
         state = sg_init(np.full(5, 0.01), self.hyper)
-        other = run_closed_loop_batch(plant, state, pair, cfg, 300, [("modified", 8)]).trace(0)
+        other = run_closed_loop_batch(plant, state, pair, cfg, 300, [("modified", 8)]).cell(0)
         assert not np.array_equal(other.y, runs[0].y)
 
     def test_per_step_targets_are_followed(self):
@@ -538,7 +541,7 @@ class TestRunClosedLoop:
         targets = np.array([0.1, -0.2, 0.3, 0.0, 0.25])
         cfg = ControlConfig(y_target=targets, root_tol=1e-10)
         trace = run_closed_loop_batch(plant, state, pair, cfg, 5, [("modified", 2)],
-                                      update=_frozen_update).trace(0)
+                                      update=_frozen_update).cell(0)
         assert trace.y_star.tolist() == list(targets)
         assert np.max(np.abs(trace.f_true - trace.y_star)) <= 1e-10
 
@@ -556,18 +559,18 @@ class TestRunClosedLoop:
             batch = run_closed_loop_batch(plant, state, pair, cfg, 300, cells)
             for i, (algorithm, seed) in enumerate(cells):
                 alone = run_closed_loop_batch(plant, state, pair, cfg, 300,
-                                              [(algorithm, seed)]).trace(0)
-                assert batch.trace(i) == alone
+                                              [(algorithm, seed)]).cell(0)
+                assert batch.cell(i) == alone
 
     def test_gain_law_follows_the_algorithm_name(self):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)
         cfg = ControlConfig(y_target=0.5)
         classical = run_closed_loop_batch(plant, state, pair, cfg, 20,
-                                          [("classical", 1)]).trace(0)
+                                          [("classical", 1)]).cell(0)
         # classical gain: mu_k = mu / r_k on every step
         assert np.array_equal(classical.mu_k, self.hyper.mu / classical.r_k)
-        modified = run_closed_loop_batch(plant, state, pair, cfg, 20, [("modified", 1)]).trace(0)
+        modified = run_closed_loop_batch(plant, state, pair, cfg, 20, [("modified", 1)]).cell(0)
         assert modified.mu_k[0] < classical.mu_k[0]
 
     def test_numeric_error_names_step_algorithm_and_seed(self):
@@ -657,8 +660,8 @@ def _per_step_oracle(log, batch, pair, theta_star, cfg, p):
     step's regret, as a loop deriving every column per step does; the
     regret's running mean is the scalar compensated sum over step counts.
     """
-    n, S = len(log), len(batch.cells)
-    flags = [[""] * n for _ in range(S)]
+    n, S = batch.f_est.shape
+    flags = np.zeros((n, S), np.int64)
     theta_err, regret = np.empty((n, S)), np.empty((n, S))
     u_prev = np.zeros(S)
     for k, (theta, phi, new) in enumerate(log):
@@ -668,10 +671,10 @@ def _per_step_oracle(log, batch, pair, theta_star, cfg, p):
         u_prev = u
         diverged = np.sqrt(row_dots(new, new)) > DIVERGENCE_NORM
         for i in range(S):
-            flags[i][k] = ";".join(control.get(i, ()) + (("divergence",) if diverged[i] else ()))
+            flags[k, i] = control.get(i, 0) | (DIVERGENCE if diverged[i] else 0)
         gap = theta - theta_star
         theta_err[k] = np.sqrt(row_dots(gap, gap))
-        f_true, f_est = batch.recorded["f_true"][k], batch.recorded["f_est"][k]
+        f_true, f_est = batch.f_true[k], batch.f_est[k]
         regret[k] = pair.loss.eval(f_true, f_est) - pair.loss.eval(f_true, f_true)
     steps = np.arange(1, n + 1)
     regret_avg = np.column_stack([_oracle_compensated_cumsum(column) / steps for column in regret.T])
@@ -682,7 +685,7 @@ def _per_step_oracle(log, batch, pair, theta_star, cfg, p):
 def test_per_chunk_columns_equal_the_per_step_derivation(n):
     # the divergence flags, theta_err and regret_avg are derived per chunk of
     # steps; across its seams they must equal the per-step derivation, with
-    # a step's divergence flag after its control flags
+    # a step's divergence bit joined to its control flags
     theta_star = np.array([0.01, 3.0, -0.1, 0.6, -0.3])
     plant = Plant(tanh_arx_model(3, 2), theta_star, NoiseSource(std=0.05))
     pair = linear_mse_pair(5)
@@ -694,26 +697,27 @@ def test_per_chunk_columns_equal_the_per_step_derivation(n):
                                   update=_diverging_update(log))
     flags, theta_err, regret_avg = _per_step_oracle(log, batch, pair, theta_star, cfg, 3)
     for i in range(len(cells)):
-        trace = batch.trace(i)
-        assert trace.flags == flags[i]
+        trace = batch.cell(i)
+        assert trace.flags.tobytes() == flags[:, i].tobytes()
         assert trace.theta_err.tobytes() == theta_err[:, i].tobytes()
         assert trace.regret_avg.tobytes() == regret_avg[:, i].tobytes()
-    seen = {f for row in flags for f in row}
-    assert "saturated" in seen
+    assert (flags & SATURATED).any()
     if n > 1024:
         # rows 0, 1 and 3 saturate as they diverge; row 2 diverges unsaturated
-        assert [flags[i][1022:1025] for i in range(len(cells))] == [
-            ["saturated;divergence"] * 3,
-            ["saturated", "saturated;divergence", "saturated;divergence"],
-            ["", "", "divergence"],
-            ["saturated", "saturated", "saturated;divergence"],
-            ["", "", ""],
+        both = SATURATED | DIVERGENCE
+        assert flags[1022:1025].T.tolist() == [
+            [both] * 3,
+            [SATURATED, both, both],
+            [0, 0, DIVERGENCE],
+            [SATURATED, SATURATED, both],
+            [0, 0, 0],
         ]
 
 
 def test_chunks_hold_their_steps_of_the_joined_run():
-    # each chunk's trace is rows start..stop - 1 of the whole run's, step
-    # numbers and flags included; only the joined run knows regret_avg
+    # each chunk's cell is rows start..stop - 1 of the whole run's, step
+    # numbers and flags included; only the joined run knows regret_avg.  A
+    # chunk holds (m, S) columns, y_star a view of the shared targets
     plant = Plant(tanh_arx_model(3, 2), np.array([0.01, 3.0, -0.1, 0.6, -0.3]),
                   NoiseSource(std=0.05))
     pair = linear_mse_pair(5)
@@ -722,17 +726,21 @@ def test_chunks_hold_their_steps_of_the_joined_run():
     args = (plant, state, pair, ControlConfig(y_target=0.5), 1100, cells)
     joined = run_closed_loop_batch(*args, update=_diverging_update([]))
     chunks = list(closed_loop_chunks(*args, update=_diverging_update([])))
-    assert [(c.start, len(c.y_star)) for c in chunks] == [(0, 512), (512, 512), (1024, 76)]
+    assert [(c.k[0], len(c)) for c in chunks] == [(0, 512), (512, 512), (1024, 76)]
+    for chunk in chunks:
+        assert chunk.k.shape == (len(chunk),)
+        assert chunk.f_est.shape == chunk.flags.shape == chunk.y_star.shape == (len(chunk), 5)
+        assert chunk.y_star.strides[1] == 0 and chunk.regret_avg is None
     for i in range(len(cells)):
-        whole = joined.trace(i)
+        whole = joined.cell(i)
         whole.regret_avg = None
         for chunk in chunks:
-            part = chunk.trace(i)
-            rows = slice(chunk.start, chunk.start + len(part))
-            assert part == Trace(flags=whole.flags[rows], **{
-                name: None if column is None else column[rows]
-                for name in TRACE_COLUMNS[:-1] for column in [getattr(whole, name)]})
-    assert "divergence" in joined.trace(2).flags[1024]
+            part = chunk.cell(i)
+            rows = slice(chunk.k[0], chunk.k[0] + len(part))
+            assert part == Trace(**{name: None if column is None else column[rows]
+                                    for name in TRACE_COLUMNS
+                                    for column in [getattr(whole, name)]})
+    assert joined.cell(2).flags[1024] & DIVERGENCE
 
 
 def _sg_update_loop(pair, state, cells, n, step_inputs):
@@ -823,7 +831,7 @@ def test_chunked_loop_equals_a_per_step_loop_of_sg_update(monkeypatch, name):
     monkeypatch.setattr(control_mod, "sg_update_unguarded", spy)
     batch = run_closed_loop_batch(plant, state, pair, cfg, n, cells)
     want = _sg_update_loop(pair, state, cells, n, step_inputs)
-    got = (batch.recorded["f_est"], batch.recorded["mu_k"], batch.recorded["r_k"], last[0])
+    got = (batch.f_est, batch.mu_k, batch.r_k, last[0])
     for column, (a, b) in zip(("f_est", "mu_k", "r_k", "theta"), zip(got, want)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), column
 
@@ -873,13 +881,20 @@ class TestTrace:
     @pytest.mark.parametrize("name", ["y", "f_est", "r_k", "flags"])
     def test_column_longer_or_shorter_than_k_is_rejected(self, name):
         for rows in (2, 4):
-            column = [""] * rows if name == "flags" else np.ones(rows)
+            column = [0] * rows if name == "flags" else np.ones(rows)
             with pytest.raises(ConfigurationError, match=f"'{name}' has {rows} rows, not 3"):
                 Trace(k=[0, 1, 2], **{name: column})
 
     def test_mismatch_is_named_before_the_row_count_is_used(self):
         with pytest.raises(ConfigurationError, match="'y' has 2 rows"):
             Trace(k=[0, 1, 2], y=np.array([1.0, 2.0]), f_est=np.ones(4))
+
+    def test_flags_are_int64_masks_clean_by_default_and_compared_bit_for_bit(self):
+        assert Trace(k=[0, 1]).flags.tolist() == [0, 0]
+        trace = Trace(k=[0, 1], flags=[0, SATURATED | DIVERGENCE])
+        assert trace.flags.dtype == np.int64
+        assert trace == Trace(k=[0, 1], flags=np.array([0, 5]))
+        assert trace != Trace(k=[0, 1], flags=[0, DIVERGENCE])
 
     def test_float_columns_become_float64_arrays(self):
         trace = Trace(k=[0, 1], y=[1, 2])

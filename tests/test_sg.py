@@ -213,7 +213,7 @@ class TestRecursionInvariants:
         phi, y = rng.normal(size=(100, 1, 2)), rng.normal(size=(100, 1))
         state = sg_init(np.zeros(2), _hyper())
         trace = run_closed_loop_batch(None, state, _linear_pair(2), (phi, y, None), 100,
-                                      [("modified", 0)]).trace(0)
+                                      [("modified", 0)]).cell(0)
         assert trace.k.tolist() == list(range(100))
         assert trace.r_k[0] >= state.gain.r
         assert np.all(np.diff(trace.r_k) >= 0.0)
