@@ -7,10 +7,11 @@ from `summarize`, which reads only persisted trace columns, so
 trace read back from its file.  A sweep streams: each chunk of steps of
 every cell is folded into the running summary at once, as one Trace with
 (steps, cells) columns, and appended to the cell's trace file, held open
-for the sweep, then dropped.  In identify and control, memory is so
-bounded by chunk x cells, not by the run length; replay loads its dataset
-rows whole, and its summary keeps every chunk's ``f_est`` and ``y`` until
-the run ends.  Configs are
+for the sweep, then dropped.  In control, memory is so bounded by chunk x
+cells, not by the run length; identify builds every seed's regressors,
+``y`` and ``f_true`` for the whole run before the loop, replay loads its
+dataset rows whole, and its summary keeps every chunk's ``f_est`` and
+``y`` until the run ends.  Configs are
 INI-style text, traces fixed-width hex text (one line per step, each cell
 the bits of a 64-bit value; ``export_csv`` renders them as decimal CSV),
 reports JSON with sorted keys and no timestamps.

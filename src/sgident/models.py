@@ -17,11 +17,11 @@ cross-entropy).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc as _erfc_vec
 
 from .core import (
     LinkRegressionModel,
@@ -61,12 +61,11 @@ __all__ = [
     "catalog_pair",
 ]
 
-_SQRT2 = math.sqrt(2.0)
+_NEG_SQRT2 = -math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # array-path constants as 0-d float64 arrays: NumPy combines one with an
 # array faster than a Python float, with the same bits
-_ONE, _HALF, _NEG_HALF = np.array(1.0), np.array(0.5), np.array(-0.5)
-_NEG_SQRT2_0D, _INV_SQRT_2PI_0D = np.array(-_SQRT2), np.array(_INV_SQRT_2PI)
+_ONE = np.array(1.0)
 
 # slack below this is treated as a violation (negative slack = inequality broken)
 SLACK_FLOOR = -1e-10
@@ -74,18 +73,17 @@ SLACK_RTOL = 1e-12
 
 
 def normal_cdf(z):
-    """Standard normal CDF via the complementary error function."""
-    if isinstance(z, float):
-        return 0.5 * math.erfc(-z / _SQRT2)
-    return 0.5 * _erfc_vec(np.asarray(z, dtype=float) / -_SQRT2)
+    """Standard normal CDF via the complementary error function, ``math.erfc`` on each value."""
+    z = np.asarray(z, dtype=float)
+    return np.array([0.5 * math.erfc(v / _NEG_SQRT2)
+                     for v in z.ravel().tolist()]).reshape(z.shape)[()]
 
 
 def normal_pdf(z):
-    """Standard normal density."""
-    if isinstance(z, float):
-        return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+    """Standard normal density, ``math.exp`` on each value."""
     z = np.asarray(z, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    return np.array([_INV_SQRT_2PI * math.exp(-0.5 * v * v)
+                     for v in z.ravel().tolist()]).reshape(z.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -109,37 +107,30 @@ class SaturationSpec:
             )
         if not (self.noise_std > 0 and math.isfinite(self.noise_std)):
             raise ConfigurationError(f"noise_std must be finite and > 0, got {self.noise_std}")
-        # the edges as a column, so a 1-D array of arguments broadcasts against
-        # both; with the scale and upper edge as 0-d arrays, for the array path
-        object.__setattr__(self, "_edges", np.array([[self.lower], [self.upper]]))
-        object.__setattr__(self, "_scale", np.array(self.noise_std))
-        object.__setattr__(self, "_upper", np.array(self.upper))
 
 
 def _censored_mean_slope(spec: SaturationSpec, x):
     """``(saturation_mean(spec, x), saturation_mean_deriv(spec, x))``.
 
     Both come from one evaluation of the normal CDF and density at the two
-    window edges: an array ``x`` is subtracted from the stacked edges, so
-    erfc and exp each run once on a (2, ...) array, while a scalar stays on
-    the ``math`` path.  The array path is ``normal_cdf`` and ``normal_pdf``
-    written out, bit for bit.
+    window edges, in one pass over the values of ``x`` as Python floats:
+    ``normal_cdf`` and ``normal_pdf`` written out, bit for bit, with
+    ``math.erfc`` and ``math.exp``.  A scalar and an array of any shape take
+    this one path, so a value gets the same bits alone as in an array; on
+    the few values of a step it costs less than a NumPy ufunc chain.
     """
-    if isinstance(x, np.ndarray) and x.ndim:
-        s = spec._scale
-        edges = spec._edges if x.ndim == 1 else spec._edges.reshape((2,) + (1,) * x.ndim)
-        gaps = edges - x
-        z = gaps / s
-        cdf = _HALF * _erfc_vec(z / _NEG_SQRT2_0D)
-        pdf = _INV_SQRT_2PI_0D * np.exp(_NEG_HALF * z * z)
-        gap_cdf = gaps * cdf
-        return spec._upper + gap_cdf[0] - gap_cdf[1] + s * (pdf[0] - pdf[1]), cdf[1] - cdf[0]
-    s = spec.noise_std
-    gaps = (spec.lower - x, spec.upper - x)
-    cdf_lo, cdf_hi = (normal_cdf(gap / s) for gap in gaps)
-    pdf_lo, pdf_hi = (normal_pdf(gap / s) for gap in gaps)
-    mean = spec.upper + gaps[0] * cdf_lo - gaps[1] * cdf_hi + s * (pdf_lo - pdf_hi)
-    return mean, cdf_hi - cdf_lo
+    x = np.asarray(x, dtype=float)
+    lower, upper, s = spec.lower, spec.upper, spec.noise_std
+    means, slopes = [], []
+    for v in x.ravel().tolist():
+        gap_lo, gap_hi = lower - v, upper - v
+        z_lo, z_hi = gap_lo / s, gap_hi / s
+        cdf_lo, cdf_hi = 0.5 * math.erfc(z_lo / _NEG_SQRT2), 0.5 * math.erfc(z_hi / _NEG_SQRT2)
+        pdf_lo = _INV_SQRT_2PI * math.exp(-0.5 * z_lo * z_lo)
+        pdf_hi = _INV_SQRT_2PI * math.exp(-0.5 * z_hi * z_hi)
+        means.append(upper + gap_lo * cdf_lo - gap_hi * cdf_hi + s * (pdf_lo - pdf_hi))
+        slopes.append(cdf_hi - cdf_lo)
+    return np.array(means).reshape(x.shape)[()], np.array(slopes).reshape(x.shape)[()]
 
 
 def saturation_mean(spec: SaturationSpec, x):
@@ -157,6 +148,9 @@ def saturation_mean_deriv(spec: SaturationSpec, x):
     return _censored_mean_slope(spec, x)[1]
 
 
+# kept per (spec, m2, grid): every summary and verify of a saturation run
+# rebuilds its pair, and the grid's 20,000 erfc and exp calls take about 10 ms
+@functools.lru_cache(maxsize=32)
 def saturation_assumption2_delta(spec: SaturationSpec, m2: float, grid: int = 10_000):
     """Curvature floor for the censored-mean pair: min of G' over |x| <= m2.
 

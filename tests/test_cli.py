@@ -10,6 +10,7 @@ import textwrap
 import pytest
 
 import sgident
+from conftest import write_corpus
 from sgident.cli import main
 
 CONTROL_CFG = """
@@ -255,3 +256,37 @@ class TestExportCsvCommand:
         code = main(["export-csv", str(runs)])
         assert code == 1
         assert capsys.readouterr().err == f"error: short final row in {trace} at line 11\n"
+
+
+class TestImportFootprint:
+    def test_no_scipy_module_is_loaded_by_the_cli_or_a_run_of_either_preset(self, tmp_path):
+        # SciPy's import costs more than the runs it would serve; the
+        # Gaussian noise and the censored-mean link need none of it
+        corpus = tmp_path / "corpus.csv"
+        write_corpus(corpus, n=100)
+        script = textwrap.dedent("""
+            import sys, warnings
+            import sgident.cli
+            from sgident import bench
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+            assert scipy_modules() == [], scipy_modules()
+            sim = bench.load_config(bench.preset_path("paper_sim.cfg"))
+            sim.n_steps, sim.out_dir = 30, sys.argv[1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                replay = bench.load_config(bench.preset_path("paper_replay.cfg"))
+            replay.n_steps, replay.data_path, replay.out_dir = 100, sys.argv[2], sys.argv[3]
+            for cfg in (sim, replay):
+                report = bench.run_experiment(cfg)
+                assert bench.verify_report(report.path, tol=0) == (True, [])
+            assert scipy_modules() == [], scipy_modules()
+            """)
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(sgident.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sim"), str(corpus),
+                               str(tmp_path / "replay")], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "sim" / "report.json").is_file()
+        assert (tmp_path / "replay" / "report.json").is_file()

@@ -3,7 +3,8 @@
 Oracle notes
 ------------
 * Philox(key=5) first 53-bit uniform is 0.7337459554446364; through the
-  Gaussian inverse CDF with std 2 that is 1.2483639315699588.
+  Gaussian inverse CDF with std 2 that is 1.2483639315699588 correctly
+  rounded (mpmath), and 1.248363931569959, 1 ulp above, through AS 241.
 * With all lags zero and theta = (0, 0, 0, 0.6, 0) the saturated lag model
   reduces to f(u) = tanh(0.6 u); the input placing it on target 0.3 is
   atanh(0.3)/0.6 = 0.5158660070051863.
@@ -17,6 +18,7 @@ import json
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from sgident.control import (
     Trace,
     _bisect_control,
     closed_loop_chunks,
+    normal_quantile,
     run_closed_loop_batch,
     solve_control,
     solve_control_rows,
@@ -59,11 +62,25 @@ from sgident.sg import DIVERGENCE_NORM, sg_init, sg_update
 SATURATED, SINGULAR_GAIN, DIVERGENCE = 1, 2, 4
 
 
+def _exact_normal_quantile(u):
+    with mpmath.workdps(40):
+        return mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1)
+
+
+def _ulps(got, exact):
+    """|got - exact| in units of the last place of ``exact`` rounded to float64."""
+    return float(abs(mpmath.mpf(got) - exact)) / math.ulp(float(exact))
+
+
 class TestNoiseSource:
     def test_first_draw_matches_inverse_cdf_oracle(self):
         src = NoiseSource(std=2.0, seed=5)
-        assert src.draw() == 1.2483639315699588
+        got = src.draw()
+        assert got == 1.248363931569959
         assert src.draw_count == 1
+        exact = 2 * _exact_normal_quantile(0.7337459554446364)
+        assert float(exact) == 1.2483639315699588
+        assert _ulps(got, exact) < 1.1
 
     def test_first_uniform_value(self):
         src = NoiseSource(seed=5)
@@ -137,6 +154,33 @@ class TestNoiseSource:
             NoiseSource(kind="student_t")  # df missing
         with pytest.raises(ConfigurationError):
             NoiseSource(kind="student_t", df=2.0)  # variance undefined
+
+
+# lattice uniforms (n + 0.5) / 2^53 as NoiseSource draws them: n log-uniform
+# over [0, 2^52], so the lower tail down to 2^-54 comes up as often as the
+# centre, and mirrored to 2^53 - 2 - n for the upper tail, whose uniforms
+# round to even multiples of 2^-53 (n = 2^53 - 1 would round to 1.0)
+_LATTICE_N = st.integers(0, 52).flatmap(lambda e: st.integers(0, 2**e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ns=st.lists(st.tuples(_LATTICE_N, st.booleans()), min_size=1, max_size=16))
+def test_normal_quantile_is_within_8_ulp_of_mpmath_on_lattice_uniforms(ns):
+    # AS 241 measured at most 6.45 ulp over 300,000 lattice uniforms, both tails included
+    n = np.array([2**53 - 2 - n if upper else n for n, upper in ns], dtype=np.int64)
+    u = (n + 0.5) * 2.0**-53
+    got = normal_quantile(u)
+    for g, v in zip(got.tolist(), u.tolist()):
+        assert _ulps(g, _exact_normal_quantile(v)) <= 8.0, v
+    # a value alone gets the bits it gets in a block
+    assert [normal_quantile(np.array([v]))[0] for v in u.tolist()] == got.tolist()
+
+
+def test_normal_quantile_is_odd_about_one_half():
+    assert normal_quantile(np.array([0.5])).tobytes() == np.array([0.0]).tobytes()
+    # dyadic p, so that 1 - p is exact, in the centre and in both tail forms
+    p = 2.0 ** -np.array([52.0, 40, 37, 30, 20, 7, 4, 3, 2]) * 3
+    assert (normal_quantile(p) == -normal_quantile(1.0 - p)).all()
 
 
 class _TanhWithoutInverse(TanhArxModel):
@@ -743,6 +787,41 @@ def test_chunks_hold_their_steps_of_the_joined_run():
     assert joined.cell(2).flags[1024] & DIVERGENCE
 
 
+def test_a_sweeps_stacked_chunk_noise_is_each_streams_draw_block(monkeypatch):
+    # each chunk maps every cell's uniforms in one quantile call; column i of
+    # the chunks, joined, is cell i's stream drawn whole, bit for bit
+    quantile, uniform_block = NoiseSource.quantile, NoiseSource.uniform_block
+    mapped, counts = [], []
+
+    def recorded_quantile(self, u):
+        out = quantile(self, u)
+        mapped.append(out)
+        return out
+
+    def counted_uniform_block(self, n):
+        out = uniform_block(self, n)
+        counts.append((self.seed, n, self.draw_count))
+        return out
+
+    monkeypatch.setattr(NoiseSource, "quantile", recorded_quantile)
+    monkeypatch.setattr(NoiseSource, "uniform_block", counted_uniform_block)
+    pair = tanh_mse_pair(p=3, q=2)
+    plant = Plant(pair.predictor, np.array([0.01, 3.0, -0.1, 0.6, -0.3]),
+                  NoiseSource(std=0.05, seed=0))
+    state = sg_init(np.array([0.0, 0.0, 0.0, 0.5, 0.0]),
+                    HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0))
+    cells = [("modified", 3), ("classical", 3), ("modified", 8)]
+    run_closed_loop_batch(plant, state, pair, ControlConfig(y_target=0.5), 1100, cells)
+    assert [block.shape for block in mapped] == [(512, 3), (512, 3), (76, 3)]
+    assert counts == [(seed, m, stop) for m, stop in ((512, 512), (512, 1024), (76, 1100))
+                      for _, seed in cells]
+    monkeypatch.undo()
+    joined = np.concatenate(mapped)
+    for i, (_, seed) in enumerate(cells):
+        whole = NoiseSource(std=0.05, seed=seed).draw_block(1100)
+        assert joined[:, i].tobytes() == whole.tobytes()
+
+
 def _sg_update_loop(pair, state, cells, n, step_inputs):
     """f_est, mu_k, r_k and the final estimates of one public ``sg_update`` call per step.
 
@@ -872,6 +951,18 @@ def test_loss_domain_error_through_the_loop_is_the_steps(bad_step, tmp_path, mon
 
 
 class TestTrace:
+    def test_flag_strings_are_rejected_naming_the_column(self):
+        # the flag names of an older trace form are not masks
+        with pytest.raises(ConfigurationError, match="'flags' holds non-integral values"):
+            Trace(k=[0, 1, 2], flags=["", "saturated", ""])
+
+    def test_fractional_flags_are_rejected_not_truncated(self):
+        for flags in ([0, 1.5, 0], [0, math.nan, 0], [0, math.inf, 0]):
+            with pytest.raises(ConfigurationError, match="'flags' holds non-integral values"):
+                Trace(k=[0, 1, 2], flags=flags)
+        # integral floats are masks
+        assert Trace(k=[0, 1, 2], flags=[0.0, 5.0, 2.0]).flags.tolist() == [0, 5, 2]
+
     def test_zero_and_negative_zero_differ(self):
         # equality is bit equality, so a writer that loses the sign of zero shows
         assert Trace(k=[0], y=np.array([0.0])) != Trace(k=[0], y=np.array([-0.0]))
