@@ -15,7 +15,8 @@ depend on the loop state, so it is drawn one block per chunk of steps.
 One loop, ``closed_loop_chunks``, runs every mode: it steps all (algorithm,
 seed) cells of a sweep together as rows of (S, d) arrays, with the
 regressors and observations either made by the closed loop or prepared
-before it (identification, replay); a run of one cell is a batch of one.
+outside it, a chunk at a time (identification draws each chunk's, replay
+slices its rows); a run of one cell is a batch of one.
 Rows never mix, so a cell's trace does not depend on the other cells in its
 batch.  The loop yields its steps in chunks of ``_CHUNK``, each a ``Trace``
 with one column per cell, so a consumer that writes and summarizes each
@@ -110,6 +111,20 @@ def normal_quantile(p):
     return x
 
 
+# the largest double below 1
+_UNIFORM_TOP = 1.0 - 2.0**-53
+
+
+def _lattice_uniforms(n):
+    """The uniforms (n + 0.5) / 2^53 of raw 53-bit draws ``n``, all strictly inside (0, 1).
+
+    From 2^52 on, n + 0.5 rounds to an even integer, so the top draw 2^53 - 1
+    would give exactly 1.0, where the quantile is not finite; it alone is
+    clamped, to ``_UNIFORM_TOP``.
+    """
+    return np.minimum((n + 0.5) * 2.0**-53, _UNIFORM_TOP)
+
+
 class NoiseSource:
     """Reproducible scalar noise stream.
 
@@ -143,9 +158,8 @@ class NoiseSource:
         return NoiseSource(std=self.std, seed=seed, kind=self.kind, df=self.df)
 
     def draw_uniform(self):
-        # (n + 0.5) / 2^53 lies strictly inside (0, 1); power-of-two range
-        # means the integer draw never rejects, keeping the count fixed
-        u = (int(self._gen.integers(0, 1 << 53)) + 0.5) * (2.0 ** -53)
+        # power-of-two range means the integer draw never rejects, keeping the count fixed
+        u = float(_lattice_uniforms(self._gen.integers(0, 1 << 53)))
         self.draw_count += 1
         return u
 
@@ -158,7 +172,7 @@ class NoiseSource:
         Philox is counter-based, so one vector call yields the same words as
         n scalar calls.
         """
-        u = (self._gen.integers(0, 1 << 53, size=n) + 0.5) * (2.0 ** -53)
+        u = _lattice_uniforms(self._gen.integers(0, 1 << 53, size=n))
         self.draw_count += n
         return u
 
@@ -494,12 +508,15 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
       ``plant.noise.with_seed(seed)``: once per chunk, every row's
       ``uniform_block`` is stacked and mapped by one ``quantile`` call (the
       same values as each stream's own ``draw_block(n_steps)``);
-    - a tuple ``(phi, y, f_true)`` of blocks prepared before the loop,
-      shaped (n_steps, U, d), (n_steps, U) and (n_steps, U), with one
-      column per distinct seed of ``cells`` in order of first appearance:
-      every cell reads the column of its seed.  ``f_true`` is None when
-      the truth is unknown, and ``plant`` is then None too: ``f_true``,
-      ``regret_avg`` and ``theta_err`` stay empty.
+    - prepared blocks ``(phi, y, f_true)``, shaped (m, U, d), (m, U) and
+      (m, U) for m steps, with one column per distinct seed of ``cells``
+      in order of first appearance: every cell reads the column of its
+      seed.  Either a tuple of the blocks of all ``n_steps`` steps, or a
+      callable ``draw(m)`` that gives the blocks of the next m steps and
+      is called once per chunk, in step order, so the inputs need never
+      be held whole.  ``f_true`` is None when the truth is unknown, and
+      ``plant`` is then None too: ``f_true``, ``regret_avg`` and
+      ``theta_err`` stay empty.
 
     A step runs only the recursion: control and plant (closed loop only)
     and the update, and tests none of their results.  Once per chunk, the
@@ -564,14 +581,11 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
         phi = np.zeros((S, d))
         u_prev = np.zeros(S)
     else:
-        phi_block, y_block, f_true_block = cfg
         seeds = list(dict.fromkeys(seed for _, seed in cells))
         block_of = np.array([seeds.index(seed) for _, seed in cells])
         U = len(seeds)
-        shapes = (np.shape(phi_block), np.shape(y_block), np.shape(f_true_block))
-        if shapes != ((n, U, d), (n, U), (n, U) if truth else ()):
-            raise ConfigurationError(
-                f"block shapes {shapes} do not match {n} steps of {U} seeds in dim {d}")
+        if not callable(cfg):
+            _checked_blocks(cfg, n, U, d, truth)
     k = 0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
@@ -586,10 +600,12 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
             y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
             start_lags = (phi.copy(), u_prev)
         else:
-            phi_rows = phi_block[start:stop].take(block_of, axis=1)
-            y_col = recorded["y"] = y_block[start:stop].take(block_of, axis=1)
+            blocks = cfg(m) if callable(cfg) else [None if b is None else b[start:stop] for b in cfg]
+            phi_rows, y_col, f_true_rows = (None if block is None else block.take(block_of, axis=1)
+                                            for block in _checked_blocks(blocks, m, U, d, truth))
+            recorded["y"] = y_col
             if truth:
-                recorded["f_true"] = f_true_block[start:stop].take(block_of, axis=1)
+                recorded["f_true"] = f_true_rows
         start_gain = (r, carry)
         try:
             # overflow and 0/0 stay silent: every result is checked;
@@ -655,6 +671,15 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
         recorded["loss"] = loss.eval(y_col, f_est_col)
         estimates[0] = chunk[-1]
         yield Trace(k=np.arange(start, stop), y_star=y_star, flags=flags, **recorded)
+
+
+def _checked_blocks(blocks, m, seeds, d, truth):
+    """``blocks`` = (phi, y, f_true), if shaped as m steps of ``seeds`` columns in dim ``d``."""
+    shapes = tuple(np.shape(block) for block in blocks)
+    if shapes != ((m, seeds, d), (m, seeds), (m, seeds) if truth else ()):
+        raise ConfigurationError(
+            f"block shapes {shapes} do not match {m} steps of {seeds} seeds in dim {d}")
+    return blocks
 
 
 def _hook_step(update):

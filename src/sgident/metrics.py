@@ -47,6 +47,7 @@ __all__ = [
     "bound_curve",
     "bound_curve_at",
     "gradient_noise",
+    "relative_errors",
     "relative_error_metric",
     "robbins_siegmund_diag",
     "minimum_phase_ratio",
@@ -208,8 +209,17 @@ def gradient_noise(trace, pair):
     return pair.loss.grad_x(y, f_est) - pair.loss.grad_x(f_true, f_est)
 
 
+def relative_errors(predictions, targets):
+    """|y - yhat| / y of each step."""
+    return np.abs(targets - predictions) / targets
+
+
 def relative_error_metric(predictions, targets):
-    """(1/T) sum |y - yhat| / y over strictly positive targets."""
+    """(1/T) sum |y - yhat| / y over strictly positive targets.
+
+    The sum is the compensated running sum of ``SumScan``, which a run's
+    summary carries over ``relative_errors`` from chunk to chunk.
+    """
     predictions = np.asarray(predictions, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if predictions.shape != targets.shape:
@@ -223,7 +233,7 @@ def relative_error_metric(predictions, targets):
         raise DataError(
             f"target must be strictly positive, got {float(targets[bad[0]])!r} at row {bad[0]}"
         )
-    return float(np.mean(np.abs(targets - predictions) / targets))
+    return float(SumScan().cumsum(relative_errors(predictions, targets).ravel())[-1] / targets.size)
 
 
 @dataclass(frozen=True)

@@ -502,64 +502,69 @@ def _scale_rows_to_band(phi, theta, bound, rng):
     return theta * scale[:, None]
 
 
-def _gaussian_sampler(d):
-    def sampler(rng, n):
-        return (
-            rng.normal(size=(n, d)),
-            rng.normal(size=(n, d)),
-            rng.normal(size=(n, d)),
-        )
+def _sampler(d, parameters, lift=None):
+    """``sampler(rng, n)`` -> (phi, theta, theta_star) row batches, phi drawn first.
 
+    phi is (n, d) standard normals, mapped row by row by ``lift`` if given;
+    ``parameters(rng, phi)`` then draws the rest.  ``sampler.regressors(rng,
+    n)`` is that first draw alone: drawn in pieces from one stream, it gives
+    the rows of one draw of them all.
+    """
+
+    def regressors(rng, n):
+        phi = rng.normal(size=(n, d))
+        return phi if lift is None else lift(phi)
+
+    def sampler(rng, n):
+        phi = regressors(rng, n)
+        return (phi, *parameters(rng, phi))
+
+    sampler.regressors = regressors
     return sampler
+
+
+def _normal_pair(rng, phi):
+    return rng.normal(size=phi.shape), rng.normal(size=phi.shape)
 
 
 def _banded_sampler(d, bound):
-    def sampler(rng, n):
-        phi = rng.normal(size=(n, d))
-        theta = _scale_rows_to_band(phi, rng.normal(size=(n, d)), bound, rng)
-        theta_star = _scale_rows_to_band(phi, rng.normal(size=(n, d)), bound, rng)
-        return phi, theta, theta_star
+    def parameters(rng, phi):
+        theta = _scale_rows_to_band(phi, rng.normal(size=phi.shape), bound, rng)
+        return theta, _scale_rows_to_band(phi, rng.normal(size=phi.shape), bound, rng)
 
-    return sampler
+    return _sampler(d, parameters)
 
 
 def _margin_sampler(d):
-    def sampler(rng, n):
-        phi = rng.normal(size=(n, d))
-        theta = rng.normal(size=(n, d))
-        theta_star = rng.normal(size=(n, d))
+    def parameters(rng, phi):
+        theta, theta_star = _normal_pair(rng, phi)
         z = np.einsum("ij,ij->i", phi, theta_star)
         z = np.where(np.abs(z) < 1e-9, 1e-9, z)
-        margin = 1.0 + rng.uniform(0.0, 2.0, size=n)
+        margin = 1.0 + rng.uniform(0.0, 2.0, size=len(phi))
         scale = np.where(np.abs(z) >= 1.0, 1.0, margin / np.abs(z))
-        return phi, theta, theta_star * scale[:, None]
+        return theta, theta_star * scale[:, None]
 
-    return sampler
+    return _sampler(d, parameters)
 
 
-def _lifted_sampler(d):
-    dim = d ** 4
-
-    def sampler(rng, n):
-        phi_raw = rng.normal(size=(n, d))
-        pp = np.einsum("ni,nj->nij", phi_raw, phi_raw).reshape(n, d * d)
-        lifted = np.einsum("ni,nj->nij", pp, pp).reshape(n, dim)
-        return lifted, rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
-
-    return sampler
+def _lift_twice(phi):
+    # the quadratic lift of the quadratic lift: (n, d) -> (n, d^4)
+    n, d = phi.shape
+    pp = np.einsum("ni,nj->nij", phi, phi).reshape(n, d * d)
+    return np.einsum("ni,nj->nij", pp, pp).reshape(n, d**4)
 
 
 # name -> (pair builder, sampler builder); the default operating sets match
 # each pair's declared constants
 PAIR_CATALOG = {
-    "linear_mse": lambda: (linear_mse_pair(d=3), _gaussian_sampler(3)),
+    "linear_mse": lambda: (linear_mse_pair(d=3), _sampler(3, _normal_pair)),
     "saturation": lambda: (
         saturation_pair(SaturationSpec(-1.0, 1.0), m2=2.0, d=3),
         _banded_sampler(3, 2.0),
     ),
     "logistic": lambda: (logistic_pair(m_bound=1.0, d=3), _banded_sampler(3, 1.0)),
     "hinge": lambda: (hinge_pair(d=3), _margin_sampler(3)),
-    "quadnet": lambda: (quadnet_pair(d=2), _lifted_sampler(2)),
+    "quadnet": lambda: (quadnet_pair(d=2), _sampler(2, _normal_pair, _lift_twice)),
     "tanh_mse": lambda: (tanh_mse_pair(3, 2, m_bound=1.0), _banded_sampler(5, 1.0)),
 }
 

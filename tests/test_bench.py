@@ -47,7 +47,10 @@ from sgident.bench import (
     write_trace,
 )
 from sgident.control import NoiseSource, Trace
+from sgident.core import row_dots
 from sgident.errors import ConfigurationError, DataError, NumericError
+from sgident.metrics import relative_error_metric
+from sgident.models import SquaredError
 
 CONTROL_CFG = """
 [experiment]
@@ -563,6 +566,13 @@ def _long_traces(draw):
     return Trace(k=np.arange(n), flags=np.resize(rng.permutation(8), n), **columns)
 
 
+def _joined(parts):
+    """One Trace of the consecutive Traces ``parts``."""
+    return Trace(**{name: None if getattr(parts[0], name) is None
+                    else np.concatenate([getattr(part, name) for part in parts])
+                    for name in TRACE_COLUMNS})
+
+
 class TestTraceRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(trace=_long_traces(), data=st.data())
@@ -582,6 +592,13 @@ class TestTraceRoundTrip:
                 assert (getattr(back, name) is None) == (column is None)
                 if column is not None:
                     assert getattr(back, name).tobytes() == column.tobytes()
+            # read back a chunk at a time through one open file, at other cuts
+            cuts = data.draw(_chunks(len(trace)))
+            with open(chunked, "rb") as fh:
+                parts = [read_trace(fh, b - a) for a, b in cuts]
+                assert len(read_trace(fh, 5)) == 0  # nothing is left
+            assert [len(part) for part in parts] == [b - a for a, b in cuts]
+            assert _joined(parts) == trace
 
 
 class TestExportCsv:
@@ -630,6 +647,21 @@ class TestExportCsv:
         with pytest.raises(DataError, match="non-finite cell in column 'y'.* at line 7$"):
             export_csv(str(dst))
         assert not (dst / "trace_modified_seed1.csv").exists()
+
+
+    def test_a_bad_cell_in_a_later_chunk_leaves_the_earlier_csv(self, control_report, tmp_path,
+                                                                 monkeypatch):
+        # the trace is read 8 rows at a time, so line 30 is in the fourth read
+        monkeypatch.setattr(bench_module, "_CHUNK", 8)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        export_csv(str(dst))
+        before = (dst / "trace_modified_seed1.csv").read_bytes()
+        _set_cell(dst / "trace_modified_seed1.hex", 30, "f_est", b"oops000000000000")
+        with pytest.raises(DataError, match="at line 30$"):
+            export_csv(str(dst))
+        assert (dst / "trace_modified_seed1.csv").read_bytes() == before
+        assert not list(dst.glob("*.part"))
 
 
 class TestTraceReader:
@@ -745,6 +777,28 @@ class TestTraceReader:
             self._read(tmp_path, edited)
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("line", _LINES)
+    def test_a_read_chunk_by_chunk_names_the_same_line(self, tmp_path, text, line):
+        # 7 rows a call through one open file: lines still count from the file's start
+        at = self._offset(text, line, "y") - 16
+        path = tmp_path / "trace.hex"
+        path.write_bytes(text[:at] + b"7ff0000000000000" + text[at + 16:])
+        match = f"^non-finite cell in column 'y' of .* at line {line}$"
+        with open(path, "rb") as fh, pytest.raises(DataError, match=match) as exc:
+            while len(read_trace(fh, 7)):
+                pass
+        assert exc.value.line == line
+
+    def test_a_short_final_row_is_named_by_the_read_that_reaches_the_last_row(
+            self, tmp_path, text):
+        path = tmp_path / "trace.hex"
+        path.write_bytes(text + b"0000000000000000,")
+        with open(path, "rb") as fh:
+            assert len(read_trace(fh, self._ROWS - 1)) == self._ROWS - 1
+            with pytest.raises(DataError, match="^short final row") as exc:
+                read_trace(fh, 1)
+        assert exc.value.line == self._ROWS + 2
+
     def test_header_without_a_line_end_is_line_1(self, tmp_path, text):
         with pytest.raises(DataError, match="unexpected trace header") as exc:
             self._read(tmp_path, text.split(b"\n", 1)[0])
@@ -843,7 +897,8 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="no usable rows"):
             run_experiment(cfg)
 
-    def test_replay_rows_equal_the_stream_rows(self, tmp_path, corpus_csv):
+    def test_replay_rows_equal_the_stream_rows(self, tmp_path, corpus_csv, monkeypatch):
+        monkeypatch.setattr(bench_module, "_ROW_BLOCK", 64)
         lines = pathlib.Path(corpus_csv).read_text().splitlines()
         lines[5] = "x," + lines[5].split(",", 1)[1]  # one skipped row
         data = tmp_path / "skip.csv"
@@ -851,12 +906,31 @@ class TestRunExperiment:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = load_config(_write_cfg(tmp_path, REPLAY_CFG, out=tmp_path / "runs", data=data))
-        (phi, y), stream = bench_module._load_replay_rows(cfg)
+        blocks, stream = bench_module._load_replay_rows(cfg)
         rows = list(ingest_csv(str(data), {"features": list(cfg.features),
                                            "target": cfg.target_col}, max_rows=cfg.n_steps))
-        assert stream.skipped == 1 and phi.shape == (len(rows), len(cfg.features))
-        assert np.array_equal(phi, np.array([values for values, _ in rows]))
-        assert np.array_equal(y, np.array([target for _, target in rows]))
+        assert [len(block) for block in blocks] == [64, 64, 64, 8]
+        loaded = np.concatenate(blocks)
+        assert stream.skipped == 1 and loaded.shape == (len(rows), len(cfg.features) + 1)
+        assert np.array_equal(loaded[:, :-1], np.array([values for values, _ in rows]))
+        assert np.array_equal(loaded[:, -1], np.array([target for _, target in rows]))
+
+    @pytest.mark.parametrize("block", [64, 700])
+    def test_replay_rows_in_other_blocks_give_the_same_traces(self, tmp_path, corpus_csv,
+                                                              monkeypatch, block):
+        # 64-row blocks join several to a loop chunk, 700-row ones straddle chunk seams
+        def traces(out):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cfg = load_config(_write_cfg(tmp_path, REPLAY_CFG.replace(
+                    "n_steps = 200", "n_steps = 1500"), out=out, data=corpus_csv))
+            report = run_experiment(cfg)
+            return [(out / s["trace"]).read_bytes()
+                    for by_seed in report.data["runs"].values() for s in by_seed.values()]
+
+        whole = traces(tmp_path / "default")
+        monkeypatch.setattr(bench_module, "_ROW_BLOCK", block)
+        assert traces(tmp_path / f"blocks{block}") == whole
 
     def test_nonpositive_replay_target_names_its_dataset_line_before_the_sweep(
             self, tmp_path, corpus_csv, monkeypatch):
@@ -924,6 +998,27 @@ class TestIdentifyStreams:
     def test_sampler_stream_is_reproducible(self):
         assert np.array_equal(sampler_bit_generator(5).random_raw(16),
                               sampler_bit_generator(5).random_raw(16))
+
+    @pytest.mark.parametrize("pair, mu", [("linear_mse", 0.3), ("logistic", 0.1)])
+    def test_inputs_drawn_chunk_by_chunk_are_one_draw_of_the_run(self, tmp_path, pair, mu):
+        # the loop asks for each chunk's inputs; the blocks of the whole run, drawn at
+        # once from the same streams (all of each sampler's draws), must be their rows
+        text = IDENTIFY_CFG.replace("linear_mse", pair).replace("mu = 0.3", f"mu = {mu}")
+        text = text.replace("n_steps = 60", "n_steps = 1100").replace("seeds = 3", "seeds = 3, 4")
+        cfg = load_config(_write_cfg(tmp_path, text, out=tmp_path))
+        whole = []
+        for seed in cfg.seeds:
+            phi = cfg.sampler(np.random.Generator(sampler_bit_generator(seed)), 1100)[0]
+            f_true = cfg.pair.predictor.link(row_dots(phi, cfg.theta_star))
+            noise = NoiseSource(std=cfg.noise_std, seed=seed)
+            y = ((noise.uniform_block(1100) < f_true).astype(float) if pair == "logistic"
+                 else f_true + noise.draw_block(1100))
+            whole.append((phi, y, f_true))
+        draw = bench_module._identify_inputs(cfg)
+        chunks = [draw(m) for m in (512, 512, 76)]
+        for i, column in enumerate(zip(*whole)):
+            assert (np.concatenate([chunk[i] for chunk in chunks]).tobytes()
+                    == np.stack(column, axis=1).tobytes()), i
 
 
 class TestErrorContext:
@@ -1340,6 +1435,61 @@ class TestVerifyReport:
         assert (f"modified/seed_1 ({summary['trace']}): column {derived!r} first differs "
                 f"from {what} at row 10 (line 12)") in problems
 
+    @pytest.mark.parametrize("run", ["control_report", "identify_report", "small_replay_report"])
+    def test_a_fresh_run_verifies_exactly_in_small_chunks(self, run, request, monkeypatch):
+        monkeypatch.setattr(bench_module, "_VERIFY_ROWS", 7)
+        assert verify_report(request.getfixturevalue(run).path, tol=0.0) == (True, [])
+
+    @pytest.mark.parametrize("column, cell, problem", [
+        ("u", 1.0, "column 'f_true' first differs from link(theta* . phi) of the y, u lags"),
+        ("loss", 123.0, "column 'loss' first differs from squared_error(y, f_est)"),
+        ("k", 5, "column 'k' first differs from the row index"),
+        ("regret_avg", 9.0,
+         "column 'regret_avg' first differs from the running mean of the regret"),
+    ])
+    def test_an_edit_on_the_first_row_of_a_later_chunk_names_its_line(
+            self, control_report, tmp_path, monkeypatch, column, cell, problem):
+        # verify reads 16 rows at a time: row 16, line 18, opens the second chunk
+        monkeypatch.setattr(bench_module, "_VERIFY_ROWS", 16)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        _set_cell(dst / "trace_modified_seed1.hex", 18, column, cell)
+        ok, problems = verify_report(str(dst / "report.json"))
+        assert not ok
+        name = "modified/seed_1 (trace_modified_seed1.hex)"
+        assert f"{name}: {problem} at row 16 (line 18)" in problems
+
+    def test_the_lags_carry_across_a_chunk_seam(self, control_report, tmp_path, monkeypatch):
+        # y on the last row of the first chunk is a lag of the second chunk's first regressor
+        monkeypatch.setattr(bench_module, "_VERIFY_ROWS", 16)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        _set_cell(dst / "trace_modified_seed1.hex", 17, "y", 0.75)
+        ok, problems = verify_report(str(dst / "report.json"))
+        assert not ok
+        assert ("modified/seed_1 (trace_modified_seed1.hex): column 'f_true' first differs from "
+                "link(theta* . phi) of the y, u lags at row 16 (line 18)") in problems
+
+    def test_a_bad_cell_on_the_first_row_of_a_later_chunk_names_its_line(
+            self, control_report, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench_module, "_VERIFY_ROWS", 16)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        _set_cell(dst / "trace_modified_seed1.hex", 18, "mu_k", b"00000000000000g0")
+        with pytest.raises(DataError, match="not 16 lowercase hex digits in column 'mu_k'") as exc:
+            verify_report(str(dst / "report.json"))
+        assert exc.value.line == 18
+
+    def test_a_trace_cut_at_a_chunk_seam_is_one_problem_and_no_summary(
+            self, control_report, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench_module, "_VERIFY_ROWS", 16)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        path = dst / "trace_modified_seed1.hex"
+        path.write_bytes(b"".join(line + b"\n" for line in path.read_bytes().split(b"\n")[:33]))
+        assert verify_report(str(dst / "report.json")) == (False, [
+            "modified/seed_1 (trace_modified_seed1.hex): 32 rows, but the run has 40 steps"])
+
     def test_path_object_reads_the_traces_beside_the_report(self, identify_report, tmp_path):
         # the copy's report still names the original out_dir in its config
         dst = tmp_path / "copy"
@@ -1397,6 +1547,16 @@ class TestSummarize:
         report = report[0] if isinstance(report, tuple) else report
         assert verify_report(report.path, tol=0.0) == (True, [])
 
+    def test_replay_checkpoints_are_the_relative_error_metric_bit_for_bit(self, replay_run):
+        # the summary carries the metric's compensated sum from chunk to chunk
+        report = replay_run[0]
+        for by_seed in report.data["runs"].values():
+            summary = by_seed["seed_0"]
+            trace = read_trace(os.path.join(os.path.dirname(report.path), summary["trace"]))
+            assert summary["relative_error_checkpoints"] == {
+                "1000": relative_error_metric(trace.f_est[:1000], trace.y[:1000]),
+                "final": relative_error_metric(trace.f_est, trace.y)}
+
     def test_summary_values_are_plain_json_types(self, control_report, small_replay_report):
         for report in (control_report, small_replay_report):
             out_dir = os.path.dirname(report.path)
@@ -1418,12 +1578,13 @@ def _rows(trace, start, stop):
 def _chunks(draw, n):
     """Consecutive (start, stop) chunks covering rows 0..n - 1, cut at drawn rows.
 
-    Cuts next to the step-500 checkpoint and the robbins-siegmund tail start
-    n // 2 are drawn often.
+    Cuts next to the step-500 and row-1000 checkpoints and the
+    robbins-siegmund tail start n // 2 are drawn often.
     """
     if n < 2:
         return [(0, n)]
-    seams = [m for m in (1, 499, 500, 501, n // 2, n // 2 + 1, n - 1) if 0 < m < n]
+    seams = [m for m in (1, 499, 500, 501, 999, 1000, 1001, n // 2, n // 2 + 1, n - 1)
+             if 0 < m < n]
     cuts = draw(st.lists(st.integers(1, n - 1) | st.sampled_from(seams), unique=True,
                          max_size=12))
     edges = [0, *sorted(cuts), n]
@@ -1534,6 +1695,16 @@ class TestFlagBitmask:
             assert [line.split(",")[-1] for line in lines] == [names[mask] for mask in masks[:, i]]
 
 
+def _traced_peak(fn, *args):
+    """The Python-heap peak of ``fn(*args)`` under tracemalloc, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryBound:
     def test_run_peak_does_not_grow_with_n_steps(self, tmp_path):
         # Python-heap peaks of a 2-cell control run under tracemalloc: streamed,
@@ -1545,16 +1716,54 @@ class TestMemoryBound:
             text = text.replace("seeds = 1, 2", "seeds = 1")
             run_experiment(load_config(_write_cfg(tmp_path, text, out=tmp_path / f"runs{n_steps}")))
 
-        def peak(n_steps):
-            tracemalloc.start()
-            try:
-                run(n_steps)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         run(40)  # first-call allocations (lazy imports, caches) do not count
-        small, large = peak(1000), peak(10_000)
+        small, large = _traced_peak(run, 1000), _traced_peak(run, 10_000)
+        assert large - small <= 0.5 * 2**20, (small, large)
+
+    def test_identify_peak_does_not_grow_with_n_steps(self, tmp_path):
+        # a 4-seed logistic identification draws its inputs a chunk at a time: the
+        # 5,000-step run peaked 0.03 MB above the 500-step one (0.83 MB).  Drawing
+        # every seed's regressors, labels and f_true before the loop, it grew by 0.71 MB
+        def run(n_steps):
+            text = IDENTIFY_CFG.replace("linear_mse", "logistic").replace("mu = 0.3", "mu = 0.1")
+            text = text.replace("seeds = 3", "seeds = 3, 4, 5, 6")
+            text = text.replace("n_steps = 60", f"n_steps = {n_steps}")
+            run_experiment(load_config(_write_cfg(tmp_path, text, out=tmp_path / f"runs{n_steps}")))
+
+        run(40)
+        small, large = _traced_peak(run, 500), _traced_peak(run, 5000)
+        assert large - small <= 0.25 * 2**20, (small, large)
+
+    def test_verify_peak_does_not_grow_with_the_trace(self, tmp_path):
+        # verify_report of a one-cell replay report: read 8,192 rows at a time, the
+        # 163,840-row trace peaked 0.06 MB above the 16,384-row one (1.24 MB).  Reading
+        # each trace whole, it grew by 12.3 MB
+        config = {"mode": "replay", "algorithms": ["modified"], "seeds": [0],
+                  "hyper": {"mu": 0.3, "beta1": 0.5, "beta2": 0.51, "beta3": 2.0}}
+
+        def replay_report(n):
+            rng = np.random.default_rng(n)
+            y = rng.uniform(6.0, 120.0, n)
+            f_est = y + rng.normal(0.0, 5.0, n)
+            r_k = 2.0 + np.cumsum(rng.uniform(0.0, 1e3, n))
+            trace = Trace(k=np.arange(n), y=y, f_est=f_est, loss=SquaredError().eval(y, f_est),
+                          mu_k=0.3 / np.sqrt(r_k), r_k=r_k)
+            out = tmp_path / f"replay{n}"
+            out.mkdir()
+            write_trace(str(out / "trace_modified_replay.hex"), trace)
+            runs = {"modified": {"seed_0": {**summarize(config, trace),
+                                            "trace": "trace_modified_replay.hex"}}}
+            report = {"config": config, "dataset": {"rows_used": n}, "runs": runs,
+                      "checks_overall": bench_module._checks_overall(runs)}
+            (out / "report.json").write_text(json.dumps(report))
+            return str(out / "report.json")
+
+        def verify(path):
+            assert verify_report(path, tol=0.0) == (True, [])
+
+        short, long = replay_report(2 * 8192), replay_report(20 * 8192)
+        verify(short)  # first-call allocations do not count
+        small, large = _traced_peak(verify, short), _traced_peak(verify, long)
         assert large - small <= 0.5 * 2**20, (small, large)
 
 

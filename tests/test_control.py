@@ -92,6 +92,28 @@ class TestNoiseSource:
         assert 0.0 < min(us) and max(us) < 1.0
         assert src.draw_count == 2000
 
+    def test_only_the_top_raw_draw_is_clamped_below_1(self):
+        # (n + 0.5) * 2^-53 rounds to an even integer over 2^53 from n = 2^52 on,
+        # so n = 2^53 - 1 gives 1.0, where the quantile is nan
+        n = np.array([0, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.int64)
+        u = control_mod._lattice_uniforms(n)
+        assert u.tolist() == [2.0**-54, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+        assert ((n + 0.5) * 2.0**-53).tolist() == [*u.tolist()[:3], 1.0]
+        assert np.isfinite(normal_quantile(u)).all()
+
+    def test_scalar_and_block_draws_take_the_clamped_uniform(self):
+        class TopDraw:
+            """A generator whose every raw draw is the largest, 2^53 - 1."""
+
+            def integers(self, low, high, size=None):
+                return np.int64(high - 1) if size is None else np.full(size, high - 1)
+
+        src = NoiseSource(seed=0)
+        src._gen = TopDraw()
+        assert src.draw_uniform() == 1.0 - 2.0**-53
+        assert src.uniform_block(3).tolist() == [1.0 - 2.0**-53] * 3
+        assert math.isfinite(src.draw()) and np.isfinite(src.draw_block(2)).all()
+
     def test_same_seed_replays_bitwise(self):
         a = NoiseSource(std=0.7, seed=11)
         b = NoiseSource(std=0.7, seed=11)
@@ -913,6 +935,28 @@ def test_chunked_loop_equals_a_per_step_loop_of_sg_update(monkeypatch, name):
     got = (batch.f_est, batch.mu_k, batch.r_k, last[0])
     for column, (a, b) in zip(("f_est", "mu_k", "r_k", "theta"), zip(got, want)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), column
+
+
+def test_drawn_blocks_are_asked_for_per_chunk_and_their_shapes_checked():
+    # prepared inputs may come a chunk at a time from a draw(m); a wrong block is named
+    n = 1100
+    rng = np.random.default_rng(3)
+    phi, y = rng.normal(size=(n, 1, 3)), rng.normal(size=(n, 1))
+    pair = linear_mse_pair(d=3)
+    state = sg_init(np.zeros(3), HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0))
+    asked = []
+
+    def draw(m):
+        start = sum(asked)
+        asked.append(m)
+        return phi[start : start + m], y[start : start + m], None
+
+    cells = [("modified", 0), ("classical", 0)]
+    got = run_closed_loop_batch(None, state, pair, draw, n, cells)
+    assert asked == [512, 512, 76]
+    assert got == run_closed_loop_batch(None, state, pair, (phi, y, None), n, cells)
+    with pytest.raises(ConfigurationError, match=r"block shapes .* do not match 512 steps"):
+        run_closed_loop_batch(None, state, pair, lambda m: (phi[:m], y[: m - 1], None), n, cells)
 
 
 @pytest.mark.parametrize("bad_step", [0, 511, 512, 1023, 1099])

@@ -388,6 +388,15 @@ class TestCatalogLookup:
         for name in PAIR_CATALOG:
             assert name in str(err.value)
 
+    def test_regressors_drawn_in_pieces_are_the_samplers_first_draw(self):
+        # identification draws each chunk's regressors alone from the sampler's stream
+        for name, entry in sorted(PAIR_CATALOG.items()):
+            _, sampler = entry()
+            whole = sampler(np.random.default_rng(4), 1100)[0]
+            rng = np.random.default_rng(4)
+            parts = [sampler.regressors(rng, m) for m in (512, 512, 1, 0, 75)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), name
+
     def test_all_entries_construct_with_matching_sampler(self):
         rng = np.random.default_rng(9)
         for name, entry in sorted(PAIR_CATALOG.items()):
