@@ -63,6 +63,7 @@ from .metrics import (
     tracking_error,
 )
 from .models import (
+    LinearModel,
     ModelLossPair,
     SaturatedMeanModel,
     SaturationSpec,
@@ -324,30 +325,31 @@ def _load_replay_section(cp, cfg):
     cfg.strict_csv = _get(cp, "replay", "strict_csv", _bool, False)
     d = len(cfg.features)
     cfg.pair_name = _get(cp, "replay", "pair", str, "saturation")
+    spec = None
     if cfg.pair_name == "saturation":
         spec = SaturationSpec(
             lower=_get(cp, "replay", "lower", float),
             upper=_get(cp, "replay", "upper", float),
             noise_std=_get(cp, "replay", "noise_std", float, 1.0),
         )
-        predictor = SaturatedMeanModel(spec, d)
+    cfg.pair = _replay_pair(cfg.pair_name, d, spec)
+    cfg.theta0 = _get(cp, "replay", "theta0", _float_list, np.zeros(d))
+    if cfg.theta0.size != d:
+        raise ConfigurationError(f"replay.theta0: expected {d} entries, got {cfg.theta0.size}")
+
+
+def _replay_pair(name, d, spec):
+    """Replay's pair ``name`` over ``d`` features; ``spec`` is the window of "saturation"."""
+    if name == "saturation":
         note = (
             "censored-mean pair used without declared convexity constants; "
             "step-size cap not enforced"
         )
-        cfg.pair = ModelLossPair(predictor, SquaredError(), operating_note=note)
-    elif cfg.pair_name == "linear_mse":
-        from .models import LinearModel
-
-        cfg.pair = ModelLossPair(LinearModel(d), SquaredError())
-    else:
-        raise ConfigurationError(
-            f"replay.pair: supported pairs are 'saturation' and 'linear_mse', "
-            f"got {cfg.pair_name!r}"
-        )
-    cfg.theta0 = _get(cp, "replay", "theta0", _float_list, np.zeros(d))
-    if cfg.theta0.size != d:
-        raise ConfigurationError(f"replay.theta0: expected {d} entries, got {cfg.theta0.size}")
+        return ModelLossPair(SaturatedMeanModel(spec, d), SquaredError(), operating_note=note)
+    if name == "linear_mse":
+        return ModelLossPair(LinearModel(d), SquaredError())
+    raise ConfigurationError(
+        f"replay.pair: supported pairs are 'saturation' and 'linear_mse', got {name!r}")
 
 
 def _apply_cap_policy(cfg):
@@ -786,10 +788,16 @@ def _run_sweep(cfg, cells, n, replay_rows):
 
 
 def _pair_of(config_echo):
-    """The model/loss pair a report's config names (identify and control)."""
+    """The model/loss pair a report's config names."""
     if config_echo["mode"] == "control":
         control = config_echo["control"]
         return tanh_mse_pair(control["p"], control["q"], m_bound=control["operating_bound"])
+    if config_echo["mode"] == "replay":
+        replay = config_echo["replay"]
+        spec = None
+        if config_echo["pair"] == "saturation":
+            spec = SaturationSpec(replay["lower"], replay["upper"], replay["noise_std"])
+        return _replay_pair(config_echo["pair"], len(replay["features"]), spec)
     return catalog_pair(config_echo["pair"])[0]
 
 
@@ -991,6 +999,8 @@ def _echo_config(cfg):
             "strict_csv": cfg.strict_csv,
             "theta0": [float(x) for x in cfg.theta0],
         }
+        if cfg.pair_name == "saturation":
+            echo["replay"].update(asdict(cfg.pair.predictor.spec))
     return echo
 
 
@@ -1050,8 +1060,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     of every cell at once and appended to each cell's trace file, which
     stays open for the sweep.  A run that raises SgidentError closes and
     removes the trace files it opened, writes report.json with the error
-    (and its context), and re-raises.
+    (and its context), and re-raises.  A per-step ``control.y_target``,
+    which the report cannot hold, is rejected before anything is made:
+    per-step targets are for ``run_closed_loop_batch``.
     """
+    if cfg.control is not None and np.ndim(cfg.control.y_target) != 0:
+        raise ConfigurationError(f"control.y_target: must be a scalar (a report holds one "
+                                 f"target), got shape {np.shape(cfg.control.y_target)}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     report = {
         "config": _echo_config(cfg),
@@ -1119,9 +1134,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 
 def _write_report(path, report):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``report`` to ``path`` whole or not at all: to ``path``.part, then renamed."""
+    part = path + ".part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -1286,7 +1309,7 @@ class _DerivedColumns:
 
     def __init__(self, config_echo):
         self.mode = config_echo["mode"]
-        self.loss = SquaredError() if self.mode == "replay" else _pair_of(config_echo).loss
+        self.loss = _pair_of(config_echo).loss
         self.rows = 0
         # column -> (row, what it first differs from there), None while it matches
         self.first_bad = dict.fromkeys(("k", "loss", "regret_avg", "y_star", "f_true"))

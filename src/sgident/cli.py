@@ -11,6 +11,7 @@ import json
 import sys
 
 from .bench import (
+    _int_list,
     check_seeds,
     compare_runs,
     export_csv,
@@ -31,14 +32,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(ERROR, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
-def _parse_seed_list(raw):
-    return tuple(int(x) for x in raw.split(",") if x.strip() != "")
-
-
 def _add_run_command(sub, name, help_text, with_data=False):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--seeds", type=_parse_seed_list, default=None, help="comma-separated seed override")
+    p.add_argument("--seeds", type=_int_list, default=None, help="comma-separated seed override")
     p.add_argument("--out", default=None, help="output directory override")
     if with_data:
         p.add_argument("--data", default=None, help="dataset CSV (overrides replay.data)")

@@ -469,7 +469,7 @@ _CLOSED_LOOP_COLUMNS = ("y", "f_true", "u")
 _CHUNK = 512
 
 
-def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=None):
+def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells):
     """Run every (algorithm, seed) cell of a sweep as one batch; returns its (n, S) Trace.
 
     The chunks of ``closed_loop_chunks`` with the same arguments, joined
@@ -477,7 +477,7 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
     ``regret_avg`` is recorded too: each cell's running mean of
     ``metrics.regret_sum``.
     """
-    chunks = list(closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update))
+    chunks = list(closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells))
     columns = {name: [getattr(chunk, name) for chunk in chunks] for name in TRACE_COLUMNS}
     batch = Trace(**{name: None if parts[0] is None else np.concatenate(parts)
                      for name, parts in columns.items()})
@@ -487,7 +487,7 @@ def run_closed_loop_batch(plant, estimator, pair, cfg, n_steps, cells, update=No
 
 
 # takes an sg_init state, not (theta0, hyper): perfbench/tracer.py patches EstimatorState
-def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None):
+def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
     """Run every (algorithm, seed) cell of a sweep as one batch; yields a Trace per chunk.
 
     Each chunk's Trace holds the steps [start, min(start + ``_CHUNK``,
@@ -508,34 +508,27 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
       ``plant.noise.with_seed(seed)``: once per chunk, every row's
       ``uniform_block`` is stacked and mapped by one ``quantile`` call (the
       same values as each stream's own ``draw_block(n_steps)``);
-    - prepared blocks ``(phi, y, f_true)``, shaped (m, U, d), (m, U) and
-      (m, U) for m steps, with one column per distinct seed of ``cells``
-      in order of first appearance: every cell reads the column of its
-      seed.  Either a tuple of the blocks of all ``n_steps`` steps, or a
-      callable ``draw(m)`` that gives the blocks of the next m steps and
-      is called once per chunk, in step order, so the inputs need never
-      be held whole.  ``f_true`` is None when the truth is unknown, and
+    - any other ``cfg`` is a ``draw(m)`` of prepared inputs, called once
+      per chunk, in step order, so the inputs need never be held whole.
+      It gives the blocks ``(phi, y, f_true)`` of the next m steps, shaped
+      (m, U, d), (m, U) and (m, U), with one column per distinct seed of
+      ``cells`` in order of first appearance: every cell reads the column
+      of its seed.  ``f_true`` is None when the truth is unknown, and
       ``plant`` is then None too: ``f_true``, ``regret_avg`` and
       ``theta_err`` stay empty.
 
     A step runs only the recursion: control and plant (closed loop only)
-    and the update, and tests none of their results.  Once per chunk, the
-    prepared inputs are gathered per cell; one test (``sg.steps_pass``, and
-    in the closed loop a finite ``f_true``) runs over the chunk's results;
-    the divergence flags (norm above ``DIVERGENCE_NORM`` after a step) and
-    ``theta_err`` are derived from the chunk's estimates; and ``loss`` is
-    evaluated on the chunk's (m, S) blocks.  A chunk that fails the test is
-    walked again from its start with every step checked (``sg_update``,
-    and the plant's output), which raises at its first bad step as a loop
-    checking every step would.
-
-    ``update(theta, r, carry, phi, y)`` advances the estimator rows and
-    returns (theta, r, carry, mu_k, grad_norm_sq, f_hat) as ``sg_update``
-    does (the gradient norms are not recorded); the default is
-    ``sg_update`` with each row's gain law.  The loop does not test what
-    ``update`` returns, and walks each step of the plant checked.  A
-    NumericError or DomainError raised inside the batch names the step, and
-    the algorithm and seed of the first bad row, in its context.
+    and ``sg_update_unguarded``, and tests none of their results.  Once per
+    chunk, the prepared inputs are gathered per cell; one test
+    (``sg.steps_pass``, and in the closed loop a finite ``f_true``) runs
+    over the chunk's results; the divergence flags (norm above
+    ``DIVERGENCE_NORM`` after a step) and ``theta_err`` are derived from
+    the chunk's estimates; and ``loss`` is evaluated on the chunk's (m, S)
+    blocks.  A chunk that fails the test is walked again from its start
+    with every step checked (``sg_update``, and the plant's output), which
+    raises at its first bad step as a loop checking every step would.  A
+    NumericError or DomainError raised inside the batch names the step,
+    and the algorithm and seed of the first bad row, in its context.
     """
     model_est = pair.predictor
     closed = isinstance(cfg, ControlConfig)
@@ -556,9 +549,6 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
         raise ConfigurationError("a batch needs at least one (algorithm, seed) cell")
     hyper, loss = estimator.hyper, pair.loss
     classical = np.array([algo == "classical" for algo, _ in cells])
-    # the step of a chunk's first run, and of the walk that re-runs a chunk failing its test
-    step, checked_step = ((sg_update_unguarded, sg_update) if update is None
-                          else (_hook_step(update),) * 2)
     S, d = len(cells), model_est.dim
     truth = plant is not None
     columns = (_BATCH_COLUMNS + (_TRUTH_COLUMNS if truth else ())
@@ -584,8 +574,6 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
         seeds = list(dict.fromkeys(seed for _, seed in cells))
         block_of = np.array([seeds.index(seed) for _, seed in cells])
         U = len(seeds)
-        if not callable(cfg):
-            _checked_blocks(cfg, n, U, d, truth)
     k = 0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
@@ -600,9 +588,13 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
             y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
             start_lags = (phi.copy(), u_prev)
         else:
-            blocks = cfg(m) if callable(cfg) else [None if b is None else b[start:stop] for b in cfg]
+            blocks = cfg(m)
+            shapes = tuple(np.shape(block) for block in blocks)
+            if shapes != ((m, U, d), (m, U), (m, U) if truth else ()):
+                raise ConfigurationError(
+                    f"block shapes {shapes} do not match {m} steps of {U} seeds in dim {d}")
             phi_rows, y_col, f_true_rows = (None if block is None else block.take(block_of, axis=1)
-                                            for block in _checked_blocks(blocks, m, U, d, truth))
+                                            for block in blocks)
             recorded["y"] = y_col
             if truth:
                 recorded["f_true"] = f_true_rows
@@ -614,12 +606,10 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
                 if closed:
                     noise = plant.noise.quantile(
                         np.stack([source.uniform_block(m) for source in noises], axis=1))
-                # a hook's chunk runs once, walked; any other chunk is walked
-                # only when its first, unchecked run fails the test
-                for walk in (update is not None, True):
-                    update_rows = checked_step if walk else step
-                    # a copy: a hook may keep the estimate it was given
-                    theta, (r, carry) = estimates[0].copy(), start_gain
+                # a chunk is walked only when its first, unchecked run fails the test
+                for walk in (False, True):
+                    update_rows = sg_update if walk else sg_update_unguarded
+                    theta, (r, carry) = estimates[0], start_gain
                     flags = np.zeros((m, S), np.int64)
                     if closed:
                         phi[:], u_prev = start_lags
@@ -671,23 +661,3 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells, update=None)
         recorded["loss"] = loss.eval(y_col, f_est_col)
         estimates[0] = chunk[-1]
         yield Trace(k=np.arange(start, stop), y_star=y_star, flags=flags, **recorded)
-
-
-def _checked_blocks(blocks, m, seeds, d, truth):
-    """``blocks`` = (phi, y, f_true), if shaped as m steps of ``seeds`` columns in dim ``d``."""
-    shapes = tuple(np.shape(block) for block in blocks)
-    if shapes != ((m, seeds, d), (m, seeds), (m, seeds) if truth else ()):
-        raise ConfigurationError(
-            f"block shapes {shapes} do not match {m} steps of {seeds} seeds in dim {d}")
-    return blocks
-
-
-def _hook_step(update):
-    """A custom ``update`` called as the loop calls ``sg_update``; ``out`` gets its estimate."""
-
-    def update_rows(theta, r, carry, phi, y, pair, hyper, classical, out):
-        result = update(theta, r, carry, phi, y)
-        out[...] = result[0]
-        return result
-
-    return update_rows

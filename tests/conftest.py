@@ -1,6 +1,7 @@
 """Shared fixtures: finite-difference helpers, the scalar reference of the
-compensated running sum, the bundled-preset runs used by several test
-modules, and the synthetic positive-target corpus."""
+compensated running sum, prepared blocks as a run loop's draw, the
+bundled-preset runs used by several test modules, and the synthetic
+positive-target corpus."""
 
 import csv
 import time
@@ -47,6 +48,18 @@ def _oracle_compensated_cumsum(values):
         raw = new
         out.append(raw + error)
     return np.array(out)
+
+
+def drawn(blocks):
+    """Whole-run blocks (phi, y, f_true) as the ``draw(m)`` that a run loop asks each chunk's from."""
+    taken = 0
+
+    def draw(m):
+        nonlocal taken
+        taken += m
+        return tuple(None if block is None else block[taken - m : taken] for block in blocks)
+
+    return draw
 
 
 def write_corpus(path, n=CORPUS_ROWS, seed=CORPUS_SEED):

@@ -46,11 +46,11 @@ from sgident.bench import (
     verify_report,
     write_trace,
 )
-from sgident.control import NoiseSource, Trace
+from sgident.control import ControlConfig, NoiseSource, Trace
 from sgident.core import row_dots
 from sgident.errors import ConfigurationError, DataError, NumericError
 from sgident.metrics import relative_error_metric
-from sgident.models import SquaredError
+from sgident.models import SaturationSpec, SquaredError
 
 CONTROL_CFG = """
 [experiment]
@@ -285,6 +285,78 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config(str(tmp_path / "absent.cfg"))
+
+    @pytest.mark.parametrize("text,old,new,message", [
+        (CONTROL_CFG, "algorithms = modified, classical", "algorithms = ,",
+         "experiment.algorithms: must list at least one algorithm"),
+        (CONTROL_CFG, "n_steps = 40", "n_steps = 0", "experiment.n_steps: must be >= 1, got 0"),
+        (CONTROL_CFG, "beta3 = 2.0", "beta3 = 2.0\nalpha_eps = 1.5",
+         "hyper.alpha_eps: must lie in (0,1), got 1.5"),
+        (CONTROL_CFG, "q = 2", "q = 2\npair = logistic",
+         "model.pair: control mode drives the tanh lag model; got 'logistic'"),
+        (CONTROL_CFG, "theta0 = 0.01, 0.01, 0.01, 0.01, 0.01", "theta0 = 0.01, 0.01",
+         "plant.theta0: expected 5 entries, got 2"),
+        (CONTROL_CFG, "noise_std = 0.05", "noise_std = -1",
+         "plant: noise std must be finite and >= 0, got -1.0"),
+        (REPLAY_CFG, "features = f0, f1, f2, f3, f4", "features = ,",
+         "replay.features: must list at least one column"),
+        (REPLAY_CFG, "pair = saturation", "pair = logistic",
+         "replay.pair: supported pairs are 'saturation' and 'linear_mse', got 'logistic'"),
+        (REPLAY_CFG, "target = y", "target = y\ntheta0 = 0, 0",
+         "replay.theta0: expected 5 entries, got 2"),
+        (REPLAY_CFG, "target = y", "target = y\nstrict_csv = maybe",
+         "replay.strict_csv: cannot parse 'maybe' (not a boolean: 'maybe')"),
+    ], ids=["no_algorithm", "n_steps", "alpha_eps", "control_pair", "theta0_size",
+            "plant_noise", "no_feature", "replay_pair", "replay_theta0_size", "boolean"])
+    def test_rejection_names_its_key(self, tmp_path, text, old, new, message):
+        assert old in text
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the censored replay pair declares no constants
+            with pytest.raises(ConfigurationError) as exc:
+                load_config(_write_cfg(tmp_path, text.replace(old, new), out=tmp_path,
+                                       data="data.csv"))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("spelling,value", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("false", False), ("no", False), ("Off", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, spelling, value):
+        text = REPLAY_CFG.replace("target = y", f"target = y\nstrict_csv = {spelling}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = load_config(_write_cfg(tmp_path, text, out=tmp_path, data="data.csv"))
+        assert cfg.strict_csv is value
+
+    def test_unparsable_and_unreadable_files_are_named(self, tmp_path):
+        path = tmp_path / "headless.cfg"
+        path.write_text("mode = control\n")
+        with pytest.raises(ConfigurationError,
+                           match=f"config parse error in {re.escape(str(path))}"):
+            load_config(str(path))
+        with pytest.raises(ConfigurationError, match="config file unreadable"):
+            load_config(str(tmp_path))  # a directory exists but reads as nothing
+
+    @pytest.mark.parametrize("pair", ["saturation", "linear_mse"])
+    def test_a_replay_echo_rebuilds_the_loaded_pair(self, tmp_path, pair):
+        # the echoed report config names the window and dimension the run used;
+        # without them the catalog's 'saturation' pair, [-1, 1] in d = 3, stood in
+        text = REPLAY_CFG.replace("pair = saturation", f"pair = {pair}")
+        if pair == "linear_mse":
+            text = re.sub(r"(lower|upper|noise_std) = .*\n", "", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = load_config(_write_cfg(tmp_path, text, out=tmp_path, data="data.csv"))
+        echo = json.loads(json.dumps(bench_module._echo_config(cfg)))
+        rebuilt = bench_module._pair_of(echo)
+        loaded = cfg.pair
+        assert type(rebuilt.predictor) is type(loaded.predictor)
+        assert rebuilt.predictor.dim == loaded.predictor.dim == 5
+        assert getattr(rebuilt.predictor, "spec", None) == getattr(loaded.predictor, "spec", None)
+        assert rebuilt.loss.name == loaded.loss.name
+        assert rebuilt.operating_note == loaded.operating_note
+        if pair == "saturation":
+            assert rebuilt.predictor.spec == SaturationSpec(6.0, 120.0, 5.0)
 
 
 class TestIngestCsv:
@@ -952,6 +1024,26 @@ class TestRunExperiment:
         assert exc.value.line == 12 and str(data) in str(exc.value)
         report = json.loads((tmp_path / "runs" / "report.json").read_text())
         assert report["error"]["line"] == 12
+
+
+    def test_a_per_step_target_is_rejected_before_anything_is_made(self, tmp_path):
+        # the report holds one target: an array of them failed to serialise
+        # after the whole sweep, leaving the traces and a cut-off report.json
+        cfg = load_config(_write_cfg(tmp_path, CONTROL_CFG, out=tmp_path / "runs"))
+        cfg.control = ControlConfig(y_target=np.full(cfg.n_steps, 0.5))
+        with pytest.raises(ConfigurationError,
+                           match=r"control\.y_target: must be a scalar .* shape \(40,\)"):
+            run_experiment(cfg)
+        assert not (tmp_path / "runs").exists()
+
+    def test_a_report_is_written_whole_or_not_at_all(self, tmp_path):
+        path = tmp_path / "report.json"
+        bench_module._write_report(str(path), {"ok": 1})
+        kept = path.read_bytes()
+        with pytest.raises(TypeError):
+            bench_module._write_report(str(path), {"a": 1, "b": np.zeros(2)})
+        assert path.read_bytes() == kept
+        assert sorted(os.listdir(tmp_path)) == ["report.json"]
 
 
 class TestBatchRows:
@@ -1739,7 +1831,9 @@ class TestMemoryBound:
         # 163,840-row trace peaked 0.06 MB above the 16,384-row one (1.24 MB).  Reading
         # each trace whole, it grew by 12.3 MB
         config = {"mode": "replay", "algorithms": ["modified"], "seeds": [0],
-                  "hyper": {"mu": 0.3, "beta1": 0.5, "beta2": 0.51, "beta3": 2.0}}
+                  "hyper": {"mu": 0.3, "beta1": 0.5, "beta2": 0.51, "beta3": 2.0},
+                  "pair": "saturation", "replay": {"features": ["f0", "f1", "f2", "f3", "f4"],
+                                                   "lower": 6.0, "upper": 120.0, "noise_std": 5.0}}
 
         def replay_report(n):
             rng = np.random.default_rng(n)

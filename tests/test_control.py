@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _oracle_compensated_cumsum
+from conftest import _oracle_compensated_cumsum, drawn
 import sgident.bench as bench
 import sgident.control as control_mod
 from sgident.control import (
@@ -475,10 +475,11 @@ class TestPlantStep:
             Plant(pair.predictor, np.zeros(4), NoiseSource())
 
 
-def _frozen_update(theta, r, carry, phi, y):
-    """Estimator update stub that never moves — the oracle controller."""
+def _frozen_update(theta, r, carry, phi, y, pair, hyper, classical, out):
+    """Estimator step stub that never moves — the oracle controller."""
+    out[...] = theta
     zeros = np.zeros(len(r))
-    return theta, r, carry, zeros, zeros, np.tanh(row_dots(phi, theta))
+    return out, r, carry, zeros, zeros, np.tanh(row_dots(phi, theta))
 
 
 class TestRunClosedLoop:
@@ -490,7 +491,7 @@ class TestRunClosedLoop:
         plant = Plant(pair.predictor, self.theta_star, NoiseSource(std=0.05, seed=0))
         return plant, pair
 
-    def test_oracle_controller_sits_on_noise_floor(self):
+    def test_oracle_controller_sits_on_noise_floor(self, monkeypatch):
         # estimating at theta* with no updates, tracking error is w^2 alone:
         # mean ~ sigma^2 = 0.0025, and the one-step identity
         # y - y* - w = f(phi, theta*) - y* is the solver residual, which the
@@ -498,8 +499,8 @@ class TestRunClosedLoop:
         plant, pair = self._plant_and_pair()
         state = sg_init(self.theta_star, self.hyper)
         cfg = ControlConfig(y_target=0.5, root_tol=1e-10)
-        trace = run_closed_loop_batch(plant, state, pair, cfg, 2000, [("modified", 1)],
-                                      update=_frozen_update).cell(0)
+        monkeypatch.setattr(control_mod, "sg_update_unguarded", _frozen_update)
+        trace = run_closed_loop_batch(plant, state, pair, cfg, 2000, [("modified", 1)]).cell(0)
         assert len(trace) == 2000
         assert not trace.flags.any()
         te = np.mean((trace.y - trace.y_star) ** 2)
@@ -549,7 +550,7 @@ class TestRunClosedLoop:
         else:
             plant, pair = None, linear_mse_pair(5)
             rng = np.random.default_rng(3)
-            cfg = (rng.normal(size=(n, 2, 5)), rng.normal(size=(n, 2)), None)
+            cfg = drawn((rng.normal(size=(n, 2, 5)), rng.normal(size=(n, 2)), None))
         run_closed_loop_batch(plant, sg_init(np.zeros(5), self.hyper), pair, cfg, n, cells)
         assert calls == {"steps_pass": 3, "sg_update": 0, "check_rows": 0}
 
@@ -576,16 +577,18 @@ class TestRunClosedLoop:
         assert trace.r_k[0] == 2.0 + trace.u[0] ** 2
         assert math.isfinite(trace.y[0]) and math.isfinite(trace.u[0])
 
-    def test_divergence_flagged(self):
+    def test_divergence_flagged(self, monkeypatch):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.zeros(5), self.hyper)
 
-        def blowup_update(theta, r, carry, phi, y):
+        def blowup_update(theta, r, carry, phi, y, pair, hyper, classical, out):
+            out[...] = 1e7
             zeros = np.zeros(len(r))
-            return np.full_like(theta, 1e7), r, carry, zeros, zeros, zeros
+            return out, r, carry, zeros, zeros, zeros
 
-        trace = run_closed_loop_batch(plant, state, pair, ControlConfig(), 1, [("modified", 4)],
-                                      update=blowup_update).cell(0)
+        monkeypatch.setattr(control_mod, "sg_update_unguarded", blowup_update)
+        trace = run_closed_loop_batch(plant, state, pair, ControlConfig(), 1,
+                                      [("modified", 4)]).cell(0)
         assert trace.flags[0] & DIVERGENCE
 
     def test_same_seed_reruns_bitwise(self):
@@ -601,13 +604,13 @@ class TestRunClosedLoop:
         other = run_closed_loop_batch(plant, state, pair, cfg, 300, [("modified", 8)]).cell(0)
         assert not np.array_equal(other.y, runs[0].y)
 
-    def test_per_step_targets_are_followed(self):
+    def test_per_step_targets_are_followed(self, monkeypatch):
         plant, pair = self._plant_and_pair()
         state = sg_init(self.theta_star, self.hyper)
         targets = np.array([0.1, -0.2, 0.3, 0.0, 0.25])
         cfg = ControlConfig(y_target=targets, root_tol=1e-10)
-        trace = run_closed_loop_batch(plant, state, pair, cfg, 5, [("modified", 2)],
-                                      update=_frozen_update).cell(0)
+        monkeypatch.setattr(control_mod, "sg_update_unguarded", _frozen_update)
+        trace = run_closed_loop_batch(plant, state, pair, cfg, 5, [("modified", 2)]).cell(0)
         assert trace.y_star.tolist() == list(targets)
         assert np.max(np.abs(trace.f_true - trace.y_star)) <= 1e-10
 
@@ -639,25 +642,26 @@ class TestRunClosedLoop:
         modified = run_closed_loop_batch(plant, state, pair, cfg, 20, [("modified", 1)]).cell(0)
         assert modified.mu_k[0] < classical.mu_k[0]
 
-    def test_numeric_error_names_step_algorithm_and_seed(self):
+    def test_numeric_error_names_step_algorithm_and_seed(self, monkeypatch):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)
 
-        def failing_update(theta, r, carry, phi, y):
+        def failing_update(theta, r, carry, phi, y, pair, hyper, classical, out):
             if failing_update.calls == 3:
                 raise NumericError("boom", context={"row": 1})
             failing_update.calls += 1
+            out[...] = theta
             zeros = np.zeros(len(r))
-            return theta, r, carry, zeros, zeros, zeros
+            return out, r, carry, zeros, zeros, zeros
 
         failing_update.calls = 0
+        monkeypatch.setattr(control_mod, "sg_update_unguarded", failing_update)
         with pytest.raises(NumericError) as exc:
             run_closed_loop_batch(plant, state, pair, ControlConfig(), 10,
-                                  (("modified", 7), ("classical", 8), ("modified", 9)),
-                                  update=failing_update)
+                                  (("modified", 7), ("classical", 8), ("modified", 9)))
         assert exc.value.context == {"k": 3, "algorithm": "classical", "seed": 8}
 
-    def test_too_few_per_step_targets_are_rejected_before_any_step(self):
+    def test_too_few_per_step_targets_are_rejected_before_any_step(self, monkeypatch):
         # three targets for ten steps failed at step 3 with an IndexError
         plant, pair = self._plant_and_pair()
 
@@ -665,10 +669,11 @@ class TestRunClosedLoop:
             raise AssertionError("a step ran")
 
         cfg = ControlConfig(y_target=np.array([0.5, 0.4, 0.3]))
+        monkeypatch.setattr(control_mod, "sg_update_unguarded", no_step)
         with pytest.raises(ConfigurationError,
                            match="y_target has 3 per-step targets, fewer than 10 steps"):
             run_closed_loop_batch(plant, sg_init(np.zeros(5), self.hyper), pair, cfg, 10,
-                                  [("modified", 1)], update=no_step)
+                                  [("modified", 1)])
 
     def test_plant_without_lag_orders_rejected(self):
         pair = tanh_mse_pair(p=3, q=2)
@@ -700,19 +705,19 @@ _DIVERGING_ROWS = ((_SATURATING, 1022), (_SATURATING, 1023), (_REACHING, 1024),
 
 
 def _diverging_update(log):
-    """Update stub: each row's norm grows by its own factor along its direction.
+    """Estimator step stub: each row's norm grows by its own factor along its direction.
 
     Starting from norm 1, the norm after step k is growth^(k+1), so it
     crosses DIVERGENCE_NORM at the row's step with half a step to spare.
-    Every call's (theta, phi, new theta) goes to ``log``.
+    Every call's (theta, phi, new theta), copied, goes to ``log``.
     """
     directions = np.array([direction for direction, _ in _DIVERGING_ROWS])
     growth = np.array([1.0 if k is None else DIVERGENCE_NORM ** (1.0 / (k + 0.5))
                        for _, k in _DIVERGING_ROWS])
 
-    def update(theta, r, carry, phi, y):
-        new = directions * (np.sqrt(row_dots(theta, theta)) * growth)[:, None]
-        log.append((theta, phi.copy(), new))
+    def update(theta, r, carry, phi, y, pair, hyper, classical, out):
+        new = np.multiply(directions, (np.sqrt(row_dots(theta, theta)) * growth)[:, None], out=out)
+        log.append((theta.copy(), phi.copy(), new.copy()))
         return new, r + 1.0, carry, np.full(len(r), 0.1), np.ones(len(r)), row_dots(phi, theta)
 
     return update
@@ -748,7 +753,7 @@ def _per_step_oracle(log, batch, pair, theta_star, cfg, p):
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
-def test_per_chunk_columns_equal_the_per_step_derivation(n):
+def test_per_chunk_columns_equal_the_per_step_derivation(n, monkeypatch):
     # the divergence flags, theta_err and regret_avg are derived per chunk of
     # steps; across its seams they must equal the per-step derivation, with
     # a step's divergence bit joined to its control flags
@@ -759,8 +764,8 @@ def test_per_chunk_columns_equal_the_per_step_derivation(n):
     cfg = ControlConfig(y_target=0.5)
     cells = [("modified", seed) for seed in range(len(_DIVERGING_ROWS))]
     log = []
-    batch = run_closed_loop_batch(plant, state, pair, cfg, n, cells,
-                                  update=_diverging_update(log))
+    monkeypatch.setattr(control_mod, "sg_update_unguarded", _diverging_update(log))
+    batch = run_closed_loop_batch(plant, state, pair, cfg, n, cells)
     flags, theta_err, regret_avg = _per_step_oracle(log, batch, pair, theta_star, cfg, 3)
     for i in range(len(cells)):
         trace = batch.cell(i)
@@ -780,7 +785,7 @@ def test_per_chunk_columns_equal_the_per_step_derivation(n):
         ]
 
 
-def test_chunks_hold_their_steps_of_the_joined_run():
+def test_chunks_hold_their_steps_of_the_joined_run(monkeypatch):
     # each chunk's cell is rows start..stop - 1 of the whole run's, step
     # numbers and flags included; only the joined run knows regret_avg.  A
     # chunk holds (m, S) columns, y_star a view of the shared targets
@@ -790,8 +795,9 @@ def test_chunks_hold_their_steps_of_the_joined_run():
     state = sg_init(_SATURATING, HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0))
     cells = [("modified", seed) for seed in range(len(_DIVERGING_ROWS))]
     args = (plant, state, pair, ControlConfig(y_target=0.5), 1100, cells)
-    joined = run_closed_loop_batch(*args, update=_diverging_update([]))
-    chunks = list(closed_loop_chunks(*args, update=_diverging_update([])))
+    monkeypatch.setattr(control_mod, "sg_update_unguarded", _diverging_update([]))
+    joined = run_closed_loop_batch(*args)
+    chunks = list(closed_loop_chunks(*args))
     assert [(c.k[0], len(c)) for c in chunks] == [(0, 512), (512, 512), (1024, 76)]
     for chunk in chunks:
         assert chunk.k.shape == (len(chunk),)
@@ -894,7 +900,7 @@ def _sweep_case(name):
         blocks = (phi[:, None], np.clip(latent, 6.0, 120.0)[:, None], None)
         pair = saturation_pair(SaturationSpec(6.0, 120.0, 5.0), d=5)
         hyper = HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0)
-        return (None, sg_init(np.zeros(5), hyper), pair, blocks,
+        return (None, sg_init(np.zeros(5), hyper), pair, drawn(blocks),
                 [("modified", 0), ("classical", 0)], lambda k, theta: (blocks[0][k], blocks[1][k]))
     if name == "logistic_cross_entropy":
         phi = rng.normal(size=(n, 2, 3))
@@ -903,7 +909,7 @@ def _sweep_case(name):
         cells = [("modified", 1), ("classical", 1), ("classical", 2), ("modified", 2)]
         of = np.array([0, 0, 1, 1])
         hyper = HyperParams(mu=0.1, beta1=0.5, beta2=2 / 3, beta3=2.0)
-        return (None, sg_init(np.zeros(3), hyper), logistic_pair(d=3), blocks, cells,
+        return (None, sg_init(np.zeros(3), hyper), logistic_pair(d=3), drawn(blocks), cells,
                 lambda k, theta: (blocks[0][k][of], blocks[1][k][of]))
     pair = tanh_mse_pair(p=3, q=2)
     plant = Plant(pair.predictor, np.array([0.01, 3.0, -0.1, 0.6, -0.3]),
@@ -954,7 +960,10 @@ def test_drawn_blocks_are_asked_for_per_chunk_and_their_shapes_checked():
     cells = [("modified", 0), ("classical", 0)]
     got = run_closed_loop_batch(None, state, pair, draw, n, cells)
     assert asked == [512, 512, 76]
-    assert got == run_closed_loop_batch(None, state, pair, (phi, y, None), n, cells)
+    # every cell steps on the drawn rows of its seed, as one sg_update per step would
+    want = _sg_update_loop(pair, state, cells, n, lambda k, theta: (phi[k][[0, 0]], y[k][[0, 0]]))
+    for a, b in zip((got.f_est, got.mu_k, got.r_k), want):
+        assert a.tobytes() == b.tobytes()
     with pytest.raises(ConfigurationError, match=r"block shapes .* do not match 512 steps"):
         run_closed_loop_batch(None, state, pair, lambda m: (phi[:m], y[: m - 1], None), n, cells)
 
@@ -973,7 +982,7 @@ def test_loss_domain_error_through_the_loop_is_the_steps(bad_step, tmp_path, mon
     hyper = HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0)
     state = sg_init(np.array([0.5, 0.0, 0.0]), hyper)
     with pytest.raises(DomainError) as exc:
-        run_closed_loop_batch(None, state, pair, (phi, y, None), n,
+        run_closed_loop_batch(None, state, pair, drawn((phi, y, None)), n,
                               [("modified", 0), ("classical", 0)])
     x = 0.5 * phi[bad_step, 0, 0]
     message = f"loss 'cross_entropy' evaluated outside its domain (x in (0, 1)): x={x} in row 0"
@@ -986,7 +995,7 @@ def test_loss_domain_error_through_the_loop_is_the_steps(bad_step, tmp_path, mon
                                  hyper=hyper, n_steps=n, seeds=(0,), out_dir=str(tmp_path),
                                  pair_name="logistic", pair=pair, theta_star=np.zeros(3),
                                  theta0=np.array([0.5, 0.0, 0.0]))
-    monkeypatch.setattr(bench, "_identify_inputs", lambda cfg: (phi, y, y))
+    monkeypatch.setattr(bench, "_identify_inputs", lambda cfg: drawn((phi, y, y)))
     with pytest.raises(DomainError):
         bench.run_experiment(cfg)
     report = json.loads((tmp_path / "report.json").read_text())

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import drawn
 from sgident.control import run_closed_loop_batch
 from sgident.core import GainState, HyperParams, ModelLossPair, ParameterVector, as_values
 from sgident.errors import ConfigurationError, DomainError, NumericError
@@ -212,7 +213,7 @@ class TestRecursionInvariants:
         rng = np.random.default_rng(3)
         phi, y = rng.normal(size=(100, 1, 2)), rng.normal(size=(100, 1))
         state = sg_init(np.zeros(2), _hyper())
-        trace = run_closed_loop_batch(None, state, _linear_pair(2), (phi, y, None), 100,
+        trace = run_closed_loop_batch(None, state, _linear_pair(2), drawn((phi, y, None)), 100,
                                       [("modified", 0)]).cell(0)
         assert trace.k.tolist() == list(range(100))
         assert trace.r_k[0] >= state.gain.r
