@@ -162,7 +162,10 @@ def _float_list(raw):
 
 
 def _int_list(raw):
-    return tuple(int(x) for x in raw.split(",") if x.strip() != "")
+    try:
+        return tuple(int(x) for x in raw.split(",") if x.strip() != "")
+    except ValueError:
+        raise ValueError("expected comma-separated integers") from None
 
 
 def _str_list(raw):
@@ -300,7 +303,7 @@ def _load_plant_section(cp, cfg):
     try:
         NoiseSource(std=cfg.noise_std, seed=0, kind=cfg.noise_kind, df=cfg.noise_df)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"plant: {exc}") from None
+        raise ConfigurationError(f"plant.noise_{exc.context['parameter']}: {exc}") from None
 
 
 def _load_control_section(cp, cfg):
@@ -1381,6 +1384,22 @@ def _verify_trace(config_echo, name, path, n, problems):
     return summary.result(0), derived.problems(name)
 
 
+class _MissingEchoKey(Exception):
+    """A key ``verify_report`` reads is missing from a report's config echo."""
+
+
+class _Echo(dict):
+    """A report's config echo whose missing keys raise ``_MissingEchoKey`` with their path."""
+
+    def __init__(self, echo, path="config"):
+        super().__init__((key, _Echo(value, f"{path}.{key}") if isinstance(value, dict) else value)
+                         for key, value in echo.items())
+        self.path = path
+
+    def __missing__(self, key):
+        raise _MissingEchoKey(f"{self.path}.{key}: missing")
+
+
 def verify_report(report_path, tol=RECOMPUTE_TOL):
     """Recompute a report from its traces and echoed config; list mismatches.
 
@@ -1401,16 +1420,25 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     their derivation bit for bit.  A trace is read ``_VERIFY_ROWS`` rows at
     a time by ``read_trace``, and each chunk goes to the running summary
     that ``run_experiment`` feeds and to the derived-column checks, so no
-    trace is held whole.
+    trace is held whole.  A key of the config echo that this reads and
+    the report lacks is one problem, named by its path, and ends the check.
     """
     report = _load_report(report_path)
     if isinstance(report_path, (str, os.PathLike)):
         out_dir = os.path.dirname(os.path.abspath(report_path))
     else:
         out_dir = report.get("config", {}).get("out_dir", ".")
-    cfgd = report["config"]
-    n = report.get("dataset", {}).get("rows_used") if cfgd["mode"] == "replay" else cfgd["n_steps"]
     problems = []
+    try:
+        _verify_runs(report, _Echo(report.get("config", {})), out_dir, tol, problems)
+    except _MissingEchoKey as exc:
+        problems.append(str(exc))
+    return (not problems), problems
+
+
+def _verify_runs(report, cfgd, out_dir, tol, problems):
+    """``verify_report``'s checks of ``report``, echo ``cfgd``; adds each problem to ``problems``."""
+    n = report.get("dataset", {}).get("rows_used") if cfgd["mode"] == "replay" else cfgd["n_steps"]
     recomputed = {}
     for algo, by_seed in report["runs"].items():
         recomputed[algo] = {}
@@ -1444,4 +1472,3 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
             derived["bound_curve"] = _bound_curve_block(cfgd)
         for name, value in derived.items():
             _compare(name, report.get(name), value, tol, problems)
-    return (not problems), problems

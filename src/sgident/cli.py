@@ -32,10 +32,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(ERROR, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
+def _seeds(raw):
+    """``--seeds`` through the config's own list parser; argparse prints its message as is."""
+    try:
+        return _int_list(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {raw!r}") from None
+
+
 def _add_run_command(sub, name, help_text, with_data=False):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--seeds", type=_int_list, default=None, help="comma-separated seed override")
+    p.add_argument("--seeds", type=_seeds, default=None, help="comma-separated seed override")
     p.add_argument("--out", default=None, help="output directory override")
     if with_data:
         p.add_argument("--data", default=None, help="dataset CSV (overrides replay.data)")

@@ -9,8 +9,11 @@ base) / theta_u, and unreachable targets and a vanishing control gain get
 best-effort/hold fallbacks that leave a flag in the trace instead of
 raising.  Only the rest (other links, closed forms that miss the residual
 tolerance) runs per row: a monotone bisection after geometric bracket
-expansion from the previous input.  The plant noise of a run does not
-depend on the loop state, so it is drawn one block per chunk of steps.
+expansion from the previous input.  The run loop steps with the closed
+form alone and tests once per chunk which case each step took; only a
+chunk that left it runs again with the full decision.  The plant noise of
+a run does not depend on the loop state, so it is drawn one block per
+chunk of steps.
 
 One loop, ``closed_loop_chunks``, runs every mode: it steps all (algorithm,
 seed) cells of a sweep together as rows of (S, d) arrays, with the
@@ -140,13 +143,16 @@ class NoiseSource:
     GENERATOR_NAME = "philox-inverse-cdf"
 
     def __init__(self, std=1.0, seed=0, kind="gaussian", df=None):
+        # the context names the parameter at fault, so a config loader can name its key
         if not (std >= 0 and math.isfinite(std)):
-            raise ConfigurationError(f"noise std must be finite and >= 0, got {std}")
+            raise ConfigurationError(f"noise std must be finite and >= 0, got {std}",
+                                     context={"parameter": "std"})
         if kind not in ("gaussian", "student_t"):
-            raise ConfigurationError(f"unknown noise kind '{kind}'")
+            raise ConfigurationError(f"unknown noise kind '{kind}'", context={"parameter": "kind"})
         if kind == "student_t":
             if df is None or not df > 2:
-                raise ConfigurationError("student_t noise needs df > 2")
+                raise ConfigurationError("student_t noise needs df > 2",
+                                         context={"parameter": "df"})
         self.std = float(std)
         self.seed = int(seed)
         self.kind = kind
@@ -357,7 +363,8 @@ def solve_control_rows(model, theta, phi, p, y_star, cfg: ControlConfig, u_prev)
     meets root_tol; (4) the better endpoint, ``saturated`` unless it meets
     root_tol, if the closed form lies beyond u_max or the target outside
     the link's range; (5) bisection, row by row (``saturated`` if it finds
-    no root within root_tol).
+    no root within root_tol).  The case rule of (1)-(3) is
+    ``_control_cases``, which the run loop also applies to a whole chunk.
     Floating-point warnings stay silent: every case is tested explicitly.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -370,21 +377,11 @@ def solve_control_rows_unguarded(model, theta, phi, p, y_star, cfg, u_prev):
     z_star = link_inv(y_star) if link_inv is not None else math.nan
     cu = theta[:, p]
     base = row_dots(phi, theta)
-    u0 = np.minimum(np.maximum(u_prev, -cfg.u_max), cfg.u_max)
-    r0 = model.link(base + cu * u0) - y_star
-    gain = model.dlink(base + cu * u_prev) * cu
     # nan without an inverse (the row bisects), inf outside the link's range (it saturates)
     u = np.full(len(cu), math.inf) if z_star is None else (z_star - base) / cu
-    closed = (
-        (np.abs(r0) > cfg.root_tol)
-        & (np.abs(gain) >= cfg.b_eps)
-        & (np.abs(u) <= cfg.u_max)
-        & (np.abs(model.link(base + cu * u) - y_star) <= cfg.root_tol)
-    )
+    u0, short, hold, closed = _control_cases(model, base, cu, u, u_prev, y_star, cfg)
     if all(closed.tolist()):
         return u, {}
-    short = np.abs(r0) <= cfg.root_tol
-    hold = ~short & (np.abs(gain) < cfg.b_eps)
     beyond = ~short & ~hold & (np.abs(u) > cfg.u_max)
     ends = np.array([-cfg.u_max, cfg.u_max])
     r_ends = np.abs(model.link(base[:, None] + cu[:, None] * ends) - y_star)
@@ -397,6 +394,41 @@ def solve_control_rows_unguarded(model, theta, phi, p, y_star, cfg, u_prev):
         f_of_u = partial(_link_at, model.link, float(np.dot(phi[i], theta[i])), float(cu[i]))
         u[i], flagged[i] = _bisect_control(f_of_u, y_star, float(u0[i]), cfg)
     return u, {i: mask for i, mask in flagged.items() if mask}
+
+
+def _control_cases(model, base, cu, u, u_prev, y_star, cfg):
+    """The case rule of ``solve_control_rows``, elementwise over arrays of one shape.
+
+    ``base`` is phi . theta with the input entry at 0, ``cu`` the input
+    coefficient, ``u`` the closed form (link_inv(y*) - base) / cu and
+    ``u_prev`` the previous input.  Returns (u0, short, hold, closed): the
+    previous input clipped to [-u_max, u_max], and the masks of cases (1),
+    (2) and (3).
+    """
+    u0 = np.minimum(np.maximum(u_prev, -cfg.u_max), cfg.u_max)
+    r0 = model.link(base + cu * u0) - y_star
+    gain = model.dlink(base + cu * u_prev) * cu
+    short = np.abs(r0) <= cfg.root_tol
+    hold = ~short & (np.abs(gain) < cfg.b_eps)
+    closed = (
+        (np.abs(r0) > cfg.root_tol)
+        & (np.abs(gain) >= cfg.b_eps)
+        & (np.abs(u) <= cfg.u_max)
+        & (np.abs(model.link(base + cu * u) - y_star) <= cfg.root_tol)
+    )
+    return u0, short, hold, closed
+
+
+def _closed_form_chunk(model, base, cu, u, u_start, y_star, cfg):
+    """Where each step of a chunk run with the closed form took case (3): an (m, S) mask.
+
+    ``base``, ``cu``, ``u`` and ``y_star`` are the (m, S) columns of the
+    chunk's steps, and ``u_start`` the (S,) input before its first step;
+    a step's previous input is the step before's ``u``.  Where every entry
+    holds, every step's ``solve_control_rows`` gives that ``u``, unflagged.
+    """
+    u_prev = np.concatenate((u_start[None], u[:-1]))
+    return _control_cases(model, base, cu, u, u_prev, y_star, cfg)[3]
 
 
 def _link_at(link, base, cu, u):
@@ -518,13 +550,17 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
       ``theta_err`` stay empty.
 
     A step runs only the recursion: control and plant (closed loop only)
-    and ``sg_update_unguarded``, and tests none of their results.  Once per
-    chunk, the prepared inputs are gathered per cell; one test
-    (``sg.steps_pass``, and in the closed loop a finite ``f_true``) runs
-    over the chunk's results; the divergence flags (norm above
-    ``DIVERGENCE_NORM`` after a step) and ``theta_err`` are derived from
-    the chunk's estimates; and ``loss`` is evaluated on the chunk's (m, S)
-    blocks.  A chunk that fails the test is walked again from its start
+    and ``sg_update_unguarded``, and tests none of their results.  The
+    control is the closed form u = (z* - base) / theta_u, z* = link_inv(y*)
+    taken once per chunk; a chunk where ``_closed_form_chunk`` finds a row
+    that took another case of ``solve_control_rows``, or whose z* is not
+    all finite, runs from its start deciding every row's control with
+    ``solve_control_rows_unguarded``.  Once per chunk, the prepared inputs
+    are gathered per cell; one test (``sg.steps_pass``, and in the closed
+    loop a finite ``f_true``) runs over the chunk's results; the divergence
+    flags (norm above ``DIVERGENCE_NORM`` after a step) and ``theta_err``
+    are derived from the chunk's estimates; and ``loss`` is evaluated on
+    the chunk's (m, S) blocks.  A chunk that fails the test is walked again from its start
     with every step checked (``sg_update``, and the plant's output), which
     raises at its first bad step as a loop checking every step would.  A
     NumericError or DomainError raised inside the batch names the step,
@@ -562,8 +598,10 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
     if truth:
         # stacked like the estimates so that theta == theta* gives f_est == f_true exactly
         theta_star = np.tile(plant.theta_star.values, (S, 1))
-    targets = y_star = None
+    y_star = None
     if closed:
+        y_target = np.array(cfg.y_target, dtype=float)
+        link_inv = getattr(model_est, "link_inv", None)
         noises = [plant.noise.with_seed(s) for _, s in cells]
         link_true = plant.model.link
         # each row of phi holds the lag stacks: outputs y_k..y_{k-p+1}, the
@@ -583,9 +621,15 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
         f_est_col, mu_col, r_col = (recorded[name] for name in _BATCH_COLUMNS)
         grad_norm_sq = np.empty((m, S))
         if closed:
-            targets = [cfg.target(k) for k in range(start, stop)]
-            y_star = np.broadcast_to(np.array(targets)[:, None], (m, S))
+            targets = np.full(m, y_target) if y_target.ndim == 0 else y_target[start:stop]
+            y_star = np.broadcast_to(targets[:, None], (m, S))
+            targets = targets.tolist()
+            # inf outside the link's range and nan without an inverse: such a chunk decides
+            z_star = ([math.nan] * m if link_inv is None
+                      else [math.inf if z is None else z for z in map(link_inv, targets)])
+            decide = not all(map(math.isfinite, z_star))
             y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
+            base_col = np.empty((m, S))
             start_lags = (phi.copy(), u_prev)
         else:
             blocks = cfg(m)
@@ -606,8 +650,11 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
                 if closed:
                     noise = plant.noise.quantile(
                         np.stack([source.uniform_block(m) for source in noises], axis=1))
-                # a chunk is walked only when its first, unchecked run fails the test
-                for walk in (False, True):
+                # a chunk runs again from its start only when a test of its results fails:
+                # with every control decided per row when a step left the closed form,
+                # walked with every step checked when a result failed steps_pass
+                walk = False
+                while True:
                     update_rows = sg_update if walk else sg_update_unguarded
                     theta, (r, carry) = estimates[0], start_gain
                     flags = np.zeros((m, S), np.int64)
@@ -615,8 +662,14 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
                         phi[:], u_prev = start_lags
                     for j, k in enumerate(range(start, stop)):
                         if closed:
-                            u, flagged = solve_control_rows_unguarded(model_est, theta, phi, p,
-                                                                      targets[j], cfg, u_prev)
+                            if decide:
+                                u, flagged = solve_control_rows_unguarded(
+                                    model_est, theta, phi, p, targets[j], cfg, u_prev)
+                                for i, mask in flagged.items():
+                                    flags[j, i] = mask
+                            else:
+                                base_col[j] = base = row_dots(phi, theta)
+                                u = (z_star[j] - base) / theta[:, p]
                             phi[:, p] = u
                             f_true = link_true(row_dots(phi, theta_star))
                             if walk:
@@ -624,8 +677,6 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
                                            phi=phi, u=u)
                             y_next = f_true + noise[j]
                             y_col[j], f_true_col[j], u_col[j] = y_next, f_true, u
-                            for i, mask in flagged.items():
-                                flags[j, i] = mask
                         else:
                             phi, y_next = phi_rows[j], y_col[j]
 
@@ -639,12 +690,18 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
                             phi[:, p + 1 :] = phi[:, p : d - 1]
                             phi[:, p] = 0.0
                             u_prev = u
-                    if walk or (
-                        steps_pass(estimates[1 : m + 1], r_col, mu_col, grad_norm_sq, f_est_col,
-                                   y_col, loss, hyper, classical)
-                        and (not closed or np.isfinite(f_true_col).all())
-                    ):
+                    if walk:
                         break
+                    if closed and not decide and not _closed_form_chunk(
+                            model_est, base_col, estimates[:m, :, p], u_col, start_lags[1],
+                            y_star, cfg).all():
+                        decide = True
+                        continue
+                    if (steps_pass(estimates[1 : m + 1], r_col, mu_col, grad_norm_sq, f_est_col,
+                                   y_col, loss, hyper, classical)
+                            and (not closed or np.isfinite(f_true_col).all())):
+                        break
+                    walk = True
 
                 chunk = estimates[: m + 1]
                 diverged = np.sqrt(row_dots(chunk[1:], chunk[1:])) > DIVERGENCE_NORM

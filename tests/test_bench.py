@@ -297,7 +297,13 @@ class TestLoadConfig:
         (CONTROL_CFG, "theta0 = 0.01, 0.01, 0.01, 0.01, 0.01", "theta0 = 0.01, 0.01",
          "plant.theta0: expected 5 entries, got 2"),
         (CONTROL_CFG, "noise_std = 0.05", "noise_std = -1",
-         "plant: noise std must be finite and >= 0, got -1.0"),
+         "plant.noise_std: noise std must be finite and >= 0, got -1.0"),
+        (CONTROL_CFG, "noise_std = 0.05", "noise_std = 0.05\nnoise_kind = laplace",
+         "plant.noise_kind: unknown noise kind 'laplace'"),
+        (CONTROL_CFG, "noise_std = 0.05", "noise_std = 0.05\nnoise_kind = student_t\nnoise_df = 2",
+         "plant.noise_df: student_t noise needs df > 2"),
+        (CONTROL_CFG, "seeds = 1, 2", "seeds = 1, two",
+         "experiment.seeds: cannot parse '1, two' (expected comma-separated integers)"),
         (REPLAY_CFG, "features = f0, f1, f2, f3, f4", "features = ,",
          "replay.features: must list at least one column"),
         (REPLAY_CFG, "pair = saturation", "pair = logistic",
@@ -307,7 +313,8 @@ class TestLoadConfig:
         (REPLAY_CFG, "target = y", "target = y\nstrict_csv = maybe",
          "replay.strict_csv: cannot parse 'maybe' (not a boolean: 'maybe')"),
     ], ids=["no_algorithm", "n_steps", "alpha_eps", "control_pair", "theta0_size",
-            "plant_noise", "no_feature", "replay_pair", "replay_theta0_size", "boolean"])
+            "plant_noise", "plant_noise_kind", "plant_noise_df", "seeds", "no_feature",
+            "replay_pair", "replay_theta0_size", "boolean"])
     def test_rejection_names_its_key(self, tmp_path, text, old, new, message):
         assert old in text
         with warnings.catch_warnings():
@@ -1369,6 +1376,20 @@ class TestVerifyReport:
         ok, problems = self._verify_edited(control_report, tmp_path, edit)
         assert not ok
         assert any(p.startswith("classical/seed_2/final_theta_err") for p in problems)
+
+    @pytest.mark.parametrize("run, section, key", [
+        ("small_replay_report", "replay", "lower"),
+        ("control_report", "control", "p"),
+    ])
+    def test_echo_missing_a_key_it_reads_is_one_named_problem(self, run, section, key, request,
+                                                               tmp_path):
+        # the pair a report names is rebuilt from its echoed config; a key
+        # missing there is named, not raised as a bare KeyError
+        def edit(data):
+            del data["config"][section][key]
+
+        assert self._verify_edited(request.getfixturevalue(run), tmp_path, edit) == (
+            False, [f"config.{section}.{key}: missing"])
 
     def test_deleted_key_is_flagged(self, control_report, tmp_path):
         def edit(data):

@@ -125,6 +125,13 @@ class TestRunCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()  # rejected before anything ran
 
+    def test_unparsable_seed_override_says_the_expected_format(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["control", "--config", _cfg(tmp_path, CONTROL_CFG), "--seeds=abc"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seeds: expected comma-separated integers, got 'abc'\n")
+
     def test_replay_takes_data_from_flag(self, tmp_path, capsys, corpus_csv):
         with pytest.warns(UserWarning):
             code = main(["replay", "--config", _cfg(tmp_path, REPLAY_CFG),

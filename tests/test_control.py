@@ -709,7 +709,10 @@ def _diverging_update(log):
 
     Starting from norm 1, the norm after step k is growth^(k+1), so it
     crosses DIVERGENCE_NORM at the row's step with half a step to spare.
-    Every call's (theta, phi, new theta), copied, goes to ``log``.
+    Every call's (theta, phi, new theta), copied, goes to the dict ``log``
+    under the call's r, which each step raises by 1: a chunk run again
+    from its start rewrites its steps' entries, so ``log`` holds the last
+    run of each chunk, in step order.
     """
     directions = np.array([direction for direction, _ in _DIVERGING_ROWS])
     growth = np.array([1.0 if k is None else DIVERGENCE_NORM ** (1.0 / (k + 0.5))
@@ -717,7 +720,7 @@ def _diverging_update(log):
 
     def update(theta, r, carry, phi, y, pair, hyper, classical, out):
         new = np.multiply(directions, (np.sqrt(row_dots(theta, theta)) * growth)[:, None], out=out)
-        log.append((theta.copy(), phi.copy(), new.copy()))
+        log[float(r[0])] = (theta.copy(), phi.copy(), new.copy())
         return new, r + 1.0, carry, np.full(len(r), 0.1), np.ones(len(r)), row_dots(phi, theta)
 
     return update
@@ -735,7 +738,7 @@ def _per_step_oracle(log, batch, pair, theta_star, cfg, p):
     flags = np.zeros((n, S), np.int64)
     theta_err, regret = np.empty((n, S)), np.empty((n, S))
     u_prev = np.zeros(S)
-    for k, (theta, phi, new) in enumerate(log):
+    for k, (theta, phi, new) in enumerate(log.values()):
         phi = phi.copy()
         u, phi[:, p] = phi[:, p].copy(), 0.0
         control = solve_control_rows(pair.predictor, theta, phi, p, cfg.target(k), cfg, u_prev)[1]
@@ -763,7 +766,7 @@ def test_per_chunk_columns_equal_the_per_step_derivation(n, monkeypatch):
     state = sg_init(_SATURATING, HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0))
     cfg = ControlConfig(y_target=0.5)
     cells = [("modified", seed) for seed in range(len(_DIVERGING_ROWS))]
-    log = []
+    log = {}
     monkeypatch.setattr(control_mod, "sg_update_unguarded", _diverging_update(log))
     batch = run_closed_loop_batch(plant, state, pair, cfg, n, cells)
     flags, theta_err, regret_avg = _per_step_oracle(log, batch, pair, theta_star, cfg, 3)
@@ -795,7 +798,7 @@ def test_chunks_hold_their_steps_of_the_joined_run(monkeypatch):
     state = sg_init(_SATURATING, HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0))
     cells = [("modified", seed) for seed in range(len(_DIVERGING_ROWS))]
     args = (plant, state, pair, ControlConfig(y_target=0.5), 1100, cells)
-    monkeypatch.setattr(control_mod, "sg_update_unguarded", _diverging_update([]))
+    monkeypatch.setattr(control_mod, "sg_update_unguarded", _diverging_update({}))
     joined = run_closed_loop_batch(*args)
     chunks = list(closed_loop_chunks(*args))
     assert [(c.k[0], len(c)) for c in chunks] == [(0, 512), (512, 512), (1024, 76)]
@@ -868,8 +871,12 @@ def _sg_update_loop(pair, state, cells, n, step_inputs):
     return f_est, mu_k, r_k, theta
 
 
-def _closed_loop_inputs(plant, pair, cfg, cells, n):
-    """The closed loop's step inputs, one public ``solve_control_rows`` call per step."""
+def _closed_loop_inputs(plant, pair, cfg, cells, n, record=None):
+    """The closed loop's step inputs, one public ``solve_control_rows`` call per step.
+
+    Each step's u, y, f_true and flags bitmasks are appended to the lists
+    of the dict ``record``, when given.
+    """
     p, d, S = plant.model.p, pair.predictor.dim, len(cells)
     noise = np.stack([plant.noise.with_seed(seed).draw_block(n) for _, seed in cells], axis=1)
     theta_star = np.tile(plant.theta_star.values, (S, 1))
@@ -881,10 +888,16 @@ def _closed_loop_inputs(plant, pair, cfg, cells, n):
             phi[:, 0] = last["y"]
             phi[:, p + 1:] = phi[:, p: d - 1]
             phi[:, p] = 0.0
-        u = solve_control_rows(pair.predictor, theta, phi, p, cfg.target(k), cfg, last["u"])[0]
+        u, flagged = solve_control_rows(pair.predictor, theta, phi, p, cfg.target(k), cfg,
+                                        last["u"])
         phi[:, p] = u
-        y = plant.model.link(row_dots(phi, theta_star)) + noise[k]
+        f_true = plant.model.link(row_dots(phi, theta_star))
+        y = f_true + noise[k]
         last["u"], last["y"] = u, y
+        if record is not None:
+            for name, value in (("u", u), ("y", y), ("f_true", f_true),
+                                ("flags", [flagged.get(i, 0) for i in range(S)])):
+                record[name].append(value)
         return phi, y
 
     return step_inputs
@@ -941,6 +954,115 @@ def test_chunked_loop_equals_a_per_step_loop_of_sg_update(monkeypatch, name):
     got = (batch.f_est, batch.mu_k, batch.r_k, last[0])
     for column, (a, b) in zip(("f_est", "mu_k", "r_k", "theta"), zip(got, want)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), column
+
+
+def _decision_case(name):
+    """(plant, state, pair, cfg) of a 600-step closed loop, by the control cases its steps take.
+
+    Started at 0.01 everywhere, every step takes the closed form ("clean").
+    At ``theta0`` = 0 the control gain vanishes and every step holds: the
+    held input stays 0, so the input coefficient never moves.  Started at
+    theta*, step 5 alone saturates: its target 1 - 1e-9 needs an input
+    beyond u_max = 10, and the target 1.5 lies outside tanh's range.  The
+    tanh model without its inverse bisects every step.
+    """
+    pair = tanh_mse_pair(p=3, q=2)
+    theta_star = np.array([0.01, 3.0, -0.1, 0.6, -0.3])
+    plant = Plant(pair.predictor, theta_star, NoiseSource(std=0.05))
+    hyper = HyperParams(mu=0.3, beta1=0.5, beta2=0.51, beta3=2.0)
+    cfg = ControlConfig(y_target=0.5)
+    if name == "hold":
+        return plant, sg_init(np.zeros(5), hyper), pair, cfg
+    if name in ("beyond_u_max", "outside_range"):
+        targets = np.full(600, 0.5)
+        targets[5] = 1.0 - 1e-9 if name == "beyond_u_max" else 1.5
+        return plant, sg_init(theta_star, hyper), pair, ControlConfig(y_target=targets, u_max=10.0)
+    if name == "bisection":
+        pair = ModelLossPair(_TanhWithoutInverse(3, 2), pair.loss)
+    return plant, sg_init(np.full(5, 0.01), hyper), pair, cfg
+
+
+# (case, calls of the per-row decision, estimator steps) over chunks of 512 and 88 steps
+@pytest.mark.parametrize("name,solves,updates", [
+    ("clean", 0, 600), ("hold", 600, 2 * 600), ("beyond_u_max", 512, 512 + 600),
+    ("outside_range", 512, 600), ("bisection", 600, 600),
+], ids=["clean", "hold", "beyond_u_max", "outside_range", "bisection"])
+def test_closed_loop_columns_equal_a_per_step_decision(monkeypatch, name, solves, updates):
+    # a chunk runs each step's closed form and tests the cases after its last
+    # step; one where a row held, saturated or bisected runs again deciding
+    # every row per step, so its columns and flags are those of a loop that
+    # decides every step.  Only such a chunk decides (none of a clean run, so
+    # no chunk of it runs twice), and one whose targets have no finite
+    # inverse decides from the start
+    plant, state, pair, cfg = _decision_case(name)
+    cells = [("modified", 1), ("classical", 2)]
+    calls = dict.fromkeys(("solve_control_rows_unguarded", "sg_update_unguarded"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(control_mod, fn_name, counted(fn_name, getattr(control_mod, fn_name)))
+    batch = run_closed_loop_batch(plant, state, pair, cfg, 600, cells)
+    assert calls == {"solve_control_rows_unguarded": solves, "sg_update_unguarded": updates}
+    record = {column: [] for column in ("u", "y", "f_true", "flags")}
+    step_inputs = _closed_loop_inputs(plant, pair, cfg, cells, 600, record)
+    f_est, mu_k, r_k, _ = _sg_update_loop(pair, state, cells, 600, step_inputs)
+    want = {"f_est": f_est, "mu_k": mu_k, "r_k": r_k,
+            **{column: np.array(rows) for column, rows in record.items()}}
+    # the bisection meets root_tol on every step
+    assert want["flags"].any() == (name not in ("clean", "bisection"))
+    for column, values in want.items():
+        got = getattr(batch, column)
+        assert got.dtype == values.dtype and got.tobytes() == values.tobytes(), column
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), model=st.sampled_from(_CONTROL_MODELS),
+       u_max=st.sampled_from([0.5, 3.0, 1000.0]), repeat=st.booleans())
+def test_chunk_test_equals_the_per_step_closed_masks(data, model, u_max, repeat):
+    # the chunk test applies solve_control_rows' case rule to a chunk's (m, S)
+    # columns at once, each step's previous input the step before's closed
+    # form: its mask must be the closed-form masks of the steps' own solves,
+    # stacked.  A repeated step starts on target and short-circuits
+    m, S = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    steps = [data.draw(st.lists(_control_row, min_size=S, max_size=S)) for _ in range(m)]
+    if repeat:
+        steps = [steps[0]] * m
+    phi = np.array([[[*y_lags, 0.0, u_lag] for y_lags, u_lag, _, _, _ in rows] for rows in steps])
+    theta = np.array([[[*rest[:3], cu, rest[3]] for _, _, rest, cu, _ in rows] for rows in steps])
+    u_start = np.array([row[4] for row in steps[0]])
+    targets = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m))
+    if repeat:
+        targets = targets[:1] * m
+    cfg = ControlConfig(u_max=u_max, b_eps=1e-8, root_tol=1e-10)
+    link_inv = getattr(model, "link_inv", None)
+    cases, masks = control_mod._control_cases, []
+
+    def spy(*args):
+        result = cases(*args)
+        masks.append(result[3])
+        return result
+
+    base, u = np.empty((m, S)), np.empty((m, S))
+    with pytest.MonkeyPatch.context() as patch, np.errstate(divide="ignore", invalid="ignore",
+                                                            over="ignore"):
+        for j, target in enumerate(targets):  # each step's closed form, as the loop makes it
+            z = math.nan if link_inv is None else link_inv(target)
+            base[j] = row_dots(phi[j], theta[j])
+            u[j] = ((math.inf if z is None else z) - base[j]) / theta[j, :, 3]
+        patch.setattr(control_mod, "_control_cases", spy)
+        for j, target in enumerate(targets):
+            solve_control_rows(model, theta[j], phi[j], 3, target, cfg,
+                               u[j - 1] if j else u_start)
+        chunk = control_mod._closed_form_chunk(
+            model, base, theta[:, :, 3], u, u_start,
+            np.broadcast_to(np.array(targets)[:, None], (m, S)), cfg)
+    assert chunk.shape == (m, S)
+    assert chunk.tolist() == np.array(masks[:m]).tolist()
 
 
 def test_drawn_blocks_are_asked_for_per_chunk_and_their_shapes_checked():
