@@ -104,7 +104,7 @@ def kahan_add(total, carry, increment):
 
 
 def kahan_add_rows(total, carry, increment):
-    """``kahan_add`` on arrays, row by row; returns new (total, carry) arrays.
+    """``kahan_add`` on (S,) arrays, row by row; returns new (total, carry) arrays.
 
     Each row is bit-identical to the scalar step, including the skip of a
     zero increment.
@@ -112,8 +112,8 @@ def kahan_add_rows(total, carry, increment):
     y = increment - carry
     t = total + y
     new_carry = (t - total) - y
-    idle = increment == 0.0
-    if any(idle.tolist()):
+    if 0.0 in increment.tolist():  # by ==, as the mask: -0.0 is idle, nan is not
+        idle = increment == 0.0
         t[idle] = total[idle]
         new_carry[idle] = carry[idle]
     return t, new_carry

@@ -130,6 +130,8 @@ def _censored_mean_slope(spec: SaturationSpec, x):
         pdf_hi = _INV_SQRT_2PI * math.exp(-0.5 * z_hi * z_hi)
         means.append(upper + gap_lo * cdf_lo - gap_hi * cdf_hi + s * (pdf_lo - pdf_hi))
         slopes.append(cdf_hi - cdf_lo)
+    if x.ndim == 1:  # a step's rows: the lists already have the shape
+        return np.array(means), np.array(slopes)
     return np.array(means).reshape(x.shape)[()], np.array(slopes).reshape(x.shape)[()]
 
 
@@ -631,6 +633,9 @@ def verify_assumption2(
     overrides them (useful for demonstrating that stronger claims fail).
     Report-only: never raises on a violation.
     """
+    for key, value, least in (("n_samples", n_samples, 1), ("seed", seed, 0)):
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            raise ConfigurationError(f"{key} must be an integer >= {least}, got {value!r}")
     delta = pair.delta if delta is None else delta
     c1 = pair.c1 if c1 is None else c1
     c2 = (pair.c2 if pair.c2 is not None else 0.0) if c2 is None else c2
@@ -639,10 +644,7 @@ def verify_assumption2(
             "pair declares no curvature constants and none were supplied"
         )
     rng = np.random.default_rng(seed)
-    phi, theta, theta_star = sampler(rng, int(n_samples))
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    theta_star = np.asarray(theta_star, dtype=float)
+    phi, theta, theta_star = (np.asarray(a, dtype=float) for a in sampler(rng, int(n_samples)))
 
     model = pair.predictor
     loss = pair.loss

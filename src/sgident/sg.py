@@ -153,12 +153,13 @@ def sg_update_unguarded(theta, r, carry, phi, y, pair, hyper, classical=False, o
     r, carry = kahan_add_rows(r, carry, grad_norm_sq)
     denom = r**hyper._beta1
     if hyper.beta2 != 0.0:
-        denom = denom * np.log(r) ** hyper._beta2
-    denom = denom + grad_norm_sq
+        denom *= np.log(r) ** hyper._beta2
+    denom += grad_norm_sq
     np.copyto(denom, r, where=classical)  # a classical row's gain is mu / r_k
     mu_k = hyper._mu / denom
     slope = loss.grad_x(y, f_hat)
-    theta_new = np.subtract(theta, (mu_k * slope)[:, None] * g, out=out)
+    g *= (mu_k * slope)[:, None]
+    theta_new = np.subtract(theta, g, out=out)
     return theta_new, r, carry, mu_k, grad_norm_sq, f_hat
 
 

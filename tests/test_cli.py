@@ -83,6 +83,14 @@ class TestVerifyAssumption2Command:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, key", [("--samples", "0", "n_samples"),
+                                                  ("--samples", "-5", "n_samples"),
+                                                  ("--seed", "-1", "seed")])
+    def test_bad_sample_count_or_seed_is_an_error(self, capsys, flag, value, key):
+        code = main(["verify-assumption2", "--pair", "linear_mse", flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be an integer >= ")
+
 
 class TestRunCommands:
     def test_control_prints_per_check_verdicts(self, tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sgident.core import (
@@ -16,6 +18,7 @@ from sgident.core import (
     as_values,
     check_step_size_cap,
     kahan_add,
+    kahan_add_rows,
 )
 from sgident.errors import ConfigurationError, DomainError, NumericError
 from sgident.models import (
@@ -79,6 +82,23 @@ class TestKahan:
         for _ in range(10_000):
             total, carry = kahan_add(total, carry, 1e-17)
         assert total + carry == pytest.approx(1.0 + 1e-13, rel=1e-10)
+
+    _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+    _SUBNORMAL = st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        _FINITE,
+        _FINITE.filter(lambda c: c != 0.0),
+        _FINITE | _SUBNORMAL | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])),
+        min_size=1, max_size=8))
+    def test_rows_are_bit_equal_to_the_scalar_step(self, rows):
+        total, carry, increment = (np.array(col) for col in zip(*rows))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = kahan_add_rows(total, carry, increment)
+        expected = [kahan_add(*row) for row in rows]
+        for col, want in zip(got, zip(*expected)):
+            assert col.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 class TestGainState:

@@ -195,7 +195,7 @@ def test_link_slope_is_bit_equal_to_link_and_dlink(name, z):
     z = np.array(z)
     # an infinite z makes inf * 0 in the censored mean: nan, and no warning
     with np.errstate(invalid="ignore", over="ignore"):
-        for arg in (z, float(z[0])):
+        for arg in (z, float(z[0]), z[None, :]):
             got = model.link_slope(arg)
             assert np.shape(got[0]) == np.shape(got[1]) == np.shape(arg)
             assert _bits(got) == _bits((model.link(arg), model.dlink(arg)))
@@ -379,6 +379,13 @@ class TestVerifyAssumption2:
         pair, sampler = catalog_pair("linear_mse")
         report = verify_assumption2(pair, sampler, n_samples=1_000, seed=2)
         assert report.summary().startswith("PASS")
+
+    @pytest.mark.parametrize("key, value", [("n_samples", 2.5), ("n_samples", math.nan),
+                                            ("seed", 1.5), ("seed", math.inf)])
+    def test_a_non_integer_sample_count_or_seed_is_rejected(self, key, value):
+        pair, sampler = catalog_pair("linear_mse")
+        with pytest.raises(ConfigurationError, match=f"^{key} must be an integer"):
+            verify_assumption2(pair, sampler, **{"n_samples": 100, key: value})
 
 
 class TestCatalogLookup:
