@@ -812,19 +812,16 @@ def summarize(config_echo, trace):
     chunk by chunk, every cell of its sweep at once, with the same bits
     either way; ``verify_report`` feeds it each trace read back from its
     file, a chunk at a time, so every reported number has one
-    implementation.  Only persisted
-    columns are read, and not ``regret_avg``: the plant noise is
-    ``y - f_true`` and the squared gradient norms are the increments of
-    ``r_k``.  Values are plain Python floats, ints and bools.
+    implementation.  Only persisted columns are read, and not
+    ``regret_avg``: the plant noise is ``y - f_true`` and the squared
+    gradient norms are the increments of ``r_k``.  Values are plain Python
+    floats, ints and bools.  A trace with no rows is a ``ConfigurationError``.
     """
-    return _summarize(config_echo, trace)[0]
-
-
-def _summarize(config_echo, trace):
-    """``summarize`` and the running mean of the regret it read (None in replay)."""
+    if not len(trace):
+        raise ConfigurationError("trace has no rows; a summary needs at least one step")
     summary = _RunningSummary(config_echo, len(trace))
-    regret = summary.feed(trace)
-    return summary.result(0), None if regret is None else regret[:, 0]
+    summary.feed(trace)
+    return summary.result(0)
 
 
 def _fold_max(running, values):
@@ -1385,7 +1382,7 @@ def _verify_trace(config_echo, name, path, n, problems):
 
 
 class _MissingEchoKey(Exception):
-    """A key ``verify_report`` reads is missing from a report's config echo."""
+    """A key ``verify_report`` reads is missing from a report or its config echo."""
 
 
 class _Echo(dict):
@@ -1421,7 +1418,10 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     a time by ``read_trace``, and each chunk goes to the running summary
     that ``run_experiment`` feeds and to the derived-column checks, so no
     trace is held whole.  A key of the config echo that this reads and
-    the report lacks is one problem, named by its path, and ends the check.
+    the report lacks is one problem, named by its path, and ends the check;
+    so does a report with no ``runs`` block.  A run whose trace is not a
+    file in the report's directory, named bare, is one problem and is not
+    summarized.
     """
     report = _load_report(report_path)
     if isinstance(report_path, (str, os.PathLike)):
@@ -1439,6 +1439,8 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
 def _verify_runs(report, cfgd, out_dir, tol, problems):
     """``verify_report``'s checks of ``report``, echo ``cfgd``; adds each problem to ``problems``."""
     n = report.get("dataset", {}).get("rows_used") if cfgd["mode"] == "replay" else cfgd["n_steps"]
+    if "runs" not in report:
+        raise _MissingEchoKey("runs: missing")
     recomputed = {}
     for algo, by_seed in report["runs"].items():
         recomputed[algo] = {}
@@ -1446,13 +1448,17 @@ def _verify_runs(report, cfgd, out_dir, tol, problems):
             if "trace" not in summary:
                 problems.append(f"{algo}/{seed_key}: no trace named")
                 continue
-            name = f"{algo}/{seed_key} ({summary['trace']})"
-            read = _verify_trace(cfgd, name, os.path.join(out_dir, summary["trace"]), n, problems)
+            trace = summary["trace"]
+            name, path = f"{algo}/{seed_key} ({trace})", os.path.join(out_dir, trace)
+            if os.path.basename(trace) != trace or not os.path.isfile(path):
+                problems.append(f"{name}: not a file in the report's directory")
+                continue
+            read = _verify_trace(cfgd, name, path, n, problems)
             if read is None:
                 continue
             got, derived_problems = read
             recomputed[algo][seed_key] = got
-            got["trace"] = summary["trace"]
+            got["trace"] = trace
             _compare(f"{algo}/{seed_key}", summary, got, tol, problems)
             problems += derived_problems
     if "error" not in report:

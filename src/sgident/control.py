@@ -237,11 +237,6 @@ class ControlConfig:
         if self.root_max_iter < 1:
             raise ConfigurationError("root_max_iter must be >= 1")
 
-    def target(self, k):
-        if np.ndim(self.y_target) == 0:
-            return float(self.y_target)
-        return float(self.y_target[k])
-
 
 TRACE_COLUMNS = [
     "k",

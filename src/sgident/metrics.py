@@ -4,23 +4,21 @@ Everything here is pure post-processing of ``Trace`` columns into plain
 arrays: per-step regret, tracking error against the reference, the
 theoretical rate curve for overlays, the realized gradient-noise sequence,
 the relative-error score used for streaming prediction, a minimum-phase
-monitor, and a summability diagnostic for the step-size schedule.  Only persisted columns
-are read, so a trace read back from CSV gives the same numbers as the one
-in memory: the plant noise is taken as ``y - f_true`` and the squared
-gradient norms as the increments of ``r_k``.
+monitor, and a summability diagnostic for the step-size schedule.  Only
+persisted columns are read, so a trace read back from CSV gives the same
+numbers as the one in memory: the plant noise is taken as ``y - f_true``
+and the squared gradient norms as the increments of ``r_k``.
 
-The sequential scans (``SumScan``, ``RSScan``, ``MinPhaseScan``) work on
-whole arrays and carry their state from one block of steps to the next,
-so a trace fed in consecutive chunks gives the bits of the whole trace fed
-at once.  Each takes either one series, a 1-D array, or S series side by
-side, an (m, S) array whose column i is series i: every column is
-computed with the operations, in the order, of that column fed alone.
-Running sums and means are cascaded compensated sums: a left fold of the
+The sequential scans (``SumScan``, ``RSScan``, ``MinPhaseScan``) carry
+their state from one feed of steps to the next, so a trace fed in
+consecutive chunks gives the bits of the whole trace fed at once.  Each
+takes either one series, a 1-D array, or S series side by side, an (m, S)
+array whose column i is series i: every column is computed with the
+operations, in the order, of that column fed alone.  Running sums and
+means are cascaded compensated sums over whole arrays: a left fold of the
 values plus a left fold of each addition's TwoSum error.  The
-minimum-phase recursion is solved 32 steps at a time against a
-lower-triangular matrix of powers of ``lam``.  Each scan walks its input
-in pieces of ``_BLOCK`` steps, or of up to ``_VALUES`` values where that
-is more steps (few series), so its temporaries stay chunk-sized.
+minimum-phase recursion W = lam W + y^2 + w^2 runs step by step in Python
+floats, one carried W per series.
 """
 
 from __future__ import annotations
@@ -54,12 +52,6 @@ __all__ = [
 ]
 
 
-# steps per piece a scan works on at once; no longer than a run chunk
-_BLOCK = 512
-# a scan of few series takes pieces of up to this many values
-_VALUES = 8 * _BLOCK
-
-
 class SumScan:
     """Compensated running sums carried from one block of values to the next.
 
@@ -84,22 +76,19 @@ class SumScan:
         calls gives the same bits, and a zero value moves nothing.
         """
         values = np.asarray(values, dtype=float)
-        out = np.empty(values.shape)
-        raw, error = (np.broadcast_to(carry, values.shape[1:]) for carry in (self.raw, self.error))
-        steps = max(_BLOCK, _VALUES // max(math.prod(values.shape[1:]), 1))
-        for start in range(0, len(values), steps):
-            v = values[start : start + steps]
-            sums = np.add.accumulate(np.concatenate((raw[None], v)))
-            prev, new = sums[:-1], sums[1:]
-            part = new - prev
-            errors = np.add.accumulate(np.concatenate((error[None], (prev - (new - part)) + (v - part))))
-            out[start : start + len(v)] = new + errors[1:]
-            raw, error = new[-1], errors[-1]
+        raw, error = (np.broadcast_to(carry, (1, *values.shape[1:]))
+                      for carry in (self.raw, self.error))
+        sums = np.add.accumulate(np.concatenate((raw, values)))
+        prev, new = sums[:-1], sums[1:]
+        part = new - prev
+        twosum = (prev - (new - part)) + (values - part)
+        errors = np.add.accumulate(np.concatenate((error, twosum)))
+        raw, error = sums[-1].copy(), errors[-1].copy()  # not views that hold the feed's sums
         if values.ndim == 1:
             raw, error = float(raw), float(error)
         self.raw, self.error, self.total = raw, error, raw + error
         self.count += len(values)
-        return out
+        return new + errors[1:]
 
     def means(self, values):
         """The running means at ``values``: each running sum over its step count."""
@@ -299,34 +288,20 @@ def robbins_siegmund_diag(mu, grad_norm_sq):
     return scan.report()
 
 
-# steps per block of the min-phase recursion, aligned to the absolute step index
-_SPAN = 32
-
-
 class MinPhaseScan:
     """``minimum_phase_ratio`` of a run fed in consecutive blocks of steps.
 
-    The weighted history W_k = lam W_{k-1} + y_k^2 + w_k^2 is computed a
-    block of ``_SPAN`` steps at a time: W_j = lam^(j+1) W_before + S_j, where
-    S_j = sum_{i<=j} lam^(j-i) x_i is one product with the lower-triangular
-    ``T[j, i] = lam^(j-i)`` and one ``np.add.reduce`` over its contiguous
-    last axis (no BLAS, so no thread-count dependence).  A block a feed cuts
-    short is padded with zeros, which the zeros of T keep out of every row
-    already fed (the squares must be finite); W before that block, its
-    values so far and the last input carry to the next feed, so any cut
-    gives the same bits.  S series fed side by side as (m, S) blocks take
-    the product ``_BLOCK // S`` steps at a time (whole blocks, at least
-    one), so it stays about ``_BLOCK`` x ``_SPAN`` values.
+    Each series carries its weighted history W_k = lam W_{k-1} + y_k^2 +
+    w_k^2 as one Python float, and its last input, from feed to feed, so
+    any cut gives the same bits.  S series fed side by side as (m, S)
+    blocks carry one W each.
     """
 
     def __init__(self, lam=0.9):
         if not (0.0 < lam < 1.0):
             raise ConfigurationError(f"lam must lie in (0,1), got {lam}")
-        lags = np.subtract.outer(np.arange(_SPAN), np.arange(_SPAN))
-        self.kernel = np.where(lags >= 0, lam ** np.maximum(lags, 0.0), 0.0)
-        self.decay = lam ** np.arange(1.0, _SPAN + 1.0)
-        self.before = 0.0  # W before the open block, the last W when it is empty
-        self.open = None  # y^2 + w^2 of the open block's steps so far, (steps, S)
+        self.lam = lam
+        self.weighted = None  # W after the last step, one per series
         self.u_prev = None  # none before the first step
 
     def ratios(self, y, u, w):
@@ -337,36 +312,22 @@ class MinPhaseScan:
         shape = np.shape(y)
         cells = shape[1] if len(shape) > 1 else 1
         y, u, w = (np.reshape(a, (len(a), cells)) for a in (y, u, w))
-        pending = np.empty((0, cells)) if self.open is None else self.open
-        fed = len(pending)
-        x = np.concatenate((pending, y**2 + w**2))
-        # the steps from the open block on, as whole blocks of each series
-        blocks = np.zeros((cells, -len(x) // _SPAN * -_SPAN))
-        blocks[:, : len(x)] = x.T
-        blocks = blocks.reshape(cells, -1, _SPAN)
-        # weighted[:, i + 1] is W after x[i]; weighted[:, 0] is W before x[0]
-        weighted = np.empty((cells, blocks.size // cells + 1))
-        weighted[:, 0] = self.before
-        group = max(1, _BLOCK // (_SPAN * cells))  # blocks per product, (cells, group, 32, 32)
-        top = float(self.decay[-1])
-        for first in range(0, blocks.shape[1], group):
-            # each row's sum runs over a contiguous axis: (cells, group, 1, 32) against T
-            sums = np.add.reduce(self.kernel * blocks[:, first : first + group, None], axis=3)
-            # W before each block of the group, carried from block to block
-            carried = [weighted[:, first * _SPAN].tolist()]
-            for last in sums[:, :-1, -1].T.tolist():
-                carried.append([top * before + tail for before, tail in zip(carried[-1], last)])
-            weighted[:, first * _SPAN + 1 : (first + len(carried)) * _SPAN + 1] = (
-                self.decay * np.array(carried).T[:, :, None] + sums).reshape(cells, -1)
+        lam, history = self.lam, []
+        for W, column in zip(self.weighted or [0.0] * cells, (y**2 + w**2).T.tolist()):
+            weighted = [W]
+            for x in column:
+                W = lam * W + x
+                weighted.append(W)
+            history.append(weighted)
+        # row i is each series' W before step i; the last row is W after the last step
+        history = np.array(history).T
+        prev_w, self.weighted = history[:-1], history[-1].tolist()
         u_before = 0.0 if self.u_prev is None else self.u_prev
         prev_u = np.concatenate((np.broadcast_to(u_before, (1, cells)), u[:-1]))
-        prev_w = weighted[:, fed : len(x)].T
         ratio = np.full(prev_w.shape, math.inf)
         np.divide(prev_u**2, prev_w, out=ratio, where=prev_w > 0.0)
         if self.u_prev is None and len(ratio):
             ratio[0] = 0.0
-        opened = len(x) - len(x) % _SPAN
-        self.before, self.open = weighted[:, opened], x[opened:]
         if len(y):
             self.u_prev = u[-1]
         return ratio.reshape(shape)

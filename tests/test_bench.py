@@ -49,7 +49,7 @@ from sgident.bench import (
 from sgident.control import ControlConfig, NoiseSource, Trace
 from sgident.core import row_dots
 from sgident.errors import ConfigurationError, DataError, NumericError
-from sgident.metrics import relative_error_metric
+from sgident.metrics import regret_sum, relative_error_metric, running_mean
 from sgident.models import SaturationSpec, SquaredError
 
 CONTROL_CFG = """
@@ -1391,6 +1391,36 @@ class TestVerifyReport:
         assert self._verify_edited(request.getfixturevalue(run), tmp_path, edit) == (
             False, [f"config.{section}.{key}: missing"])
 
+    def test_report_without_runs_is_one_problem(self, control_report, tmp_path):
+        # it raised a bare KeyError
+        def edit(data):
+            del data["runs"]
+
+        assert self._verify_edited(control_report, tmp_path, edit) == (False, ["runs: missing"])
+
+    def test_missing_trace_file_is_one_problem_naming_the_run(self, control_report, tmp_path):
+        # it raised FileNotFoundError
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        (dst / "trace_modified_seed1.hex").unlink()
+        assert verify_report(str(dst / "report.json")) == (False, [
+            "modified/seed_1 (trace_modified_seed1.hex): not a file in the report's directory"])
+
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_trace_outside_the_report_directory_is_not_read(self, control_report, where,
+                                                            tmp_path):
+        # a trace name is a bare file name in the report's directory; a path was
+        # opened wherever it led, and a copy of the run's trace there verified
+        shutil.copy(os.path.join(os.path.dirname(control_report.path), "trace_modified_seed1.hex"),
+                    tmp_path / "outside.hex")
+        name = "../outside.hex" if where == "parent" else str(tmp_path / "outside.hex")
+
+        def edit(data):
+            data["runs"]["modified"]["seed_1"]["trace"] = name
+
+        assert self._verify_edited(control_report, tmp_path, edit) == (False, [
+            f"modified/seed_1 ({name}): not a file in the report's directory"])
+
     def test_deleted_key_is_flagged(self, control_report, tmp_path):
         def edit(data):
             del data["runs"]["modified"]["seed_2"]["final_tracking_proxy"]
@@ -1660,6 +1690,11 @@ class TestSummarize:
         report = report[0] if isinstance(report, tuple) else report
         assert verify_report(report.path, tol=0.0) == (True, [])
 
+    def test_a_trace_with_no_rows_is_named(self, control_report):
+        # it raised a bare IndexError from the running summary
+        with pytest.raises(ConfigurationError, match="trace has no rows"):
+            summarize(control_report.data["config"], Trace(k=np.empty(0, dtype=np.int64)))
+
     def test_replay_checkpoints_are_the_relative_error_metric_bit_for_bit(self, replay_run):
         # the summary carries the metric's compensated sum from chunk to chunk
         report = replay_run[0]
@@ -1712,14 +1747,21 @@ class TestStreamedRun:
 
     @pytest.fixture(scope="class", params=["paper_run", "replay_run", "long_identify_report"])
     def run_traces(self, request):
-        """(config, every trace of the run, their whole ``_summarize`` and whole-write bytes)."""
+        """(config, every trace of the run, their whole summaries and whole-write bytes).
+
+        A whole summary is ``summarize`` and the regret running mean of the
+        trace (None in replay).
+        """
         report = request.getfixturevalue(request.param)
         report = report[0] if isinstance(report, tuple) else report
         out_dir = os.path.dirname(report.path)
         traces = [read_trace(os.path.join(out_dir, summary["trace"]))
                   for by_seed in report.data["runs"].values() for summary in by_seed.values()]
         config = report.data["config"]
-        wholes = [bench_module._summarize(config, trace) for trace in traces]
+        loss = None if config["mode"] == "replay" else bench_module._pair_of(config).loss
+        wholes = [(summarize(config, trace),
+                   None if loss is None else running_mean(regret_sum(trace, loss)))
+                  for trace in traces]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "whole.hex")
             written = []

@@ -103,8 +103,8 @@ class TestKahanCumsum:
 def _cut_streams(draw):
     """A seeded stream of 0..1100 steps and consecutive pieces covering it.
 
-    Cuts next to the 32-step min-phase blocks and the 512-value scan pieces
-    are drawn often, and a piece may be empty.
+    Cuts next to multiples of 32 and of 512 steps are drawn often, and a
+    piece may be empty.
     """
     n = draw(st.integers(0, 1100))
     seams = [m for m in (1, 31, 32, 33, 63, 511, 512, 513, 1024, 1025) if m < n]
@@ -112,6 +112,19 @@ def _cut_streams(draw):
     edges = [0, *sorted(cuts), n]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng, n, list(zip(edges, edges[1:]))
+
+
+def _oracle_min_phase_ratios(lam, y, u, w):
+    """The min-phase ratios of one series, step by step in Python floats."""
+    weighted, u_prev, out = 0.0, None, []
+    for y_k, u_k, w_k in zip(y.tolist(), u.tolist(), w.tolist()):
+        if u_prev is None:
+            out.append(0.0)
+        else:
+            out.append(u_prev * u_prev / weighted if weighted > 0.0 else math.inf)
+        weighted = lam * weighted + (y_k * y_k + w_k * w_k)
+        u_prev = u_k
+    return np.array(out)
 
 
 class TestScansCarryAcrossCuts:
@@ -137,6 +150,23 @@ class TestScansCarryAcrossCuts:
         scan = MinPhaseScan(lam)
         got = np.concatenate([scan.ratios(y[a:b], u[a:b], w[a:b]) for a, b in pieces])
         assert got.tobytes() == MinPhaseScan(lam).ratios(y, u, w).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=_cut_streams(), lam=st.sampled_from([0.1, 0.5, 0.9, 0.99]),
+           cells=st.sampled_from([None, 1, 3]))
+    def test_min_phase_ratios_are_the_scalar_recursion_bit_for_bit(self, stream, lam, cells):
+        # fed 1-D, or as (m, S) blocks whose column i is series i fed alone
+        rng, n, pieces = stream
+        shape = (n,) if cells is None else (n, cells)
+        y, u, w = (rng.normal(size=shape) * scale
+                   for scale in (10.0 ** rng.integers(-3, 4), 3.0, 0.1))
+        scan = MinPhaseScan(lam)
+        got = np.concatenate([scan.ratios(y[a:b], u[a:b], w[a:b]) for a, b in pieces])
+        if cells is None:
+            got, y, u, w = (a[:, None] for a in (got, y, u, w))
+        for i in range(got.shape[1]):
+            expected = _oracle_min_phase_ratios(lam, y[:, i], u[:, i], w[:, i])
+            assert got[:, i].view(np.int64).tolist() == expected.view(np.int64).tolist(), i
 
     @settings(max_examples=30, deadline=None)
     @given(lam=st.sampled_from([0.1, 0.5, 0.9, 0.99]), seed=st.integers(0, 2**32 - 1),
