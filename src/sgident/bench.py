@@ -356,8 +356,6 @@ def _replay_pair(name, d, spec):
 
 
 def _apply_cap_policy(cfg):
-    if cfg.pair is None:
-        return
     if cfg.pair.declares_constants():
         check_step_size_cap(cfg.hyper, cfg.pair)  # raises ConfigurationError on violation
     else:
@@ -1381,12 +1379,12 @@ def _verify_trace(config_echo, name, path, n, problems):
     return summary.result(0), derived.problems(name)
 
 
-class _MissingEchoKey(Exception):
-    """A key ``verify_report`` reads is missing from a report or its config echo."""
+class _UnreadableKey(Exception):
+    """A key ``verify_report`` reads is missing from a report or its config echo, or unreadable."""
 
 
 class _Echo(dict):
-    """A report's config echo whose missing keys raise ``_MissingEchoKey`` with their path."""
+    """A report's config echo whose missing keys raise ``_UnreadableKey`` with their path."""
 
     def __init__(self, echo, path="config"):
         super().__init__((key, _Echo(value, f"{path}.{key}") if isinstance(value, dict) else value)
@@ -1394,7 +1392,7 @@ class _Echo(dict):
         self.path = path
 
     def __missing__(self, key):
-        raise _MissingEchoKey(f"{self.path}.{key}: missing")
+        raise _UnreadableKey(f"{self.path}.{key}: missing")
 
 
 def verify_report(report_path, tol=RECOMPUTE_TOL):
@@ -1419,11 +1417,14 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     that ``run_experiment`` feeds and to the derived-column checks, so no
     trace is held whole.  A key of the config echo that this reads and
     the report lacks is one problem, named by its path, and ends the check;
-    so does a report with no ``runs`` block.  A run whose trace is not a
-    file in the report's directory, named bare, is one problem and is not
-    summarized.
+    so do a report with no ``runs`` block, an unknown ``mode`` and a run
+    block that is not an object.  A report file whose top level is not a
+    JSON object is one problem.  A run whose trace is not a file in the
+    report's directory, named bare, is one problem and is not summarized.
     """
     report = _load_report(report_path)
+    if not isinstance(report, dict):
+        return False, [f"{os.fspath(report_path)}: not a JSON object"]
     if isinstance(report_path, (str, os.PathLike)):
         out_dir = os.path.dirname(os.path.abspath(report_path))
     else:
@@ -1431,26 +1432,31 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     problems = []
     try:
         _verify_runs(report, _Echo(report.get("config", {})), out_dir, tol, problems)
-    except _MissingEchoKey as exc:
+    except _UnreadableKey as exc:
         problems.append(str(exc))
     return (not problems), problems
 
 
 def _verify_runs(report, cfgd, out_dir, tol, problems):
     """``verify_report``'s checks of ``report``, echo ``cfgd``; adds each problem to ``problems``."""
+    if cfgd["mode"] not in list(_EMPTY_COLUMNS):
+        raise _UnreadableKey(f"config.mode: {cfgd['mode']!r} is not a mode")
     n = report.get("dataset", {}).get("rows_used") if cfgd["mode"] == "replay" else cfgd["n_steps"]
     if "runs" not in report:
-        raise _MissingEchoKey("runs: missing")
+        raise _UnreadableKey("runs: missing")
     recomputed = {}
     for algo, by_seed in report["runs"].items():
+        if not isinstance(by_seed, dict):
+            raise _UnreadableKey(f"runs.{algo}: not an object")
         recomputed[algo] = {}
         for seed_key, summary in by_seed.items():
             if "trace" not in summary:
                 problems.append(f"{algo}/{seed_key}: no trace named")
                 continue
             trace = summary["trace"]
-            name, path = f"{algo}/{seed_key} ({trace})", os.path.join(out_dir, trace)
-            if os.path.basename(trace) != trace or not os.path.isfile(path):
+            name = f"{algo}/{seed_key} ({trace})"
+            if not (isinstance(trace, str) and os.path.basename(trace) == trace
+                    and os.path.isfile(path := os.path.join(out_dir, trace))):
                 problems.append(f"{name}: not a file in the report's directory")
                 continue
             read = _verify_trace(cfgd, name, path, n, problems)

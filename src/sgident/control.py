@@ -26,10 +26,10 @@ with one column per cell, so a consumer that writes and summarizes each
 chunk as it comes holds loop memory bounded by chunk x cells, whatever the
 run length; ``run_closed_loop_batch`` joins the chunks of a whole run.  A
 step tests none of its results: the loop tests each chunk's results once,
-after its last step, and walks a chunk that fails again from its start
-with every step checked, so the run stops with the error of its first bad
-step.  Every run mode records its steps as a
-``Trace``: one array per column, the flags of a step as an int64 bitmask.
+after its last step, and walks the regressors and observations a failing
+chunk recorded through the checked update, so the run stops with the error
+of its first bad step.  Every run mode records its steps as a ``Trace``:
+one array per column, the flags of a step as an int64 bitmask.
 """
 
 from __future__ import annotations
@@ -551,15 +551,15 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
     that took another case of ``solve_control_rows``, or whose z* is not
     all finite, runs from its start deciding every row's control with
     ``solve_control_rows_unguarded``.  Once per chunk, the prepared inputs
-    are gathered per cell; one test (``sg.steps_pass``, and in the closed
-    loop a finite ``f_true``) runs over the chunk's results; the divergence
-    flags (norm above ``DIVERGENCE_NORM`` after a step) and ``theta_err``
-    are derived from the chunk's estimates; and ``loss`` is evaluated on
-    the chunk's (m, S) blocks.  A chunk that fails the test is walked again from its start
-    with every step checked (``sg_update``, and the plant's output), which
-    raises at its first bad step as a loop checking every step would.  A
-    NumericError or DomainError raised inside the batch names the step,
-    and the algorithm and seed of the first bad row, in its context.
+    are gathered per cell; ``sg.steps_pass`` tests the chunk's results;
+    the divergence flags (norm above ``DIVERGENCE_NORM`` after a step) and
+    ``theta_err`` are derived from the chunk's estimates; and ``loss`` is
+    evaluated on the chunk's (m, S) blocks.  A chunk that fails the test is
+    walked by the estimator alone over its recorded regressors and
+    observations, each step checked (the plant's output, then
+    ``sg_update``), which raises at its first bad step as a loop checking
+    every step would.  A NumericError or DomainError raised inside the
+    batch names the step, and the algorithm and seed of the first bad row.
     """
     model_est = pair.predictor
     closed = isinstance(cfg, ControlConfig)
@@ -599,9 +599,9 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
         link_inv = getattr(model_est, "link_inv", None)
         noises = [plant.noise.with_seed(s) for _, s in cells]
         link_true = plant.model.link
-        # each row of phi holds the lag stacks: outputs y_k..y_{k-p+1}, the
-        # input slot (0 until solved), then inputs u_{k-1}..u_{k-q+1}
-        phi = np.zeros((S, d))
+        # row j holds step j's regressors, row 0 a chunk's start: the lag stacks, outputs
+        # y_k..y_{k-p+1}, the input slot (0 until solved), then inputs u_{k-1}..u_{k-q+1}
+        phi_rows = np.zeros((min(n, _CHUNK) + 1, S, d))
         u_prev = np.zeros(S)
     else:
         seeds = list(dict.fromkeys(seed for _, seed in cells))
@@ -625,7 +625,7 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
             decide = not all(map(math.isfinite, z_star))
             y_col, f_true_col, u_col = (recorded[name] for name in _CLOSED_LOOP_COLUMNS)
             base_col = np.empty((m, S))
-            start_lags = (phi.copy(), u_prev)
+            u_start = u_prev
         else:
             blocks = cfg(m)
             shapes = tuple(np.shape(block) for block in blocks)
@@ -645,17 +645,12 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
                 if closed:
                     noise = plant.noise.quantile(
                         np.stack([source.uniform_block(m) for source in noises], axis=1))
-                # a chunk runs again from its start only when a test of its results fails:
-                # with every control decided per row when a step left the closed form,
-                # walked with every step checked when a result failed steps_pass
-                walk = False
+                # a chunk steps again, deciding each control, only when a step left the closed form
                 while True:
-                    update_rows = sg_update if walk else sg_update_unguarded
                     theta, (r, carry) = estimates[0], start_gain
                     flags = np.zeros((m, S), np.int64)
-                    if closed:
-                        phi[:], u_prev = start_lags
                     for j, k in enumerate(range(start, stop)):
+                        phi = phi_rows[j]
                         if closed:
                             if decide:
                                 u, flagged = solve_control_rows_unguarded(
@@ -665,39 +660,35 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
                             else:
                                 base_col[j] = base = row_dots(phi, theta)
                                 u = (z_star[j] - base) / theta[:, p]
-                            phi[:, p] = u
-                            f_true = link_true(row_dots(phi, theta_star))
-                            if walk:
-                                check_rows(np.isfinite(f_true), "plant conditional mean non-finite",
-                                           phi=phi, u=u)
-                            y_next = f_true + noise[j]
-                            y_col[j], f_true_col[j], u_col[j] = y_next, f_true, u
-                        else:
-                            phi, y_next = phi_rows[j], y_col[j]
-
-                        theta, r, carry, mu_col[j], grad_norm_sq[j], f_est_col[j] = update_rows(
-                            theta, r, carry, phi, y_next, pair, hyper, classical, estimates[j + 1])
+                            phi[:, p] = u_col[j] = u_prev = u
+                            f_true_col[j] = f_true = link_true(row_dots(phi, theta_star))
+                            y_col[j] = f_true + noise[j]
+                            # the next regressor: each lag one slot on, y_{k+1} first, no input
+                            phi_rows[j + 1, :, 1:] = phi[:, :-1]
+                            phi_rows[j + 1, :, 0] = y_col[j]
+                            phi_rows[j + 1, :, p] = 0.0
+                        theta, r, carry, mu_col[j], grad_norm_sq[j], f_est_col[j] = (
+                            sg_update_unguarded(theta, r, carry, phi, y_col[j], pair, hyper,
+                                                classical, estimates[j + 1]))
                         r_col[j] = r
-
+                    if not closed or decide or _closed_form_chunk(
+                            model_est, base_col, estimates[:m, :, p], u_col, u_start, y_star,
+                            cfg).all():
+                        break
+                    decide = True
+                    phi_rows[0, :, p], u_prev = 0.0, u_start
+                # a failing chunk's recorded arrays are walked with every step checked, to raise
+                # the error of its first bad step
+                if not steps_pass(estimates[1 : m + 1], r_col, mu_col, grad_norm_sq, f_est_col,
+                                  y_col, loss, hyper, classical):
+                    theta, (r, carry) = estimates[0], start_gain
+                    for j, k in enumerate(range(start, stop)):
                         if closed:
-                            phi[:, 1:p] = phi[:, : p - 1]
-                            phi[:, 0] = y_next
-                            phi[:, p + 1 :] = phi[:, p : d - 1]
-                            phi[:, p] = 0.0
-                            u_prev = u
-                    if walk:
-                        break
-                    if closed and not decide and not _closed_form_chunk(
-                            model_est, base_col, estimates[:m, :, p], u_col, start_lags[1],
-                            y_star, cfg).all():
-                        decide = True
-                        continue
-                    if (steps_pass(estimates[1 : m + 1], r_col, mu_col, grad_norm_sq, f_est_col,
-                                   y_col, loss, hyper, classical)
-                            and (not closed or np.isfinite(f_true_col).all())):
-                        break
-                    walk = True
-
+                            check_rows(np.isfinite(f_true_col[j]),
+                                       "plant conditional mean non-finite",
+                                       phi=phi_rows[j], u=u_col[j])
+                        theta, r, carry, *_ = sg_update(theta, r, carry, phi_rows[j], y_col[j],
+                                                        pair, hyper, classical)
                 chunk = estimates[: m + 1]
                 diverged = np.sqrt(row_dots(chunk[1:], chunk[1:])) > DIVERGENCE_NORM
                 if truth:
@@ -712,4 +703,6 @@ def closed_loop_chunks(plant, estimator, pair, cfg, n_steps, cells):
         flags[diverged] |= FLAG_BIT["divergence"]
         recorded["loss"] = loss.eval(y_col, f_est_col)
         estimates[0] = chunk[-1]
+        if closed:
+            phi_rows[0] = phi_rows[m]
         yield Trace(k=np.arange(start, stop), y_star=y_star, flags=flags, **recorded)

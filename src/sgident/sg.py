@@ -21,7 +21,7 @@ each row with its own gain law, and every run mode steps its rows through it.
 Its results are tested by ``steps_pass``, which takes any number of leading
 step axes: ``sg_update`` tests its one step, and a run loop, which steps
 with ``sg_update_unguarded``, tests a whole chunk of steps at once and walks
-the chunk again through ``sg_update`` only when that test fails.
+the chunk's recorded inputs through ``sg_update`` only when that test fails.
 """
 
 from __future__ import annotations

@@ -1398,6 +1398,36 @@ class TestVerifyReport:
 
         assert self._verify_edited(control_report, tmp_path, edit) == (False, ["runs: missing"])
 
+    def test_unknown_mode_is_one_problem(self, control_report, tmp_path):
+        # it raised a bare KeyError
+        def edit(data):
+            data["config"]["mode"] = "bogus"
+
+        assert self._verify_edited(control_report, tmp_path, edit) == (
+            False, ["config.mode: 'bogus' is not a mode"])
+
+    def test_run_block_that_is_not_an_object_is_one_problem(self, control_report, tmp_path):
+        # it raised AttributeError
+        def edit(data):
+            data["runs"]["modified"] = [1]
+
+        assert self._verify_edited(control_report, tmp_path, edit) == (
+            False, ["runs.modified: not an object"])
+
+    def test_report_file_that_is_not_an_object_is_one_problem(self, tmp_path):
+        # it raised AttributeError
+        path = tmp_path / "report.json"
+        path.write_text("[1, 2]")
+        assert verify_report(str(path)) == (False, [f"{path}: not a JSON object"])
+
+    def test_non_string_trace_name_is_one_problem_naming_the_run(self, control_report, tmp_path):
+        # it raised TypeError from os.path.join
+        def edit(data):
+            data["runs"]["modified"]["seed_1"]["trace"] = 7
+
+        assert self._verify_edited(control_report, tmp_path, edit) == (False, [
+            "modified/seed_1 (7): not a file in the report's directory"])
+
     def test_missing_trace_file_is_one_problem_naming_the_run(self, control_report, tmp_path):
         # it raised FileNotFoundError
         dst = tmp_path / "copy"

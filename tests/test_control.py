@@ -561,6 +561,59 @@ class TestRunClosedLoop:
         run_closed_loop_batch(plant, sg_init(np.zeros(5), self.hyper), pair, cfg, n, cells)
         assert calls == {"steps_pass": 3, "sg_update": 0, "check_rows": 0}
 
+    def test_a_failing_chunk_is_walked_without_its_plant(self):
+        # the walk of a failing chunk reads the regressors and observations its
+        # steps recorded: the plant's link runs once per step of each stepping,
+        # chunk 0 once and chunk 1 twice (the spike leaves the closed form),
+        # and the error is still that of the first bad step
+        class SpikeNoise(NoiseSource):
+            # at std 1e308 a draw at 0.5 is exactly 0; seed 4's at step 700 is -inf
+            def with_seed(self, seed):
+                return SpikeNoise(std=self.std, seed=seed)
+
+            def uniform_block(self, n):
+                u = np.full(n, 0.5)
+                if self.seed == 4 and 0 <= 700 - self.draw_count < n:
+                    u[700 - self.draw_count] = 1e-5
+                self.draw_count += n
+                return u
+
+        pair = tanh_mse_pair(p=3, q=2)
+        plant = Plant(tanh_arx_model(3, 2), self.theta_star, SpikeNoise(std=1e308))
+        link, evaluated = plant.model.link, []
+        plant.model.link = lambda z: evaluated.append(len(z)) or link(z)
+        with pytest.raises(NumericError) as exc:
+            run_closed_loop_batch(plant, sg_init(np.full(5, 0.01), self.hyper), pair,
+                                  ControlConfig(y_target=0.5), 1100,
+                                  [("modified", 2), ("modified", 4)])
+        assert str(exc.value) == "observation must be finite"
+        assert exc.value.context == {"k": 700, "algorithm": "modified", "seed": 4,
+                                     "y": -math.inf}
+        assert evaluated == [2] * (3 * control_mod._CHUNK)
+
+    def test_a_false_alarm_chunk_keeps_the_steps_of_the_checked_update(self):
+        # theta's row sum overflows, so every chunk fails the test of its
+        # results, while every check of its walk passes: the run goes on,
+        # each estimate beyond the divergence norm, with the bits of the
+        # checked update called step by step
+        pair, n = linear_mse_pair(3), 40
+        rng = np.random.default_rng(5)
+        phi = np.zeros((n, 1, 3))
+        phi[:, :, 0] = rng.normal(size=(n, 1))
+        y = rng.normal(size=(n, 1))
+        theta0 = np.array([0.0, 1e308, 1e308])
+        cells = [("modified", 1), ("classical", 1)]
+        trace = run_closed_loop_batch(None, sg_init(theta0, self.hyper), pair,
+                                      drawn((phi, y, None)), n, cells)
+        assert np.all(trace.flags == DIVERGENCE)
+        theta, r, carry = np.tile(theta0, (2, 1)), np.full(2, self.hyper.beta3), np.zeros(2)
+        for j in range(n):
+            theta, r, carry, mu_k, _, f_est = sg_update(
+                theta, r, carry, phi[j, [0, 0]], y[j, [0, 0]], pair, self.hyper,
+                np.array([False, True]))
+            for column, expected in (("f_est", f_est), ("mu_k", mu_k), ("r_k", r)):
+                assert getattr(trace, column)[j].tobytes() == expected.tobytes(), (column, j)
+
     def test_learning_reduces_regret_and_parameter_error(self):
         plant, pair = self._plant_and_pair()
         state = sg_init(np.full(5, 0.01), self.hyper)
