@@ -12,8 +12,8 @@ loop asks for them, so in control and identify memory is bounded by chunk
 x cells, not by the run length: the benchmark's 20-cell logistic
 identification peaked at 3.07 MB of Python heap (tracemalloc; Python
 3.11.7, NumPy 2.4.6) at 20,000 steps and at 3.12 MB at 200,000.  Replay loads its dataset rows whole,
-into blocks filled in place (48 B a row of five features), and that is
-what still grows with the run: 2.38 MB at 40,000 rows, 18.95 MB at
+into one array grown row by row (48 B a row of five features), and that
+is what still grows with the run: 2.46 MB at 40,000 rows, 20.31 MB at
 400,000; its summary keeps running sums.  ``verify_report`` and
 ``export_csv`` read a trace a chunk of rows at a time, so verifying that
 replay peaked at 1.27 MB over 40,000 rows and at 1.37 MB over 400,000.  Configs are INI-style text, traces
@@ -52,7 +52,6 @@ from .core import HyperParams, check_step_size_cap, row_dots
 from .errors import ConfigurationError, DataError, SgidentError
 from .metrics import (
     MinPhaseScan,
-    RSScan,
     SumScan,
     bound_curve_at,
     gradient_noise,
@@ -704,18 +703,8 @@ def _identify_inputs(cfg):
     return draw
 
 
-# dataset rows per block that replay loads them into.  A block is allocated
-# once and filled in place: a buffer regrown row by row left the process 1.2
-# MB more resident over the 40,000 benchmark rows.  8,192 rows are 16 loop
-# chunks, so no chunk the loop draws spans two blocks
-_ROW_BLOCK = 8192
-
-
 def _load_replay_rows(cfg):
-    """The dataset's accepted rows, as (rows, d + 1) blocks of features then target, and its stream.
-
-    Every block but the last holds ``_ROW_BLOCK`` rows.
-    """
+    """The accepted rows, one (rows, d + 1) array of features then target, and the stream."""
     if not cfg.data_path:
         raise ConfigurationError("replay mode needs a dataset (replay.data or --data)")
     stream = ingest_csv(
@@ -724,41 +713,27 @@ def _load_replay_rows(cfg):
         strict=cfg.strict_csv,
         max_rows=cfg.n_steps,
     )
-    width = len(stream.features) + 1
-    blocks, at = [], _ROW_BLOCK * width
+    rows = array("d")
     for values, target in stream:
         if target <= 0.0:  # the relative error divides by every target
             raise DataError(
                 f"target must be strictly positive in {cfg.data_path}, got {target!r}",
                 line=stream.line,
             )
-        if at == _ROW_BLOCK * width:
-            block, at = array("d", [0.0]) * (_ROW_BLOCK * width), 0
-            blocks.append(block)
-        block[at : at + width - 1] = values
-        block[at + width - 1] = target
-        at += width
-    if not blocks:
+        rows.extend(values)
+        rows.append(target)
+    if not rows:
         raise DataError(f"no usable rows in {cfg.data_path}")
-    sizes = [len(block) for block in blocks[:-1]] + [at]
-    return [np.frombuffer(block)[:size].reshape(-1, width)
-            for block, size in zip(blocks, sizes)], stream
+    return np.frombuffer(rows).reshape(-1, len(stream.features) + 1), stream
 
 
-def _replay_inputs(blocks):
-    """The row ``blocks`` as a ``draw(m)`` of ``closed_loop_chunks``; it empties the list.
-
-    Every cell reads the rows of the one seed.  Each block leaves the list
-    when drawn from, so it is released once drawn.
-    """
-    blocks.reverse()
-    rows = blocks.pop()
+def _replay_inputs(rows):
+    """The dataset ``rows`` as a ``draw(m)`` of ``closed_loop_chunks``: every cell's next m."""
+    at = 0
 
     def draw(m):
-        nonlocal rows
-        while len(rows) < m:
-            rows = np.concatenate((rows, blocks.pop())) if len(rows) else blocks.pop()
-        chunk, rows = rows[:m], rows[m:]
+        nonlocal at
+        chunk, at = rows[at : at + m], at + m
         return chunk[:, None, :-1], chunk[:, None, -1], None
 
     return draw
@@ -767,9 +742,8 @@ def _replay_inputs(blocks):
 def _run_sweep(cfg, cells, n, replay_rows):
     """The chunks of every (algorithm, seed) cell of the sweep, n steps, run as one batch.
 
-    Replay runs every cell over the same dataset rows, the blocks
-    ``replay_rows``, prequentially: each target is predicted before the
-    update on it.
+    Replay runs every cell over the same dataset rows, ``replay_rows``,
+    prequentially: each target is predicted before the update on it.
     """
     estimator = sg_init(cfg.theta0, cfg.hyper)
     if cfg.mode == "replay":
@@ -837,18 +811,19 @@ class _RunningSummary:
     (m, cells) (None in replay).
     ``result(i)`` is ``summarize``'s dict of run i once all ``n`` steps are
     fed.  The sequential metrics carry their scan state from chunk to chunk
-    (``metrics.SumScan``, ``RSScan``, ``MinPhaseScan`` and the last
-    ``r_k``), each column with the bits of its run fed alone; maxima,
-    counts, the last ``theta_err`` and the step-500 checkpoint are combined
-    per chunk.  Replay's relative errors are running sums of
-    ``metrics.relative_errors`` (a ``SumScan``) read at row 1000 and at the
-    end, as ``relative_error_metric`` reads its one sum.
+    (``metrics.SumScan``, ``MinPhaseScan`` and the last ``r_k``), each
+    column with the bits of its run fed alone; maxima, counts, the last
+    ``theta_err`` and the step-500 checkpoint are combined per chunk.
+    Replay's relative errors are running sums of ``metrics.relative_errors``
+    (a ``SumScan``) read at row 1000 and at the end, as
+    ``relative_error_metric`` reads its one sum.
     """
 
     def __init__(self, config_echo, n, cells=1):
         self.mode, self.hyper, self.n = config_echo["mode"], config_echo["hyper"], n
         self.r_last = self.hyper["beta3"]  # r_{-1}
-        self.rs = RSScan(n)
+        # the Robbins-Siegmund sums of mu_k^2 ||g_k||^2: all n terms, and those from n // 2 on
+        self.rs, self.rs_tail = SumScan(), SumScan()
         self.law_max = None
         self.flag_counts = np.zeros((len(FLAGS), cells), np.int64)
         if self.mode == "replay":
@@ -876,7 +851,9 @@ class _RunningSummary:
                                       for name, column in columns.items()})
         grad_norm_sq = gradient_norms_sq(trace, self.r_last)
         self.r_last = trace.r_k[-1].copy()
-        self.rs.feed(trace.mu_k, grad_norm_sq)
+        terms = trace.mu_k**2 * grad_norm_sq
+        self.rs_tail.cumsum(terms[max(self.n // 2 - self.rs.count, 0) :])
+        self.rs.cumsum(terms)
         self.law_max = _fold_max(self.law_max, trace.mu_k * grad_norm_sq)
         self.flag_counts += [np.count_nonzero(trace.flags & bit, axis=0)
                              for bit in FLAG_BIT.values()]
@@ -911,11 +888,11 @@ class _RunningSummary:
         return regret
 
     def result(self, i):
-        rs = self.rs.report(i)
+        total, tail = float(self.rs.total[i]), float(self.rs_tail.total[i])
         out = {
             "step_size_law_max": float(self.law_max[i]),
-            "rs_total": rs.total,
-            "rs_tail_fraction": rs.tail_fraction,
+            "rs_total": total,
+            "rs_tail_fraction": 0.0 if total <= 0.0 else tail / total,
             "flag_counts": {name: int(count[i]) for name, count in zip(FLAGS, self.flag_counts)},
         }
         checks = out["checks"] = {
@@ -1383,13 +1360,31 @@ class _UnreadableKey(Exception):
     """A key ``verify_report`` reads is missing from a report or its config echo, or unreadable."""
 
 
+# the JSON type of each echoed value that verify_report reads, by its path under ``config``
+_ECHO_TYPES = {
+    **dict.fromkeys(("hyper", "control", "plant", "replay"), dict),
+    **dict.fromkeys(("n_steps", "control.p", "control.q"), int),
+    **dict.fromkeys(("seeds", "algorithms", "replay.features", "plant.theta_star"), list),
+    **dict.fromkeys(("alpha_eps", "hyper.mu", "hyper.beta1", "hyper.beta2", "hyper.beta3",
+                     "hyper.alpha_moment", "control.operating_bound", "control.root_tol",
+                     "control.y_target", "replay.lower", "replay.upper", "replay.noise_std"),
+                    (int, float)),
+}
+_TYPE_NAMES = {dict: "an object", int: "an integer", list: "a list", (int, float): "a number"}
+
+
 class _Echo(dict):
-    """A report's config echo whose missing keys raise ``_UnreadableKey`` with their path."""
+    """A config echo checked against ``_ECHO_TYPES`` whose missing keys raise ``_UnreadableKey``."""
 
     def __init__(self, echo, path="config"):
-        super().__init__((key, _Echo(value, f"{path}.{key}") if isinstance(value, dict) else value)
-                         for key, value in echo.items())
+        if not isinstance(echo, dict):
+            raise _UnreadableKey(f"{path}: not an object")
         self.path = path
+        for key, value in echo.items():
+            kind = _ECHO_TYPES.get(f"{path}.{key}".removeprefix("config."))
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise _UnreadableKey(f"{path}.{key}: {value!r} is not {_TYPE_NAMES[kind]}")
+            self[key] = _Echo(value, f"{path}.{key}") if isinstance(value, dict) else value
 
     def __missing__(self, key):
         raise _UnreadableKey(f"{self.path}.{key}: missing")
@@ -1415,23 +1410,23 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     their derivation bit for bit.  A trace is read ``_VERIFY_ROWS`` rows at
     a time by ``read_trace``, and each chunk goes to the running summary
     that ``run_experiment`` feeds and to the derived-column checks, so no
-    trace is held whole.  A key of the config echo that this reads and
-    the report lacks is one problem, named by its path, and ends the check;
-    so do a report with no ``runs`` block, an unknown ``mode`` and a run
-    block that is not an object.  A report file whose top level is not a
-    JSON object is one problem.  A run whose trace is not a file in the
-    report's directory, named bare, is one problem and is not summarized.
+    trace is held whole.  A config key that this reads and the report
+    lacks or holds with another JSON type is one problem, named by its
+    path, that ends the check; so do no ``runs``, an unknown ``mode``, and
+    a config, runs, run block or run summary that is not an object.  A
+    report file whose top level is not a JSON object is one problem.  A run
+    whose trace is not a file in the report's directory, named bare, is
+    one problem and is not summarized.
     """
     report = _load_report(report_path)
     if not isinstance(report, dict):
         return False, [f"{os.fspath(report_path)}: not a JSON object"]
-    if isinstance(report_path, (str, os.PathLike)):
-        out_dir = os.path.dirname(os.path.abspath(report_path))
-    else:
-        out_dir = report.get("config", {}).get("out_dir", ".")
     problems = []
     try:
-        _verify_runs(report, _Echo(report.get("config", {})), out_dir, tol, problems)
+        cfgd = _Echo(report.get("config", {}))
+        out_dir = (os.path.dirname(os.path.abspath(report_path))
+                   if isinstance(report_path, (str, os.PathLike)) else cfgd.get("out_dir", "."))
+        _verify_runs(report, cfgd, out_dir, tol, problems)
     except _UnreadableKey as exc:
         problems.append(str(exc))
     return (not problems), problems
@@ -1442,14 +1437,16 @@ def _verify_runs(report, cfgd, out_dir, tol, problems):
     if cfgd["mode"] not in list(_EMPTY_COLUMNS):
         raise _UnreadableKey(f"config.mode: {cfgd['mode']!r} is not a mode")
     n = report.get("dataset", {}).get("rows_used") if cfgd["mode"] == "replay" else cfgd["n_steps"]
-    if "runs" not in report:
-        raise _UnreadableKey("runs: missing")
+    if not isinstance(report.get("runs"), dict):
+        raise _UnreadableKey(f"runs: {'not an object' if 'runs' in report else 'missing'}")
     recomputed = {}
     for algo, by_seed in report["runs"].items():
         if not isinstance(by_seed, dict):
             raise _UnreadableKey(f"runs.{algo}: not an object")
         recomputed[algo] = {}
         for seed_key, summary in by_seed.items():
+            if not isinstance(summary, dict):
+                raise _UnreadableKey(f"runs.{algo}.{seed_key}: not an object")
             if "trace" not in summary:
                 problems.append(f"{algo}/{seed_key}: no trace named")
                 continue

@@ -9,7 +9,7 @@ persisted columns are read, so a trace read back from CSV gives the same
 numbers as the one in memory: the plant noise is taken as ``y - f_true``
 and the squared gradient norms as the increments of ``r_k``.
 
-The sequential scans (``SumScan``, ``RSScan``, ``MinPhaseScan``) carry
+The sequential scans (``SumScan``, ``MinPhaseScan``) carry
 their state from one feed of steps to the next, so a trace fed in
 consecutive chunks gives the bits of the whole trace fed at once.  Each
 takes either one series, a 1-D array, or S series side by side, an (m, S)
@@ -34,7 +34,6 @@ from .models import SquaredError
 __all__ = [
     "RSReport",
     "SumScan",
-    "RSScan",
     "MinPhaseScan",
     "compensated_cumsum",
     "running_mean",
@@ -244,36 +243,6 @@ class RSReport:
 RS_TAIL_LIMIT = 0.05
 
 
-class RSScan:
-    """``robbins_siegmund_diag`` of an ``n``-step series fed in consecutive blocks.
-
-    Fed S series side by side as (m, S) blocks, ``report(i)`` is series i's.
-    """
-
-    def __init__(self, n):
-        self.tail_start = n // 2
-        self.all = SumScan()
-        # summed on its own: total minus the head sum would cancel a small tail away
-        self.tail = SumScan()
-
-    def feed(self, mu, grad_norm_sq):
-        """Add the next steps' parallel arrays of mu_k and squared gradient norms."""
-        mu = np.asarray(mu, dtype=float)
-        gns = np.asarray(grad_norm_sq, dtype=float)
-        if mu.shape != gns.shape:
-            raise ConfigurationError("mu and grad_norm_sq arrays must have equal shape")
-        terms = mu**2 * gns
-        self.tail.cumsum(terms[max(self.tail_start - self.all.count, 0) :])
-        self.all.cumsum(terms)
-
-    def report(self, i=()):
-        total, tail = (float(np.asarray(scan.total)[i]) for scan in (self.all, self.tail))
-        if total <= 0.0:
-            return RSReport(total=total, tail_fraction=0.0, passed=True)
-        frac = tail / total
-        return RSReport(total=total, tail_fraction=frac, passed=frac < RS_TAIL_LIMIT)
-
-
 def robbins_siegmund_diag(mu, grad_norm_sq):
     """Partial-sum tail check on mu_k^2 ||grad f_k||^2.
 
@@ -281,11 +250,20 @@ def robbins_siegmund_diag(mu, grad_norm_sq):
     trace these are ``trace.mu_k`` and ``gradient_norms_sq(trace, beta3)``.
     A convergent series has almost all of its mass early, so the last-half
     share of the total must fall below RS_TAIL_LIMIT; a divergent schedule
-    keeps accruing and fails.
+    keeps accruing and fails.  The terms from step n // 2 on are summed on
+    their own: the total minus the head sum would cancel a small tail away.
     """
-    scan = RSScan(len(np.asarray(mu)))
-    scan.feed(mu, grad_norm_sq)
-    return scan.report()
+    mu = np.asarray(mu, dtype=float)
+    gns = np.asarray(grad_norm_sq, dtype=float)
+    if mu.shape != gns.shape:
+        raise ConfigurationError("mu and grad_norm_sq arrays must have equal shape")
+    terms = mu**2 * gns
+    whole, tail = SumScan(), SumScan()
+    whole.cumsum(terms)
+    tail.cumsum(terms[len(terms) // 2 :])
+    total = float(whole.total)
+    frac = 0.0 if total <= 0.0 else float(tail.total) / total
+    return RSReport(total=total, tail_fraction=frac, passed=frac < RS_TAIL_LIMIT)
 
 
 class MinPhaseScan:

@@ -49,7 +49,13 @@ from sgident.bench import (
 from sgident.control import ControlConfig, NoiseSource, Trace
 from sgident.core import row_dots
 from sgident.errors import ConfigurationError, DataError, NumericError
-from sgident.metrics import regret_sum, relative_error_metric, running_mean
+from sgident.metrics import (
+    gradient_norms_sq,
+    regret_sum,
+    relative_error_metric,
+    robbins_siegmund_diag,
+    running_mean,
+)
 from sgident.models import SaturationSpec, SquaredError
 
 CONTROL_CFG = """
@@ -976,8 +982,7 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="no usable rows"):
             run_experiment(cfg)
 
-    def test_replay_rows_equal_the_stream_rows(self, tmp_path, corpus_csv, monkeypatch):
-        monkeypatch.setattr(bench_module, "_ROW_BLOCK", 64)
+    def test_replay_rows_equal_the_stream_rows(self, tmp_path, corpus_csv):
         lines = pathlib.Path(corpus_csv).read_text().splitlines()
         lines[5] = "x," + lines[5].split(",", 1)[1]  # one skipped row
         data = tmp_path / "skip.csv"
@@ -985,31 +990,12 @@ class TestRunExperiment:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = load_config(_write_cfg(tmp_path, REPLAY_CFG, out=tmp_path / "runs", data=data))
-        blocks, stream = bench_module._load_replay_rows(cfg)
+        loaded, stream = bench_module._load_replay_rows(cfg)
         rows = list(ingest_csv(str(data), {"features": list(cfg.features),
                                            "target": cfg.target_col}, max_rows=cfg.n_steps))
-        assert [len(block) for block in blocks] == [64, 64, 64, 8]
-        loaded = np.concatenate(blocks)
         assert stream.skipped == 1 and loaded.shape == (len(rows), len(cfg.features) + 1)
         assert np.array_equal(loaded[:, :-1], np.array([values for values, _ in rows]))
         assert np.array_equal(loaded[:, -1], np.array([target for _, target in rows]))
-
-    @pytest.mark.parametrize("block", [64, 700])
-    def test_replay_rows_in_other_blocks_give_the_same_traces(self, tmp_path, corpus_csv,
-                                                              monkeypatch, block):
-        # 64-row blocks join several to a loop chunk, 700-row ones straddle chunk seams
-        def traces(out):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                cfg = load_config(_write_cfg(tmp_path, REPLAY_CFG.replace(
-                    "n_steps = 200", "n_steps = 1500"), out=out, data=corpus_csv))
-            report = run_experiment(cfg)
-            return [(out / s["trace"]).read_bytes()
-                    for by_seed in report.data["runs"].values() for s in by_seed.values()]
-
-        whole = traces(tmp_path / "default")
-        monkeypatch.setattr(bench_module, "_ROW_BLOCK", block)
-        assert traces(tmp_path / f"blocks{block}") == whole
 
     def test_nonpositive_replay_target_names_its_dataset_line_before_the_sweep(
             self, tmp_path, corpus_csv, monkeypatch):
@@ -1406,13 +1392,36 @@ class TestVerifyReport:
         assert self._verify_edited(control_report, tmp_path, edit) == (
             False, ["config.mode: 'bogus' is not a mode"])
 
-    def test_run_block_that_is_not_an_object_is_one_problem(self, control_report, tmp_path):
-        # it raised AttributeError
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda data: data["runs"].update(modified=[1]), "runs.modified: not an object"),
+        (lambda data: data.update(runs=[1]), "runs: not an object"),
+        (lambda data: data["runs"]["modified"].update(seed_1=5),
+         "runs.modified.seed_1: not an object"),
+        (lambda data: data.update(config=[1]), "config: not an object"),
+    ], ids=["run block", "runs", "run summary", "config"])
+    def test_block_that_is_not_an_object_is_one_problem(self, control_report, tmp_path, edit,
+                                                        problem):
+        # they raised AttributeError, or TypeError at the summary's "trace" lookup
+        assert self._verify_edited(control_report, tmp_path, edit) == (False, [problem])
+
+    @pytest.mark.parametrize("path, value, kind", [
+        ("n_steps", "60", "an integer"),
+        ("seeds", 1, "a list"),
+        ("hyper.mu", "x", "a number"),
+        ("control.p", "x", "an integer"),
+    ])
+    def test_echo_value_of_another_type_is_one_named_problem(self, control_report, tmp_path,
+                                                             path, value, kind):
+        # each raised a bare TypeError where the value was used
         def edit(data):
-            data["runs"]["modified"] = [1]
+            *sections, key = path.split(".")
+            block = data["config"]
+            for section in sections:
+                block = block[section]
+            block[key] = value
 
         assert self._verify_edited(control_report, tmp_path, edit) == (
-            False, ["runs.modified: not an object"])
+            False, [f"config.{path}: {value!r} is not {kind}"])
 
     def test_report_file_that_is_not_an_object_is_one_problem(self, tmp_path):
         # it raised AttributeError
@@ -1719,6 +1728,19 @@ class TestSummarize:
         report = request.getfixturevalue(run)
         report = report[0] if isinstance(report, tuple) else report
         assert verify_report(report.path, tol=0.0) == (True, [])
+
+    @pytest.mark.parametrize("run", ["paper_run", "replay_run", "identify_report"])
+    def test_rs_sums_are_the_robbins_siegmund_diag_bit_for_bit(self, run, request):
+        # the summary feeds the diagnostic's two sums chunk by chunk, every cell side by side
+        report = request.getfixturevalue(run)
+        report = report[0] if isinstance(report, tuple) else report
+        beta3 = report.data["config"]["hyper"]["beta3"]
+        for by_seed in report.data["runs"].values():
+            for summary in by_seed.values():
+                trace = read_trace(os.path.join(os.path.dirname(report.path), summary["trace"]))
+                rs = robbins_siegmund_diag(trace.mu_k, gradient_norms_sq(trace, beta3))
+                assert (summary["rs_total"], summary["rs_tail_fraction"]) == (
+                    rs.total, rs.tail_fraction)
 
     def test_a_trace_with_no_rows_is_named(self, control_report):
         # it raised a bare IndexError from the running summary
