@@ -11,10 +11,11 @@ for the sweep, then dropped.  Identify draws each chunk's inputs when the
 loop asks for them, so in control and identify memory is bounded by chunk
 x cells, not by the run length: the benchmark's 20-cell logistic
 identification peaked at 3.07 MB of Python heap (tracemalloc; Python
-3.11.7, NumPy 2.4.6) at 20,000 steps and at 3.12 MB at 200,000.  Replay loads its dataset rows whole,
-into one array grown row by row (48 B a row of five features), and that
-is what still grows with the run: 2.46 MB at 40,000 rows, 20.31 MB at
-400,000; its summary keeps running sums.  ``verify_report`` and
+3.11.7, NumPy 2.4.6) at 20,000 steps and at 3.12 MB at 200,000.  Replay
+loads its dataset rows whole, into one array (48 B a row of five
+features) that one ``np.loadtxt`` call reads, and that is what still
+grows with the run: 2.29 MB at 40,000 rows, 20.61 MB at 400,000; its
+summary keeps running sums.  ``verify_report`` and
 ``export_csv`` read a trace a chunk of rows at a time, so verifying that
 replay peaked at 1.27 MB over 40,000 rows and at 1.37 MB over 400,000.  Configs are INI-style text, traces
 fixed-width hex text (one line per step, each cell the bits of a 64-bit
@@ -96,6 +97,9 @@ MODES = ("identify", "control", "replay")
 ALGORITHMS = dict.fromkeys(("modified", "classical"))
 GRADIENT_NOISE_TOL = 1e-12
 RECOMPUTE_TOL = 1e-9
+# verify_report's bound on a modified run's mu_k against its gain law: taking ||g_k||^2 as
+# the increment of r_k moved it by at most 3.0e-14 relative on the benchmark's inputs
+GAIN_LAW_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +708,17 @@ def _identify_inputs(cfg):
 
 
 def _load_replay_rows(cfg):
-    """The accepted rows, one (rows, d + 1) array of features then target, and the stream."""
+    """The dataset's accepted rows, one (rows, d + 1) array of features then target, and the
+    report's ``dataset`` block.
+
+    A file is read by one ``np.loadtxt`` call when that read succeeds
+    without a warning and gives finite cells and positive targets only.
+    Any other file (a short, nonnumeric, non-finite or whitespace-only row,
+    no rows, a target <= 0) is read again, unchanged, by the ``CsvStream``
+    of ``ingest_csv``, the one path that skips rows, counts them and names
+    their lines, so its errors, skip counts and line numbers are the
+    stream's.  Both give the same rows, bit for bit.
+    """
     if not cfg.data_path:
         raise ConfigurationError("replay mode needs a dataset (replay.data or --data)")
     stream = ingest_csv(
@@ -713,18 +727,46 @@ def _load_replay_rows(cfg):
         strict=cfg.strict_csv,
         max_rows=cfg.n_steps,
     )
+    rows = _read_rows_at_once(stream)
+    if rows is None:
+        rows = _read_rows_one_by_one(stream)
+    return rows, {"path": cfg.data_path, "rows_used": len(rows), "rows_skipped": stream.skipped,
+                  "skipped_lines": stream.skipped_lines}
+
+
+def _read_rows_at_once(stream):
+    """The rows of ``stream``'s file as one NumPy read, or None if ``CsvStream`` must read them.
+
+    The header and the file's text are read as ``CsvStream`` reads them
+    (UTF-8, any line end, ``csv`` quoting), and a repeated column name reads
+    its last column.
+    """
+    with open(stream.path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on no rows, and on a blank line
+        try:
+            header = next(csv.reader(fh))
+            index = {name: i for i, name in enumerate(header)}
+            rows = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                              encoding="utf-8", max_rows=stream.max_rows,
+                              usecols=[index[c] for c in (*stream.features, stream.target)])
+        except (StopIteration, KeyError, ValueError, csv.Error, Warning):
+            return None
+    # the relative error divides by every target
+    return rows if np.isfinite(rows).all() and (rows[:, -1] > 0.0).all() else None
+
+
+def _read_rows_one_by_one(stream):
+    """The rows ``stream`` accepts, one (rows, d + 1) array; a target <= 0 is a DataError."""
     rows = array("d")
     for values, target in stream:
         if target <= 0.0:  # the relative error divides by every target
-            raise DataError(
-                f"target must be strictly positive in {cfg.data_path}, got {target!r}",
-                line=stream.line,
-            )
+            raise DataError(f"target must be strictly positive in {stream.path}, got {target!r}",
+                            line=stream.line)
         rows.extend(values)
         rows.append(target)
     if not rows:
-        raise DataError(f"no usable rows in {cfg.data_path}")
-    return np.frombuffer(rows).reshape(-1, len(stream.features) + 1), stream
+        raise DataError(f"no usable rows in {stream.path}")
+    return np.frombuffer(rows).reshape(-1, len(stream.features) + 1)
 
 
 def _replay_inputs(rows):
@@ -1058,13 +1100,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     try:
         replay_rows = None
         if cfg.mode == "replay":
-            replay_rows, stream = _load_replay_rows(cfg)
-            report["dataset"] = {
-                "path": cfg.data_path,
-                "rows_used": stream.rows_yielded,
-                "rows_skipped": stream.skipped,
-                "skipped_lines": stream.skipped_lines,
-            }
+            replay_rows, report["dataset"] = _load_replay_rows(cfg)
         # replay: the data stream is fixed, so one pass per algorithm
         seeds = cfg.seeds[:1] if cfg.mode == "replay" else cfg.seeds
         cells = [(algo, seed) for algo in cfg.algorithms for seed in seeds]
@@ -1268,7 +1304,8 @@ def _empty_column_problems(mode, name, names):
 
 
 class _DerivedColumns:
-    """The trace columns ``summarize`` does not read, checked bit for bit against their derivation.
+    """The trace columns ``summarize`` does not read, and the gain law, checked against their
+    derivation.
 
     ``feed(trace, regret)`` takes a run's next rows and the running mean of
     their regret (None in replay); ``problems(name)`` then names each column
@@ -1278,21 +1315,32 @@ class _DerivedColumns:
     trace's ``y_star`` must be the target and ``f_true`` link(theta* .
     phi_k), with phi_k rebuilt as the loop fills it: y_k..y_{k-p+1},
     u_k..u_{k-q+1}, zeros before step 0; so an edited ``u`` cell shows in
-    its step's ``f_true``.  The row offset and the last p outputs and q
-    inputs carry from feed to feed, so any cut gives the same problems.
+    its step's ``f_true``.  Those match bit for bit.  On the last row of
+    each feed, ``mu_k`` must follow the echoed gain law: mu / r_k bit for
+    bit on a classical run, and on any other within ``GAIN_LAW_RTOL`` of
+    mu / (r_k^beta1 ln(r_k)^beta2 + ||g_k||^2), with ||g_k||^2 taken as the
+    increment of ``r_k``; so an echoed ``mu``, ``beta1`` or ``beta2`` that
+    no longer matches the traces shows.  The row offset, the last ``r_k``
+    and the last p outputs and q inputs carry from feed to feed, so any cut
+    gives the same problems.
     """
 
-    def __init__(self, config_echo):
+    def __init__(self, config_echo, algorithm):
         self.mode = config_echo["mode"]
-        self.loss = _pair_of(config_echo).loss
+        pair = _pair_of(config_echo)
+        self.loss = pair.loss
+        self.hyper = config_echo["hyper"]
+        self.classical = algorithm == "classical"
+        self.law = "mu / r_k" if self.classical else "the modified gain law"
+        self.r_last = self.hyper["beta3"]  # r_{-1}
         self.rows = 0
         # column -> (row, what it first differs from there), None while it matches
-        self.first_bad = dict.fromkeys(("k", "loss", "regret_avg", "y_star", "f_true"))
+        self.first_bad = dict.fromkeys(("k", "loss", "regret_avg", "y_star", "f_true", "mu_k"))
         if self.mode == "control":
             control = config_echo["control"]
             self.target = float(control["y_target"])
             self.theta_star = np.array(config_echo["plant"]["theta_star"])
-            self.link = _pair_of(config_echo).predictor.link
+            self.link = pair.predictor.link
             self.y_lags, self.u_lags = np.zeros(control["p"]), np.zeros(control["q"])
 
     def feed(self, trace, regret):
@@ -1320,6 +1368,17 @@ class _DerivedColumns:
             if bad.size and self.first_bad[column] is None:
                 self.first_bad[column] = (self.rows + int(bad[0]), what)
         self.rows += m
+        r, mu_k = trace.r_k[-1], trace.mu_k[-1]
+        r_prev, self.r_last = (trace.r_k[-2] if m > 1 else self.r_last), r
+        mu, beta1, beta2 = (self.hyper[key] for key in ("mu", "beta1", "beta2"))
+        with np.errstate(all="ignore"):  # an edited r_k may leave the law's domain
+            if self.classical:
+                holds = mu / r == mu_k
+            else:
+                law = mu / (r**beta1 * np.log(r) ** beta2 + (r - r_prev))
+                holds = r > 1.0 and abs(mu_k - law) <= GAIN_LAW_RTOL * law
+        if not holds and self.first_bad["mu_k"] is None:
+            self.first_bad["mu_k"] = (self.rows - 1, f"{self.law} of the echoed hyperparameters")
 
     def problems(self, name):
         problems = []
@@ -1331,8 +1390,9 @@ class _DerivedColumns:
         return problems
 
 
-def _verify_trace(config_echo, name, path, n, problems):
-    """The summary of the run traced at ``path`` and its derived-column problems, a chunk at a time.
+def _verify_trace(config_echo, algorithm, name, path, n, problems):
+    """The summary of ``algorithm``'s run traced at ``path`` and its derived-column problems, a
+    chunk at a time.
 
     A trace whose header does not name its mode's columns, or whose row
     count is not ``n``, adds its problems to ``problems`` and gives None,
@@ -1347,7 +1407,8 @@ def _verify_trace(config_echo, name, path, n, problems):
         if rows != n:
             problems.append(f"{name}: {rows} rows, but the run has {n} steps")
             return None
-        summary, derived = _RunningSummary(config_echo, n), _DerivedColumns(config_echo)
+        summary = _RunningSummary(config_echo, n)
+        derived = _DerivedColumns(config_echo, algorithm)
         for _ in range(0, n, _VERIFY_ROWS):
             chunk = read_trace(fh, _VERIFY_ROWS)
             regret = summary.feed(chunk)
@@ -1407,13 +1468,15 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     ``rows_used``); both are found from the header and the file size before
     any row is read.  Each trace's ``k``, ``loss`` and ``regret_avg``
     columns, and a control trace's ``y_star`` and ``f_true``, must equal
-    their derivation bit for bit.  A trace is read ``_VERIFY_ROWS`` rows at
-    a time by ``read_trace``, and each chunk goes to the running summary
-    that ``run_experiment`` feeds and to the derived-column checks, so no
-    trace is held whole.  A config key that this reads and the report
-    lacks or holds with another JSON type is one problem, named by its
-    path, that ends the check; so do no ``runs``, an unknown ``mode``, and
-    a config, runs, run block or run summary that is not an object.  A
+    their derivation bit for bit, and the last ``mu_k`` of each chunk the
+    echoed gain law (see ``_DerivedColumns``).  A trace is read
+    ``_VERIFY_ROWS`` rows at a time by ``read_trace``, and each chunk goes
+    to the running summary that ``run_experiment`` feeds and to the
+    derived-column checks, so no trace is held whole.  A config key that
+    this reads and the report lacks or holds with another JSON type is one
+    problem, named by its path, that ends the check; so do no ``runs``, an unknown ``mode``, an
+    echoed pair or ``hyper`` that cannot be built, and a config, runs, run
+    block, run summary or replay ``dataset`` that is not an object.  A
     report file whose top level is not a JSON object is one problem.  A run
     whose trace is not a file in the report's directory, named bare, is
     one problem and is not summarized.
@@ -1432,11 +1495,30 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     return (not problems), problems
 
 
+def _check_echoed_pair_and_hyper(cfgd):
+    """Raise ``_UnreadableKey`` naming the echo's pair or ``hyper`` if either cannot be built."""
+    try:
+        _pair_of(cfgd)
+    except ConfigurationError as exc:
+        pair = cfgd.get("pair")
+        raise _UnreadableKey(f"config.pair: {pair!r} cannot be built ({exc})") from None
+    try:
+        HyperParams(**cfgd["hyper"])
+    except (ConfigurationError, TypeError) as exc:
+        raise _UnreadableKey(f"config.hyper: {exc}") from None
+
+
 def _verify_runs(report, cfgd, out_dir, tol, problems):
     """``verify_report``'s checks of ``report``, echo ``cfgd``; adds each problem to ``problems``."""
     if cfgd["mode"] not in list(_EMPTY_COLUMNS):
         raise _UnreadableKey(f"config.mode: {cfgd['mode']!r} is not a mode")
-    n = report.get("dataset", {}).get("rows_used") if cfgd["mode"] == "replay" else cfgd["n_steps"]
+    _check_echoed_pair_and_hyper(cfgd)
+    if cfgd["mode"] == "replay":
+        if not isinstance(dataset := report.get("dataset", {}), dict):
+            raise _UnreadableKey("dataset: not an object")
+        n = dataset.get("rows_used")
+    else:
+        n = cfgd["n_steps"]
     if not isinstance(report.get("runs"), dict):
         raise _UnreadableKey(f"runs: {'not an object' if 'runs' in report else 'missing'}")
     recomputed = {}
@@ -1456,7 +1538,7 @@ def _verify_runs(report, cfgd, out_dir, tol, problems):
                     and os.path.isfile(path := os.path.join(out_dir, trace))):
                 problems.append(f"{name}: not a file in the report's directory")
                 continue
-            read = _verify_trace(cfgd, name, path, n, problems)
+            read = _verify_trace(cfgd, algo, name, path, n, problems)
             if read is None:
                 continue
             got, derived_problems = read

@@ -24,6 +24,8 @@ import textwrap
 import tracemalloc
 import warnings
 from collections import Counter
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -469,6 +471,85 @@ class TestIngestCsv:
     def test_missing_dataset_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             ingest_csv(str(tmp_path / "none.csv"), self.COLUMNS)
+
+
+# cells that make a row malformed, or that csv and NumPy might read differently
+_ODD_CELLS = ("nan", "inf", "-inf", "1e500", "1_0", "0", "-0.0", "-2.5", "", " ", "x", "1e-320",
+              '"1,5"', '"x,\ny"', '"x\r\ny"', '"2"""', '1"2"', '"1"2', "\u0661", "\u00a05")
+
+
+@st.composite
+def _replay_csv(draw):
+    """A CSV body over features a, b and target y, and the n_steps to read it with.
+
+    About half the bodies are hostile: any cell may be odd, and rows may be
+    short or hold only whitespace.  In the others only a column that is not
+    read (an extra one, a repeated name's first, a long row's tail) holds odd
+    cells, and every read cell is a number, mostly positive, bare, quoted,
+    padded or quoted with a line end.
+    """
+    names = draw(st.permutations(["a", "b", "y", *draw(st.sampled_from([[], ["z"], ["a"], ["y"],
+                                                                          ["z", "a"]]))]))
+    read = {name: i for i, name in enumerate(names)}.values()  # a repeated name reads its last
+    positive = st.one_of(st.floats(0.5, 1e6).map(repr), st.integers(1, 10**6).map(str))
+    number = st.one_of(positive, positive, positive, st.sampled_from(["0", "-0.0", "-2.5"]))
+    fine = st.one_of(number, number.map('"{}"'.format), number.map(" {} ".format),
+                     number.map('"{}\r\n"'.format), number.map('"{}\n"'.format))
+    hostile = draw(st.booleans())
+    kinds = ["row", "row", "row", "long", "blank"] + (["short", "spaces"] if hostile else [])
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        width = {"short": len(names) - 1, "long": len(names) + 2}.get(kind, len(names))
+        cells = [draw(st.one_of(fine, st.sampled_from(_ODD_CELLS))
+                      if hostile or i not in read else fine) for i in range(width)]
+        lines.append({"blank": "", "spaces": "  \t"}.get(kind, ",".join(cells)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    body = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return body, draw(st.integers(1, len(lines) + 2))
+
+
+def _replay_load(path, n_steps, strict, per_row=False):
+    """``_load_replay_rows``'s rows as bytes with their shape and dataset block, or its error."""
+    cfg = SimpleNamespace(data_path=path, features=("a", "b"), target_col="y",
+                          strict_csv=strict, n_steps=n_steps)
+    no_block_read = mock.patch.object(bench_module, "_read_rows_at_once", lambda stream: None)
+    try:
+        with no_block_read if per_row else contextlib.nullcontext():
+            rows, dataset = bench_module._load_replay_rows(cfg)
+    except DataError as exc:
+        return type(exc), str(exc), exc.line
+    return rows.tobytes(), rows.shape, dataset
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@settings(max_examples=150, deadline=None)
+@given(case=_replay_csv())
+def test_block_read_equals_the_row_stream(strict, case):
+    # rows bit for bit, rows_used, rows_skipped, skipped_lines, or the error and its line
+    body, n_steps = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(body)
+        assert _replay_load(path, n_steps, strict) == _replay_load(path, n_steps, strict,
+                                                                   per_row=True)
+
+
+def test_clean_corpus_is_read_without_the_row_stream(corpus_csv):
+    cfg = SimpleNamespace(data_path=corpus_csv, features=("f0", "f1", "f2", "f3", "f4"),
+                          target_col="y", strict_csv=False, n_steps=4000)
+
+    def row_by_row(stream):
+        raise AssertionError("CsvStream.__iter__ was called")
+
+    with mock.patch.object(bench_module.CsvStream, "__iter__", row_by_row):
+        rows, dataset = bench_module._load_replay_rows(cfg)
+    assert dataset == {"path": corpus_csv, "rows_used": 4000, "rows_skipped": 0,
+                       "skipped_lines": []}
+    streamed = list(ingest_csv(corpus_csv, {"features": list(cfg.features), "target": "y"},
+                               max_rows=4000))
+    assert rows.tobytes() == np.array([[*values, target] for values, target in streamed]).tobytes()
 
 
 def _cell(value):
@@ -990,10 +1071,10 @@ class TestRunExperiment:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = load_config(_write_cfg(tmp_path, REPLAY_CFG, out=tmp_path / "runs", data=data))
-        loaded, stream = bench_module._load_replay_rows(cfg)
+        loaded, dataset = bench_module._load_replay_rows(cfg)
         rows = list(ingest_csv(str(data), {"features": list(cfg.features),
                                            "target": cfg.target_col}, max_rows=cfg.n_steps))
-        assert stream.skipped == 1 and loaded.shape == (len(rows), len(cfg.features) + 1)
+        assert dataset["rows_skipped"] == 1 and loaded.shape == (len(rows), len(cfg.features) + 1)
         assert np.array_equal(loaded[:, :-1], np.array([values for values, _ in rows]))
         assert np.array_equal(loaded[:, -1], np.array([target for _, target in rows]))
 
@@ -1422,6 +1503,61 @@ class TestVerifyReport:
 
         assert self._verify_edited(control_report, tmp_path, edit) == (
             False, [f"config.{path}: {value!r} is not {kind}"])
+
+    @pytest.mark.parametrize("run, edit, problem", [
+        ("identify_report", lambda data: data["config"].update(pair="bogus"),
+         "config.pair: 'bogus' cannot be built (unknown pair 'bogus'; choose from ["),
+        ("small_replay_report", lambda data: data["config"].update(pair="bogus"),
+         "config.pair: 'bogus' cannot be built (replay.pair: supported pairs are "),
+        ("identify_report", lambda data: data["config"]["hyper"].update(beta1=0.1),
+         "config.hyper: beta1 must lie in [1/2, 1], got 0.1"),
+        ("small_replay_report", lambda data: data["config"]["hyper"].update(beta1=0.1),
+         "config.hyper: beta1 must lie in [1/2, 1], got 0.1"),
+        ("identify_report", lambda data: data["config"]["hyper"].update(zzz=1),
+         "config.hyper: HyperParams.__init__() got an unexpected keyword argument 'zzz'"),
+        ("small_replay_report", lambda data: data.update(dataset=[200]),
+         "dataset: not an object"),
+    ], ids=["identify pair", "replay pair", "identify beta1", "replay beta1", "hyper key",
+            "dataset"])
+    def test_echo_value_that_cannot_be_used_is_one_named_problem(self, run, edit, problem,
+                                                                 request, tmp_path):
+        # they raised ConfigurationError from the pair or HyperParams, TypeError on the
+        # unknown key and AttributeError on the dataset; the replay beta1 edit verified
+        ok, problems = self._verify_edited(request.getfixturevalue(run), tmp_path, edit)
+        assert not ok and len(problems) == 1 and problems[0].startswith(problem), problems
+
+    @staticmethod
+    def _gain_law_problem(algo, law, rows):
+        return (f"{algo}/seed_0 (trace_{algo}_replay.hex): column 'mu_k' first differs from "
+                f"{law} of the echoed hyperparameters at row {rows - 1} (line {rows + 1})")
+
+    def test_edited_mu_breaks_both_gain_laws(self, small_replay_report, tmp_path):
+        # a replay report whose echoed mu no longer matches its traces verified
+        def edit(data):
+            data["config"]["hyper"]["mu"] = 0.31
+
+        assert self._verify_edited(small_replay_report, tmp_path, edit) == (False, [
+            self._gain_law_problem("classical", "mu / r_k", 200),
+            self._gain_law_problem("modified", "the modified gain law", 200)])
+
+    def test_classical_gain_law_holds_bit_for_bit(self, small_replay_report, tmp_path):
+        # one ulp of mu is inside the modified law's bound, but not mu / r_k's
+        def edit(data):
+            data["config"]["hyper"]["mu"] = math.nextafter(0.3, 1.0)
+
+        assert self._verify_edited(small_replay_report, tmp_path, edit) == (False, [
+            self._gain_law_problem("classical", "mu / r_k", 200)])
+
+    @pytest.mark.parametrize("hyper", [
+        {"beta2": 0.6}, {"beta1": 0.6, "outside_theorem_regime": True}])
+    def test_edited_beta_breaks_the_modified_gain_law(self, small_replay_report, tmp_path,
+                                                     hyper):
+        # the classical law reads neither beta; at the parent both edits verified
+        def edit(data):
+            data["config"]["hyper"].update(hyper)
+
+        assert self._verify_edited(small_replay_report, tmp_path, edit) == (False, [
+            self._gain_law_problem("modified", "the modified gain law", 200)])
 
     def test_report_file_that_is_not_an_object_is_one_problem(self, tmp_path):
         # it raised AttributeError
@@ -1955,8 +2091,10 @@ class TestMemoryBound:
             y = rng.uniform(6.0, 120.0, n)
             f_est = y + rng.normal(0.0, 5.0, n)
             r_k = 2.0 + np.cumsum(rng.uniform(0.0, 1e3, n))
+            # the modified gain law, with ||g||^2 the increment of r_k
+            mu_k = 0.3 / (np.sqrt(r_k) * np.log(r_k) ** 0.51 + np.diff(r_k, prepend=2.0))
             trace = Trace(k=np.arange(n), y=y, f_est=f_est, loss=SquaredError().eval(y, f_est),
-                          mu_k=0.3 / np.sqrt(r_k), r_k=r_k)
+                          mu_k=mu_k, r_k=r_k)
             out = tmp_path / f"replay{n}"
             out.mkdir()
             write_trace(str(out / "trace_modified_replay.hex"), trace)

@@ -4,13 +4,15 @@
     python3 tools/trace_digests.py SEED > digests.txt
 
 Builds the inputs of each workload of ``perfbench/workloads.py`` at SEED in
-a temporary directory and runs it with the package under this checkout's
-``src/``; then verifies its report at ``tol=0`` and exports its traces as
-CSV.  Prints one ``workload/file sha256`` line for every file of its run
-directory (each ``trace_*.hex``, its ``trace_*.csv`` and ``report.json``),
-sorted, with the temporary directory replaced by ``<work>`` in a report
-before it is hashed, and then one ``workload verify (ok, problems)`` line
-per workload.  The outputs of two checkouts are compared with ``diff``:
+a temporary directory, and a fourth input, ``replay_lenient``: the replay
+corpus with one malformed row, one blank line and one quoted cell, read in
+lenient mode, so the row-by-row CSV reading is digested too.  Runs each
+with the package under this checkout's ``src/``; then verifies its report
+at ``tol=0`` and exports its traces as CSV.  Prints one ``workload/file
+sha256`` line for every file of its run directory (each ``trace_*.hex``,
+its ``trace_*.csv`` and ``report.json``), sorted, with the temporary
+directory replaced by ``<work>`` in a report before it is hashed, and then
+one ``workload verify (ok, problems)`` line per workload.  The outputs of two checkouts are compared with ``diff``:
 equal outputs mean that every trace, export and report kept its bytes.
 """
 
@@ -31,9 +33,30 @@ import workloads  # noqa: E402
 from sgident import bench  # noqa: E402
 
 
+# the replay input whose CSV only the row-by-row reading accepts: it skips and counts one row
+LENIENT_REPLAY = "replay_lenient"
+
+
+def prepare(name, seed, work_dir):
+    """The inputs of workload ``name``, or of ``LENIENT_REPLAY``, built under ``work_dir``."""
+    if name != LENIENT_REPLAY:
+        return workloads.prepare(name, seed, work_dir)
+    workload = workloads.prepare("replay", seed, work_dir)
+    corpus = workload.overrides["data_path"]
+    with open(corpus, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[3] = "x," + lines[3].split(",", 1)[1]  # a nonnumeric feature cell: skipped
+    lines[5] = '"{}",{}'.format(*lines[5].split(",", 1))  # a quoted cell: read
+    lines.insert(8, "\r\n")  # a blank line: no row
+    with open(corpus, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    workload.overrides["strict_csv"] = False
+    return workload
+
+
 def digest_workload(name, seed, work_dir):
     """The digest lines of workload ``name`` run under ``work_dir``, and its verify line."""
-    workload = workloads.prepare(name, seed, work_dir)
+    workload = prepare(name, seed, work_dir)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = workload.apply(bench.load_config(workload.config_path))
@@ -59,7 +82,7 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     digests, verifies = [], []
-    for name in workloads.WORKLOADS:
+    for name in (*workloads.WORKLOADS, LENIENT_REPLAY):
         with tempfile.TemporaryDirectory(prefix=f"digests-{name}-") as work_dir:
             lines, verified = digest_workload(name, args.seed, work_dir)
         digests += lines
