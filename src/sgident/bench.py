@@ -33,7 +33,7 @@ import math
 import os
 import warnings
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -634,8 +634,8 @@ def export_csv(run_dir):
     a time by ``read_trace`` and each column of a chunk formatted by one
     ``repr`` of its list, so no trace is held whole.  A missing directory is
     a ConfigurationError; a directory with no trace and a trace
-    ``read_trace`` rejects are DataErrors, and the CSV of a rejected trace
-    is not written (a partial one is removed, an earlier one kept).
+    ``read_trace`` rejects are DataErrors.  A trace whose export raises
+    anything leaves no ``.part`` file and no new CSV (an earlier one is kept).
     """
     if not os.path.isdir(run_dir):
         raise ConfigurationError(f"run directory not found: {run_dir}")
@@ -657,8 +657,9 @@ def export_csv(run_dir):
                              for column in (getattr(trace, name) for name in TRACE_COLUMNS[:-1])]
                     cells.append(FLAG_TEXT[trace.flags].tolist())
                     out.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
-        except DataError:
-            os.remove(partial)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(partial)
             raise
         os.replace(partial, path)
         written.append(path)
@@ -711,13 +712,14 @@ def _load_replay_rows(cfg):
     """The dataset's accepted rows, one (rows, d + 1) array of features then target, and the
     report's ``dataset`` block.
 
-    A file is read by one ``np.loadtxt`` call when that read succeeds
-    without a warning and gives finite cells and positive targets only.
-    Any other file (a short, nonnumeric, non-finite or whitespace-only row,
-    no rows, a target <= 0) is read again, unchanged, by the ``CsvStream``
-    of ``ingest_csv``, the one path that skips rows, counts them and names
-    their lines, so its errors, skip counts and line numbers are the
-    stream's.  Both give the same rows, bit for bit.
+    A file is read by one ``np.loadtxt`` call when that read succeeds with
+    no warning but NumPy's note of a skipped blank line, and gives finite
+    cells and positive targets only.  Any other file (a short, nonnumeric,
+    non-finite or whitespace-only row, no rows, a target <= 0) is read
+    again, unchanged, by the ``CsvStream`` of ``ingest_csv``, the one path
+    that skips rows, counts them and names their lines, so its errors, skip
+    counts and line numbers are the stream's.  Both give the same rows, bit
+    for bit.
     """
     if not cfg.data_path:
         raise ConfigurationError("replay mode needs a dataset (replay.data or --data)")
@@ -742,7 +744,9 @@ def _read_rows_at_once(stream):
     its last column.
     """
     with open(stream.path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt warns on no rows, and on a blank line
+        warnings.simplefilter("error")  # loadtxt warns on no rows
+        # and on a blank line, which it skips, uncounted, as CsvStream does
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
         try:
             header = next(csv.reader(fh))
             index = {name: i for i, name in enumerate(header)}
@@ -838,12 +842,6 @@ def summarize(config_echo, trace):
     return summary.result(0)
 
 
-def _fold_max(running, values):
-    """The column maxima of ``values`` and ``running`` (None before any), NaN-propagating."""
-    top = np.max(values, axis=0)
-    return top if running is None else np.maximum(running, top)
-
-
 class _RunningSummary:
     """The summaries of ``cells`` runs of ``n`` steps each, fed side by side in consecutive chunks.
 
@@ -852,119 +850,101 @@ class _RunningSummary:
     Trace with (m,) columns.  It returns the steps' regret running means,
     (m, cells) (None in replay).
     ``result(i)`` is ``summarize``'s dict of run i once all ``n`` steps are
-    fed.  The sequential metrics carry their scan state from chunk to chunk
-    (``metrics.SumScan``, ``MinPhaseScan`` and the last ``r_k``), each
-    column with the bits of its run fed alone; maxima, counts, the last
-    ``theta_err`` and the step-500 checkpoint are combined per chunk.
-    Replay's relative errors are running sums of ``metrics.relative_errors``
-    (a ``SumScan``) read at row 1000 and at the end, as
-    ``relative_error_metric`` reads its one sum.
+    fed.  Each chunk's values go into three folds keyed by the report field
+    they become: compensated sums (a ``metrics.SumScan`` each, reported as
+    means over n but ``rs_total``), running maxima and counts (reported as
+    they are but ``out_of_band_fraction``, over n).  Each column keeps the
+    bits of its run fed alone.  Only what is no plain fold keeps its own
+    state: the Robbins-Siegmund sum from step n // 2 on, the one running-mean
+    checkpoint (regret at step 500, replay's relative error at row 1000),
+    ``MinPhaseScan``, the last ``r_k`` and the last ``theta_err``.
     """
+
+    _FLAG_BITS = np.array([*FLAG_BIT.values()])[:, None, None]  # in FLAGS order
 
     def __init__(self, config_echo, n, cells=1):
         self.mode, self.hyper, self.n = config_echo["mode"], config_echo["hyper"], n
         self.r_last = self.hyper["beta3"]  # r_{-1}
-        # the Robbins-Siegmund sums of mu_k^2 ||g_k||^2: all n terms, and those from n // 2 on
-        self.rs, self.rs_tail = SumScan(), SumScan()
-        self.law_max = None
-        self.flag_counts = np.zeros((len(FLAGS), cells), np.int64)
+        self.sums, self.maxima, self.counts = defaultdict(SumScan), {}, {}
+        self.rs_tail = SumScan()  # the Robbins-Siegmund terms mu_k^2 ||g_k||^2 from n // 2 on
+        self.at = 1000 if self.mode == "replay" else 500  # the running mean's checkpoint step
+        self.at_mean = self.theta_err = None
         if self.mode == "replay":
-            self.relative = SumScan()  # of |y - f_est| / y
-            self.relative_at_1000 = None
             return
         self.pair = _pair_of(config_echo)
-        self.regret = SumScan()
-        self.regret_at_500 = self.theta_err = self.noise_dev = None
         if self.mode == "control":
             control = config_echo["control"]
             self.root_tol = control["root_tol"]
             # |f_est| > tanh(bound) iff the estimated preactivation left the band
             self.edge = math.tanh(control["operating_bound"])
-            self.tracking = (SumScan(), SumScan())
             self.min_phase = MinPhaseScan()
-            self.min_phase_max = None
-            self.out_of_band = self.identity_steps = 0
-            self.identity_dev = 0.0
 
     def feed(self, trace):
         if trace.flags.ndim == 1:  # a single run is a sweep of one cell
             columns = {name: getattr(trace, name) for name in TRACE_COLUMNS[1:]}
             trace = Trace(trace.k, **{name: None if column is None else column[:, None]
                                       for name, column in columns.items()})
+        first = self.sums["rs_total"].count
         grad_norm_sq = gradient_norms_sq(trace, self.r_last)
         self.r_last = trace.r_k[-1].copy()
         terms = trace.mu_k**2 * grad_norm_sq
-        self.rs_tail.cumsum(terms[max(self.n // 2 - self.rs.count, 0) :])
-        self.rs.cumsum(terms)
-        self.law_max = _fold_max(self.law_max, trace.mu_k * grad_norm_sq)
-        self.flag_counts += [np.count_nonzero(trace.flags & bit, axis=0)
-                             for bit in FLAG_BIT.values()]
+        self.rs_tail.cumsum(terms[max(self.n // 2 - first, 0) :])
+        sums = {"rs_total": terms}
+        maxima = {"step_size_law_max": trace.mu_k * grad_norm_sq}
+        counts = {"flag_counts": trace.flags & self._FLAG_BITS}
         if self.mode == "replay":
-            first = self.relative.count
-            sums = self.relative.cumsum(relative_errors(trace.f_est, trace.y))
-            if first < 1000 <= self.relative.count:
-                self.relative_at_1000 = sums[999 - first] / 1000
-            return None
-        first = self.regret.count
-        regret = self.regret.means(regret_sum(trace, self.pair.loss))
-        if first < 500 <= self.regret.count:
-            self.regret_at_500 = regret[499 - first].copy()
-        self.theta_err = trace.theta_err[-1].copy()
-        noise = realized_noise(trace)
-        if isinstance(self.pair.loss, SquaredError):
-            # the measured gradient noise collapses to -2w for squared error
-            gap = gradient_noise(trace, self.pair) + 2.0 * noise
-            self.noise_dev = _fold_max(self.noise_dev, np.abs(gap))
+            means = self.sums["final_relative_error"].means(relative_errors(trace.f_est, trace.y))
+        else:
+            means = self.sums["final_average_regret"].means(regret_sum(trace, self.pair.loss))
+            self.theta_err = trace.theta_err[-1].copy()
+            noise = realized_noise(trace)
+            if isinstance(self.pair.loss, SquaredError):
+                # the measured gradient noise collapses to -2w for squared error
+                gap = gradient_noise(trace, self.pair) + 2.0 * noise
+                maxima["gradient_noise_max_dev"] = np.abs(gap)
         if self.mode == "control":
-            for scan, values in zip(self.tracking, tracking_error(trace)):
-                scan.cumsum(values)
-            ratios = self.min_phase.ratios(trace.y, trace.u, noise)
-            self.min_phase_max = _fold_max(self.min_phase_max, ratios)
-            self.out_of_band += np.count_nonzero(np.abs(trace.f_est) > self.edge, axis=0)
+            sums["final_tracking_conditional"], sums["final_tracking_proxy"] = tracking_error(trace)
+            counts["out_of_band_fraction"] = np.abs(trace.f_est) > self.edge  # over n below
+            maxima["min_phase_max"] = self.min_phase.ratios(trace.y, trace.u, noise)
             # closed-loop ledger: y - y* - w should equal f_true - f_est on clean steps
-            clean = trace.flags == 0
+            clean = counts["identity_steps_checked"] = trace.flags == 0
             ledger = trace.y - trace.y_star - noise - (trace.f_true - trace.f_est)
-            self.identity_dev = np.maximum(
-                self.identity_dev, np.max(np.abs(ledger), axis=0, where=clean, initial=0.0))
-            self.identity_steps += np.count_nonzero(clean, axis=0)
-        return regret
+            maxima["identity_max_dev"] = np.where(clean, np.abs(ledger), 0.0)
+        if first < self.at <= first + len(means):
+            self.at_mean = means[self.at - 1 - first].copy()
+        for key, values in sums.items():
+            self.sums[key].cumsum(values)
+        for key, values in maxima.items():  # NaN-propagating
+            self.maxima[key] = np.maximum(self.maxima.get(key, -np.inf), np.max(values, axis=0))
+        for key, values in counts.items():  # down the steps axis
+            self.counts[key] = self.counts.get(key, 0) + np.count_nonzero(values, axis=-2)
+        return None if self.mode == "replay" else means
 
     def result(self, i):
-        total, tail = float(self.rs.total[i]), float(self.rs_tail.total[i])
-        out = {
-            "step_size_law_max": float(self.law_max[i]),
-            "rs_total": total,
-            "rs_tail_fraction": 0.0 if total <= 0.0 else tail / total,
-            "flag_counts": {name: int(count[i]) for name, count in zip(FLAGS, self.flag_counts)},
-        }
+        n = self.n
+        out = {key: float(scan.total[i] / n) for key, scan in self.sums.items()}
+        out |= {key: float(top[i]) for key, top in self.maxima.items()}
+        out |= {key: count[..., i].tolist() for key, count in self.counts.items()}
+        out["flag_counts"] = dict(zip(FLAGS, out["flag_counts"]))
+        total = out["rs_total"] = float(self.sums["rs_total"].total[i])
+        out["rs_tail_fraction"] = 0.0 if total <= 0.0 else float(self.rs_tail.total[i]) / total
         checks = out["checks"] = {
             "step_size_law": out["step_size_law_max"] <= self.hyper["mu"] * (1 + 1e-12),
             "no_divergence": out["flag_counts"]["divergence"] == 0,
         }
-        n = self.n
         if self.mode == "replay":
             # the relative_error_metric of the first 1000 rows and of all n
-            checkpoints = {"1000": float(self.relative_at_1000[i])} if n > 1000 else {}
-            checkpoints["final"] = float(self.relative.total[i] / n)
+            checkpoints = {"1000": float(self.at_mean[i])} if n > 1000 else {}
+            out["relative_error_checkpoints"] = {**checkpoints, "final": out["final_relative_error"]}
             out["rows_used"] = n
-            out["relative_error_checkpoints"] = checkpoints
-            out["final_relative_error"] = checkpoints["final"]
             return out
-        out["final_average_regret"] = float(self.regret.total[i] / n)
-        if self.regret_at_500 is not None:
-            out["average_regret_at_500"] = float(self.regret_at_500[i])
+        if self.at_mean is not None:
+            out["average_regret_at_500"] = float(self.at_mean[i])
         out["final_theta_err"] = float(self.theta_err[i])
-        if self.noise_dev is not None:
-            out["gradient_noise_max_dev"] = float(self.noise_dev[i])
+        if "gradient_noise_max_dev" in out:
             checks["gradient_noise_identity"] = out["gradient_noise_max_dev"] <= GRADIENT_NOISE_TOL
         if self.mode == "control":
-            conditional, proxy = self.tracking
-            out["final_tracking_conditional"] = float(conditional.total[i] / n)
-            out["final_tracking_proxy"] = float(proxy.total[i] / n)
-            out["min_phase_max"] = float(self.min_phase_max[i])
-            out["out_of_band_fraction"] = int(self.out_of_band[i]) / n
-            out["identity_max_dev"] = float(self.identity_dev[i])
-            out["identity_steps_checked"] = int(self.identity_steps[i])
+            out["out_of_band_fraction"] /= n
             checks["closed_loop_identity"] = out["identity_max_dev"] <= self.root_tol + 1e-9
         return out
 
@@ -1320,9 +1300,11 @@ class _DerivedColumns:
     bit on a classical run, and on any other within ``GAIN_LAW_RTOL`` of
     mu / (r_k^beta1 ln(r_k)^beta2 + ||g_k||^2), with ||g_k||^2 taken as the
     increment of ``r_k``; so an echoed ``mu``, ``beta1`` or ``beta2`` that
-    no longer matches the traces shows.  The row offset, the last ``r_k``
-    and the last p outputs and q inputs carry from feed to feed, so any cut
-    gives the same problems.
+    no longer matches the traces shows.  By the triangle inequality, a
+    change of ``theta_err`` from row k to k + 1 must lie within row k's
+    step mu_k |dL/dx(y, f_est)| ||g_k||.  The row offset, the last ``r_k``,
+    ``theta_err`` and step, and the last p outputs and q inputs carry from
+    feed to feed, so any cut gives the same problems.
     """
 
     def __init__(self, config_echo, algorithm):
@@ -1334,8 +1316,11 @@ class _DerivedColumns:
         self.law = "mu / r_k" if self.classical else "the modified gain law"
         self.r_last = self.hyper["beta3"]  # r_{-1}
         self.rows = 0
+        # the last row's theta_err and its step bound, none before the first feed
+        self.err_last = self.step_last = np.empty(0)
         # column -> (row, what it first differs from there), None while it matches
-        self.first_bad = dict.fromkeys(("k", "loss", "regret_avg", "y_star", "f_true", "mu_k"))
+        self.first_bad = dict.fromkeys(("k", "loss", "regret_avg", "y_star", "f_true", "mu_k",
+                                        "theta_err"))
         if self.mode == "control":
             control = config_echo["control"]
             self.target = float(control["y_target"])
@@ -1367,16 +1352,30 @@ class _DerivedColumns:
             bad = np.flatnonzero(getattr(trace, column).view(np.int64) != expected.view(np.int64))
             if bad.size and self.first_bad[column] is None:
                 self.first_bad[column] = (self.rows + int(bad[0]), what)
-        self.rows += m
-        r, mu_k = trace.r_k[-1], trace.mu_k[-1]
-        r_prev, self.r_last = (trace.r_k[-2] if m > 1 else self.r_last), r
+        grad_norm_sq = np.diff(trace.r_k, prepend=self.r_last)  # ||g_k||^2, as r_k rounds it
+        r = self.r_last = trace.r_k[-1]
         mu, beta1, beta2 = (self.hyper[key] for key in ("mu", "beta1", "beta2"))
         with np.errstate(all="ignore"):  # an edited r_k may leave the law's domain
             if self.classical:
-                holds = mu / r == mu_k
+                holds = mu / r == trace.mu_k[-1]
             else:
-                law = mu / (r**beta1 * np.log(r) ** beta2 + (r - r_prev))
-                holds = r > 1.0 and abs(mu_k - law) <= GAIN_LAW_RTOL * law
+                law = mu / (r**beta1 * np.log(r) ** beta2 + grad_norm_sq[-1])
+                holds = r > 1.0 and abs(trace.mu_k[-1] - law) <= GAIN_LAW_RTOL * law
+            if trace.theta_err is not None:
+                # ||theta_{k+1} - theta_k|| = mu_k |dL/dx| ||g_k||; ||g_k|| from the increment
+                # of r_k and its rounding, and a slack of 1e-12 relative and 4 ulp of theta_err
+                step = trace.mu_k * np.abs(self.loss.grad_x(trace.y, trace.f_est)) * (
+                    np.sqrt(np.maximum(grad_norm_sq, 0.0)) + np.sqrt(2.0 * np.spacing(trace.r_k)))
+                err = np.concatenate((self.err_last, trace.theta_err))
+                step = np.concatenate((self.step_last, step))
+                bound = step[:-1] * (1 + 1e-12) + 4.0 * np.spacing(np.maximum(err[:-1], err[1:]))
+                bad = np.flatnonzero(np.abs(np.diff(err)) > bound)  # pair j ends at err[j + 1]
+                if bad.size and self.first_bad["theta_err"] is None:
+                    row = self.rows - len(self.err_last) + int(bad[0]) + 1
+                    self.first_bad["theta_err"] = (
+                        row, "a step of at most mu_k |dL/dx| ||g_k|| from the row before")
+                self.err_last, self.step_last = err[-1:], step[-1:]
+        self.rows += m
         if not holds and self.first_bad["mu_k"] is None:
             self.first_bad["mu_k"] = (self.rows - 1, f"{self.law} of the echoed hyperparameters")
 
@@ -1468,8 +1467,9 @@ def verify_report(report_path, tol=RECOMPUTE_TOL):
     ``rows_used``); both are found from the header and the file size before
     any row is read.  Each trace's ``k``, ``loss`` and ``regret_avg``
     columns, and a control trace's ``y_star`` and ``f_true``, must equal
-    their derivation bit for bit, and the last ``mu_k`` of each chunk the
-    echoed gain law (see ``_DerivedColumns``).  A trace is read
+    their derivation bit for bit, the last ``mu_k`` of each chunk the
+    echoed gain law, and each change of ``theta_err`` the step's bound (see
+    ``_DerivedColumns``).  A trace is read
     ``_VERIFY_ROWS`` rows at a time by ``read_trace``, and each chunk goes
     to the running summary that ``run_experiment`` feeds and to the
     derived-column checks, so no trace is held whole.  A config key that

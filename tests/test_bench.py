@@ -552,6 +552,28 @@ def test_clean_corpus_is_read_without_the_row_stream(corpus_csv):
     assert rows.tobytes() == np.array([[*values, target] for values, target in streamed]).tobytes()
 
 
+def test_blank_lines_are_read_without_the_row_stream(corpus_csv, tmp_path):
+    # NumPy warns of each blank line it skips; both readers take it as no row
+    lines = pathlib.Path(corpus_csv).read_bytes().splitlines(keepends=True)
+    for at in (3000, 1000, 1):
+        lines.insert(at, b"\r\n")
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"".join(lines) + b"\r\n")
+    cfg = SimpleNamespace(data_path=str(path), features=("f0", "f1", "f2", "f3", "f4"),
+                          target_col="y", strict_csv=True, n_steps=4000)
+
+    def row_by_row(stream):
+        raise AssertionError("CsvStream.__iter__ was called")
+
+    with mock.patch.object(bench_module.CsvStream, "__iter__", row_by_row):
+        rows, dataset = bench_module._load_replay_rows(cfg)
+    assert dataset == {"path": str(path), "rows_used": 4000, "rows_skipped": 0,
+                       "skipped_lines": []}
+    streamed = list(ingest_csv(str(path), {"features": list(cfg.features), "target": "y"},
+                               strict=True, max_rows=4000))
+    assert rows.tobytes() == np.array([[*values, target] for values, target in streamed]).tobytes()
+
+
 def _cell(value):
     """A trace cell: the 16 hex digits of an int's int64 or a float's float64 bits."""
     return struct.pack(">q" if isinstance(value, int) else ">d", value).hex().encode()
@@ -814,6 +836,27 @@ class TestExportCsv:
             export_csv(str(dst))
         assert not (dst / "trace_modified_seed1.csv").exists()
 
+
+    def test_any_error_mid_export_leaves_no_part_and_no_csv(self, control_report, tmp_path,
+                                                           monkeypatch):
+        # a read that fails on the second chunk of the first trace, as a disk error would
+        monkeypatch.setattr(bench_module, "_CHUNK", 8)
+        reads = 0
+
+        def failing_read(fh, rows):
+            nonlocal reads
+            reads += 1
+            if reads == 2:
+                raise OSError("device error")
+            return read_trace(fh, rows)
+
+        monkeypatch.setattr(bench_module, "read_trace", failing_read)
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(control_report.path), dst)
+        with pytest.raises(OSError, match="device error"):
+            export_csv(str(dst))
+        assert not list(dst.glob("*.part"))
+        assert not list(dst.glob("*.csv"))
 
     def test_a_bad_cell_in_a_later_chunk_leaves_the_earlier_csv(self, control_report, tmp_path,
                                                                  monkeypatch):
@@ -1360,6 +1403,10 @@ class TestCompareRuns:
         assert "wins on final_average_regret" in text
 
 
+# what verify_report names an edited theta_err cell against
+_THETA_ERR_STEP = "a step of at most mu_k |dL/dx| ||g_k|| from the row before"
+
+
 class TestVerifyReport:
     def test_clean_report_verifies(self, control_report):
         ok, problems = verify_report(control_report.path)
@@ -1753,6 +1800,15 @@ class TestVerifyReport:
         assert (f"modified/seed_1 ({summary['trace']}): column {derived!r} first differs "
                 f"from {what} at row 10 (line 12)") in problems
 
+    def test_an_edited_mid_trace_theta_err_is_flagged(self, tmp_path):
+        cfg = load_config(preset_path("paper_sim.cfg"))
+        cfg.n_steps, cfg.seeds, cfg.out_dir = 600, (1,), str(tmp_path / "run")
+        run_experiment(cfg)
+        _set_cell(tmp_path / "run" / "trace_modified_seed1.hex", 102, "theta_err", 7.0)
+        assert verify_report(str(tmp_path / "run" / "report.json"), tol=0.0) == (False, [
+            "modified/seed_1 (trace_modified_seed1.hex): column 'theta_err' first differs "
+            f"from {_THETA_ERR_STEP} at row 100 (line 102)"])
+
     @pytest.mark.parametrize("run", ["control_report", "identify_report", "small_replay_report"])
     def test_a_fresh_run_verifies_exactly_in_small_chunks(self, run, request, monkeypatch):
         monkeypatch.setattr(bench_module, "_VERIFY_ROWS", 7)
@@ -1764,6 +1820,8 @@ class TestVerifyReport:
         ("k", 5, "column 'k' first differs from the row index"),
         ("regret_avg", 9.0,
          "column 'regret_avg' first differs from the running mean of the regret"),
+        # the bound pairs row 16 with row 15, the last of the first chunk
+        ("theta_err", 7.0, "column 'theta_err' first differs from " + _THETA_ERR_STEP),
     ])
     def test_an_edit_on_the_first_row_of_a_later_chunk_names_its_line(
             self, control_report, tmp_path, monkeypatch, column, cell, problem):
@@ -1892,6 +1950,45 @@ class TestSummarize:
             assert summary["relative_error_checkpoints"] == {
                 "1000": relative_error_metric(trace.f_est[:1000], trace.y[:1000]),
                 "final": relative_error_metric(trace.f_est, trace.y)}
+
+    _CHECKS = {"no_divergence": "bool", "step_size_law": "bool"}
+    _COMMON = {"flag_counts": {"saturated": "int", "singular_gain": "int", "divergence": "int"},
+               "rs_tail_fraction": "float", "rs_total": "float", "step_size_law_max": "float",
+               "trace": "str"}
+    _IDENTIFY = {**_COMMON, "final_average_regret": "float", "final_theta_err": "float"}
+
+    @pytest.mark.parametrize("run, fields", [
+        ("paper_run", {
+            **_IDENTIFY, "average_regret_at_500": "float", "gradient_noise_max_dev": "float",
+            "final_tracking_conditional": "float", "final_tracking_proxy": "float",
+            "identity_max_dev": "float", "identity_steps_checked": "int",
+            "min_phase_max": "float", "out_of_band_fraction": "float",
+            "checks": {**_CHECKS, "gradient_noise_identity": "bool",
+                       "closed_loop_identity": "bool"}}),
+        ("identify_report", {  # squared error, 60 steps: no step-500 checkpoint
+            **_IDENTIFY, "gradient_noise_max_dev": "float",
+            "checks": {**_CHECKS, "gradient_noise_identity": "bool"}}),
+        ("long_identify_report", {  # cross-entropy has no gradient-noise identity
+            **_IDENTIFY, "average_regret_at_500": "float", "checks": _CHECKS}),
+        ("replay_run", {
+            **_COMMON, "final_relative_error": "float", "rows_used": "int",
+            "relative_error_checkpoints": {"1000": "float", "final": "float"},
+            "checks": _CHECKS}),
+    ])
+    def test_summary_fields_and_their_json_types_per_mode(self, run, fields, request):
+        # a renamed or dropped field fails here, not only in a digest
+        report = request.getfixturevalue(run)
+        report = report[0] if isinstance(report, tuple) else report
+        with open(report.path, encoding="utf-8") as fh:
+            written = json.load(fh)
+
+        def types(node):
+            return ({key: types(value) for key, value in node.items()}
+                    if isinstance(node, dict) else type(node).__name__)
+
+        for runs in (report.data["runs"], written["runs"]):
+            summaries = [summary for by_seed in runs.values() for summary in by_seed.values()]
+            assert summaries and all(types(summary) == fields for summary in summaries)
 
     def test_summary_values_are_plain_json_types(self, control_report, small_replay_report):
         for report in (control_report, small_replay_report):
