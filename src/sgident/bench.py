@@ -147,17 +147,20 @@ def preset_path(name):
 _MISSING = object()
 
 
-def _get(cp, section, key, cast=str, default=_MISSING):
-    cp.read_keys.add((section, key))
-    if not cp.has_option(section, key):
-        if default is _MISSING:
-            raise ConfigurationError(f"{section}.{key}: required key is missing")
-        return default
-    raw = cp.get(section, key).strip()
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from None
+class _Text(str):
+    """A setting as a config file's text, which ``_get`` parses; a JSON value is not parsed."""
+
+
+def _of(*types):
+    """The test that a JSON value has one of ``types``; a bool is no number."""
+    return lambda value: isinstance(value, types) and (bool in types or type(value) is not bool)
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+_is_number = _of(int, float)
 
 
 def _float_list(raw):
@@ -184,6 +187,39 @@ def _bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# each kind of setting: the parser of its text, what its JSON value must be, the test of
+# that value and the setting the value stands for
+_STR = (str, "a string", _of(str), str)
+_INT = (int, "an integer", _of(int), int)
+_FLOAT = (float, "a number", _is_number, float)
+_BOOL = (_bool, "a boolean", _of(bool), bool)
+_FLOATS = (_float_list, "a list of numbers", _list_of(_is_number), lambda v: np.array(v, float))
+_INTS = (_int_list, "a list of integers", _list_of(_of(int)), tuple)
+_STRS = (_str_list, "a list of strings", _list_of(_of(str)), tuple)
+
+
+def _get(sections, section, key, kind, default=_MISSING):
+    """Setting ``section.key`` of ``kind``, taken out of ``sections``, or ``default`` if absent.
+
+    A required key that is absent, and a value that does not read as
+    ``kind``, are ConfigurationErrors naming it.
+    """
+    value = sections.get(section, {}).pop(key, _MISSING)
+    if value is _MISSING:
+        if default is _MISSING:
+            raise ConfigurationError(f"{section}.{key}: required key is missing")
+        return default
+    parse, name, holds, load = kind
+    text = isinstance(value, _Text)
+    if not (text or holds(value)):
+        raise ConfigurationError(f"{section}.{key}: {value!r} is not {name}")
+    raw = value.strip() if text else value
+    try:  # a JSON integer may be too large for a float
+        return parse(raw) if text else load(raw)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from None
+
+
 def _reject_repeats(key, what, values):
     repeated = next((v for v, count in Counter(values).items() if count > 1), None)
     if repeated is not None:
@@ -202,7 +238,11 @@ def check_seeds(seeds, key="experiment.seeds"):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an INI experiment config; violations name section.key."""
+    """Parse and validate an INI experiment config; violations name section.key.
+
+    ``out_dir`` defaults to ``runs/<the file's name>``.  A pair that
+    declares no convexity constants is a warning.
+    """
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
@@ -212,164 +252,159 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"config parse error in {path}: {exc}") from None
     if not read:
         raise ConfigurationError(f"config file unreadable: {path}")
-    cp.read_keys = set()  # every (section, key) _get asks for
+    sections = {name: {key: _Text(cp.get(name, key)) for key in cp.options(name)}
+                for name in cp.sections()}
+    default_out = os.path.join("runs", os.path.splitext(os.path.basename(path))[0])
+    sections.setdefault("experiment", {}).setdefault("out_dir", _Text(default_out))
+    cfg = _config_from_sections(sections)
+    if not cfg.pair.declares_constants():
+        warnings.warn(cfg.caveats[0])
+    return cfg
 
-    mode = _get(cp, "experiment", "mode")
+
+def _config_from_sections(sections) -> ExperimentConfig:
+    """The ExperimentConfig of ``sections``, section -> key -> value, with every check of a config.
+
+    A value is a config file's text (``_Text``), which is parsed, or a JSON
+    value, as ``_echo_config`` writes it, which must have its key's type.
+    Each violation is a ConfigurationError naming its section.key: a
+    missing key, a value of another type, out of range or repeated, a key
+    that the mode and pair do not read, a dimension, the plant noise, the
+    pair, ``HyperParams`` and the step-size cap.  A pair that declares no
+    convexity constants adds the caveat that the cap is not checked.
+    """
+    s = {}  # the keys no _get has taken
+    for name, keys in sections.items():
+        if not isinstance(keys, dict):
+            raise ConfigurationError(f"{name}: {keys!r} is not an object")
+        s[name] = dict(keys)
+    mode = _get(s, "experiment", "mode", _STR)
     if mode not in MODES:
         raise ConfigurationError(f"experiment.mode: must be one of {MODES}, got {mode!r}")
-    algorithms = _get(cp, "experiment", "algorithms", _str_list, ("modified",))
+    algorithms = _get(s, "experiment", "algorithms", _STRS, ("modified",))
     if not algorithms:
         raise ConfigurationError("experiment.algorithms: must list at least one algorithm")
     for algo in algorithms:
         if algo not in ALGORITHMS:
-            raise ConfigurationError(
-                f"experiment.algorithms: unknown algorithm {algo!r}; "
-                f"choose from {sorted(ALGORITHMS)}"
-            )
+            raise ConfigurationError(f"experiment.algorithms: unknown algorithm {algo!r}; "
+                                     f"choose from {sorted(ALGORITHMS)}")
     _reject_repeats("experiment.algorithms", "algorithm", algorithms)
-    n_steps = _get(cp, "experiment", "n_steps", int)
+    n_steps = _get(s, "experiment", "n_steps", _INT)
     if n_steps < 1:
         raise ConfigurationError(f"experiment.n_steps: must be >= 1, got {n_steps}")
-    seeds = check_seeds(_get(cp, "experiment", "seeds", _int_list))
-    default_out = os.path.join("runs", os.path.splitext(os.path.basename(path))[0])
-    out_dir = _get(cp, "experiment", "out_dir", str, default_out)
+    seeds = check_seeds(_get(s, "experiment", "seeds", _INTS))
+    out_dir = _get(s, "experiment", "out_dir", _STR)
 
+    hyper = {key: _get(s, "hyper", key, _FLOAT) for key in ("mu", "beta1", "beta2", "beta3")}
+    hyper["alpha_moment"] = _get(s, "hyper", "alpha_moment", _FLOAT, 4.0)
+    hyper["outside_theorem_regime"] = _get(s, "hyper", "outside_theorem_regime", _BOOL, False)
     try:
-        hyper = HyperParams(
-            mu=_get(cp, "hyper", "mu", float),
-            beta1=_get(cp, "hyper", "beta1", float),
-            beta2=_get(cp, "hyper", "beta2", float),
-            beta3=_get(cp, "hyper", "beta3", float),
-            alpha_moment=_get(cp, "hyper", "alpha_moment", float, 4.0),
-            outside_theorem_regime=_get(cp, "hyper", "outside_theorem_regime", _bool, False),
-        )
+        hyper = HyperParams(**hyper)
     except ConfigurationError as exc:
         raise ConfigurationError(f"hyper: {exc}") from None
-    alpha_eps = _get(cp, "hyper", "alpha_eps", float, 0.5)
+    alpha_eps = _get(s, "hyper", "alpha_eps", _FLOAT, 0.5)
     if not (0.0 < alpha_eps < 1.0):
         raise ConfigurationError(f"hyper.alpha_eps: must lie in (0,1), got {alpha_eps}")
 
-    cfg = ExperimentConfig(
-        mode=mode,
-        algorithms=algorithms,
-        hyper=hyper,
-        n_steps=n_steps,
-        seeds=seeds,
-        out_dir=out_dir,
-        alpha_eps=alpha_eps,
-    )
-
+    cfg = ExperimentConfig(mode=mode, algorithms=algorithms, hyper=hyper, n_steps=n_steps,
+                           seeds=seeds, out_dir=out_dir, alpha_eps=alpha_eps)
     if mode in ("identify", "control"):
-        _load_plant_section(cp, cfg)
+        _load_plant_section(s, cfg)
     if mode == "control":
-        _load_control_section(cp, cfg)
+        _load_control_section(s, cfg)
     if mode == "replay":
-        _load_replay_section(cp, cfg)
-    for section, key in ((s, k) for s in cp.sections() for k in cp.options(s)):
-        if (section, key) not in cp.read_keys:
-            raise ConfigurationError(
-                f"{section}.{key}: not a setting of {mode} mode with pair {cfg.pair_name!r}")
+        _load_replay_section(s, cfg)
+    for section, key in ((name, key) for name, keys in s.items() for key in keys):
+        raise ConfigurationError(
+            f"{section}.{key}: not a setting of {mode} mode with pair {cfg.pair_name!r}")
 
-    _apply_cap_policy(cfg)
+    if cfg.pair.declares_constants():
+        try:
+            check_step_size_cap(cfg.hyper, cfg.pair)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"hyper.mu: {exc}") from None
+    else:
+        cfg.caveats.append(
+            f"pair {cfg.pair_name!r} declares no convexity constants; the step-size "
+            f"cap mu < min(1, 2*delta/c1) cannot be checked, proceeding with mu={cfg.hyper.mu}")
+    if cfg.pair.operating_note and cfg.pair.operating_note not in cfg.caveats:
+        cfg.caveats.append(cfg.pair.operating_note)
     return cfg
 
 
-def _load_plant_section(cp, cfg):
+def _load_plant_section(s, cfg):
     if cfg.mode == "control":
-        cfg.p = _get(cp, "model", "p", int)
-        cfg.q = _get(cp, "model", "q", int)
-        cfg.operating_bound = _get(cp, "model", "operating_bound", float, 1.0)
-        cfg.pair_name = _get(cp, "model", "pair", str, "tanh_mse")
+        cfg.p = _get(s, "model", "p", _INT)
+        cfg.q = _get(s, "model", "q", _INT)
+        cfg.operating_bound = _get(s, "model", "operating_bound", _FLOAT, 1.0)
+        cfg.pair_name = _get(s, "model", "pair", _STR, "tanh_mse")
         if cfg.pair_name != "tanh_mse":
             raise ConfigurationError(
-                f"model.pair: control mode drives the tanh lag model; got {cfg.pair_name!r}"
-            )
-        cfg.pair = tanh_mse_pair(cfg.p, cfg.q, m_bound=cfg.operating_bound)
+                f"model.pair: control mode drives the tanh lag model; got {cfg.pair_name!r}")
+        try:
+            cfg.pair = tanh_mse_pair(cfg.p, cfg.q, m_bound=cfg.operating_bound)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"model: {exc}") from None
     else:
-        cfg.pair_name = _get(cp, "model", "pair")
-        cfg.pair, cfg.sampler = catalog_pair(cfg.pair_name)
+        cfg.pair_name = _get(s, "model", "pair", _STR)
+        try:
+            cfg.pair, cfg.sampler = catalog_pair(cfg.pair_name)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"model.pair: {exc}") from None
     dim = cfg.pair.predictor.dim
-    cfg.theta_star = _get(cp, "plant", "theta_star", _float_list)
+    cfg.theta_star = _get(s, "plant", "theta_star", _FLOATS)
     if cfg.theta_star.size != dim:
-        raise ConfigurationError(
-            f"plant.theta_star: expected {dim} entries for pair "
-            f"{cfg.pair_name!r}, got {cfg.theta_star.size}"
-        )
-    cfg.theta0 = _get(cp, "plant", "theta0", _float_list, np.zeros(dim))
+        raise ConfigurationError(f"plant.theta_star: expected {dim} entries for pair "
+                                 f"{cfg.pair_name!r}, got {cfg.theta_star.size}")
+    cfg.theta0 = _get(s, "plant", "theta0", _FLOATS, np.zeros(dim))
     if cfg.theta0.size != dim:
-        raise ConfigurationError(
-            f"plant.theta0: expected {dim} entries, got {cfg.theta0.size}"
-        )
-    cfg.noise_kind = _get(cp, "plant", "noise_kind", str, "gaussian")
-    cfg.noise_std = _get(cp, "plant", "noise_std", float, 1.0)
-    cfg.noise_df = _get(cp, "plant", "noise_df", float, None)
+        raise ConfigurationError(f"plant.theta0: expected {dim} entries, got {cfg.theta0.size}")
+    cfg.noise_kind = _get(s, "plant", "noise_kind", _STR, "gaussian")
+    cfg.noise_std = _get(s, "plant", "noise_std", _FLOAT, 1.0)
+    cfg.noise_df = _get(s, "plant", "noise_df", _FLOAT, None)
     try:
         NoiseSource(std=cfg.noise_std, seed=0, kind=cfg.noise_kind, df=cfg.noise_df)
     except ConfigurationError as exc:
         raise ConfigurationError(f"plant.noise_{exc.context['parameter']}: {exc}") from None
 
 
-def _load_control_section(cp, cfg):
+def _load_control_section(s, cfg):
+    control = {key: _get(s, "control", key, kind, default) for key, kind, default in (
+        ("y_target", _FLOAT, 0.5), ("u_max", _FLOAT, 1e3), ("b_eps", _FLOAT, 1e-8),
+        ("root_tol", _FLOAT, 1e-10), ("root_max_iter", _INT, 200))}
     try:
-        cfg.control = ControlConfig(
-            y_target=_get(cp, "control", "y_target", float, 0.5),
-            u_max=_get(cp, "control", "u_max", float, 1e3),
-            b_eps=_get(cp, "control", "b_eps", float, 1e-8),
-            root_tol=_get(cp, "control", "root_tol", float, 1e-10),
-            root_max_iter=_get(cp, "control", "root_max_iter", int, 200),
-        )
+        cfg.control = ControlConfig(**control)
     except ConfigurationError as exc:
         raise ConfigurationError(f"control.{exc}") from None
 
 
-def _load_replay_section(cp, cfg):
-    cfg.features = _get(cp, "replay", "features", _str_list)
+def _load_replay_section(s, cfg):
+    cfg.features = _get(s, "replay", "features", _STRS)
     if not cfg.features:
         raise ConfigurationError("replay.features: must list at least one column")
-    cfg.target_col = _get(cp, "replay", "target")
-    cfg.data_path = _get(cp, "replay", "data", str, None)
-    cfg.strict_csv = _get(cp, "replay", "strict_csv", _bool, False)
+    cfg.target_col = _get(s, "replay", "target", _STR)
+    cfg.data_path = _get(s, "replay", "data", _STR, None)
+    cfg.strict_csv = _get(s, "replay", "strict_csv", _BOOL, False)
     d = len(cfg.features)
-    cfg.pair_name = _get(cp, "replay", "pair", str, "saturation")
-    spec = None
+    cfg.pair_name = _get(s, "replay", "pair", _STR, "saturation")
     if cfg.pair_name == "saturation":
-        spec = SaturationSpec(
-            lower=_get(cp, "replay", "lower", float),
-            upper=_get(cp, "replay", "upper", float),
-            noise_std=_get(cp, "replay", "noise_std", float, 1.0),
-        )
-    cfg.pair = _replay_pair(cfg.pair_name, d, spec)
-    cfg.theta0 = _get(cp, "replay", "theta0", _float_list, np.zeros(d))
+        window = [_get(s, "replay", "lower", _FLOAT), _get(s, "replay", "upper", _FLOAT),
+                  _get(s, "replay", "noise_std", _FLOAT, 1.0)]
+        try:
+            spec = SaturationSpec(*window)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"replay: {exc}") from None
+        note = ("censored-mean pair used without declared convexity constants; "
+                "step-size cap not enforced")
+        cfg.pair = ModelLossPair(SaturatedMeanModel(spec, d), SquaredError(), operating_note=note)
+    elif cfg.pair_name == "linear_mse":
+        cfg.pair = ModelLossPair(LinearModel(d), SquaredError())
+    else:
+        raise ConfigurationError(f"replay.pair: supported pairs are 'saturation' and "
+                                 f"'linear_mse', got {cfg.pair_name!r}")
+    cfg.theta0 = _get(s, "replay", "theta0", _FLOATS, np.zeros(d))
     if cfg.theta0.size != d:
         raise ConfigurationError(f"replay.theta0: expected {d} entries, got {cfg.theta0.size}")
-
-
-def _replay_pair(name, d, spec):
-    """Replay's pair ``name`` over ``d`` features; ``spec`` is the window of "saturation"."""
-    if name == "saturation":
-        note = (
-            "censored-mean pair used without declared convexity constants; "
-            "step-size cap not enforced"
-        )
-        return ModelLossPair(SaturatedMeanModel(spec, d), SquaredError(), operating_note=note)
-    if name == "linear_mse":
-        return ModelLossPair(LinearModel(d), SquaredError())
-    raise ConfigurationError(
-        f"replay.pair: supported pairs are 'saturation' and 'linear_mse', got {name!r}")
-
-
-def _apply_cap_policy(cfg):
-    if cfg.pair.declares_constants():
-        check_step_size_cap(cfg.hyper, cfg.pair)  # raises ConfigurationError on violation
-    else:
-        msg = (
-            f"pair {cfg.pair_name!r} declares no convexity constants; the step-size "
-            f"cap mu < min(1, 2*delta/c1) cannot be checked, proceeding with mu={cfg.hyper.mu}"
-        )
-        warnings.warn(msg)
-        cfg.caveats.append(msg)
-    if cfg.pair.operating_note and cfg.pair.operating_note not in cfg.caveats:
-        cfg.caveats.append(cfg.pair.operating_note)
 
 
 # ---------------------------------------------------------------------------
@@ -808,28 +843,14 @@ def _run_sweep(cfg, cells, n, replay_rows):
 # per-run summaries and checks
 
 
-def _pair_of(config_echo):
-    """The model/loss pair a report's config names."""
-    if config_echo["mode"] == "control":
-        control = config_echo["control"]
-        return tanh_mse_pair(control["p"], control["q"], m_bound=control["operating_bound"])
-    if config_echo["mode"] == "replay":
-        replay = config_echo["replay"]
-        spec = None
-        if config_echo["pair"] == "saturation":
-            spec = SaturationSpec(replay["lower"], replay["upper"], replay["noise_std"])
-        return _replay_pair(config_echo["pair"], len(replay["features"]), spec)
-    return catalog_pair(config_echo["pair"])[0]
+def summarize(cfg, trace):
+    """The summary of one run of ``cfg``: its numbers, flag counts and pass/fail checks.
 
-
-def summarize(config_echo, trace):
-    """The summary of one run: its numbers, flag counts and pass/fail checks.
-
-    ``config_echo`` is the report's ``config`` block.  This is one feed of
-    the whole trace into the running summary that ``run_experiment`` feeds
-    chunk by chunk, every cell of its sweep at once, with the same bits
-    either way; ``verify_report`` feeds it each trace read back from its
-    file, a chunk at a time, so every reported number has one
+    This is one feed of the whole trace into the running summary that
+    ``run_experiment`` feeds chunk by chunk, every cell of its sweep at
+    once, with the same bits either way; ``verify_report`` feeds it each
+    trace read back from its file, a chunk at a time, with the config it
+    rebuilds from the report's echo, so every reported number has one
     implementation.  Only persisted columns are read, and not
     ``regret_avg``: the plant noise is ``y - f_true`` and the squared
     gradient norms are the increments of ``r_k``.  Values are plain Python
@@ -837,7 +858,7 @@ def summarize(config_echo, trace):
     """
     if not len(trace):
         raise ConfigurationError("trace has no rows; a summary needs at least one step")
-    summary = _RunningSummary(config_echo, len(trace))
+    summary = _RunningSummary(cfg, len(trace))
     summary.feed(trace)
     return summary.result(0)
 
@@ -862,21 +883,17 @@ class _RunningSummary:
 
     _FLAG_BITS = np.array([*FLAG_BIT.values()])[:, None, None]  # in FLAGS order
 
-    def __init__(self, config_echo, n, cells=1):
-        self.mode, self.hyper, self.n = config_echo["mode"], config_echo["hyper"], n
-        self.r_last = self.hyper["beta3"]  # r_{-1}
+    def __init__(self, cfg, n, cells=1):
+        self.mode, self.hyper, self.pair, self.n = cfg.mode, cfg.hyper, cfg.pair, n
+        self.r_last = self.hyper.beta3  # r_{-1}
         self.sums, self.maxima, self.counts = defaultdict(SumScan), {}, {}
         self.rs_tail = SumScan()  # the Robbins-Siegmund terms mu_k^2 ||g_k||^2 from n // 2 on
         self.at = 1000 if self.mode == "replay" else 500  # the running mean's checkpoint step
         self.at_mean = self.theta_err = None
-        if self.mode == "replay":
-            return
-        self.pair = _pair_of(config_echo)
         if self.mode == "control":
-            control = config_echo["control"]
-            self.root_tol = control["root_tol"]
+            self.root_tol = cfg.control.root_tol
             # |f_est| > tanh(bound) iff the estimated preactivation left the band
-            self.edge = math.tanh(control["operating_bound"])
+            self.edge = math.tanh(cfg.operating_bound)
             self.min_phase = MinPhaseScan()
 
     def feed(self, trace):
@@ -929,7 +946,7 @@ class _RunningSummary:
         total = out["rs_total"] = float(self.sums["rs_total"].total[i])
         out["rs_tail_fraction"] = 0.0 if total <= 0.0 else float(self.rs_tail.total[i]) / total
         checks = out["checks"] = {
-            "step_size_law": out["step_size_law_max"] <= self.hyper["mu"] * (1 + 1e-12),
+            "step_size_law": out["step_size_law_max"] <= self.hyper.mu * (1 + 1e-12),
             "no_divergence": out["flag_counts"]["divergence"] == 0,
         }
         if self.mode == "replay":
@@ -964,49 +981,37 @@ class RunReport:
 
 
 def _echo_config(cfg):
+    """``cfg`` as the sections and keys of its config file, every default filled in, as JSON
+    values; ``_config_from_sections`` builds ``cfg`` again from it.  A setting of None is
+    left out."""
     echo = {
-        "mode": cfg.mode,
-        "algorithms": list(cfg.algorithms),
-        "n_steps": cfg.n_steps,
-        "seeds": list(cfg.seeds),
-        "out_dir": cfg.out_dir,
-        "alpha_eps": cfg.alpha_eps,
-        "pair": cfg.pair_name,
-        "hyper": asdict(cfg.hyper),
-        "caveats": list(cfg.caveats),
+        "experiment": {"mode": cfg.mode, "algorithms": list(cfg.algorithms),
+                       "n_steps": cfg.n_steps, "seeds": list(cfg.seeds), "out_dir": cfg.out_dir},
+        "hyper": {**asdict(cfg.hyper), "alpha_eps": cfg.alpha_eps},
     }
-    if cfg.theta_star is not None:
-        echo["plant"] = {
-            "theta_star": [float(x) for x in cfg.theta_star],
-            "theta0": [float(x) for x in cfg.theta0],
-            "noise": {"kind": cfg.noise_kind, "std": cfg.noise_std, "df": cfg.noise_df},
-        }
-    if cfg.control is not None:
-        echo["control"] = {
-            **asdict(cfg.control),
-            "p": cfg.p,
-            "q": cfg.q,
-            "operating_bound": cfg.operating_bound,
-        }
     if cfg.mode == "replay":
-        echo["replay"] = {
-            "features": list(cfg.features),
-            "target": cfg.target_col,
-            "data": cfg.data_path,
-            "strict_csv": cfg.strict_csv,
-            "theta0": [float(x) for x in cfg.theta0],
-        }
+        echo["replay"] = {"features": list(cfg.features), "target": cfg.target_col,
+                          "data": cfg.data_path, "strict_csv": cfg.strict_csv,
+                          "pair": cfg.pair_name, "theta0": cfg.theta0.tolist()}
         if cfg.pair_name == "saturation":
             echo["replay"].update(asdict(cfg.pair.predictor.spec))
-    return echo
+    else:
+        echo["model"] = {"pair": cfg.pair_name}
+        echo["plant"] = {"theta_star": cfg.theta_star.tolist(), "theta0": cfg.theta0.tolist(),
+                         "noise_kind": cfg.noise_kind, "noise_std": cfg.noise_std,
+                         "noise_df": cfg.noise_df}
+    if cfg.mode == "control":
+        echo["model"].update(p=cfg.p, q=cfg.q, operating_bound=cfg.operating_bound)
+        echo["control"] = asdict(cfg.control)
+    return {name: {key: value for key, value in keys.items() if value is not None}
+            for name, keys in echo.items()}
 
 
-def _bound_curve_block(config_echo):
-    """The report's reference-curve block, from its echoed config."""
-    n_steps = config_echo["n_steps"]
-    alpha_eps = config_echo["alpha_eps"]
+def _bound_curve_block(cfg):
+    """The report's reference-curve block."""
+    n_steps, alpha_eps = cfg.n_steps, cfg.alpha_eps
     steps = [n for n in (100, 500, 1000, n_steps) if 1 <= n <= n_steps]
-    curve = bound_curve_at(HyperParams(**config_echo["hyper"]), alpha_eps, steps)
+    curve = bound_curve_at(cfg.hyper, alpha_eps, steps)
     checkpoints = {str(n): float(value) for n, value in zip(steps, curve)}
     return {
         "alpha_eps": alpha_eps,
@@ -1067,6 +1072,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     os.makedirs(cfg.out_dir, exist_ok=True)
     report = {
         "config": _echo_config(cfg),
+        "caveats": list(cfg.caveats),
         "generator": {
             "name": NoiseSource.GENERATOR_NAME,
             "bit_generator": "philox-4x64",
@@ -1087,7 +1093,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         names = [f"trace_{algo}_{'replay' if cfg.mode == 'replay' else f'seed{seed}'}.hex"
                  for algo, seed in cells]
         n = report["dataset"]["rows_used"] if cfg.mode == "replay" else cfg.n_steps
-        summary = _RunningSummary(report["config"], n, len(cells))
+        summary = _RunningSummary(cfg, n, len(cells))
         with contextlib.ExitStack() as files:
             handles = []
             for name in names:
@@ -1114,7 +1120,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         raise
 
     if cfg.mode in ("identify", "control"):
-        report["bound_curve"] = _bound_curve_block(report["config"])
+        report["bound_curve"] = _bound_curve_block(cfg)
     comparison = _comparison_block(cfg.algorithms, report["runs"], _WIN_METRIC[cfg.mode])
     if comparison is not None:
         report["comparison"] = comparison
@@ -1174,14 +1180,12 @@ def compare_runs(report_a, report_b, algo_a=None, algo_b=None):
     """
     a = _load_report(report_a)
     b = _load_report(report_b)
-    if a["config"]["mode"] != b["config"]["mode"]:
+    cfg_a, cfg_b = _config_from_sections(a["config"]), _config_from_sections(b["config"])
+    if cfg_a.mode != cfg_b.mode:
         raise ConfigurationError(
-            f"cannot compare runs of different modes: "
-            f"{a['config']['mode']} vs {b['config']['mode']}"
-        )
+            f"cannot compare runs of different modes: {cfg_a.mode} vs {cfg_b.mode}")
     same = a is b or a == b
-    algos_a = a["config"]["algorithms"]
-    algos_b = b["config"]["algorithms"]
+    algos_a, algos_b = cfg_a.algorithms, cfg_b.algorithms
     if algo_a is None:
         algo_a = algos_a[0]
     if algo_b is None:
@@ -1201,7 +1205,7 @@ def compare_runs(report_a, report_b, algo_a=None, algo_b=None):
     sides = {"a": {s: runs_a[s] for s in shared_seeds}, "b": runs_b}
     block = _comparison_block(("a", "b"), sides, metrics[0])
     table = {
-        "mode": a["config"]["mode"],
+        "mode": cfg_a.mode,
         "sides": {"a": algo_a, "b": algo_b},
         "metrics": {},
         "win_metric": metrics[0],
@@ -1256,10 +1260,6 @@ def _compare(path, reported, recomputed, tol, problems):
         problems.append(f"{path}: reported {reported!r}, recomputed {recomputed!r}")
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # the columns each mode leaves empty; every other column is filled on every row
 _EMPTY_COLUMNS = {
     "control": set(),
@@ -1295,49 +1295,42 @@ class _DerivedColumns:
     trace's ``y_star`` must be the target and ``f_true`` link(theta* .
     phi_k), with phi_k rebuilt as the loop fills it: y_k..y_{k-p+1},
     u_k..u_{k-q+1}, zeros before step 0; so an edited ``u`` cell shows in
-    its step's ``f_true``.  Those match bit for bit.  On the last row of
-    each feed, ``mu_k`` must follow the echoed gain law: mu / r_k bit for
-    bit on a classical run, and on any other within ``GAIN_LAW_RTOL`` of
-    mu / (r_k^beta1 ln(r_k)^beta2 + ||g_k||^2), with ||g_k||^2 taken as the
-    increment of ``r_k``; so an echoed ``mu``, ``beta1`` or ``beta2`` that
-    no longer matches the traces shows.  By the triangle inequality, a
-    change of ``theta_err`` from row k to k + 1 must lie within row k's
-    step mu_k |dL/dx(y, f_est)| ||g_k||.  The row offset, the last ``r_k``,
+    its step's ``f_true``.  Those match bit for bit.  ``r_k`` must never
+    decrease, from r_{-1} = beta3, and every row's ``mu_k`` must follow the
+    gain law: mu / r_k bit for bit on a classical run, and on any other
+    within ``GAIN_LAW_RTOL`` of mu / (r_k^beta1 ln(r_k)^beta2 + ||g_k||^2),
+    with ||g_k||^2 taken as the increment of ``r_k``; so an edited ``mu_k``
+    or ``r_k`` cell, or a ``mu``, ``beta1`` or ``beta2`` that no longer
+    matches the traces, shows.  By the triangle inequality, a change of
+    ``theta_err`` from row k to k + 1 must lie within row k's step mu_k
+    |dL/dx(y, f_est)| ||g_k||.  The row offset, the last ``r_k``,
     ``theta_err`` and step, and the last p outputs and q inputs carry from
     feed to feed, so any cut gives the same problems.
     """
 
-    def __init__(self, config_echo, algorithm):
-        self.mode = config_echo["mode"]
-        pair = _pair_of(config_echo)
-        self.loss = pair.loss
-        self.hyper = config_echo["hyper"]
+    def __init__(self, cfg, algorithm):
+        self.cfg, self.loss, self.hyper = cfg, cfg.pair.loss, cfg.hyper
         self.classical = algorithm == "classical"
         self.law = "mu / r_k" if self.classical else "the modified gain law"
-        self.r_last = self.hyper["beta3"]  # r_{-1}
+        self.r_last = self.hyper.beta3  # r_{-1}
         self.rows = 0
         # the last row's theta_err and its step bound, none before the first feed
         self.err_last = self.step_last = np.empty(0)
         # column -> (row, what it first differs from there), None while it matches
         self.first_bad = dict.fromkeys(("k", "loss", "regret_avg", "y_star", "f_true", "mu_k",
-                                        "theta_err"))
-        if self.mode == "control":
-            control = config_echo["control"]
-            self.target = float(control["y_target"])
-            self.theta_star = np.array(config_echo["plant"]["theta_star"])
-            self.link = pair.predictor.link
-            self.y_lags, self.u_lags = np.zeros(control["p"]), np.zeros(control["q"])
+                                        "theta_err", "r_k"))
+        self.y_lags, self.u_lags = np.zeros(cfg.p), np.zeros(cfg.q)
 
     def feed(self, trace, regret):
-        m = len(trace)
+        m, cfg = len(trace), self.cfg
         derived = {
             "k": (np.arange(self.rows, self.rows + m), "the row index"),
             "loss": (self.loss.eval(trace.y, trace.f_est), f"{self.loss.name}(y, f_est)"),
         }
         if regret is not None:
             derived["regret_avg"] = (regret, "the running mean of the regret")
-        if self.mode == "control":
-            p, q = len(self.y_lags), len(self.u_lags)
+        if cfg.mode == "control":
+            p, q = cfg.p, cfg.q
             y, u = np.concatenate((self.y_lags, trace.y)), np.concatenate((self.u_lags, trace.u))
             phi = np.empty((m, p + q))
             for j in range(p):  # y[p + i] is y_{i+1} of this feed's row i
@@ -1345,39 +1338,39 @@ class _DerivedColumns:
             for j in range(q):
                 phi[:, p + j] = u[q - j : q - j + m]
             self.y_lags, self.u_lags = y[len(y) - p :], u[len(u) - q :]
-            derived["y_star"] = (np.full(m, self.target), "the configured target")
-            derived["f_true"] = (self.link(row_dots(phi, self.theta_star)),
+            derived["y_star"] = (np.full(m, cfg.control.y_target), "the configured target")
+            derived["f_true"] = (cfg.pair.predictor.link(row_dots(phi, cfg.theta_star)),
                                  "link(theta* . phi) of the y, u lags")
-        for column, (expected, what) in derived.items():
-            bad = np.flatnonzero(getattr(trace, column).view(np.int64) != expected.view(np.int64))
-            if bad.size and self.first_bad[column] is None:
-                self.first_bad[column] = (self.rows + int(bad[0]), what)
+        bad = {column: (getattr(trace, column).view(np.int64) != expected.view(np.int64), what)
+               for column, (expected, what) in derived.items()}
         grad_norm_sq = np.diff(trace.r_k, prepend=self.r_last)  # ||g_k||^2, as r_k rounds it
-        r = self.r_last = trace.r_k[-1]
-        mu, beta1, beta2 = (self.hyper[key] for key in ("mu", "beta1", "beta2"))
+        self.r_last = trace.r_k[-1]
+        r, hyper = trace.r_k, self.hyper
         with np.errstate(all="ignore"):  # an edited r_k may leave the law's domain
             if self.classical:
-                holds = mu / r == trace.mu_k[-1]
+                off_law = hyper._mu / r != trace.mu_k
             else:
-                law = mu / (r**beta1 * np.log(r) ** beta2 + grad_norm_sq[-1])
-                holds = r > 1.0 and abs(trace.mu_k[-1] - law) <= GAIN_LAW_RTOL * law
+                law = hyper._mu / (r**hyper._beta1 * np.log(r) ** hyper._beta2 + grad_norm_sq)
+                off_law = ~((r > 1.0) & (np.abs(trace.mu_k - law) <= GAIN_LAW_RTOL * law))
+            bad["mu_k"] = (off_law, f"{self.law} of the echoed hyperparameters")
+            bad["r_k"] = (grad_norm_sq < 0.0, "a sum that never decreases, from beta3")
             if trace.theta_err is not None:
                 # ||theta_{k+1} - theta_k|| = mu_k |dL/dx| ||g_k||; ||g_k|| from the increment
                 # of r_k and its rounding, and a slack of 1e-12 relative and 4 ulp of theta_err
                 step = trace.mu_k * np.abs(self.loss.grad_x(trace.y, trace.f_est)) * (
-                    np.sqrt(np.maximum(grad_norm_sq, 0.0)) + np.sqrt(2.0 * np.spacing(trace.r_k)))
+                    np.sqrt(np.maximum(grad_norm_sq, 0.0)) + np.sqrt(2.0 * np.spacing(r)))
                 err = np.concatenate((self.err_last, trace.theta_err))
                 step = np.concatenate((self.step_last, step))
                 bound = step[:-1] * (1 + 1e-12) + 4.0 * np.spacing(np.maximum(err[:-1], err[1:]))
-                bad = np.flatnonzero(np.abs(np.diff(err)) > bound)  # pair j ends at err[j + 1]
-                if bad.size and self.first_bad["theta_err"] is None:
-                    row = self.rows - len(self.err_last) + int(bad[0]) + 1
-                    self.first_bad["theta_err"] = (
-                        row, "a step of at most mu_k |dL/dx| ||g_k|| from the row before")
+                jumps = np.abs(np.diff(err)) > bound  # pair j ends at err[j + 1]
+                bad["theta_err"] = (np.pad(jumps, (m - len(jumps), 0)),
+                                    "a step of at most mu_k |dL/dx| ||g_k|| from the row before")
                 self.err_last, self.step_last = err[-1:], step[-1:]
+        for column, (rows, what) in bad.items():
+            rows = np.flatnonzero(rows)
+            if rows.size and self.first_bad[column] is None:
+                self.first_bad[column] = (self.rows + int(rows[0]), what)
         self.rows += m
-        if not holds and self.first_bad["mu_k"] is None:
-            self.first_bad["mu_k"] = (self.rows - 1, f"{self.law} of the echoed hyperparameters")
 
     def problems(self, name):
         problems = []
@@ -1389,7 +1382,7 @@ class _DerivedColumns:
         return problems
 
 
-def _verify_trace(config_echo, algorithm, name, path, n, problems):
+def _verify_trace(cfg, algorithm, name, path, n, problems):
     """The summary of ``algorithm``'s run traced at ``path`` and its derived-column problems, a
     chunk at a time.
 
@@ -1399,15 +1392,15 @@ def _verify_trace(config_echo, algorithm, name, path, n, problems):
     """
     with open(path, "rb") as fh:
         names = _read_header(path, fh)
-        if column_problems := _empty_column_problems(config_echo["mode"], name, names):
+        if column_problems := _empty_column_problems(cfg.mode, name, names):
             problems += column_problems  # the summary reads the mode's columns
             return None
         rows = (os.fstat(fh.fileno()).st_size - fh.tell()) // (len(names) * _CELL)
         if rows != n:
             problems.append(f"{name}: {rows} rows, but the run has {n} steps")
             return None
-        summary = _RunningSummary(config_echo, n)
-        derived = _DerivedColumns(config_echo, algorithm)
+        summary = _RunningSummary(cfg, n)
+        derived = _DerivedColumns(cfg, algorithm)
         for _ in range(0, n, _VERIFY_ROWS):
             chunk = read_trace(fh, _VERIFY_ROWS)
             regret = summary.feed(chunk)
@@ -1416,119 +1409,69 @@ def _verify_trace(config_echo, algorithm, name, path, n, problems):
     return summary.result(0), derived.problems(name)
 
 
-class _UnreadableKey(Exception):
-    """A key ``verify_report`` reads is missing from a report or its config echo, or unreadable."""
-
-
-# the JSON type of each echoed value that verify_report reads, by its path under ``config``
-_ECHO_TYPES = {
-    **dict.fromkeys(("hyper", "control", "plant", "replay"), dict),
-    **dict.fromkeys(("n_steps", "control.p", "control.q"), int),
-    **dict.fromkeys(("seeds", "algorithms", "replay.features", "plant.theta_star"), list),
-    **dict.fromkeys(("alpha_eps", "hyper.mu", "hyper.beta1", "hyper.beta2", "hyper.beta3",
-                     "hyper.alpha_moment", "control.operating_bound", "control.root_tol",
-                     "control.y_target", "replay.lower", "replay.upper", "replay.noise_std"),
-                    (int, float)),
-}
-_TYPE_NAMES = {dict: "an object", int: "an integer", list: "a list", (int, float): "a number"}
-
-
-class _Echo(dict):
-    """A config echo checked against ``_ECHO_TYPES`` whose missing keys raise ``_UnreadableKey``."""
-
-    def __init__(self, echo, path="config"):
-        if not isinstance(echo, dict):
-            raise _UnreadableKey(f"{path}: not an object")
-        self.path = path
-        for key, value in echo.items():
-            kind = _ECHO_TYPES.get(f"{path}.{key}".removeprefix("config."))
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise _UnreadableKey(f"{path}.{key}: {value!r} is not {_TYPE_NAMES[kind]}")
-            self[key] = _Echo(value, f"{path}.{key}") if isinstance(value, dict) else value
-
-    def __missing__(self, key):
-        raise _UnreadableKey(f"{self.path}.{key}: missing")
+def _blocks(report):
+    """Each block of ``report`` that ``verify_report`` reads, by path; each must be an object."""
+    yield "config", report.get("config", {})
+    yield "dataset", report.get("dataset", {})
+    yield "runs", report.get("runs")
+    for algo, by_seed in report["runs"].items():
+        yield f"runs.{algo}", by_seed
+        for seed_key, summary in by_seed.items():
+            yield f"runs.{algo}.{seed_key}", summary
 
 
 def verify_report(report_path, tol=RECOMPUTE_TOL):
     """Recompute a report from its traces and echoed config; list mismatches.
 
-    Returns (ok, problems).  Each run is summarized again as ``summarize``
+    Returns (ok, problems).  The echoed config is built again, with every
+    check of ``load_config``, into the ``ExperimentConfig`` that the run and
+    the checks below read.  Each run is summarized again as ``summarize``
     does, from its trace as read back from its file, and compared with the reported
     summary as a whole: the keys must match, numbers must agree to ``tol``,
     and flag counts, checks and other values must be equal.  A finished
     report must hold one run per configured (algorithm, seed) cell, and its
     ``checks_overall``, ``comparison`` and ``bound_curve`` must equal those
     derived from the recomputed runs and the config (the first two only
-    when every configured run was recomputed).  Each trace must leave empty
+    when every configured run was recomputed); its ``caveats`` must be the
+    config's.  Each trace must leave empty
     exactly the columns its mode leaves empty; a trace that does not is one
     problem per column and is not summarized, and so is a trace whose
     row count is not the run's step count (``n_steps``, or the replayed
     ``rows_used``); both are found from the header and the file size before
     any row is read.  Each trace's ``k``, ``loss`` and ``regret_avg``
     columns, and a control trace's ``y_star`` and ``f_true``, must equal
-    their derivation bit for bit, the last ``mu_k`` of each chunk the
-    echoed gain law, and each change of ``theta_err`` the step's bound (see
+    their derivation bit for bit, every ``mu_k`` the echoed gain law, ``r_k``
+    never decrease, and each change of ``theta_err`` lie within the step's bound (see
     ``_DerivedColumns``).  A trace is read
     ``_VERIFY_ROWS`` rows at a time by ``read_trace``, and each chunk goes
     to the running summary that ``run_experiment`` feeds and to the
-    derived-column checks, so no trace is held whole.  A config key that
-    this reads and the report lacks or holds with another JSON type is one
-    problem, named by its path, that ends the check; so do no ``runs``, an unknown ``mode``, an
-    echoed pair or ``hyper`` that cannot be built, and a config, runs, run
-    block, run summary or replay ``dataset`` that is not an object.  A
-    report file whose top level is not a JSON object is one problem.  A run
-    whose trace is not a file in the report's directory, named bare, is
-    one problem and is not summarized.
+    derived-column checks, so no trace is held whole.  An echoed config that
+    ``load_config``'s checks reject is the one problem ``config.`` and the
+    ``ConfigurationError``'s message, naming its section and key; a config,
+    replay ``dataset``, runs, run block or run summary that is not an
+    object (or no ``runs``) is the one problem naming it; either ends the
+    check.  A report file whose top level is not a JSON object is one
+    problem.  A run whose trace is not a file in the report's directory,
+    named bare, is one problem and is not summarized.
     """
     report = _load_report(report_path)
     if not isinstance(report, dict):
         return False, [f"{os.fspath(report_path)}: not a JSON object"]
-    problems = []
+    for name, block in _blocks(report):
+        if not isinstance(block, dict):
+            return False, [f"{name}: {'missing' if block is None else 'not an object'}"]
     try:
-        cfgd = _Echo(report.get("config", {}))
-        out_dir = (os.path.dirname(os.path.abspath(report_path))
-                   if isinstance(report_path, (str, os.PathLike)) else cfgd.get("out_dir", "."))
-        _verify_runs(report, cfgd, out_dir, tol, problems)
-    except _UnreadableKey as exc:
-        problems.append(str(exc))
-    return (not problems), problems
-
-
-def _check_echoed_pair_and_hyper(cfgd):
-    """Raise ``_UnreadableKey`` naming the echo's pair or ``hyper`` if either cannot be built."""
-    try:
-        _pair_of(cfgd)
+        cfg = _config_from_sections(report.get("config", {}))
     except ConfigurationError as exc:
-        pair = cfgd.get("pair")
-        raise _UnreadableKey(f"config.pair: {pair!r} cannot be built ({exc})") from None
-    try:
-        HyperParams(**cfgd["hyper"])
-    except (ConfigurationError, TypeError) as exc:
-        raise _UnreadableKey(f"config.hyper: {exc}") from None
-
-
-def _verify_runs(report, cfgd, out_dir, tol, problems):
-    """``verify_report``'s checks of ``report``, echo ``cfgd``; adds each problem to ``problems``."""
-    if cfgd["mode"] not in list(_EMPTY_COLUMNS):
-        raise _UnreadableKey(f"config.mode: {cfgd['mode']!r} is not a mode")
-    _check_echoed_pair_and_hyper(cfgd)
-    if cfgd["mode"] == "replay":
-        if not isinstance(dataset := report.get("dataset", {}), dict):
-            raise _UnreadableKey("dataset: not an object")
-        n = dataset.get("rows_used")
-    else:
-        n = cfgd["n_steps"]
-    if not isinstance(report.get("runs"), dict):
-        raise _UnreadableKey(f"runs: {'not an object' if 'runs' in report else 'missing'}")
+        return False, [f"config.{exc}"]
+    out_dir = (os.path.dirname(os.path.abspath(report_path))
+               if isinstance(report_path, (str, os.PathLike)) else cfg.out_dir)
+    problems = []
+    n = report.get("dataset", {}).get("rows_used") if cfg.mode == "replay" else cfg.n_steps
     recomputed = {}
     for algo, by_seed in report["runs"].items():
-        if not isinstance(by_seed, dict):
-            raise _UnreadableKey(f"runs.{algo}: not an object")
         recomputed[algo] = {}
         for seed_key, summary in by_seed.items():
-            if not isinstance(summary, dict):
-                raise _UnreadableKey(f"runs.{algo}.{seed_key}: not an object")
             if "trace" not in summary:
                 problems.append(f"{algo}/{seed_key}: no trace named")
                 continue
@@ -1538,7 +1481,7 @@ def _verify_runs(report, cfgd, out_dir, tol, problems):
                     and os.path.isfile(path := os.path.join(out_dir, trace))):
                 problems.append(f"{name}: not a file in the report's directory")
                 continue
-            read = _verify_trace(cfgd, algo, name, path, n, problems)
+            read = _verify_trace(cfg, algo, name, path, n, problems)
             if read is None:
                 continue
             got, derived_problems = read
@@ -1546,20 +1489,21 @@ def _verify_runs(report, cfgd, out_dir, tol, problems):
             got["trace"] = trace
             _compare(f"{algo}/{seed_key}", summary, got, tol, problems)
             problems += derived_problems
+    derived = {"caveats": list(cfg.caveats)}
     if "error" not in report:
-        seeds = cfgd["seeds"][:1] if cfgd["mode"] == "replay" else cfgd["seeds"]
-        cells = {(algo, f"seed_{seed}") for algo in cfgd["algorithms"] for seed in seeds}
+        seeds = cfg.seeds[:1] if cfg.mode == "replay" else cfg.seeds
+        cells = {(algo, f"seed_{seed}") for algo in cfg.algorithms for seed in seeds}
         reported = {(algo, key) for algo, by_seed in report["runs"].items() for key in by_seed}
         if reported != cells:
             problems.append(f"runs: reported cells {sorted(reported)}, configured {sorted(cells)}")
-        derived = {}
         # the run-level blocks are derived only from a full set of recomputed runs
         if {(algo, key) for algo, by_seed in recomputed.items() for key in by_seed} == cells:
             derived["checks_overall"] = _checks_overall(recomputed)
             derived["comparison"] = _comparison_block(
-                cfgd["algorithms"], recomputed, _WIN_METRIC[cfgd["mode"]]
+                cfg.algorithms, recomputed, _WIN_METRIC[cfg.mode]
             )
-        if cfgd["mode"] in ("identify", "control"):
-            derived["bound_curve"] = _bound_curve_block(cfgd)
-        for name, value in derived.items():
-            _compare(name, report.get(name), value, tol, problems)
+        if cfg.mode in ("identify", "control"):
+            derived["bound_curve"] = _bound_curve_block(cfg)
+    for name, value in derived.items():
+        _compare(name, report.get(name), value, tol, problems)
+    return not problems, problems

@@ -207,7 +207,7 @@ class TestAcceptance:
     def test_05_closed_loop_reproduction(self, paper_run):
         report, elapsed, out_dir = paper_run
         runs = report.data["runs"]["modified"]
-        sigma2 = report.data["config"]["plant"]["noise"]["std"] ** 2
+        sigma2 = report.data["config"]["plant"]["noise_std"] ** 2
         ratios, tes, floors, ranges_ok = [], [], [], []
         for seed in range(1, 11):
             s = runs[f"seed_{seed}"]

@@ -9,6 +9,7 @@ import array
 import contextlib
 import copy
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -137,6 +138,11 @@ def _write_cfg(directory, text, **subs):
     return str(path)
 
 
+def _config_of(report):
+    """The ExperimentConfig that ``report``'s echoed config builds."""
+    return bench_module._config_from_sections(report.data["config"])
+
+
 @pytest.fixture(scope="module")
 def control_report(tmp_path_factory):
     root = tmp_path_factory.mktemp("bench_control")
@@ -158,6 +164,14 @@ def long_identify_report(tmp_path_factory):
     text = IDENTIFY_CFG.replace("linear_mse", "logistic").replace("mu = 0.3", "mu = 0.1")
     text = text.replace("n_steps = 60", "n_steps = 1100")
     return run_experiment(load_config(_write_cfg(root, text, out=root / "runs")))
+
+
+@pytest.fixture(scope="module")
+def short_paper_report(tmp_path_factory):
+    """The bundled closed-loop preset over 600 steps."""
+    cfg = load_config(preset_path("paper_sim.cfg"))
+    cfg.n_steps, cfg.out_dir = 600, str(tmp_path_factory.mktemp("paper_sim_600"))
+    return run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -320,9 +334,17 @@ class TestLoadConfig:
          "replay.theta0: expected 5 entries, got 2"),
         (REPLAY_CFG, "target = y", "target = y\nstrict_csv = maybe",
          "replay.strict_csv: cannot parse 'maybe' (not a boolean: 'maybe')"),
+        (CONTROL_CFG, "mu = 0.3", "mu = fast",
+         "hyper.mu: cannot parse 'fast' (could not convert string to float: 'fast')"),
+        (CONTROL_CFG, "q = 2", "q = 2\n\n[control]\nu_max = big",
+         "control.u_max: cannot parse 'big' (could not convert string to float: 'big')"),
+        (IDENTIFY_CFG, "pair = linear_mse", "pair = bogus",
+         "model.pair: unknown pair 'bogus'; choose from ['hinge', 'linear_mse', 'logistic', "
+         "'quadnet', 'saturation', 'tanh_mse']"),
     ], ids=["no_algorithm", "n_steps", "alpha_eps", "control_pair", "theta0_size",
             "plant_noise", "plant_noise_kind", "plant_noise_df", "seeds", "no_feature",
-            "replay_pair", "replay_theta0_size", "boolean"])
+            "replay_pair", "replay_theta0_size", "boolean", "hyper_value", "control_value",
+            "catalog_pair"])
     def test_rejection_names_its_key(self, tmp_path, text, old, new, message):
         assert old in text
         with warnings.catch_warnings():
@@ -363,7 +385,7 @@ class TestLoadConfig:
             warnings.simplefilter("ignore")
             cfg = load_config(_write_cfg(tmp_path, text, out=tmp_path, data="data.csv"))
         echo = json.loads(json.dumps(bench_module._echo_config(cfg)))
-        rebuilt = bench_module._pair_of(echo)
+        rebuilt = bench_module._config_from_sections(echo).pair
         loaded = cfg.pair
         assert type(rebuilt.predictor) is type(loaded.predictor)
         assert rebuilt.predictor.dim == loaded.predictor.dim == 5
@@ -372,6 +394,63 @@ class TestLoadConfig:
         assert rebuilt.operating_note == loaded.operating_note
         if pair == "saturation":
             assert rebuilt.predictor.spec == SaturationSpec(6.0, 120.0, 5.0)
+
+
+def _same(a, b):
+    """True when ``a`` and ``b`` hold the same values: arrays by dtype, shape and bytes,
+    functions by code and closure, other objects by type and attributes."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)
+                and a.tobytes() == b.tobytes())
+    if callable(a) and hasattr(a, "__code__"):
+        cells = [(x.cell_contents, y.cell_contents)
+                 for x, y in zip(a.__closure__ or (), b.__closure__ or ())]
+        return a.__code__ is b.__code__ and _same(vars(a), vars(b)) and all(
+            _same(x, y) for x, y in cells)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if hasattr(a, "__dict__"):
+        return type(a) is type(b) and _same(vars(a), vars(b))
+    return type(a) is type(b) and a == b
+
+
+class TestConfigEcho:
+    """A report's ``config`` is its run's config file as sections of JSON values:
+    ``_config_from_sections`` builds the run's ExperimentConfig again from it, with
+    the checks of ``load_config``."""
+
+    @staticmethod
+    def _loaded(name, tmp_path, monkeypatch):
+        if name.endswith(".cfg"):
+            return load_config(preset_path(name))
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+        workload = importlib.import_module("workloads").prepare(name, 1, str(tmp_path))
+        return workload.apply(load_config(workload.config_path))
+
+    @pytest.mark.parametrize("name", ["paper_sim.cfg", "paper_replay.cfg", "closed_loop",
+                                      "replay", "identify"])
+    def test_the_echo_rebuilds_the_loaded_config(self, name, tmp_path, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the replay pair declares no constants
+            loaded = self._loaded(name, tmp_path, monkeypatch)
+        echo = json.loads(json.dumps(bench_module._echo_config(loaded)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rebuilding warns of nothing
+            rebuilt = bench_module._config_from_sections(echo)
+        for field in dataclasses.fields(loaded):
+            assert _same(getattr(rebuilt, field.name), getattr(loaded, field.name)), field.name
+        assert bench_module._echo_config(rebuilt) == echo
+
+    def test_a_config_file_value_is_text_and_an_echoed_value_is_not_parsed(self, tmp_path):
+        cfg = load_config(_write_cfg(tmp_path, CONTROL_CFG, out=tmp_path))
+        echo = bench_module._echo_config(cfg)
+        assert echo["experiment"]["n_steps"] == cfg.n_steps == 40
+        echo["experiment"]["n_steps"] = "40"
+        with pytest.raises(ConfigurationError) as exc:
+            bench_module._config_from_sections(echo)
+        assert str(exc.value) == "experiment.n_steps: '40' is not an integer"
 
 
 class TestIngestCsv:
@@ -1493,7 +1572,7 @@ class TestVerifyReport:
 
     @pytest.mark.parametrize("run, section, key", [
         ("small_replay_report", "replay", "lower"),
-        ("control_report", "control", "p"),
+        ("control_report", "model", "p"),
     ])
     def test_echo_missing_a_key_it_reads_is_one_named_problem(self, run, section, key, request,
                                                                tmp_path):
@@ -1503,7 +1582,7 @@ class TestVerifyReport:
             del data["config"][section][key]
 
         assert self._verify_edited(request.getfixturevalue(run), tmp_path, edit) == (
-            False, [f"config.{section}.{key}: missing"])
+            False, [f"config.{section}.{key}: required key is missing"])
 
     def test_report_without_runs_is_one_problem(self, control_report, tmp_path):
         # it raised a bare KeyError
@@ -1515,10 +1594,11 @@ class TestVerifyReport:
     def test_unknown_mode_is_one_problem(self, control_report, tmp_path):
         # it raised a bare KeyError
         def edit(data):
-            data["config"]["mode"] = "bogus"
+            data["config"]["experiment"]["mode"] = "bogus"
 
-        assert self._verify_edited(control_report, tmp_path, edit) == (
-            False, ["config.mode: 'bogus' is not a mode"])
+        assert self._verify_edited(control_report, tmp_path, edit) == (False, [
+            "config.experiment.mode: must be one of ('identify', 'control', 'replay'), "
+            "got 'bogus'"])
 
     @pytest.mark.parametrize("edit, problem", [
         (lambda data: data["runs"].update(modified=[1]), "runs.modified: not an object"),
@@ -1533,10 +1613,13 @@ class TestVerifyReport:
         assert self._verify_edited(control_report, tmp_path, edit) == (False, [problem])
 
     @pytest.mark.parametrize("path, value, kind", [
-        ("n_steps", "60", "an integer"),
-        ("seeds", 1, "a list"),
+        ("experiment.n_steps", "60", "an integer"),
+        ("experiment.seeds", 1, "a list of integers"),
         ("hyper.mu", "x", "a number"),
-        ("control.p", "x", "an integer"),
+        ("model.p", "x", "an integer"),
+        ("hyper.outside_theorem_regime", 0, "a boolean"),
+        ("plant.theta_star", [0.0, "x"], "a list of numbers"),
+        ("hyper", 5, "an object"),
     ])
     def test_echo_value_of_another_type_is_one_named_problem(self, control_report, tmp_path,
                                                              path, value, kind):
@@ -1552,20 +1635,22 @@ class TestVerifyReport:
             False, [f"config.{path}: {value!r} is not {kind}"])
 
     @pytest.mark.parametrize("run, edit, problem", [
-        ("identify_report", lambda data: data["config"].update(pair="bogus"),
-         "config.pair: 'bogus' cannot be built (unknown pair 'bogus'; choose from ["),
-        ("small_replay_report", lambda data: data["config"].update(pair="bogus"),
-         "config.pair: 'bogus' cannot be built (replay.pair: supported pairs are "),
+        ("identify_report", lambda data: data["config"]["model"].update(pair="bogus"),
+         "config.model.pair: unknown pair 'bogus'; choose from ["),
+        ("small_replay_report", lambda data: data["config"]["replay"].update(pair="bogus"),
+         "config.replay.pair: supported pairs are "),
         ("identify_report", lambda data: data["config"]["hyper"].update(beta1=0.1),
          "config.hyper: beta1 must lie in [1/2, 1], got 0.1"),
         ("small_replay_report", lambda data: data["config"]["hyper"].update(beta1=0.1),
          "config.hyper: beta1 must lie in [1/2, 1], got 0.1"),
         ("identify_report", lambda data: data["config"]["hyper"].update(zzz=1),
-         "config.hyper: HyperParams.__init__() got an unexpected keyword argument 'zzz'"),
+         "config.hyper.zzz: not a setting of identify mode with pair 'linear_mse'"),
         ("small_replay_report", lambda data: data.update(dataset=[200]),
          "dataset: not an object"),
+        ("identify_report", lambda data: data["config"]["hyper"].update(mu=10**400),
+         "config.hyper.mu: cannot parse 1000"),
     ], ids=["identify pair", "replay pair", "identify beta1", "replay beta1", "hyper key",
-            "dataset"])
+            "dataset", "huge integer"])
     def test_echo_value_that_cannot_be_used_is_one_named_problem(self, run, edit, problem,
                                                                  request, tmp_path):
         # they raised ConfigurationError from the pair or HyperParams, TypeError on the
@@ -1574,9 +1659,15 @@ class TestVerifyReport:
         assert not ok and len(problems) == 1 and problems[0].startswith(problem), problems
 
     @staticmethod
-    def _gain_law_problem(algo, law, rows):
+    def _gain_law_problem(algo, law):
         return (f"{algo}/seed_0 (trace_{algo}_replay.hex): column 'mu_k' first differs from "
-                f"{law} of the echoed hyperparameters at row {rows - 1} (line {rows + 1})")
+                f"{law} of the echoed hyperparameters at row 0 (line 2)")
+
+    @staticmethod
+    def _caveats_problem(data, mu):
+        # the replay pair's caveat names the mu it proceeds with
+        edited = [caveat.replace("mu=0.3", f"mu={mu}") for caveat in data["caveats"]]
+        return f"caveats: reported {data['caveats']!r}, recomputed {edited!r}"
 
     def test_edited_mu_breaks_both_gain_laws(self, small_replay_report, tmp_path):
         # a replay report whose echoed mu no longer matches its traces verified
@@ -1584,16 +1675,20 @@ class TestVerifyReport:
             data["config"]["hyper"]["mu"] = 0.31
 
         assert self._verify_edited(small_replay_report, tmp_path, edit) == (False, [
-            self._gain_law_problem("classical", "mu / r_k", 200),
-            self._gain_law_problem("modified", "the modified gain law", 200)])
+            self._gain_law_problem("classical", "mu / r_k"),
+            self._gain_law_problem("modified", "the modified gain law"),
+            self._caveats_problem(small_replay_report.data, 0.31)])
 
     def test_classical_gain_law_holds_bit_for_bit(self, small_replay_report, tmp_path):
         # one ulp of mu is inside the modified law's bound, but not mu / r_k's
+        mu = math.nextafter(0.3, 1.0)
+
         def edit(data):
-            data["config"]["hyper"]["mu"] = math.nextafter(0.3, 1.0)
+            data["config"]["hyper"]["mu"] = mu
 
         assert self._verify_edited(small_replay_report, tmp_path, edit) == (False, [
-            self._gain_law_problem("classical", "mu / r_k", 200)])
+            self._gain_law_problem("classical", "mu / r_k"),
+            self._caveats_problem(small_replay_report.data, mu)])
 
     @pytest.mark.parametrize("hyper", [
         {"beta2": 0.6}, {"beta1": 0.6, "outside_theorem_regime": True}])
@@ -1604,7 +1699,48 @@ class TestVerifyReport:
             data["config"]["hyper"].update(hyper)
 
         assert self._verify_edited(small_replay_report, tmp_path, edit) == (False, [
-            self._gain_law_problem("modified", "the modified gain law", 200)])
+            self._gain_law_problem("modified", "the modified gain law")])
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data["caveats"].__setitem__(0, "edited"),
+        lambda data: data["caveats"].pop(),
+        lambda data: data.pop("caveats"),
+    ], ids=["edited", "dropped", "no caveats"])
+    def test_caveats_are_rederived_from_the_config(self, control_report, tmp_path, edit):
+        # the config echo held the caveats, and no check read them: an edited one verified
+        caveats = control_report.data["caveats"]
+        assert len(caveats) == 1 and "band" in caveats[0]
+        ok, problems = self._verify_edited(control_report, tmp_path, edit)
+        assert not ok and len(problems) == 1
+        assert problems[0].startswith("caveats: reported ") and problems[0].endswith(
+            f", recomputed {caveats!r}")
+
+    @staticmethod
+    def _verify_row_100_edited(report, tmp_path, column, factor):
+        """verify_report of ``report`` with row 100's ``column`` of its modified seed-1 trace
+        times ``factor``."""
+        dst = tmp_path / "copy"
+        shutil.copytree(os.path.dirname(report.path), dst)
+        path = dst / "trace_modified_seed1.hex"
+        _set_cell(path, 102, column, float(getattr(read_trace(str(path)), column)[100]) * factor)
+        return verify_report(str(dst / "report.json"))
+
+    @pytest.mark.parametrize("column, factor", [("mu_k", 1 + 1e-6), ("r_k", 1 + 1e-9)])
+    def test_a_mid_chunk_gain_law_edit_is_flagged(self, short_paper_report, tmp_path, column,
+                                                  factor):
+        # the gain law was checked on each chunk's last row only: at the default tol both
+        # edits of row 100 of a 600-step paper_sim trace verified
+        assert self._verify_row_100_edited(short_paper_report, tmp_path, column, factor) == (
+            False, ["modified/seed_1 (trace_modified_seed1.hex): column 'mu_k' first differs "
+                    "from the modified gain law of the echoed hyperparameters at row 100 "
+                    "(line 102)"])
+
+    def test_a_decreasing_r_k_is_flagged(self, short_paper_report, tmp_path):
+        # r_k sums squared gradient norms from beta3, so it never decreases
+        ok, problems = self._verify_row_100_edited(short_paper_report, tmp_path, "r_k", 0.5)
+        assert not ok
+        assert ("modified/seed_1 (trace_modified_seed1.hex): column 'r_k' first differs from "
+                "a sum that never decreases, from beta3 at row 100 (line 102)") in problems
 
     def test_report_file_that_is_not_an_object_is_one_problem(self, tmp_path):
         # it raised AttributeError
@@ -1683,12 +1819,11 @@ class TestVerifyReport:
         # a header-only trace raised a bare IndexError from the running summary;
         # n is n_steps in control and identify, the rows replayed in replay
         report = request.getfixturevalue(run)
-        config = report.data["config"]
-        n = (report.data["dataset"]["rows_used"] if config["mode"] == "replay"
-             else config["n_steps"])
+        config = _config_of(report)
+        n = report.data["dataset"]["rows_used"] if config.mode == "replay" else config.n_steps
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(report.path), dst)
-        algo = config["algorithms"][0]
+        algo = config.algorithms[0]
         seed_key, summary = next(iter(report.data["runs"][algo].items()))
         trace_path = dst / summary["trace"]
         lines = trace_path.read_bytes().split(b"\n")[:-1]  # the header, then a line per row
@@ -1715,7 +1850,7 @@ class TestVerifyReport:
         report = request.getfixturevalue(run)
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(report.path), dst)
-        algo = report.data["config"]["algorithms"][0]
+        algo = _config_of(report).algorithms[0]
         seed_key, summary = next(iter(report.data["runs"][algo].items()))
         trace_path = str(dst / summary["trace"])
         trace = read_trace(trace_path)
@@ -1741,7 +1876,7 @@ class TestVerifyReport:
         report = request.getfixturevalue(run)
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(report.path), dst)
-        summary = next(iter(report.data["runs"][report.data["config"]["algorithms"][0]].values()))
+        summary = next(iter(report.data["runs"][_config_of(report).algorithms[0]].values()))
         _set_cell(dst / summary["trace"], 42, "flags", 8)
         with pytest.raises(DataError, match="flags value above 7.* at line 42$") as exc:
             verify_report(str(dst / "report.json"))
@@ -1758,7 +1893,7 @@ class TestVerifyReport:
         report = request.getfixturevalue(run)
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(report.path), dst)
-        algo = report.data["config"]["algorithms"][0]
+        algo = _config_of(report).algorithms[0]
         seed_key, summary = next(iter(report.data["runs"][algo].items()))
         _set_cell(dst / summary["trace"], 12, column, cell)
         assert verify_report(str(dst / "report.json")) == (False, [
@@ -1773,7 +1908,7 @@ class TestVerifyReport:
         report = request.getfixturevalue(run)
         dst = tmp_path / "copy"
         shutil.copytree(os.path.dirname(report.path), dst)
-        algo = report.data["config"]["algorithms"][0]
+        algo = _config_of(report).algorithms[0]
         seed_key, summary = next(iter(report.data["runs"][algo].items()))
         _set_cell(dst / summary["trace"], 12, "regret_avg", 9.0)
         assert verify_report(str(dst / "report.json")) == (False, [
@@ -1928,7 +2063,7 @@ class TestSummarize:
         # the summary feeds the diagnostic's two sums chunk by chunk, every cell side by side
         report = request.getfixturevalue(run)
         report = report[0] if isinstance(report, tuple) else report
-        beta3 = report.data["config"]["hyper"]["beta3"]
+        beta3 = _config_of(report).hyper.beta3
         for by_seed in report.data["runs"].values():
             for summary in by_seed.values():
                 trace = read_trace(os.path.join(os.path.dirname(report.path), summary["trace"]))
@@ -1939,7 +2074,7 @@ class TestSummarize:
     def test_a_trace_with_no_rows_is_named(self, control_report):
         # it raised a bare IndexError from the running summary
         with pytest.raises(ConfigurationError, match="trace has no rows"):
-            summarize(control_report.data["config"], Trace(k=np.empty(0, dtype=np.int64)))
+            summarize(_config_of(control_report), Trace(k=np.empty(0, dtype=np.int64)))
 
     def test_replay_checkpoints_are_the_relative_error_metric_bit_for_bit(self, replay_run):
         # the summary carries the metric's compensated sum from chunk to chunk
@@ -1996,7 +2131,7 @@ class TestSummarize:
             for by_seed in report.data["runs"].values():
                 for summary in by_seed.values():
                     trace = read_trace(os.path.join(out_dir, summary["trace"]))
-                    got = summarize(report.data["config"], trace)
+                    got = summarize(_config_of(report), trace)
                     assert {type(v) for v in _leaves(got)} <= {float, int, bool}
                     json.dumps(got, allow_nan=False)
 
@@ -2042,8 +2177,8 @@ class TestStreamedRun:
         out_dir = os.path.dirname(report.path)
         traces = [read_trace(os.path.join(out_dir, summary["trace"]))
                   for by_seed in report.data["runs"].values() for summary in by_seed.values()]
-        config = report.data["config"]
-        loss = None if config["mode"] == "replay" else bench_module._pair_of(config).loss
+        config = _config_of(report)
+        loss = None if config.mode == "replay" else config.pair.loss
         wholes = [(summarize(config, trace),
                    None if loss is None else running_mean(regret_sum(trace, loss)))
                   for trace in traces]
@@ -2112,8 +2247,10 @@ class TestFlagBitmask:
                    for name in ("y", "f_true", "f_est", "loss", "theta_err", "mu_k", "r_k")}
         columns["r_k"] = np.cumsum(columns["r_k"], axis=0) + 2.0
         chunk = Trace(k=np.arange(m), flags=masks, **columns)
-        config = {"mode": "identify", "pair": "linear_mse",
-                  "hyper": {"mu": 0.3, "beta1": 0.5, "beta2": 0.51, "beta3": 2.0}}
+        config = bench_module._config_from_sections({
+            "experiment": {"mode": "identify", "n_steps": m, "seeds": [0, 1], "out_dir": "."},
+            "hyper": {"mu": 0.3, "beta1": 0.5, "beta2": 0.51, "beta3": 2.0},
+            "model": {"pair": "linear_mse"}, "plant": {"theta_star": [0.0, 0.0, 0.0]}})
         summary = bench_module._RunningSummary(config, m, 2)
         summary.feed(chunk)
         for i in range(2):
@@ -2178,10 +2315,12 @@ class TestMemoryBound:
         # verify_report of a one-cell replay report: read 8,192 rows at a time, the
         # 163,840-row trace peaked 0.06 MB above the 16,384-row one (1.24 MB).  Reading
         # each trace whole, it grew by 12.3 MB
-        config = {"mode": "replay", "algorithms": ["modified"], "seeds": [0],
+        config = {"experiment": {"mode": "replay", "algorithms": ["modified"], "n_steps": 1,
+                                 "seeds": [0], "out_dir": "."},
                   "hyper": {"mu": 0.3, "beta1": 0.5, "beta2": 0.51, "beta3": 2.0},
-                  "pair": "saturation", "replay": {"features": ["f0", "f1", "f2", "f3", "f4"],
-                                                   "lower": 6.0, "upper": 120.0, "noise_std": 5.0}}
+                  "replay": {"features": ["f0", "f1", "f2", "f3", "f4"], "target": "y",
+                             "lower": 6.0, "upper": 120.0, "noise_std": 5.0}}
+        cfg = bench_module._config_from_sections(config)
 
         def replay_report(n):
             rng = np.random.default_rng(n)
@@ -2195,10 +2334,10 @@ class TestMemoryBound:
             out = tmp_path / f"replay{n}"
             out.mkdir()
             write_trace(str(out / "trace_modified_replay.hex"), trace)
-            runs = {"modified": {"seed_0": {**summarize(config, trace),
+            runs = {"modified": {"seed_0": {**summarize(cfg, trace),
                                             "trace": "trace_modified_replay.hex"}}}
-            report = {"config": config, "dataset": {"rows_used": n}, "runs": runs,
-                      "checks_overall": bench_module._checks_overall(runs)}
+            report = {"config": config, "caveats": cfg.caveats, "dataset": {"rows_used": n},
+                      "runs": runs, "checks_overall": bench_module._checks_overall(runs)}
             (out / "report.json").write_text(json.dumps(report))
             return str(out / "report.json")
 
